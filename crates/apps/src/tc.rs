@@ -334,10 +334,15 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
             let side = (tag & 1) as usize;
             let off = tag >> 1;
             st.inflight[side] -= 1;
-            let n = args.len() - 1;
-            let words: Vec<u64> = (0..n).map(|i| ctx.arg(i)).collect();
-            st.stash[side].insert(off, words);
-            // Drain the contiguous prefix into the merge buffer.
+            let words = &args[..args.len() - 1];
+            // An in-order chunk goes straight to the merge buffer; an early
+            // one waits in the stash until the prefix before it has drained.
+            if off == st.expected[side] {
+                st.expected[side] += words.len() as u64;
+                st.buf[side].extend(words);
+            } else {
+                st.stash[side].insert(off, words.to_vec());
+            }
             while let Some(w) = st.stash[side].remove(&st.expected[side]) {
                 st.expected[side] += w.len() as u64;
                 st.buf[side].extend(w);

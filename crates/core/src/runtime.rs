@@ -25,7 +25,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use udweave::{LaneSet, TreeComm};
-use updown_sim::{snap_fields, snap_state, Engine, EventCtx, EventLabel, EventWord, NetworkId};
+use updown_sim::{
+    snap_fields, snap_state, Engine, EventCtx, EventLabel, EventWord, NetworkId, Operands,
+};
 
 use crate::binding::{KeyRange, MapBinding, ReduceBinding};
 use crate::task::{JobId, MapTask, Outcome, ReduceTask};
@@ -466,7 +468,7 @@ impl Kvmsr {
                     .reduce
                     .clone()
                     .expect("reduce tuple for map-only job");
-                let vals: Vec<u64> = ctx.args()[2..].to_vec();
+                let vals = Operands::from(&ctx.args()[2..]);
                 match f(ctx, &task, &vals, &rt) {
                     Outcome::Done => {
                         rt.reduce_done(ctx, job);
@@ -675,19 +677,8 @@ impl Kvmsr {
 
     /// `kv_map_emit`: route an intermediate tuple to its reduce lane.
     pub fn emit(&self, ctx: &mut EventCtx<'_>, task: &mut MapTask, key: u64, vals: &[u64]) {
-        let (lane, label) = {
-            let inner = self.inner.lock().unwrap();
-            let spec = &inner.jobs[task.job.0 as usize];
-            (
-                spec.reduce_binding.lane_for(key, &spec.set),
-                self.labels.lock().unwrap().reduce_exec,
-            )
-        };
         task.emits += 1;
-        let mut args = vec![task.job.0 as u64, key];
-        args.extend_from_slice(vals);
-        ctx.charge(1);
-        ctx.send_event(EventWord::new(lane, label), args, EventWord::IGNORE);
+        self.emit_uncounted(ctx, task.job, key, vals);
     }
 
     /// Route a tuple to its reduce lane **without** updating a task's emit
@@ -704,7 +695,7 @@ impl Kvmsr {
                 self.labels.lock().unwrap().reduce_exec,
             )
         };
-        let mut args = vec![job.0 as u64, key];
+        let mut args = Operands::from([job.0 as u64, key]);
         args.extend_from_slice(vals);
         ctx.charge(1);
         ctx.send_event(EventWord::new(lane, label), args, EventWord::IGNORE);

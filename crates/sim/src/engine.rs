@@ -31,7 +31,7 @@
 //! thread counts.
 
 use std::any::{Any, TypeId};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize,
@@ -44,7 +44,7 @@ use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
 use crate::lane::{Lane, SimState, ThreadSlot};
 use crate::memory::{GlobalMemory, MemChannels, MemoryImage, VAddr};
-use crate::message::Message;
+use crate::message::{Message, Operands, HW_OPERANDS};
 use crate::network::{Fabric, LinkId, Nics, Topology};
 use crate::probe::{DiagKind, Diagnostic, ProbeState, ProtocolProbe};
 use crate::race::{RaceAccess, RaceExec, RaceState, ThreadKey};
@@ -167,10 +167,25 @@ enum Action {
     },
 }
 
+/// Reply operands of a served DRAM transaction: the data words (at most
+/// [`HW_OPERANDS`]), then the issuer's tag. Assembled on the stack so a
+/// tagged full-width read reply is built in one step.
+fn reply_args(words: &[u64], tag: Option<u64>) -> Operands {
+    let mut buf = [0u64; HW_OPERANDS + 1];
+    buf[..words.len()].copy_from_slice(words);
+    let mut n = words.len();
+    if let Some(tag) = tag {
+        buf[n] = tag;
+        n += 1;
+    }
+    Operands::from(&buf[..n])
+}
+
 /// Slab storage for pending [`Action`]s. The calendar holds bare `u32`
 /// slot indices, so queue operations never move action payloads, and the
-/// freelist recycles slots across windows — after warm-up the steady state
-/// allocates nothing per event.
+/// freelist recycles slots across windows — after warm-up the arena itself
+/// allocates nothing. (What the whole event path still allocates per
+/// event is budgeted in `docs/perf.md`, "Allocation budget".)
 ///
 /// Snapshots serialize the slab *and* the freelist verbatim: the calendar
 /// stores slot indices, so slot numbering (and hence future freelist
@@ -772,14 +787,13 @@ impl EngineCore {
                         ret,
                         tag,
                     } => {
-                        let mut words = match shared.mem.read_words(va, nwords as usize) {
-                            Ok(w) => w,
-                            Err(e) => panic!("DRAM read fault at service time: {e}"),
-                        };
-                        if let Some(tag) = tag {
-                            words.push(tag);
-                        }
-                        Some(Message::new(ret, words, EventWord::IGNORE, ret.nwid()))
+                        let mut data = [0u64; HW_OPERANDS];
+                        let data = &mut data[..nwords as usize];
+                        shared
+                            .mem
+                            .read_words_into(va, data)
+                            .unwrap_or_else(|e| panic!("DRAM read fault at service time: {e}"));
+                        Some(Message::new(ret, reply_args(data, tag), EventWord::IGNORE, ret.nwid()))
                     }
                     MemOp::Write {
                         va,
@@ -792,11 +806,7 @@ impl EngineCore {
                             .write_words(va, &words)
                             .unwrap_or_else(|e| panic!("DRAM write fault at service time: {e}"));
                         ack.map(|ack| {
-                            let mut args = vec![va.0];
-                            if let Some(tag) = tag {
-                                args.push(tag);
-                            }
-                            Message::new(ack, args, EventWord::IGNORE, ack.nwid())
+                            Message::new(ack, reply_args(&[va.0], tag), EventWord::IGNORE, ack.nwid())
                         })
                     }
                     MemOp::AddU64 {
@@ -810,11 +820,7 @@ impl EngineCore {
                             .fetch_add_u64(va, delta)
                             .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
                         ret.map(|ret| {
-                            let mut args = vec![old];
-                            if let Some(tag) = tag {
-                                args.push(tag);
-                            }
-                            Message::new(ret, args, EventWord::IGNORE, ret.nwid())
+                            Message::new(ret, reply_args(&[old], tag), EventWord::IGNORE, ret.nwid())
                         })
                     }
                     MemOp::AddF64 {
@@ -828,10 +834,7 @@ impl EngineCore {
                             .fetch_add_f64(va, delta)
                             .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
                         ret.map(|ret| {
-                            let mut args = vec![old.to_bits()];
-                            if let Some(tag) = tag {
-                                args.push(tag);
-                            }
+                            let args = reply_args(&[old.to_bits()], tag);
                             Message::new(ret, args, EventWord::IGNORE, ret.nwid())
                         })
                     }
@@ -980,12 +983,12 @@ impl EngineCore {
             .threads
             .state_mut(tid)
             .unwrap_or_else(|| panic!("event {:?} targets dead thread on lane {l}", msg.dst))
-            .take();
+            .take()
+            .map_or_else(OnceCell::new, OnceCell::from);
         let entry = &shared.handlers[label.0 as usize];
         let hs = &mut self.handler_stats[label.0 as usize];
         hs.0 += 1;
         hs.1 = t;
-        let f = Arc::clone(&entry.f);
 
         let base = shared.cfg.costs.event_dispatch
             + if is_new {
@@ -1005,12 +1008,13 @@ impl EngineCore {
             out: out_buf,
             terminated: false,
             state,
+            detached_default: None,
             stopped: false,
             created_by,
             cont_read: Cell::new(false),
             race: race_exec,
         };
-        f(&mut ctx);
+        (entry.f)(&mut ctx);
 
         let EventCtx {
             cost,
@@ -1095,7 +1099,7 @@ impl EngineCore {
             *self.lanes[li]
                 .threads
                 .state_mut(tid)
-                .expect("live thread") = state;
+                .expect("live thread") = state.into_inner();
         }
 
         // Emit collected effects at completion time.
@@ -1951,7 +1955,7 @@ fn save_msg(m: &Message, w: &mut SnapWriter) {
 fn load_msg(r: &mut SnapReader<'_>) -> Result<Message, SnapshotError> {
     Ok(Message {
         dst: EventWord::take(r)?,
-        args: Vec::<u64>::take(r)?,
+        args: Operands::take(r)?,
         cont: EventWord::take(r)?,
         src: NetworkId::take(r)?,
         race: None,
@@ -2610,7 +2614,7 @@ impl Engine {
 
     /// Host-side (TOP core) injection of an initial event at the current
     /// simulation time.
-    pub fn send(&mut self, dst: EventWord, args: impl Into<Vec<u64>>, cont: EventWord) {
+    pub fn send(&mut self, dst: EventWord, args: impl Into<Operands>, cont: EventWord) {
         let l = dst.nwid();
         assert!(
             l.0 < self.shared.cfg.total_lanes(),
@@ -3550,6 +3554,10 @@ impl Engine {
     }
 }
 
+fn default_state<T: Default + Send + Clone + 'static>() -> Box<dyn SimState> {
+    Box::<T>::default()
+}
+
 /// Execution context handed to event handlers: the UDWeave "machine
 /// interface". Every operation charges its Table-2 cost.
 pub struct EventCtx<'a> {
@@ -3562,7 +3570,12 @@ pub struct EventCtx<'a> {
     cost: u64,
     out: Vec<Outgoing>,
     terminated: bool,
-    state: Option<Box<dyn SimState>>,
+    /// The thread's state box. A `OnceCell` only so that `state_ref`
+    /// (`&self`) can materialize `detached_default` on first read.
+    state: OnceCell<Box<dyn SimState>>,
+    /// Set while [`EventCtx::with_state`] has the typed state detached:
+    /// builds the default value the (empty) cell then reads as.
+    detached_default: Option<fn() -> Box<dyn SimState>>,
     stopped: bool,
     /// Creating label of this thread (protocol-probe bookkeeping).
     created_by: u16,
@@ -3679,35 +3692,63 @@ impl<'a> EventCtx<'a> {
     /// on first use. `Clone` is required so whole-machine snapshots can
     /// deep-copy live thread states (see [`SimState`]).
     pub fn state_mut<T: Default + Send + Clone + 'static>(&mut self) -> &mut T {
-        let fresh = match &self.state {
-            Some(s) => s.as_any().downcast_ref::<T>().is_none(),
-            None => true,
-        };
-        if fresh {
-            self.state = Some(Box::<T>::default());
+        if !self.state.get().is_some_and(|s| s.as_any().is::<T>()) {
+            self.state = OnceCell::from(default_state::<T>());
         }
         self.state
-            .as_mut()
-            .unwrap()
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .unwrap()
+            .get_mut()
+            .and_then(|s| s.as_any_mut().downcast_mut::<T>())
+            .expect("state cell holds a T")
     }
 
-    /// Replace the thread state wholesale.
+    /// Replace the thread state wholesale (in place when the cell already
+    /// holds a `T`).
     pub fn set_state<T: Send + Clone + 'static>(&mut self, v: T) {
-        self.state = Some(Box::new(v));
+        match self.state.get_mut().and_then(|s| s.as_any_mut().downcast_mut::<T>()) {
+            Some(slot) => *slot = v,
+            None => self.state = OnceCell::from(Box::new(v) as Box<dyn SimState>),
+        }
     }
 
     /// Typed immutable view, `None` if never set with this type.
     pub fn state_ref<T: 'static>(&self) -> Option<&T> {
-        self.state.as_ref().and_then(|b| b.as_any().downcast_ref::<T>())
+        let cell = match self.detached_default {
+            Some(default) => Some(self.state.get_or_init(default)),
+            None => self.state.get(),
+        };
+        cell.and_then(|b| b.as_any().downcast_ref::<T>())
+    }
+
+    /// Run `f` with `&mut S` borrowed from the thread's own state box
+    /// (default-initialized when the thread has none of this type yet):
+    /// the box is detached for the call and reattached after it, so a
+    /// typed event allocates only at a thread's first use. While detached
+    /// the state cell reads as a fresh `S::default()`, and whatever `f`
+    /// leaves in it through `state_mut`/`set_state` is superseded by the
+    /// typed state on return.
+    pub fn with_state<S: Default + Send + Clone + 'static, R>(
+        &mut self,
+        f: impl FnOnce(&mut EventCtx<'a>, &mut S) -> R,
+    ) -> R {
+        let mut boxed = match self.state.take() {
+            Some(b) if b.as_any().is::<S>() => b,
+            _ => default_state::<S>(),
+        };
+        let outer = self.detached_default.replace(default_state::<S>);
+        let st = boxed
+            .as_any_mut()
+            .downcast_mut::<S>()
+            .expect("state box holds an S");
+        let r = f(self, st);
+        self.detached_default = outer;
+        self.state = OnceCell::from(boxed);
+        r
     }
 
     // ---- sends -----------------------------------------------------------
 
     /// `send_event(eventWord, data..., continuationWord)`.
-    pub fn send_event(&mut self, dst: EventWord, args: impl Into<Vec<u64>>, cont: EventWord) {
+    pub fn send_event(&mut self, dst: EventWord, args: impl Into<Operands>, cont: EventWord) {
         self.send_event_after(0, dst, args, cont);
     }
 
@@ -3718,7 +3759,7 @@ impl<'a> EventCtx<'a> {
         &mut self,
         delay: u64,
         dst: EventWord,
-        args: impl Into<Vec<u64>>,
+        args: impl Into<Operands>,
         cont: EventWord,
     ) {
         assert!(!dst.is_ignore(), "send_event to IGNORE");
@@ -3773,7 +3814,7 @@ impl<'a> EventCtx<'a> {
     }
 
     /// Reply on the continuation if one was provided.
-    pub fn send_reply(&mut self, args: impl Into<Vec<u64>>) {
+    pub fn send_reply(&mut self, args: impl Into<Operands>) {
         let c = self.cont();
         if !c.is_ignore() {
             self.send_event(c, args, EventWord::IGNORE);
@@ -4316,6 +4357,99 @@ mod tests {
         // => arrives 266; handler runs 3 cycles (2+1).
         assert_eq!(r.final_tick, 269);
         assert_eq!(r.stats.dram_reads, 1);
+    }
+
+    #[test]
+    fn calendar_payload_sizes_are_pinned() {
+        // The calendar arena holds one `Action` per pending entry; both
+        // sizes feed straight into peak RSS (docs/perf.md).
+        assert!(std::mem::size_of::<Message>() <= 72);
+        assert!(std::mem::size_of::<Action>() <= 112);
+    }
+
+    /// Pause with a spilled (6-operand) message and a tagged 8-word DRAM
+    /// reply (9 operands) in flight. The serialized snapshot must be the
+    /// bytes the `Vec<u64>`-operand engine wrote for this state — pinned
+    /// as their FNV-1a hash, recorded at commit 7c55cb0 — and restoring
+    /// them must re-encode and resume identically.
+    #[test]
+    fn long_operands_in_flight_snapshot_in_the_v1_layout() {
+        type Seen = Arc<Mutex<Vec<Vec<u64>>>>;
+        fn build() -> (Engine, Seen) {
+            let mut eng = Engine::new(tiny());
+            let va = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+            eng.mem_mut()
+                .write_words(va, &[11, 12, 13, 14, 15, 16, 17, 18])
+                .unwrap();
+            let seen: Seen = Arc::default();
+            let seen2 = seen.clone();
+            let sink = eng.register(
+                "sink",
+                Arc::new(move |ctx: &mut EventCtx| {
+                    seen2.lock().unwrap().push(ctx.args().to_vec());
+                    ctx.yield_terminate();
+                }),
+            );
+            let tick = eng.register(
+                "tick",
+                Arc::new(|ctx: &mut EventCtx| match ctx.arg(0) {
+                    0 => ctx.yield_terminate(),
+                    n => ctx.send_event(ctx.cur_evw(), [n - 1], EventWord::IGNORE),
+                }),
+            );
+            let kick = eng.register(
+                "kick",
+                Arc::new(move |ctx: &mut EventCtx| {
+                    let far = EventWord::new(NetworkId(1), sink);
+                    ctx.send_event_after(100_000, far, [1, 2, 3, 4, 5, 6], EventWord::IGNORE);
+                    ctx.send_dram_read_tagged(va, 8, sink, 0x7A6);
+                    ctx.send_event(EventWord::new(NetworkId(2), tick), [200], EventWord::IGNORE);
+                }),
+            );
+            eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+            (eng, seen)
+        }
+        fn in_flight(eng: &Engine) -> (bool, bool) {
+            let pending = || eng.shards.iter().flat_map(|c| c.arena.slots.iter().flatten());
+            (
+                pending().any(|a| matches!(a, Action::Deliver(m) if m.args.len() == 6)),
+                pending().any(|a| {
+                    matches!(a, Action::MemDone { resp: MemResp { reply: Some(m), .. }, .. }
+                        if m.args.len() == 9)
+                }),
+            )
+        }
+
+        let (mut eng, seen) = (1..400)
+            .map(|limit| {
+                let (mut eng, seen) = build();
+                eng.set_event_limit(limit);
+                eng.run();
+                (eng, seen)
+            })
+            .find(|(eng, _)| in_flight(eng) == (true, true))
+            .expect("some pause point has both payloads in flight");
+        let bytes = eng.snapshot_bytes().unwrap();
+        assert_eq!(
+            snapshot::fnv1a(&bytes),
+            0x1E99_B9F0_6620_B75F,
+            "updown-snapshot/v1 bytes moved"
+        );
+
+        let (mut eng2, seen2) = build();
+        eng2.restore_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(in_flight(&eng2), (true, true));
+        assert_eq!(eng2.snapshot_bytes().unwrap(), bytes);
+
+        eng.set_event_limit(u64::MAX);
+        eng2.set_event_limit(u64::MAX);
+        assert_eq!(eng.run().to_json(), eng2.run().to_json());
+        let want = vec![
+            vec![11, 12, 13, 14, 15, 16, 17, 18, 0x7A6],
+            vec![1, 2, 3, 4, 5, 6],
+        ];
+        assert_eq!(*seen.lock().unwrap(), want);
+        assert_eq!(*seen2.lock().unwrap(), want);
     }
 
     #[test]

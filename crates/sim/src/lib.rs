@@ -61,7 +61,7 @@ pub use lane::SimState;
 pub use sched::{Parallel, Scheduler, Sequential};
 pub use ids::{EventLabel, EventWord, NetworkId, ThreadId};
 pub use memory::{GlobalMemory, MemError, TranslationDescriptor, VAddr};
-pub use message::Message;
+pub use message::{Message, Operands};
 pub use network::{Fabric, Link, LinkId, Nics, Topology, TopologyKind};
 pub use probe::{DiagKind, Diagnostic, ProbeReport, ProtocolProbe};
 pub use snapshot::{

@@ -179,6 +179,9 @@ pub struct GlobalMemory {
 const VA_BASE: u64 = 0x1000_0000;
 /// Guard gap between allocations to catch overruns.
 const VA_GAP: u64 = 0x1_0000;
+/// Words moved per translation by the word-slice accessors: one hardware
+/// DRAM transaction (at most 8 words), staged through a stack buffer.
+const SPAN_WORDS: usize = 8;
 
 impl GlobalMemory {
     pub fn new(nodes: u32) -> GlobalMemory {
@@ -341,19 +344,50 @@ impl GlobalMemory {
 
     /// Read `n` consecutive u64 words.
     pub fn read_words(&self, va: VAddr, n: usize) -> Result<Vec<u64>, MemError> {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(self.read_u64(va.word(i as u64))?);
-        }
+        let mut out = vec![0; n];
+        self.read_words_into(va, &mut out)?;
         Ok(out)
     }
 
-    /// Write consecutive u64 words.
-    pub fn write_words(&self, va: VAddr, words: &[u64]) -> Result<(), MemError> {
-        for (i, w) in words.iter().enumerate() {
-            self.write_u64(va.word(i as u64), *w)?;
+    /// Fill `out` with consecutive u64 words: one translation and one bank
+    /// lock per in-block run of up to [`SPAN_WORDS`] words.
+    pub fn read_words_into(&self, va: VAddr, out: &mut [u64]) -> Result<(), MemError> {
+        let mut bytes = [0u8; SPAN_WORDS * 8];
+        for (i, words) in out.chunks_mut(SPAN_WORDS).enumerate() {
+            let at = va.word((i * SPAN_WORDS) as u64);
+            let bytes = &mut bytes[..words.len() * 8];
+            self.read_bytes(at, bytes)
+                .map_err(|_| self.word_fault(at, words.len()))?;
+            for (w, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
         }
         Ok(())
+    }
+
+    /// Write consecutive u64 words, translated and locked as in
+    /// [`Self::read_words_into`]. On a fault, words before the faulting
+    /// span are already written.
+    pub fn write_words(&self, va: VAddr, words: &[u64]) -> Result<(), MemError> {
+        let mut bytes = [0u8; SPAN_WORDS * 8];
+        for (i, words) in words.chunks(SPAN_WORDS).enumerate() {
+            let at = va.word((i * SPAN_WORDS) as u64);
+            let bytes = &mut bytes[..words.len() * 8];
+            for (w, b) in words.iter().zip(bytes.chunks_exact_mut(8)) {
+                b.copy_from_slice(&w.to_le_bytes());
+            }
+            self.write_bytes(at, bytes)
+                .map_err(|_| self.word_fault(at, words.len()))?;
+        }
+        Ok(())
+    }
+
+    /// The fault of a span access that failed, named as word-granular
+    /// hardware would: by the first word not wholly inside the allocation.
+    fn word_fault(&self, va: VAddr, n: usize) -> MemError {
+        (0..n as u64)
+            .find_map(|i| self.with_span(va.word(i), 8, |_, _| {}).err())
+            .expect("a faulting span has a faulting word")
     }
 
     /// Atomic read-modify-write under the owning bank's lock (the engine
@@ -746,6 +780,81 @@ mod tests {
         assert_eq!(m.fetch_add_u64(a, 5).unwrap(), 0);
         assert_eq!(m.fetch_add_u64(a, 3).unwrap(), 5);
         assert_eq!(m.read_u64(a).unwrap(), 8);
+    }
+
+    /// The reference the span accessors must match: one translation per word.
+    fn read_word_by_word(m: &GlobalMemory, va: VAddr, n: usize) -> Result<Vec<u64>, MemError> {
+        (0..n as u64).map(|i| m.read_u64(va.word(i))).collect()
+    }
+
+    #[test]
+    fn word_spans_match_word_by_word_access() {
+        let size = 3 * 4096u64;
+        let fill = |m: &GlobalMemory, a: VAddr| {
+            for off in (0..size).step_by(8) {
+                m.write_u64(a.offset(off), off ^ 0x5a5a_0000).unwrap();
+            }
+        };
+        // (first byte offset, words): inside a block, straddling the node
+        // boundary (word-aligned and not), the allocation's last word, and
+        // a host-sized span longer than one transaction.
+        let cases = [
+            (16, 8),
+            (4096 - 24, 8),
+            (4096 - 12, 3),
+            (size - 8, 1),
+            (size - 64, 8),
+            (4096 - 40, 21),
+        ];
+        for (off, n) in cases {
+            let mut m = GlobalMemory::new(2);
+            let a = m.alloc(size, 0, 2, 4096).unwrap();
+            fill(&m, a);
+            let va = a.offset(off);
+            let want = read_word_by_word(&m, va, n).unwrap();
+            assert_eq!(m.read_words(va, n).unwrap(), want, "read +{off} x{n}");
+
+            let data: Vec<u64> = (0..n as u64).map(|i| i + 1000).collect();
+            m.write_words(va, &data).unwrap();
+            assert_eq!(read_word_by_word(&m, va, n).unwrap(), data, "write +{off} x{n}");
+            // Neighbours on both sides are untouched.
+            let mut twin = GlobalMemory::new(2);
+            let b = twin.alloc(size, 0, 2, 4096).unwrap();
+            fill(&twin, b);
+            for (i, w) in data.iter().enumerate() {
+                twin.write_u64(b.offset(off).word(i as u64), *w).unwrap();
+            }
+            assert_eq!(
+                m.read_words(a, (size / 8) as usize).unwrap(),
+                read_word_by_word(&twin, b, (size / 8) as usize).unwrap(),
+                "image +{off} x{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_spans_fault_like_word_by_word_access() {
+        let mut m = GlobalMemory::new(2);
+        let size = 2 * 4096u64;
+        let a = m.alloc(size, 0, 2, 4096).unwrap();
+        // One word past the end; a span running off the end (aligned, and
+        // with its last word half outside); wholly outside; NULL.
+        let cases = [
+            (a.offset(size), 1),
+            (a.offset(size - 16), 3),
+            (a.offset(size - 20), 8),
+            (a.offset(size + 64), 2),
+            (VAddr::NULL, 4),
+        ];
+        for (va, n) in cases {
+            let want = read_word_by_word(&m, va, n).unwrap_err();
+            assert_eq!(m.read_words(va, n).unwrap_err(), want, "read {va:?} x{n}");
+            assert_eq!(m.write_words(va, &vec![7; n]).unwrap_err(), want, "write {va:?} x{n}");
+        }
+        assert_eq!(
+            m.read_words(a.offset(size), 1),
+            Err(MemError::Fault(a.offset(size)))
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! strong scaling of small problems (§5.2).
 
 use updown_sim::spec::ProgramSpec;
-use updown_sim::{Engine, EventLabel, EventWord, NetworkId};
+use updown_sim::{Engine, EventLabel, EventWord, NetworkId, Operands};
 
 /// A contiguous set of lanes targeted by a collective or a KVMSR
 /// invocation ("each KVMSR invocation targets a set of lanes", §2.3).
@@ -125,7 +125,7 @@ impl TreeComm {
                 let parent = st.parent;
                 let acc = st.acc;
                 if !parent.is_ignore() {
-                    ctx.send_event(parent, acc.to_vec(), EventWord::IGNORE);
+                    ctx.send_event(parent, acc, EventWord::IGNORE);
                 }
                 ctx.yield_terminate();
             }
@@ -136,7 +136,7 @@ impl TreeComm {
             let count = ctx.arg(1) as u32;
             let user_label = EventLabel(ctx.arg(2) as u16);
             let pos = ctx.arg(3) as u32;
-            let payload: Vec<u64> = ctx.args()[4..].to_vec();
+            let payload = Operands::from(&ctx.args()[4..]);
             let set = LaneSet { base, count };
 
             st.parent = ctx.cont();
@@ -146,7 +146,8 @@ impl TreeComm {
 
             for c in heap_children(count, pos, fanout) {
                 st.pending += 1;
-                let mut args = vec![base as u64, count as u64, user_label.0 as u64, c as u64];
+                let mut args =
+                    Operands::from([base as u64, count as u64, user_label.0 as u64, c as u64]);
                 args.extend_from_slice(&payload);
                 ctx.send_event(EventWord::new(set.lane(c), my_label), args, my_gather);
             }

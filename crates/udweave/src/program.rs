@@ -79,13 +79,7 @@ impl<S: Default + Send + Clone + 'static> ThreadType<S> {
         let full = format!("{}::{}", self.name, event_name);
         eng.register(
             &full,
-            Arc::new(move |ctx: &mut EventCtx<'_>| {
-                // Temporarily take the state so the handler can use ctx
-                // methods freely while holding `&mut S`.
-                let mut st: S = std::mem::take(ctx.state_mut::<S>());
-                f(ctx, &mut st);
-                ctx.set_state(st);
-            }),
+            Arc::new(move |ctx: &mut EventCtx<'_>| ctx.with_state(|ctx, st: &mut S| f(ctx, st))),
         )
     }
 }
@@ -137,6 +131,55 @@ mod tests {
         eng.send(EventWord::new(NetworkId(0), start), [21], EventWord::IGNORE);
         eng.run();
         assert_eq!(*out.lock().unwrap(), 42);
+    }
+
+    /// The typed state is detached while the handler runs: the context's
+    /// own state cell reads as a fresh default, and whatever the handler
+    /// puts there is superseded by the typed state when the event ends.
+    #[test]
+    fn typed_state_supersedes_mid_handler_cell_writes() {
+        #[derive(Clone, Default, Debug, PartialEq)]
+        struct St {
+            v: u64,
+        }
+        let mut eng = Engine::new(MachineConfig::small(1, 1, 2));
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let mut t = ThreadType::<St>::new("T");
+        let check = {
+            let seen = seen.clone();
+            simple_event(&mut eng, "check", move |ctx| {
+                seen.lock().unwrap().push(ctx.state_mut::<St>().v);
+                ctx.yield_terminate();
+            })
+        };
+        let second = {
+            let seen = seen.clone();
+            t.event(&mut eng, "second", move |ctx, st| {
+                seen.lock().unwrap().push(st.v);
+                st.v += 1;
+                // A foreign type in the cell is dropped at exit too.
+                *ctx.state_mut::<u32>() = 5;
+                ctx.send_event(ctx.self_event(check), [], EventWord::IGNORE);
+            })
+        };
+        let first = {
+            let seen = seen.clone();
+            t.event(&mut eng, "first", move |ctx, st| {
+                st.v = 10;
+                assert_eq!(ctx.state_ref::<St>(), Some(&St::default()));
+                assert_eq!(ctx.state_mut::<St>().v, 0, "the cell is a default, not `st`");
+                ctx.state_mut::<St>().v = 77;
+                assert_eq!(ctx.state_ref::<St>(), Some(&St { v: 77 }));
+                ctx.set_state(St { v: 99 });
+                seen.lock().unwrap().push(ctx.state_mut::<St>().v);
+                ctx.send_event(ctx.self_event(second), [], EventWord::IGNORE);
+            })
+        };
+        eng.send(EventWord::new(NetworkId(0), first), [], EventWord::IGNORE);
+        eng.run();
+        // first saw its own cell write (99); second got the typed 10, not
+        // 77/99; the untyped check saw second's typed 11, not the u32.
+        assert_eq!(*seen.lock().unwrap(), vec![99, 10, 11]);
     }
 
     #[test]
