@@ -484,7 +484,7 @@ impl CostGate {
 ///   every armed run: the engine pauses every `N` scheduler windows,
 ///   snapshots, round-trips the snapshot and continues. Results are
 ///   byte-identical with checkpointing on or off.
-/// * `--checkpoint <path>` additionally writes an `updown-snapshot/v1`
+/// * `--checkpoint <path>` additionally writes an `updown-snapshot/v2`
 ///   file at the first checkpoint boundary of the *first* armed run
 ///   (first-run-wins, like the [`Exporter`]). Defaults the cadence to 8
 ///   windows when `--checkpoint-every` is absent.
@@ -782,6 +782,7 @@ mod tests {
             fabric: Default::default(),
             sched: Default::default(),
             host_sched: Default::default(),
+            host_calendar: Default::default(),
         }
     }
 

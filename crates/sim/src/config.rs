@@ -266,11 +266,11 @@ pub struct MachineConfig {
     /// (restore + self-check) and continues — proving mid-run that the
     /// run is resumable. Results stay byte-identical with it on or off.
     pub checkpoint_every: u64,
-    /// Write an `updown-snapshot/v1` file here at the *first* checkpoint
+    /// Write an `updown-snapshot/v2` file here at the *first* checkpoint
     /// boundary (requires `checkpoint_every > 0`). `--checkpoint` on the
     /// bench bins.
     pub checkpoint_path: Option<std::path::PathBuf>,
-    /// Resume from an `updown-snapshot/v1` file: the engine re-drives the
+    /// Resume from an `updown-snapshot/v2` file: the engine re-drives the
     /// same deterministic workload and swaps in the decoded machine state
     /// when it reaches the snapshot's window, making the remainder of the
     /// run byte-identical to one that never stopped. `--restore` on the

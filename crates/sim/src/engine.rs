@@ -39,7 +39,7 @@ use std::sync::atomic::{
 };
 use std::sync::{Arc, Mutex};
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarQueue, IdList, Links};
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
 use crate::lane::{Lane, SimState, ThreadSlot};
@@ -53,8 +53,8 @@ use crate::snapshot::{
     self, ReplayRunReport, SnapField, SnapHeader, SnapReader, SnapState, SnapWriter, SnapshotError,
 };
 use crate::stats::{
-    Counters, FabricMetrics, HostSchedStats, LaneMetrics, LinkMetrics, Metrics, NodeMetrics,
-    SchedMetrics, UTIL_HIST_BUCKETS,
+    Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
+    NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
 };
 use crate::trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
 
@@ -131,28 +131,32 @@ struct MemResp {
     write: bool,
 }
 
+/// Where a DRAM request is on its way through the owning node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MemStage {
+    /// Arrived at the owning node's memory channel; waiting for service.
+    Arrive,
+    /// Channel service complete: apply the effect and send the response.
+    Served,
+}
+
 /// DRAM transactions are staged through the calendar so each shared
 /// resource (source NIC, memory channel, owner NIC) is reserved at the
 /// moment the transaction actually reaches it — reservations happen in
 /// time order, which keeps the FIFO pipelines honest.
+///
+/// A payload is written into its slab slot once and stays there: a
+/// transaction advances by changing `stage` (or being overwritten by its
+/// response) in place and re-queueing the same id, and a message waits in
+/// its lane's inbox *as its slot id* until the handler starts.
 #[derive(Clone, Debug)]
 enum Action {
     Deliver(Message),
-    LaneRun(u32),
-    /// Request has arrived at the owning node's memory channel.
-    /// `trace_id` correlates the stages of one transaction in the event
-    /// trace; 0 when tracing is off. `race` is the issuer's race context
-    /// when a [`RaceProbe`] is attached.
-    MemArrive {
-        op: MemOp,
-        src_node: u32,
-        owner: u32,
-        trace_id: u64,
-        race: Option<RaceAccess>,
-    },
-    /// Channel service complete (memory already updated); send the
-    /// response back.
-    MemServed {
+    /// A request at the owning node. `trace_id` correlates the stages of
+    /// one transaction in the event trace; 0 when tracing is off. `race`
+    /// is the issuer's race context when a [`RaceProbe`] is attached.
+    Mem {
+        stage: MemStage,
         op: MemOp,
         src_node: u32,
         owner: u32,
@@ -165,6 +169,26 @@ enum Action {
         owner: u32,
         trace_id: u64,
     },
+}
+
+impl Action {
+    /// The message a lane's inbox holds this slot for: a delivery, or the
+    /// reply of a completed DRAM transaction.
+    fn message(&self) -> Option<&Message> {
+        match self {
+            Action::Deliver(m) => Some(m),
+            Action::MemDone { resp, .. } => resp.reply.as_ref(),
+            Action::Mem { .. } => None,
+        }
+    }
+
+    fn into_message(self) -> Option<Message> {
+        match self {
+            Action::Deliver(m) => Some(m),
+            Action::MemDone { resp, .. } => resp.reply,
+            Action::Mem { .. } => None,
+        }
+    }
 }
 
 /// Reply operands of a served DRAM transaction: the data words (at most
@@ -181,41 +205,71 @@ fn reply_args(words: &[u64], tag: Option<u64>) -> Operands {
     Operands::from(&buf[..n])
 }
 
-/// Slab storage for pending [`Action`]s. The calendar holds bare `u32`
-/// slot indices, so queue operations never move action payloads, and the
-/// freelist recycles slots across windows — after warm-up the arena itself
-/// allocates nothing. (What the whole event path still allocates per
-/// event is budgeted in `docs/perf.md`, "Allocation budget".)
+/// Slab storage for pending [`Action`]s: every calendar entry with a
+/// payload and every message waiting on a lane. The calendar and the lane
+/// inboxes hold bare `u32` ids, so queueing never moves a payload. A
+/// shard's ids `0..first_id` name its lanes (a lane's pending run entry is
+/// the lane's own id and has no slot); slot `i` is id `first_id + i`.
+/// Vacant slots form a LIFO freelist threaded through the calendar's link
+/// array like every other list of ids, so the slab allocates only when it
+/// grows. (What the whole event path still allocates per event is
+/// budgeted in `docs/perf.md`, "Allocation budget".)
 ///
-/// Snapshots serialize the slab *and* the freelist verbatim: the calendar
-/// stores slot indices, so slot numbering (and hence future freelist
-/// reuse order) must survive a restore exactly for re-encoded snapshots
-/// to stay byte-identical.
-#[derive(Clone, Default)]
+/// Snapshots serialize the slab *and* the freelist verbatim: the lists
+/// store ids, so slot numbering (and hence future freelist reuse order)
+/// must survive a restore exactly for re-encoded snapshots to stay
+/// byte-identical.
+#[derive(Clone)]
 struct ActionArena {
+    first_id: u32,
     slots: Vec<Option<Action>>,
-    free: Vec<u32>,
+    free: IdList,
 }
 
 impl ActionArena {
-    fn insert(&mut self, action: Action) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(action);
-                i
+    fn new(first_id: u32) -> ActionArena {
+        ActionArena {
+            first_id,
+            slots: Vec::new(),
+            free: IdList::default(),
+        }
+    }
+
+    fn insert(&mut self, links: &mut Links, action: Action) -> u32 {
+        match links.pop_front(&mut self.free) {
+            Some(id) => {
+                self.slots[(id - self.first_id) as usize] = Some(action);
+                id
             }
             None => {
-                let i = self.slots.len() as u32;
+                let id = self.first_id + self.slots.len() as u32;
+                links.ensure(id);
                 self.slots.push(Some(action));
-                i
+                id
             }
         }
     }
 
-    fn take(&mut self, i: u32) -> Action {
-        let a = self.slots[i as usize].take().expect("live arena slot");
-        self.free.push(i);
+    fn take(&mut self, links: &mut Links, id: u32) -> Action {
+        let a = self.slots[(id - self.first_id) as usize]
+            .take()
+            .expect("live arena slot");
+        links.push_front(&mut self.free, id);
         a
+    }
+
+    fn get_mut(&mut self, id: u32) -> &mut Action {
+        self.slots[(id - self.first_id) as usize]
+            .as_mut()
+            .expect("live arena slot")
+    }
+
+    /// The message waiting in slot `id` (an inbox or parked entry).
+    fn message(&self, id: u32) -> &Message {
+        self.slots[(id - self.first_id) as usize]
+            .as_ref()
+            .and_then(Action::message)
+            .expect("inbox entry names a slot holding a message")
     }
 }
 
@@ -336,7 +390,7 @@ impl Recording {
 /// reports).
 ///
 /// This is the deep-copy tier of the two snapshot tiers; the on-disk
-/// `updown-snapshot/v1` format ([`Engine::write_snapshot`]) carries the
+/// `updown-snapshot/v2` format ([`Engine::write_snapshot`]) carries the
 /// functional machine state only. See `docs/checkpoint.md`.
 pub struct Snapshot {
     cores: Vec<EngineCore>,
@@ -345,7 +399,7 @@ pub struct Snapshot {
     /// Deterministic per-window imbalance aggregates at the snapshot
     /// point — rewound with `windows` so a resumed run's `SchedMetrics`
     /// match an uninterrupted one. Also carried in the on-disk
-    /// `updown-snapshot/v1` body: a fresh process restoring from bytes
+    /// `updown-snapshot/v2` body: a fresh process restoring from bytes
     /// never ran the prefix, so these must migrate with the counters.
     sched_win_max_sum: u64,
     sched_win_max_peak: u64,
@@ -502,8 +556,18 @@ impl EngineCore {
     }
 
     fn schedule(&mut self, time: u64, action: Action) {
-        let slot = self.arena.insert(action);
-        self.calendar.push(time, slot);
+        let id = self.arena.insert(self.calendar.links_mut(), action);
+        self.push_id(time, id);
+    }
+
+    /// Schedule lane `l` (a global lane id of this shard) to run at
+    /// `time`: the calendar entry is the lane's own shard-local id.
+    fn schedule_lane_run(&mut self, time: u64, l: u32) {
+        self.push_id(time, l - self.base_lane);
+    }
+
+    fn push_id(&mut self, time: u64, id: u32) {
+        self.calendar.push(time, id);
         // `peak_calendar` counts logical pending entries (see `stats.rs`):
         // `CalendarQueue::len` spans ring, fast lane, and overflow rung,
         // matching the historical heap's `len()` exactly.
@@ -515,27 +579,32 @@ impl EngineCore {
         self.calendar.peek_time().unwrap_or(u64::MAX)
     }
 
-    fn local_lane(&mut self, nwid: NetworkId) -> &mut Lane {
-        let idx = (nwid.0 - self.base_lane) as usize;
+    /// Host-side injection: give `msg` a slot and queue it on its lane.
+    fn deliver(&mut self, t: u64, msg: Message) {
+        let l = msg.dst.nwid();
+        let id = self.arena.insert(self.calendar.links_mut(), Action::Deliver(msg));
+        self.enqueue(t, l, id);
+    }
+
+    /// Append slot `id`, which holds a message for lane `l`, to that
+    /// lane's inbox, scheduling the lane if it is idle. The payload stays
+    /// in its slot until `lane_run` starts the handler.
+    fn enqueue(&mut self, t: u64, l: NetworkId, id: u32) {
+        let idx = (l.0 - self.base_lane) as usize;
         assert!(
-            nwid.0 >= self.base_lane && idx < self.lanes.len(),
+            l.0 >= self.base_lane && idx < self.lanes.len(),
             "message to nonexistent lane {} (shard {} owns {}..{})",
-            nwid.0,
+            l.0,
             self.id,
             self.base_lane,
             self.base_lane + self.lanes.len() as u32
         );
-        &mut self.lanes[idx]
-    }
-
-    fn deliver(&mut self, t: u64, msg: Message) {
-        let l = msg.dst.nwid();
-        let lane = self.local_lane(l);
-        lane.inbox.push_back(msg);
+        let lane = &mut self.lanes[idx];
+        self.calendar.links_mut().push_back(&mut lane.inbox, id);
         if !lane.scheduled {
             lane.scheduled = true;
             let at = t.max(lane.free_at);
-            self.schedule(at, Action::LaneRun(l.0));
+            self.schedule_lane_run(at, l.0);
         }
     }
 
@@ -631,7 +700,8 @@ impl EngineCore {
                 t,
                 owner,
                 72,
-                Action::MemArrive {
+                Action::Mem {
+                    stage: MemStage::Arrive,
                     op,
                     src_node,
                     owner,
@@ -643,7 +713,8 @@ impl EngineCore {
             let arrival = t + Self::mem_hop_latency(shared, src_node, owner);
             self.schedule(
                 arrival,
-                Action::MemArrive {
+                Action::Mem {
+                    stage: MemStage::Arrive,
                     op,
                     src_node,
                     owner,
@@ -688,7 +759,7 @@ impl EngineCore {
     fn window(&mut self, shared: &Shared, horizon: u64, budget: u64) -> u64 {
         let before = self.stats.events_executed;
         while !self.stop && self.stats.events_executed - before < budget {
-            let Some((t, slot)) = self.calendar.pop_if_before(horizon) else {
+            let Some((t, id)) = self.calendar.pop_if_before(horizon) else {
                 break;
             };
             if t < self.now {
@@ -698,59 +769,55 @@ impl EngineCore {
                 );
             }
             self.now = t;
-            let action = self.arena.take(slot);
-            self.dispatch(shared, action);
+            if id < self.arena.first_id {
+                self.lane_run(shared, self.base_lane + id);
+            } else {
+                self.dispatch(shared, id);
+            }
         }
         self.stats.events_executed - before
     }
 
-    fn dispatch(&mut self, shared: &Shared, action: Action) {
-        match action {
+    /// Advance the pending entry in slab slot `id` by one stage, in place.
+    fn dispatch(&mut self, shared: &Shared, id: u32) {
+        let now = self.now;
+        match self.arena.get_mut(id) {
             Action::Deliver(msg) => {
-                let t = self.now;
+                let l = msg.dst.nwid();
                 self.stats.msgs_delivered += 1;
-                self.deliver(t, msg);
+                self.enqueue(now, l, id);
             }
-            Action::LaneRun(l) => self.lane_run(shared, l),
-            Action::MemArrive {
+            Action::Mem {
+                stage: stage @ MemStage::Arrive,
                 op,
-                src_node,
                 owner,
                 trace_id,
-                race,
+                ..
             } => {
-                let now = self.now;
                 let bytes = op.bytes();
                 if let Some(tr) = &mut self.tracer {
                     tr.record(TraceEvent::Dram {
-                        id: trace_id,
+                        id: *trace_id,
                         stage: DramStage::Arrive,
-                        node: owner,
+                        node: *owner,
                         time: now,
                         bytes,
                         write: op.is_write(),
                     });
                 }
+                *stage = MemStage::Served;
                 let served = self.channel.service(0, now, bytes);
-                self.schedule(
-                    served,
-                    Action::MemServed {
-                        op,
-                        src_node,
-                        owner,
-                        trace_id,
-                        race,
-                    },
-                );
+                self.push_id(served, id);
             }
-            Action::MemServed {
+            Action::Mem {
+                stage: MemStage::Served,
                 op,
                 src_node,
                 owner,
                 trace_id,
                 race,
             } => {
-                let now = self.now;
+                let (src_node, owner, trace_id) = (*src_node, *owner, *trace_id);
                 let bytes = op.bytes();
                 let write = op.is_write();
                 if let Some(tr) = &mut self.tracer {
@@ -768,8 +835,8 @@ impl EngineCore {
                 // serialization point for this word's state. Atomic ops
                 // hand back an acquired clock for the reply to carry.
                 let mut race_acquired = None;
-                if let (Some(rp), Some(acc)) = (&shared.cfg.race, &race) {
-                    let (va, nwords, atomic, is_wr) = match &op {
+                if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
+                    let (va, nwords, atomic, is_wr) = match &*op {
                         MemOp::Read { va, nwords, .. } => (*va, *nwords as u32, false, false),
                         MemOp::Write { va, words, .. } => (*va, words.len() as u32, false, true),
                         MemOp::AddU64 { va, .. } | MemOp::AddF64 { va, .. } => (*va, 1, true, true),
@@ -780,8 +847,8 @@ impl EngineCore {
                 // Apply the memory effect now, on the owning shard: channel
                 // service order is the deterministic serialization point
                 // for all accesses to this node's memory.
-                let mut reply = match op {
-                    MemOp::Read {
+                let mut reply = match &*op {
+                    &MemOp::Read {
                         va,
                         nwords,
                         ret,
@@ -803,13 +870,13 @@ impl EngineCore {
                     } => {
                         shared
                             .mem
-                            .write_words(va, &words)
+                            .write_words(*va, words)
                             .unwrap_or_else(|e| panic!("DRAM write fault at service time: {e}"));
                         ack.map(|ack| {
-                            Message::new(ack, reply_args(&[va.0], tag), EventWord::IGNORE, ack.nwid())
+                            Message::new(ack, reply_args(&[va.0], *tag), EventWord::IGNORE, ack.nwid())
                         })
                     }
-                    MemOp::AddU64 {
+                    &MemOp::AddU64 {
                         va,
                         delta,
                         ret,
@@ -823,7 +890,7 @@ impl EngineCore {
                             Message::new(ret, reply_args(&[old], tag), EventWord::IGNORE, ret.nwid())
                         })
                     }
-                    MemOp::AddF64 {
+                    &MemOp::AddF64 {
                         va,
                         delta,
                         ret,
@@ -844,36 +911,26 @@ impl EngineCore {
                 // an atomic's reply carries the acquired clock instead,
                 // ordering the issuer after every earlier fetch-and-add
                 // on the word (barrier release-acquire).
-                if let (Some(acc), Some(m)) = (&race, reply.as_mut()) {
+                if let (Some(acc), Some(m)) = (race.as_ref(), reply.as_mut()) {
                     m.race = Some(race_acquired.take().unwrap_or_else(|| acc.clock.clone()));
                 }
-                let resp = MemResp {
-                    reply,
-                    bytes,
-                    write,
+                let done = Action::MemDone {
+                    resp: MemResp {
+                        reply,
+                        bytes,
+                        write,
+                    },
+                    owner,
+                    trace_id,
                 };
                 if owner != src_node {
-                    self.fabric_send(
-                        shared,
-                        now,
-                        src_node,
-                        8 + bytes,
-                        Action::MemDone {
-                            resp,
-                            owner,
-                            trace_id,
-                        },
-                    );
+                    self.arena.take(self.calendar.links_mut(), id);
+                    self.fabric_send(shared, now, src_node, 8 + bytes, done);
                 } else {
+                    // The response overwrites the request in its slot.
+                    *self.arena.get_mut(id) = done;
                     let arrival = now + Self::mem_hop_latency(shared, src_node, owner);
-                    self.schedule(
-                        arrival,
-                        Action::MemDone {
-                            resp,
-                            owner,
-                            trace_id,
-                        },
-                    );
+                    self.push_id(arrival, id);
                 }
             }
             Action::MemDone {
@@ -881,19 +938,25 @@ impl EngineCore {
                 owner,
                 trace_id,
             } => {
-                let t = self.now;
                 if let Some(tr) = &mut self.tracer {
                     tr.record(TraceEvent::Dram {
-                        id: trace_id,
+                        id: *trace_id,
                         stage: DramStage::Respond,
-                        node: owner,
-                        time: t,
+                        node: *owner,
+                        time: now,
                         bytes: resp.bytes,
                         write: resp.write,
                     });
                 }
-                if let Some(msg) = resp.reply {
-                    self.deliver(t, msg);
+                match &resp.reply {
+                    // The lane takes the reply straight out of this slot.
+                    Some(msg) => {
+                        let l = msg.dst.nwid();
+                        self.enqueue(now, l, id);
+                    }
+                    None => {
+                        self.arena.take(self.calendar.links_mut(), id);
+                    }
                 }
             }
         }
@@ -905,18 +968,21 @@ impl EngineCore {
         let li = (l - self.base_lane) as usize;
         let lane = &mut self.lanes[li];
         debug_assert!(lane.scheduled);
-        let Some(msg) = lane.inbox.pop_front() else {
+        let Some(id) = self.calendar.links_mut().pop_front(&mut lane.inbox) else {
             lane.scheduled = false;
             return;
         };
-        let label = msg.dst.label();
-        let is_new = msg.dst.tid() == ThreadId::NEW;
+        // The message stays in its slot until its handler is about to
+        // start: one that is dropped or parked below is never moved.
+        let dst = self.arena.message(id).dst;
+        let label = dst.label();
+        let is_new = dst.tid() == ThreadId::NEW;
         // Sanitizer: messages that cannot be dispatched (unregistered label
         // or dead target thread) are diagnosed and dropped instead of
         // panicking. Violation-free programs never reach either branch.
         if shared.cfg.sanitize {
             let unregistered = label.0 as usize >= shared.handlers.len();
-            let dead = !unregistered && !is_new && !lane.threads.contains(msg.dst.tid());
+            let dead = !unregistered && !is_new && !lane.threads.contains(dst.tid());
             if unregistered || dead {
                 let more = !lane.inbox.is_empty();
                 if !more {
@@ -928,7 +994,7 @@ impl EngineCore {
                             format!("message delivered to unregistered event label {}", label.0)
                         });
                     } else {
-                        let tid = msg.dst.tid().0;
+                        let tid = dst.tid().0;
                         p.diag(DiagKind::SendToDeadThread, label.0, tid as u64, t, l, || {
                             format!(
                                 "message for '{}' targets dead thread {tid} on lane {l}",
@@ -937,30 +1003,36 @@ impl EngineCore {
                         });
                     }
                 }
+                self.arena.take(self.calendar.links_mut(), id);
                 self.stats.msgs_dropped += 1;
                 if more {
-                    self.schedule(t, Action::LaneRun(l));
+                    self.schedule_lane_run(t, l);
                 }
                 return;
             }
         }
         // Resolve the thread context.
-        let tid = match lane.resolve_thread(msg.dst, max_threads) {
+        let tid = match lane.resolve_thread(dst, max_threads) {
             Some(tid) => tid,
             None => {
                 // Thread table full: park this message and try the next.
-                lane.parked.push_back(msg);
+                self.calendar.links_mut().push_back(&mut lane.parked, id);
                 let more = !lane.inbox.is_empty();
                 if !more {
                     lane.scheduled = false;
                 }
                 self.stats.thread_table_stalls += 1;
                 if more {
-                    self.schedule(t, Action::LaneRun(l));
+                    self.schedule_lane_run(t, l);
                 }
                 return;
             }
         };
+        let msg = self
+            .arena
+            .take(self.calendar.links_mut(), id)
+            .into_message()
+            .expect("slot held a message a moment ago");
         if is_new {
             self.stats.threads_created += 1;
             lane.threads.set_created_by(tid, label.0);
@@ -1088,8 +1160,9 @@ impl EngineCore {
             let lane = &mut self.lanes[li];
             lane.dealloc_thread(tid);
             // A freed context unparks one waiting creation.
-            if let Some(parked) = lane.parked.pop_front() {
-                lane.inbox.push_front(parked);
+            let links = self.calendar.links_mut();
+            if let Some(parked) = links.pop_front(&mut lane.parked) {
+                links.push_front(&mut lane.inbox, parked);
             }
             self.stats.threads_terminated += 1;
             if let (Some(rp), Some(r)) = (&shared.cfg.race, &race_exec) {
@@ -1225,7 +1298,7 @@ impl EngineCore {
         if lane.inbox.is_empty() {
             lane.scheduled = false;
         } else {
-            self.schedule(t_end, Action::LaneRun(l));
+            self.schedule_lane_run(t_end, l);
         }
     }
 
@@ -1939,7 +2012,7 @@ fn codec_load<T: SnapState>(r: &mut SnapReader<'_>) -> Result<Box<dyn SimState>,
 
 // --- on-disk body codecs for the engine's private types ------------------
 //
-// The binary body of `updown-snapshot/v1` is written field-by-field in a
+// The binary body of `updown-snapshot/v2` is written field-by-field in a
 // fixed order by these helpers. Race contexts riding in-flight actions and
 // messages are intentionally *not* serialized (vector clocks are process-
 // local); see `Engine::checkpoint_boundary` for how `--restore` stays
@@ -2041,31 +2114,18 @@ fn save_action(a: &Action, w: &mut SnapWriter) {
             w.u8(0);
             save_msg(m, w);
         }
-        Action::LaneRun(l) => {
-            w.u8(1);
-            w.u32(*l);
-        }
-        Action::MemArrive {
+        Action::Mem {
+            stage,
             op,
             src_node,
             owner,
             trace_id,
             race: _,
         } => {
-            w.u8(2);
-            save_memop(op, w);
-            w.u32(*src_node);
-            w.u32(*owner);
-            w.u64(*trace_id);
-        }
-        Action::MemServed {
-            op,
-            src_node,
-            owner,
-            trace_id,
-            race: _,
-        } => {
-            w.u8(3);
+            w.u8(match stage {
+                MemStage::Arrive => 2,
+                MemStage::Served => 3,
+            });
             save_memop(op, w);
             w.u32(*src_node);
             w.u32(*owner);
@@ -2093,17 +2153,11 @@ fn save_action(a: &Action, w: &mut SnapWriter) {
 }
 
 fn load_action(r: &mut SnapReader<'_>) -> Result<Action, SnapshotError> {
+    // Tag 1 is not assigned: a lane's run entry is an id, not an action.
     Ok(match r.u8()? {
         0 => Action::Deliver(load_msg(r)?),
-        1 => Action::LaneRun(r.u32()?),
-        2 => Action::MemArrive {
-            op: load_memop(r)?,
-            src_node: r.u32()?,
-            owner: r.u32()?,
-            trace_id: r.u64()?,
-            race: None,
-        },
-        3 => Action::MemServed {
+        tag @ (2 | 3) => Action::Mem {
+            stage: if tag == 2 { MemStage::Arrive } else { MemStage::Served },
             op: load_memop(r)?,
             src_node: r.u32()?,
             owner: r.u32()?,
@@ -2163,15 +2217,14 @@ fn load_counters(r: &mut SnapReader<'_>) -> Result<Counters, SnapshotError> {
     })
 }
 
-fn save_lane(codecs: &StateCodecs, lane: &Lane, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-    w.usize(lane.inbox.len());
-    for m in &lane.inbox {
-        save_msg(m, w);
-    }
-    w.usize(lane.parked.len());
-    for m in &lane.parked {
-        save_msg(m, w);
-    }
+fn save_lane(
+    codecs: &StateCodecs,
+    links: &Links,
+    lane: &Lane,
+    w: &mut SnapWriter,
+) -> Result<(), SnapshotError> {
+    links.save_list(&lane.inbox, w);
+    links.save_list(&lane.parked, w);
     w.u64(lane.free_at);
     w.bool(lane.scheduled);
     w.u64(lane.busy);
@@ -2202,18 +2255,20 @@ fn save_lane(codecs: &StateCodecs, lane: &Lane, w: &mut SnapWriter) -> Result<()
     Ok(())
 }
 
-fn load_lane(codecs: &StateCodecs, r: &mut SnapReader<'_>) -> Result<Lane, SnapshotError> {
-    let mut lane = Lane::default();
-    for _ in 0..r.len(1)? {
-        lane.inbox.push_back(load_msg(r)?);
-    }
-    for _ in 0..r.len(1)? {
-        lane.parked.push_back(load_msg(r)?);
-    }
-    lane.free_at = r.u64()?;
-    lane.scheduled = r.bool()?;
-    lane.busy = r.u64()?;
-    lane.events = r.u64()?;
+fn load_lane(
+    codecs: &StateCodecs,
+    links: &mut Links,
+    r: &mut SnapReader<'_>,
+) -> Result<Lane, SnapshotError> {
+    let mut lane = Lane {
+        inbox: links.load_list(r)?,
+        parked: links.load_list(r)?,
+        free_at: r.u64()?,
+        scheduled: r.bool()?,
+        busy: r.u64()?,
+        events: r.u64()?,
+        ..Lane::default()
+    };
     lane.spm.words = Vec::<u64>::take(r)?;
     lane.spm.high_water = r.u32()?;
     lane.spm_brk = r.u32()?;
@@ -2278,7 +2333,6 @@ fn save_core(codecs: &StateCodecs, core: &EngineCore, w: &mut SnapWriter) -> Res
     w.bool(core.stop);
     w.u64(core.sent_seq);
     w.u64(core.last_completion);
-    core.calendar.save(w);
     w.usize(core.arena.slots.len());
     for slot in &core.arena.slots {
         match slot {
@@ -2289,10 +2343,11 @@ fn save_core(codecs: &StateCodecs, core: &EngineCore, w: &mut SnapWriter) -> Res
             None => w.bool(false),
         }
     }
-    core.arena.free.put(w);
+    core.calendar.save(w);
+    core.calendar.links().save_list(&core.arena.free, w);
     w.usize(core.lanes.len());
     for lane in &core.lanes {
-        save_lane(codecs, lane, w)?;
+        save_lane(codecs, core.calendar.links(), lane, w)?;
     }
     core.channel.save(w);
     core.nic.save(w);
@@ -2335,9 +2390,9 @@ fn load_core(
     let stop = r.bool()?;
     let sent_seq = r.u64()?;
     let last_completion = r.u64()?;
-    let calendar = CalendarQueue::load(r)?;
+    let first_id = proto.arena.first_id;
     let nslots = r.len(1)?;
-    let mut arena = ActionArena::default();
+    let mut arena = ActionArena::new(first_id);
     arena.slots.reserve(nslots);
     for _ in 0..nslots {
         arena.slots.push(if r.bool()? {
@@ -2346,7 +2401,16 @@ fn load_core(
             None
         });
     }
-    arena.free = Vec::<u32>::take(r)?;
+    // Ids are not trusted: the shared link array refuses an id that is out
+    // of range or in two lists (a cycle would hang the run), and the slab
+    // cross-check below refuses a pending id without a payload, a payload
+    // no list reaches, and a freelist entry that is not vacant.
+    let ids = u32::try_from(nslots)
+        .ok()
+        .and_then(|n| n.checked_add(first_id))
+        .ok_or_else(|| SnapshotError::Format(format!("{nslots} slab slots overflow the id space")))?;
+    let mut calendar = CalendarQueue::load(r, ids)?;
+    arena.free = calendar.links_mut().load_list(r)?;
     let nlanes = r.len(1)?;
     if nlanes != proto.lanes.len() {
         return Err(SnapshotError::Incompatible(format!(
@@ -2356,8 +2420,60 @@ fn load_core(
         )));
     }
     let mut lanes = Vec::with_capacity(nlanes);
-    for _ in 0..nlanes {
-        lanes.push(load_lane(codecs, r)?);
+    for l in 0..nlanes {
+        let lane = load_lane(codecs, calendar.links_mut(), r)?;
+        let links = calendar.links();
+        // At a window boundary a lane is marked scheduled exactly when its
+        // run entry is pending, and only a scheduled lane has an inbox: a
+        // flag without the entry would strand the inbox for good.
+        if links.is_linked(l as u32) != lane.scheduled {
+            return Err(SnapshotError::Format(if lane.scheduled {
+                format!("lane {l} is marked scheduled but has no run entry pending")
+            } else {
+                format!("lane {l} has a run entry pending but is not marked scheduled")
+            }));
+        }
+        if !lane.scheduled && !lane.inbox.is_empty() {
+            return Err(SnapshotError::Format(format!(
+                "lane {l} has an inbox but no run entry pending"
+            )));
+        }
+        for id in links.iter(&lane.inbox).chain(links.iter(&lane.parked)) {
+            let holds_message = id >= first_id
+                && arena.slots[(id - first_id) as usize]
+                    .as_ref()
+                    .is_some_and(|a| a.message().is_some());
+            if !holds_message {
+                return Err(SnapshotError::Format(format!(
+                    "lane {l} queues id {id}, which is not a slot holding a message"
+                )));
+            }
+        }
+        lanes.push(lane);
+    }
+    // Every slot is now in exactly one list or in none. The freelist must
+    // be exactly the vacant slots, and no slot may be unreachable; what
+    // the calendar and the lanes hold is then exactly the live slots.
+    let links = calendar.links();
+    if let Some(id) = (first_id..ids).find(|&id| !links.is_linked(id)) {
+        return Err(SnapshotError::Format(format!(
+            "slab slot {} is reached by no list",
+            id - first_id
+        )));
+    }
+    let mut vacant = arena.slots.iter().filter(|s| s.is_none()).count();
+    for id in links.iter(&arena.free) {
+        if id < first_id || arena.slots[(id - first_id) as usize].is_some() {
+            return Err(SnapshotError::Format(format!(
+                "slab freelist entry {id} is not a vacant slot"
+            )));
+        }
+        vacant -= 1;
+    }
+    if vacant != 0 {
+        return Err(SnapshotError::Format(format!(
+            "{vacant} pending id(s) name a vacant slab slot"
+        )));
     }
     let mut channel = proto.channel.clone();
     channel.load_into(r)?;
@@ -2466,7 +2582,7 @@ impl Engine {
                 base_lane: id * lanes_per_node,
                 now: 0,
                 calendar: CalendarQueue::new(),
-                arena: ActionArena::default(),
+                arena: ActionArena::new(lanes_per_node),
                 lanes: {
                     let mut v = Vec::with_capacity(lanes_per_node as usize);
                     v.resize_with(lanes_per_node as usize, Lane::default);
@@ -3091,7 +3207,7 @@ impl Engine {
     }
 
     /// Serialize the functional machine state as a complete
-    /// `updown-snapshot/v1` byte stream (framing, header, body, checksum).
+    /// `updown-snapshot/v2` byte stream (framing, header, body, checksum).
     /// Fails cleanly when a live thread state has no registered codec.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         let body = self.encode_body()?;
@@ -3106,13 +3222,13 @@ impl Engine {
         Ok(snapshot::frame(&header, &body))
     }
 
-    /// Write an `updown-snapshot/v1` file of the current machine state.
+    /// Write an `updown-snapshot/v2` file of the current machine state.
     pub fn write_snapshot(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
         std::fs::write(path, self.snapshot_bytes()?)?;
         Ok(())
     }
 
-    /// Decode a full `updown-snapshot/v1` byte stream and install it.
+    /// Decode a full `updown-snapshot/v2` byte stream and install it.
     /// Validation is all-or-nothing: a corrupted, truncated, or
     /// incompatible snapshot returns an error without mutating the engine.
     pub fn restore_snapshot_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
@@ -3326,17 +3442,20 @@ impl Engine {
     /// discarded; acks/read-returns have no one left to run them).
     fn drain_in_flight(&mut self) {
         for core in &mut self.shards {
-            while let Some((_t, slot)) = core.calendar.pop() {
-                let op = match core.arena.take(slot) {
+            while let Some((_t, id)) = core.calendar.pop() {
+                if id < core.arena.first_id {
+                    continue; // a lane's run entry: lane work is discarded
+                }
+                let op = match core.arena.take(core.calendar.links_mut(), id) {
                     // Not-yet-applied stages carry the op; apply effects.
-                    Action::MemArrive { op, .. } | Action::MemServed { op, .. } => op,
+                    Action::Mem { op, .. } => op,
                     Action::Deliver(_) => {
                         core.stats.msgs_dropped += 1;
                         continue;
                     }
                     // MemDone responses were already applied at service
                     // time on the owning shard.
-                    Action::LaneRun(_) | Action::MemDone { .. } => continue,
+                    Action::MemDone { .. } => continue,
                 };
                 match op {
                     MemOp::Write { va, words, .. } => {
@@ -3466,6 +3585,10 @@ impl Engine {
                 window_max_events_peak: self.sched_win_max_peak,
             },
             host_sched: self.host_sched,
+            host_calendar: HostCalendarStats {
+                rung_pushes: self.shards.iter().map(|s| s.calendar.rung_pushes()).sum(),
+                ring_width: self.shards.iter().map(|s| s.calendar.ring_width()).max().unwrap_or(0),
+            },
         }
     }
 
@@ -4368,12 +4491,11 @@ mod tests {
     }
 
     /// Pause with a spilled (6-operand) message and a tagged 8-word DRAM
-    /// reply (9 operands) in flight. The serialized snapshot must be the
-    /// bytes the `Vec<u64>`-operand engine wrote for this state — pinned
-    /// as their FNV-1a hash, recorded at commit 7c55cb0 — and restoring
-    /// them must re-encode and resume identically.
+    /// reply (9 operands) in flight. The serialized snapshot is pinned as
+    /// its FNV-1a hash — the `updown-snapshot/v2` layout must not move
+    /// unnoticed — and restoring it must re-encode and resume identically.
     #[test]
-    fn long_operands_in_flight_snapshot_in_the_v1_layout() {
+    fn long_operands_in_flight_snapshot_in_the_v2_layout() {
         type Seen = Arc<Mutex<Vec<Vec<u64>>>>;
         fn build() -> (Engine, Seen) {
             let mut eng = Engine::new(tiny());
@@ -4432,8 +4554,8 @@ mod tests {
         let bytes = eng.snapshot_bytes().unwrap();
         assert_eq!(
             snapshot::fnv1a(&bytes),
-            0x1E99_B9F0_6620_B75F,
-            "updown-snapshot/v1 bytes moved"
+            0x03DE_A260_FC74_9550,
+            "updown-snapshot/v2 bytes moved"
         );
 
         let (mut eng2, seen2) = build();

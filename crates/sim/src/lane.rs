@@ -2,7 +2,11 @@
 //!
 //! A lane is a 2 GHz MIMD engine executing events one at a time (events are
 //! atomic, §2.1.1). Thread contexts hold state that persists across events;
-//! the scratchpad is lane-private memory accessed at 1 cycle per word.
+//! the scratchpad is lane-private memory accessed at 1 cycle per word. The
+//! inbox holds no messages itself: a waiting message stays in the slot of
+//! the shard's action slab it was written to, and the inbox is a list of
+//! those slot ids threaded through the shard's link array (see
+//! `calendar.rs`), so queueing a message on a lane moves no payload.
 //!
 //! Lanes are instantiated lazily in bulk (a 1024-node machine has 2M of
 //! them), so every container here starts unallocated. Thread contexts and
@@ -11,10 +15,9 @@
 //! indexes instead of hashing.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
+use crate::calendar::IdList;
 use crate::ids::{EventWord, ThreadId};
-use crate::message::Message;
 
 /// Object-safe view of a software thread state: any `Any + Send + Clone`
 /// value qualifies via the blanket impl. The `Clone` requirement is what
@@ -228,13 +231,15 @@ impl Scratchpad {
 /// One lane of the machine.
 #[derive(Clone, Default)]
 pub struct Lane {
-    /// Messages waiting to execute on this lane, FIFO.
-    pub inbox: VecDeque<Message>,
+    /// Messages waiting to execute on this lane, FIFO, as the ids of the
+    /// shard's slab slots that hold them.
+    pub(crate) inbox: IdList,
     /// Live thread contexts.
     pub threads: ThreadTable,
-    /// Messages that arrived targeting NEW threads while the context table
-    /// was full; drained when a thread deallocates.
-    pub parked: VecDeque<Message>,
+    /// Messages (slot ids, as in `inbox`) that arrived targeting NEW
+    /// threads while the context table was full; one returns to the front
+    /// of the inbox each time a thread deallocates.
+    pub(crate) parked: IdList,
     /// Simulation time until which the lane is executing.
     pub free_at: u64,
     /// Whether a LaneRun action is already scheduled.

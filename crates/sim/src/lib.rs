@@ -74,8 +74,8 @@ pub use spec::{
     ThreadDecl, Workload,
 };
 pub use stats::{
-    Counters, FabricMetrics, HostSchedStats, LaneMetrics, LinkMetrics, Metrics, NodeMetrics,
-    SchedMetrics, UTIL_HIST_BUCKETS,
+    Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
+    NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
 };
 pub use trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
 

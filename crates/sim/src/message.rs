@@ -122,7 +122,7 @@ impl PartialEq for Operands {
 impl Eq for Operands {}
 
 /// Encoded as `len + words`, byte-identical to the `Vec<u64>` operands of
-/// earlier `updown-snapshot/v1` writers.
+/// the first `updown-snapshot` writers.
 impl SnapField for Operands {
     fn put(&self, w: &mut SnapWriter) {
         w.usize(self.len());

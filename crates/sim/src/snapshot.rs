@@ -1,4 +1,4 @@
-//! Checkpoint/restore plumbing: the stable `updown-snapshot/v1` on-disk
+//! Checkpoint/restore plumbing: the stable `updown-snapshot/v2` on-disk
 //! format, the field codec layer used to serialize per-thread software
 //! state across processes, and the [`ReplayCheck`] gate for the
 //! record-replay verifier.
@@ -13,7 +13,7 @@
 //!   phase spans) and the probe/race recordings. Restoring one rewinds the
 //!   engine *exactly*; `MachineConfig::checkpoint_every` uses it for its
 //!   round-trip self-check at every boundary.
-//! - **On-disk `updown-snapshot/v1`** — the *functional* machine state
+//! - **On-disk `updown-snapshot/v2`** — the *functional* machine state
 //!   (calendars, arenas, lane slabs + scratchpads, DRAM banks, channel /
 //!   NIC / fabric occupancy, counters), written with the compact binary
 //!   encoding in this module and framed by a `sim::json` header. It
@@ -42,11 +42,15 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::{JsonValue, JsonWriter};
 
-/// Magic bytes opening every snapshot file.
+/// Magic bytes opening every snapshot file. Names the *framing* (magic,
+/// JSON header, body, checksum), which is the same for every schema so far.
 pub const SNAP_MAGIC: &[u8] = b"UDSNAPv1\n";
 
-/// Schema string recorded in the JSON header.
-pub const SNAP_SCHEMA: &str = "updown-snapshot/v1";
+/// Schema string recorded in the JSON header. `v2` renumbered the pending
+/// ids the body carries (a lane's run entry is the lane's id and owns no
+/// slab slot) and lists them `u32::MAX`-terminated; a `v1` file is refused
+/// with [`SnapshotError::Incompatible`] rather than reinterpreted.
+pub const SNAP_SCHEMA: &str = "updown-snapshot/v2";
 
 /// Errors from snapshot encode/decode. Decoding a corrupted or truncated
 /// snapshot always surfaces here — the decoder never panics.
@@ -86,7 +90,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a over the body bytes: cheap, deterministic, dependency-free.
+/// FNV-1a over the body bytes — the checksum that closes a snapshot file:
+/// cheap, deterministic, dependency-free.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -552,7 +557,7 @@ impl SnapHeader {
     }
 }
 
-/// Frame a header + body into the full `updown-snapshot/v1` byte stream.
+/// Frame a header + body into the full `updown-snapshot/v2` byte stream.
 pub(crate) fn frame(header: &SnapHeader, body: &[u8]) -> Vec<u8> {
     let hj = header.to_json(body.len());
     let mut out = Vec::with_capacity(SNAP_MAGIC.len() + hj.len() + body.len() + 24);
@@ -571,7 +576,7 @@ pub(crate) fn unframe(bytes: &[u8]) -> Result<(SnapHeader, &[u8]), SnapshotError
     let magic = r.need(SNAP_MAGIC.len())?;
     if magic != SNAP_MAGIC {
         return Err(SnapshotError::Format(
-        "bad magic (not an updown-snapshot/v1 file)".into(),
+        "bad magic (not an updown-snapshot/v2 file)".into(),
         ));
     }
     let hlen = r.u32()? as usize;

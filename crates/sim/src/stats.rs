@@ -281,6 +281,19 @@ pub struct HostSchedStats {
     pub barrier_rounds: u64,
 }
 
+/// Host-side shape of the per-shard calendar queues since the engine was
+/// built or last restored ([`Metrics::host_calendar`]). Describes the
+/// simulator's own data structure, not the simulated machine, so it is
+/// **not** part of the metrics JSON.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostCalendarStats {
+    /// Pushes that missed every shard's ring and took the binary-heap
+    /// overflow rung, summed over shards.
+    pub rung_pushes: u64,
+    /// Widest ring any shard's calendar has grown to, in ticks.
+    pub ring_width: usize,
+}
+
 /// Final report of a simulation run: the machine-wide [`Counters`] plus
 /// lane/node utilization, phase spans, and runtime-defined custom
 /// counters. Returned by [`crate::Engine::run`]; exportable as stable
@@ -314,6 +327,9 @@ pub struct Metrics {
     /// Host-side scheduler diagnostics (thread-timing dependent — **not**
     /// serialized; see [`HostSchedStats`]).
     pub host_sched: HostSchedStats,
+    /// Host-side shape of the calendar queues (**not** serialized; see
+    /// [`HostCalendarStats`]).
+    pub host_calendar: HostCalendarStats,
 }
 
 impl Metrics {
@@ -581,6 +597,7 @@ mod tests {
                 window_max_events_peak: 3,
             },
             host_sched: HostSchedStats::default(),
+            host_calendar: HostCalendarStats::default(),
         }
     }
 

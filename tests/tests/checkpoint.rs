@@ -1,5 +1,5 @@
 //! Checkpoint/restore and record-replay conformance: the pin for
-//! `updown-snapshot/v1` and the replay machinery (see docs/checkpoint.md).
+//! `updown-snapshot/v2` and the replay machinery (see docs/checkpoint.md).
 //!
 //! The centerpiece property: a run that pauses at checkpoint boundaries —
 //! snapshotting, round-tripping the snapshot and continuing — must be
@@ -246,8 +246,9 @@ fn lane(eng: &Engine, node: u32, idx: u32) -> NetworkId {
 /// "fix::ret" consumes it on the same thread), bumps its persistent `u64`
 /// state, writes scratchpad, writes to DRAM, and bounces a fresh thread
 /// onto the opposite node. When `far_delay > 0`, hops whose count is
-/// divisible by 97 also arm a timer that fires `far_delay` cycles later —
-/// far beyond the 2048-tick calendar ring, parking in the overflow rung.
+/// divisible by 97 also arm a timer that fires `far_delay` cycles later
+/// ([`RUNG_DELAY`] is beyond the widest calendar ring, so those park in
+/// the overflow rung).
 fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
     use std::sync::{Arc, Mutex};
     m.max_threads_per_lane = 4;
@@ -303,6 +304,10 @@ fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
 }
 
 use updown_sim::EventLabel;
+
+/// A timer delay no calendar ring can hold: the ring stops growing at
+/// `MAX_RING_BUCKETS` ticks, entries further out take the overflow rung.
+const RUNG_DELAY: u64 = updown_sim::calendar::MAX_RING_BUCKETS as u64 + 4_464;
 
 fn fixture_machine(threads: u32) -> MachineConfig {
     let mut m = MachineConfig::small(2, 1, 4);
@@ -414,6 +419,167 @@ fn corrupt_and_truncated_snapshots_error_cleanly() {
     let _ = cell_v;
 }
 
+/// Split a snapshot file into `(header JSON, body)`.
+fn unframe(file: &[u8]) -> (String, Vec<u8>) {
+    let hlen = u32::from_le_bytes(file[9..13].try_into().unwrap()) as usize;
+    let header = String::from_utf8(file[13..13 + hlen].to_vec()).unwrap();
+    let at = 13 + hlen;
+    let blen = u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    (header, file[at + 8..at + 8 + blen].to_vec())
+}
+
+/// Frame a (patched) header and body the way the writer does, checksum
+/// recomputed, so only the decoder's own checks stand between the patch
+/// and the engine.
+fn reframe(header: &str, body: &[u8]) -> Vec<u8> {
+    let mut out = b"UDSNAPv1\n".to_vec();
+    out.extend_from_slice(&(header.len() as u32).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(body);
+    let mut fnv1a = 0xcbf2_9ce4_8422_2325u64;
+    for &b in body {
+        fnv1a = (fnv1a ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    out.extend_from_slice(&fnv1a.to_le_bytes());
+    out
+}
+
+/// The decoder does not trust the ids a snapshot carries. Pending work is
+/// held in id-linked lists, so a duplicated id would close a cycle (a
+/// hang) and an id without a payload would reach an `expect` on resume;
+/// each is a clean `Format` error instead, and a `v1` file is refused as
+/// `Incompatible`. Bodies are patched by hand with the checksum recomputed.
+#[test]
+fn snapshots_with_untrustworthy_ids_or_the_old_schema_are_refused() {
+    const NIL: [u8; 4] = [0xFF; 4];
+    let id = |i: u32| i.to_le_bytes();
+    // One node of four lanes: ids 0..4 are the lanes, slab slots follow.
+    // Three host messages take slots 4, 5, 6 in lane 0's inbox; after one
+    // event slot 4 is vacant (on the freelist), the lane's next run entry
+    // (id 0) is the only calendar entry, and the inbox holds [5, 6].
+    let build = || {
+        let mut eng = Engine::new(MachineConfig::small(1, 1, 4));
+        let sink = udweave::simple_event(&mut eng, "sink", |ctx| ctx.yield_terminate());
+        for i in 0..3u64 {
+            eng.send(EventWord::new(NetworkId(0), sink), [i], EventWord::IGNORE);
+        }
+        eng
+    };
+    let mut eng = build();
+    eng.set_event_limit(1);
+    eng.run();
+    let good = eng.snapshot_bytes().unwrap();
+    let (header, body) = unframe(&good);
+    assert_eq!(reframe(&header, &body), good, "the test frames files as the writer does");
+
+    // The id-carrying stretch of shard 0: calendar (base 0, two pushes so
+    // far, one pending, initial width; empty fast lane; one bucket, the
+    // lane's run entry; no rung), freelist [4], lane count, then lane 0's
+    // inbox [5, 6] and empty parked list.
+    let dist = body.windows(28).position(|w| {
+        w[..8] == [0; 8] && w[8..16] == 2u64.to_le_bytes() && w[16..24] == 1u64.to_le_bytes()
+            && w[24..28] == (updown_sim::calendar::MIN_RING_BUCKETS as u32).to_le_bytes()
+    });
+    let cal = dist.expect("calendar section of shard 0");
+    let tail: Vec<u8> = [
+        &NIL[..], // fast lane
+        &body[cal + 32..cal + 36], &id(0), &NIL, // bucket: distance, run entry of lane 0
+        &NIL, // end of buckets
+        &0u64.to_le_bytes(), // rung
+        &id(4), &NIL, // freelist
+        &4u64.to_le_bytes(), // lanes
+        &id(5), &id(6), &NIL, // lane 0 inbox
+        &NIL, // lane 0 parked
+    ]
+    .concat();
+    assert_eq!(body[cal + 28..cal + 28 + tail.len()], tail[..], "snapshot layout moved");
+    let (bucket_id, free_id, inbox1) = (cal + 36, cal + 56, cal + 76);
+    // Lane 0's `scheduled` flag follows its lists and `free_at`.
+    let sched = cal + 28 + tail.len() + 8;
+    assert_eq!(body[sched], 1, "snapshot layout moved");
+
+    let refused = |body: &[u8]| {
+        let mut victim = build();
+        let before = victim.snapshot_bytes().unwrap();
+        let err = victim
+            .restore_snapshot_bytes(&reframe(&header, body))
+            .expect_err("patched snapshot must be refused");
+        assert_eq!(victim.snapshot_bytes().unwrap(), before, "a refused restore must not touch the engine");
+        match err {
+            SnapshotError::Format(m) => m,
+            e => panic!("expected a Format error, got {e}"),
+        }
+    };
+    let patched = |at: usize, to: u32| {
+        let mut b = body.clone();
+        b[at..at + 4].copy_from_slice(&id(to));
+        b
+    };
+    let without = |at: usize| {
+        let mut b = body.clone();
+        b.drain(at..at + 4);
+        b
+    };
+    // Duplicate ids: within one list (a cycle), and across lists — the
+    // inbox against the freelist, the inbox against the calendar.
+    assert!(refused(&patched(inbox1, 5)).contains("appears twice"));
+    assert!(refused(&patched(inbox1, 4)).contains("appears twice"));
+    assert!(refused(&patched(inbox1, 0)).contains("appears twice"));
+    // Out of range.
+    assert!(refused(&patched(inbox1, 7)).contains("out of range"));
+    assert!(refused(&patched(bucket_id, u32::MAX - 1)).contains("out of range"));
+    // Dangling ids: the vacant slot 4 queued on the lane (with live slot 6
+    // on the freelist in its place), and pending in the calendar behind
+    // the lane's run entry (moved there from the freelist).
+    let mut swapped = patched(inbox1, 4);
+    swapped[free_id..free_id + 4].copy_from_slice(&id(6));
+    assert!(refused(&swapped).contains("not a slot holding a message"));
+    let mut dangling = without(free_id);
+    dangling.splice(bucket_id + 4..bucket_id + 4, id(4));
+    dangling[cal + 16..cal + 24].copy_from_slice(&2u64.to_le_bytes());
+    assert!(refused(&dangling).contains("vacant slab slot"));
+    // A freelist entry that is taken, or is live.
+    assert!(refused(&patched(free_id, 6)).contains("appears twice"));
+    let mut live_free = without(inbox1);
+    live_free[free_id..free_id + 4].copy_from_slice(&id(6));
+    live_free.splice(bucket_id + 4..bucket_id + 4, id(4));
+    live_free[cal + 16..cal + 24].copy_from_slice(&2u64.to_le_bytes());
+    assert!(refused(&live_free).contains("not a vacant slot"));
+    // A lane id where a slot id belongs.
+    assert!(refused(&patched(inbox1, 1)).contains("not a slot holding a message"));
+    // A lane's flag and its run entry must agree, both ways, and an
+    // unscheduled lane has no inbox: lane 0's entry renamed to lane 1's
+    // (its inbox would never be run), its flag cleared, and both.
+    let mut unmarked = body.clone();
+    unmarked[sched] = 0;
+    let mut stranded = patched(bucket_id, 1);
+    stranded[sched] = 0;
+    assert!(refused(&patched(bucket_id, 1)).contains("lane 0 is marked scheduled but has no run entry"));
+    assert!(refused(&unmarked).contains("lane 0 has a run entry pending but is not marked"));
+    assert!(refused(&stranded).contains("lane 0 has an inbox but no run entry"));
+    // Leaked slots: live slot 6 in no list; vacant slot 4 in no list.
+    assert!(refused(&without(inbox1)).contains("slab slot 2 is reached by no list"));
+    assert!(refused(&without(free_id)).contains("slab slot 0 is reached by no list"));
+
+    // The previous schema is refused by name, not reinterpreted.
+    let v1 = header.replace("updown-snapshot/v2", "updown-snapshot/v1");
+    assert_ne!(v1, header);
+    match build().restore_snapshot_bytes(&reframe(&v1, &body)) {
+        Err(SnapshotError::Incompatible(m)) => {
+            assert!(m.contains("updown-snapshot/v1") && m.contains("updown-snapshot/v2"), "{m}")
+        }
+        other => panic!("a v1 file must be Incompatible, got {other:?}"),
+    }
+
+    // The unpatched file still restores and runs to the original's end.
+    let mut twin = build();
+    twin.restore_snapshot_bytes(&good).expect("good restore");
+    eng.set_event_limit(u64::MAX);
+    twin.set_event_limit(u64::MAX);
+    assert_eq!(eng.run().to_json(), twin.run().to_json());
+}
+
 /// Golden-fixture replay: record a seeded run, then replay every shard in
 /// isolation — each must reproduce its recorded lane event stream
 /// exactly, and the recording must not be vacuous.
@@ -466,15 +632,16 @@ fn replay_spans_checkpoint_pauses() {
 /// far-future timer firing at the same tick.
 #[test]
 fn restore_survives_overflow_rung_and_generation_churn() {
-    // far_delay far beyond RING_BUCKETS (2048): entries park in the
-    // overflow rung and rebase the ring when the window reaches them.
-    let (mut eng, cell, start) = fixture(fixture_machine(1), 50_000);
+    // Timers park in the overflow rung and rebase the ring when the
+    // window reaches them.
+    let (mut eng, cell, start) = fixture(fixture_machine(1), RUNG_DELAY);
     eng.send(start, [400u64], EventWord::IGNORE);
     // Stop mid-run: 400 bounces with 4 contexts per lane is plenty of
     // generation churn, and hop 388/291/194/97 armed far timers that are
     // still pending.
     eng.set_event_limit(350);
-    eng.run();
+    let paused = eng.run();
+    assert!(paused.host_calendar.rung_pushes > 0, "no timer took the rung");
     let snap = eng.snapshot();
     assert!(snap.window() > 0, "snapshot must land mid-run");
 
@@ -495,13 +662,14 @@ fn restore_survives_overflow_rung_and_generation_churn() {
 /// decodes into a fresh engine, and both continuations are identical.
 #[test]
 fn disk_restore_survives_overflow_rung() {
-    let (mut eng, _, start) = fixture(fixture_machine(1), 50_000);
+    let (mut eng, _, start) = fixture(fixture_machine(1), RUNG_DELAY);
     eng.send(start, [400u64], EventWord::IGNORE);
     eng.set_event_limit(350);
-    eng.run();
+    let paused = eng.run();
+    assert!(paused.host_calendar.rung_pushes > 0, "no timer took the rung");
     let bytes = eng.snapshot_bytes().expect("encode mid-overflow");
 
-    let (mut eng2, _, _) = fixture(fixture_machine(1), 50_000);
+    let (mut eng2, _, _) = fixture(fixture_machine(1), RUNG_DELAY);
     eng2.restore_snapshot_bytes(&bytes).expect("decode");
     assert_eq!(bytes, eng2.snapshot_bytes().unwrap());
 

@@ -149,3 +149,36 @@ fn gups_and_gteps_are_sane() {
     assert!(gteps > 0.0 && gteps < 10_000.0, "gteps = {gteps}");
     assert!(bfs.traversed_edges > 0);
 }
+
+/// The calendar ring sizes itself to the machine's backlog: neither a
+/// one-node PageRank nor a 16-node BFS on the bandwidth-scaled bench
+/// machine — whose DRAM-channel queues run thousands of ticks ahead, past
+/// the initial 2048-tick ring (RMAT scale 10 would still fit it, 11 does
+/// not) — pushes a single entry into the binary-heap overflow rung. Read
+/// through the host-only `Metrics::host_calendar`, which no metrics
+/// document carries.
+#[test]
+fn app_runs_never_take_the_calendar_overflow_rung() {
+    use updown_apps::harness::bench_machine;
+    use updown_sim::calendar::{MAX_RING_BUCKETS, MIN_RING_BUCKETS};
+
+    let g = Csr::from_edges(&dedup_sort(rmat(11, RmatParams::default(), 10)));
+    let mut cfg = PrConfig::new(1);
+    cfg.machine = bench_machine(1);
+    cfg.iterations = 2;
+    let pr = run_pagerank(&split_in_out(&g, 64), &cfg).report;
+    assert_eq!(pr.host_calendar.rung_pushes, 0, "PageRank, 1 node");
+    let width = pr.host_calendar.ring_width;
+    assert!(
+        width > MIN_RING_BUCKETS && width <= MAX_RING_BUCKETS,
+        "the DRAM backlog should have grown the ring, within its cap: {width}"
+    );
+    assert!(!pr.to_json().contains("rung"), "host-only numbers stay out of the metrics JSON");
+
+    let g = Csr::from_edges(&dedup_sort(rmat(10, RmatParams::default(), 11).symmetrize()));
+    let mut cfg = BfsConfig::new(16, 0);
+    cfg.machine = bench_machine(16);
+    let bfs = run_bfs(&g, &cfg);
+    assert_eq!(bfs.dist, algorithms::bfs(&g, 0));
+    assert_eq!(bfs.report.host_calendar.rung_pushes, 0, "BFS, 16 nodes");
+}

@@ -1,6 +1,6 @@
 //! Randomized property tests on the core invariants: translation
 //! coverage, split preservation, KVMSR delivery, SHT-vs-HashMap
-//! equivalence, sort correctness, block-parse partitioning, the bucketed
+//! equivalence, sort correctness, block-parse partitioning, the linked
 //! calendar queue's equivalence with a `(time, seq)` binary heap, and the
 //! engine's causality / clock-monotonicity / message-conservation laws
 //! (exercised on both the sequential and the parallel engine).
@@ -399,136 +399,181 @@ fn engine_message_conservation() {
     }
 }
 
-/// The engine's bucketed calendar queue dequeues in exactly the
+/// A `CalendarQueue` run in lock-step with the reference it must equal: a
+/// `BinaryHeap` over `(time, global push stamp)`. Ids are handed out the
+/// way the engine does it — a few "lane" ids `0..LANES`, each pending at
+/// most once, and "slot" ids above them recycled LIFO — so they are unique
+/// among pending entries, as the queue requires.
+struct CalendarPair {
+    q: updown_sim::CalendarQueue,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
+    seq: u64,
+    lane_pending: [bool; CalendarPair::LANES as usize],
+    free_slots: Vec<u32>,
+    next_slot: u32,
+}
+
+impl CalendarPair {
+    const LANES: u32 = 8;
+
+    fn new() -> CalendarPair {
+        CalendarPair {
+            q: updown_sim::CalendarQueue::new(),
+            heap: Default::default(),
+            seq: 0,
+            lane_pending: [false; Self::LANES as usize],
+            free_slots: Vec::new(),
+            next_slot: Self::LANES,
+        }
+    }
+
+    /// Push at `t`: an idle lane's id one time in four, else a slot id.
+    fn push(&mut self, rng: &mut Rng, t: u64) {
+        let lane = rng.below_u32(4 * Self::LANES);
+        let id = if lane < Self::LANES && !self.lane_pending[lane as usize] {
+            self.lane_pending[lane as usize] = true;
+            lane
+        } else {
+            self.free_slots.pop().unwrap_or_else(|| {
+                self.next_slot += 1;
+                self.next_slot - 1
+            })
+        };
+        self.seq += 1;
+        self.q.push(t, id);
+        self.heap.push(std::cmp::Reverse((t, self.seq, id)));
+    }
+
+    /// Pop below `horizon` on both sides; they must agree.
+    fn pop_if_before(&mut self, horizon: u64, what: &str) -> Option<(u64, u32)> {
+        let expect = match self.heap.peek() {
+            Some(&std::cmp::Reverse((t, _, id))) if t < horizon => {
+                self.heap.pop();
+                Some((t, id))
+            }
+            _ => None,
+        };
+        let got = self.q.pop_if_before(horizon);
+        assert_eq!(got, expect, "{what}");
+        if let Some((_, id)) = got {
+            match self.lane_pending.get_mut(id as usize) {
+                Some(pending) => *pending = false,
+                None => self.free_slots.push(id),
+            }
+        }
+        got
+    }
+
+    fn check_shape(&self, what: &str) {
+        assert_eq!(self.q.len(), self.heap.len(), "{what}: length");
+        assert_eq!(
+            self.q.peek_time(),
+            self.heap.peek().map(|std::cmp::Reverse((t, _, _))| *t),
+            "{what}: peek"
+        );
+    }
+}
+
+/// The engine's calendar queue dequeues in exactly the
 /// `(time, push-order)` sequence of a reference `BinaryHeap`, across
-/// randomized workloads that exercise the same-tick fast lane, ring
-/// wraparound over many revolutions, the far-future overflow rung, and
-/// rebase/migration after full drains.
+/// randomized workloads that exercise the same-tick fast lane, every
+/// ring-growth boundary, ring wraparound before and after growth, the
+/// overflow rung beyond the cap, and rebase/migration after full drains —
+/// with lane ids and recycled slot ids mixed as in the engine.
 #[test]
 fn calendar_queue_matches_binaryheap_reference() {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    use updown_sim::calendar::RING_BUCKETS;
-    use updown_sim::CalendarQueue;
+    use updown_sim::calendar::MAX_RING_BUCKETS;
+    let cap = MAX_RING_BUCKETS as u64;
 
     let mut rng = Rng::seed_from_u64(0x5917);
     for case in 0..CASES {
-        let mut q = CalendarQueue::new();
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut pair = CalendarPair::new();
         let mut now = 0u64; // last popped time: pushes never go behind it
-        let mut payload = 0u32;
         let steps = 500 + rng.below_usize(4000);
         for step in 0..steps {
-            let push = heap.is_empty() || rng.below_u64(100) < 55;
-            if push {
-                // Delay menu: heavy on the same-tick and near-future ring
-                // cases, with far-future overflow (beyond the ring) and
-                // huge jumps that force wraparound + rebase. Occasional
-                // bursts land many entries on one tick (FIFO stress).
-                let delay = match rng.below_u64(10) {
+            if pair.heap.is_empty() || rng.below_u64(100) < 55 {
+                // Delay menu: heavy on the same-tick and near-future
+                // cases; the exact edges of the current width and of the
+                // cap (one short of growing / of the rung, and the first
+                // distance that does); jumps far past the cap that force
+                // a rebase. Bursts land several entries on one tick, so
+                // same-tick FIFO is checked across whatever the burst's
+                // first push did to the ring.
+                let width = pair.q.ring_width() as u64;
+                let delay = match rng.below_u64(14) {
                     0..=2 => 0,
                     3 | 4 => 1 + rng.below_u64(30),
                     5 => 200,
                     6 => 1000 + rng.below_u64(1024),
-                    7 => RING_BUCKETS as u64 + rng.below_u64(5_000),
-                    8 => 10 * RING_BUCKETS as u64 + rng.below_u64(100_000),
-                    _ => rng.below_u64(2 * RING_BUCKETS as u64),
+                    7 => width - 1,
+                    8 => width,
+                    9 => cap - 1,
+                    10 => cap,
+                    11 => 10 * cap + rng.below_u64(100_000),
+                    12 => rng.below_u64(2 * width),
+                    _ => rng.below_u64(2 * cap),
                 };
-                let t = now + delay;
-                let burst = 1 + rng.below_u64(3);
-                for _ in 0..burst {
-                    seq += 1;
-                    q.push(t, payload);
-                    heap.push(Reverse((t, seq, payload)));
-                    payload += 1;
+                for _ in 0..1 + rng.below_u64(3) {
+                    pair.push(&mut rng, now + delay);
                 }
-            } else {
-                let expect = heap.pop().map(|Reverse((t, _, p))| (t, p));
-                let got = q.pop();
-                assert_eq!(got, expect, "case {case} diverged at step {step}");
-                if let Some((t, _)) = got {
-                    assert!(t >= now, "case {case}: time went backwards");
-                    now = t;
-                }
+            } else if let Some((t, _)) =
+                pair.pop_if_before(u64::MAX, &format!("case {case} step {step}"))
+            {
+                assert!(t >= now, "case {case}: time went backwards");
+                now = t;
             }
-            assert_eq!(q.len(), heap.len(), "case {case} length at step {step}");
-            assert_eq!(
-                q.peek_time(),
-                heap.peek().map(|Reverse((t, _, _))| *t),
-                "case {case} peek at step {step}"
-            );
+            pair.check_shape(&format!("case {case} step {step}"));
         }
         // Full drain must agree to the last entry (exercises rebase and
-        // overflow migration ordering on the tail).
-        loop {
-            let expect = heap.pop().map(|Reverse((t, _, p))| (t, p));
-            let got = q.pop();
-            assert_eq!(got, expect, "case {case} diverged during drain");
-            if got.is_none() {
-                break;
-            }
-        }
-        assert!(q.is_empty());
+        // rung migration ordering on the tail).
+        while pair.pop_if_before(u64::MAX, &format!("case {case} drain")).is_some() {}
+        assert!(pair.q.is_empty());
+        assert!(
+            pair.q.ring_width() <= MAX_RING_BUCKETS,
+            "case {case}: ring grew past its cap"
+        );
     }
 }
 
 /// `pop_if_before` (the engine's fused horizon check) never returns an
 /// entry at or past the horizon, never skips one before it, and leaves
 /// the queue state identical to the reference when the window advances —
-/// the access pattern of the conservative window loop.
+/// the access pattern of the conservative window loop, with windows that
+/// straddle a growing ring and the rung.
 #[test]
 fn calendar_queue_horizon_windows_match_reference() {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    use updown_sim::calendar::RING_BUCKETS;
-    use updown_sim::CalendarQueue;
+    use updown_sim::calendar::MAX_RING_BUCKETS;
+    let cap = MAX_RING_BUCKETS as u64;
 
     let mut rng = Rng::seed_from_u64(0x5A17);
     for case in 0..CASES {
-        let mut q = CalendarQueue::new();
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let (mut seq, mut payload) = (0u64, 0u32);
+        let mut pair = CalendarPair::new();
         let mut floor = 0u64;
         let lookahead = 1 + rng.below_u64(2000);
         for _round in 0..60 {
             // Sprinkle entries around the current window, like a shard
             // scheduling effects during execution.
             for _ in 0..rng.below_usize(40) {
-                let delay = match rng.below_u64(4) {
+                let width = pair.q.ring_width() as u64;
+                let delay = match rng.below_u64(6) {
                     0 => rng.below_u64(lookahead.max(2)),
                     1 => lookahead + rng.below_u64(1000),
                     2 => rng.below_u64(50),
-                    _ => RING_BUCKETS as u64 * 3 + rng.below_u64(9_000),
+                    3 => width - 1 + rng.below_u64(2), // last fit / first growth
+                    4 => cap - 1 + rng.below_u64(2),   // last ring tick / first rung tick
+                    _ => cap * 3 + rng.below_u64(9_000),
                 };
-                let t = floor + delay;
-                seq += 1;
-                q.push(t, payload);
-                heap.push(Reverse((t, seq, payload)));
-                payload += 1;
+                pair.push(&mut rng, floor + delay);
             }
             let horizon = floor.saturating_add(lookahead);
             // Drain the window on both structures.
-            loop {
-                let expect = match heap.peek() {
-                    Some(&Reverse((t, _, p))) if t < horizon => {
-                        heap.pop();
-                        Some((t, p))
-                    }
-                    _ => None,
-                };
-                let got = q.pop_if_before(horizon);
-                assert_eq!(got, expect, "case {case} window at floor {floor}");
-                if got.is_none() {
-                    break;
-                }
-            }
+            while pair
+                .pop_if_before(horizon, &format!("case {case} window at floor {floor}"))
+                .is_some()
+            {}
+            pair.check_shape(&format!("case {case} after window at floor {floor}"));
             // Next window floor: earliest pending anywhere.
-            floor = match q.peek_time() {
-                Some(t) => t,
-                None => floor + lookahead,
-            };
-            assert_eq!(q.peek_time(), heap.peek().map(|Reverse((t, _, _))| *t));
+            floor = pair.q.peek_time().unwrap_or(floor + lookahead);
         }
     }
 }
