@@ -1166,7 +1166,7 @@ impl EngineCore {
             }
             self.stats.threads_terminated += 1;
             if let (Some(rp), Some(r)) = (&shared.cfg.race, &race_exec) {
-                rp.end_thread(r.key);
+                rp.end_thread(r);
             }
         } else {
             *self.lanes[li]
@@ -3928,12 +3928,9 @@ impl<'a> EventCtx<'a> {
 
     /// Race context for an outgoing DRAM operation of this execution.
     fn race_access(&self, atomic: bool) -> Option<RaceAccess> {
-        self.race.as_ref().map(|r| RaceAccess {
-            key: r.key,
-            clock: r.clock.clone(),
-            label: self.msg.dst.label().0,
-            atomic,
-        })
+        self.race
+            .as_ref()
+            .map(|r| r.access(self.msg.dst.label().0, atomic))
     }
 
     /// Reply on the continuation if one was provided.
@@ -4486,8 +4483,11 @@ mod tests {
     fn calendar_payload_sizes_are_pinned() {
         // The calendar arena holds one `Action` per pending entry; both
         // sizes feed straight into peak RSS (docs/perf.md).
-        assert!(std::mem::size_of::<Message>() <= 72);
+        assert_eq!(std::mem::size_of::<Message>(), 72);
         assert!(std::mem::size_of::<Action>() <= 112);
+        // An in-flight DRAM operation's race context rides inside `Action`
+        // on every run, probe or not.
+        assert!(std::mem::size_of::<RaceAccess>() <= 24);
     }
 
     /// Pause with a spilled (6-operand) message and a tagged 8-word DRAM

@@ -31,6 +31,16 @@
 //! dependent, so an unannotated read-modify-write of a shared scratchpad
 //! slot is still an ordering hazard and is reported.
 //!
+//! Programs here create a thread per task, so clocks are flat: a
+//! thread's (lane, tid, generation) key is interned to a dense id at its
+//! first event, a clock is a zero-extended `Vec` of epochs indexed by
+//! id, and a join is an elementwise max over two slices. Ids are handed
+//! out in the order shards happen to reach the probe, which differs
+//! between `--threads` values, so an id never leaves this module: it
+//! indexes clocks and identifies a word's last accessors, and nothing
+//! else. Ids are never reused and clocks never truncated — either could
+//! make an unordered pair look ordered (docs/udrace.md, "Cost").
+//!
 //! Recording follows the zero-observer-effect contract of
 //! [`ProtocolProbe`](crate::ProtocolProbe): it charges no cycles and
 //! never perturbs the calendar, and every merge is commutative across
@@ -47,54 +57,90 @@ use crate::memory::VAddr;
 /// Cap on distinct race sites, mirroring the probe's diagnostic cap.
 const MAX_RACE_SITES: usize = 1024;
 
-/// Identity of one simulated thread: global lane id, thread id within the
-/// lane, and the slot generation (bumped on context reuse). The host is
-/// the pseudo-thread `HOST`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// Identity of one simulated thread as the engine names it: global lane
+/// id, thread id within the lane, and the slot generation (bumped on
+/// context reuse). The probe interns it to a dense id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ThreadKey {
     pub lane: u32,
     pub tid: u16,
     pub gen: u32,
 }
 
-pub(crate) const HOST: ThreadKey = ThreadKey {
-    lane: u32::MAX,
-    tid: u16::MAX,
-    gen: 0,
-};
+/// Dense id of the host pseudo-thread; simulated threads get 1, 2, ….
+const HOST: u32 = 0;
 
-/// A vector clock: per-thread epoch watermarks. `BTreeMap` keeps joins
-/// and iteration deterministic.
-pub(crate) type VClock = BTreeMap<ThreadKey, u64>;
+/// A vector clock: the epoch watermark of every thread, indexed by dense
+/// id. Entries past the end read as zero, so a clock is only as long as
+/// the newest thread it has heard from.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VClock(Vec<u64>);
 
-fn join_into(dst: &mut VClock, src: &VClock) {
-    for (k, &v) in src {
-        let e = dst.entry(*k).or_insert(0);
-        if *e < v {
-            *e = v;
+impl VClock {
+    fn get(&self, id: u32) -> u64 {
+        self.0.get(id as usize).copied().unwrap_or(0)
+    }
+
+    fn bump(&mut self, id: u32) {
+        let i = id as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, 0);
         }
+        self.0[i] += 1;
+    }
+
+    /// Elementwise max with `src`: over the common prefix, then whatever
+    /// `src` has beyond it is copied (max with the implied zeros).
+    fn join(&mut self, src: &VClock) {
+        let common = self.0.len().min(src.0.len());
+        for (d, &s) in self.0.iter_mut().zip(&src.0[..common]) {
+            *d = (*d).max(s);
+        }
+        self.0.extend_from_slice(&src.0[common..]);
     }
 }
 
-/// Race context of one event execution: the thread's identity and its
-/// clock snapshot after joining the triggering message and bumping its
-/// own epoch. One `Arc` snapshot is shared by every send and memory
-/// access of the execution.
+/// A thread as the probe tracks it: its dense id, and the (lane, tid) it
+/// runs as, which is all of its key that a report or an ordering needs.
+#[derive(Clone, Copy, Debug)]
+struct ThreadRef {
+    id: u32,
+    lane: u32,
+    tid: u16,
+}
+
+/// Race context of one event execution: the thread, and its clock
+/// snapshot after joining the triggering message and bumping its own
+/// epoch. One `Arc` snapshot is shared by every send and memory access of
+/// the execution.
 #[derive(Clone, Debug)]
 pub(crate) struct RaceExec {
-    pub key: ThreadKey,
+    who: ThreadRef,
     pub clock: Arc<VClock>,
+}
+
+impl RaceExec {
+    /// Race context for a DRAM operation this execution issues from the
+    /// handler labelled `label`.
+    pub(crate) fn access(&self, label: u16, atomic: bool) -> RaceAccess {
+        RaceAccess {
+            who: self.who,
+            clock: self.clock.clone(),
+            label,
+            atomic,
+        }
+    }
 }
 
 /// Race context attached to an in-flight DRAM operation.
 #[derive(Clone, Debug)]
 pub(crate) struct RaceAccess {
-    pub key: ThreadKey,
+    who: ThreadRef,
     pub clock: Arc<VClock>,
     /// Handler label of the issuing execution.
-    pub label: u16,
+    label: u16,
     /// Issued through an atomic-annotated accessor.
-    pub atomic: bool,
+    atomic: bool,
 }
 
 /// Which address space a race site lives in.
@@ -214,20 +260,76 @@ enum Loc {
 }
 
 /// One recorded access in a word's state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Access {
-    key: ThreadKey,
+    who: ThreadRef,
     /// The accessor's own epoch at access time.
     epoch: u64,
-    label: u16,
     tick: u64,
+    label: u16,
     atomic: bool,
 }
 
 impl Access {
     /// True when this access happens-before an access holding `clock`.
     fn ordered_before(&self, clock: &VClock) -> bool {
-        clock.get(&self.key).copied().unwrap_or(0) >= self.epoch
+        clock.get(self.who.id) >= self.epoch
+    }
+
+    /// Reader order. Ids depend on shard interleaving, (lane, tid) does
+    /// not, and one (lane, tid) slot hands out ids in generation order —
+    /// so this is (lane, tid, generation) order at every thread count.
+    fn reader_order(&self) -> (u32, u16, u32) {
+        (self.who.lane, self.who.tid, self.who.id)
+    }
+}
+
+/// The reads of one word since its last plain write, at most one per
+/// thread, in [`Access::reader_order`]. Most words have one reader at a
+/// time, which needs no allocation.
+#[derive(Clone, Debug, Default)]
+enum Reads {
+    #[default]
+    None,
+    One(Access),
+    Many(Vec<Access>),
+}
+
+impl Reads {
+    fn as_slice(&self) -> &[Access] {
+        match self {
+            Reads::None => &[],
+            Reads::One(a) => std::slice::from_ref(a),
+            Reads::Many(v) => v,
+        }
+    }
+
+    /// Record `a`, replacing the same thread's earlier read.
+    fn insert(&mut self, a: Access) {
+        match self {
+            Reads::None => *self = Reads::One(a),
+            Reads::One(b) if b.who.id == a.who.id => *b = a,
+            Reads::One(b) => {
+                let mut v = vec![*b, a];
+                v.sort_by_key(Access::reader_order);
+                *self = Reads::Many(v);
+            }
+            Reads::Many(v) => {
+                match v.binary_search_by_key(&a.reader_order(), Access::reader_order) {
+                    Ok(i) => v[i] = a,
+                    Err(i) => v.insert(i, a),
+                }
+            }
+        }
+    }
+
+    /// Forget every read; a word that had many readers keeps its buffer
+    /// for the next round.
+    fn clear(&mut self) {
+        match self {
+            Reads::Many(v) => v.clear(),
+            _ => *self = Reads::None,
+        }
     }
 }
 
@@ -237,7 +339,7 @@ impl Access {
 struct WordState {
     write: Option<Access>,
     atomic: Option<Access>,
-    reads: BTreeMap<ThreadKey, Access>,
+    reads: Reads,
 }
 
 type SiteKey = (RaceSpace, RaceKind, u16, u16, Region);
@@ -252,18 +354,128 @@ pub struct RaceFilter {
     pub spm: BTreeSet<u32>,
 }
 
+/// The thread table: dense ids for live thread keys and the current
+/// clock of every id. Id [`HOST`] is the host's.
+#[derive(Clone)]
+struct Threads {
+    /// (lane, tid) of every live thread -> (generation, id). A thread's
+    /// entry goes when it terminates; its id is never handed out again.
+    live: BTreeMap<(u32, u16), (u32, u32)>,
+    /// Current clock by id; `None` once the thread has retired. Each
+    /// slot is only touched by the shard owning its lane, so updates
+    /// commute across shards.
+    clocks: Vec<Option<Arc<VClock>>>,
+}
+
+impl Default for Threads {
+    fn default() -> Threads {
+        Threads {
+            live: BTreeMap::new(),
+            clocks: vec![None], // the host's slot
+        }
+    }
+}
+
+impl Threads {
+    /// The id of `key`, assigned on first sight. A (lane, tid) slot seen
+    /// under a new generation is a new thread and gets a fresh id.
+    fn intern(&mut self, key: ThreadKey) -> u32 {
+        if let Some(&(gen, id)) = self.live.get(&(key.lane, key.tid)) {
+            if gen == key.gen {
+                return id;
+            }
+        }
+        let id = u32::try_from(self.clocks.len()).expect("fewer than 2^32 threads per recording");
+        self.clocks.push(None);
+        self.live.insert((key.lane, key.tid), (key.gen, id));
+        id
+    }
+
+    /// Release-acquire between an executing thread and a sync clock:
+    /// the thread absorbs `sync`, then `sync` absorbs the thread. The
+    /// table's reference is dropped first so a clock nobody else holds
+    /// is updated in place.
+    fn sync(&mut self, exec: &mut RaceExec, sync: &mut VClock) {
+        let slot = &mut self.clocks[exec.who.id as usize];
+        *slot = None;
+        let clock = Arc::make_mut(&mut exec.clock);
+        clock.join(sync);
+        sync.join(clock);
+        *slot = Some(exec.clock.clone());
+    }
+}
+
+/// Deduplicated race sites, min-merged to their earliest occurrence.
+#[derive(Clone, Default)]
+struct Sites {
+    /// Site -> ((first tick, lane), detail of that occurrence, count).
+    sites: BTreeMap<SiteKey, ((u64, u32), String, u64)>,
+    /// Distinct site keys dropped past [`MAX_RACE_SITES`].
+    truncated: BTreeSet<SiteKey>,
+}
+
+impl Sites {
+    /// Min-merge one race occurrence into its site bucket.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        space: RaceSpace,
+        kind: RaceKind,
+        region: Region,
+        loc: Loc,
+        prior: &Access,
+        cur: &Access,
+        cur_write: bool,
+    ) {
+        let key = (space, kind, prior.label, cur.label, region);
+        let tick = cur.tick;
+        let lane = cur.who.lane;
+        let detail = || {
+            let what = |a: &Access, wr: bool| {
+                let cls = if a.atomic {
+                    "atomic"
+                } else if wr {
+                    "write"
+                } else {
+                    "read"
+                };
+                format!("{cls} at tick {}", a.tick)
+            };
+            let place = match loc {
+                Loc::Dram(addr) => format!("dram word {addr:#x}"),
+                Loc::Spm(l, off) => format!("lane {l} spm[{off}]"),
+            };
+            let prior_wr = kind == RaceKind::WriteWrite || !cur_write;
+            format!(
+                "{place}: {} vs {} (unordered)",
+                what(prior, prior_wr),
+                what(cur, cur_write)
+            )
+        };
+        if let Some((first, d, count)) = self.sites.get_mut(&key) {
+            *count += 1;
+            if (tick, lane) < *first {
+                *first = (tick, lane);
+                *d = detail();
+            }
+            return;
+        }
+        if self.sites.len() >= MAX_RACE_SITES {
+            self.truncated.insert(key);
+            return;
+        }
+        self.sites.insert(key, ((tick, lane), detail(), 1));
+    }
+}
+
 #[derive(Clone, Default)]
 struct Inner {
     /// Record footprints only; skip per-word tracking entirely.
     footprint_only: bool,
     filter: Option<RaceFilter>,
-    /// Current clock of every live thread. Each key is only touched by
-    /// the shard owning its lane, so updates commute across shards.
-    clocks: BTreeMap<ThreadKey, Arc<VClock>>,
+    threads: Threads,
     /// Join of the final clocks of terminated threads (commutative).
     retired: VClock,
-    host_clock: VClock,
-    host_epoch: u64,
     words: BTreeMap<Loc, WordState>,
     /// Release clock per word updated by atomic-class accesses: a
     /// fetch-and-add both releases its clock into the word and acquires
@@ -274,9 +486,7 @@ struct Inner {
     /// annotations, keyed by (lane, token): lane-serialized protocols the
     /// lane orders by construction (host-state polling, owner-lane tables).
     token_sync: BTreeMap<(u32, u64), VClock>,
-    sites: BTreeMap<SiteKey, ((u64, u32), String, u64)>,
-    /// Distinct site keys dropped past [`MAX_RACE_SITES`].
-    truncated: BTreeSet<SiteKey>,
+    sites: Sites,
     footprints: BTreeMap<(u16, Region), (u64, u64, u64)>,
     accesses: u64,
     names: Vec<String>,
@@ -319,97 +529,48 @@ impl Inner {
     ) {
         self.accesses += 1;
         let st = self.words.entry(loc).or_default();
-        // (kind, prior) pairs to report, collected so `st` can be updated
-        // before re-borrowing `self` for site bookkeeping.
-        let mut races: Vec<(RaceKind, Access)> = Vec::new();
+        let sites = &mut self.sites;
+        let mut race =
+            |kind, prior: &Access| sites.record(space, kind, region, loc, prior, &cur, write);
         let unordered = |a: &Access| !a.ordered_before(clock);
         if write {
             if let Some(w) = &st.write {
                 if unordered(w) && !(cur.atomic && w.atomic) {
-                    races.push((RaceKind::WriteWrite, w.clone()));
+                    race(RaceKind::WriteWrite, w);
                 }
             }
             if let Some(a) = &st.atomic {
                 if unordered(a) && !cur.atomic {
-                    races.push((RaceKind::WriteWrite, a.clone()));
+                    race(RaceKind::WriteWrite, a);
                 }
             }
-            for r in st.reads.values() {
+            for r in st.reads.as_slice() {
                 if unordered(r) && !(cur.atomic && r.atomic) {
-                    races.push((RaceKind::ReadWrite, r.clone()));
+                    race(RaceKind::ReadWrite, r);
                 }
             }
             if cur.atomic {
-                st.atomic = Some(cur.clone());
+                st.atomic = Some(cur);
             } else {
                 // A plain write that is ordered after everything resets
                 // the word; racing priors were just reported.
-                st.write = Some(cur.clone());
+                st.write = Some(cur);
                 st.atomic = None;
                 st.reads.clear();
             }
         } else {
             if let Some(w) = &st.write {
                 if unordered(w) {
-                    races.push((RaceKind::ReadWrite, w.clone()));
+                    race(RaceKind::ReadWrite, w);
                 }
             }
             if let Some(a) = &st.atomic {
                 if unordered(a) && !cur.atomic {
-                    races.push((RaceKind::ReadWrite, a.clone()));
+                    race(RaceKind::ReadWrite, a);
                 }
             }
-            st.reads.insert(cur.key, cur.clone());
+            st.reads.insert(cur);
         }
-        for (kind, prior) in races {
-            self.site(space, kind, region, loc, &prior, &cur, write);
-        }
-    }
-
-    /// Min-merge one race occurrence into its site bucket.
-    #[allow(clippy::too_many_arguments)]
-    fn site(
-        &mut self,
-        space: RaceSpace,
-        kind: RaceKind,
-        region: Region,
-        loc: Loc,
-        prior: &Access,
-        cur: &Access,
-        cur_write: bool,
-    ) {
-        let key = (space, kind, prior.label, cur.label, region);
-        let tick = cur.tick;
-        let lane = cur.key.lane;
-        let detail = || {
-            let what = |a: &Access, wr: bool| {
-                let cls = if a.atomic { "atomic" } else if wr { "write" } else { "read" };
-                format!("{cls} at tick {}", a.tick)
-            };
-            let place = match loc {
-                Loc::Dram(addr) => format!("dram word {addr:#x}"),
-                Loc::Spm(l, off) => format!("lane {l} spm[{off}]"),
-            };
-            let prior_wr = kind == RaceKind::WriteWrite || !cur_write;
-            format!(
-                "{place}: {} vs {} (unordered)",
-                what(prior, prior_wr),
-                what(cur, cur_write)
-            )
-        };
-        if let Some((first, d, count)) = self.sites.get_mut(&key) {
-            *count += 1;
-            if (tick, lane) < *first {
-                *first = (tick, lane);
-                *d = detail();
-            }
-            return;
-        }
-        if self.sites.len() >= MAX_RACE_SITES {
-            self.truncated.insert(key);
-            return;
-        }
-        self.sites.insert(key, ((tick, lane), detail(), 1));
     }
 }
 
@@ -466,32 +627,41 @@ impl RaceProbe {
     /// Begin one event execution: join the triggering message's clock
     /// (if any) into the thread's clock, bump the thread's own epoch,
     /// and return the snapshot every effect of this execution carries.
-    pub(crate) fn begin_event(
-        &self,
-        key: ThreadKey,
-        incoming: Option<&Arc<VClock>>,
-    ) -> RaceExec {
+    pub(crate) fn begin_event(&self, key: ThreadKey, incoming: Option<&Arc<VClock>>) -> RaceExec {
         let mut g = self.inner.lock().unwrap();
-        let mut cur = g.clocks.remove(&key).unwrap_or_default();
-        {
-            let c = Arc::make_mut(&mut cur);
-            if let Some(inc) = incoming {
-                join_into(c, inc);
-            }
-            *c.entry(key).or_insert(0) += 1;
+        let id = g.threads.intern(key);
+        let slot = &mut g.threads.clocks[id as usize];
+        // A new thread's clock is the incoming one plus its own entry,
+        // which lies past every id the sender can have heard of: size it
+        // once for both.
+        let mut clock = slot
+            .take()
+            .unwrap_or_else(|| Arc::new(VClock(Vec::with_capacity(id as usize + 1))));
+        let c = Arc::make_mut(&mut clock);
+        if let Some(inc) = incoming {
+            c.join(inc);
         }
-        let clock = cur.clone();
-        g.clocks.insert(key, cur);
-        RaceExec { key, clock }
+        c.bump(id);
+        *slot = Some(clock.clone());
+        let who = ThreadRef {
+            id,
+            lane: key.lane,
+            tid: key.tid,
+        };
+        RaceExec { who, clock }
     }
 
-    /// The thread terminated: retire its clock (its effects stay visible
-    /// through messages it sent and through the end-of-run host join).
-    pub(crate) fn end_thread(&self, key: ThreadKey) {
+    /// The thread behind `exec` terminated: retire its clock (its
+    /// effects stay visible through messages it sent and through the
+    /// end-of-run host join) and forget its key.
+    pub(crate) fn end_thread(&self, exec: &RaceExec) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(c) = g.clocks.remove(&key) {
-            let Inner { retired, .. } = &mut *g;
-            join_into(retired, &c);
+        let Inner {
+            threads, retired, ..
+        } = &mut *g;
+        threads.live.remove(&(exec.who.lane, exec.who.tid));
+        if let Some(c) = threads.clocks[exec.who.id as usize].take() {
+            retired.join(&c);
         }
     }
 
@@ -500,10 +670,9 @@ impl RaceProbe {
     /// executions it spawns stay mutually unordered.
     pub(crate) fn host_send(&self) -> Arc<VClock> {
         let mut g = self.inner.lock().unwrap();
-        g.host_epoch += 1;
-        let epoch = g.host_epoch;
-        g.host_clock.insert(HOST, epoch);
-        Arc::new(g.host_clock.clone())
+        let host = g.threads.clocks[HOST as usize].get_or_insert_with(Arc::default);
+        Arc::make_mut(host).bump(HOST);
+        host.clone()
     }
 
     /// Record one DRAM operation of `nwords` words starting at `va`
@@ -541,26 +710,31 @@ impl RaceProbe {
         if !tracked && !atomic {
             return None;
         }
-        let epoch = acc.clock.get(&acc.key).copied().unwrap_or(0);
+        let cur = Access {
+            who: acc.who,
+            epoch: acc.clock.get(acc.who.id),
+            tick,
+            label: acc.label,
+            atomic,
+        };
         // Acquire-then-check is safe: a word's sync clock only ever holds
         // atomic accessors' clocks, and atomic-vs-atomic pairs never race,
         // so the acquired epochs reflect genuine ordering edges.
-        let mut acquired = atomic.then(|| (*acc.clock).clone());
+        let mut acquired: Option<VClock> = None;
         for i in 0..nwords as u64 {
             let loc = Loc::Dram(va.0 + 8 * i);
-            if let Some(acq) = &mut acquired {
+            if atomic {
+                // Release first: the word's clock then already is the
+                // issuer's joined with every earlier atomic's, which is
+                // what the issuer acquires.
                 let sync = g.word_sync.entry(loc).or_default();
-                join_into(acq, sync);
-                join_into(sync, &acc.clock);
+                sync.join(&acc.clock);
+                match &mut acquired {
+                    None => acquired = Some(sync.clone()),
+                    Some(acq) => acq.join(sync),
+                }
             }
             if tracked {
-                let cur = Access {
-                    key: acc.key,
-                    epoch,
-                    label: acc.label,
-                    tick,
-                    atomic,
-                };
                 let clock = acquired.as_ref().unwrap_or(&acc.clock);
                 g.access(RaceSpace::Dram, region, loc, cur, clock, write);
             }
@@ -598,20 +772,19 @@ impl RaceProbe {
         let loc = Loc::Spm(lane, off);
         // Release-acquire edges survive prune filtering (see record_dram).
         if atomic {
-            let sync = g.word_sync.entry(loc).or_default();
-            join_into(Arc::make_mut(&mut exec.clock), sync);
-            join_into(sync, &exec.clock);
-            g.clocks.insert(exec.key, exec.clock.clone());
+            let Inner {
+                threads, word_sync, ..
+            } = &mut *g;
+            threads.sync(exec, word_sync.entry(loc).or_default());
         }
         if !tracked {
             return;
         }
-        let epoch = exec.clock.get(&exec.key).copied().unwrap_or(0);
         let cur = Access {
-            key: exec.key,
-            epoch,
-            label,
+            who: exec.who,
+            epoch: exec.clock.get(exec.who.id),
             tick,
+            label,
             atomic,
         };
         g.access(RaceSpace::Spm, region, loc, cur, &exec.clock, write);
@@ -625,10 +798,12 @@ impl RaceProbe {
     /// that flows through host-side state the probe cannot see.
     pub(crate) fn order_token(&self, exec: &mut RaceExec, lane: u32, token: u64) {
         let mut g = self.inner.lock().unwrap();
-        let sync = g.token_sync.entry((lane, token)).or_default();
-        join_into(Arc::make_mut(&mut exec.clock), sync);
-        join_into(sync, &exec.clock);
-        g.clocks.insert(exec.key, exec.clock.clone());
+        let Inner {
+            threads,
+            token_sync,
+            ..
+        } = &mut *g;
+        threads.sync(exec, token_sync.entry((lane, token)).or_default());
     }
 
     /// Called by the engine at end of run: install handler names, note
@@ -639,12 +814,15 @@ impl RaceProbe {
         g.names = names;
         g.drained = drained;
         let retired = std::mem::take(&mut g.retired);
-        let Inner {
-            clocks, host_clock, ..
-        } = &mut *g;
-        join_into(host_clock, &retired);
-        for c in clocks.values() {
-            join_into(host_clock, c);
+        let (host, threads) = g
+            .threads
+            .clocks
+            .split_first_mut()
+            .expect("the host's slot is always there");
+        let host = Arc::make_mut(host.get_or_insert_with(Arc::default));
+        host.join(&retired);
+        for c in threads.iter().flatten() {
+            host.join(c);
         }
     }
 
@@ -659,6 +837,7 @@ impl RaceProbe {
                 .unwrap_or_else(|| format!("<label {label}>"))
         };
         let sites = g
+            .sites
             .sites
             .iter()
             .map(
@@ -680,18 +859,20 @@ impl RaceProbe {
         let footprints = g
             .footprints
             .iter()
-            .map(|(&(handler, region), &(reads, writes, atomics))| Footprint {
-                handler,
-                region,
-                reads,
-                writes,
-                atomics,
-            })
+            .map(
+                |(&(handler, region), &(reads, writes, atomics))| Footprint {
+                    handler,
+                    region,
+                    reads,
+                    writes,
+                    atomics,
+                },
+            )
             .collect();
         RaceReport {
             handler_names: g.names.clone(),
             sites,
-            sites_truncated: g.truncated.len() as u64,
+            sites_truncated: g.sites.truncated.len() as u64,
             accesses: g.accesses,
             words_tracked: g.words.len() as u64,
             footprints,
@@ -709,12 +890,7 @@ mod tests {
     }
 
     fn dram(p: &RaceProbe, e: &RaceExec, addr: u64, write: bool, atomic: bool, tick: u64) {
-        let acc = RaceAccess {
-            key: e.key,
-            clock: e.clock.clone(),
-            label: e.key.tid, // label by tid for readable sites
-            atomic,
-        };
+        let acc = e.access(e.who.tid, atomic); // label by tid for readable sites
         p.record_dram(&acc, VAddr(addr), 0x1000, 1, atomic, write, tick);
     }
 
@@ -804,7 +980,7 @@ mod tests {
         let root1 = p.host_send();
         let a = p.begin_event(key(0, 1), Some(&root1));
         dram(&p, &a, 0x2000, true, false, 1);
-        p.end_thread(key(0, 1));
+        p.end_thread(&a);
         p.finish_run(Vec::new(), true); // run boundary
 
         let root2 = p.host_send();
@@ -868,14 +1044,25 @@ mod tests {
             let a = p.begin_event(key(0, 1), None);
             let b = p.begin_event(key(1, 2), None);
             // Distinct region per pair => distinct site key.
-            let acc = |e: &RaceExec| RaceAccess {
-                key: e.key,
-                clock: e.clock.clone(),
-                label: e.key.tid,
-                atomic: false,
-            };
-            p.record_dram(&acc(&a), VAddr(0x2000 + 64 * i), 0x2000 + 64 * i, 1, false, true, 1);
-            p.record_dram(&acc(&b), VAddr(0x2000 + 64 * i), 0x2000 + 64 * i, 1, false, true, 2);
+            let acc = |e: &RaceExec| e.access(e.who.tid, false);
+            p.record_dram(
+                &acc(&a),
+                VAddr(0x2000 + 64 * i),
+                0x2000 + 64 * i,
+                1,
+                false,
+                true,
+                1,
+            );
+            p.record_dram(
+                &acc(&b),
+                VAddr(0x2000 + 64 * i),
+                0x2000 + 64 * i,
+                1,
+                false,
+                true,
+                2,
+            );
         }
         let r = p.snapshot();
         assert_eq!(r.sites.len(), MAX_RACE_SITES);
@@ -892,12 +1079,7 @@ mod tests {
         let a = p.begin_event(key(0, 1), None);
         let b = p.begin_event(key(1, 2), None);
         // 0x9000 is outside the filter: footprinted, not tracked.
-        let acc = |e: &RaceExec| RaceAccess {
-            key: e.key,
-            clock: e.clock.clone(),
-            label: e.key.tid,
-            atomic: false,
-        };
+        let acc = |e: &RaceExec| e.access(e.who.tid, false);
         p.record_dram(&acc(&a), VAddr(0x9000), 0x9000, 1, false, true, 1);
         p.record_dram(&acc(&b), VAddr(0x9000), 0x9000, 1, false, true, 2);
         assert!(p.snapshot().is_clean(), "filtered region not tracked");
@@ -916,15 +1098,10 @@ mod tests {
             dram: BTreeSet::from([0x1000]),
             spm: BTreeSet::new(),
         });
-        let acc = |e: &RaceExec| RaceAccess {
-            key: e.key,
-            clock: e.clock.clone(),
-            label: e.key.tid,
-            atomic: false,
-        };
+        let acc = |e: &RaceExec| e.access(e.who.tid, false);
         let a = p.begin_event(key(0, 1), None);
         dram(&p, &a, 0x1000, true, false, 1); // plain write, tracked
-        // a releases through a fetch-add on a filtered-out barrier word.
+                                              // a releases through a fetch-add on a filtered-out barrier word.
         let rel = p.record_dram(&acc(&a), VAddr(0x9000), 0x9000, 1, true, true, 2);
         assert!(rel.is_some(), "atomic on a filtered region still releases");
         // b fetch-adds the same barrier word, acquiring a's clock...
@@ -936,7 +1113,10 @@ mod tests {
         // touches the tracked word: ordered through the pruned barrier.
         let c = p.begin_event(key(1, 2), Some(&acq));
         dram(&p, &c, 0x1000, true, false, 4);
-        assert!(p.snapshot().is_clean(), "sync edges survive prune filtering");
+        assert!(
+            p.snapshot().is_clean(),
+            "sync edges survive prune filtering"
+        );
     }
 
     #[test]
@@ -987,12 +1167,7 @@ mod tests {
         let p = RaceProbe::new();
         let a = p.begin_event(key(0, 1), None);
         dram(&p, &a, 0x2000, true, false, 1); // data write
-        let acc_a = RaceAccess {
-            key: a.key,
-            clock: a.clock.clone(),
-            label: 1,
-            atomic: true,
-        };
+        let acc_a = a.access(1, true);
         assert!(
             p.record_dram(&acc_a, VAddr(0x3000), 0x1000, 1, true, true, 2)
                 .is_some(),
@@ -1000,12 +1175,7 @@ mod tests {
         );
 
         let b = p.begin_event(key(1, 2), None);
-        let acc_b = RaceAccess {
-            key: b.key,
-            clock: b.clock.clone(),
-            label: 2,
-            atomic: true,
-        };
+        let acc_b = b.access(2, true);
         let acq = p
             .record_dram(&acc_b, VAddr(0x3000), 0x1000, 1, true, true, 3)
             .unwrap();
@@ -1016,12 +1186,7 @@ mod tests {
 
         // Plain accesses return no acquired clock.
         let c = p.begin_event(key(2, 3), None);
-        let acc_c = RaceAccess {
-            key: c.key,
-            clock: c.clock.clone(),
-            label: 3,
-            atomic: false,
-        };
+        let acc_c = c.access(3, false);
         assert!(p
             .record_dram(&acc_c, VAddr(0x4000), 0x1000, 1, false, true, 5)
             .is_none());
@@ -1064,5 +1229,185 @@ mod tests {
         p.order_token(&mut b, 5, 8);
         dram(&p, &b, 0x2000, false, false, 2);
         assert_eq!(p.snapshot().sites.len(), 1, "other token: still racing");
+    }
+
+    /// The detector's previous clock, kept as the reference the flat one
+    /// is checked against.
+    type RefClock = BTreeMap<u32, u64>;
+
+    fn ref_join(dst: &mut RefClock, src: &RefClock) {
+        for (k, &v) in src {
+            let e = dst.entry(*k).or_insert(0);
+            if *e < v {
+                *e = v;
+            }
+        }
+    }
+
+    /// A flat clock `width` wide with about a third of its entries set,
+    /// and the same clock in the reference form (which, like the old
+    /// detector, has no entry for a thread it has not heard from).
+    fn seeded_clock(rng: &mut u64, width: usize) -> (VClock, RefClock) {
+        let mut flat = vec![0u64; width];
+        let mut reference = RefClock::new();
+        for (id, e) in flat.iter_mut().enumerate() {
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (*rng >> 33).is_multiple_of(3) {
+                *e = 1 + (*rng >> 40) % 1000;
+                reference.insert(id as u32, *e);
+            }
+        }
+        (VClock(flat), reference)
+    }
+
+    fn same(flat: &VClock, reference: &RefClock, ids: u32) -> bool {
+        (0..ids).all(|id| flat.get(id) == reference.get(&id).copied().unwrap_or(0))
+    }
+
+    #[test]
+    fn flat_join_matches_the_tree_clock_on_unequal_widths() {
+        let mut rng = 0x5eed_u64;
+        let widths = [0usize, 1, 2, 7, 64, 65, 300];
+        for &wa in &widths {
+            for &wb in &widths {
+                let (a, ra) = seeded_clock(&mut rng, wa);
+                let (b, rb) = seeded_clock(&mut rng, wb);
+                let ids = (wa.max(wb) + 3) as u32; // reads past both ends
+
+                let mut ab = a.clone();
+                ab.join(&b);
+                let mut rab = ra.clone();
+                ref_join(&mut rab, &rb);
+                assert!(same(&ab, &rab, ids), "join, widths {wa} and {wb}");
+                assert_eq!(
+                    ab.0.len(),
+                    wa.max(wb),
+                    "zero-extended to the wider, no further"
+                );
+
+                let mut ba = b.clone();
+                ba.join(&a);
+                assert!(same(&ba, &rab, ids), "commutative, widths {wa} and {wb}");
+
+                let mut again = ab.clone();
+                again.join(&b);
+                again.join(&a);
+                assert_eq!(again.0, ab.0, "idempotent, widths {wa} and {wb}");
+            }
+        }
+    }
+
+    #[test]
+    fn bump_zero_extends_and_leaves_other_entries() {
+        let mut c = VClock::default();
+        c.bump(5);
+        c.bump(5);
+        c.bump(2);
+        assert_eq!(c.0, [0, 0, 1, 0, 0, 2]);
+        assert_eq!(c.get(6), 0, "past the end reads as never heard from");
+    }
+
+    #[test]
+    fn a_reused_slot_is_a_new_thread_and_the_old_ids_epochs_still_order() {
+        let old_gen = ThreadKey {
+            lane: 0,
+            tid: 1,
+            gen: 0,
+        };
+        let new_gen = ThreadKey { gen: 1, ..old_gen };
+
+        // The first occupant of slot (0, 1) writes and terminates; the
+        // second occupant never hears from it, so its write races.
+        let p = RaceProbe::new();
+        let a = p.begin_event(old_gen, None);
+        dram(&p, &a, 0x2000, true, false, 1);
+        p.end_thread(&a);
+        let b = p.begin_event(new_gen, None);
+        assert_ne!(a.who.id, b.who.id, "a generation bump is a fresh id");
+        dram(&p, &b, 0x2000, true, false, 2);
+        assert_eq!(
+            p.snapshot().sites.len(),
+            1,
+            "same slot, different thread: unordered"
+        );
+
+        // Same, but the first occupant's clock reaches the second through
+        // a message: the epoch recorded under the retired id orders it.
+        let p = RaceProbe::new();
+        let a = p.begin_event(old_gen, None);
+        dram(&p, &a, 0x2000, true, false, 1);
+        p.end_thread(&a);
+        let b = p.begin_event(new_gen, Some(&a.clock));
+        assert_ne!(a.who.id, b.who.id);
+        dram(&p, &b, 0x2000, true, false, 2);
+        assert!(
+            p.snapshot().is_clean(),
+            "the retired id still orders its accesses"
+        );
+
+        // A live thread keeps its id from event to event.
+        let c1 = p.begin_event(key(4, 9), None);
+        let c2 = p.begin_event(key(4, 9), None);
+        assert_eq!(c1.who.id, c2.who.id);
+        assert_eq!(c2.clock.get(c2.who.id), 2, "second event, second epoch");
+    }
+
+    #[test]
+    fn racing_readers_report_in_lane_tid_order_whatever_their_ids() {
+        // Three unordered readers with one label, interned in two
+        // different orders (as two shard interleavings would), then an
+        // unordered write: the site's detail names the reader that is
+        // first by (lane, tid), not by id.
+        let detail = |order: [(u32, u16); 3]| {
+            let p = RaceProbe::new();
+            for (i, (lane, tid)) in order.into_iter().enumerate() {
+                let r = p.begin_event(key(lane, tid), None);
+                let acc = r.access(7, false);
+                // Each reader reads at a tick that names it.
+                let tick = 100 * lane as u64 + tid as u64;
+                p.record_dram(&acc, VAddr(0x2000), 0x1000, 1, false, false, tick);
+                assert_eq!(r.who.id, i as u32 + 1);
+            }
+            let w = p.begin_event(key(9, 9), None);
+            dram(&p, &w, 0x2000, true, false, 5000);
+            let r = p.snapshot();
+            assert_eq!(r.sites.len(), 1);
+            assert_eq!(r.sites[0].count, 3);
+            r.sites[0].detail.clone()
+        };
+        let d = detail([(2, 1), (1, 3), (1, 2)]);
+        assert!(d.contains("read at tick 102 vs write at tick 5000"), "{d}");
+        assert_eq!(d, detail([(1, 2), (2, 1), (1, 3)]));
+    }
+
+    #[test]
+    fn many_readers_replace_their_own_read_and_clear_on_a_plain_write() {
+        let p = RaceProbe::new();
+        let readers: Vec<RaceExec> = (0..5).map(|t| p.begin_event(key(t, 1), None)).collect();
+        for round in 0..2 {
+            for r in &readers {
+                dram(&p, r, 0x2000, false, false, 10 + round);
+            }
+        }
+        {
+            let g = p.inner.lock().unwrap();
+            let st = &g.words[&Loc::Dram(0x2000)];
+            assert_eq!(st.reads.as_slice().len(), 5, "one read per thread");
+            assert!(
+                st.reads.as_slice().iter().all(|a| a.tick == 11),
+                "the later one"
+            );
+        }
+        // A writer that has heard from every reader is ordered after all.
+        let mut w = p.begin_event(key(7, 1), None);
+        for r in &readers {
+            w = p.begin_event(key(7, 1), Some(&r.clock));
+        }
+        dram(&p, &w, 0x2000, true, false, 20);
+        assert!(p.snapshot().is_clean());
+        let g = p.inner.lock().unwrap();
+        assert!(g.words[&Loc::Dram(0x2000)].reads.as_slice().is_empty());
     }
 }
