@@ -19,8 +19,8 @@
 //! prediction against ground truth. Exit status 1 when a report has
 //! error findings or calibration misses `--tolerance` (default 2.0).
 //!
-//! `--hints` prints the predicted per-shard claim order that
-//! `MachineConfig::cost_hints` accepts (see docs/analysis.md).
+//! `--hints` prints the predicted per-shard work
+//! ([`CostReport::shard_hints`], see docs/analysis.md).
 
 use std::io::Write as _;
 
@@ -67,7 +67,7 @@ fn usage() -> ! {
          --topology T        uniform|polar|torus|dragonfly (default uniform)\n\
          --calibrate PATH    grade against an updown-metrics/v1 export\n\
          --tolerance F       max relative-error factor for --calibrate (default 2.0)\n\
-         --hints             print predicted per-shard claim order (cost_hints)"
+         --hints             print predicted per-shard work (shard_hints)"
     );
     std::process::exit(2);
 }
@@ -216,7 +216,7 @@ fn main() {
             if o.hints {
                 let hints: Vec<String> =
                     r.shard_hints().iter().map(|h| h.to_string()).collect();
-                let _ = writeln!(stdout, "  cost_hints: {}", hints.join(","));
+                let _ = writeln!(stdout, "  shard_hints: {}", hints.join(","));
             }
         }
         if cal_failed {

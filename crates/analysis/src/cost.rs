@@ -23,9 +23,8 @@
 //!    the machine's [`Topology`](updown_sim::Topology) routes the
 //!    resulting node-pair flows into per-link byte demand.
 //!
-//! The prediction feeds back three ways: [`CostReport::shard_hints`]
-//! seeds the parallel scheduler's work-stealing claim order
-//! (`MachineConfig::cost_hints`), [`calibrate`] grades the prediction
+//! The prediction is used three ways: [`CostReport::shard_hints`] ranks
+//! the shards by predicted work, [`calibrate`] grades the prediction
 //! against a recorded `updown-metrics/v1` export, and severity-graded
 //! findings (shard imbalance, link hot-spots, unbounded-cost events) ride
 //! the same [`SpecFinding`] channel as `udspec`.
@@ -155,11 +154,10 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Predicted per-shard (per-node) work, for
-    /// `MachineConfig::cost_hints`: the parallel scheduler claims the
-    /// heaviest shard first in window 0 instead of discovering the
-    /// ranking one window late. Purely a scheduling hint — simulated
-    /// results stay byte-identical.
+    /// Predicted per-shard (per-node) work in events, rounded — the
+    /// `shard_hints` array of the `udcost/v1` document. The scheduler
+    /// does not read it: it orders shards by the cost it observed in the
+    /// previous window.
     pub fn shard_hints(&self) -> Vec<u64> {
         self.per_node_events.iter().map(|&e| e.round().max(0.0) as u64).collect()
     }

@@ -37,9 +37,9 @@ pub fn bench_machine(nodes: u32) -> MachineConfig {
         .build()
 }
 
-/// [`bench_machine`] with the simulator's parallel engine enabled when
-/// `threads > 1`. Simulated results are byte-identical either way — the
-/// flag only changes host wall-clock (see docs/parallel-engine.md).
+/// [`bench_machine`] with the simulator's window loop on `threads` host
+/// threads. Simulated results are byte-identical for every value — it
+/// only changes host wall-clock (see docs/parallel-engine.md).
 pub fn bench_machine_threads(nodes: u32, threads: u32) -> MachineConfig {
     let mut cfg = bench_machine(nodes);
     cfg.threads = threads.max(1);

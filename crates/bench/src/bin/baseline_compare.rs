@@ -10,14 +10,14 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin baseline_compare -- [--scale 14]
-//!     [--nodes 16] [--seed 0] [--threads 1] [--topology uniform] [--sanitize] [--race] [--spec] [--cost]
+//!     [--nodes 16] [--seed 0] [--threads 1] [--topology uniform] [--sanitize] [--race] [--spec]
 //!     [--trace out.trace.json]
 //!     [--metrics-json out.metrics.json]
 //! ```
 //!
 //! Here `--scale` is the absolute RMAT scale (not a shift as elsewhere).
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, bench_machine, bench_machine_topo};
+use bench::{Cli, Exporter, Gates, bench_machine, bench_machine_topo};
 use updown_apps::baseline;
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
@@ -33,13 +33,9 @@ fn main() {
     let seed: u64 = cli.get("seed", 0);
     let sim_threads: u32 = cli.get("threads", 1).max(1);
     let topology = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
+    cli.reject_unknown();
     let threads = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(4);
 
     let el = dedup_sort(rmat(scale, RmatParams::default(), 48 ^ seed));
@@ -65,15 +61,8 @@ fn main() {
     let sg = split_in_out(&g, 512);
     let mut pc = PrConfig::new(nodes);
     pc.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut pc.machine);
-    san.arm("pr", &mut pc.machine);
-    rg.arm("pr", &mut pc.machine);
-    spg.arm("pr", &updown_apps::pagerank::spec(), &mut pc.machine);
-    ck.arm(&mut pc.machine);
-    rp.arm(&mut pc.machine);
+    gates.arm("pr", &updown_apps::pagerank::spec(), &mut pc.machine);
     pc.iterations = 2;
-    let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &pc));
-    cg.arm("pr", &updown_apps::pagerank::spec(), w, &mut pc.machine);
     pc.trace = ex.want_trace();
     let pr = run_pagerank(&sg, &pc);
     ex.export("pr", &pr.report, pr.trace_json.as_deref());
@@ -97,14 +86,7 @@ fn main() {
     // ---- BFS: giga-traversed-edges/second --------------------------------
     let mut bc = BfsConfig::new(nodes, 0);
     bc.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut bc.machine);
-    san.arm("bfs", &mut bc.machine);
-    rg.arm("bfs", &mut bc.machine);
-    spg.arm("bfs", &updown_apps::bfs::spec(), &mut bc.machine);
-    ck.arm(&mut bc.machine);
-    rp.arm(&mut bc.machine);
-    let w = cg.enabled().then(|| updown_apps::bfs::workload(&gu, &bc));
-    cg.arm("bfs", &updown_apps::bfs::spec(), w, &mut bc.machine);
+    gates.arm("bfs", &updown_apps::bfs::spec(), &mut bc.machine);
     let bfs = run_bfs(&gu, &bc);
     assert_eq!(bfs.dist, algorithms::bfs(&gu, 0));
     let ud_gteps = bfs.gteps(&bc.machine);
@@ -122,14 +104,7 @@ fn main() {
     // ---- TC: edges/second ---------------------------------------------------
     let mut tcfg = TcConfig::new(nodes);
     tcfg.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut tcfg.machine);
-    san.arm("tc", &mut tcfg.machine);
-    rg.arm("tc", &mut tcfg.machine);
-    spg.arm("tc", &updown_apps::tc::spec(), &mut tcfg.machine);
-    ck.arm(&mut tcfg.machine);
-    rp.arm(&mut tcfg.machine);
-    let w = cg.enabled().then(|| updown_apps::tc::workload(&gu, &tcfg));
-    cg.arm("tc", &updown_apps::tc::spec(), w, &mut tcfg.machine);
+    gates.arm("tc", &updown_apps::tc::spec(), &mut tcfg.machine);
     let tc = run_tc(&gu, &tcfg);
     let ud_eps = gu.m() as f64 / tcfg.machine.ticks_to_seconds(tc.final_tick) / 1e9;
     let (host_tc, host_secs) = baseline::time(|| baseline::tc_parallel(&gu, threads));
@@ -147,8 +122,5 @@ fn main() {
          512-node runs report 39,617 GUPS (PR) and 35,700 GTEPS (BFS) vs\n\
          Perlmutter/EOS — the shape to reproduce is the orders-of-magnitude gap)"
     );
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

@@ -5,11 +5,11 @@
 //! ```text
 //! cargo run --release -p bench --bin figure10 -- [--nodes 32]
 //!     [--base-records 20000] [--seed 0] [--threads 1] [--topology uniform] [--full]
-//!     [--sanitize] [--race] [--spec] [--cost]
+//!     [--sanitize] [--race] [--spec]
 //!     [--trace out.trace.json] [--metrics-json out.metrics.json]
 //! ```
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts, node_sweep};
+use bench::{Cli, Exporter, Gates, StdOpts, node_sweep};
 use updown_apps::harness::{print_speedup_table, Series};
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
 
@@ -19,13 +19,9 @@ fn main() {
     let full = opts.full;
     let base: usize = cli.get("base-records", if full { 400_000 } else { 60_000 });
     let nodes = node_sweep(opts.max_nodes);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
+    cli.reject_unknown();
 
     println!("Figure 10 reproduction — ingestion scaling (records = {base} x multiplier)");
     let mut series = Vec::new();
@@ -40,13 +36,7 @@ fn main() {
         for &n in &nodes {
             let mut cfg = IngestConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("ingest {label} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("ingest {label} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("ingest {label} nodes={n}"), &updown_apps::ingest::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::ingest::workload(&ds, &cfg));
-            cg.arm(&format!("ingest {label} nodes={n}"), &updown_apps::ingest::spec(), w, &mut cfg.machine);
+            gates.arm(&format!("ingest {label} nodes={n}"), &updown_apps::ingest::spec(), &mut cfg.machine);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_ingest(&ds, &cfg);
@@ -69,8 +59,5 @@ fn main() {
         "\n(the paper reports 76.8 TB/s at 256 full nodes; the shape to match is\n\
          small datasets saturating early and large ones scaling further)"
     );
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

@@ -4,12 +4,12 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin figure11 -- [--records 4000] [--seed 0]
-//!     [--threads 1] [--topology uniform] [--full] [--sanitize] [--race] [--spec] [--cost]
+//!     [--threads 1] [--topology uniform] [--full] [--sanitize] [--race] [--spec]
 //!     [--trace out.trace.json]
 //!     [--metrics-json out.metrics.json]
 //! ```
 
-use bench::{BENCH_ACCELS, BENCH_LANES, Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate};
+use bench::{BENCH_ACCELS, BENCH_LANES, Cli, Exporter, Gates};
 use updown_sim::TopologyKind;
 use updown_apps::ingest::datagen;
 use updown_apps::partial_match::{run_partial_match, sequential_matches, PmConfig};
@@ -22,13 +22,11 @@ fn main() {
     let seed: u64 = cli.get("seed", 0);
     let threads: u32 = cli.get("threads", 1).max(1);
     let topology: TopologyKind = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let batch = cli.get("batch", 96);
+    let interval = cli.get("interval", 32);
+    let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
+    cli.reject_unknown();
     let lanes_per_node = BENCH_ACCELS * BENCH_LANES;
 
     let ds = datagen::generate(n_records, (n_records / 8) as u64, 21 ^ seed);
@@ -56,17 +54,10 @@ fn main() {
         cfg.machine = MachineConfig::small(nodes, BENCH_ACCELS, BENCH_LANES);
         cfg.machine.threads = threads;
         cfg.machine.net.topology = topology;
-        bench::cli::sched_knobs(&cli, &mut cfg.machine);
-        san.arm(&format!("pm {label}"), &mut cfg.machine);
-        rg.arm(&format!("pm {label}"), &mut cfg.machine);
-        spg.arm(&format!("pm {label}"), &updown_apps::partial_match::spec(), &mut cfg.machine);
-        ck.arm(&mut cfg.machine);
-        rp.arm(&mut cfg.machine);
-        cfg.batch = cli.get("batch", 96);
-        cfg.interval = cli.get("interval", 32);
+        gates.arm(&format!("pm {label}"), &updown_apps::partial_match::spec(), &mut cfg.machine);
+        cfg.batch = batch;
+        cfg.interval = interval;
         cfg.feeders = 8;
-        let w = cg.enabled().then(|| updown_apps::partial_match::workload(&ds.records, &cfg));
-        cg.arm(&format!("pm {label}"), &updown_apps::partial_match::spec(), w, &mut cfg.machine);
         cfg.trace = ex.want_trace();
         let t0 = std::time::Instant::now();
         let r = run_partial_match(&ds.records, &cfg);
@@ -92,8 +83,5 @@ fn main() {
         );
     }
     println!("\n(the paper's Table 12: speedups 1.00 / 3.34 / 5.56 / 10.42)");
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

@@ -5,14 +5,14 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin figure12 -- [--nodes 64] [--seed 0]
-//!     [--threads 1] [--topology uniform] [--full] [--sanitize] [--race] [--spec] [--cost]
+//!     [--threads 1] [--topology uniform] [--full] [--sanitize] [--race] [--spec]
 //!     [--trace out.trace.json]
 //!     [--metrics-json out.metrics.json]
 //! ```
 //!
 //! Here `--scale` is the absolute RMAT scale (not a shift as elsewhere).
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, bench_machine_topo, prepared};
+use bench::{Cli, Exporter, Gates, bench_machine_topo, prepared};
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
 use updown_graph::generators::{rmat, RmatParams};
@@ -26,13 +26,9 @@ fn main() {
     let seed: u64 = cli.get("seed", 0);
     let threads: u32 = cli.get("threads", 1).max(1);
     let topology = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
+    cli.reject_unknown();
 
     let el = rmat(scale, RmatParams::default(), 48 ^ seed);
     let (sg, _) = split_and_shuffle(&el, 512, 7);
@@ -52,31 +48,17 @@ fn main() {
     while mem <= compute_nodes {
         let mut pc = PrConfig::new(compute_nodes);
         pc.machine = bench_machine_topo(compute_nodes, threads, topology);
-        bench::cli::sched_knobs(&cli, &mut pc.machine);
-        san.arm(&format!("pr mem_nodes={mem}"), &mut pc.machine);
-        rg.arm(&format!("pr mem_nodes={mem}"), &mut pc.machine);
-        spg.arm(&format!("pr mem_nodes={mem}"), &updown_apps::pagerank::spec(), &mut pc.machine);
-        ck.arm(&mut pc.machine);
-        rp.arm(&mut pc.machine);
+        gates.arm(&format!("pr mem_nodes={mem}"), &updown_apps::pagerank::spec(), &mut pc.machine);
         pc.mem_nodes = Some(mem);
         pc.iterations = 1;
-        let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &pc));
-        cg.arm(&format!("pr mem_nodes={mem}"), &updown_apps::pagerank::spec(), w, &mut pc.machine);
         pc.trace = ex.want_trace();
         let pr = run_pagerank(&sg, &pc);
         ex.export(&format!("pr mem_nodes={mem}"), &pr.report, pr.trace_json.as_deref());
 
         let mut bc = BfsConfig::new(compute_nodes, 0);
         bc.machine = bench_machine_topo(compute_nodes, threads, topology);
-        bench::cli::sched_knobs(&cli, &mut bc.machine);
-        san.arm(&format!("bfs mem_nodes={mem}"), &mut bc.machine);
-        rg.arm(&format!("bfs mem_nodes={mem}"), &mut bc.machine);
-        spg.arm(&format!("bfs mem_nodes={mem}"), &updown_apps::bfs::spec(), &mut bc.machine);
-        ck.arm(&mut bc.machine);
-        rp.arm(&mut bc.machine);
+        gates.arm(&format!("bfs mem_nodes={mem}"), &updown_apps::bfs::spec(), &mut bc.machine);
         bc.mem_nodes = Some(mem);
-        let w = cg.enabled().then(|| updown_apps::bfs::workload(&g, &bc));
-        cg.arm(&format!("bfs mem_nodes={mem}"), &updown_apps::bfs::spec(), w, &mut bc.machine);
         let bfs = run_bfs(&g, &bc);
 
         if pr_base == 0 {
@@ -98,8 +80,5 @@ fn main() {
          tapering as memory stops being the bottleneck; BFS shows the same \
          trend less pronounced)"
     );
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin figure9 -- [pr|bfs|tc|all]
 //!     [--nodes 32] [--min-nodes 1] [--scale 0] [--seed 0] [--iters 2] [--threads 1]
 //!     [--topology uniform] [--full]
-//!     [--sanitize] [--race] [--spec] [--cost] [--trace out.trace.json] [--metrics-json out.metrics.json]
+//!     [--sanitize] [--race] [--spec] [--trace out.trace.json] [--metrics-json out.metrics.json]
 //! ```
 //!
 //! `--full` raises the sweep to 256 nodes (TC: 1024) and the graphs by two
@@ -14,24 +14,18 @@
 //! and `--metrics-json` export the first simulated run of the sweep as a
 //! Chrome trace / metrics document (see docs/observability.md).
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts, graph_menu_seeded, node_sweep, prepared, prepared_undirected};
+use bench::{Cli, Exporter, Gates, StdOpts, graph_menu_seeded, node_sweep, prepared, prepared_undirected};
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::harness::{print_speedup_table, Series};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
 use updown_apps::tc::{run_tc, TcConfig};
 
-#[allow(clippy::too_many_arguments)]
 fn pr_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     iters: u32,
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    gates: &mut Gates,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     for (name, el) in graph_menu_seeded(opts.scale_shift, opts.seed) {
@@ -41,14 +35,8 @@ fn pr_sweep(
         for &n in nodes {
             let mut cfg = PrConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("pr {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("pr {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("pr {name} nodes={n}"), &updown_apps::pagerank::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
+            gates.arm(&format!("pr {name} nodes={n}"), &updown_apps::pagerank::spec(), &mut cfg.machine);
             cfg.iterations = iters;
-            let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &cfg));
-            cg.arm(&format!("pr {name} nodes={n}"), &updown_apps::pagerank::spec(), w, &mut cfg.machine);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_pagerank(&sg, &cfg);
@@ -67,17 +55,11 @@ fn pr_sweep(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bfs_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    gates: &mut Gates,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     for (name, el) in graph_menu_seeded(opts.scale_shift, opts.seed) {
@@ -86,13 +68,7 @@ fn bfs_sweep(
         for &n in nodes {
             let mut cfg = BfsConfig::new(n, 0);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("bfs {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("bfs {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("bfs {name} nodes={n}"), &updown_apps::bfs::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::bfs::workload(&g, &cfg));
-            cg.arm(&format!("bfs {name} nodes={n}"), &updown_apps::bfs::spec(), w, &mut cfg.machine);
+            gates.arm(&format!("bfs {name} nodes={n}"), &updown_apps::bfs::spec(), &mut cfg.machine);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_bfs(&g, &cfg);
@@ -112,17 +88,11 @@ fn bfs_sweep(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn tc_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    gates: &mut Gates,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     // TC is intersection-heavy: drop the graphs three scales relative to
@@ -134,13 +104,7 @@ fn tc_sweep(
         for &n in nodes {
             let mut cfg = TcConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("tc {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("tc {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("tc {name} nodes={n}"), &updown_apps::tc::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::tc::workload(&g, &cfg));
-            cg.arm(&format!("tc {name} nodes={n}"), &updown_apps::tc::spec(), w, &mut cfg.machine);
+            gates.arm(&format!("tc {name} nodes={n}"), &updown_apps::tc::spec(), &mut cfg.machine);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_tc(&g, &cfg);
@@ -179,13 +143,9 @@ fn main() {
         .into_iter()
         .filter(|&n| n >= min_nodes)
         .collect();
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
+    cli.reject_unknown();
 
     println!("Figure 9 reproduction — strong scaling on the UpDown simulator");
     println!(
@@ -197,7 +157,7 @@ fn main() {
     );
 
     if which == "pr" || which == "all" {
-        let series = pr_sweep(&opts, &nodes, iters, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = pr_sweep(&opts, &nodes, iters, &mut ex, &mut gates);
         print_speedup_table(
             "Figure 9 (left) / Table 8: PageRank speedup",
             "nodes",
@@ -205,7 +165,7 @@ fn main() {
         );
     }
     if which == "bfs" || which == "all" {
-        let series = bfs_sweep(&opts, &nodes, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = bfs_sweep(&opts, &nodes, &mut ex, &mut gates);
         print_speedup_table(
             "Figure 9 (center) / Table 9: BFS speedup",
             "nodes",
@@ -217,15 +177,12 @@ fn main() {
             .into_iter()
             .filter(|&n| n >= min_nodes)
             .collect();
-        let series = tc_sweep(&opts, &tc_nodes, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = tc_sweep(&opts, &tc_nodes, &mut ex, &mut gates);
         print_speedup_table(
             "Figure 9 (right) / Table 10: TC speedup",
             "nodes",
             &series,
         );
     }
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

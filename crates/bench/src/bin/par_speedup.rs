@@ -1,38 +1,33 @@
 #![forbid(unsafe_code)]
-//! Parallel-engine wall-clock speedup: the same figure9-style PageRank
-//! run executed by the sequential engine and by the parallel engine at a
-//! sweep of thread counts. Simulated results must be identical (the
-//! binary asserts it); only host wall-clock changes.
+//! Wall-clock speedup of the window loop over host threads: the same
+//! figure9-style PageRank run executed on one worker and at a sweep of
+//! thread counts. Simulated results must be identical (the binary
+//! asserts it); only host wall-clock changes.
 //!
 //! ```text
 //! cargo run --release -p bench --bin par_speedup -- [--nodes 64]
 //!     [--scale 13] [--seed 0] [--iters 1] [--threads 1,2,4] [--topology uniform]
-//!     [--steal on|off] [--window-batch 8] [--min-speedup 0]
-//!     [--json-out BENCH_parallel.json] [--mode-check on|off]
-//!     [--sanitize] [--race] [--spec] [--cost]
+//!     [--min-speedup 0] [--json-out par_speedup.json]
+//!     [--sanitize] [--race] [--spec]
 //! ```
 //!
 //! Here `--scale` is the absolute RMAT scale and `--threads` a
-//! comma-separated list of parallel thread counts to compare against the
-//! sequential baseline. `--min-speedup` (e.g. `1.5`) makes the binary
-//! exit non-zero when the best parallel speedup falls short — the
-//! acceptance gate used by CI. `--json-out` records the scaling curve
-//! (plus the host core count and per-run scheduler diagnostics) as a
-//! machine-readable file; `--mode-check` (default on) additionally
-//! re-runs the workload with work-stealing off and horizon batching off
-//! and asserts the metrics JSON stays byte-identical across scheduler
-//! modes, not just thread counts.
+//! comma-separated list of thread counts to compare against the
+//! one-worker baseline. `--min-speedup` (e.g. `1.5`) makes the binary
+//! exit non-zero when the best speedup falls short — the acceptance gate
+//! used by CI. `--json-out` records the scaling curve (plus the host core
+//! count and per-run scheduler diagnostics) as a machine-readable file.
 //!
 //! Alongside wall-clock, the binary reports the deterministic per-window
 //! load-imbalance aggregates from the metrics JSON (`sched` object): the
 //! mean/peak of the heaviest shard's event count per window, and the
 //! imbalance factor (mean window peak over mean per-shard load — 1.0 is
 //! perfectly balanced, N means one shard does everything). Host-side
-//! diagnostics (steals, batched windows, barrier spins) are per-run and
-//! thread-timing dependent, so they appear in the table and the JSON
-//! file but never in the byte-compared metrics.
+//! diagnostics (steals, barrier spins) are per-run and thread-timing
+//! dependent, so they appear in the table and the JSON file but never in
+//! the byte-compared metrics.
 
-use bench::{Checkpoint, Cli, CostGate, RaceGate, ReplayGate, Sanitizer, SpecGate, bench_machine_topo};
+use bench::{Cli, Gates, bench_machine_topo};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::split_and_shuffle;
@@ -43,77 +38,53 @@ fn main() {
     let scale: u32 = cli.get("scale", 13);
     let seed: u64 = cli.get("seed", 0);
     let iters: u32 = cli.get("iters", 1);
-    let threads_list: Vec<u32> = cli
-        .opt::<String>("threads")
-        .unwrap_or_else(|| "1,2,4".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&t| t > 1)
-        .collect();
+    let mut threads_list: Vec<u32> = cli.list("threads").unwrap_or_else(|| vec![1, 2, 4]);
+    threads_list.retain(|&t| t > 1);
     let min_speedup: f64 = cli.get("min-speedup", 0.0);
-    let steal = bench::cli::parse_on_off(&cli, "steal", true);
-    let window_batch: u64 = cli.get::<u64>("window-batch", 8).max(1);
-    let mode_check = bench::cli::parse_on_off(&cli, "mode-check", true);
     let json_out: Option<String> = cli.opt("json-out");
     let topology = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
+    cli.reject_unknown();
     let host_cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
 
     let el = rmat(scale, RmatParams::default(), 48 ^ seed);
     let (sg, _) = split_and_shuffle(&el, 512, 7);
 
     println!(
-        "Parallel-engine speedup — PageRank, RMAT s{scale}, {nodes} nodes, \
+        "Thread-count speedup — PageRank, RMAT s{scale}, {nodes} nodes, \
          {iters} iteration(s), {topology} network"
     );
-    println!(
-        "scheduler: steal {}, window-batch {window_batch}; host cores: {host_cores}",
-        if steal { "on" } else { "off" }
-    );
+    println!("host cores: {host_cores}");
 
-    let run = |threads: u32, steal: bool, window_batch: u64, label: &str| {
+    let mut run = |threads: u32| {
         let mut cfg = PrConfig::new(nodes);
         cfg.machine = bench_machine_topo(nodes, threads, topology);
-        cfg.machine.steal = steal;
-        cfg.machine.window_batch = window_batch;
-        san.arm(label, &mut cfg.machine);
-        rg.arm(label, &mut cfg.machine);
-        spg.arm(label, &updown_apps::pagerank::spec(), &mut cfg.machine);
-        ck.arm(&mut cfg.machine);
-        rp.arm(&mut cfg.machine);
+        gates.arm(&format!("pr threads={threads}"), &updown_apps::pagerank::spec(), &mut cfg.machine);
         cfg.iterations = iters;
-        let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &cfg));
-        cg.arm(label, &updown_apps::pagerank::spec(), w, &mut cfg.machine);
         let t0 = std::time::Instant::now();
         let r = run_pagerank(&sg, &cfg);
         (r, t0.elapsed().as_secs_f64())
     };
 
-    let (base, base_secs) = run(1, steal, window_batch, "pr threads=1");
+    let (base, base_secs) = run(1);
     let base_json = base.report.to_json();
     // Simulated work is identical across thread counts, so the host
     // event rate is the honest per-configuration throughput figure.
     let events = base.report.stats.events_executed;
     let windows = base.report.stats.windows;
     println!(
-        "\n{:>8} {:>10} {:>12} {:>11} {:>8} {:>9} {:>9} {:>11} {:>9}",
-        "threads", "wall (s)", "final tick", "host rate", "speedup", "steals", "batchw", "idle spins", "identical"
+        "\n{:>8} {:>10} {:>12} {:>11} {:>8} {:>9} {:>11} {:>9}",
+        "threads", "wall (s)", "final tick", "host rate", "speedup", "steals", "idle spins", "identical"
     );
     let host_row = |t: u32, secs: f64, hs: &updown_sim::HostSchedStats, sp: f64, ident: &str, ev: u64| {
         println!(
-            "{:>8} {:>10.3} {:>12} {:>11} {:>8.2} {:>9} {:>9} {:>11} {:>9}",
+            "{:>8} {:>10.3} {:>12} {:>11} {:>8.2} {:>9} {:>11} {:>9}",
             t,
             secs,
             base.final_tick,
             bench::cli::host_rate(ev, secs),
             sp,
             hs.steals,
-            hs.batched_windows,
             hs.idle_spins,
             ident
         );
@@ -123,11 +94,11 @@ fn main() {
     let mut best = 0.0f64;
     let mut rows = vec![(1u32, base_secs, 1.0f64, base.report.host_sched)];
     for &t in &threads_list {
-        let (r, secs) = run(t, steal, window_batch, &format!("pr threads={t}"));
+        let (r, secs) = run(t);
         let same = r.final_tick == base.final_tick && r.report.to_json() == base_json;
         assert!(
             same,
-            "parallel run at {t} threads diverged from the sequential engine"
+            "the run at {t} threads diverged from the one-worker run"
         );
         let sp = base_secs / secs;
         best = best.max(sp);
@@ -147,35 +118,10 @@ fn main() {
         sched.imbalance(events, windows, nodes as u64)
     );
 
-    // Scheduler modes must not change results either: re-run with
-    // stealing and batching off (static chunks, one window per barrier)
-    // and byte-compare. One run at 1 thread, one at the largest
-    // requested thread count when there is one.
-    let mode_ok = if mode_check {
-        let (plain, _) = run(1, false, 1, "pr mode=static");
-        assert_eq!(
-            plain.report.to_json(),
-            base_json,
-            "scheduler mode (steal/window-batch) changed the metrics JSON at 1 thread"
-        );
-        if let Some(&tmax) = threads_list.iter().max() {
-            let (plain_t, _) = run(tmax, false, 1, "pr mode=static-mt");
-            assert_eq!(
-                plain_t.report.to_json(),
-                base_json,
-                "scheduler mode changed the metrics JSON at {tmax} threads"
-            );
-        }
-        println!("mode check: steal off + window-batch 1 byte-identical — ok");
-        "identical"
-    } else {
-        "skipped"
-    };
-
     if min_speedup > 0.0 {
         assert!(
             best >= min_speedup,
-            "best parallel speedup {best:.2}x is below the required {min_speedup:.2}x"
+            "best speedup {best:.2}x is below the required {min_speedup:.2}x"
         );
         println!("\nbest speedup {best:.2}x >= required {min_speedup:.2}x");
     }
@@ -188,21 +134,19 @@ fn main() {
             }
             runs.push_str(&format!(
                 "\n    {{\"threads\": {t}, \"wall_s\": {secs:.6}, \"speedup\": {sp:.4}, \
-                 \"steals\": {}, \"batch_rounds\": {}, \"batched_windows\": {}, \
-                 \"barrier_rounds\": {}, \"idle_spins\": {}}}",
-                hs.steals, hs.batch_rounds, hs.batched_windows, hs.barrier_rounds, hs.idle_spins
+                 \"steals\": {}, \"barrier_rounds\": {}, \"idle_spins\": {}}}",
+                hs.steals, hs.barrier_rounds, hs.idle_spins
             ));
         }
         let json = format!(
             "{{\n  \"schema\": \"updown-bench-parallel/v1\",\n  \"bench\": \"par_speedup\",\n  \
              \"app\": \"pagerank\",\n  \"nodes\": {nodes},\n  \"scale\": {scale},\n  \
              \"iters\": {iters},\n  \"seed\": {seed},\n  \"topology\": \"{topology}\",\n  \
-             \"steal\": {steal},\n  \"window_batch\": {window_batch},\n  \
              \"host_cores\": {host_cores},\n  \"final_tick\": {},\n  \"events\": {events},\n  \
              \"windows\": {windows},\n  \"sched\": {{\"window_max_events_sum\": {}, \
              \"window_max_events_peak\": {}, \"imbalance\": {:.4}}},\n  \
              \"best_speedup\": {best:.4},\n  \"byte_identical_threads\": true,\n  \
-             \"mode_check\": \"{mode_ok}\",\n  \"runs\": [{runs}\n  ]\n}}\n",
+             \"runs\": [{runs}\n  ]\n}}\n",
             base.final_tick,
             sched.window_max_events_sum,
             sched.window_max_events_peak,
@@ -212,8 +156,5 @@ fn main() {
         println!("wrote {path}");
     }
 
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

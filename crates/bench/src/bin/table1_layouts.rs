@@ -2,9 +2,9 @@
 //! Table 1 demonstration: the four canonical DRAMmalloc layouts, showing
 //! the node placement each translation descriptor produces.
 //!
-//! `cargo run --release -p bench --bin table1_layouts [--topology uniform] [--sanitize] [--race] [--spec] [--cost]`
+//! `cargo run --release -p bench --bin table1_layouts [--topology uniform] [--sanitize] [--race] [--spec]`
 
-use bench::{Checkpoint, Cli, CostGate, RaceGate, ReplayGate, Sanitizer, SpecGate};
+use bench::{Cli, Gates};
 use drammalloc::{dram_malloc_layout, Layout};
 use updown_sim::{Engine, MachineConfig, VAddr};
 
@@ -20,26 +20,13 @@ fn show(eng: &Engine, name: &str, base: VAddr, probes: &[u64]) {
 fn main() {
     println!("Table 1 reproduction — DRAMmalloc layouts (16-node machine, scaled)\n");
     let cli = Cli::parse();
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
+    let mut gates = Gates::from_cli(&cli);
     let mut cfg = MachineConfig::small(16, 1, 1);
     cfg.net.topology = bench::cli::parse_topology(&cli);
-    bench::cli::sched_knobs(&cli, &mut cfg);
-    san.arm("layouts", &mut cfg);
-    rg.arm("layouts", &mut cfg);
     // This binary drives ad-hoc layout handlers with no declared protocol;
     // an empty spec keeps --spec accepted (and vacuously clean) here.
-    spg.arm("layouts", &updown_sim::ProgramSpec::new(), &mut cfg);
-    ck.arm(&mut cfg);
-    rp.arm(&mut cfg);
-    // Same story for --cost: no declared protocol, so the prediction is
-    // vacuous, but the flag stays accepted everywhere.
-    let cg = CostGate::from_cli(&cli);
-    let w = cg.enabled().then(updown_sim::spec::Workload::new);
-    cg.arm("layouts", &updown_sim::ProgramSpec::new(), w, &mut cfg);
+    gates.arm("layouts", &updown_sim::ProgramSpec::new(), &mut cfg);
+    cli.reject_unknown();
     let mut eng = Engine::new(cfg);
 
     let a = dram_malloc_layout(&mut eng, 64 * 4096, Layout::cyclic(16)).unwrap();
@@ -57,8 +44,5 @@ fn main() {
 
     println!("\n(each number is the physical node owning consecutive blocks of the");
     println!(" virtual region — one translation descriptor per allocation)");
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    gates.exit_if_dirty();
 }

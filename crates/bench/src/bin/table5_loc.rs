@@ -3,9 +3,9 @@
 //! abstractions, counted from this repository and set against the paper's
 //! UDWeave numbers.
 //!
-//! `cargo run --release -p bench --bin table5_loc [--topology uniform] [--sanitize] [--race] [--spec] [--cost]`
-//! (`--sanitize` is accepted for CLI uniformity; this binary runs no
-//! simulation, so there is nothing to sanitize)
+//! `cargo run --release -p bench --bin table5_loc [--topology uniform] [--sanitize] [--race] [--spec]`
+//! (the observer flags are accepted for CLI uniformity; this binary runs
+//! no simulation, so there is nothing to observe)
 
 use std::path::Path;
 
@@ -34,26 +34,16 @@ fn loc(path: &str) -> u64 {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--sanitize") {
-        eprintln!("table5_loc: --sanitize accepted, but this binary runs no simulation");
-    }
-    if std::env::args().any(|a| a == "--race") {
-        eprintln!("table5_loc: --race accepted, but this binary runs no simulation");
-    }
-    if std::env::args().any(|a| a == "--spec") {
-        eprintln!("table5_loc: --spec accepted, but this binary runs no simulation");
-    }
-    if std::env::args().any(|a| a == "--cost") {
-        eprintln!("table5_loc: --cost accepted, but this binary runs no simulation");
-    }
-    if std::env::args().any(|a| a == "--topology") {
-        eprintln!("table5_loc: --topology accepted, but this binary runs no simulation");
-    }
-    for f in ["--checkpoint", "--restore", "--checkpoint-every", "--record", "--replay"] {
-        if std::env::args().any(|a| a == f) {
-            eprintln!("table5_loc: {f} accepted, but this binary runs no simulation");
+    let cli = bench::Cli::parse();
+    for f in [
+        "sanitize", "race", "spec", "topology", "checkpoint", "restore", "checkpoint-every",
+        "record", "replay",
+    ] {
+        if cli.has(f) {
+            eprintln!("table5_loc: --{f} accepted, but this binary runs no simulation");
         }
     }
+    cli.reject_unknown();
     let root = std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| format!("{d}/../.."))
         .unwrap_or_else(|_| ".".into());

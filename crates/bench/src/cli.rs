@@ -1,24 +1,37 @@
 //! The unified command-line surface of the figure binaries.
 //!
 //! Every binary parses [`Cli`] and understands the shared flags in
-//! [`StdOpts`] (`--nodes`, `--scale`, `--seed`, `--threads`, `--steal`,
-//! `--window-batch`, `--trace`, `--metrics-json`, `--full`) on top of its
-//! own specifics. The
+//! [`StdOpts`] (`--nodes`, `--scale`, `--seed`, `--threads`,
+//! `--topology`, `--trace`, `--metrics-json`, `--full`) on top of its own
+//! specifics, builds one [`Gates`] for the observer flags, and ends its
+//! flag reading with [`Cli::reject_unknown`]. The
 //! [`Exporter`] turns the observability flags into files: when a binary
 //! sweeps many configurations, the *first* simulated run is the one that
 //! gets traced and exported — enough to inspect one representative run in
 //! `chrome://tracing` without multi-gigabyte outputs.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::fmt::Display;
+use std::str::FromStr;
+
 use updown_sim::{
-    DiagKind, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, SpecSeverity,
+    DiagKind, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, ReplayCheck,
     TopologyKind,
 };
 
 /// Minimal flag parsing: `--key value` pairs plus positional args.
+///
+/// Nonsense ends in a diagnostic and exit status 2, never in a quiet
+/// default: a value that does not parse names its flag, and every key a
+/// binary asked about is remembered so [`Cli::reject_unknown`] can refuse
+/// the ones nobody read (typos, flags of another binary, retired flags).
 pub struct Cli {
     pub positional: Vec<String>,
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
+    /// Keys some `opt`/`has` call has asked about.
+    queried: RefCell<BTreeSet<String>>,
 }
 
 impl Cli {
@@ -47,25 +60,81 @@ impl Cli {
             positional,
             pairs,
             flags,
+            queried: RefCell::new(BTreeSet::new()),
         }
     }
 
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    pub fn get<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> T {
         self.opt(key).unwrap_or(default)
     }
 
     /// Last `--key value` occurrence parsed as `T`, `None` if absent.
-    pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
+    /// Exits with status 2 when the value does not parse.
+    pub fn opt<T: FromStr<Err: Display>>(&self, key: &str) -> Option<T> {
+        self.try_opt(key).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// [`Cli::opt`] with the failure as a value: `Err` names the flag and
+    /// the text that did not parse (or says the flag came without one).
+    pub fn try_opt<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.queried.borrow_mut().insert(key.to_string());
+        match self.pairs.iter().rev().find(|(k, _)| k == key) {
+            Some((_, v)) => match v.parse() {
+                Ok(x) => Ok(Some(x)),
+                Err(e) => Err(format!("--{key} {v}: {e}")),
+            },
+            None if self.flags.iter().any(|f| f == key) => Err(format!("--{key}: expects a value")),
+            None => Ok(None),
+        }
+    }
+
+    /// `--key a,b,c` with every element parsed as `T`; same failure
+    /// behaviour as [`Cli::opt`].
+    pub fn list<T: FromStr<Err: Display>>(&self, key: &str) -> Option<Vec<T>> {
+        let text: String = self.opt(key)?;
+        Some(
+            text.split(',')
+                .map(|v| {
+                    v.trim()
+                        .parse()
+                        .unwrap_or_else(|e| usage_error(&format!("--{key} {text}: '{v}': {e}")))
+                })
+                .collect(),
+        )
     }
 
     pub fn has(&self, key: &str) -> bool {
+        self.queried.borrow_mut().insert(key.to_string());
         self.flags.iter().any(|f| f == key) || self.pairs.iter().any(|(k, _)| k == key)
     }
+
+    /// Flags on the command line that no `opt`/`get`/`has` call has asked
+    /// about so far, in command-line order.
+    pub fn unknown(&self) -> Vec<&str> {
+        let queried = self.queried.borrow();
+        let mut out: Vec<&str> = Vec::new();
+        for k in self.pairs.iter().map(|(k, _)| k).chain(&self.flags) {
+            if !queried.contains(k) && !out.contains(&k.as_str()) {
+                out.push(k);
+            }
+        }
+        out
+    }
+
+    /// Call once, after the last flag has been read: exits with status 2
+    /// naming every flag this binary never looked at.
+    pub fn reject_unknown(&self) {
+        let unknown = self.unknown();
+        if !unknown.is_empty() {
+            let names: Vec<String> = unknown.iter().map(|k| format!("--{k}")).collect();
+            usage_error(&format!("unknown flag {}", names.join(" ")));
+        }
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// The flags every figure binary shares.
@@ -76,28 +145,16 @@ pub struct StdOpts {
     pub scale_shift: i32,
     /// `--seed`: generator seed.
     pub seed: u64,
-    /// `--threads`: simulator worker threads (1 = sequential engine).
-    /// Results are byte-identical across values; only wall-clock changes.
+    /// `--threads`: simulator worker threads (1 runs the window loop
+    /// inline). Results are byte-identical across values; only wall-clock
+    /// changes.
     pub threads: u32,
-    /// `--steal on|off`: work-stealing shard scheduling (default on).
-    /// Scheduling-only; results are byte-identical either way.
-    pub steal: bool,
-    /// `--window-batch K`: max windows per barrier round under horizon
-    /// batching (default 8; 1 disables). Results are byte-identical for
-    /// every value.
-    pub window_batch: u64,
     /// `--topology`: system-network topology (`uniform`, `polar`,
     /// `torus`, `dragonfly`). Results are byte-identical across thread
     /// counts for every value; `uniform` reproduces the pre-fabric model.
     pub topology: TopologyKind,
     /// `--full`: paper-sized sweep.
     pub full: bool,
-    /// `--sanitize`: arm the runtime protocol sanitizer on every run
-    /// (see [`Sanitizer`] and docs/udcheck.md).
-    pub sanitize: bool,
-    /// `--race`: arm the happens-before race detector on every run
-    /// (see [`RaceGate`] and docs/udrace.md).
-    pub race: bool,
     /// `--trace <path>` / `--metrics-json <path>` exporter.
     pub exporter: Exporter,
 }
@@ -111,399 +168,79 @@ impl StdOpts {
         (shift_default, shift_full): (i32, i32),
     ) -> StdOpts {
         let full = cli.has("full");
-        let max_nodes = cli
-            .opt("nodes")
-            .or_else(|| cli.opt("max-nodes"))
-            .unwrap_or(if full { nodes_full } else { nodes_default });
-        let scale_shift = cli
-            .opt("scale")
-            .or_else(|| cli.opt("scale-shift"))
-            .unwrap_or(if full { shift_full } else { shift_default });
+        // Both spellings are read unconditionally so that either counts
+        // as known to `Cli::reject_unknown`.
+        let (nodes, legacy_nodes) = (cli.opt("nodes"), cli.opt("max-nodes"));
+        let (scale, legacy_scale) = (cli.opt("scale"), cli.opt("scale-shift"));
         StdOpts {
-            max_nodes,
-            scale_shift,
+            max_nodes: nodes
+                .or(legacy_nodes)
+                .unwrap_or(if full { nodes_full } else { nodes_default }),
+            scale_shift: scale
+                .or(legacy_scale)
+                .unwrap_or(if full { shift_full } else { shift_default }),
             seed: cli.get("seed", 0),
             threads: cli.get("threads", 1).max(1),
-            steal: parse_on_off(cli, "steal", true),
-            window_batch: cli.get::<u64>("window-batch", 8).max(1),
             topology: parse_topology(cli),
             full,
-            sanitize: cli.has("sanitize"),
-            race: cli.has("race"),
             exporter: Exporter::from_cli(cli),
         }
     }
-}
-
-/// Parse an `--key on|off` toggle (also accepts `true|false`/`1|0`; the
-/// bare flag means "on"). Exits on anything else — a typo like
-/// `--steal of` must not silently pick either setting.
-pub fn parse_on_off(cli: &Cli, key: &str, default: bool) -> bool {
-    match cli.opt::<String>(key) {
-        None => {
-            if cli.has(key) {
-                true
-            } else {
-                default
-            }
-        }
-        Some(v) => match v.as_str() {
-            "on" | "true" | "1" => true,
-            "off" | "false" | "0" => false,
-            other => {
-                eprintln!("--{key} {other}: expected on|off");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// Apply the shared scheduler knobs (`--steal on|off`, `--window-batch K`)
-/// to a machine built outside [`StdOpts::machine`] — the bins that parse
-/// [`Cli`] directly share the same defaults this way.
-pub fn sched_knobs(cli: &Cli, cfg: &mut MachineConfig) {
-    cfg.steal = parse_on_off(cli, "steal", true);
-    cfg.window_batch = cli.get::<u64>("window-batch", 8).max(1);
 }
 
 /// Parse `--topology`, exiting with the list of valid values on a bad
 /// one (a silent fallback to the default would quietly benchmark the
 /// wrong network).
 pub fn parse_topology(cli: &Cli) -> TopologyKind {
-    match cli.opt::<String>("topology") {
-        None => TopologyKind::default(),
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("--topology {s}: {e}");
-            std::process::exit(2);
-        }),
-    }
+    cli.get("topology", TopologyKind::default())
 }
 
-/// `--sanitize` support for the figure binaries: arms every simulated run
-/// with [`MachineConfig::sanitize`] plus a fresh
-/// [`ProtocolProbe`], then reports the collected
-/// diagnostics at the end of `main`. Simulated results are unchanged for
-/// violation-free programs (see docs/udcheck.md), so sanitized sweeps
-/// reproduce the exact figures while cross-checking the event protocol.
-pub struct Sanitizer {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, ProtocolProbe)>>,
-}
-
-impl Sanitizer {
-    pub fn from_cli(cli: &Cli) -> Sanitizer {
-        Sanitizer {
-            enabled: cli.has("sanitize"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` with the sanitizer and a fresh probe when `--sanitize`
-    /// was given; `label` names the run in the final report.
-    pub fn arm(&self, label: &str, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = ProtocolProbe::new();
-        cfg.sanitize = true;
-        cfg.probe = Some(probe.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every diagnostic recorded across the armed runs to stderr;
-    /// returns whether any run reported a violation.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            for d in probe.diagnostics() {
-                dirty = true;
-                eprintln!(
-                    "sanitizer[{}] {label}: {} — {} (x{}, first at tick {} lane {})",
-                    d.kind.as_str(),
-                    d.handler,
-                    d.detail,
-                    d.count,
-                    d.first_tick,
-                    d.lane
-                );
-            }
-        }
-        if !dirty {
-            eprintln!("sanitizer: {} run(s), no protocol violations", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on violations.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--race` support for the figure binaries: arms every simulated run
-/// with a fresh [`RaceProbe`] (the happens-before race detector, see
-/// docs/udrace.md), then reports every unordered conflicting access pair
-/// at the end of `main`. Like the sanitizer, the probe has zero observer
-/// effect: simulated results and metrics are unchanged.
-pub struct RaceGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, RaceProbe)>>,
-}
-
-impl RaceGate {
-    pub fn from_cli(cli: &Cli) -> RaceGate {
-        RaceGate {
-            enabled: cli.has("race"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` with a fresh race probe when `--race` was given; `label`
-    /// names the run in the final report.
-    pub fn arm(&self, label: &str, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = RaceProbe::new();
-        cfg.race = Some(probe.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every race site recorded across the armed runs to stderr;
-    /// returns whether any run reported a race (or overflowed the site
-    /// cap, which hides potential races).
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            let r = probe.snapshot();
-            for s in &r.sites {
-                dirty = true;
-                eprintln!(
-                    "udrace[{label}] '{}' races with '{}': {} (x{}, first at tick {} lane {})",
-                    s.current, s.prior, s.detail, s.count, s.first_tick, s.lane
-                );
-            }
-            if r.sites_truncated > 0 {
-                dirty = true;
-                eprintln!(
-                    "udrace[{label}] warning: {} distinct site(s) dropped past the site cap",
-                    r.sites_truncated
-                );
-            }
-        }
-        if !dirty {
-            eprintln!("udrace: {} run(s), no races", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on races.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--spec` support for the figure binaries: arms every simulated run
-/// with runtime protocol-spec enforcement
-/// ([`MachineConfig::enforce_spec`] plus a fresh [`ProtocolProbe`]), then
-/// reports every observed-vs-declared deviation at the end of `main`.
-/// Like the sanitizer the probe has zero observer effect, so enforced
-/// sweeps reproduce the exact figures; see docs/udspec.md.
-pub struct SpecGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, ProtocolProbe)>>,
-}
-
-impl SpecGate {
-    pub fn from_cli(cli: &Cli) -> SpecGate {
-        SpecGate {
-            enabled: cli.has("spec"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` to enforce `spec` when `--spec` was given; `label` names
-    /// the run in the final report. Reuses a probe another gate already
-    /// attached (e.g. `--sanitize`) so both report from the same summary.
-    pub fn arm(&self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = match &cfg.probe {
-            Some(p) => p.clone(),
-            None => {
-                let p = ProtocolProbe::new();
-                cfg.probe = Some(p.clone());
-                p
-            }
-        };
-        cfg.enforce_spec = Some(spec.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every spec violation recorded across the armed runs to
-    /// stderr; returns whether any run deviated from its declarations.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            for d in probe.diagnostics() {
-                if d.kind != DiagKind::SpecViolation {
-                    continue;
-                }
-                dirty = true;
-                eprintln!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count);
-            }
-        }
-        if !dirty {
-            eprintln!("udspec: {} run(s), no spec violations", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on violations.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--cost` support for the figure binaries: before each armed run,
-/// predict its load and traffic statically with `udcost`
-/// ([`udcheck::analyze_cost`]) and seed the parallel scheduler's shard
-/// claim order with the prediction ([`MachineConfig::cost_hints`]), so
-/// window 0 claims the predicted-heaviest shard first instead of
-/// discovering the ranking one window late. Scheduling-only: simulated
-/// results are byte-identical with hints on or off. At the end of `main`
-/// the gate prints one prediction summary per run and exits non-zero if
-/// any prediction carried error-severity findings; see docs/analysis.md.
-pub struct CostGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<udcheck::CostReport>>,
-}
-
-impl CostGate {
-    pub fn from_cli(cli: &Cli) -> CostGate {
-        CostGate {
-            enabled: cli.has("cost"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Predict the run `label` describes and seed `cfg.cost_hints` from
-    /// the prediction. Callers gate the workload construction on
-    /// [`CostGate::enabled`] (`cg.enabled().then(|| app::workload(..))`)
-    /// so disabled sweeps pay nothing.
-    pub fn arm(
-        &self,
-        label: &str,
-        spec: &ProgramSpec,
-        workload: Option<updown_sim::spec::Workload>,
-        cfg: &mut MachineConfig,
-    ) {
-        let Some(w) = workload else { return };
-        if !self.enabled {
-            return;
-        }
-        let report = udcheck::analyze_cost(label, spec, &w, cfg);
-        cfg.cost_hints = report.shard_hints();
-        self.runs.lock().unwrap().push(report);
-    }
-
-    /// Print every prediction summary to stderr; returns whether any
-    /// prediction carried an error-severity finding.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for r in runs.iter() {
-            eprintln!(
-                "udcost[{}]: predicted {:.0} events, {:.0} msgs \
-                 ({:.0} inter-node), imbalance {:.2}x; hints {:?}",
-                r.app,
-                r.total_events,
-                r.total_msgs,
-                r.inter_node_msgs,
-                r.imbalance,
-                r.shard_hints()
-            );
-            for f in &r.findings {
-                dirty |= f.severity == SpecSeverity::Error;
-                eprintln!("udcost[{}] [{}] {}: {}", r.app, f.severity, f.check, f.message);
-            }
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on errors.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--checkpoint` / `--restore` / `--checkpoint-every` support for the
-/// figure binaries (see docs/checkpoint.md).
+/// The observers a figure binary can arm on its simulated runs, built
+/// once from the command line:
 ///
-/// * `--checkpoint-every N` sets [`MachineConfig::checkpoint_every`] on
-///   every armed run: the engine pauses every `N` scheduler windows,
-///   snapshots, round-trips the snapshot and continues. Results are
-///   byte-identical with checkpointing on or off.
-/// * `--checkpoint <path>` additionally writes an `updown-snapshot/v2`
-///   file at the first checkpoint boundary of the *first* armed run
-///   (first-run-wins, like the [`Exporter`]). Defaults the cadence to 8
-///   windows when `--checkpoint-every` is absent.
-/// * `--restore <path>` re-drives the first armed run against the
-///   snapshot: at the recorded window the engine byte-compares its live
-///   state against the file, round-trips the decoder, and continues.
-///   The header is validated up front so a bad path or corrupt file is a
-///   clean CLI error. Defaults the cadence to the snapshot's window so
-///   the boundary lands exactly once.
-pub struct Checkpoint {
+/// * `--sanitize` — [`MachineConfig::sanitize`] plus a fresh
+///   [`ProtocolProbe`] per run (docs/udcheck.md).
+/// * `--race` — a fresh [`RaceProbe`] per run, the happens-before race
+///   detector (docs/udrace.md).
+/// * `--spec` — runtime protocol-spec enforcement
+///   ([`MachineConfig::enforce_spec`]) against the run's declared spec,
+///   reporting through the same probe as the sanitizer (docs/udspec.md).
+/// * `--checkpoint-every N` / `--checkpoint <path>` / `--restore <path>`
+///   (docs/checkpoint.md) — the engine pauses every `N` windows,
+///   snapshots, round-trips the snapshot and continues. `--checkpoint`
+///   also writes an `updown-snapshot/v2` file at the first boundary of the
+///   *first* armed run (first-run-wins, like the [`Exporter`]; the cadence
+///   defaults to 8). `--restore` re-drives the first armed run against
+///   such a file: at the recorded window the engine byte-compares its live
+///   state against it and round-trips the decoder. The header is validated
+///   up front so a bad path or corrupt file is a clean CLI error; the
+///   cadence defaults to the snapshot's window.
+/// * `--record` / `--replay` — capture every run's cross-shard message
+///   schedule; `--replay` also re-executes each shard of each recording
+///   in isolation afterwards and compares the event streams.
+///
+/// None of them has an observer effect: armed sweeps print the same
+/// figures. [`Gates::exit_if_dirty`] at the end of `main` reports what
+/// they found.
+pub struct Gates {
+    sanitize: bool,
+    race: bool,
+    spec: bool,
+    /// Checkpoint cadence in windows, 0 = off.
     every: u64,
     write_path: Option<String>,
     restore_path: Option<String>,
-    /// First-run-wins: paths attach to the first armed run only.
-    armed_paths: std::sync::atomic::AtomicBool,
+    /// First-run-wins: the snapshot paths attach to the first armed run.
+    paths_armed: bool,
+    record: bool,
+    replay: Option<ReplayCheck>,
+    /// Label and probes of every run armed with `--sanitize`, `--race` or
+    /// `--spec`.
+    runs: Vec<(String, Option<ProtocolProbe>, Option<RaceProbe>)>,
 }
 
-impl Checkpoint {
-    pub fn from_cli(cli: &Cli) -> Checkpoint {
+impl Gates {
+    pub fn from_cli(cli: &Cli) -> Gates {
         let write_path: Option<String> = cli.opt("checkpoint");
         let restore_path: Option<String> = cli.opt("restore");
         let mut every: u64 = cli.get("checkpoint-every", 0);
@@ -511,115 +248,163 @@ impl Checkpoint {
             // Validate the header up front: a missing or corrupt snapshot
             // should be a CLI error, not a mid-sweep panic.
             match updown_sim::snapshot::read_header(std::path::Path::new(p)) {
-                Ok(h) => {
-                    if every == 0 {
-                        every = h.window.max(1);
-                    } else if h.window % every != 0 {
-                        eprintln!(
-                            "--restore {p}: snapshot was taken at window {} which is not a \
-                             multiple of --checkpoint-every {every}",
-                            h.window
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("--restore {p}: {e}");
-                    std::process::exit(2);
-                }
+                Ok(h) if every == 0 => every = h.window.max(1),
+                Ok(h) if h.window % every != 0 => usage_error(&format!(
+                    "--restore {p}: snapshot was taken at window {} which is not a \
+                     multiple of --checkpoint-every {every}",
+                    h.window
+                )),
+                Ok(_) => {}
+                Err(e) => usage_error(&format!("--restore {p}: {e}")),
             }
         }
         if write_path.is_some() && every == 0 {
             every = 8;
         }
-        Checkpoint {
+        let replay = cli.has("replay");
+        Gates {
+            sanitize: cli.has("sanitize"),
+            race: cli.has("race"),
+            spec: cli.has("spec"),
             every,
             write_path,
             restore_path,
-            armed_paths: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.every != 0
-    }
-
-    /// Arm `cfg` with the checkpoint cadence; the snapshot file paths
-    /// (write or restore) attach to the first armed run only.
-    pub fn arm(&self, cfg: &mut MachineConfig) {
-        if self.every == 0 {
-            return;
-        }
-        cfg.checkpoint_every = self.every;
-        if !self.armed_paths.swap(true, std::sync::atomic::Ordering::Relaxed) {
-            cfg.checkpoint_path = self.write_path.clone().map(Into::into);
-            cfg.restore_path = self.restore_path.clone().map(Into::into);
-        }
-    }
-}
-
-/// `--record` / `--replay` support for the figure binaries (see
-/// docs/checkpoint.md): `--record` makes every armed run capture its
-/// cross-shard message schedule (measures recording overhead); `--replay`
-/// additionally re-executes every shard of every recording in isolation
-/// after the run and byte-compares the replayed event stream against the
-/// recorded one, reporting divergences at the end of `main`.
-pub struct ReplayGate {
-    record: bool,
-    check: Option<updown_sim::ReplayCheck>,
-}
-
-impl ReplayGate {
-    pub fn from_cli(cli: &Cli) -> ReplayGate {
-        let replay = cli.has("replay");
-        ReplayGate {
+            paths_armed: false,
             record: cli.has("record") || replay,
-            check: replay.then(updown_sim::ReplayCheck::new),
+            replay: replay.then(ReplayCheck::new),
+            runs: Vec::new(),
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.record
-    }
-
-    /// Arm `cfg` to record (and, under `--replay`, verify) the run.
-    pub fn arm(&self, cfg: &mut MachineConfig) {
+    /// Arm `cfg` with every observer the command line asked for. `label`
+    /// names the run in the final report; `spec` is the protocol `--spec`
+    /// holds it to.
+    pub fn arm(&mut self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
+        let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
+        let race = self.race.then(RaceProbe::new);
+        if self.sanitize {
+            cfg.sanitize = true;
+        }
+        if self.spec {
+            cfg.enforce_spec = Some(spec.clone());
+        }
+        if probe.is_some() {
+            cfg.probe = probe.clone();
+        }
+        if race.is_some() {
+            cfg.race = race.clone();
+        }
+        if probe.is_some() || race.is_some() {
+            self.runs.push((label.to_string(), probe, race));
+        }
+        if self.every != 0 {
+            cfg.checkpoint_every = self.every;
+            if !std::mem::replace(&mut self.paths_armed, true) {
+                cfg.checkpoint_path = self.write_path.clone().map(Into::into);
+                cfg.restore_path = self.restore_path.clone().map(Into::into);
+            }
+        }
         if self.record {
             cfg.record = true;
         }
-        if let Some(check) = &self.check {
+        if let Some(check) = &self.replay {
             cfg.replay = Some(check.clone());
         }
     }
 
-    /// Print the per-run replay verdicts to stderr; returns whether any
-    /// replayed shard diverged from its recording.
+    /// Print what every armed observer found to stderr, one block per
+    /// observer; returns whether any of them found something.
     pub fn dirty(&self) -> bool {
-        let Some(check) = &self.check else {
-            return false;
-        };
-        let reports = check.reports();
-        let mut dirty = false;
-        for r in &reports {
-            if r.ok() {
-                eprintln!(
-                    "replay[{}]: {} shard(s), {} window(s), {} event(s) — byte-identical",
-                    r.label, r.shards, r.rounds, r.events
-                );
-            } else {
-                dirty = true;
-                for m in &r.mismatches {
-                    eprintln!("replay[{}] DIVERGED: {m}", r.label);
+        let mut any = false;
+        if self.sanitize {
+            let mut dirty = false;
+            for (label, probe, _) in &self.runs {
+                for d in probe.iter().flat_map(|p| p.diagnostics()) {
+                    dirty = true;
+                    eprintln!(
+                        "sanitizer[{}] {label}: {} — {} (x{}, first at tick {} lane {})",
+                        d.kind.as_str(),
+                        d.handler,
+                        d.detail,
+                        d.count,
+                        d.first_tick,
+                        d.lane
+                    );
                 }
             }
+            if !dirty {
+                eprintln!("sanitizer: {} run(s), no protocol violations", self.runs.len());
+            }
+            any |= dirty;
         }
-        if reports.is_empty() {
-            eprintln!("replay: no runs verified");
+        if self.race {
+            // A run that overflowed the site cap is dirty too: the cap
+            // hides potential races.
+            let mut dirty = false;
+            for (label, _, race) in &self.runs {
+                let Some(r) = race.as_ref().map(|p| p.snapshot()) else {
+                    continue;
+                };
+                for s in &r.sites {
+                    dirty = true;
+                    eprintln!(
+                        "udrace[{label}] '{}' races with '{}': {} (x{}, first at tick {} lane {})",
+                        s.current, s.prior, s.detail, s.count, s.first_tick, s.lane
+                    );
+                }
+                if r.sites_truncated > 0 {
+                    dirty = true;
+                    eprintln!(
+                        "udrace[{label}] warning: {} distinct site(s) dropped past the site cap",
+                        r.sites_truncated
+                    );
+                }
+            }
+            if !dirty {
+                eprintln!("udrace: {} run(s), no races", self.runs.len());
+            }
+            any |= dirty;
         }
-        dirty
+        if self.spec {
+            let mut dirty = false;
+            for (label, probe, _) in &self.runs {
+                for d in probe.iter().flat_map(|p| p.diagnostics()) {
+                    if d.kind != DiagKind::SpecViolation {
+                        continue;
+                    }
+                    dirty = true;
+                    eprintln!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count);
+                }
+            }
+            if !dirty {
+                eprintln!("udspec: {} run(s), no spec violations", self.runs.len());
+            }
+            any |= dirty;
+        }
+        if let Some(check) = &self.replay {
+            let reports = check.reports();
+            for r in &reports {
+                if r.ok() {
+                    eprintln!(
+                        "replay[{}]: {} shard(s), {} window(s), {} event(s) — byte-identical",
+                        r.label, r.shards, r.rounds, r.events
+                    );
+                } else {
+                    any = true;
+                    for m in &r.mismatches {
+                        eprintln!("replay[{}] DIVERGED: {m}", r.label);
+                    }
+                }
+            }
+            if reports.is_empty() {
+                eprintln!("replay: no runs verified");
+            }
+        }
+        any
     }
 
-    /// Tail-of-`main` helper: report and exit non-zero on divergence.
+    /// Tail-of-`main` helper: report, and exit non-zero if any observer
+    /// found something.
     pub fn exit_if_dirty(&self) {
         if self.dirty() {
             std::process::exit(1);
@@ -716,7 +501,7 @@ mod tests {
         assert_eq!(o.max_nodes, 8);
         assert_eq!(o.scale_shift, -2);
         assert_eq!(o.seed, 7);
-        assert_eq!(o.threads, 1, "sequential engine by default");
+        assert_eq!(o.threads, 1, "one worker by default");
         assert!(!o.full);
         assert!(o.exporter.want_trace());
         assert_eq!(c.positional, vec!["pr"]);
@@ -735,7 +520,7 @@ mod tests {
         let o = StdOpts::parse(&cli(&["--threads", "4"]), (32, 256), (1, 3));
         assert_eq!(o.threads, 4);
         let o = StdOpts::parse(&cli(&["--threads", "0"]), (32, 256), (1, 3));
-        assert_eq!(o.threads, 1, "0 clamps to the sequential engine");
+        assert_eq!(o.threads, 1, "0 clamps to one worker");
     }
 
     #[test]
@@ -787,21 +572,49 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_knobs_parse_and_default() {
-        let o = StdOpts::parse(&cli(&[]), (32, 256), (1, 3));
-        assert!(o.steal, "work-stealing defaults on");
-        assert_eq!(o.window_batch, 8, "horizon batching defaults to 8");
-        let o = StdOpts::parse(
-            &cli(&["--steal", "off", "--window-batch", "1"]),
-            (32, 256),
-            (1, 3),
-        );
-        assert!(!o.steal);
-        assert_eq!(o.window_batch, 1);
-        let o = StdOpts::parse(&cli(&["--window-batch", "0"]), (32, 256), (1, 3));
-        assert_eq!(o.window_batch, 1, "0 clamps to batching off");
-        let o = StdOpts::parse(&cli(&["--steal", "on"]), (32, 256), (1, 3));
-        assert!(o.steal);
+    fn an_unparsable_value_is_an_error_naming_flag_and_value() {
+        let c = cli(&["--nodes", "two", "--scale", "-3", "--threads"]);
+        let e = c.try_opt::<u32>("nodes").unwrap_err();
+        assert!(e.starts_with("--nodes two:"), "{e}");
+        assert_eq!(c.try_opt::<i32>("scale"), Ok(Some(-3)));
+        assert_eq!(c.try_opt::<u32>("seed"), Ok(None));
+        // A valued flag given bare is not "absent".
+        let e = c.try_opt::<u32>("threads").unwrap_err();
+        assert_eq!(e, "--threads: expects a value");
+    }
+
+    #[test]
+    fn flags_nobody_read_are_reported_unknown() {
+        let c = cli(&["pr", "--nodes", "4", "--steal", "off", "--bogus", "--cost", "--race"]);
+        let _ = StdOpts::parse(&c, (32, 256), (1, 3));
+        let _ = Gates::from_cli(&c);
+        assert_eq!(c.unknown(), vec!["steal", "bogus", "cost"]);
+        // Either spelling of a legacy pair is known, whichever was given.
+        let c = cli(&["--max-nodes", "4", "--nodes", "8", "--full"]);
+        let o = StdOpts::parse(&c, (32, 256), (1, 3));
+        assert_eq!(o.max_nodes, 8);
+        assert!(c.unknown().is_empty());
+    }
+
+    #[test]
+    fn gates_arm_what_was_asked_and_share_one_probe() {
+        let spec = ProgramSpec::new();
+        let mut g = Gates::from_cli(&cli(&["--sanitize", "--spec", "--checkpoint-every", "3"]));
+        let mut a = MachineConfig::small(1, 1, 2);
+        let mut b = a.clone();
+        g.arm("a", &spec, &mut a);
+        g.arm("b", &spec, &mut b);
+        assert!(a.sanitize && a.probe.is_some() && a.enforce_spec.is_some());
+        assert!(a.race.is_none() && !a.record && a.replay.is_none());
+        assert_eq!((a.checkpoint_every, b.checkpoint_every), (3, 3));
+        assert_eq!(g.runs.len(), 2);
+        assert!(!g.dirty(), "nothing ran, nothing found");
+
+        let mut g = Gates::from_cli(&cli(&[]));
+        let mut c = MachineConfig::small(1, 1, 2);
+        g.arm("c", &spec, &mut c);
+        assert!(!c.sanitize && c.probe.is_none() && c.race.is_none() && c.checkpoint_every == 0);
+        assert!(g.runs.is_empty() && !g.dirty());
     }
 
     #[test]

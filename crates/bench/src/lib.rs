@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Shared plumbing for the figure-regeneration binaries: tiny CLI
-//! parsing, gates (sanitize/race/spec/cost/checkpoint/replay), exporters,
+//! parsing, the observer gates (sanitize/race/spec/checkpoint/replay), exporters,
 //! and wall-clock timing.
 //!
 //! The machine shapes and the graph menu standing in for the paper's
@@ -12,9 +12,7 @@
 pub mod cli;
 pub mod timing;
 
-pub use cli::{
-    Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts,
-};
+pub use cli::{Cli, Exporter, Gates, StdOpts};
 pub use updown_apps::harness::{
     bench_machine, bench_machine_threads, bench_machine_topo, graph_menu, graph_menu_seeded,
     node_sweep, prepared, prepared_undirected, BENCH_ACCELS, BENCH_LANES,
@@ -24,12 +22,8 @@ use updown_sim::MachineConfig;
 
 impl StdOpts {
     /// The machine the shared flags ask for: `nodes` nodes at
-    /// `--threads` workers on the `--topology` network, with the
-    /// `--steal`/`--window-batch` scheduler knobs applied.
+    /// `--threads` workers on the `--topology` network.
     pub fn machine(&self, nodes: u32) -> MachineConfig {
-        let mut cfg = bench_machine_topo(nodes, self.threads, self.topology);
-        cfg.steal = self.steal;
-        cfg.window_batch = self.window_batch;
-        cfg
+        bench_machine_topo(nodes, self.threads, self.topology)
     }
 }

@@ -215,29 +215,11 @@ pub struct MachineConfig {
     pub max_threads_per_lane: u16,
     /// Scratchpad capacity per lane in 8-byte words (64 KiB default).
     pub spm_words: u32,
-    /// Host worker threads for the parallel scheduler (`1` = sequential).
-    /// The machine is always sharded one node per shard, so results are
-    /// byte-identical for every thread count; this only selects how many
-    /// OS threads execute the shards.
+    /// Host worker threads executing the window loop (`1` runs it
+    /// inline). The machine is always sharded one node per shard, so
+    /// results are byte-identical for every thread count; this only
+    /// selects how many OS threads execute the shards.
     pub threads: u32,
-    /// Work-stealing shard scheduling (`--steal`, default on): workers
-    /// claim shards from a shared cost-ordered queue each window instead
-    /// of walking fixed chunks. Scheduling-only — results are
-    /// byte-identical either way.
-    pub steal: bool,
-    /// Max conservative windows executed per barrier round when one shard
-    /// provably owns the window (`--window-batch`, default 8; 1 disables
-    /// horizon batching). Results are byte-identical for every value.
-    pub window_batch: u64,
-    /// Predicted per-shard (per-node) work for window 0, typically from
-    /// `udcost` static analysis ([`CostReport::shard_hints`] in the
-    /// analysis crate). The work-stealing scheduler normally claims
-    /// shards in observed-cost order but runs window 0 blind; hints seed
-    /// that first ordering so the heaviest predicted shard is claimed
-    /// first. Scheduling-only — claim order never reaches simulated
-    /// state, so results are byte-identical with or without hints (and
-    /// with wrong hints). Ignored when shorter than the shard count.
-    pub cost_hints: Vec<u64>,
     /// Runtime sanitizer (`--sanitize` on the bench bins): tolerate and
     /// diagnose event-protocol violations — sends to dead threads or
     /// unregistered labels are dropped, out-of-range operand/scratchpad
@@ -301,9 +283,6 @@ impl Default for MachineConfig {
             max_threads_per_lane: 512,
             spm_words: 8192,
             threads: 1,
-            steal: true,
-            window_batch: 8,
-            cost_hints: Vec::new(),
             sanitize: false,
             probe: None,
             enforce_spec: None,
@@ -366,30 +345,10 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Host worker threads for the parallel scheduler (`1` = sequential;
+    /// Host worker threads for the window loop (`1` runs it inline;
     /// results are identical for every value).
     pub fn threads(mut self, n: u32) -> Self {
         self.cfg.threads = n.max(1);
-        self
-    }
-
-    /// Work-stealing shard scheduling (see [`MachineConfig::steal`]).
-    pub fn steal(mut self, on: bool) -> Self {
-        self.cfg.steal = on;
-        self
-    }
-
-    /// Horizon-batch window limit (see [`MachineConfig::window_batch`];
-    /// clamped to at least 1).
-    pub fn window_batch(mut self, k: u64) -> Self {
-        self.cfg.window_batch = k.max(1);
-        self
-    }
-
-    /// Seed the window-0 claim order with predicted per-shard costs (see
-    /// [`MachineConfig::cost_hints`]).
-    pub fn cost_hints(mut self, hints: Vec<u64>) -> Self {
-        self.cfg.cost_hints = hints;
         self
     }
 
@@ -584,30 +543,6 @@ impl MachineConfig {
             self.net.intra_accel_latency
         }
     }
-
-    /// Message latency between two lanes under the *uniform* three-tier
-    /// model.
-    ///
-    /// This is no longer the routing authority: cross-node latency depends
-    /// on the configured [`TopologyKind`] and is answered by the fabric
-    /// ([`crate::network::Topology::latency`], reachable at runtime via
-    /// [`crate::Engine::topology`]). This wrapper keeps the historical
-    /// answer — `inter_node_latency` for any remote pair — which matches
-    /// the fabric only for [`TopologyKind::Uniform`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "routing authority moved to the sim::network Topology/Fabric API; use \
-                Engine::topology().latency(..) for cross-node transit and \
-                MachineConfig::local_msg_latency for on-node tiers"
-    )]
-    #[inline]
-    pub fn msg_latency(&self, src: NetworkId, dst: NetworkId) -> u64 {
-        if self.node_of(src) != self.node_of(dst) {
-            self.net.inter_node_latency
-        } else {
-            self.local_msg_latency(src, dst)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -634,19 +569,6 @@ mod tests {
         assert_eq!(cfg.local_msg_latency(a, b), cfg.net.intra_accel_latency);
         assert_eq!(cfg.local_msg_latency(a, c), cfg.net.intra_node_latency);
         assert_eq!(cfg.local_msg_latency(a, a), cfg.net.intra_accel_latency);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_msg_latency_keeps_uniform_answers() {
-        let cfg = MachineConfig::small(2, 2, 4);
-        let a = cfg.nwid(0, 0, 0);
-        let b = cfg.nwid(0, 0, 3);
-        let c = cfg.nwid(0, 1, 0);
-        let d = cfg.nwid(1, 0, 0);
-        assert_eq!(cfg.msg_latency(a, b), cfg.net.intra_accel_latency);
-        assert_eq!(cfg.msg_latency(a, c), cfg.net.intra_node_latency);
-        assert_eq!(cfg.msg_latency(a, d), cfg.net.inter_node_latency);
     }
 
     #[test]

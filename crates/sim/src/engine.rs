@@ -25,10 +25,15 @@
 //!
 //! **Determinism:** shard count equals node count (fixed by the
 //! [`MachineConfig`]), mailbox entries are merged in `(source shard,
-//! source sequence)` order, and the single-threaded scheduler runs the
-//! *same* window loop with one worker — so the merged event order, every
-//! counter, and every trace span are byte-identical across schedulers and
-//! thread counts.
+//! source sequence)` order, and [`MachineConfig::threads`] only decides
+//! how many OS threads walk the *same* window loop (one worker runs it
+//! inline) — so the merged event order, every counter, and every trace
+//! span are byte-identical across thread counts.
+//!
+//! **One scheduling policy:** every window is one barrier round. Within
+//! a round the workers claim shards through a shared cursor, heaviest
+//! shard of the previous window first; there is nothing to configure.
+//! See `docs/parallel-engine.md`.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, OnceCell};
@@ -48,7 +53,6 @@ use crate::message::{Message, Operands, HW_OPERANDS};
 use crate::network::{Fabric, LinkId, Nics, Topology};
 use crate::probe::{DiagKind, Diagnostic, ProbeState, ProtocolProbe};
 use crate::race::{RaceAccess, RaceExec, RaceState, ThreadKey};
-use crate::sched::{Parallel, Scheduler, Sequential};
 use crate::snapshot::{
     self, ReplayRunReport, SnapField, SnapHeader, SnapReader, SnapState, SnapWriter, SnapshotError,
 };
@@ -1310,7 +1314,6 @@ impl EngineCore {
         let mut entries = std::mem::take(&mut self.xentry_scratch);
         debug_assert!(entries.is_empty());
         std::mem::swap(&mut *mb.q.lock().unwrap(), &mut entries);
-        mb.min.store(u64::MAX, Relaxed);
         if !entries.is_empty() {
             entries.sort_unstable_by_key(|e| (e.src, e.order));
             if let Some(rec) = &mut self.record {
@@ -1340,21 +1343,12 @@ impl EngineCore {
             if buf.is_empty() {
                 continue;
             }
-            let mb = &mailboxes[dst][par];
-            let mut min = u64::MAX;
             for e in buf.iter() {
-                min = min.min(e.time);
+                flushed_min = flushed_min.min(e.time);
             }
-            flushed_min = flushed_min.min(min);
-            mb.min.fetch_min(min, Relaxed);
-            mb.q.lock().unwrap().append(buf);
+            mailboxes[dst][par].q.lock().unwrap().append(buf);
         }
         flushed_min
-    }
-
-    /// Does any destination have cross-shard entries buffered this window?
-    fn outbuf_pending(&self) -> bool {
-        self.outbuf.iter().any(|b| !b.is_empty())
     }
 }
 
@@ -1362,20 +1356,9 @@ impl EngineCore {
 /// Double-buffered by round parity: pushes in round `r` go to parity
 /// `r % 2` and are drained at the start of round `r + 1` — a fast worker
 /// can never consume entries from the round still in progress.
+#[derive(Default)]
 struct Mailbox {
     q: Mutex<Vec<XEntry>>,
-    /// Earliest entry time in `q` (for the coordinator's floor), reset to
-    /// `u64::MAX` on drain.
-    min: AtomicU64,
-}
-
-impl Default for Mailbox {
-    fn default() -> Mailbox {
-        Mailbox {
-            q: Mutex::new(Vec::new()),
-            min: AtomicU64::new(u64::MAX),
-        }
-    }
 }
 
 /// A sense-reversing (generation-counting) barrier. `std::sync::Barrier`
@@ -1438,16 +1421,13 @@ struct Ctl {
     /// Upper bound (exclusive) of the current window; `u64::MAX` signals
     /// completion.
     horizon: AtomicU64,
-    /// Per-shard earliest pending calendar time, published at window end.
-    next_time: Vec<AtomicU64>,
     /// Per-destination double-buffered cross-shard queues.
     mailboxes: Vec<[Mailbox; 2]>,
     /// Double-buffered floor accumulators, indexed by round parity:
-    /// during round `r` every worker folds its shards' published
-    /// next-event times and flushed mailbox minima into
-    /// `floor_acc[r % 2]`; the coordinator consumes that value as round
-    /// `r + 1`'s floor with a single `swap` — the old per-shard scan is
-    /// off the serial section entirely.
+    /// during round `r` every worker folds its shards' next-event times
+    /// and flushed mailbox minima into `floor_acc[r % 2]`; the
+    /// coordinator consumes that value as round `r + 1`'s floor with a
+    /// single `swap`, so no per-shard scan sits on the serial section.
     floor_acc: [AtomicU64; 2],
     /// Per-round budget snapshot, taken once by the coordinator between
     /// the barriers. Workers must not read `events` for this themselves:
@@ -1456,11 +1436,9 @@ struct Ctl {
     round_budget: AtomicU64,
     stop: AtomicBool,
     /// Cumulative executed events (seeded with the pre-run total so the
-    /// event limit is cumulative across runs, like the serial engine).
+    /// event limit is cumulative across runs).
     events: AtomicU64,
-    /// Logical windows opened. Under horizon batching one barrier round
-    /// can account several — this counter always matches the unbatched
-    /// window sequence (it feeds `Counters::windows`).
+    /// Windows opened, one per barrier round (feeds `Counters::windows`).
     rounds: AtomicU64,
     event_limit: u64,
     lookahead: u64,
@@ -1470,60 +1448,37 @@ struct Ctl {
     /// Set by the coordinator when the round limit (not completion)
     /// ended the invocation.
     paused: AtomicBool,
-    /// Work-stealing: shards are claimed from `order` through `claim`
-    /// instead of running as fixed per-worker chunks.
-    steal: bool,
-    /// Max logical windows per barrier round (1 = batching off).
-    window_batch: u64,
-    /// Batching is sound only when no shard is recording (a recording
-    /// must capture every shard's round stream, including empty rounds).
-    allow_batch: bool,
-    /// Work-stealing claim cursor into `order`, reset each round.
+    /// Claim cursor into `order`, reset each round: each index is handed
+    /// out once, to whichever worker asks first.
     claim: AtomicUsize,
     /// Shard execution order for the current round: heaviest estimated
     /// cost first, so a skewed shard starts immediately instead of
-    /// serializing behind its chunk-mates.
+    /// serializing behind lighter ones.
     order: Vec<AtomicU32>,
     /// Per-shard events executed in the previous round — the cost
     /// estimate behind `order`. Scheduling-only: never affects results.
     cost: Vec<AtomicU64>,
-    /// Horizon-batching grant for the current round: the single shard
-    /// allowed to run extra private windows (`u32::MAX` = none), the
-    /// exclusive time bound those windows must stay below (every other
-    /// shard's earliest pending work), and the max window count.
-    batch_shard: AtomicU32,
-    batch_bound: AtomicU64,
-    batch_windows: AtomicU64,
     /// Largest per-shard event count in the round being executed; folded
     /// into the deterministic aggregates by the coordinator.
     round_max: AtomicU64,
-    /// Sum over logical windows of the per-window max shard event count.
+    /// Sum over windows of the per-window max shard event count.
     win_max_sum: AtomicU64,
     /// Peak per-window shard event count.
     win_max_peak: AtomicU64,
-    /// Host-side diagnostics (thread-count dependent; never serialized).
+    /// Claims outside the claimer's home range (thread-timing dependent;
+    /// never serialized).
     steals: AtomicU64,
-    batch_rounds: AtomicU64,
-    batched_windows: AtomicU64,
-    barrier_rounds: AtomicU64,
 }
 
-/// A shard slot for work-stealing: exactly one worker claims each slot
-/// per round (the claim cursor hands out each index once), so the lock
-/// is uncontended — it exists to let safe Rust move a `&mut` shard
-/// between worker threads round by round.
+/// A shard slot: exactly one worker claims each slot per round (the claim
+/// cursor hands out each index once), so the lock is uncontended — it
+/// exists to let safe Rust move a `&mut` shard between worker threads
+/// round by round.
 type ShardSlot<'a> = Mutex<&'a mut EngineCore>;
 
-/// One worker's identity: its index and the contiguous shard range the
-/// static chunking would have given it (executed directly when stealing
-/// is off; used to count steals when it is on).
-struct WorkerCfg {
-    home: std::ops::Range<usize>,
-}
-
 /// Execute one shard's share of a round: drain its mailbox, run the
-/// window, publish cross-shard output and its next event time, and fold
-/// the floor/imbalance accumulators.
+/// window, publish cross-shard output, and fold the floor/imbalance
+/// accumulators.
 fn run_shard_round(
     core: &mut EngineCore,
     ctl: &Ctl,
@@ -1541,9 +1496,7 @@ fn run_shard_round(
         ctl.events.fetch_add(executed, Relaxed);
     }
     let flushed_min = core.flush_outbuf(&ctl.mailboxes, push_par);
-    let nt = core.next_time();
-    ctl.next_time[core.id as usize].store(nt, Relaxed);
-    ctl.floor_acc[push_par].fetch_min(nt.min(flushed_min), Relaxed);
+    ctl.floor_acc[push_par].fetch_min(core.next_time().min(flushed_min), Relaxed);
     ctl.cost[core.id as usize].store(executed, Relaxed);
     ctl.round_max.fetch_max(executed, Relaxed);
     if core.stop {
@@ -1551,95 +1504,20 @@ fn run_shard_round(
     }
 }
 
-/// Horizon batching: run up to the granted number of logical windows on
-/// `core` between one barrier pair.
-///
-/// Soundness: the coordinator granted this shard the round because every
-/// *other* shard's earliest pending work (calendar and undrained
-/// mailboxes) lies at or above `batch_bound`, and that bound cannot drop
-/// while the round runs — other shards receive nothing until this
-/// round's mailboxes are drained next round. So while each successive
-/// private window `[f, f + L)` fits entirely below the bound and the
-/// shard has produced no cross-shard traffic, the global window sequence
-/// is exactly this shard's local one: the same floors, budgets, and
-/// `windows` count the unbatched engine would compute, which keeps
-/// results byte-identical. The batch ends at the first window that sent
-/// cross-shard entries (their arrival may shape the next floor), at a
-/// stop/budget/pause boundary, or at the window-count grant.
-fn run_shard_batch(
-    core: &mut EngineCore,
+/// One scheduler worker: claims shards round by round through the
+/// cost-ordered cursor, under the window barrier. `home` is the
+/// contiguous range an even split would have given this worker; it only
+/// decides which claims count as steals. The coordinator (worker 0)
+/// additionally decides each round between the two barrier waits: fold
+/// the finished round's accumulators, compute the floor,
+/// terminate/pause/open, and re-sort the claim order by observed cost.
+fn worker_loop(
+    home: std::ops::Range<usize>,
+    slots: &[ShardSlot<'_>],
+    is_coord: bool,
     ctl: &Ctl,
     shared: &Shared,
-    first_horizon: u64,
-    first_budget: u64,
-    drain_par: usize,
-    push_par: usize,
 ) {
-    debug_assert!(core.record.is_none(), "batching is disabled while recording");
-    let bound = ctl.batch_bound.load(Relaxed);
-    let max_windows = ctl.batch_windows.load(Relaxed);
-    core.drain_mailbox(&ctl.mailboxes[core.id as usize][drain_par]);
-    let mut horizon = first_horizon;
-    let mut budget = first_budget;
-    let mut windows = 1u64;
-    let mut total_executed = 0u64;
-    loop {
-        let executed = core.window(shared, horizon, budget);
-        if executed > 0 {
-            ctl.events.fetch_add(executed, Relaxed);
-        }
-        total_executed += executed;
-        // Per-window imbalance accounting: this shard is the round's only
-        // executor, so the per-window max is its own count. The first
-        // window goes through `round_max` like any round; the private
-        // extras fold straight into the deterministic aggregates.
-        if windows == 1 {
-            ctl.round_max.fetch_max(executed, Relaxed);
-        } else {
-            ctl.win_max_sum.fetch_add(executed, Relaxed);
-            ctl.win_max_peak.fetch_max(executed, Relaxed);
-        }
-        if core.stop
-            || windows >= max_windows
-            || ctl.events.load(Relaxed) >= ctl.event_limit
-            || core.outbuf_pending()
-        {
-            break;
-        }
-        let f = core.next_time();
-        if f == u64::MAX || f.saturating_add(ctl.lookahead) > bound {
-            break;
-        }
-        // Identical to the coordinator opening the next window: the floor
-        // is this shard's next event (everything else is >= bound), and
-        // the budget is resampled after the window just accounted — this
-        // shard is the only one moving `events`, so the sample is exact.
-        ctl.rounds.fetch_add(1, Relaxed);
-        horizon = f.saturating_add(ctl.lookahead).min(u64::MAX - 1);
-        budget = ctl.event_limit.saturating_sub(ctl.events.load(Relaxed));
-        windows += 1;
-    }
-    if windows > 1 {
-        ctl.batch_rounds.fetch_add(1, Relaxed);
-        ctl.batched_windows.fetch_add(windows - 1, Relaxed);
-    }
-    let flushed_min = core.flush_outbuf(&ctl.mailboxes, push_par);
-    let nt = core.next_time();
-    ctl.next_time[core.id as usize].store(nt, Relaxed);
-    ctl.floor_acc[push_par].fetch_min(nt.min(flushed_min), Relaxed);
-    ctl.cost[core.id as usize].store(total_executed, Relaxed);
-    if core.stop {
-        ctl.stop.store(true, Relaxed);
-    }
-}
-
-/// One scheduler worker: claims shards round by round (work-stealing) or
-/// walks its static chunk, under the window barrier. The coordinator
-/// (worker 0) additionally decides each round between the two barrier
-/// waits: fold the finished round's accumulators, compute the floor,
-/// terminate/pause/open, re-sort the claim order by observed cost, and
-/// grant a horizon batch when exactly one shard owns the window.
-fn worker_loop(w: &WorkerCfg, slots: &[ShardSlot<'_>], is_coord: bool, ctl: &Ctl, shared: &Shared) {
     let mut round: u64 = 0;
     // Coordinator-local scratch for the cost sort (ids + sampled costs).
     let mut order_buf: Vec<(u64, u32)> = Vec::new();
@@ -1668,14 +1546,11 @@ fn worker_loop(w: &WorkerCfg, slots: &[ShardSlot<'_>], is_coord: bool, ctl: &Ctl
                 ctl.paused.store(true, Relaxed);
                 ctl.horizon.store(u64::MAX, Relaxed);
             } else {
-                let rounds_open = ctl.rounds.load(Relaxed) + 1;
-                ctl.rounds.store(rounds_open, Relaxed);
-                ctl.barrier_rounds.fetch_add(1, Relaxed);
-                let h = floor.saturating_add(ctl.lookahead).min(u64::MAX - 1);
+                ctl.rounds.fetch_add(1, Relaxed);
                 // Re-sort the claim order: heaviest previous-round shard
                 // first. Scheduling-only — results never depend on which
                 // worker runs a shard, or when within the round.
-                if ctl.steal && slots.len() > 1 {
+                if slots.len() > 1 {
                     order_buf.clear();
                     for (i, c) in ctl.cost.iter().enumerate() {
                         order_buf.push((c.load(Relaxed), i as u32));
@@ -1690,36 +1565,7 @@ fn worker_loop(w: &WorkerCfg, slots: &[ShardSlot<'_>], is_coord: bool, ctl: &Ctl
                 // worker and thread count.
                 ctl.round_budget
                     .store(ctl.event_limit.saturating_sub(ctl.events.load(Relaxed)), Relaxed);
-                // Horizon-batch grant: when the opening window lies
-                // entirely below every other shard's pending work, its
-                // single owner may run extra private windows this round.
-                ctl.batch_shard.store(u32::MAX, Relaxed);
-                if ctl.allow_batch && ctl.window_batch > 1 {
-                    let mut owner = u32::MAX;
-                    let mut best = u64::MAX;
-                    let mut second = u64::MAX;
-                    for (s, t) in ctl.next_time.iter().enumerate() {
-                        let pending =
-                            t.load(Relaxed).min(ctl.mailboxes[s][drain_par].min.load(Relaxed));
-                        if pending < best {
-                            second = best;
-                            best = pending;
-                            owner = s as u32;
-                        } else {
-                            second = second.min(pending);
-                        }
-                    }
-                    // Ties leave `second == best < h`, so a window shared
-                    // by two shards is never granted — as required.
-                    if owner != u32::MAX && h <= second {
-                        let grant = ctl
-                            .window_batch
-                            .min(1 + ctl.round_limit.saturating_sub(rounds_open));
-                        ctl.batch_bound.store(second, Relaxed);
-                        ctl.batch_windows.store(grant, Relaxed);
-                        ctl.batch_shard.store(owner, Relaxed);
-                    }
-                }
+                let h = floor.saturating_add(ctl.lookahead).min(u64::MAX - 1);
                 ctl.horizon.store(h, Relaxed);
             }
         }
@@ -1731,166 +1577,107 @@ fn worker_loop(w: &WorkerCfg, slots: &[ShardSlot<'_>], is_coord: bool, ctl: &Ctl
         let drain_par = ((round + 1) % 2) as usize;
         let push_par = (round % 2) as usize;
         let budget = ctl.round_budget.load(Relaxed);
-        let batch_shard = ctl.batch_shard.load(Relaxed);
-        let run_one = |idx: usize| {
+        loop {
+            let k = ctl.claim.fetch_add(1, Relaxed);
+            if k >= slots.len() {
+                break;
+            }
+            let idx = ctl.order[k].load(Relaxed) as usize;
+            if !home.contains(&idx) {
+                ctl.steals.fetch_add(1, Relaxed);
+            }
             let mut core = slots[idx].lock().unwrap();
-            if core.id == batch_shard {
-                run_shard_batch(&mut core, ctl, shared, horizon, budget, drain_par, push_par);
-            } else {
-                run_shard_round(&mut core, ctl, shared, horizon, budget, drain_par, push_par);
-            }
-        };
-        if ctl.steal {
-            loop {
-                let k = ctl.claim.fetch_add(1, Relaxed);
-                if k >= slots.len() {
-                    break;
-                }
-                let idx = ctl.order[k].load(Relaxed) as usize;
-                if !w.home.contains(&idx) {
-                    ctl.steals.fetch_add(1, Relaxed);
-                }
-                run_one(idx);
-            }
-        } else {
-            for idx in w.home.clone() {
-                run_one(idx);
-            }
+            run_shard_round(&mut core, ctl, shared, horizon, budget, drain_par, push_par);
         }
         round += 1;
     }
 }
 
-/// One scheduler invocation over the engine's shards. Constructed by
-/// [`Engine::run_with`] and consumed by a [`Scheduler`] implementation.
-pub struct EngineRun<'a> {
-    pub(crate) shards: &'a mut [EngineCore],
-    pub(crate) shared: &'a Shared,
-    pub(crate) event_limit: u64,
-    pub(crate) events_before: u64,
-    pub(crate) rounds: u64,
-    pub(crate) stopped: bool,
-    /// Pause after this many rounds (checkpoint cadence); `u64::MAX`
-    /// disables pausing.
-    pub(crate) round_limit: u64,
-    /// Set when the round limit — not completion — ended the invocation.
-    pub(crate) paused: bool,
-    /// Scheduler knobs ([`MachineConfig::steal`] / `window_batch`).
-    pub(crate) steal: bool,
-    pub(crate) window_batch: u64,
-    /// Deterministic imbalance aggregates accumulated by this invocation
-    /// (sum / peak of the per-window max shard event count).
-    pub(crate) win_max_sum: u64,
-    pub(crate) win_max_peak: u64,
-    /// Host-side scheduler diagnostics (thread-timing dependent).
-    pub(crate) host_sched: crate::stats::HostSchedStats,
+/// What one scheduler invocation reports back to [`Engine::run`].
+struct RoundsOutcome {
+    /// Windows opened (= barrier rounds).
+    rounds: u64,
+    /// A handler called `stop()`.
+    stopped: bool,
+    /// The round limit — not completion — ended the invocation.
+    paused: bool,
+    /// Deterministic imbalance aggregates (sum / peak of the per-window
+    /// max shard event count).
+    win_max_sum: u64,
+    win_max_peak: u64,
+    /// Host-side diagnostics (thread-timing dependent).
+    steals: u64,
+    idle_spins: u64,
 }
 
-/// Execute the conservative window rounds with `workers` OS threads.
-/// `workers == 1` runs the identical loop inline — the sequential engine
-/// *is* the parallel engine with one worker, so results agree by
+/// Execute conservative window rounds over `shards` with `workers` OS
+/// threads until the calendars drain, a handler stops the run, the
+/// cumulative event count reaches `event_limit`, or `round_limit` rounds
+/// have run (a checkpoint pause; `u64::MAX` disables it). One worker runs
+/// the identical loop inline, so results agree across thread counts by
 /// construction.
-pub(crate) fn run_rounds(run: &mut EngineRun<'_>, workers: usize) {
-    let n = run.shards.len();
+fn run_rounds(
+    shards: &mut [EngineCore],
+    shared: &Shared,
+    workers: usize,
+    event_limit: u64,
+    round_limit: u64,
+) -> RoundsOutcome {
+    let n = shards.len();
     let workers = workers.min(n).max(1);
-    let mut floor0 = u64::MAX;
-    for s in run.shards.iter() {
-        floor0 = floor0.min(s.next_time());
-    }
-    // A recording must capture every shard's per-window round stream, so
-    // horizon batching (which skips other shards' empty windows) is
-    // disabled for the recording run; replays are unaffected.
-    let allow_batch = run.window_batch > 1 && run.shards.iter().all(|s| s.record.is_none());
     let ctl = Ctl {
         barrier: SpinBarrier::new(workers),
         horizon: AtomicU64::new(0),
-        next_time: run
-            .shards
-            .iter()
-            .map(|s| AtomicU64::new(s.next_time()))
-            .collect(),
         mailboxes: (0..n).map(|_| [Mailbox::default(), Mailbox::default()]).collect(),
         // Round 0 drains parity 1: seed its floor accumulator with the
         // initial global floor, as if a previous round had published it.
-        floor_acc: [AtomicU64::new(u64::MAX), AtomicU64::new(floor0)],
+        floor_acc: [
+            AtomicU64::new(u64::MAX),
+            AtomicU64::new(shards.iter().map(|s| s.next_time()).min().unwrap_or(u64::MAX)),
+        ],
         round_budget: AtomicU64::new(0),
         stop: AtomicBool::new(false),
-        events: AtomicU64::new(run.events_before),
+        events: AtomicU64::new(shards.iter().map(|s| s.stats.events_executed).sum()),
         rounds: AtomicU64::new(0),
-        event_limit: run.event_limit,
-        lookahead: run.shared.lookahead,
-        round_limit: run.round_limit,
+        event_limit,
+        lookahead: shared.lookahead,
+        round_limit,
         paused: AtomicBool::new(false),
-        steal: run.steal && workers > 1,
-        window_batch: run.window_batch.max(1),
-        allow_batch,
         claim: AtomicUsize::new(0),
         order: (0..n as u32).map(AtomicU32::new).collect(),
-        // Window 0 has no observed costs yet; seed the claim-order sort
-        // with `MachineConfig::cost_hints` (udcost predictions) so the
-        // heaviest predicted shard is claimed first instead of shard 0.
-        // Observed per-round costs overwrite these from round 1 on.
-        // Claim order never reaches simulated state: byte-identity holds
-        // for any hint values.
-        cost: (0..n)
-            .map(|i| {
-                AtomicU64::new(if run.shared.cfg.cost_hints.len() >= n {
-                    run.shared.cfg.cost_hints[i]
-                } else {
-                    0
-                })
-            })
-            .collect(),
-        batch_shard: AtomicU32::new(u32::MAX),
-        batch_bound: AtomicU64::new(0),
-        batch_windows: AtomicU64::new(0),
+        cost: (0..n).map(|_| AtomicU64::new(0)).collect(),
         round_max: AtomicU64::new(0),
         win_max_sum: AtomicU64::new(0),
         win_max_peak: AtomicU64::new(0),
         steals: AtomicU64::new(0),
-        batch_rounds: AtomicU64::new(0),
-        batched_windows: AtomicU64::new(0),
-        barrier_rounds: AtomicU64::new(0),
     };
     {
         // Shard slots: workers move `&mut` shards between threads round
         // by round through these (uncontended) mutexes.
-        let slots: Vec<ShardSlot<'_>> = run.shards.iter_mut().map(Mutex::new).collect();
-        // Static home ranges (sizes differ by at most one): the no-steal
-        // execution order, and the steal-counting baseline otherwise.
-        let base = n / workers;
-        let extra = n % workers;
-        let mut homes: Vec<std::ops::Range<usize>> = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        for i in 0..workers {
-            let take = base + usize::from(i < extra);
-            homes.push(start..start + take);
-            start += take;
-        }
-        let shared = run.shared;
+        let slots: Vec<ShardSlot<'_>> = shards.iter_mut().map(Mutex::new).collect();
+        // Home ranges (sizes differ by at most one): the baseline a claim
+        // is compared against to count as a steal.
+        let home = |i: usize| {
+            let start = i * (n / workers) + i.min(n % workers);
+            start..start + n / workers + usize::from(i < n % workers)
+        };
         if workers == 1 {
-            let w = WorkerCfg { home: homes.pop().expect("one worker") };
-            worker_loop(&w, &slots, true, &ctl, shared);
+            worker_loop(home(0), &slots, true, &ctl, shared);
         } else {
-            let mut iter = homes.into_iter();
-            let first = WorkerCfg { home: iter.next().expect("at least one worker") };
             std::thread::scope(|s| {
-                for home in iter {
-                    let ctl = &ctl;
-                    let slots = &slots;
-                    s.spawn(move || worker_loop(&WorkerCfg { home }, slots, false, ctl, shared));
+                for i in 1..workers {
+                    let (ctl, slots) = (&ctl, &slots);
+                    s.spawn(move || worker_loop(home(i), slots, false, ctl, shared));
                 }
-                worker_loop(&first, &slots, true, &ctl, shared);
+                worker_loop(home(0), &slots, true, &ctl, shared);
             });
         }
     }
     // Entries still parked in the mailboxes (stop or event-limit endings)
     // go back into the destination calendars so a later `run()` resumes
     // them; drain order is deterministic (parity, then (src, order)).
-    // Parity follows *barrier* rounds — under batching several logical
-    // windows share one barrier round and one mailbox flip.
-    let barrier_rounds = ctl.barrier_rounds.load(Relaxed);
-    for core in run.shards.iter_mut() {
+    let rounds = ctl.rounds.load(Relaxed);
+    for core in shards.iter_mut() {
         let mb = &ctl.mailboxes[core.id as usize];
         // When recording, capture this drain as a zero-width round: a
         // replay must merge these entries into the calendar at exactly
@@ -1900,25 +1687,22 @@ pub(crate) fn run_rounds(run: &mut EngineRun<'_>, workers: usize) {
         if core.record.is_some() {
             core.record_begin_round(0, 0);
         }
-        for par in [(barrier_rounds % 2) as usize, ((barrier_rounds + 1) % 2) as usize] {
+        for par in [(rounds % 2) as usize, ((rounds + 1) % 2) as usize] {
             core.drain_mailbox(&mb[par]);
         }
         if core.record.is_some() {
             core.record_end_round(0);
         }
     }
-    run.rounds = ctl.rounds.load(Relaxed);
-    run.stopped = ctl.stop.load(Relaxed);
-    run.paused = ctl.paused.load(Relaxed);
-    run.win_max_sum = ctl.win_max_sum.load(Relaxed);
-    run.win_max_peak = ctl.win_max_peak.load(Relaxed);
-    run.host_sched = crate::stats::HostSchedStats {
+    RoundsOutcome {
+        rounds,
+        stopped: ctl.stop.load(Relaxed),
+        paused: ctl.paused.load(Relaxed),
+        win_max_sum: ctl.win_max_sum.load(Relaxed),
+        win_max_peak: ctl.win_max_peak.load(Relaxed),
         steals: ctl.steals.load(Relaxed),
-        batch_rounds: ctl.batch_rounds.load(Relaxed),
-        batched_windows: ctl.batched_windows.load(Relaxed),
         idle_spins: ctl.barrier.spins.load(Relaxed),
-        barrier_rounds,
-    };
+    }
 }
 
 /// The simulator.
@@ -2696,7 +2480,7 @@ impl Engine {
         &self.shared.cfg
     }
 
-    /// The conservative window length used by the schedulers: the minimum
+    /// The conservative window length used by the scheduler: the minimum
     /// latency of any cross-node effect ([`Topology::min_transit`]).
     pub fn lookahead(&self) -> u64 {
         self.shared.lookahead
@@ -2969,19 +2753,8 @@ impl Engine {
     /// limit is hit. A stopped engine can be run again: the stop flag is
     /// cleared on entry (pending calendar actions resume).
     ///
-    /// Dispatches on [`MachineConfig::threads`]: `1` uses the
-    /// [`Sequential`] scheduler, more uses [`Parallel`]. Results are
-    /// byte-identical either way.
-    pub fn run(&mut self) -> Metrics {
-        if self.shared.cfg.threads > 1 {
-            let threads = self.shared.cfg.threads as usize;
-            self.run_with(&Parallel { threads })
-        } else {
-            self.run_with(&Sequential)
-        }
-    }
-
-    /// Run under an explicit [`Scheduler`].
+    /// The window loop runs on [`MachineConfig::threads`] OS threads
+    /// (`1` runs it inline); results are byte-identical for every value.
     ///
     /// When [`MachineConfig::checkpoint_every`] is set the run proceeds
     /// in segments of that many windows; between segments the engine
@@ -2990,7 +2763,7 @@ impl Engine {
     /// invocation folds all in-flight cross-shard entries back into the
     /// per-shard calendars, so segment boundaries are self-contained and
     /// the next segment recomputes the exact same window floors.
-    pub fn run_with(&mut self, sched: &dyn Scheduler) -> Metrics {
+    pub fn run(&mut self) -> Metrics {
         for s in &mut self.shards {
             s.stop = false;
             s.handler_stats.resize(self.shared.handlers.len(), (0, 0));
@@ -3029,37 +2802,18 @@ impl Engine {
         let ck = self.shared.cfg.checkpoint_every;
         let round_limit = if ck == 0 { u64::MAX } else { ck };
         let mut total_rounds = 0u64;
+        let workers = self.shared.cfg.threads.max(1) as usize;
         let stopped = loop {
-            let events_before: u64 = self.shards.iter().map(|s| s.stats.events_executed).sum();
-            let mut run = EngineRun {
-                shards: &mut self.shards,
-                shared: &self.shared,
-                event_limit: self.event_limit,
-                events_before,
-                rounds: 0,
-                stopped: false,
-                round_limit,
-                paused: false,
-                steal: self.shared.cfg.steal,
-                window_batch: self.shared.cfg.window_batch,
-                win_max_sum: 0,
-                win_max_peak: 0,
-                host_sched: HostSchedStats::default(),
-            };
-            sched.run(&mut run);
-            let (rounds, run_stopped, paused) = (run.rounds, run.stopped, run.paused);
-            self.windows += rounds;
-            self.sched_win_max_sum += run.win_max_sum;
-            self.sched_win_max_peak = self.sched_win_max_peak.max(run.win_max_peak);
-            let hs = &mut self.host_sched;
-            hs.steals += run.host_sched.steals;
-            hs.batch_rounds += run.host_sched.batch_rounds;
-            hs.batched_windows += run.host_sched.batched_windows;
-            hs.idle_spins += run.host_sched.idle_spins;
-            hs.barrier_rounds += run.host_sched.barrier_rounds;
-            total_rounds += rounds;
-            if !paused {
-                break run_stopped;
+            let out = run_rounds(&mut self.shards, &self.shared, workers, self.event_limit, round_limit);
+            self.windows += out.rounds;
+            self.sched_win_max_sum += out.win_max_sum;
+            self.sched_win_max_peak = self.sched_win_max_peak.max(out.win_max_peak);
+            self.host_sched.steals += out.steals;
+            self.host_sched.idle_spins += out.idle_spins;
+            self.host_sched.barrier_rounds += out.rounds;
+            total_rounds += out.rounds;
+            if !out.paused {
+                break out.stopped;
             }
             self.checkpoint_boundary();
         };
@@ -4986,7 +4740,7 @@ mod tests {
     }
 
     /// A 4-node program exercising cross-node messages, remote DRAM, and
-    /// phases; used to compare schedulers.
+    /// phases; used to compare thread counts.
     fn scheduler_probe(threads: u32) -> (String, u64, u64) {
         let mut cfg = MachineConfig::small(4, 2, 4);
         cfg.threads = threads;
@@ -5041,6 +4795,32 @@ mod tests {
         let m: crate::json::JsonValue = crate::json::JsonValue::parse(&json).unwrap();
         let w = m.get("counters").unwrap().get("windows").unwrap().as_u64().unwrap();
         assert!(w > 0, "cross-node run must take at least one window");
+    }
+
+    /// One shard ticks through many windows while three sit idle — the
+    /// shape under which a window used to be run without a barrier round
+    /// of its own. Every window is a barrier round.
+    #[test]
+    fn every_window_is_a_barrier_round() {
+        let mut cfg = MachineConfig::small(4, 1, 2);
+        cfg.threads = 2;
+        let mut eng = Engine::new(cfg);
+        let gap = 3 * eng.lookahead();
+        let tick = eng.register(
+            "tick",
+            Arc::new(move |ctx: &mut EventCtx| {
+                if ctx.arg(0) > 0 {
+                    ctx.send_event_after(gap, ctx.msg.dst, [ctx.arg(0) - 1], EventWord::IGNORE);
+                }
+                ctx.yield_terminate();
+            }),
+        );
+        eng.send(EventWord::new(NetworkId(0), tick), [20], EventWord::IGNORE);
+        let m = eng.run();
+        assert_eq!(m.stats.events_executed, 21);
+        assert!(m.stats.windows >= 21, "each tick lands in a window of its own");
+        assert_eq!(m.stats.windows, m.host_sched.barrier_rounds);
+        assert_eq!(m.host_sched.batched_windows, 0);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod message;
 pub mod network;
 pub mod probe;
 pub mod race;
-pub mod sched;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;
@@ -56,9 +55,8 @@ pub use calendar::CalendarQueue;
 pub use config::{
     MachineConfig, MemoryConfig, NetworkConfig, NetworkConfigBuilder, OpCosts,
 };
-pub use engine::{Engine, EngineRun, EventCtx, Handler, Recording, Snapshot};
+pub use engine::{Engine, EventCtx, Handler, Recording, Snapshot};
 pub use lane::SimState;
-pub use sched::{Parallel, Scheduler, Sequential};
 pub use ids::{EventLabel, EventWord, NetworkId, ThreadId};
 pub use memory::{GlobalMemory, MemError, TranslationDescriptor, VAddr};
 pub use message::{Message, Operands};
@@ -78,6 +76,3 @@ pub use stats::{
     NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
 };
 pub use trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
-
-#[allow(deprecated)]
-pub use stats::{RunReport, Stats};

@@ -2,12 +2,6 @@
 //! per-node / per-lane breakdown, phase spans, and the [`Metrics`] report
 //! returned by [`crate::Engine::run`] with a stable JSON export
 //! (`updown-metrics/v1`).
-//!
-//! The pre-observability names are kept as thin deprecated aliases:
-//! `Stats` → [`Counters`], `RunReport` → [`Metrics`]. `Metrics` is a
-//! field-level superset of the old `RunReport`, so existing code that
-//! reads `report.stats.events_executed` or calls `utilization()` keeps
-//! working unchanged.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +46,7 @@ pub struct Counters {
     /// Messages discarded in flight by a graceful `stop()` drain.
     pub msgs_dropped: u64,
     /// Conservative time windows (barrier rounds) executed by the
-    /// scheduler. Identical for the sequential and parallel engines.
+    /// scheduler. Identical at every thread count.
     pub windows: u64,
 }
 
@@ -86,10 +80,6 @@ impl Counters {
         self.dram_read_bytes + self.dram_write_bytes
     }
 }
-
-/// Deprecated name of [`Counters`].
-#[deprecated(since = "0.2.0", note = "renamed to `Counters`")]
-pub type Stats = Counters;
 
 /// Number of buckets in the per-node lane-utilization histogram.
 pub const UTIL_HIST_BUCKETS: usize = 10;
@@ -266,18 +256,16 @@ impl SchedMetrics {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostSchedStats {
     /// Shard claims executed outside the claiming worker's static home
-    /// range (0 when `--steal off` or single-threaded).
+    /// range (0 when single-threaded).
     pub steals: u64,
-    /// Barrier rounds in which a horizon batch (more than one logical
-    /// window) was executed.
-    pub batch_rounds: u64,
-    /// Extra logical windows executed inside batches (windows beyond the
-    /// first of each batching round).
+    /// Always 0: horizon batching is gone, and this field stays only
+    /// because `benchmark/src/workloads.rs` (frozen with the benchmark)
+    /// reads it into `sim.engine.batched_windows`.
     pub batched_windows: u64,
     /// Cumulative barrier spin/yield iterations over all workers — a
     /// clock-free proxy for worker idle time (0 when single-threaded).
     pub idle_spins: u64,
-    /// Barrier rounds executed (= logical windows minus batched ones).
+    /// Barrier rounds executed (= [`Counters::windows`]).
     pub barrier_rounds: u64,
 }
 
@@ -524,10 +512,6 @@ impl Metrics {
         w.finish()
     }
 }
-
-/// Deprecated name of [`Metrics`].
-#[deprecated(since = "0.2.0", note = "replaced by `Metrics`")]
-pub type RunReport = Metrics;
 
 #[cfg(test)]
 mod tests {

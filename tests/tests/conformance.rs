@@ -1,8 +1,9 @@
-//! Cross-engine conformance: the parallel engine must be **byte-identical**
-//! to the sequential engine — not "statistically equivalent", identical.
+//! Thread-count conformance: a run on several host threads must be
+//! **byte-identical** to the one-worker run — not "statistically
+//! equivalent", identical.
 //!
-//! Every application runs on both engines across a seed x node-count x
-//! thread-count matrix; each cell asserts three things:
+//! Every application runs across a seed x node-count x thread-count
+//! matrix; each cell asserts three things:
 //!
 //! 1. the application-level result (ranks, distances, triangle counts,
 //!    graph shape, match counts) is identical,
@@ -11,8 +12,8 @@
 //! 3. the final simulated tick is identical.
 //!
 //! Thread counts deliberately include 7 (odd, > shard count on small
-//! machines) to exercise uneven shard chunking. A repeat-run check per
-//! engine also pins determinism of a *single* engine across invocations.
+//! machines) to exercise uneven home ranges. A repeat-run check per
+//! thread count also pins determinism across invocations.
 
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
@@ -24,7 +25,7 @@ use updown_graph::preprocess::{dedup_sort, split_in_out};
 use updown_graph::Csr;
 use updown_sim::MachineConfig;
 
-/// Parallel thread counts compared against the sequential baseline.
+/// Thread counts compared against the one-worker baseline.
 const THREADS: &[u32] = &[2, 4, 7];
 
 fn machine(nodes: u32, threads: u32) -> MachineConfig {

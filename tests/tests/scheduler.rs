@@ -1,14 +1,11 @@
-//! Adaptive-scheduler conformance: work-stealing, horizon batching, and
-//! the worker/shard shape matrix must all be **byte-identical** to the
-//! plain static schedule — the scheduler knobs select how shards are
-//! executed, never what they compute.
+//! Scheduler conformance: the worker/shard shape matrix must be
+//! **byte-identical** to the one-worker run — the thread count selects
+//! how shards are executed, never what they compute.
 //!
 //! Shapes covered: threads > shards, threads == shards, a single shard,
-//! and non-divisor chunkings (threads that don't divide the shard
-//! count). Modes covered: `steal` on/off crossed with `window_batch`
-//! 1 (off) / 2 / 8, on every shape. The merged *event order* is pinned
-//! by the chrome-trace export (one span per executed event, in merge
-//! order), not just the aggregate counters.
+//! and thread counts that don't divide the shard count. The merged
+//! *event order* is pinned by the chrome-trace export (one span per
+//! executed event, in merge order), not just the aggregate counters.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,24 +15,19 @@ use updown_graph::preprocess::{dedup_sort, split_in_out};
 use updown_graph::Csr;
 use updown_sim::{Engine, EventWord, MachineConfig, NetworkId};
 
-/// (steal, window_batch) mode grid; `(false, 1)` is the static baseline.
-const MODES: &[(bool, u64)] = &[(false, 1), (true, 1), (false, 8), (true, 8), (true, 2)];
-
-fn machine(nodes: u32, threads: u32, steal: bool, window_batch: u64) -> MachineConfig {
+fn machine(nodes: u32, threads: u32) -> MachineConfig {
     let mut m = MachineConfig::small(nodes, 2, 8);
     m.threads = threads;
-    m.steal = steal;
-    m.window_batch = window_batch;
     m
 }
 
 /// PageRank fingerprint (rank bits + per-iteration ticks), metrics JSON,
 /// final tick.
-fn pr_cell(nodes: u32, threads: u32, steal: bool, batch: u64) -> (String, String, u64) {
+fn pr_cell(nodes: u32, threads: u32) -> (String, String, u64) {
     let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
     let sg = split_in_out(&g, 64);
     let mut cfg = PrConfig::new(nodes);
-    cfg.machine = machine(nodes, threads, steal, batch);
+    cfg.machine = machine(nodes, threads);
     cfg.iterations = 2;
     let r = run_pagerank(&sg, &cfg);
     let fp = format!(
@@ -46,8 +38,9 @@ fn pr_cell(nodes: u32, threads: u32, steal: bool, batch: u64) -> (String, String
     (fp, r.report.to_json(), r.final_tick)
 }
 
-/// The shape × mode matrix: every cell must match the static sequential
-/// baseline for its shard count, byte for byte.
+/// The shape matrix: every cell must match the one-worker run for its
+/// shard count, byte for byte. (The "modes" are the ways a thread count
+/// can relate to the shard count; there is one scheduling policy.)
 #[test]
 fn edge_shapes_conform_across_scheduler_modes() {
     // (shards, threads): threads > shards, ==, single shard, non-divisor.
@@ -56,39 +49,52 @@ fn edge_shapes_conform_across_scheduler_modes() {
         (1, 4), // threads > the single shard
         (2, 7), // threads > shards, odd worker count
         (4, 4), // threads == shards
-        (4, 3), // non-divisor chunking (2,1,1)
-        (8, 3), // non-divisor chunking (3,3,2)
+        (4, 3), // non-divisor home ranges (2,1,1)
+        (8, 3), // non-divisor home ranges (3,3,2)
     ];
     let mut baselines: std::collections::BTreeMap<u32, (String, String, u64)> =
         Default::default();
     for &(nodes, threads) in shapes {
         let base = baselines
             .entry(nodes)
-            .or_insert_with(|| pr_cell(nodes, 1, false, 1))
+            .or_insert_with(|| pr_cell(nodes, 1))
             .clone();
-        for &(steal, batch) in MODES {
-            let cell = pr_cell(nodes, threads, steal, batch);
-            let label =
-                format!("nodes={nodes} threads={threads} steal={steal} batch={batch}");
-            assert_eq!(base.0, cell.0, "{label}: application result diverged");
-            assert_eq!(base.1, cell.1, "{label}: metrics JSON diverged");
-            assert_eq!(base.2, cell.2, "{label}: final tick diverged");
+        let cell = pr_cell(nodes, threads);
+        let label = format!("nodes={nodes} threads={threads}");
+        assert_eq!(base.0, cell.0, "{label}: application result diverged");
+        assert_eq!(base.1, cell.1, "{label}: metrics JSON diverged");
+        assert_eq!(base.2, cell.2, "{label}: final tick diverged");
+    }
+}
+
+/// `Counters::windows` for conformance-scale PageRank, pinned to what the
+/// engine counted while it still batched windows under one barrier:
+/// every window is a barrier round now, and the serialized count did not
+/// move.
+#[test]
+fn pagerank_window_counts_are_pinned() {
+    for (nodes, windows) in [(1u32, 14u64), (4, 47)] {
+        for threads in [1u32, 3] {
+            let (_, json, _) = pr_cell(nodes, threads);
+            let m = updown_sim::json::JsonValue::parse(&json).unwrap();
+            let got = m.get("counters").unwrap().get("windows").unwrap().as_u64();
+            assert_eq!(got, Some(windows), "nodes={nodes} threads={threads}");
         }
     }
 }
 
-/// Merged **event order** under work-stealing and batching: a randomized
-/// cross-shard message cascade is traced, and the chrome-trace export
-/// (one entry per executed event, in the merged order the engine
-/// observed them) must be byte-identical across every scheduler mode and
-/// thread count. This pins the ordering claim directly, not via
-/// aggregate counters.
+/// Merged **event order** under work-stealing: a randomized cross-shard
+/// message cascade is traced, and the chrome-trace export (one entry per
+/// executed event, in the merged order the engine observed them) must be
+/// byte-identical at every thread count, whichever worker claimed which
+/// shard. This pins the ordering claim directly, not via aggregate
+/// counters.
 #[test]
 fn stealing_never_changes_merged_event_order() {
     use updown_graph::rng::Rng;
 
-    let traced = |threads: u32, steal: bool, batch: u64, seed: u64| -> (String, String) {
-        let mut cfg = machine(4, threads, steal, batch);
+    let traced = |threads: u32, seed: u64| -> (String, String) {
+        let mut cfg = machine(4, threads);
         cfg.net.inter_node_latency = 40; // wide windows: several events per shard per window
         let mut eng = Engine::new(cfg);
         eng.enable_trace();
@@ -130,41 +136,34 @@ fn stealing_never_changes_merged_event_order() {
     };
 
     for seed in [0x11u64, 0x2222] {
-        let (base_trace, base_json) = traced(1, false, 1, seed);
-        for &threads in &[1u32, 2, 4, 7] {
-            for &(steal, batch) in MODES {
-                let (trace, json) = traced(threads, steal, batch, seed);
-                let label = format!("seed={seed:#x} threads={threads} steal={steal} batch={batch}");
-                assert_eq!(base_trace, trace, "{label}: merged event order diverged");
-                assert_eq!(base_json, json, "{label}: metrics diverged");
-            }
+        let (base_trace, base_json) = traced(1, seed);
+        for &threads in &[2u32, 4, 7] {
+            let (trace, json) = traced(threads, seed);
+            let label = format!("seed={seed:#x} threads={threads}");
+            assert_eq!(base_trace, trace, "{label}: merged event order diverged");
+            assert_eq!(base_json, json, "{label}: metrics diverged");
         }
     }
 }
 
-/// Checkpoint cadence composes with batching: pausing every N windows
-/// must neither change results nor the window count, whether the batch
-/// grant is wider or narrower than the remaining cadence.
+/// Pausing every N windows changes neither the bytes nor the window
+/// count: a cadence of 1 pauses after every window, 3 and 11 land
+/// mid-iteration, 8 is the `--checkpoint` default.
 #[test]
-fn horizon_batching_respects_checkpoint_cadence() {
-    let run = |every: u64, batch: u64| -> (String, u64) {
+fn checkpoint_cadence_changes_neither_bytes_nor_windows() {
+    let run = |every: u64| -> (String, u64, u64) {
         let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 21)));
         let sg = split_in_out(&g, 64);
         let mut cfg = PrConfig::new(2);
-        cfg.machine = machine(2, 2, true, batch);
+        cfg.machine = machine(2, 2);
         cfg.machine.checkpoint_every = every;
         cfg.iterations = 1;
         let r = run_pagerank(&sg, &cfg);
-        (r.report.to_json(), r.final_tick)
+        (r.report.to_json(), r.final_tick, r.report.stats.windows)
     };
-    let base = run(0, 1);
-    for every in [0u64, 1, 3, 64] {
-        for batch in [1u64, 2, 8, 1024] {
-            assert_eq!(
-                base,
-                run(every, batch),
-                "checkpoint_every={every} window_batch={batch} diverged"
-            );
-        }
+    let base = run(0);
+    assert!(base.2 > 11, "the run must span several pauses at every cadence");
+    for every in [1u64, 3, 8, 11] {
+        assert_eq!(base, run(every), "checkpoint_every={every} diverged");
     }
 }

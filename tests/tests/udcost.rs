@@ -1,9 +1,7 @@
 //! End-to-end tests of `udcost`: every app's workload descriptor yields a
 //! static cost report with zero simulation ticks, the `udcost/v1` JSON
-//! document is stable, predictions calibrate against real conformance
-//! runs within the advertised tolerance, and seeding the scheduler with
-//! `MachineConfig::cost_hints` keeps simulated results byte-identical
-//! across thread counts and stealing modes.
+//! document is stable, and predictions calibrate against real conformance
+//! runs within the advertised tolerance.
 
 use udcheck::apps::{workload_for, ALL_APPS};
 use udcheck::{analyze_cost, calibrate, render_cost_document, CostReport};
@@ -99,36 +97,4 @@ fn calibrate_rejects_foreign_schemas() {
     let r = report_for("pagerank");
     assert!(calibrate(&r, r#"{"schema":"udcost/v1"}"#).is_err());
     assert!(calibrate(&r, "{").is_err());
-}
-
-/// Seeding `MachineConfig::cost_hints` with the prediction reorders only
-/// the parallel scheduler's shard claim order: simulated results stay
-/// byte-identical across thread counts and stealing modes, hints on or
-/// off. This is the wire-back contract of the scheduler integration.
-#[test]
-fn cost_hints_preserve_byte_identity() {
-    let (sg, base_cfg) = conformance_pr();
-    let base = {
-        let mut cfg = base_cfg.clone();
-        cfg.machine.threads = 1;
-        run_pagerank(&sg, &cfg)
-    };
-    let base_json = base.report.to_json();
-    let hints = report_for("pagerank").shard_hints();
-    assert_eq!(hints.len(), 2);
-    for threads in [1u32, 2, 4] {
-        for steal in [true, false] {
-            let mut cfg = base_cfg.clone();
-            cfg.machine.threads = threads;
-            cfg.machine.steal = steal;
-            cfg.machine.cost_hints = hints.clone();
-            let r = run_pagerank(&sg, &cfg);
-            assert_eq!(r.final_tick, base.final_tick, "threads={threads} steal={steal}");
-            assert_eq!(
-                r.report.to_json(),
-                base_json,
-                "cost hints changed results at threads={threads} steal={steal}"
-            );
-        }
-    }
 }
