@@ -73,15 +73,15 @@ const FABRIC_TOP_LINKS: usize = 16;
 /// are `Send + Sync` so shards can execute on scheduler worker threads.
 pub type Handler = Arc<dyn Fn(&mut EventCtx<'_>) + Send + Sync>;
 
-struct HandlerEntry {
-    name: String,
-    f: Handler,
+pub(super) struct HandlerEntry {
+    pub(super) name: String,
+    pub(super) f: Handler,
 }
 
 /// A DRAM transaction payload, applied when channel service completes on
 /// the owning shard.
 #[derive(Clone, Debug)]
-enum MemOp {
+pub(super) enum MemOp {
     Read {
         va: VAddr,
         nwords: u8,
@@ -129,15 +129,15 @@ impl MemOp {
 /// the owning shard (the deterministic serialization point); only the
 /// pre-built reply message is still in flight.
 #[derive(Clone, Debug)]
-struct MemResp {
-    reply: Option<Message>,
-    bytes: u64,
-    write: bool,
+pub(super) struct MemResp {
+    pub(super) reply: Option<Message>,
+    pub(super) bytes: u64,
+    pub(super) write: bool,
 }
 
 /// Where a DRAM request is on its way through the owning node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MemStage {
+pub(super) enum MemStage {
     /// Arrived at the owning node's memory channel; waiting for service.
     Arrive,
     /// Channel service complete: apply the effect and send the response.
@@ -154,7 +154,7 @@ enum MemStage {
 /// response) in place and re-queueing the same id, and a message waits in
 /// its lane's inbox *as its slot id* until the handler starts.
 #[derive(Clone, Debug)]
-enum Action {
+pub(super) enum Action {
     Deliver(Message),
     /// A request at the owning node. `trace_id` correlates the stages of
     /// one transaction in the event trace; 0 when tracing is off. `race`
@@ -178,7 +178,7 @@ enum Action {
 impl Action {
     /// The message a lane's inbox holds this slot for: a delivery, or the
     /// reply of a completed DRAM transaction.
-    fn message(&self) -> Option<&Message> {
+    pub(super) fn message(&self) -> Option<&Message> {
         match self {
             Action::Deliver(m) => Some(m),
             Action::MemDone { resp, .. } => resp.reply.as_ref(),
@@ -224,14 +224,14 @@ fn reply_args(words: &[u64], tag: Option<u64>) -> Operands {
 /// must survive a restore exactly for re-encoded snapshots to stay
 /// byte-identical.
 #[derive(Clone)]
-struct ActionArena {
-    first_id: u32,
-    slots: Vec<Option<Action>>,
-    free: IdList,
+pub(super) struct ActionArena {
+    pub(super) first_id: u32,
+    pub(super) slots: Vec<Option<Action>>,
+    pub(super) free: IdList,
 }
 
 impl ActionArena {
-    fn new(first_id: u32) -> ActionArena {
+    pub(super) fn new(first_id: u32) -> ActionArena {
         ActionArena {
             first_id,
             slots: Vec::new(),
@@ -254,7 +254,7 @@ impl ActionArena {
         }
     }
 
-    fn take(&mut self, links: &mut Links, id: u32) -> Action {
+    pub(super) fn take(&mut self, links: &mut Links, id: u32) -> Action {
         let a = self.slots[(id - self.first_id) as usize]
             .take()
             .expect("live arena slot");
@@ -279,7 +279,7 @@ impl ActionArena {
 
 /// Outgoing effects collected during one event execution; the engine turns
 /// them into scheduled actions at the event's completion time.
-enum Outgoing {
+pub(super) enum Outgoing {
     Msg(Message, u64),
     DramRead {
         va: VAddr,
@@ -315,17 +315,17 @@ enum Outgoing {
 /// destination calendar in `(src, order)` order, which reproduces the
 /// exact creation order a serial exchange would have produced.
 #[derive(Clone)]
-struct XEntry {
-    time: u64,
-    src: u32,
-    order: u64,
-    action: Action,
+pub(super) struct XEntry {
+    pub(super) time: u64,
+    pub(super) src: u32,
+    pub(super) order: u64,
+    pub(super) action: Action,
 }
 
 /// One executed lane event in a shard's recorded execution stream; the
 /// unit compared by [`Engine::replay_shard`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct ExecRec {
+pub(super) struct ExecRec {
     time: u64,
     lane: u32,
     tid: u16,
@@ -340,32 +340,32 @@ struct ExecRec {
 /// into its calendar at the window start, and how many lane events it
 /// executed.
 #[derive(Clone, Default)]
-struct RoundRec {
-    horizon: u64,
-    budget: u64,
-    executed: u64,
-    inject: Vec<XEntry>,
+pub(super) struct RoundRec {
+    pub(super) horizon: u64,
+    pub(super) budget: u64,
+    pub(super) executed: u64,
+    pub(super) inject: Vec<XEntry>,
 }
 
 /// Everything one shard contributes to a run recording. `open` marks the
 /// round currently being recorded (the post-run mailbox drain happens with
 /// no round open, so leftover entries are not mis-attributed).
 #[derive(Clone, Default)]
-struct ShardRecord {
-    rounds: Vec<RoundRec>,
-    exec: Vec<ExecRec>,
-    open: bool,
+pub(super) struct ShardRecord {
+    pub(super) rounds: Vec<RoundRec>,
+    pub(super) exec: Vec<ExecRec>,
+    pub(super) open: bool,
 }
 
 /// One recorded run for deterministic record-replay: a full in-memory
 /// snapshot of the engine at run start, plus every shard's per-window
 /// cross-shard message schedule and execution stream. Produced when
-/// [`MachineConfig::record`] (or `replay`) is set; consumed by
+/// [`crate::MachineConfig::record`] (or `replay`) is set; consumed by
 /// [`Engine::replay_shard`] / [`Engine::finish_replay`].
 pub struct Recording {
-    start: Box<Snapshot>,
-    shards: Vec<ShardRecord>,
-    rounds: u64,
+    pub(super) start: Box<Snapshot>,
+    pub(super) shards: Vec<ShardRecord>,
+    pub(super) rounds: u64,
 }
 
 impl Recording {
@@ -432,70 +432,70 @@ impl Snapshot {
 }
 
 /// State shared read-only by all shards during a run.
-pub(crate) struct Shared {
-    cfg: MachineConfig,
-    mem: Arc<GlobalMemory>,
-    handlers: Vec<HandlerEntry>,
+pub(super) struct Shared {
+    pub(super) cfg: MachineConfig,
+    pub(super) mem: Arc<GlobalMemory>,
+    pub(super) handlers: Vec<HandlerEntry>,
     /// The system-network topology ([`MachineConfig::net`]`.topology`),
     /// shared read-only across shards.
-    topo: Arc<dyn Topology>,
+    pub(super) topo: Arc<dyn Topology>,
     /// Conservative time-window length: the minimum time by which any
     /// cross-node effect can trail its injection
     /// ([`Topology::min_transit`], floored at 1).
-    lookahead: u64,
+    pub(super) lookahead: u64,
 }
 
 /// One shard of the machine: a node's lanes, calendar and per-node
 /// resources. The unit of parallel execution.
-pub(crate) struct EngineCore {
+pub(super) struct EngineCore {
     /// Shard id == node id.
-    id: u32,
+    pub(super) id: u32,
     /// Global network id of this shard's first lane.
-    base_lane: u32,
-    now: u64,
-    calendar: CalendarQueue,
-    arena: ActionArena,
-    lanes: Vec<Lane>,
+    pub(super) base_lane: u32,
+    pub(super) now: u64,
+    pub(super) calendar: CalendarQueue,
+    pub(super) arena: ActionArena,
+    pub(super) lanes: Vec<Lane>,
     /// This node's memory channel (single-node instance, index 0).
-    channel: MemChannels,
+    pub(super) channel: MemChannels,
     /// This node's NIC (single-node instance, index 0).
-    nic: Nics,
+    pub(super) nic: Nics,
     /// Per-link fabric counters for traffic *injected by this shard*
     /// (sum-merged across shards at metrics time).
-    fabric: Fabric,
-    stats: Counters,
-    stop: bool,
-    trace: Option<Vec<String>>,
+    pub(super) fabric: Fabric,
+    pub(super) stats: Counters,
+    pub(super) stop: bool,
+    pub(super) trace: Option<Vec<String>>,
     /// Event tracer; present only when event tracing is enabled. All
     /// recording paths are read-only with respect to simulated time,
     /// costs, and calendar sequence numbers (zero observer effect).
-    tracer: Option<Tracer>,
+    pub(super) tracer: Option<Tracer>,
     /// Device-side phase spans opened on this shard, in begin order.
-    phases: Vec<PhaseSpan>,
+    pub(super) phases: Vec<PhaseSpan>,
     /// Runtime-defined counters, split by merge rule: `custom_add`
     /// entries are summed across shards, `custom_peak` entries are
     /// max-merged.
-    custom_add: BTreeMap<&'static str, u64>,
-    custom_peak: BTreeMap<&'static str, u64>,
+    pub(super) custom_add: BTreeMap<&'static str, u64>,
+    pub(super) custom_peak: BTreeMap<&'static str, u64>,
     /// Completion time of the latest-finishing executed event.
-    last_completion: u64,
+    pub(super) last_completion: u64,
     /// Per-handler (execution count, last tick) for diagnostics.
-    handler_stats: Vec<(u64, u64)>,
+    pub(super) handler_stats: Vec<(u64, u64)>,
     /// Monotone order stamp for cross-shard entries produced here.
-    sent_seq: u64,
+    pub(super) sent_seq: u64,
     /// Cross-shard entries buffered during a window, per destination
     /// shard; flushed into the mailboxes at the window boundary.
-    outbuf: Vec<Vec<XEntry>>,
+    pub(super) outbuf: Vec<Vec<XEntry>>,
     /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
     /// across events; one less allocation per sending event).
-    out_scratch: Vec<Outgoing>,
+    pub(super) out_scratch: Vec<Outgoing>,
     /// Recycled mailbox-drain buffer ([`XEntry`] capacity persists across
     /// windows, swapped with the mailbox's storage each round).
-    xentry_scratch: Vec<XEntry>,
+    pub(super) xentry_scratch: Vec<XEntry>,
     /// Live recording for record-replay; `None` unless the current run
     /// was started with [`MachineConfig::record`] / `replay`, or this
     /// shard is being replayed in isolation.
-    record: Option<Box<ShardRecord>>,
+    pub(super) record: Option<Box<ShardRecord>>,
 }
 
 /// Deep copy of a shard's simulation state. The `record` field is *not*
@@ -537,7 +537,7 @@ impl Clone for EngineCore {
 impl EngineCore {
     /// Open a recording round: remember the horizon and budget this
     /// window runs under, and start attributing mailbox drains to it.
-    fn record_begin_round(&mut self, horizon: u64, budget: u64) {
+    pub(super) fn record_begin_round(&mut self, horizon: u64, budget: u64) {
         if let Some(rec) = &mut self.record {
             rec.rounds.push(RoundRec {
                 horizon,
@@ -550,7 +550,7 @@ impl EngineCore {
     }
 
     /// Close the recording round with the number of lane events executed.
-    fn record_end_round(&mut self, executed: u64) {
+    pub(super) fn record_end_round(&mut self, executed: u64) {
         if let Some(rec) = &mut self.record {
             if let Some(r) = rec.rounds.last_mut() {
                 r.executed = executed;
@@ -559,7 +559,7 @@ impl EngineCore {
         }
     }
 
-    fn schedule(&mut self, time: u64, action: Action) {
+    pub(super) fn schedule(&mut self, time: u64, action: Action) {
         let id = self.arena.insert(self.calendar.links_mut(), action);
         self.push_id(time, id);
     }
@@ -579,12 +579,12 @@ impl EngineCore {
     }
 
     /// Time of the earliest pending calendar entry, `u64::MAX` when empty.
-    fn next_time(&self) -> u64 {
+    pub(super) fn next_time(&self) -> u64 {
         self.calendar.peek_time().unwrap_or(u64::MAX)
     }
 
     /// Host-side injection: give `msg` a slot and queue it on its lane.
-    fn deliver(&mut self, t: u64, msg: Message) {
+    pub(super) fn deliver(&mut self, t: u64, msg: Message) {
         let l = msg.dst.nwid();
         let id = self.arena.insert(self.calendar.links_mut(), Action::Deliver(msg));
         self.enqueue(t, l, id);
@@ -729,13 +729,13 @@ impl EngineCore {
         }
     }
 
-    fn trace_line(&mut self, line: String) {
+    pub(super) fn trace_line(&mut self, line: String) {
         if let Some(t) = &mut self.trace {
             t.push(line);
         }
     }
 
-    fn phase_begin(&mut self, name: &str) {
+    pub(super) fn phase_begin(&mut self, name: &str) {
         let now = self.now;
         self.phases.push(PhaseSpan {
             name: name.to_string(),
@@ -746,7 +746,7 @@ impl EngineCore {
 
     /// Close the most recent open span with this name; ignored when no
     /// such span exists (so instrumentation is safe on partial runs).
-    fn phase_end(&mut self, name: &str) {
+    pub(super) fn phase_end(&mut self, name: &str) {
         let now = self.now;
         if let Some(p) = self
             .phases
@@ -760,7 +760,7 @@ impl EngineCore {
 
     /// Execute calendar entries strictly below `horizon`, up to `budget`
     /// events. Returns the number of events executed in this window.
-    fn window(&mut self, shared: &Shared, horizon: u64, budget: u64) -> u64 {
+    pub(super) fn window(&mut self, shared: &Shared, horizon: u64, budget: u64) -> u64 {
         let before = self.stats.events_executed;
         while !self.stop && self.stats.events_executed - before < budget {
             let Some((t, id)) = self.calendar.pop_if_before(horizon) else {
@@ -1594,20 +1594,20 @@ fn worker_loop(
 }
 
 /// What one scheduler invocation reports back to [`Engine::run`].
-struct RoundsOutcome {
+pub(super) struct RoundsOutcome {
     /// Windows opened (= barrier rounds).
-    rounds: u64,
+    pub(super) rounds: u64,
     /// A handler called `stop()`.
-    stopped: bool,
+    pub(super) stopped: bool,
     /// The round limit — not completion — ended the invocation.
-    paused: bool,
+    pub(super) paused: bool,
     /// Deterministic imbalance aggregates (sum / peak of the per-window
     /// max shard event count).
-    win_max_sum: u64,
-    win_max_peak: u64,
+    pub(super) win_max_sum: u64,
+    pub(super) win_max_peak: u64,
     /// Host-side diagnostics (thread-timing dependent).
-    steals: u64,
-    idle_spins: u64,
+    pub(super) steals: u64,
+    pub(super) idle_spins: u64,
 }
 
 /// Execute conservative window rounds over `shards` with `workers` OS
@@ -1616,7 +1616,7 @@ struct RoundsOutcome {
 /// have run (a checkpoint pause; `u64::MAX` disables it). One worker runs
 /// the identical loop inline, so results agree across thread counts by
 /// construction.
-fn run_rounds(
+pub(super) fn run_rounds(
     shards: &mut [EngineCore],
     shared: &Shared,
     workers: usize,
@@ -1777,7 +1777,7 @@ type StateLoadFn = fn(&mut SnapReader<'_>) -> Result<Box<dyn SimState>, Snapshot
 /// Encode looks up by `TypeId`, decode by the stable string key — both
 /// maps are `BTreeMap` so snapshot bytes never depend on hash order.
 #[derive(Default)]
-struct StateCodecs {
+pub(super) struct StateCodecs {
     by_type: BTreeMap<TypeId, (&'static str, StateSaveFn)>,
     by_key: BTreeMap<&'static str, StateLoadFn>,
 }
@@ -3059,7 +3059,7 @@ impl Engine {
     /// 3. Round-trip self-check: take an in-memory snapshot and restore
     ///    it, so every checkpointed run continuously proves that
     ///    snapshot/restore is an exact rewind.
-    fn checkpoint_boundary(&mut self) {
+    pub(super) fn checkpoint_boundary(&mut self) {
         if let Some(path) = self.shared.cfg.checkpoint_path.clone() {
             if !self.checkpoint_written {
                 self.checkpoint_written = true;
@@ -3438,30 +3438,30 @@ fn default_state<T: Default + Send + Clone + 'static>() -> Box<dyn SimState> {
 /// Execution context handed to event handlers: the UDWeave "machine
 /// interface". Every operation charges its Table-2 cost.
 pub struct EventCtx<'a> {
-    shard: &'a mut EngineCore,
-    shared: &'a Shared,
-    lane: u32,
-    tid: ThreadId,
-    event_name: &'a str,
-    msg: &'a Message,
-    cost: u64,
-    out: Vec<Outgoing>,
-    terminated: bool,
+    pub(super) shard: &'a mut EngineCore,
+    pub(super) shared: &'a Shared,
+    pub(super) lane: u32,
+    pub(super) tid: ThreadId,
+    pub(super) event_name: &'a str,
+    pub(super) msg: &'a Message,
+    pub(super) cost: u64,
+    pub(super) out: Vec<Outgoing>,
+    pub(super) terminated: bool,
     /// The thread's state box. A `OnceCell` only so that `state_ref`
     /// (`&self`) can materialize `detached_default` on first read.
-    state: OnceCell<Box<dyn SimState>>,
+    pub(super) state: OnceCell<Box<dyn SimState>>,
     /// Set while [`EventCtx::with_state`] has the typed state detached:
     /// builds the default value the (empty) cell then reads as.
-    detached_default: Option<fn() -> Box<dyn SimState>>,
-    stopped: bool,
+    pub(super) detached_default: Option<fn() -> Box<dyn SimState>>,
+    pub(super) stopped: bool,
     /// Creating label of this thread (protocol-probe bookkeeping).
-    created_by: u16,
+    pub(super) created_by: u16,
     /// Whether this execution read `cont()`; a `Cell` because the reads go
     /// through `&self` accessors. Probe bookkeeping only.
-    cont_read: Cell<bool>,
+    pub(super) cont_read: Cell<bool>,
     /// Race-detection context of this execution (clock snapshot), present
     /// only when a [`RaceProbe`](crate::RaceProbe) is attached.
-    race: Option<RaceExec>,
+    pub(super) race: Option<RaceExec>,
 }
 
 impl<'a> EventCtx<'a> {
@@ -4040,7 +4040,7 @@ impl<'a> EventCtx<'a> {
     // ---- observability (all zero-cost: never charges cycles) ---------------
 
     /// Open a named phase span at the current tick (e.g. a KVMSR map
-    /// phase). Spans nest and repeat freely; [`Metrics::phase_cycles`]
+    /// phase). Spans nest and repeat freely; [`crate::Metrics::phase_cycles`]
     /// accumulates same-named spans. Free — charges no cycles.
     pub fn phase_begin(&mut self, name: &str) {
         self.shard.phase_begin(name);
@@ -4053,7 +4053,7 @@ impl<'a> EventCtx<'a> {
     }
 
     /// Add `delta` to a named custom counter reported in
-    /// [`Metrics::custom`]. Summed across shards. Free — charges no
+    /// [`crate::Metrics::custom`]. Summed across shards. Free — charges no
     /// cycles.
     pub fn bump(&mut self, name: &'static str, delta: u64) {
         *self.shard.custom_add.entry(name).or_insert(0) += delta;
