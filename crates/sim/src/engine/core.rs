@@ -1,0 +1,1213 @@
+//! One shard of the machine and everything it executes: the pending-event
+//! slab, the window loop body, lane dispatch, and the fabric and DRAM
+//! paths. Imports none of its sibling modules.
+
+use std::cell::{Cell, OnceCell};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::calendar::{CalendarQueue, IdList, Links};
+use crate::config::MachineConfig;
+use crate::ids::{EventWord, NetworkId, ThreadId};
+use crate::lane::{Lane, SimState};
+use crate::memory::{GlobalMemory, MemChannels, VAddr};
+use crate::message::{Message, Operands, HW_OPERANDS};
+use crate::network::{Fabric, Nics, Topology};
+use crate::probe::DiagKind;
+use crate::race::{RaceAccess, RaceExec, ThreadKey};
+use crate::stats::Counters;
+use crate::trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
+
+/// A handler executes one event. It may read/write its thread state, send
+/// messages, and issue DRAM requests through the [`EventCtx`]. Handlers
+/// are `Send + Sync` so shards can execute on scheduler worker threads.
+pub type Handler = Arc<dyn Fn(&mut EventCtx<'_>) + Send + Sync>;
+
+pub(super) struct HandlerEntry {
+    pub(super) name: String,
+    pub(super) f: Handler,
+}
+
+/// A DRAM transaction payload, applied when channel service completes on
+/// the owning shard.
+#[derive(Clone, Debug)]
+pub(super) enum MemOp {
+    Read {
+        va: VAddr,
+        nwords: u8,
+        ret: EventWord,
+        tag: Option<u64>,
+    },
+    Write {
+        va: VAddr,
+        words: Vec<u64>,
+        ack: Option<EventWord>,
+        tag: Option<u64>,
+    },
+    AddU64 {
+        va: VAddr,
+        delta: u64,
+        ret: Option<EventWord>,
+        tag: Option<u64>,
+    },
+    AddF64 {
+        va: VAddr,
+        delta: f64,
+        ret: Option<EventWord>,
+        tag: Option<u64>,
+    },
+}
+
+impl MemOp {
+    /// Payload bytes moved by the transaction (response for reads, data
+    /// for writes).
+    fn bytes(&self) -> u64 {
+        match self {
+            MemOp::Read { nwords, .. } => *nwords as u64 * 8,
+            MemOp::Write { words, .. } => words.len() as u64 * 8,
+            MemOp::AddU64 { .. } | MemOp::AddF64 { .. } => 8,
+        }
+    }
+
+    fn is_write(&self) -> bool {
+        !matches!(self, MemOp::Read { .. })
+    }
+}
+
+/// The response of a completed DRAM transaction travelling back to the
+/// issuing shard. Memory contents were already updated at service time on
+/// the owning shard (the deterministic serialization point); only the
+/// pre-built reply message is still in flight.
+#[derive(Clone, Debug)]
+pub(super) struct MemResp {
+    pub(super) reply: Option<Message>,
+    pub(super) bytes: u64,
+    pub(super) write: bool,
+}
+
+/// Where a DRAM request is on its way through the owning node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum MemStage {
+    /// Arrived at the owning node's memory channel; waiting for service.
+    Arrive,
+    /// Channel service complete: apply the effect and send the response.
+    Served,
+}
+
+/// DRAM transactions are staged through the calendar so each shared
+/// resource (source NIC, memory channel, owner NIC) is reserved at the
+/// moment the transaction actually reaches it — reservations happen in
+/// time order, which keeps the FIFO pipelines honest.
+///
+/// A payload is written into its slab slot once and stays there: a
+/// transaction advances by changing `stage` (or being overwritten by its
+/// response) in place and re-queueing the same id, and a message waits in
+/// its lane's inbox *as its slot id* until the handler starts.
+#[derive(Clone, Debug)]
+pub(super) enum Action {
+    Deliver(Message),
+    /// A request at the owning node. `trace_id` correlates the stages of
+    /// one transaction in the event trace; 0 when tracing is off. `race`
+    /// is the issuer's race context when a [`RaceProbe`] is attached.
+    Mem {
+        stage: MemStage,
+        op: MemOp,
+        src_node: u32,
+        owner: u32,
+        trace_id: u64,
+        race: Option<RaceAccess>,
+    },
+    /// Response arrived back at the issuing shard: deliver the reply.
+    MemDone {
+        resp: MemResp,
+        owner: u32,
+        trace_id: u64,
+    },
+}
+
+impl Action {
+    /// The message a lane's inbox holds this slot for: a delivery, or the
+    /// reply of a completed DRAM transaction.
+    pub(super) fn message(&self) -> Option<&Message> {
+        match self {
+            Action::Deliver(m) => Some(m),
+            Action::MemDone { resp, .. } => resp.reply.as_ref(),
+            Action::Mem { .. } => None,
+        }
+    }
+
+    fn into_message(self) -> Option<Message> {
+        match self {
+            Action::Deliver(m) => Some(m),
+            Action::MemDone { resp, .. } => resp.reply,
+            Action::Mem { .. } => None,
+        }
+    }
+}
+
+/// Reply operands of a served DRAM transaction: the data words (at most
+/// [`HW_OPERANDS`]), then the issuer's tag. Assembled on the stack so a
+/// tagged full-width read reply is built in one step.
+fn reply_args(words: &[u64], tag: Option<u64>) -> Operands {
+    let mut buf = [0u64; HW_OPERANDS + 1];
+    buf[..words.len()].copy_from_slice(words);
+    let mut n = words.len();
+    if let Some(tag) = tag {
+        buf[n] = tag;
+        n += 1;
+    }
+    Operands::from(&buf[..n])
+}
+
+/// Slab storage for pending [`Action`]s: every calendar entry with a
+/// payload and every message waiting on a lane. The calendar and the lane
+/// inboxes hold bare `u32` ids, so queueing never moves a payload. A
+/// shard's ids `0..first_id` name its lanes (a lane's pending run entry is
+/// the lane's own id and has no slot); slot `i` is id `first_id + i`.
+/// Vacant slots form a LIFO freelist threaded through the calendar's link
+/// array like every other list of ids, so the slab allocates only when it
+/// grows. (What the whole event path still allocates per event is
+/// budgeted in `docs/perf.md`, "Allocation budget".)
+///
+/// Snapshots serialize the slab *and* the freelist verbatim: the lists
+/// store ids, so slot numbering (and hence future freelist reuse order)
+/// must survive a restore exactly for re-encoded snapshots to stay
+/// byte-identical.
+#[derive(Clone)]
+pub(super) struct ActionArena {
+    pub(super) first_id: u32,
+    pub(super) slots: Vec<Option<Action>>,
+    pub(super) free: IdList,
+}
+
+impl ActionArena {
+    pub(super) fn new(first_id: u32) -> ActionArena {
+        ActionArena {
+            first_id,
+            slots: Vec::new(),
+            free: IdList::default(),
+        }
+    }
+
+    fn insert(&mut self, links: &mut Links, action: Action) -> u32 {
+        match links.pop_front(&mut self.free) {
+            Some(id) => {
+                self.slots[(id - self.first_id) as usize] = Some(action);
+                id
+            }
+            None => {
+                let id = self.first_id + self.slots.len() as u32;
+                links.ensure(id);
+                self.slots.push(Some(action));
+                id
+            }
+        }
+    }
+
+    pub(super) fn take(&mut self, links: &mut Links, id: u32) -> Action {
+        let a = self.slots[(id - self.first_id) as usize]
+            .take()
+            .expect("live arena slot");
+        links.push_front(&mut self.free, id);
+        a
+    }
+
+    fn get_mut(&mut self, id: u32) -> &mut Action {
+        self.slots[(id - self.first_id) as usize]
+            .as_mut()
+            .expect("live arena slot")
+    }
+
+    /// The message waiting in slot `id` (an inbox or parked entry).
+    fn message(&self, id: u32) -> &Message {
+        self.slots[(id - self.first_id) as usize]
+            .as_ref()
+            .and_then(Action::message)
+            .expect("inbox entry names a slot holding a message")
+    }
+}
+
+/// Outgoing effects collected during one event execution; the engine turns
+/// them into scheduled actions at the event's completion time.
+pub(super) enum Outgoing {
+    Msg(Message, u64),
+    DramRead {
+        va: VAddr,
+        nwords: u8,
+        ret: EventWord,
+        tag: Option<u64>,
+        race: Option<RaceAccess>,
+    },
+    DramWrite {
+        va: VAddr,
+        words: Vec<u64>,
+        ack: Option<EventWord>,
+        tag: Option<u64>,
+        race: Option<RaceAccess>,
+    },
+    AtomicAddU64 {
+        va: VAddr,
+        delta: u64,
+        ret: Option<EventWord>,
+        tag: Option<u64>,
+        race: Option<RaceAccess>,
+    },
+    AtomicAddF64 {
+        va: VAddr,
+        delta: f64,
+        ret: Option<EventWord>,
+        tag: Option<u64>,
+        race: Option<RaceAccess>,
+    },
+}
+
+/// A calendar entry crossing shards at a window boundary. Merged into the
+/// destination calendar in `(src, order)` order, which reproduces the
+/// exact creation order a serial exchange would have produced.
+#[derive(Clone)]
+pub(super) struct XEntry {
+    pub(super) time: u64,
+    pub(super) src: u32,
+    pub(super) order: u64,
+    pub(super) action: Action,
+}
+
+/// One executed lane event in a shard's recorded execution stream; the
+/// unit compared by [`Engine::replay_shard`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(super) struct ExecRec {
+    time: u64,
+    lane: u32,
+    tid: u16,
+    label: u16,
+    /// Scratchpad high-water mark of the lane after the event — pins the
+    /// scratchpad progression into the replayed stream.
+    spm_high: u32,
+}
+
+/// One conservative window of a shard's recording: the horizon it ran
+/// under, the event budget it was handed, the cross-shard entries drained
+/// into its calendar at the window start, and how many lane events it
+/// executed.
+#[derive(Clone, Default)]
+pub(super) struct RoundRec {
+    pub(super) horizon: u64,
+    pub(super) budget: u64,
+    pub(super) executed: u64,
+    pub(super) inject: Vec<XEntry>,
+}
+
+/// Everything one shard contributes to a run recording. `open` marks the
+/// round currently being recorded (the post-run mailbox drain happens with
+/// no round open, so leftover entries are not mis-attributed).
+#[derive(Clone, Default)]
+pub(super) struct ShardRecord {
+    pub(super) rounds: Vec<RoundRec>,
+    pub(super) exec: Vec<ExecRec>,
+    pub(super) open: bool,
+}
+
+/// State shared read-only by all shards during a run.
+pub(super) struct Shared {
+    pub(super) cfg: MachineConfig,
+    pub(super) mem: Arc<GlobalMemory>,
+    pub(super) handlers: Vec<HandlerEntry>,
+    /// The system-network topology ([`MachineConfig::net`]`.topology`),
+    /// shared read-only across shards.
+    pub(super) topo: Arc<dyn Topology>,
+    /// Conservative time-window length: the minimum time by which any
+    /// cross-node effect can trail its injection
+    /// ([`Topology::min_transit`], floored at 1).
+    pub(super) lookahead: u64,
+}
+
+/// One shard of the machine: a node's lanes, calendar and per-node
+/// resources. The unit of parallel execution.
+pub(super) struct EngineCore {
+    /// Shard id == node id.
+    pub(super) id: u32,
+    /// Global network id of this shard's first lane.
+    pub(super) base_lane: u32,
+    pub(super) now: u64,
+    pub(super) calendar: CalendarQueue,
+    pub(super) arena: ActionArena,
+    pub(super) lanes: Vec<Lane>,
+    /// This node's memory channel (single-node instance, index 0).
+    pub(super) channel: MemChannels,
+    /// This node's NIC (single-node instance, index 0).
+    pub(super) nic: Nics,
+    /// Per-link fabric counters for traffic *injected by this shard*
+    /// (sum-merged across shards at metrics time).
+    pub(super) fabric: Fabric,
+    pub(super) stats: Counters,
+    pub(super) stop: bool,
+    pub(super) trace: Option<Vec<String>>,
+    /// Event tracer; present only when event tracing is enabled. All
+    /// recording paths are read-only with respect to simulated time,
+    /// costs, and calendar sequence numbers (zero observer effect).
+    pub(super) tracer: Option<Tracer>,
+    /// Device-side phase spans opened on this shard, in begin order.
+    pub(super) phases: Vec<PhaseSpan>,
+    /// Runtime-defined counters, split by merge rule: `custom_add`
+    /// entries are summed across shards, `custom_peak` entries are
+    /// max-merged.
+    pub(super) custom_add: BTreeMap<&'static str, u64>,
+    pub(super) custom_peak: BTreeMap<&'static str, u64>,
+    /// Completion time of the latest-finishing executed event.
+    pub(super) last_completion: u64,
+    /// Per-handler (execution count, last tick) for diagnostics.
+    pub(super) handler_stats: Vec<(u64, u64)>,
+    /// Monotone order stamp for cross-shard entries produced here.
+    pub(super) sent_seq: u64,
+    /// Cross-shard entries buffered during a window, per destination
+    /// shard; flushed into the mailboxes at the window boundary.
+    pub(super) outbuf: Vec<Vec<XEntry>>,
+    /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
+    /// across events; one less allocation per sending event).
+    pub(super) out_scratch: Vec<Outgoing>,
+    /// Recycled mailbox-drain buffer ([`XEntry`] capacity persists across
+    /// windows, swapped with the mailbox's storage each round).
+    pub(super) xentry_scratch: Vec<XEntry>,
+    /// Live recording for record-replay; `None` unless the current run
+    /// was started with [`MachineConfig::record`] / `replay`, or this
+    /// shard is being replayed in isolation.
+    pub(super) record: Option<Box<ShardRecord>>,
+}
+
+/// Deep copy of a shard's simulation state. The `record` field is *not*
+/// cloned: recordings are run artifacts owned by the engine, and cloning
+/// cores into a [`Snapshot`] (or restoring one) must neither duplicate
+/// nor destroy an in-progress recording.
+impl Clone for EngineCore {
+    fn clone(&self) -> EngineCore {
+        EngineCore {
+            id: self.id,
+            base_lane: self.base_lane,
+            now: self.now,
+            calendar: self.calendar.clone(),
+            arena: self.arena.clone(),
+            lanes: self.lanes.clone(),
+            channel: self.channel.clone(),
+            nic: self.nic.clone(),
+            fabric: self.fabric.clone(),
+            stats: self.stats.clone(),
+            stop: self.stop,
+            trace: self.trace.clone(),
+            tracer: self.tracer.clone(),
+            phases: self.phases.clone(),
+            custom_add: self.custom_add.clone(),
+            custom_peak: self.custom_peak.clone(),
+            last_completion: self.last_completion,
+            handler_stats: self.handler_stats.clone(),
+            sent_seq: self.sent_seq,
+            outbuf: self.outbuf.clone(),
+            // Scratch buffers hold no state between events/windows; fresh
+            // empties keep the clone cheap and content-identical.
+            out_scratch: Vec::new(),
+            xentry_scratch: Vec::new(),
+            record: None,
+        }
+    }
+}
+
+impl EngineCore {
+    /// Open a recording round: remember the horizon and budget this
+    /// window runs under, and start attributing mailbox drains to it.
+    pub(super) fn record_begin_round(&mut self, horizon: u64, budget: u64) {
+        if let Some(rec) = &mut self.record {
+            rec.rounds.push(RoundRec {
+                horizon,
+                budget,
+                executed: 0,
+                inject: Vec::new(),
+            });
+            rec.open = true;
+        }
+    }
+
+    /// Close the recording round with the number of lane events executed.
+    pub(super) fn record_end_round(&mut self, executed: u64) {
+        if let Some(rec) = &mut self.record {
+            if let Some(r) = rec.rounds.last_mut() {
+                r.executed = executed;
+            }
+            rec.open = false;
+        }
+    }
+
+    pub(super) fn schedule(&mut self, time: u64, action: Action) {
+        let id = self.arena.insert(self.calendar.links_mut(), action);
+        self.push_id(time, id);
+    }
+
+    /// Schedule lane `l` (a global lane id of this shard) to run at
+    /// `time`: the calendar entry is the lane's own shard-local id.
+    fn schedule_lane_run(&mut self, time: u64, l: u32) {
+        self.push_id(time, l - self.base_lane);
+    }
+
+    fn push_id(&mut self, time: u64, id: u32) {
+        self.calendar.push(time, id);
+        // `peak_calendar` counts logical pending entries (see `stats.rs`):
+        // `CalendarQueue::len` spans ring, fast lane, and overflow rung,
+        // matching the historical heap's `len()` exactly.
+        self.stats.peak_calendar = self.stats.peak_calendar.max(self.calendar.len());
+    }
+
+    /// Time of the earliest pending calendar entry, `u64::MAX` when empty.
+    pub(super) fn next_time(&self) -> u64 {
+        self.calendar.peek_time().unwrap_or(u64::MAX)
+    }
+
+    /// Host-side injection: give `msg` a slot and queue it on its lane.
+    pub(super) fn deliver(&mut self, t: u64, msg: Message) {
+        let l = msg.dst.nwid();
+        let id = self.arena.insert(self.calendar.links_mut(), Action::Deliver(msg));
+        self.enqueue(t, l, id);
+    }
+
+    /// Append slot `id`, which holds a message for lane `l`, to that
+    /// lane's inbox, scheduling the lane if it is idle. The payload stays
+    /// in its slot until `lane_run` starts the handler.
+    fn enqueue(&mut self, t: u64, l: NetworkId, id: u32) {
+        let idx = (l.0 - self.base_lane) as usize;
+        assert!(
+            l.0 >= self.base_lane && idx < self.lanes.len(),
+            "message to nonexistent lane {} (shard {} owns {}..{})",
+            l.0,
+            self.id,
+            self.base_lane,
+            self.base_lane + self.lanes.len() as u32
+        );
+        let lane = &mut self.lanes[idx];
+        self.calendar.links_mut().push_back(&mut lane.inbox, id);
+        if !lane.scheduled {
+            lane.scheduled = true;
+            let at = t.max(lane.free_at);
+            self.schedule_lane_run(at, l.0);
+        }
+    }
+
+    /// Buffer a cross-shard calendar entry for delivery at the next
+    /// window boundary.
+    fn push_cross(&mut self, dst: u32, time: u64, action: Action) {
+        self.sent_seq += 1;
+        self.outbuf[dst as usize].push(XEntry {
+            time,
+            src: self.id,
+            order: self.sent_seq,
+            action,
+        });
+    }
+
+    /// Carry `action` from this node to remote `dst_node`: serialize the
+    /// bytes at this node's NIC, advance the message hop-by-hop across the
+    /// fabric (attributing per-link counters at each hop's traversal
+    /// time), and buffer the cross-shard delivery at the arrival time.
+    /// Returns `(depart, arrival)` for tracing.
+    ///
+    /// All fabric state touched here belongs to this (source) shard, and
+    /// the arrival trails `depart` by at least [`Topology::min_transit`]
+    /// = the scheduler lookahead, so the conservative-window invariant
+    /// holds for every topology and results stay byte-identical across
+    /// thread counts.
+    fn fabric_send(
+        &mut self,
+        shared: &Shared,
+        ready: u64,
+        dst_node: u32,
+        bytes: u64,
+        action: Action,
+    ) -> (u64, u64) {
+        let depart = self.nic.inject(0, ready, bytes);
+        let src_node = self.id;
+        let route = shared.topo.route(src_node, dst_node);
+        let hops = route.len();
+        for (k, &l) in route.iter().enumerate() {
+            let t = shared.topo.hop_time(depart, k, hops);
+            let cumulative = self.fabric.record(l, t, bytes);
+            if let Some(tr) = &mut self.tracer {
+                let link = shared.topo.links()[l.0 as usize];
+                tr.record(TraceEvent::Link {
+                    src: link.src,
+                    dst: link.dst,
+                    node: src_node,
+                    time: t,
+                    value: cumulative,
+                });
+            }
+        }
+        let arrival = depart + shared.topo.latency(src_node, dst_node);
+        self.push_cross(dst_node, arrival, action);
+        (depart, arrival)
+    }
+
+    /// Latency for a lane->memory or memory->lane hop.
+    fn mem_hop_latency(shared: &Shared, lane_node: u32, mem_node: u32) -> u64 {
+        if lane_node == mem_node {
+            shared.cfg.net.intra_node_latency
+        } else {
+            shared.cfg.net.inter_node_latency
+        }
+    }
+
+    /// Issue a DRAM transaction at `t` from `src`: reserve the source NIC
+    /// (remote targets) and route the channel-arrival stage to the owning
+    /// shard.
+    fn dram_issue(
+        &mut self,
+        shared: &Shared,
+        t: u64,
+        src: NetworkId,
+        va: VAddr,
+        op: MemOp,
+        race: Option<RaceAccess>,
+    ) {
+        let owner = match shared.mem.owner_node(va) {
+            Ok(n) => n,
+            Err(e) => panic!("DRAM access fault from lane {}: {e} ({va:?})", src.0),
+        };
+        let src_node = shared.cfg.node_of(src);
+        let trace_id = match &mut self.tracer {
+            Some(tr) => tr.alloc_id(),
+            None => 0,
+        };
+        if owner != src_node {
+            self.stats.dram_remote_accesses += 1;
+            // Request messages are one 72-byte unit regardless of payload.
+            self.fabric_send(
+                shared,
+                t,
+                owner,
+                72,
+                Action::Mem {
+                    stage: MemStage::Arrive,
+                    op,
+                    src_node,
+                    owner,
+                    trace_id,
+                    race,
+                },
+            );
+        } else {
+            let arrival = t + Self::mem_hop_latency(shared, src_node, owner);
+            self.schedule(
+                arrival,
+                Action::Mem {
+                    stage: MemStage::Arrive,
+                    op,
+                    src_node,
+                    owner,
+                    trace_id,
+                    race,
+                },
+            );
+        }
+    }
+
+    pub(super) fn trace_line(&mut self, line: String) {
+        if let Some(t) = &mut self.trace {
+            t.push(line);
+        }
+    }
+
+    pub(super) fn phase_begin(&mut self, name: &str) {
+        let now = self.now;
+        self.phases.push(PhaseSpan {
+            name: name.to_string(),
+            start: now,
+            end: u64::MAX,
+        });
+    }
+
+    /// Close the most recent open span with this name; ignored when no
+    /// such span exists (so instrumentation is safe on partial runs).
+    pub(super) fn phase_end(&mut self, name: &str) {
+        let now = self.now;
+        if let Some(p) = self
+            .phases
+            .iter_mut()
+            .rev()
+            .find(|p| p.is_open() && p.name == name)
+        {
+            p.end = now;
+        }
+    }
+
+    /// Execute calendar entries strictly below `horizon`, up to `budget`
+    /// events. Returns the number of events executed in this window.
+    pub(super) fn window(&mut self, shared: &Shared, horizon: u64, budget: u64) -> u64 {
+        let before = self.stats.events_executed;
+        while !self.stop && self.stats.events_executed - before < budget {
+            let Some((t, id)) = self.calendar.pop_if_before(horizon) else {
+                break;
+            };
+            if t < self.now {
+                panic!(
+                    "time went backwards on shard {}: popped t={} behind clock t={}",
+                    self.id, t, self.now
+                );
+            }
+            self.now = t;
+            if id < self.arena.first_id {
+                self.lane_run(shared, self.base_lane + id);
+            } else {
+                self.dispatch(shared, id);
+            }
+        }
+        self.stats.events_executed - before
+    }
+
+    /// Advance the pending entry in slab slot `id` by one stage, in place.
+    fn dispatch(&mut self, shared: &Shared, id: u32) {
+        let now = self.now;
+        match self.arena.get_mut(id) {
+            Action::Deliver(msg) => {
+                let l = msg.dst.nwid();
+                self.stats.msgs_delivered += 1;
+                self.enqueue(now, l, id);
+            }
+            Action::Mem {
+                stage: stage @ MemStage::Arrive,
+                op,
+                owner,
+                trace_id,
+                ..
+            } => {
+                let bytes = op.bytes();
+                if let Some(tr) = &mut self.tracer {
+                    tr.record(TraceEvent::Dram {
+                        id: *trace_id,
+                        stage: DramStage::Arrive,
+                        node: *owner,
+                        time: now,
+                        bytes,
+                        write: op.is_write(),
+                    });
+                }
+                *stage = MemStage::Served;
+                let served = self.channel.service(0, now, bytes);
+                self.push_id(served, id);
+            }
+            Action::Mem {
+                stage: MemStage::Served,
+                op,
+                src_node,
+                owner,
+                trace_id,
+                race,
+            } => {
+                let (src_node, owner, trace_id) = (*src_node, *owner, *trace_id);
+                let bytes = op.bytes();
+                let write = op.is_write();
+                if let Some(tr) = &mut self.tracer {
+                    tr.record(TraceEvent::Dram {
+                        id: trace_id,
+                        stage: DramStage::Served,
+                        node: owner,
+                        time: now,
+                        bytes,
+                        write,
+                    });
+                }
+                // Record the access for race detection here: channel
+                // service order on the owning shard is the deterministic
+                // serialization point for this word's state. Atomic ops
+                // hand back an acquired clock for the reply to carry.
+                let mut race_acquired = None;
+                if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
+                    let (va, nwords, atomic, is_wr) = match &*op {
+                        MemOp::Read { va, nwords, .. } => (*va, *nwords as u32, false, false),
+                        MemOp::Write { va, words, .. } => (*va, words.len() as u32, false, true),
+                        MemOp::AddU64 { va, .. } | MemOp::AddF64 { va, .. } => (*va, 1, true, true),
+                    };
+                    let base = shared.mem.descriptor(va).map(|d| d.base.0).unwrap_or(va.0);
+                    race_acquired = rp.record_dram(acc, va, base, nwords, atomic, is_wr, now);
+                }
+                // Apply the memory effect now, on the owning shard: channel
+                // service order is the deterministic serialization point
+                // for all accesses to this node's memory.
+                let mut reply = match &*op {
+                    &MemOp::Read {
+                        va,
+                        nwords,
+                        ret,
+                        tag,
+                    } => {
+                        let mut data = [0u64; HW_OPERANDS];
+                        let data = &mut data[..nwords as usize];
+                        shared
+                            .mem
+                            .read_words_into(va, data)
+                            .unwrap_or_else(|e| panic!("DRAM read fault at service time: {e}"));
+                        Some(Message::new(ret, reply_args(data, tag), EventWord::IGNORE, ret.nwid()))
+                    }
+                    MemOp::Write {
+                        va,
+                        words,
+                        ack,
+                        tag,
+                    } => {
+                        shared
+                            .mem
+                            .write_words(*va, words)
+                            .unwrap_or_else(|e| panic!("DRAM write fault at service time: {e}"));
+                        ack.map(|ack| {
+                            Message::new(ack, reply_args(&[va.0], *tag), EventWord::IGNORE, ack.nwid())
+                        })
+                    }
+                    &MemOp::AddU64 {
+                        va,
+                        delta,
+                        ret,
+                        tag,
+                    } => {
+                        let old = shared
+                            .mem
+                            .fetch_add_u64(va, delta)
+                            .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
+                        ret.map(|ret| {
+                            Message::new(ret, reply_args(&[old], tag), EventWord::IGNORE, ret.nwid())
+                        })
+                    }
+                    &MemOp::AddF64 {
+                        va,
+                        delta,
+                        ret,
+                        tag,
+                    } => {
+                        let old = shared
+                            .mem
+                            .fetch_add_f64(va, delta)
+                            .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
+                        ret.map(|ret| {
+                            let args = reply_args(&[old.to_bits()], tag);
+                            Message::new(ret, args, EventWord::IGNORE, ret.nwid())
+                        })
+                    }
+                };
+                // The reply carries the issuer's clock so replies order
+                // with the issue (write -> ack -> send -> read chains);
+                // an atomic's reply carries the acquired clock instead,
+                // ordering the issuer after every earlier fetch-and-add
+                // on the word (barrier release-acquire).
+                if let (Some(acc), Some(m)) = (race.as_ref(), reply.as_mut()) {
+                    m.race = Some(race_acquired.take().unwrap_or_else(|| acc.clock.clone()));
+                }
+                let done = Action::MemDone {
+                    resp: MemResp {
+                        reply,
+                        bytes,
+                        write,
+                    },
+                    owner,
+                    trace_id,
+                };
+                if owner != src_node {
+                    self.arena.take(self.calendar.links_mut(), id);
+                    self.fabric_send(shared, now, src_node, 8 + bytes, done);
+                } else {
+                    // The response overwrites the request in its slot.
+                    *self.arena.get_mut(id) = done;
+                    let arrival = now + Self::mem_hop_latency(shared, src_node, owner);
+                    self.push_id(arrival, id);
+                }
+            }
+            Action::MemDone {
+                resp,
+                owner,
+                trace_id,
+            } => {
+                if let Some(tr) = &mut self.tracer {
+                    tr.record(TraceEvent::Dram {
+                        id: *trace_id,
+                        stage: DramStage::Respond,
+                        node: *owner,
+                        time: now,
+                        bytes: resp.bytes,
+                        write: resp.write,
+                    });
+                }
+                match &resp.reply {
+                    // The lane takes the reply straight out of this slot.
+                    Some(msg) => {
+                        let l = msg.dst.nwid();
+                        self.enqueue(now, l, id);
+                    }
+                    None => {
+                        self.arena.take(self.calendar.links_mut(), id);
+                    }
+                }
+            }
+        }
+    }
+
+    fn lane_run(&mut self, shared: &Shared, l: u32) {
+        let t = self.now;
+        let max_threads = shared.cfg.max_threads_per_lane;
+        let li = (l - self.base_lane) as usize;
+        let lane = &mut self.lanes[li];
+        debug_assert!(lane.scheduled);
+        let Some(id) = self.calendar.links_mut().pop_front(&mut lane.inbox) else {
+            lane.scheduled = false;
+            return;
+        };
+        // The message stays in its slot until its handler is about to
+        // start: one that is dropped or parked below is never moved.
+        let dst = self.arena.message(id).dst;
+        let label = dst.label();
+        let is_new = dst.tid() == ThreadId::NEW;
+        // Sanitizer: messages that cannot be dispatched (unregistered label
+        // or dead target thread) are diagnosed and dropped instead of
+        // panicking. Violation-free programs never reach either branch.
+        if shared.cfg.sanitize {
+            let unregistered = label.0 as usize >= shared.handlers.len();
+            let dead = !unregistered && !is_new && !lane.threads.contains(dst.tid());
+            if unregistered || dead {
+                let more = !lane.inbox.is_empty();
+                if !more {
+                    lane.scheduled = false;
+                }
+                if let Some(p) = &shared.cfg.probe {
+                    if unregistered {
+                        p.diag(DiagKind::SendUnregistered, label.0, label.0 as u64, t, l, || {
+                            format!("message delivered to unregistered event label {}", label.0)
+                        });
+                    } else {
+                        let tid = dst.tid().0;
+                        p.diag(DiagKind::SendToDeadThread, label.0, tid as u64, t, l, || {
+                            format!(
+                                "message for '{}' targets dead thread {tid} on lane {l}",
+                                shared.handlers[label.0 as usize].name
+                            )
+                        });
+                    }
+                }
+                self.arena.take(self.calendar.links_mut(), id);
+                self.stats.msgs_dropped += 1;
+                if more {
+                    self.schedule_lane_run(t, l);
+                }
+                return;
+            }
+        }
+        // Resolve the thread context.
+        let tid = match lane.resolve_thread(dst, max_threads) {
+            Some(tid) => tid,
+            None => {
+                // Thread table full: park this message and try the next.
+                self.calendar.links_mut().push_back(&mut lane.parked, id);
+                let more = !lane.inbox.is_empty();
+                if !more {
+                    lane.scheduled = false;
+                }
+                self.stats.thread_table_stalls += 1;
+                if more {
+                    self.schedule_lane_run(t, l);
+                }
+                return;
+            }
+        };
+        let msg = self
+            .arena
+            .take(self.calendar.links_mut(), id)
+            .into_message()
+            .expect("slot held a message a moment ago");
+        if is_new {
+            self.stats.threads_created += 1;
+            lane.threads.set_created_by(tid, label.0);
+            if let Some(p) = &shared.cfg.probe {
+                p.spawn(label.0, l, lane.threads.len() as u32);
+            }
+        }
+        let created_by = lane.threads.created_by(tid);
+        // Race detection: join the message's clock into the thread, bump
+        // its epoch, and snapshot once for every effect of this execution.
+        let race_exec = shared.cfg.race.as_ref().map(|rp| {
+            let key = ThreadKey {
+                lane: l,
+                tid: tid.0,
+                gen: lane.threads.generation(tid),
+            };
+            rp.begin_event(key, msg.race.as_ref())
+        });
+        let state = lane
+            .threads
+            .state_mut(tid)
+            .unwrap_or_else(|| panic!("event {:?} targets dead thread on lane {l}", msg.dst))
+            .take()
+            .map_or_else(OnceCell::new, OnceCell::from);
+        let entry = &shared.handlers[label.0 as usize];
+        let hs = &mut self.handler_stats[label.0 as usize];
+        hs.0 += 1;
+        hs.1 = t;
+
+        let base = shared.cfg.costs.event_dispatch
+            + if is_new {
+                shared.cfg.costs.thread_create
+            } else {
+                0
+            };
+        let out_buf = std::mem::take(&mut self.out_scratch);
+        let mut ctx = EventCtx {
+            shard: self,
+            shared,
+            lane: l,
+            tid,
+            event_name: &entry.name,
+            msg: &msg,
+            cost: base,
+            out: out_buf,
+            terminated: false,
+            state,
+            detached_default: None,
+            stopped: false,
+            created_by,
+            cont_read: Cell::new(false),
+            race: race_exec,
+        };
+        (entry.f)(&mut ctx);
+
+        let EventCtx {
+            cost,
+            mut out,
+            terminated,
+            state,
+            stopped,
+            cont_read,
+            race: race_exec,
+            ..
+        } = ctx;
+
+        if let Some(p) = &shared.cfg.probe {
+            p.exec(
+                label.0,
+                created_by,
+                msg.args.len() as u32,
+                !msg.cont.is_ignore(),
+                cont_read.get(),
+                terminated,
+            );
+            // A continuation is carried per message: once the receiving
+            // execution terminates the thread without reading it, nothing
+            // can ever resume it.
+            if terminated && !msg.cont.is_ignore() && !cont_read.get() {
+                p.diag(DiagKind::UnconsumedContinuation, label.0, 0, t, l, || {
+                    format!(
+                        "'{}' terminated its thread without reading the continuation \
+                         carried by the triggering message",
+                        entry.name
+                    )
+                });
+            }
+        }
+
+        // Every event ends in yield or yield_terminate (§2.1.1).
+        let end_cost = if terminated {
+            shared.cfg.costs.thread_dealloc
+        } else {
+            shared.cfg.costs.yield_
+        };
+        let total = cost + end_cost;
+        let t_end = t + total;
+
+        let lane = &mut self.lanes[li];
+        lane.busy += total;
+        lane.events += 1;
+        lane.free_at = t_end;
+        self.stats.events_executed += 1;
+        self.last_completion = self.last_completion.max(t_end);
+        if let Some(tr) = &mut self.tracer {
+            tr.record(TraceEvent::Exec {
+                lane: l,
+                label: label.0,
+                tid: tid.0,
+                start: t,
+                end: t_end,
+            });
+        }
+        if let Some(rec) = &mut self.record {
+            rec.exec.push(ExecRec {
+                time: t,
+                lane: l,
+                tid: tid.0,
+                label: label.0,
+                spm_high: self.lanes[li].spm.high_water,
+            });
+        }
+
+        if terminated {
+            let lane = &mut self.lanes[li];
+            lane.dealloc_thread(tid);
+            // A freed context unparks one waiting creation.
+            let links = self.calendar.links_mut();
+            if let Some(parked) = links.pop_front(&mut lane.parked) {
+                links.push_front(&mut lane.inbox, parked);
+            }
+            self.stats.threads_terminated += 1;
+            if let (Some(rp), Some(r)) = (&shared.cfg.race, &race_exec) {
+                rp.end_thread(r);
+            }
+        } else {
+            *self.lanes[li]
+                .threads
+                .state_mut(tid)
+                .expect("live thread") = state.into_inner();
+        }
+
+        // Emit collected effects at completion time.
+        let src = NetworkId(l);
+        let src_node = self.id;
+        for o in out.drain(..) {
+            match o {
+                Outgoing::Msg(msg, delay) => {
+                    let ready = t_end + delay;
+                    let dst = msg.dst.nwid();
+                    assert!(
+                        dst.0 < shared.cfg.total_lanes(),
+                        "message to nonexistent lane {} (machine has {})",
+                        dst.0,
+                        shared.cfg.total_lanes()
+                    );
+                    let bytes = msg.wire_bytes(shared.cfg.net.msg_header_bytes);
+                    let dst_node = shared.cfg.node_of(dst);
+                    let label = msg.dst.label().0;
+                    let (depart, arrival) = if dst_node != src_node {
+                        self.stats.msgs_inter_node += 1;
+                        self.fabric_send(shared, ready, dst_node, bytes, Action::Deliver(msg))
+                    } else {
+                        if shared.cfg.accel_of(src) == shared.cfg.accel_of(dst) {
+                            self.stats.msgs_intra_accel += 1;
+                        } else {
+                            self.stats.msgs_intra_node += 1;
+                        }
+                        let arrival = ready + shared.cfg.local_msg_latency(src, dst);
+                        self.schedule(arrival, Action::Deliver(msg));
+                        (ready, arrival)
+                    };
+                    if let Some(tr) = &mut self.tracer {
+                        let id = tr.alloc_id();
+                        tr.record(TraceEvent::MsgTransit {
+                            id,
+                            src: l,
+                            dst: dst.0,
+                            label,
+                            depart,
+                            arrive: arrival,
+                        });
+                    }
+                }
+                Outgoing::DramRead {
+                    va,
+                    nwords,
+                    ret,
+                    tag,
+                    race,
+                } => {
+                    self.stats.dram_reads += 1;
+                    self.stats.dram_read_bytes += nwords as u64 * 8;
+                    self.dram_issue(
+                        shared,
+                        t_end,
+                        src,
+                        va,
+                        MemOp::Read {
+                            va,
+                            nwords,
+                            ret,
+                            tag,
+                        },
+                        race,
+                    );
+                }
+                Outgoing::DramWrite {
+                    va,
+                    words,
+                    ack,
+                    tag,
+                    race,
+                } => {
+                    self.stats.dram_writes += 1;
+                    self.stats.dram_write_bytes += words.len() as u64 * 8;
+                    self.dram_issue(
+                        shared,
+                        t_end,
+                        src,
+                        va,
+                        MemOp::Write {
+                            va,
+                            words,
+                            ack,
+                            tag,
+                        },
+                        race,
+                    );
+                }
+                Outgoing::AtomicAddU64 {
+                    va,
+                    delta,
+                    ret,
+                    tag,
+                    race,
+                } => {
+                    self.stats.dram_writes += 1;
+                    self.stats.dram_write_bytes += 8;
+                    self.dram_issue(shared, t_end, src, va, MemOp::AddU64 { va, delta, ret, tag }, race);
+                }
+                Outgoing::AtomicAddF64 {
+                    va,
+                    delta,
+                    ret,
+                    tag,
+                    race,
+                } => {
+                    self.stats.dram_writes += 1;
+                    self.stats.dram_write_bytes += 8;
+                    self.dram_issue(shared, t_end, src, va, MemOp::AddF64 { va, delta, ret, tag }, race);
+                }
+            }
+        }
+
+        self.out_scratch = out;
+
+        if stopped {
+            self.stop = true;
+        }
+
+        let lane = &mut self.lanes[li];
+        if lane.inbox.is_empty() {
+            lane.scheduled = false;
+        } else {
+            self.schedule_lane_run(t_end, l);
+        }
+    }
+}
+
+/// Execution context handed to event handlers: the UDWeave "machine
+/// interface". Every operation charges its Table-2 cost.
+pub struct EventCtx<'a> {
+    pub(super) shard: &'a mut EngineCore,
+    pub(super) shared: &'a Shared,
+    pub(super) lane: u32,
+    pub(super) tid: ThreadId,
+    pub(super) event_name: &'a str,
+    pub(super) msg: &'a Message,
+    pub(super) cost: u64,
+    pub(super) out: Vec<Outgoing>,
+    pub(super) terminated: bool,
+    /// The thread's state box. A `OnceCell` only so that `state_ref`
+    /// (`&self`) can materialize `detached_default` on first read.
+    pub(super) state: OnceCell<Box<dyn SimState>>,
+    /// Set while [`EventCtx::with_state`] has the typed state detached:
+    /// builds the default value the (empty) cell then reads as.
+    pub(super) detached_default: Option<fn() -> Box<dyn SimState>>,
+    pub(super) stopped: bool,
+    /// Creating label of this thread (protocol-probe bookkeeping).
+    pub(super) created_by: u16,
+    /// Whether this execution read `cont()`; a `Cell` because the reads go
+    /// through `&self` accessors. Probe bookkeeping only.
+    pub(super) cont_read: Cell<bool>,
+    /// Race-detection context of this execution (clock snapshot), present
+    /// only when a [`RaceProbe`](crate::RaceProbe) is attached.
+    pub(super) race: Option<RaceExec>,
+}

@@ -1,0 +1,921 @@
+//! The discrete-event engine: executes events on lanes under the Table-2
+//! cost model, routes messages through the network model, and services DRAM
+//! requests through per-node memory channels.
+//!
+//! # Sharded conservative-window execution
+//!
+//! The machine is partitioned into **shards, one per node**. Each shard
+//! ([`EngineCore`]) owns its node's lanes, event calendar, NIC and memory
+//! channel, so a shard can execute independently as long as it does not run
+//! past the point where another shard could still affect it.
+//!
+//! That point is governed by the **lookahead**: every cross-node effect
+//! (message delivery, remote DRAM request or response) traverses the
+//! system network and pays at least the topology's minimum transit time
+//! ([`Topology::min_transit`] — the full inter-node latency for the
+//! uniform model, one hop for routed topologies), so an event executing
+//! at time `t` on one shard cannot influence another shard before
+//! `t + lookahead`. The
+//! scheduler therefore runs in *windows*: a coordinator computes the global
+//! floor (earliest pending entry anywhere), opens the window
+//! `[floor, floor + lookahead)`, and every shard executes exactly its
+//! calendar entries below the horizon. Cross-shard effects produced inside
+//! a window land at or beyond the horizon and are exchanged through
+//! deterministic per-destination mailboxes at the window boundary.
+//!
+//! **Determinism:** shard count equals node count (fixed by the
+//! [`MachineConfig`]), mailbox entries are merged in `(source shard,
+//! source sequence)` order, and [`MachineConfig::threads`] only decides
+//! how many OS threads walk the *same* window loop (one worker runs it
+//! inline) — so the merged event order, every counter, and every trace
+//! span are byte-identical across thread counts.
+//!
+//! **One scheduling policy:** every window is one barrier round. Within
+//! a round the workers claim shards through a shared cursor, heaviest
+//! shard of the previous window first; there is nothing to configure.
+//! See `docs/parallel-engine.md`.
+//!
+//! # Files
+//!
+//! | file | holds |
+//! |---|---|
+//! | `core.rs` | one shard (`EngineCore`): pending-event slab, `window`, `dispatch`, `lane_run`, the fabric/DRAM paths, and the types they share (`Shared`, [`EventCtx`]'s fields, the recording structs) |
+//! | `ctx.rs` | the handler-facing API: `impl EventCtx` |
+//! | `sched.rs` | the window loop: mailboxes, barrier, control block, `worker_loop`, `run_rounds` |
+//! | `codec.rs` | both snapshot tiers: [`Snapshot`], the `updown-snapshot/v2` body codecs, and `Engine`'s snapshot/restore/checkpoint methods |
+//! | `replay.rs` | [`Recording`] and `Engine`'s single-shard replay methods |
+//! | `mod.rs` | [`Engine`]: construction, registration, `run`, metrics roll-up |
+//! | `tests.rs` | the unit tests (`engine::tests::*`), which drive whole engines |
+//!
+//! Dependencies run one way: `core` imports none of its siblings; `ctx`,
+//! `sched`, `codec` and `replay` import `core` (and `replay` the
+//! [`Snapshot`] type); only this file sees all of them. `codec` and
+//! `replay` add `impl Engine` blocks, so they also name `super::Engine`.
+
+mod codec;
+mod core;
+mod ctx;
+mod replay;
+mod sched;
+
+pub use self::codec::Snapshot;
+pub use self::core::{EventCtx, Handler};
+pub use self::replay::Recording;
+
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use self::codec::StateCodecs;
+use self::core::{Action, ActionArena, EngineCore, HandlerEntry, MemOp, Shared, ShardRecord};
+use self::sched::run_rounds;
+use crate::calendar::CalendarQueue;
+use crate::config::MachineConfig;
+use crate::ids::{EventLabel, EventWord, NetworkId};
+use crate::lane::Lane;
+use crate::memory::{GlobalMemory, MemChannels};
+use crate::message::{Message, Operands};
+use crate::network::{Fabric, LinkId, Nics, Topology};
+use crate::probe::{Diagnostic, ProtocolProbe};
+use crate::snapshot::{self, SnapHeader};
+use crate::stats::{
+    Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
+    NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
+};
+use crate::trace::{PhaseSpan, TraceEvent, Tracer};
+
+/// Number of lanes in the [`Metrics::hot_lanes`] report.
+const HOT_LANES_TOP_K: usize = 8;
+
+/// Number of links in the [`FabricMetrics::top_links`] report.
+const FABRIC_TOP_LINKS: usize = 16;
+
+/// The simulator.
+pub struct Engine {
+    shared: Shared,
+    shards: Vec<EngineCore>,
+    event_limit: u64,
+    /// Logical conservative windows accumulated over all runs (reported
+    /// as `Counters::windows`).
+    windows: u64,
+    /// Deterministic per-window imbalance aggregates accumulated over all
+    /// runs (reported as [`SchedMetrics`]).
+    sched_win_max_sum: u64,
+    sched_win_max_peak: u64,
+    /// Host-side scheduler diagnostics accumulated over all runs
+    /// (thread-timing dependent; reported but never serialized).
+    host_sched: HostSchedStats,
+    /// Host-side phase spans (`Engine::phase_begin`), in begin order.
+    host_phases: Vec<PhaseSpan>,
+    /// Host + device phase spans, stable-sorted by start time.
+    phases_cache: Vec<PhaseSpan>,
+    /// Trace events drained from the shard tracers after each run, in
+    /// shard order.
+    merged_trace: Vec<TraceEvent>,
+    /// `[PRINT]` lines drained from the shards after each run, in shard
+    /// order.
+    merged_print: Vec<String>,
+    /// Counters merged across shards after each run (for `stats()`).
+    merged_stats: Counters,
+    /// Registered thread-state codecs for the on-disk snapshot format.
+    codecs: StateCodecs,
+    /// Host-state hooks ([`Engine::register_host_state`]): deep
+    /// save/restore closures for library and application state that lives
+    /// *outside* the machine (the `Arc<Mutex<…>>` cells the Send+Sync
+    /// handler model keeps host-side). Participates in the in-memory
+    /// [`Snapshot`] tier so rewinds — including the record-replay rewind
+    /// to a recording's start — restore that state too.
+    host_hooks: Vec<HostHook>,
+    /// Recordings harvested from completed runs (record/replay mode).
+    recordings: Vec<Recording>,
+    /// `--checkpoint` writes the snapshot once, at the first boundary.
+    checkpoint_written: bool,
+    /// Deferred `--restore` state (loaded lazily on the first run).
+    restore: RestoreSlot,
+}
+
+/// State of a deferred on-disk restore (see `MachineConfig::restore_path`
+/// and `docs/checkpoint.md`): the file is loaded on the first run, then
+/// verified and installed when the re-driven run reaches the recorded
+/// window.
+enum RestoreSlot {
+    Unloaded,
+    Pending { header: SnapHeader, body: Vec<u8> },
+    Done,
+}
+
+type HostSaveFn = Box<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>;
+
+type HostLoadFn = Box<dyn Fn(&dyn Any) + Send + Sync>;
+
+/// One registered host-state save/restore pair (see
+/// [`Engine::register_host_state`]). The saved value travels inside the
+/// in-memory [`Snapshot`] as a type-erased deep copy.
+struct HostHook {
+    save: HostSaveFn,
+    load: HostLoadFn,
+}
+
+impl Engine {
+    pub fn new(mut cfg: MachineConfig) -> Engine {
+        // The sanitizer and spec enforcement report through a probe;
+        // create one when the caller asked for either without supplying
+        // their own.
+        if (cfg.sanitize || cfg.enforce_spec.is_some()) && cfg.probe.is_none() {
+            cfg.probe = Some(ProtocolProbe::new());
+        }
+        let lanes_per_node = cfg.lanes_per_node();
+        let mem = Arc::new(GlobalMemory::new(cfg.nodes));
+        let n = cfg.nodes;
+        let topo = cfg.net.topology.build(n, &cfg.net);
+        debug_assert_eq!(topo.nodes(), n);
+        let n_links = topo.links().len();
+        let shards = (0..n)
+            .map(|id| EngineCore {
+                id,
+                base_lane: id * lanes_per_node,
+                now: 0,
+                calendar: CalendarQueue::new(),
+                arena: ActionArena::new(lanes_per_node),
+                lanes: {
+                    let mut v = Vec::with_capacity(lanes_per_node as usize);
+                    v.resize_with(lanes_per_node as usize, Lane::default);
+                    v
+                },
+                channel: MemChannels::new(1, &cfg.mem),
+                nic: Nics::new(1, &cfg.net),
+                fabric: Fabric::new(n_links, cfg.net.link_stat_window),
+                stats: Counters::default(),
+                stop: false,
+                trace: None,
+                tracer: None,
+                phases: Vec::new(),
+                custom_add: BTreeMap::new(),
+                custom_peak: BTreeMap::new(),
+                last_completion: 0,
+                handler_stats: Vec::new(),
+                sent_seq: 0,
+                outbuf: (0..n).map(|_| Vec::new()).collect(),
+                out_scratch: Vec::new(),
+                xentry_scratch: Vec::new(),
+                record: None,
+            })
+            .collect();
+        let lookahead = topo.min_transit().max(1);
+        let mut eng = Engine {
+            shared: Shared {
+                cfg,
+                mem,
+                handlers: Vec::new(),
+                topo,
+                lookahead,
+            },
+            shards,
+            event_limit: u64::MAX,
+            windows: 0,
+            sched_win_max_sum: 0,
+            sched_win_max_peak: 0,
+            host_sched: HostSchedStats::default(),
+            host_phases: Vec::new(),
+            phases_cache: Vec::new(),
+            merged_trace: Vec::new(),
+            merged_print: Vec::new(),
+            merged_stats: Counters::default(),
+            codecs: StateCodecs::default(),
+            host_hooks: Vec::new(),
+            recordings: Vec::new(),
+            checkpoint_written: false,
+            restore: RestoreSlot::Unloaded,
+        };
+        // `u64` is the one thread-state type the engine itself blesses
+        // (plenty of tests and simple kernels use a bare counter).
+        eng.register_state_codec::<u64>();
+        eng
+    }
+
+    /// Register a host-state hook: a deep-save / restore pair for state a
+    /// handler closure keeps *outside* the machine (the `Arc<Mutex<…>>`
+    /// cells of the Send+Sync handler model — SHT shadows, KVMSR run
+    /// bookkeeping, app accumulators). The in-memory [`Snapshot`] tier
+    /// calls every registered `save` at [`Engine::snapshot`] and the
+    /// matching `load` at [`Engine::restore`], in registration order — so
+    /// rewinds (checkpoint self-checks, record-replay's rewind to a
+    /// recording's start, and the post-replay restore) carry that state
+    /// too. Any handler-visible mutable host state that is **read back**
+    /// by handlers (control flow, costs, send targets) MUST be registered,
+    /// or an isolated replay re-executes against end-of-run state and
+    /// diverges; registering write-only accumulators as well keeps them
+    /// from being double-counted by replay. The on-disk tier is unaffected
+    /// (a restoring process re-drives the workload, rebuilding host state
+    /// deterministically). See `docs/checkpoint.md`.
+    pub fn register_host_state<T: Send + 'static>(
+        &mut self,
+        save: impl Fn() -> T + Send + Sync + 'static,
+        load: impl Fn(&T) + Send + Sync + 'static,
+    ) {
+        self.host_hooks.push(HostHook {
+            save: Box::new(move || Box::new(save())),
+            load: Box::new(move |any| {
+                let v = any
+                    .downcast_ref::<T>()
+                    .expect("host-state hook: snapshot value type mismatch");
+                load(v);
+            }),
+        });
+    }
+
+    /// [`Engine::register_host_state`] for the common `Arc<Mutex<T>>`
+    /// shape: snapshots clone the contents, restores overwrite them.
+    pub fn host_state_cell<T: Clone + Send + 'static>(&mut self, cell: &Arc<Mutex<T>>) {
+        let a = Arc::clone(cell);
+        let b = Arc::clone(cell);
+        self.register_host_state(
+            move || a.lock().unwrap().clone(),
+            move |v| *b.lock().unwrap() = v.clone(),
+        );
+    }
+
+    pub fn config(&self) -> &MachineConfig {
+        &self.shared.cfg
+    }
+
+    /// The conservative window length used by the scheduler: the minimum
+    /// latency of any cross-node effect ([`Topology::min_transit`]).
+    pub fn lookahead(&self) -> u64 {
+        self.shared.lookahead
+    }
+
+    /// The system-network topology this machine runs on — the routing
+    /// authority for cross-node transit (per-pair routes, hop latency,
+    /// link enumeration).
+    pub fn topology(&self) -> &dyn Topology {
+        &*self.shared.topo
+    }
+
+    /// Register an event handler; returns its label.
+    pub fn register(&mut self, name: &str, f: Handler) -> EventLabel {
+        assert!(
+            self.shared.handlers.len() < u16::MAX as usize,
+            "handler table full"
+        );
+        let label = EventLabel(self.shared.handlers.len() as u16);
+        self.shared.handlers.push(HandlerEntry {
+            name: name.to_string(),
+            f,
+        });
+        label
+    }
+
+    /// Name of a registered event (for traces and diagnostics).
+    pub fn event_name(&self, label: EventLabel) -> &str {
+        &self.shared.handlers[label.0 as usize].name
+    }
+
+    /// Host-side (TOP core) injection of an initial event at the current
+    /// simulation time.
+    pub fn send(&mut self, dst: EventWord, args: impl Into<Operands>, cont: EventWord) {
+        let l = dst.nwid();
+        assert!(
+            l.0 < self.shared.cfg.total_lanes(),
+            "message to nonexistent lane {} (machine has {})",
+            l.0,
+            self.shared.cfg.total_lanes()
+        );
+        let mut msg = Message::new(dst, args, cont, NetworkId(0));
+        // Host sends are ordered with each other and after every prior
+        // completed run; the executions they spawn stay mutually unordered.
+        msg.race = self.shared.cfg.race.as_ref().map(|rp| rp.host_send());
+        let t = self.now();
+        let node = self.shared.cfg.node_of(l);
+        self.shards[node as usize].deliver(t, msg);
+    }
+
+    /// Functional access to global memory for host-side setup/inspection
+    /// (the TOP core's mmap-style access; not charged simulation time).
+    pub fn mem(&self) -> &GlobalMemory {
+        &self.shared.mem
+    }
+
+    pub fn mem_mut(&mut self) -> &mut GlobalMemory {
+        Arc::get_mut(&mut self.shared.mem)
+            .expect("exclusive memory access outside a run")
+    }
+
+    /// Cap the number of executed events (runaway guard). The run stops
+    /// with [`Metrics`] when exceeded.
+    pub fn set_event_limit(&mut self, limit: u64) {
+        self.event_limit = limit;
+    }
+
+    /// The attached protocol probe, if any ([`MachineConfig::probe`], or
+    /// auto-created by [`MachineConfig::sanitize`]).
+    pub fn probe(&self) -> Option<&ProtocolProbe> {
+        self.shared.cfg.probe.as_ref()
+    }
+
+    /// Diagnostics collected by the protocol probe / runtime sanitizer so
+    /// far; empty when no probe is attached (and for violation-free runs).
+    pub fn sanitizer_diagnostics(&self) -> Vec<Diagnostic> {
+        self.shared
+            .cfg
+            .probe
+            .as_ref()
+            .map(|p| p.diagnostics())
+            .unwrap_or_default()
+    }
+
+    /// Record `[PRINT]`-style trace lines emitted via [`EventCtx::print`].
+    pub fn enable_trace(&mut self) {
+        for s in &mut self.shards {
+            if s.trace.is_none() {
+                s.trace = Some(Vec::new());
+            }
+        }
+    }
+
+    pub fn trace(&self) -> &[String] {
+        &self.merged_print
+    }
+
+    /// Enable the structured event trace (lane busy spans, message
+    /// transits, DRAM stages, counters). Recording has **zero observer
+    /// effect**: simulated cycle counts are byte-identical with tracing
+    /// on or off. Export with [`Engine::chrome_trace_json`].
+    pub fn enable_event_trace(&mut self) {
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            if s.tracer.is_none() {
+                s.tracer = Some(Tracer::with_id_base((i as u64) << 48));
+            }
+        }
+    }
+
+    pub fn event_trace_enabled(&self) -> bool {
+        self.shards.first().map(|s| s.tracer.is_some()).unwrap_or(false)
+    }
+
+    /// Recorded trace events (empty when event tracing is disabled),
+    /// merged in shard order after each run.
+    pub fn event_trace(&self) -> &[TraceEvent] {
+        &self.merged_trace
+    }
+
+    /// Begin a named phase span at the current simulation time (host
+    /// side; device code uses [`EventCtx::phase_begin`]).
+    pub fn phase_begin(&mut self, name: &str) {
+        let now = self.now();
+        self.host_phases.push(PhaseSpan {
+            name: name.to_string(),
+            start: now,
+            end: u64::MAX,
+        });
+        self.rebuild_phases();
+    }
+
+    /// End the open span with this name that started most recently,
+    /// searching host-side and device-side spans.
+    pub fn phase_end(&mut self, name: &str) {
+        let now = self.now();
+        let mut best: Option<(&mut PhaseSpan, u64)> = None;
+        for p in self
+            .host_phases
+            .iter_mut()
+            .chain(self.shards.iter_mut().flat_map(|s| s.phases.iter_mut()))
+        {
+            if p.is_open() && p.name == name {
+                let start = p.start;
+                if best.as_ref().map(|(_, s)| start >= *s).unwrap_or(true) {
+                    best = Some((p, start));
+                }
+            }
+        }
+        if let Some((p, _)) = best {
+            p.end = now;
+        }
+        self.rebuild_phases();
+    }
+
+    /// Phase spans recorded so far (open spans have `end == u64::MAX`),
+    /// host and device combined, stable-sorted by start time.
+    pub fn phases(&self) -> &[PhaseSpan] {
+        &self.phases_cache
+    }
+
+    fn rebuild_phases(&mut self) {
+        let mut all: Vec<PhaseSpan> = self.host_phases.clone();
+        for s in &self.shards {
+            all.extend(s.phases.iter().cloned());
+        }
+        all.sort_by_key(|p| p.start);
+        self.phases_cache = all;
+    }
+
+    /// Export the event trace in Chrome `trace_event` JSON format (open
+    /// in `chrome://tracing` or Perfetto). Includes phase spans even when
+    /// event tracing is disabled.
+    pub fn chrome_trace_json(&self) -> String {
+        let names: Vec<String> = self
+            .shared
+            .handlers
+            .iter()
+            .map(|h| h.name.clone())
+            .collect();
+        crate::trace::chrome_trace_json(
+            &self.merged_trace,
+            &self.phases_cache,
+            &names,
+            self.shared.cfg.lanes_per_node(),
+            self.shared.cfg.clock_ghz,
+            self.final_tick(),
+        )
+    }
+
+    /// Write the Chrome trace JSON to `path`.
+    pub fn write_chrome_trace(&self, path: &str) -> std::io::Result<()> {
+        std::fs::write(path, self.chrome_trace_json())
+    }
+
+    /// Machine-wide counters, merged across shards after each run.
+    pub fn stats(&self) -> &Counters {
+        &self.merged_stats
+    }
+
+    fn merged_counters(&self) -> Counters {
+        let mut c = Counters::default();
+        for s in &self.shards {
+            c.merge_from(&s.stats);
+        }
+        c.windows = self.windows;
+        c
+    }
+
+    /// Per-lane busy-cycle maximum and its lane id (diagnostics: detects
+    /// serialization hot spots).
+    pub fn busiest_lane(&self) -> (u32, u64) {
+        let mut best = (0u32, 0u64);
+        for s in &self.shards {
+            for (i, l) in s.lanes.iter().enumerate() {
+                if l.busy > best.1 {
+                    best = (s.base_lane + i as u32, l.busy);
+                }
+            }
+        }
+        best
+    }
+
+    /// Lane with the most executed events (diagnostics).
+    pub fn most_events_lane(&self) -> (u32, u64) {
+        let mut best = (0u32, 0u64);
+        for s in &self.shards {
+            for (i, l) in s.lanes.iter().enumerate() {
+                if l.events > best.1 {
+                    best = (s.base_lane + i as u32, l.events);
+                }
+            }
+        }
+        best
+    }
+
+    /// Execution counts per event name, descending (diagnostics).
+    pub fn event_counts(&self) -> Vec<(String, u64)> {
+        let mut v: Vec<(String, u64)> = Vec::new();
+        for (i, h) in self.shared.handlers.iter().enumerate() {
+            let mut count = 0u64;
+            let mut last = 0u64;
+            for s in &self.shards {
+                if let Some((c, t)) = s.handler_stats.get(i) {
+                    count += c;
+                    last = last.max(*t);
+                }
+            }
+            if count > 0 {
+                v.push((format!("{} (last @{})", h.name, last), count));
+            }
+        }
+        v.sort_by_key(|e| std::cmp::Reverse(e.1));
+        v
+    }
+
+    /// Current simulation time: the maximum of the shard clocks.
+    pub fn now(&self) -> u64 {
+        self.shards.iter().map(|s| s.now).max().unwrap_or(0)
+    }
+
+    fn final_tick(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.now.max(s.last_completion))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Run until the calendars drain, `stop()` is called, or the event
+    /// limit is hit. A stopped engine can be run again: the stop flag is
+    /// cleared on entry (pending calendar actions resume).
+    ///
+    /// The window loop runs on [`MachineConfig::threads`] OS threads
+    /// (`1` runs it inline); results are byte-identical for every value.
+    ///
+    /// When [`MachineConfig::checkpoint_every`] is set the run proceeds
+    /// in segments of that many windows; between segments the engine
+    /// takes a checkpoint (see [`Engine::checkpoint_boundary`]). Results
+    /// are byte-identical to an unsegmented run: a paused scheduler
+    /// invocation folds all in-flight cross-shard entries back into the
+    /// per-shard calendars, so segment boundaries are self-contained and
+    /// the next segment recomputes the exact same window floors.
+    pub fn run(&mut self) -> Metrics {
+        for s in &mut self.shards {
+            s.stop = false;
+            s.handler_stats.resize(self.shared.handlers.len(), (0, 0));
+        }
+        let record_mode = self.shared.cfg.record || self.shared.cfg.replay.is_some();
+        let record_start = if record_mode {
+            let start = Box::new(self.snapshot());
+            for s in &mut self.shards {
+                s.record = Some(Box::default());
+            }
+            Some(start)
+        } else {
+            None
+        };
+        if let RestoreSlot::Unloaded = self.restore {
+            self.restore = match self.shared.cfg.restore_path.clone() {
+                Some(path) => {
+                    assert!(
+                        self.shared.cfg.checkpoint_every != 0,
+                        "restore_path requires checkpoint_every: the restored state is \
+                         verified and installed at a checkpoint boundary"
+                    );
+                    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+                        panic!("restore: cannot read {}: {e}", path.display())
+                    });
+                    let (header, body) = snapshot::unframe(&bytes)
+                        .unwrap_or_else(|e| panic!("restore: {}: {e}", path.display()));
+                    RestoreSlot::Pending {
+                        header,
+                        body: body.to_vec(),
+                    }
+                }
+                None => RestoreSlot::Done,
+            };
+        }
+        let ck = self.shared.cfg.checkpoint_every;
+        let round_limit = if ck == 0 { u64::MAX } else { ck };
+        let mut total_rounds = 0u64;
+        let workers = self.shared.cfg.threads.max(1) as usize;
+        let stopped = loop {
+            let out = run_rounds(&mut self.shards, &self.shared, workers, self.event_limit, round_limit);
+            self.windows += out.rounds;
+            self.sched_win_max_sum += out.win_max_sum;
+            self.sched_win_max_peak = self.sched_win_max_peak.max(out.win_max_peak);
+            self.host_sched.steals += out.steals;
+            self.host_sched.idle_spins += out.idle_spins;
+            self.host_sched.barrier_rounds += out.rounds;
+            total_rounds += out.rounds;
+            if !out.paused {
+                break out.stopped;
+            }
+            self.checkpoint_boundary();
+        };
+        if let Some(start) = record_start {
+            let shards: Vec<ShardRecord> = self
+                .shards
+                .iter_mut()
+                .map(|s| s.record.take().map(|b| *b).unwrap_or_default())
+                .collect();
+            self.recordings.push(Recording {
+                start,
+                shards,
+                rounds: total_rounds,
+            });
+        }
+        if stopped {
+            self.drain_in_flight();
+        }
+        self.collect_run_artifacts();
+        // "Drained naturally" = every message was consumed: no
+        // `ctx.stop()`, no event-limit cut-off. Only then is a live
+        // thread a leak — a stopped run legitimately strands threads
+        // (pollers, feeders), and a truncated run proves nothing.
+        let total: u64 = self.shards.iter().map(|s| s.stats.events_executed).sum();
+        let hit_limit = self.event_limit != u64::MAX && total >= self.event_limit;
+        let drained = !stopped && !hit_limit;
+        if let Some(p) = &self.shared.cfg.probe {
+            if drained {
+                for shard in &self.shards {
+                    for lane in &shard.lanes {
+                        for created_by in lane.threads.live_created_by() {
+                            p.live_at_exit(created_by);
+                        }
+                    }
+                }
+            }
+            let names = self.shared.handlers.iter().map(|h| h.name.clone()).collect();
+            p.finish_run(names, drained, self.final_tick());
+            // Spec enforcement: check the commutative summary against the
+            // declared protocol; Error-severity deviations become
+            // deterministic SpecViolation diagnostics.
+            if let Some(spec) = &self.shared.cfg.enforce_spec {
+                let report = p.snapshot();
+                let findings = crate::spec::check_report(
+                    spec,
+                    &report,
+                    self.shared.cfg.max_threads_per_lane,
+                    self.shared.cfg.spm_words,
+                );
+                let tick = self.final_tick();
+                for f in findings {
+                    if f.severity == crate::spec::SpecSeverity::Error {
+                        p.spec_violation(f.subject, format!("[{}] {}", f.check, f.message), tick);
+                    }
+                }
+            }
+        }
+        if let Some(rp) = &self.shared.cfg.race {
+            let names = self.shared.handlers.iter().map(|h| h.name.clone()).collect();
+            rp.finish_run(names, drained);
+        }
+        self.metrics()
+    }
+
+    /// Graceful stop: apply all in-flight memory effects so host-visible
+    /// memory is consistent (message deliveries and lane work are
+    /// discarded; acks/read-returns have no one left to run them).
+    fn drain_in_flight(&mut self) {
+        for core in &mut self.shards {
+            while let Some((_t, id)) = core.calendar.pop() {
+                if id < core.arena.first_id {
+                    continue; // a lane's run entry: lane work is discarded
+                }
+                let op = match core.arena.take(core.calendar.links_mut(), id) {
+                    // Not-yet-applied stages carry the op; apply effects.
+                    Action::Mem { op, .. } => op,
+                    Action::Deliver(_) => {
+                        core.stats.msgs_dropped += 1;
+                        continue;
+                    }
+                    // MemDone responses were already applied at service
+                    // time on the owning shard.
+                    Action::MemDone { .. } => continue,
+                };
+                match op {
+                    MemOp::Write { va, words, .. } => {
+                        self.shared
+                            .mem
+                            .write_words(va, &words)
+                            .unwrap_or_else(|e| panic!("DRAM write fault at drain: {e}"));
+                    }
+                    MemOp::AddU64 { va, delta, .. } => {
+                        let _ = self.shared.mem.fetch_add_u64(va, delta);
+                    }
+                    MemOp::AddF64 { va, delta, .. } => {
+                        let _ = self.shared.mem.fetch_add_f64(va, delta);
+                    }
+                    MemOp::Read { .. } => {}
+                }
+            }
+        }
+    }
+
+    /// Merge per-shard run artifacts into the engine-level views: trace
+    /// events, print lines (both drained in shard order), the counters
+    /// cache, and the phase cache.
+    fn collect_run_artifacts(&mut self) {
+        for core in &mut self.shards {
+            if let Some(t) = &mut core.trace {
+                self.merged_print.append(t);
+            }
+            if let Some(tr) = &mut core.tracer {
+                self.merged_trace.append(&mut tr.events);
+            }
+        }
+        self.merged_stats = self.merged_counters();
+        self.rebuild_phases();
+    }
+
+    /// Build the final [`Metrics`] without running: machine-wide counters
+    /// plus per-node rollups, lane-utilization histograms, the top-K
+    /// hottest lanes, and any recorded phase spans.
+    pub fn metrics(&self) -> Metrics {
+        let final_tick = self.final_tick();
+        let lanes_per_node = self.shared.cfg.lanes_per_node().max(1) as usize;
+        let n_nodes = self.shared.cfg.nodes as usize;
+
+        let mut nodes: Vec<NodeMetrics> = (0..n_nodes)
+            .map(|n| NodeMetrics {
+                node: n as u32,
+                lanes: lanes_per_node as u64,
+                dram_served_bytes: self.shards[n].channel.served_bytes.first().copied().unwrap_or(0),
+                nic_injected_bytes: self.shards[n].nic.injected_bytes.first().copied().unwrap_or(0),
+                ..NodeMetrics::default()
+            })
+            .collect();
+
+        let mut total_busy = 0u64;
+        let mut active_lanes = 0u64;
+        let mut hot: Vec<LaneMetrics> = Vec::new();
+        for shard in &self.shards {
+            let nm = &mut nodes[shard.id as usize];
+            for (i, lane) in shard.lanes.iter().enumerate() {
+                total_busy += lane.busy;
+                nm.busy += lane.busy;
+                nm.events += lane.events;
+                nm.max_lane_busy = nm.max_lane_busy.max(lane.busy);
+                if lane.events > 0 {
+                    active_lanes += 1;
+                    nm.active_lanes += 1;
+                }
+                let bucket = if final_tick == 0 {
+                    0
+                } else {
+                    ((lane.busy as u128 * UTIL_HIST_BUCKETS as u128 / final_tick as u128) as usize)
+                        .min(UTIL_HIST_BUCKETS - 1)
+                };
+                nm.lane_util_hist[bucket] += 1;
+                if lane.busy > 0 {
+                    hot.push(LaneMetrics {
+                        lane: shard.base_lane + i as u32,
+                        node: shard.id,
+                        busy: lane.busy,
+                        events: lane.events,
+                    });
+                }
+            }
+        }
+        hot.sort_by(|a, b| b.busy.cmp(&a.busy).then(a.lane.cmp(&b.lane)));
+        hot.truncate(HOT_LANES_TOP_K);
+
+        let mut phases: Vec<PhaseSpan> = self.host_phases.clone();
+        for s in &self.shards {
+            phases.extend(s.phases.iter().cloned());
+        }
+        phases.sort_by_key(|p| p.start);
+        for p in &mut phases {
+            if p.is_open() {
+                p.end = final_tick;
+            }
+        }
+
+        let mut custom: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for s in &self.shards {
+            for (k, v) in &s.custom_add {
+                *custom.entry(k).or_insert(0) += v;
+            }
+        }
+        for s in &self.shards {
+            for (k, v) in &s.custom_peak {
+                let e = custom.entry(k).or_insert(0);
+                *e = (*e).max(*v);
+            }
+        }
+
+        Metrics {
+            final_tick,
+            clock_ghz: self.shared.cfg.clock_ghz,
+            stats: self.merged_counters(),
+            total_busy,
+            active_lanes,
+            total_lanes: self.shared.cfg.total_lanes() as u64,
+            nodes,
+            hot_lanes: hot,
+            phases,
+            custom,
+            fabric: self.fabric_metrics(),
+            sched: SchedMetrics {
+                window_max_events_sum: self.sched_win_max_sum,
+                window_max_events_peak: self.sched_win_max_peak,
+            },
+            host_sched: self.host_sched,
+            host_calendar: HostCalendarStats {
+                rung_pushes: self.shards.iter().map(|s| s.calendar.rung_pushes()).sum(),
+                ring_width: self.shards.iter().map(|s| s.calendar.ring_width()).max().unwrap_or(0),
+            },
+        }
+    }
+
+    /// Roll the per-shard fabric counters up into [`FabricMetrics`]: sum
+    /// the per-link byte/flit counters across shards, element-wise sum the
+    /// per-link demand windows (a link's demand in a window is the total
+    /// over every shard injecting into it) and take each link's peak.
+    /// Every step is an ordered sum, so the result is byte-identical
+    /// across thread counts.
+    fn fabric_metrics(&self) -> FabricMetrics {
+        let topo = &*self.shared.topo;
+        let links = topo.links();
+        let mut per_link: Vec<LinkMetrics> = Vec::new();
+        let mut link_bytes_total = 0u64;
+        let mut peak_window_bytes = 0u64;
+        let mut window_sum: Vec<u64> = Vec::new();
+        for (i, l) in links.iter().enumerate() {
+            let id = LinkId(i as u32);
+            let mut bytes = 0u64;
+            let mut flits = 0u64;
+            window_sum.clear();
+            for s in &self.shards {
+                bytes += s.fabric.bytes()[i];
+                flits += s.fabric.flits()[i];
+                let d = s.fabric.demand(id);
+                if window_sum.len() < d.len() {
+                    window_sum.resize(d.len(), 0);
+                }
+                for (w, v) in window_sum.iter_mut().zip(d) {
+                    *w += v;
+                }
+            }
+            if bytes == 0 {
+                continue;
+            }
+            let peak = window_sum.iter().copied().max().unwrap_or(0);
+            link_bytes_total += bytes;
+            peak_window_bytes = peak_window_bytes.max(peak);
+            per_link.push(LinkMetrics {
+                src: l.src,
+                dst: l.dst,
+                bytes,
+                flits,
+                peak_window_bytes: peak,
+            });
+        }
+        let links_used = per_link.len() as u64;
+        per_link.sort_by(|a, b| {
+            b.bytes
+                .cmp(&a.bytes)
+                .then(a.src.cmp(&b.src))
+                .then(a.dst.cmp(&b.dst))
+        });
+        per_link.truncate(FABRIC_TOP_LINKS);
+        FabricMetrics {
+            topology: topo.kind().name().to_string(),
+            hop_latency: topo.hop_latency(),
+            diameter: topo.diameter(),
+            stat_window: self.shared.cfg.net.link_stat_window.max(1),
+            link_bytes_per_cycle: self.shared.cfg.net.link_bytes_per_cycle.max(1),
+            links_total: links.len() as u64,
+            links_used,
+            link_bytes_total,
+            nic_injected_bytes: self
+                .shards
+                .iter()
+                .map(|s| s.nic.injected_bytes.first().copied().unwrap_or(0))
+                .sum(),
+            peak_window_bytes,
+            top_links: per_link,
+        }
+    }
+
+    /// Back-compat alias for [`Engine::metrics`].
+    pub fn report(&self) -> Metrics {
+        self.metrics()
+    }
+
+    /// Force every shard clock to `t` — test hook for the
+    /// time-went-backwards invariant. Not part of the public API.
+    #[doc(hidden)]
+    pub fn force_clock_for_test(&mut self, t: u64) {
+        for s in &mut self.shards {
+            s.now = t;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

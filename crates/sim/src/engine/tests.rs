@@ -1,0 +1,771 @@
+use super::*;
+use crate::config::MachineConfig;
+use std::sync::{Arc, Mutex};
+use super::core::MemResp;
+use crate::memory::VAddr;
+use crate::race::RaceAccess;
+use crate::snapshot::SnapshotError;
+
+fn tiny() -> MachineConfig {
+    MachineConfig::small(2, 2, 4)
+}
+
+#[test]
+fn host_state_hooks_rewind_with_snapshot() {
+    let mut eng = Engine::new(tiny());
+    let cell: Arc<Mutex<u64>> = Arc::default();
+    eng.host_state_cell(&cell);
+    *cell.lock().unwrap() = 7;
+    let snap = eng.snapshot();
+    *cell.lock().unwrap() = 99;
+    eng.restore(&snap).unwrap();
+    assert_eq!(*cell.lock().unwrap(), 7, "hooked cell must rewind");
+
+    // A snapshot taken before a hook was registered cannot feed it.
+    let late: Arc<Mutex<u64>> = Arc::default();
+    eng.host_state_cell(&late);
+    assert!(
+        matches!(eng.restore(&snap), Err(SnapshotError::Incompatible(_))),
+        "hook-count mismatch must be a clean error"
+    );
+}
+
+#[test]
+fn call_return_composition() {
+    // Listing 2 of the paper: e1 -> e2 (new thread, next lane) -> e3 (back).
+    let mut eng = Engine::new(tiny());
+    let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+
+    let l3 = {
+        let log = log.clone();
+        eng.register(
+            "e3",
+            Arc::new(move |ctx: &mut EventCtx| {
+                log.lock().unwrap().push("e3");
+                ctx.yield_terminate();
+            }),
+        )
+    };
+    let l2 = {
+        let log = log.clone();
+        eng.register(
+            "e2",
+            Arc::new(move |ctx: &mut EventCtx| {
+                log.lock().unwrap().push("e2");
+                assert_eq!(ctx.args(), &[0, 1]);
+                ctx.send_reply([]);
+                ctx.yield_terminate();
+            }),
+        )
+    };
+    let l1 = {
+        let log = log.clone();
+        eng.register(
+            "e1",
+            Arc::new(move |ctx: &mut EventCtx| {
+                log.lock().unwrap().push("e1");
+                let evw = EventWord::new(ctx.nwid().next(), l2);
+                let ct = ctx.self_event(l3);
+                ctx.send_event(evw, [0, 1], ct);
+            }),
+        )
+    };
+
+    eng.send(EventWord::new(NetworkId(0), l1), [], EventWord::IGNORE);
+    let report = eng.run();
+    assert_eq!(&*log.lock().unwrap(), &["e1", "e2", "e3"]);
+    assert_eq!(report.stats.events_executed, 3);
+    assert_eq!(report.stats.threads_created, 2);
+    assert_eq!(report.stats.threads_terminated, 2);
+}
+
+#[test]
+fn cost_model_exact() {
+    // One event: dispatch(2) + send_msg(2) + yield(1) = 5 cycles busy.
+    let mut eng = Engine::new(tiny());
+    let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+    let l1 = eng.register(
+        "one_send",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(ctx.nwid().next(), sink);
+            ctx.send_event(w, [], EventWord::IGNORE);
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), l1), [], EventWord::IGNORE);
+    let r = eng.run();
+    // Event 1: starts t=0, cost = 2 (dispatch) + 2 (send) + 1 (dealloc) = 5.
+    // Message departs t=5, intra-accel latency 4, arrives t=9.
+    // Event 2: cost 2 + 1 = 3, finishes t=12.
+    assert_eq!(r.final_tick, 12);
+    assert_eq!(r.total_busy, 5 + 3);
+}
+
+#[test]
+fn inter_node_latency_applies() {
+    let cfg = tiny();
+    let lanes_per_node = cfg.lanes_per_node();
+    let mut eng = Engine::new(cfg);
+    let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+    let l1 = eng.register(
+        "cross",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(NetworkId(lanes_per_node), sink); // node 1
+            ctx.send_event(w, [], EventWord::IGNORE);
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), l1), [], EventWord::IGNORE);
+    let r = eng.run();
+    // depart t=5 via NIC (72 bytes / 2048 per cycle -> 1 cycle) = 6,
+    // + 1000 latency = arrives 1006, runs 3 cycles.
+    assert_eq!(r.final_tick, 1009);
+    assert_eq!(r.stats.msgs_inter_node, 1);
+}
+
+#[test]
+fn dram_read_roundtrip_with_latency() {
+    let mut eng = Engine::new(tiny());
+    eng.mem_mut().min_block = 64;
+    let a = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+    eng.mem_mut().write_words(a, &[10, 20, 30]).unwrap();
+
+    let got: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let got2 = got.clone();
+    let ret = eng.register(
+        "ret",
+        Arc::new(move |ctx: &mut EventCtx| {
+            got2.lock().unwrap().extend_from_slice(ctx.args());
+            ctx.yield_terminate();
+        }),
+    );
+    let start = eng.register(
+        "start",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let a = VAddr(ctx.arg(0));
+            ctx.send_dram_read(a, 3, ret);
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), start), [a.0], EventWord::IGNORE);
+    let r = eng.run();
+    assert_eq!(&*got.lock().unwrap(), &[10, 20, 30]);
+    // Issue done t = 2+2+1 = 5; request hop 30; channel: 64B at 4700B/cy
+    // = 1 cycle + 200 latency => served at 5+30+1+200 = 236; return hop 30
+    // => arrives 266; handler runs 3 cycles (2+1).
+    assert_eq!(r.final_tick, 269);
+    assert_eq!(r.stats.dram_reads, 1);
+}
+
+#[test]
+fn calendar_payload_sizes_are_pinned() {
+    // The calendar arena holds one `Action` per pending entry; both
+    // sizes feed straight into peak RSS (docs/perf.md).
+    assert_eq!(std::mem::size_of::<Message>(), 72);
+    assert!(std::mem::size_of::<Action>() <= 112);
+    // An in-flight DRAM operation's race context rides inside `Action`
+    // on every run, probe or not.
+    assert!(std::mem::size_of::<RaceAccess>() <= 24);
+}
+
+/// Pause with a spilled (6-operand) message and a tagged 8-word DRAM
+/// reply (9 operands) in flight. The serialized snapshot is pinned as
+/// its FNV-1a hash — the `updown-snapshot/v2` layout must not move
+/// unnoticed — and restoring it must re-encode and resume identically.
+#[test]
+fn long_operands_in_flight_snapshot_in_the_v2_layout() {
+    type Seen = Arc<Mutex<Vec<Vec<u64>>>>;
+    fn build() -> (Engine, Seen) {
+        let mut eng = Engine::new(tiny());
+        let va = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+        eng.mem_mut()
+            .write_words(va, &[11, 12, 13, 14, 15, 16, 17, 18])
+            .unwrap();
+        let seen: Seen = Arc::default();
+        let seen2 = seen.clone();
+        let sink = eng.register(
+            "sink",
+            Arc::new(move |ctx: &mut EventCtx| {
+                seen2.lock().unwrap().push(ctx.args().to_vec());
+                ctx.yield_terminate();
+            }),
+        );
+        let tick = eng.register(
+            "tick",
+            Arc::new(|ctx: &mut EventCtx| match ctx.arg(0) {
+                0 => ctx.yield_terminate(),
+                n => ctx.send_event(ctx.cur_evw(), [n - 1], EventWord::IGNORE),
+            }),
+        );
+        let kick = eng.register(
+            "kick",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let far = EventWord::new(NetworkId(1), sink);
+                ctx.send_event_after(100_000, far, [1, 2, 3, 4, 5, 6], EventWord::IGNORE);
+                ctx.send_dram_read_tagged(va, 8, sink, 0x7A6);
+                ctx.send_event(EventWord::new(NetworkId(2), tick), [200], EventWord::IGNORE);
+            }),
+        );
+        eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+        (eng, seen)
+    }
+    fn in_flight(eng: &Engine) -> (bool, bool) {
+        let pending = || eng.shards.iter().flat_map(|c| c.arena.slots.iter().flatten());
+        (
+            pending().any(|a| matches!(a, Action::Deliver(m) if m.args.len() == 6)),
+            pending().any(|a| {
+                matches!(a, Action::MemDone { resp: MemResp { reply: Some(m), .. }, .. }
+                    if m.args.len() == 9)
+            }),
+        )
+    }
+
+    let (mut eng, seen) = (1..400)
+        .map(|limit| {
+            let (mut eng, seen) = build();
+            eng.set_event_limit(limit);
+            eng.run();
+            (eng, seen)
+        })
+        .find(|(eng, _)| in_flight(eng) == (true, true))
+        .expect("some pause point has both payloads in flight");
+    let bytes = eng.snapshot_bytes().unwrap();
+    assert_eq!(
+        snapshot::fnv1a(&bytes),
+        0x03DE_A260_FC74_9550,
+        "updown-snapshot/v2 bytes moved"
+    );
+
+    let (mut eng2, seen2) = build();
+    eng2.restore_snapshot_bytes(&bytes).unwrap();
+    assert_eq!(in_flight(&eng2), (true, true));
+    assert_eq!(eng2.snapshot_bytes().unwrap(), bytes);
+
+    eng.set_event_limit(u64::MAX);
+    eng2.set_event_limit(u64::MAX);
+    assert_eq!(eng.run().to_json(), eng2.run().to_json());
+    let want = vec![
+        vec![11, 12, 13, 14, 15, 16, 17, 18, 0x7A6],
+        vec![1, 2, 3, 4, 5, 6],
+    ];
+    assert_eq!(*seen.lock().unwrap(), want);
+    assert_eq!(*seen2.lock().unwrap(), want);
+}
+
+#[test]
+fn dram_write_and_ack() {
+    let mut eng = Engine::new(tiny());
+    let a = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+    let acked: Arc<Mutex<u32>> = Arc::default();
+    let acked2 = acked.clone();
+    let ack = eng.register(
+        "ack",
+        Arc::new(move |ctx: &mut EventCtx| {
+            *acked2.lock().unwrap() += 1;
+            ctx.yield_terminate();
+        }),
+    );
+    let start = eng.register(
+        "start",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let a = VAddr(ctx.arg(0));
+            ctx.send_dram_write(a.word(2), &[99], Some(ack));
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), start), [a.0], EventWord::IGNORE);
+    eng.run();
+    assert_eq!(*acked.lock().unwrap(), 1);
+    assert_eq!(eng.mem().read_u64(a.word(2)).unwrap(), 99);
+}
+
+#[test]
+fn thread_state_persists_across_events() {
+    #[derive(Clone, Default)]
+    struct Acc {
+        sum: u64,
+        n: u64,
+    }
+    let mut eng = Engine::new(tiny());
+    let done: Arc<Mutex<u64>> = Arc::default();
+    let done2 = done.clone();
+    // The thread accumulates across three events of itself, self-sending
+    // follow-ups (same thread context, state preserved by yield).
+    let step = eng.register(
+        "step",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let v = ctx.arg(0);
+            let acc = ctx.state_mut::<Acc>();
+            acc.sum += v;
+            acc.n += 1;
+            if acc.n == 3 {
+                let sum = acc.sum;
+                *done2.lock().unwrap() = sum;
+                ctx.yield_terminate();
+            } else {
+                let me = ctx.cur_evw();
+                ctx.send_event(me, [v + 1], EventWord::IGNORE);
+            }
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(1), step), [5], EventWord::IGNORE);
+    eng.run();
+    assert_eq!(*done.lock().unwrap(), 5 + 6 + 7);
+}
+
+#[test]
+fn lane_serializes_events() {
+    // Two messages to the same lane: second starts after first ends.
+    let mut eng = Engine::new(tiny());
+    let times: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let t2 = times.clone();
+    let busy = eng.register(
+        "busy",
+        Arc::new(move |ctx: &mut EventCtx| {
+            t2.lock().unwrap().push(ctx.now());
+            ctx.charge(100);
+            ctx.yield_terminate();
+        }),
+    );
+    let kick = eng.register(
+        "kick",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(NetworkId(2), busy);
+            ctx.send_event(w, [], EventWord::IGNORE);
+            ctx.send_event(w, [], EventWord::IGNORE);
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+    eng.run();
+    let ts = times.lock().unwrap();
+    assert_eq!(ts.len(), 2);
+    // First event takes 2 + 100 + 1 = 103 cycles.
+    assert_eq!(ts[1] - ts[0], 103);
+}
+
+#[test]
+fn stop_halts_simulation() {
+    let mut eng = Engine::new(tiny());
+    let spin = eng.register(
+        "spin",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let me = ctx.cur_evw();
+            if ctx.now() > 10_000 {
+                ctx.stop();
+            } else {
+                ctx.send_event(me, [], EventWord::IGNORE);
+            }
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), spin), [], EventWord::IGNORE);
+    let r = eng.run();
+    assert!(r.final_tick > 10_000);
+    assert!(r.final_tick < 20_000);
+}
+
+#[test]
+fn event_limit_guards_runaway() {
+    let mut eng = Engine::new(tiny());
+    let spin = eng.register(
+        "spin",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let me = ctx.cur_evw();
+            ctx.send_event(me, [], EventWord::IGNORE);
+        }),
+    );
+    eng.set_event_limit(50);
+    eng.send(EventWord::new(NetworkId(0), spin), [], EventWord::IGNORE);
+    let r = eng.run();
+    assert_eq!(r.stats.events_executed, 50);
+}
+
+#[test]
+fn thread_table_full_parks_and_resumes() {
+    let mut cfg = tiny();
+    cfg.max_threads_per_lane = 2;
+    let mut eng = Engine::new(cfg);
+    let ran: Arc<Mutex<u32>> = Arc::default();
+    let ran2 = ran.clone();
+    // Each hold thread waits for a poke before terminating.
+    let poke = eng.register(
+        "poke",
+        Arc::new(move |ctx: &mut EventCtx| {
+            *ran2.lock().unwrap() += 1;
+            ctx.yield_terminate();
+        }),
+    );
+    let hold = eng.register(
+        "hold",
+        Arc::new(move |ctx: &mut EventCtx| {
+            // Self-poke after a while: second event of same thread.
+            let me = ctx.self_event(poke);
+            ctx.charge(50);
+            ctx.send_event(me, [], EventWord::IGNORE);
+        }),
+    );
+    let kick = eng.register(
+        "kick",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(NetworkId(1), hold);
+            for _ in 0..4 {
+                ctx.send_event(w, [], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+    let r = eng.run();
+    assert_eq!(*ran.lock().unwrap(), 4, "all four threads eventually ran");
+    assert!(r.stats.thread_table_stalls > 0);
+}
+
+#[test]
+fn determinism() {
+    fn run_once() -> (u64, u64) {
+        let mut eng = Engine::new(tiny());
+        let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+        let fan = eng.register(
+            "fan",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let n = ctx.config().total_lanes();
+                for i in 0..n {
+                    ctx.send_event(
+                        EventWord::new(NetworkId(i), sink),
+                        [i as u64],
+                        EventWord::IGNORE,
+                    );
+                }
+                ctx.yield_terminate();
+            }),
+        );
+        eng.send(EventWord::new(NetworkId(0), fan), [], EventWord::IGNORE);
+        let r = eng.run();
+        (r.final_tick, r.stats.events_executed)
+    }
+    assert_eq!(run_once(), run_once());
+}
+
+#[test]
+fn trace_lines_have_artifact_shape() {
+    let mut eng = Engine::new(tiny());
+    eng.enable_trace();
+    let hello = eng.register(
+        "updown_init",
+        Arc::new(|ctx: &mut EventCtx| {
+            ctx.print("initialization done");
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), hello), [], EventWord::IGNORE);
+    eng.run();
+    let t = eng.trace();
+    assert_eq!(t.len(), 1);
+    assert!(t[0].contains("[NWID 0]"));
+    assert!(t[0].contains("[updown_init]"));
+    assert!(t[0].contains("initialization done"));
+}
+
+#[test]
+fn fetch_add_f64_returns_old() {
+    let mut eng = Engine::new(tiny());
+    let a = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+    eng.mem_mut().write_f64(a, 1.5).unwrap();
+    let old: Arc<Mutex<f64>> = Arc::default();
+    let old2 = old.clone();
+    let ret = eng.register(
+        "ret",
+        Arc::new(move |ctx: &mut EventCtx| {
+            *old2.lock().unwrap() = ctx.argf(0);
+            ctx.yield_terminate();
+        }),
+    );
+    let go = eng.register(
+        "go",
+        Arc::new(move |ctx: &mut EventCtx| {
+            ctx.dram_fetch_add_f64(VAddr(ctx.arg(0)), 2.25, Some(ret), None);
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), go), [a.0], EventWord::IGNORE);
+    eng.run();
+    assert_eq!(*old.lock().unwrap(), 1.5);
+    assert_eq!(eng.mem().read_f64(a).unwrap(), 3.75);
+}
+
+#[test]
+fn peak_calendar_counts_logical_pending_entries() {
+    // Part 1: exact peak for a known program. The kick event posts
+    // three timers landing in all three physical structures of the
+    // bucketed calendar: same-window ring, near-future ring, and the
+    // far-future overflow rung. All three count while pending.
+    let mut eng = Engine::new(tiny());
+    let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+    let kick = eng.register(
+        "kick",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(ctx.nwid().next(), sink);
+            ctx.send_event_after(0, w, [], EventWord::IGNORE);
+            ctx.send_event_after(10, w, [], EventWord::IGNORE);
+            ctx.send_event_after(5000, w, [], EventWord::IGNORE);
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+    let r = eng.run();
+    // Peak: the three Deliver entries pending together after the kick
+    // (deliveries arrive at distinct ticks; a LaneRun replaces each
+    // popped Deliver, never exceeding three).
+    assert_eq!(r.stats.peak_calendar, 3);
+
+    // Part 2: parked messages and inbox backlogs are NOT calendar
+    // entries. Three creations race to a lane with one hardware
+    // context: two park, yet the peak stays the same three Delivers.
+    let mut cfg = tiny();
+    cfg.max_threads_per_lane = 1;
+    let mut eng = Engine::new(cfg);
+    let hold = eng.register("hold", Arc::new(|_: &mut EventCtx| {}));
+    let kick = eng.register(
+        "kick",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let w = EventWord::new(ctx.nwid().next(), hold);
+            for _ in 0..3 {
+                ctx.send_event(w, [], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+    let r = eng.run();
+    assert_eq!(r.stats.thread_table_stalls, 2, "two creations parked");
+    assert_eq!(
+        r.stats.peak_calendar, 3,
+        "parked/inbox messages must not count as calendar entries"
+    );
+}
+
+/// A program touching every traced subsystem — fan-out messages
+/// (local + remote), DRAM write/read, phases, custom and sampled
+/// counters, `[PRINT]` lines — run with and without tracing.
+fn observed_run_with(print_trace: bool, event_trace: bool) -> Engine {
+    let mut eng = Engine::new(tiny());
+    if print_trace {
+        eng.enable_trace();
+    }
+    if event_trace {
+        eng.enable_event_trace();
+    }
+    let a = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+    let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+    // DRAM responses come back to the issuing thread: count both
+    // (write ack + read data) before terminating.
+    let fin = eng.register(
+        "fin",
+        Arc::new(|ctx: &mut EventCtx| {
+            let n = ctx.state_mut::<u64>();
+            *n += 1;
+            if *n == 2 {
+                ctx.trace_counter_add("inflight", -1);
+                ctx.phase_end("io");
+                ctx.yield_terminate();
+            }
+        }),
+    );
+    let go = eng.register(
+        "go",
+        Arc::new(move |ctx: &mut EventCtx| {
+            ctx.phase_begin("io");
+            ctx.bump("kicks", 1);
+            ctx.trace_counter_add("inflight", 1);
+            let from = ctx.nwid().0;
+            ctx.print_with(|| format!("fan-out from lane {from}"));
+            let n = ctx.config().total_lanes();
+            for i in 0..n {
+                ctx.send_event(
+                    EventWord::new(NetworkId(i), sink),
+                    [i as u64],
+                    EventWord::IGNORE,
+                );
+            }
+            ctx.send_dram_write(VAddr(a.0), &[7], Some(fin));
+            ctx.send_dram_read(VAddr(a.0), 1, fin);
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
+    eng.run();
+    eng
+}
+
+fn observed_run(traced: bool) -> Engine {
+    observed_run_with(false, traced)
+}
+
+#[test]
+fn event_trace_has_zero_observer_effect() {
+    let off = observed_run(false);
+    let on = observed_run(true);
+    assert!(off.event_trace().is_empty());
+    assert!(!on.event_trace().is_empty());
+    // Byte-identical metrics: same ticks, counters, phases, custom.
+    assert_eq!(off.metrics().to_json(), on.metrics().to_json());
+}
+
+#[test]
+fn tracing_never_changes_peak_calendar() {
+    // Observer-effect guard for the trace fast path: enabling either
+    // trace kind (or both) must leave every metric — `peak_calendar`
+    // in particular — byte-identical to the untraced run.
+    let off = observed_run_with(false, false);
+    let base = off.metrics();
+    for (print_trace, event_trace) in [(true, false), (false, true), (true, true)] {
+        let on = observed_run_with(print_trace, event_trace);
+        assert_eq!(
+            base.stats.peak_calendar,
+            on.metrics().stats.peak_calendar,
+            "peak_calendar changed under tracing ({print_trace}, {event_trace})"
+        );
+        assert_eq!(base.to_json(), on.metrics().to_json());
+        if print_trace {
+            assert!(!on.trace().is_empty(), "print trace recorded");
+        }
+    }
+}
+
+#[test]
+fn event_trace_covers_all_subsystems() {
+    let eng = observed_run(true);
+    let evs = eng.event_trace();
+    let mut execs = 0;
+    let mut msgs = 0;
+    let mut drams = 0;
+    let mut counters = 0;
+    let mut links = 0;
+    for e in evs {
+        match e {
+            TraceEvent::Exec { start, end, .. } => {
+                assert!(start <= end);
+                execs += 1;
+            }
+            TraceEvent::MsgTransit { depart, arrive, .. } => {
+                assert!(depart < arrive);
+                msgs += 1;
+            }
+            TraceEvent::Dram { .. } => drams += 1,
+            TraceEvent::Counter { .. } => counters += 1,
+            TraceEvent::Link { .. } => links += 1,
+        }
+    }
+    // go + 16 sinks + dram ack + dram data, at least.
+    assert!(execs >= 18, "execs = {execs}");
+    assert!(msgs >= 16, "msgs = {msgs}");
+    assert_eq!(drams, 6, "2 transactions x 3 stages");
+    assert_eq!(counters, 2);
+    assert!(links >= 1, "cross-node traffic records link traversals");
+    assert_eq!(eng.phases().len(), 1);
+    assert!(!eng.phases()[0].is_open());
+}
+
+/// A 4-node program exercising cross-node messages, remote DRAM, and
+/// phases; used to compare thread counts.
+fn scheduler_probe(threads: u32) -> (String, u64, u64) {
+    let mut cfg = MachineConfig::small(4, 2, 4);
+    cfg.threads = threads;
+    let lanes_per_node = cfg.lanes_per_node();
+    let mut eng = Engine::new(cfg);
+    let a = eng.mem_mut().alloc(1 << 14, 0, 4, 4096).unwrap();
+    let bounce = eng.register(
+        "bounce",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let hops = ctx.arg(0);
+            ctx.dram_fetch_add_u64(VAddr(ctx.arg(1)).word(hops % 64), 1, None, None);
+            if hops > 0 {
+                let next = (ctx.nwid().0 + lanes_per_node + 1)
+                    % ctx.config().total_lanes();
+                let w = EventWord::new(NetworkId(next), ctx.msg.dst.label());
+                ctx.send_event(w, [hops - 1, ctx.arg(1)], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.phase_begin("bounce");
+    for l in 0..4 {
+        eng.send(
+            EventWord::new(NetworkId(l * lanes_per_node), bounce),
+            [12, a.0],
+            EventWord::IGNORE,
+        );
+    }
+    let m = eng.run();
+    eng.phase_end("bounce");
+    let sum: u64 = (0..64)
+        .map(|i| eng.mem().read_u64(a.word(i)).unwrap())
+        .sum();
+    (eng.metrics().to_json(), m.final_tick, sum)
+}
+
+#[test]
+fn parallel_is_byte_identical_to_sequential() {
+    let seq = scheduler_probe(1);
+    for threads in [2, 3, 4, 7] {
+        let par = scheduler_probe(threads);
+        assert_eq!(seq, par, "threads={threads} diverged from sequential");
+    }
+    // 4 initial sends x 13 bounce events each.
+    assert_eq!(seq.2, 4 * 13);
+}
+
+#[test]
+fn windows_counter_reported() {
+    let (json, _, _) = scheduler_probe(2);
+    assert!(json.contains("\"windows\":"));
+    let m: crate::json::JsonValue = crate::json::JsonValue::parse(&json).unwrap();
+    let w = m.get("counters").unwrap().get("windows").unwrap().as_u64().unwrap();
+    assert!(w > 0, "cross-node run must take at least one window");
+}
+
+/// One shard ticks through many windows while three sit idle — the
+/// shape under which a window used to be run without a barrier round
+/// of its own. Every window is a barrier round.
+#[test]
+fn every_window_is_a_barrier_round() {
+    let mut cfg = MachineConfig::small(4, 1, 2);
+    cfg.threads = 2;
+    let mut eng = Engine::new(cfg);
+    let gap = 3 * eng.lookahead();
+    let tick = eng.register(
+        "tick",
+        Arc::new(move |ctx: &mut EventCtx| {
+            if ctx.arg(0) > 0 {
+                ctx.send_event_after(gap, ctx.msg.dst, [ctx.arg(0) - 1], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), tick), [20], EventWord::IGNORE);
+    let m = eng.run();
+    assert_eq!(m.stats.events_executed, 21);
+    assert!(m.stats.windows >= 21, "each tick lands in a window of its own");
+    assert_eq!(m.stats.windows, m.host_sched.barrier_rounds);
+    assert_eq!(m.host_sched.batched_windows, 0);
+}
+
+#[test]
+fn message_conservation_on_completed_run() {
+    let (json, _, _) = scheduler_probe(3);
+    let m = crate::json::JsonValue::parse(&json).unwrap();
+    let c = m.get("counters").unwrap();
+    let total = c.get("total_msgs").unwrap().as_u64().unwrap();
+    let delivered = c.get("msgs_delivered").unwrap().as_u64().unwrap();
+    let dropped = c.get("msgs_dropped").unwrap().as_u64().unwrap();
+    assert_eq!(total, delivered + dropped);
+    assert_eq!(dropped, 0, "completed run drops nothing");
+}
+
+#[test]
+#[should_panic(expected = "time went backwards")]
+fn time_went_backwards_is_a_hard_error() {
+    let mut eng = Engine::new(tiny());
+    let sink = eng.register("sink", Arc::new(|ctx: &mut EventCtx| ctx.yield_terminate()));
+    eng.send(EventWord::new(NetworkId(0), sink), [], EventWord::IGNORE);
+    // A pending entry at t=0 with the clock forced ahead of it must be
+    // rejected as a causality violation, not silently reordered.
+    eng.force_clock_for_test(1_000_000);
+    eng.run();
+}
