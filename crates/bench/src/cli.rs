@@ -314,7 +314,7 @@ impl Gates {
 
     /// Print what every armed observer found to stderr, one block per
     /// observer; returns whether any of them found something.
-    pub fn dirty(&self) -> bool {
+    fn dirty(&self) -> bool {
         let mut any = false;
         if self.sanitize {
             let mut dirty = false;

@@ -72,7 +72,7 @@
 //!
 //! In the engine an id below the shard's lane count *is* a pending
 //! `LaneRun` for that lane; ids above name slots of the shard's action
-//! slab (see `engine.rs`). Queue operations never move action data.
+//! slab (see `engine/core.rs`). Queue operations never move action data.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

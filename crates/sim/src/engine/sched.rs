@@ -320,6 +320,8 @@ pub(super) fn run_rounds(
             start..start + n / workers + usize::from(i < n % workers)
         };
         if workers == 1 {
+            // No scope to set up: a run on one worker allocates nothing
+            // per invocation beyond the control block.
             worker_loop(home(0), &slots, true, &ctl, shared);
         } else {
             std::thread::scope(|s| {
@@ -337,20 +339,16 @@ pub(super) fn run_rounds(
     let rounds = ctl.rounds.load(Relaxed);
     for core in shards.iter_mut() {
         let mb = &ctl.mailboxes[core.id as usize];
-        // When recording, capture this drain as a zero-width round: a
+        // A recording captures this drain as a zero-width round: a
         // replay must merge these entries into the calendar at exactly
         // this point (with these seq stamps) even though no window runs —
         // a checkpoint pause otherwise hides them from the inject
         // schedule and the replayed shard diverges.
-        if core.record.is_some() {
-            core.record_begin_round(0, 0);
-        }
+        core.record_begin_round(0, 0);
         for par in [(rounds % 2) as usize, ((rounds + 1) % 2) as usize] {
             core.drain_mailbox(&mb[par]);
         }
-        if core.record.is_some() {
-            core.record_end_round(0);
-        }
+        core.record_end_round(0);
     }
     RoundsOutcome {
         rounds,

@@ -720,9 +720,8 @@ fn windows_counter_reported() {
     assert!(w > 0, "cross-node run must take at least one window");
 }
 
-/// One shard ticks through many windows while three sit idle — the
-/// shape under which a window used to be run without a barrier round
-/// of its own. Every window is a barrier round.
+/// One shard ticks through many windows while three sit idle: idle
+/// shards do not let windows share a barrier round.
 #[test]
 fn every_window_is_a_barrier_round() {
     let mut cfg = MachineConfig::small(4, 1, 2);

@@ -29,7 +29,7 @@
 //! u32    header length                    (little-endian)
 //! bytes  JSON header                      (schema, machine shape, window)
 //! u64    body length
-//! bytes  binary body                      (see engine.rs encode/decode)
+//! bytes  binary body                      (see engine/codec.rs)
 //! u64    FNV-1a hash of the body
 //! ```
 //!

@@ -258,9 +258,8 @@ pub struct HostSchedStats {
     /// Shard claims executed outside the claiming worker's static home
     /// range (0 when single-threaded).
     pub steals: u64,
-    /// Always 0: horizon batching is gone, and this field stays only
-    /// because `benchmark/src/workloads.rs` (frozen with the benchmark)
-    /// reads it into `sim.engine.batched_windows`.
+    /// Always 0. Its only reader is `benchmark/src/workloads.rs`, which
+    /// publishes it as `sim.engine.batched_windows`; the two go together.
     pub batched_windows: u64,
     /// Cumulative barrier spin/yield iterations over all workers — a
     /// clock-free proxy for worker idle time (0 when single-threaded).

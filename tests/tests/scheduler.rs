@@ -67,10 +67,9 @@ fn edge_shapes_conform_across_scheduler_modes() {
     }
 }
 
-/// `Counters::windows` for conformance-scale PageRank, pinned to what the
-/// engine counted while it still batched windows under one barrier:
-/// every window is a barrier round now, and the serialized count did not
-/// move.
+/// `Counters::windows` for conformance-scale PageRank is pinned: it is
+/// serialized into the metrics JSON, so no change to how windows are
+/// scheduled may move it.
 #[test]
 fn pagerank_window_counts_are_pinned() {
     for (nodes, windows) in [(1u32, 14u64), (4, 47)] {
