@@ -109,9 +109,9 @@ struct Ctl {
     /// Claim cursor into `order`, reset each round: each index is handed
     /// out once, to whichever worker asks first.
     claim: AtomicUsize,
-    /// Shard execution order for the current round: heaviest estimated
-    /// cost first, so a skewed shard starts immediately instead of
-    /// serializing behind lighter ones.
+    /// Shard execution order for the current round. With two or more
+    /// workers: heaviest estimated cost first, so a skewed shard starts
+    /// immediately instead of serializing behind lighter ones.
     order: Vec<AtomicU32>,
     /// Per-shard events executed in the previous round — the cost
     /// estimate behind `order`. Scheduling-only: never affects results.
@@ -207,8 +207,11 @@ fn worker_loop(
                 ctl.rounds.fetch_add(1, Relaxed);
                 // Re-sort the claim order: heaviest previous-round shard
                 // first. Scheduling-only — results never depend on which
-                // worker runs a shard, or when within the round.
-                if slots.len() > 1 {
+                // worker runs a shard, or when within the round. A lone
+                // worker has nobody to balance against and keeps index
+                // order, which walks the shards' memory in order
+                // (`bfs_tc_torus` runs 6 % slower cost-ordered).
+                if ctl.barrier.total > 1 {
                     order_buf.clear();
                     for (i, c) in ctl.cost.iter().enumerate() {
                         order_buf.push((c.load(Relaxed), i as u32));
