@@ -17,15 +17,13 @@
 //!   next-round frontier segment.
 //! - A driver thread chains rounds until no vertex was added.
 
-use std::sync::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::LaneSet;
 use updown_graph::{Csr, DeviceCsr};
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
+use updown_sim::{Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
 #[derive(Clone, Debug)]
 pub struct BfsConfig {
@@ -113,6 +111,28 @@ impl WorkerSt {
 struct DriverSt {
     round: u64,
     traversed: u64,
+}
+
+/// What BFS keeps per shard. Reduces are Hash-bound, so a vertex is only
+/// ever probed on its reduce lane's shard; frontier cursors are per
+/// accelerator, which is why the unit is the shard and not the lane.
+#[derive(Clone, Default)]
+struct BfsShard {
+    visited: BTreeSet<u64>,
+    /// (round, accelerator) -> next free slot of that frontier segment.
+    cursors: BTreeMap<(u64, u32), u64>,
+    /// The driver's read-back accumulators (shard 0 only).
+    round_ticks: Vec<u64>,
+    traversed: u64,
+}
+
+/// Ids the handlers need before they exist: the job is defined after the
+/// worker that emits into it, the round-start event after the event that
+/// loops back to it.
+#[derive(Clone, Default)]
+struct BfsIds {
+    job: Option<kvmsr::JobId>,
+    round_start: Option<EventLabel>,
 }
 
 updown_sim::snap_state!(MasterSt, "bfs.master", { task, pending_workers });
@@ -324,38 +344,33 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     let rt = Kvmsr::install(&mut eng);
     let set = LaneSet::all(mc);
 
-    let visited: Arc<Mutex<HashSet<u64>>> =
-        Arc::new(Mutex::new(HashSet::from([cfg.root as u64])));
-    let cursors: Arc<Mutex<HashMap<(u64, u32), u64>>> = Arc::default();
+    let shard = eng.shard_slot::<BfsShard>();
+    let ids = eng.table(BfsIds::default());
+    // The root counts as visited where its reduce tuples would land.
+    let root_lane = kvmsr::ReduceBinding::Hash.lane_for(cfg.root as u64, &set);
+    eng.shard_state_mut(shard, mc.node_of(root_lane))
+        .visited
+        .insert(cfg.root as u64);
 
     // ---- worker thread ---------------------------------------------------
-    let job_cell: Arc<Mutex<u32>> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&visited);
-    eng.host_state_cell(&cursors);
-    eng.host_state_cell(&job_cell);
-    let w_nl_label = {
-        let rt = rt.clone();
-        let jc = job_cell.clone();
-        udweave::event::<WorkerSt>(&mut eng, "bfs_worker::returnNl", move |ctx, st| {
-            let nargs = ctx.args().len();
-            let round = st.round;
-            let job = kvmsr::JobId(*jc.lock().unwrap());
-            for i in 0..nargs {
-                let d = ctx.arg(i);
-                rt.emit_uncounted(ctx, job, d, &[round]);
-            }
-            st.emits += nargs as u64;
-            st.loaded_nl += nargs as u64;
-            ctx.charge(nargs as u64);
-            if st.finished() {
-                let ack = st.ack;
-                let emits = st.emits;
-                ctx.send_event(ack, [emits], EventWord::IGNORE);
-                ctx.yield_terminate();
-            }
-        })
-    };
+    let w_nl_label = udweave::event::<WorkerSt>(&mut eng, "bfs_worker::returnNl", move |ctx, st| {
+        let nargs = ctx.args().len();
+        let round = st.round;
+        let job = ctx.table(ids).job.expect("bound before the run");
+        for i in 0..nargs {
+            let d = ctx.arg(i);
+            rt.emit_uncounted(ctx, job, d, &[round]);
+        }
+        st.emits += nargs as u64;
+        st.loaded_nl += nargs as u64;
+        ctx.charge(nargs as u64);
+        if st.finished() {
+            let ack = st.ack;
+            let emits = st.emits;
+            ctx.send_event(ack, [emits], EventWord::IGNORE);
+            ctx.yield_terminate();
+        }
+    });
 
     let w_rec = udweave::event::<WorkerSt>(&mut eng, "bfs_worker::returnRec", move |ctx, st| {
         let deg = ctx.arg(0);
@@ -403,56 +418,50 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     });
 
     // ---- accel-master map task + ack ---------------------------------------
-    let master_ack = {
-        let rt = rt.clone();
-        udweave::event::<MasterSt>(&mut eng, "bfs_master::worker_ack", move |ctx, st| {
-            let emits = ctx.arg(0);
-            let task = st.task.as_mut().expect("ack before start");
-            task.add_external_emits(emits);
-            st.pending_workers -= 1;
-            ctx.charge(2);
-            if st.pending_workers == 0 {
-                let task = *task;
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
-    let master_cnt = {
-        let rt = rt.clone();
-        udweave::event::<MasterSt>(&mut eng, "bfs_master::returnCount", move |ctx, st| {
-            let cnt = ctx.arg(0);
-            let task = st.task.expect("count before start");
-            let a = task.key as u32; // accelerator index
-            let parity = (task.arg & 1) as usize;
-            if cnt == 0 {
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-                return;
-            }
-            // Clear for reuse as the round+2 "next" counter.
-            ctx.send_dram_write(counts[parity].word(a as u64), &[0], None);
-            // Distribute chunk subtasks over this accelerator's lanes.
-            let seg_base = a as u64 * cap;
-            let mut off = 0u64;
-            let mut c = 0u32;
-            while off < cnt {
-                let k = (cnt - off).min(8);
-                let lane = NetworkId(a * lanes_per_accel + (c % lanes_per_accel));
-                let w = EventWord::new(lane, bfs_worker);
-                let ack = ctx.self_event(master_ack);
-                ctx.send_event(
-                    w,
-                    [seg[parity].word(seg_base + off).0, k, task.arg],
-                    ack,
-                );
-                st.pending_workers += 1;
-                off += k;
-                c += 1;
-            }
-            ctx.charge(cnt.div_ceil(8) * 2);
-        })
-    };
+    let master_ack = udweave::event::<MasterSt>(&mut eng, "bfs_master::worker_ack", move |ctx, st| {
+        let emits = ctx.arg(0);
+        let task = st.task.as_mut().expect("ack before start");
+        task.add_external_emits(emits);
+        st.pending_workers -= 1;
+        ctx.charge(2);
+        if st.pending_workers == 0 {
+            let task = *task;
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
+    let master_cnt = udweave::event::<MasterSt>(&mut eng, "bfs_master::returnCount", move |ctx, st| {
+        let cnt = ctx.arg(0);
+        let task = st.task.expect("count before start");
+        let a = task.key as u32; // accelerator index
+        let parity = (task.arg & 1) as usize;
+        if cnt == 0 {
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+            return;
+        }
+        // Clear for reuse as the round+2 "next" counter.
+        ctx.send_dram_write(counts[parity].word(a as u64), &[0], None);
+        // Distribute chunk subtasks over this accelerator's lanes.
+        let seg_base = a as u64 * cap;
+        let mut off = 0u64;
+        let mut c = 0u32;
+        while off < cnt {
+            let k = (cnt - off).min(8);
+            let lane = NetworkId(a * lanes_per_accel + (c % lanes_per_accel));
+            let w = EventWord::new(lane, bfs_worker);
+            let ack = ctx.self_event(master_ack);
+            ctx.send_event(
+                w,
+                [seg[parity].word(seg_base + off).0, k, task.arg],
+                ack,
+            );
+            st.pending_workers += 1;
+            off += k;
+            c += 1;
+        }
+        ctx.charge(cnt.div_ceil(8) * 2);
+    });
 
     // Reduce effects that later phases *read* (frontier entries, their
     // counts, the added counter) are acknowledged before the reduce task
@@ -465,115 +474,94 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     }
     updown_sim::snap_state!(RedSt, "bfs.reduce", { pending, job });
     eng.register_state_codec::<RedSt>();
-    let red_ack = {
-        let rt = rt.clone();
-        udweave::event::<RedSt>(&mut eng, "bfs_reduce::writeAck", move |ctx, st| {
-            st.pending -= 1;
-            ctx.charge(1);
-            if st.pending == 0 {
-                rt.reduce_done(ctx, kvmsr::JobId(st.job));
-                ctx.yield_terminate();
-            }
+    let red_ack = udweave::event::<RedSt>(&mut eng, "bfs_reduce::writeAck", move |ctx, st| {
+        st.pending -= 1;
+        ctx.charge(1);
+        if st.pending == 0 {
+            rt.reduce_done(ctx, kvmsr::JobId(st.job));
+            ctx.yield_terminate();
+        }
+    });
+    let bfs_job = rt.define_job(
+        &mut eng,
+        JobSpec::new("bfs_round", set, move |ctx, task, _rt| {
+            ctx.state_mut::<MasterSt>().task = Some(*task);
+            let a = task.key;
+            let parity = (task.arg & 1) as usize;
+            ctx.send_dram_read(counts[parity].word(a), 1, master_cnt);
+            Outcome::Async
         })
-    };
-    let bfs_job = {
-        let visited = visited.clone();
-        let cursors = cursors.clone();
-        rt.define_job(
-            JobSpec::new("bfs_round", set, move |ctx, task, _rt| {
-                ctx.state_mut::<MasterSt>().task = Some(*task);
-                let a = task.key;
-                let parity = (task.arg & 1) as usize;
-                ctx.send_dram_read(counts[parity].word(a), 1, master_cnt);
-                Outcome::Async
-            })
-            .with_reduce(move |ctx, task, vals, _rt| {
-                let d = task.key;
-                let round = vals[0];
-                ctx.charge(2); // visited probe
-                if !visited.lock().unwrap().insert(d) {
-                    return Outcome::Done;
-                }
-                let next_parity = ((round + 1) & 1) as usize;
-                ctx.send_dram_write(dist.word(d), &[round + 1], None);
-                // Append to this lane's accelerator-local next frontier.
-                let my_accel = ctx.nwid().0 / lanes_per_accel;
-                let slot = {
-                    let mut c = cursors.lock().unwrap();
-                    let e = c.entry((round + 1, my_accel)).or_insert(0);
-                    let s = *e;
-                    *e += 1;
-                    s
-                };
-                assert!(slot < cap, "frontier segment overflow (cap {cap})");
-                ctx.charge(2);
-                {
-                    let st = ctx.state_mut::<RedSt>();
-                    st.pending = 3;
-                    st.job = task.job.0;
-                }
-                ctx.send_dram_write_tagged(
-                    seg[next_parity].word(my_accel as u64 * cap + slot),
-                    &[d],
-                    red_ack,
-                    0,
-                );
-                ctx.dram_fetch_add_u64(
-                    counts[next_parity].word(my_accel as u64),
-                    1,
-                    Some(red_ack),
-                    None,
-                );
-                ctx.dram_fetch_add_u64(added.word(next_parity as u64), 1, Some(red_ack), None);
-                Outcome::Async
-            }),
-        )
-    };
-    *job_cell.lock().unwrap() = bfs_job.0;
+        .with_reduce(move |ctx, task, vals, _rt| {
+            let d = task.key;
+            let round = vals[0];
+            ctx.charge(2); // visited probe
+            if !ctx.shard_state(shard).visited.insert(d) {
+                return Outcome::Done;
+            }
+            let next_parity = ((round + 1) & 1) as usize;
+            ctx.send_dram_write(dist.word(d), &[round + 1], None);
+            // Append to this lane's accelerator-local next frontier.
+            let my_accel = ctx.nwid().0 / lanes_per_accel;
+            let e = ctx.shard_state(shard).cursors.entry((round + 1, my_accel)).or_insert(0);
+            let slot = *e;
+            *e += 1;
+            assert!(slot < cap, "frontier segment overflow (cap {cap})");
+            ctx.charge(2);
+            {
+                let st = ctx.state_mut::<RedSt>();
+                st.pending = 3;
+                st.job = task.job.0;
+            }
+            ctx.send_dram_write_tagged(
+                seg[next_parity].word(my_accel as u64 * cap + slot),
+                &[d],
+                red_ack,
+                0,
+            );
+            ctx.dram_fetch_add_u64(
+                counts[next_parity].word(my_accel as u64),
+                1,
+                Some(red_ack),
+                None,
+            );
+            ctx.dram_fetch_add_u64(added.word(next_parity as u64), 1, Some(red_ack), None);
+            Outcome::Async
+        }),
+    );
+    eng.table_mut(ids).job = Some(bfs_job);
 
     // ---- round driver ----------------------------------------------------
-    let round_ticks: Arc<Mutex<Vec<u64>>> = Arc::default();
-    let traversed: Arc<Mutex<u64>> = Arc::default();
-    eng.host_state_cell(&round_ticks);
-    eng.host_state_cell(&traversed);
     let mut driver = udweave::ThreadType::<DriverSt>::new("main_master");
-    let start_label: Arc<Mutex<u16>> = Arc::default();
-    let added_ret = {
-        let start_label = start_label.clone();
-        let round_ticks = round_ticks.clone();
-        let traversed = traversed.clone();
-        driver.event(&mut eng, "reduce_launcher_done", move |ctx, st| {
-            let new_added = ctx.arg(0);
-            round_ticks.lock().unwrap().push(ctx.now());
-            if new_added == 0 {
-                *traversed.lock().unwrap() = st.traversed;
-                ctx.stop();
-                ctx.yield_terminate();
-                return;
-            }
-            // Reset the cell before it is reused two rounds later.
-            let parity = (st.round + 1) & 1;
-            ctx.send_dram_write(added.word(parity), &[0], None);
-            st.round += 1;
-            let rs = updown_sim::EventLabel(*start_label.lock().unwrap());
-            let me = ctx.self_event(rs);
-            ctx.send_event(me, [], EventWord::IGNORE);
-        })
-    };
+    let added_ret = driver.event(&mut eng, "reduce_launcher_done", move |ctx, st| {
+        let new_added = ctx.arg(0);
+        let now = ctx.now();
+        let sh = ctx.shard_state(shard);
+        sh.round_ticks.push(now);
+        if new_added == 0 {
+            sh.traversed = st.traversed;
+            ctx.stop();
+            ctx.yield_terminate();
+            return;
+        }
+        // Reset the cell before it is reused two rounds later.
+        let parity = (st.round + 1) & 1;
+        ctx.send_dram_write(added.word(parity), &[0], None);
+        st.round += 1;
+        let rs = ctx.table(ids).round_start.expect("bound before the run");
+        let me = ctx.self_event(rs);
+        ctx.send_event(me, [], EventWord::IGNORE);
+    });
     let job_done = driver.event(&mut eng, "map_launcher_done", move |ctx, st| {
         st.traversed += ctx.arg(1);
         // How many vertices did round r add to the next frontier?
         let next_parity = (st.round + 1) & 1;
         ctx.send_dram_read(added.word(next_parity), 1, added_ret);
     });
-    let round_start = {
-        let rt = rt.clone();
-        driver.event(&mut eng, "init", move |ctx, st| {
-            let cont = ctx.self_event(job_done);
-            rt.start_from(ctx, bfs_job, n_accels as u64, st.round, cont);
-        })
-    };
-    *start_label.lock().unwrap() = round_start.0;
+    let round_start = driver.event(&mut eng, "init", move |ctx, st| {
+        let cont = ctx.self_event(job_done);
+        rt.start_from(ctx, bfs_job, n_accels as u64, st.round, cont);
+    });
+    eng.table_mut(ids).round_start = Some(round_start);
 
     eng.send(
         EventWord::new(NetworkId(0), round_start),
@@ -584,8 +572,10 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
 
     let mem = eng.mem();
     let dist_out: Vec<u64> = (0..n).map(|v| mem.read_u64(dist.word(v)).unwrap()).collect();
-    let round_ticks_out = round_ticks.lock().unwrap().clone();
-    let traversed_out = *traversed.lock().unwrap();
+    // Only the driver's shard wrote these; the fold is the general rule.
+    let round_ticks_out: Vec<u64> =
+        eng.shard_states(shard).flat_map(|s| s.round_ticks.iter().copied()).collect();
+    let traversed_out = eng.shard_states(shard).map(|s| s.traversed).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("bfs");
     BfsResult {

@@ -7,7 +7,6 @@
 //! probing the SHT and appending hits to a result region. The reduction
 //! provides only synchronization, exactly the Table-3 characterization.
 
-use std::sync::Mutex;
 use std::sync::Arc;
 
 use drammalloc::{Layout, Region};
@@ -113,44 +112,35 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
     // Registered queries: a device-resident table. Loaded in-sim so the
     // load is part of the machine's work (it is tiny next to the scan).
     let qtable = sht.create(&mut eng, set, 64, 16, layout);
-    let hits: Arc<Mutex<Vec<u64>>> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&hits);
+    // Read back after the run: matching record ids, per shard.
+    let hits = eng.shard_slot::<Vec<u64>>();
 
-    let probe_ret = {
-        let rt = rt.clone();
-        let hits = hits.clone();
-        udweave::event::<EmSt>(&mut eng, "exact_match::probeRet", move |ctx, st| {
-            let found = ctx.arg(0);
-            if found != 0 {
-                // A hit: record it (stands for the artifact's alert print).
-                hits.lock().unwrap().push(st.recid);
-                ctx.charge(2);
-                ctx.print_with(|| format!("ExactMatch: record {} matched", st.recid));
-            }
-            let task = st.task.expect("probe before map");
+    let probe_ret = udweave::event::<EmSt>(&mut eng, "exact_match::probeRet", move |ctx, st| {
+        let found = ctx.arg(0);
+        if found != 0 {
+            // A hit: record it (stands for the artifact's alert print).
+            ctx.shard_state(hits).push(st.recid);
+            ctx.charge(2);
+            ctx.print_with(|| format!("ExactMatch: record {} matched", st.recid));
+        }
+        let task = st.task.expect("probe before map");
+        rt.map_done(ctx, &task);
+        ctx.yield_terminate();
+    });
+    let rec_ret = udweave::event::<EmSt>(&mut eng, "exact_match::returnRecord", move |ctx, st| {
+        let r = RawRecord::from_words(ctx.args());
+        if r.rtype != 1 {
+            let task = st.task.expect("rec before map");
             rt.map_done(ctx, &task);
             ctx.yield_terminate();
-        })
-    };
-    let rec_ret = {
-        let rt = rt.clone();
-        let sht2 = sht.clone();
-        udweave::event::<EmSt>(&mut eng, "exact_match::returnRecord", move |ctx, st| {
-            let r = RawRecord::from_words(ctx.args());
-            if r.rtype != 1 {
-                let task = st.task.expect("rec before map");
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-                return;
-            }
-            let key = edge_key(r.fields[0], r.fields[1], r.fields[2] as u16);
-            let ret = ctx.self_event(probe_ret);
-            sht2.op(ctx, qtable, ShtOp::Get, key, 0, ret);
-            ctx.charge(4); // key mix
-        })
-    };
-    let scan_job = rt.define_job(JobSpec::new("exact_match_scan", set, move |ctx, task, _rt| {
+            return;
+        }
+        let key = edge_key(r.fields[0], r.fields[1], r.fields[2] as u16);
+        let ret = ctx.self_event(probe_ret);
+        sht.op(ctx, qtable, ShtOp::Get, key, 0, ret);
+        ctx.charge(4); // key mix
+    });
+    let scan_job = rt.define_job(&mut eng, JobSpec::new("exact_match_scan", set, move |ctx, task, _rt| {
         let st = ctx.state_mut::<EmSt>();
         st.task = Some(*task);
         st.recid = task.key;
@@ -161,15 +151,13 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
     // Query loading as a tiny do_all over the query list.
     let queries_vec: Arc<Vec<Query>> = Arc::new(queries.to_vec());
     let load_job = {
-        let sht2 = sht.clone();
         let queries_vec = queries_vec.clone();
-        kvmsr::define_do_all(&rt, "exact_match_load", set, move |ctx, key, _arg| {
+        kvmsr::define_do_all(&mut eng, &rt, "exact_match_load", set, move |ctx, key, _arg| {
             let q = queries_vec[key as usize];
-            sht2.insert(ctx, qtable, q.key(), 1, EventWord::IGNORE);
+            sht.insert(ctx, qtable, q.key(), 1, EventWord::IGNORE);
         })
     };
 
-    let rt2 = rt.clone();
     let nrec = n;
     let done = udweave::simple_event(&mut eng, "exact_match::done", |ctx| {
         ctx.stop();
@@ -177,21 +165,20 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
     });
     let loaded = udweave::simple_event(&mut eng, "exact_match::loaded", move |ctx| {
         let cont = EventWord::new(ctx.nwid(), done);
-        rt2.start_from(ctx, scan_job, nrec, 0, cont);
+        rt.start_from(ctx, scan_job, nrec, 0, cont);
         ctx.yield_terminate();
     });
-    let rt3 = rt.clone();
     let nq = queries.len() as u64;
     let init = udweave::simple_event(&mut eng, "exact_match::init", move |ctx| {
         let cont = EventWord::new(ctx.nwid(), loaded);
-        rt3.start_from(ctx, load_job, nq, 0, cont);
+        rt.start_from(ctx, load_job, nq, 0, cont);
         ctx.yield_terminate();
     });
 
     eng.send(EventWord::new(NetworkId(0), init), [], EventWord::IGNORE);
     let report = eng.run();
 
-    let mut out = hits.lock().unwrap().clone();
+    let mut out: Vec<u64> = eng.shard_states(hits).flatten().copied().collect();
     out.sort_unstable();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("exact_match");

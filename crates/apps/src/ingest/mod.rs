@@ -7,7 +7,6 @@
 pub mod datagen;
 pub mod tform;
 
-use std::sync::Mutex;
 use std::sync::Arc;
 
 use drammalloc::{Layout, Region};
@@ -173,20 +172,16 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
     // Record writes are acked so phase 2 can never read a record slot
     // before its write has been serviced ("synchronizing and ordering as
     // necessary", §5.2.4).
-    let p1_wack = {
-        let rt = rt.clone();
-        udweave::event::<P1St>(&mut eng, "tform::writeAck", move |ctx, st| {
-            st.pending_writes -= 1;
-            ctx.charge(1);
-            if st.pending_writes == 0 {
-                let task = st.task.expect("ack before map");
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
+    let p1_wack = udweave::event::<P1St>(&mut eng, "tform::writeAck", move |ctx, st| {
+        st.pending_writes -= 1;
+        ctx.charge(1);
+        if st.pending_writes == 0 {
+            let task = st.task.expect("ack before map");
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
     let p1_ret = {
-        let rt = rt.clone();
         let per_block = per_block.clone();
         let prefix = prefix.clone();
         udweave::event::<P1St>(&mut eng, "tform::returnBlock", move |ctx, st| {
@@ -214,7 +209,7 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
             }
         })
     };
-    let phase1 = rt.define_job(JobSpec::new("tform_parse", set, move |ctx, task, _rt| {
+    let phase1 = rt.define_job(&mut eng, JobSpec::new("tform_parse", set, move |ctx, task, _rt| {
         let b = task.key as usize;
         let start_w = (b * bs) as u64 / 8;
         let end_w = (((b + 1) * bs).min(file_bytes) as u64).div_ceil(8) + 8; // spillover
@@ -234,43 +229,37 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
     }));
 
     // ---- phase 2: insert records into the PGA ----------------------------------
-    let p2_ack = {
-        let rt = rt.clone();
-        udweave::event::<P2St>(&mut eng, "ingest::insertAck", move |ctx, st| {
-            st.pending_acks -= 1;
-            ctx.charge(1);
-            if st.pending_acks == 0 {
-                let task = st.task.expect("ack before map");
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
-    let p2_rec = {
-        let sht = sht.clone();
-        udweave::event::<P2St>(&mut eng, "ingest::returnRecord", move |ctx, st| {
-            let rec = RawRecord::from_words(ctx.args());
-            let ack = ctx.self_event(p2_ack);
-            if rec.rtype == 0 {
-                st.pending_acks = 1;
-                pga.add_vertex(ctx, &sht, rec.fields[0], rec.fields[1] as u16, ack);
-            } else {
-                st.pending_acks = 3;
-                pga.add_vertex(ctx, &sht, rec.fields[0], 0, ack);
-                pga.add_vertex(ctx, &sht, rec.fields[1], 0, ack);
-                pga.add_edge(
-                    ctx,
-                    &sht,
-                    rec.fields[0],
-                    rec.fields[1],
-                    rec.fields[2] as u16,
-                    ack,
-                );
-            }
-            ctx.charge(3);
-        })
-    };
-    let phase2 = rt.define_job(JobSpec::new("pga_insert", set, move |ctx, task, _rt| {
+    let p2_ack = udweave::event::<P2St>(&mut eng, "ingest::insertAck", move |ctx, st| {
+        st.pending_acks -= 1;
+        ctx.charge(1);
+        if st.pending_acks == 0 {
+            let task = st.task.expect("ack before map");
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
+    let p2_rec = udweave::event::<P2St>(&mut eng, "ingest::returnRecord", move |ctx, st| {
+        let rec = RawRecord::from_words(ctx.args());
+        let ack = ctx.self_event(p2_ack);
+        if rec.rtype == 0 {
+            st.pending_acks = 1;
+            pga.add_vertex(ctx, &sht, rec.fields[0], rec.fields[1] as u16, ack);
+        } else {
+            st.pending_acks = 3;
+            pga.add_vertex(ctx, &sht, rec.fields[0], 0, ack);
+            pga.add_vertex(ctx, &sht, rec.fields[1], 0, ack);
+            pga.add_edge(
+                ctx,
+                &sht,
+                rec.fields[0],
+                rec.fields[1],
+                rec.fields[2] as u16,
+                ack,
+            );
+        }
+        ctx.charge(3);
+    });
+    let phase2 = rt.define_job(&mut eng, JobSpec::new("pga_insert", set, move |ctx, task, _rt| {
         ctx.state_mut::<P2St>().task = Some(*task);
         ctx.send_dram_read(
             records.word(task.key * RECORD_WORDS as u64),
@@ -281,38 +270,33 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
     }));
 
     // ---- driver: phase 1 then phase 2 ---------------------------------------
-    let p1_tick: Arc<Mutex<u64>> = Arc::default();
-    let p2_tick: Arc<Mutex<u64>> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&p1_tick);
-    eng.host_state_cell(&p2_tick);
-    let p2t = p2_tick.clone();
+    // Read back after the run: (phase-1 tick, phase-2 tick), written on
+    // the driver's shard.
+    let ticks = eng.shard_slot::<(u64, u64)>();
     let p2_done = udweave::simple_event(&mut eng, "main::phase2_done", move |ctx| {
-        *p2t.lock().unwrap() = ctx.now();
+        ctx.shard_state(ticks).1 = ctx.now();
         ctx.stop();
         ctx.yield_terminate();
     });
-    let p1t = p1_tick.clone();
-    let rt2 = rt.clone();
     let p1_done = udweave::simple_event(&mut eng, "main::phase1_done", move |ctx| {
-        *p1t.lock().unwrap() = ctx.now();
+        ctx.shard_state(ticks).0 = ctx.now();
         let cont = EventWord::new(ctx.nwid(), p2_done);
-        rt2.start_from(ctx, phase2, n_records, 0, cont);
+        rt.start_from(ctx, phase2, n_records, 0, cont);
         ctx.yield_terminate();
     });
-    let rt3 = rt.clone();
     let init = udweave::simple_event(&mut eng, "main::init", move |ctx| {
         let cont = EventWord::new(ctx.nwid(), p1_done);
-        rt3.start_from(ctx, phase1, n_blocks as u64, 0, cont);
+        rt.start_from(ctx, phase1, n_blocks as u64, 0, cont);
         ctx.yield_terminate();
     });
 
     eng.send(EventWord::new(NetworkId(0), init), [], EventWord::IGNORE);
     let report = eng.run();
 
-    let (vertices, edges) = pga.counts(&sht);
-    let phase1_tick = *p1_tick.lock().unwrap();
-    let phase2_tick = *p2_tick.lock().unwrap();
+    let (vertices, edges) = pga.counts(&eng, &sht);
+    let (phase1_tick, phase2_tick) = eng
+        .shard_states(ticks)
+        .fold((0, 0), |a, t| (a.0.max(t.0), a.1.max(t.1)));
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("ingest");
     IngestResult {

@@ -22,15 +22,15 @@
 //! The stored arrays keep the "raw sum" `S`; `pr = (1-d)/n + d·S` is
 //! applied on read, avoiding an extra finalize sweep.
 
-use std::sync::Mutex;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
 use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::{CombiningCache, Kind, LaneSet};
 use updown_graph::preprocess::SplitGraph;
 use updown_graph::DeviceSplit;
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
+use updown_sim::{Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
 /// PageRank configuration.
 #[derive(Clone, Debug)]
@@ -118,6 +118,37 @@ struct AggSt {
 #[derive(Clone, Default)]
 struct DriverSt {
     iter: u32,
+}
+
+/// What PageRank keeps per shard: the driver's read-back accumulators
+/// (shard 0 only) and each reduce lane's combining-cache descriptor.
+#[derive(Clone, Default)]
+struct PrShard {
+    iter_ticks: Vec<u64>,
+    emitted: u64,
+    reduce_cache: BTreeMap<u32, CombiningCache>,
+}
+
+/// PageRank's program table.
+#[derive(Default)]
+struct PrTable {
+    /// Current iteration: a broadcast register, written by the driver
+    /// between two jobs and read by every lane during them. Every read
+    /// is in a job started after the store and finished before the next
+    /// one (message-ordered), so it sees the same value at every thread
+    /// count.
+    cur_iter: std::sync::atomic::AtomicU32, // det-lint: allow — one writer, reads message-ordered after it
+    /// `pr_driver::zero_done`, which the driver body it follows must name.
+    zero_done: Option<EventLabel>,
+}
+
+impl Clone for PrTable {
+    fn clone(&self) -> PrTable {
+        PrTable {
+            cur_iter: self.cur_iter.load(Ordering::Relaxed).into(),
+            zero_done: self.zero_done,
+        }
+    }
 }
 
 updown_sim::snap_state!(PrMapSt, "pr.map", { task, slice_deg, loaded, contrib, nl_va, orig_deg, root });
@@ -425,77 +456,61 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     let rt = Kvmsr::install(&mut eng);
     let set = LaneSet::all(&cfg.machine);
 
-    // Current iteration, shared with reduce/map closures (sequential jobs,
-    // a host cell shadowing a broadcast register).
-    let cur_iter: Arc<Mutex<u32>> = Arc::default();
-    let iter_ticks: Arc<Mutex<Vec<u64>>> = Arc::default();
-    let emitted: Arc<Mutex<u64>> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&cur_iter);
-    eng.host_state_cell(&iter_ticks);
-    eng.host_state_cell(&emitted);
+    let shard = eng.shard_slot::<PrShard>();
+    let table = eng.table(PrTable::default());
+    let parity = move |ctx: &updown_sim::EventCtx<'_>| {
+        (ctx.table(table).cur_iter.load(Ordering::Relaxed) % 2) as usize
+    };
 
     // ---- the kv_map / returnRead structure of Listing 3 -----------------
-    let ret_nl = {
-        let rt = rt.clone();
-        udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnRead", move |ctx, st| {
-            let mut task = st.task.expect("returnRead before kv_map");
-            let nargs = ctx.args().len();
-            let contrib = st.contrib.to_bits();
-            for i in 0..nargs {
-                let dst = ctx.arg(i);
-                rt.emit(ctx, &mut task, dst, &[contrib]);
-            }
-            ctx.charge(nargs as u64);
-            st.loaded += nargs as u32;
-            st.task = Some(task);
-            if st.loaded == st.slice_deg {
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
-    let ret_s = {
-        udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnPr", move |ctx, st| {
-            let s_val = ctx.argf(0);
-            st.contrib = (base + damping * s_val) / st.orig_deg as f64;
-            ctx.charge(4); // fp math
-            let mut off = 0u32;
-            while off < st.slice_deg {
-                let k = (st.slice_deg - off).min(8);
-                ctx.send_dram_read(VAddr(st.nl_va).word(off as u64), k as usize, ret_nl);
-                off += k;
-            }
-        })
-    };
-    let ret_rec = {
-        let rt = rt.clone();
-        let cur_iter = cur_iter.clone();
-        udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnRecord", move |ctx, st| {
-            st.root = ctx.arg(0);
-            st.slice_deg = ctx.arg(1) as u32;
-            st.orig_deg = ctx.arg(2);
-            st.nl_va = ctx.arg(3);
-            if st.slice_deg == 0 || st.orig_deg == 0 {
-                let task = st.task.expect("record before kv_map");
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-                return;
-            }
-            // Read the root's total from the previous iteration.
-            let src = if use_subs {
-                totals.word(st.root)
-            } else {
-                let parity = (*cur_iter.lock().unwrap() % 2) as usize;
-                arrays[parity].word(st.root)
-            };
-            ctx.send_dram_read(src, 1, ret_s);
-        })
-    };
+    let ret_nl = udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnRead", move |ctx, st| {
+        let mut task = st.task.expect("returnRead before kv_map");
+        let nargs = ctx.args().len();
+        let contrib = st.contrib.to_bits();
+        for i in 0..nargs {
+            let dst = ctx.arg(i);
+            rt.emit(ctx, &mut task, dst, &[contrib]);
+        }
+        ctx.charge(nargs as u64);
+        st.loaded += nargs as u32;
+        st.task = Some(task);
+        if st.loaded == st.slice_deg {
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
+    let ret_s = udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnPr", move |ctx, st| {
+        let s_val = ctx.argf(0);
+        st.contrib = (base + damping * s_val) / st.orig_deg as f64;
+        ctx.charge(4); // fp math
+        let mut off = 0u32;
+        while off < st.slice_deg {
+            let k = (st.slice_deg - off).min(8);
+            ctx.send_dram_read(VAddr(st.nl_va).word(off as u64), k as usize, ret_nl);
+            off += k;
+        }
+    });
+    let ret_rec = udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnRecord", move |ctx, st| {
+        st.root = ctx.arg(0);
+        st.slice_deg = ctx.arg(1) as u32;
+        st.orig_deg = ctx.arg(2);
+        st.nl_va = ctx.arg(3);
+        if st.slice_deg == 0 || st.orig_deg == 0 {
+            let task = st.task.expect("record before kv_map");
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+            return;
+        }
+        // Read the root's total from the previous iteration.
+        let src = if use_subs {
+            totals.word(st.root)
+        } else {
+            arrays[parity(ctx)].word(st.root)
+        };
+        ctx.send_dram_read(src, 1, ret_s);
+    });
 
     // kv_reduce: accumulate into the next array (key = sub or root id).
-    let reduce_cache: Arc<Mutex<std::collections::HashMap<u32, CombiningCache>>> = Arc::default();
-    eng.host_state_cell(&reduce_cache);
     let combining = cfg.combining;
     // Acked flush: the epilogue completes only after every drained entry's
     // fetch-and-add has been serviced, so the aggregate job (or the next
@@ -503,14 +518,11 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     // Direct (non-combining) reduces ack their fetch-and-add so the
     // aggregate job / next iteration can never read past an in-flight
     // remote update.
-    let red_ack = {
-        let rt = rt.clone();
-        udweave::event::<RedSt>(&mut eng, "pr_reduce::addAck", move |ctx, st| {
-            ctx.charge(1);
-            rt.reduce_done(ctx, kvmsr::JobId(st.job));
-            ctx.yield_terminate();
-        })
-    };
+    let red_ack = udweave::event::<RedSt>(&mut eng, "pr_reduce::addAck", move |ctx, st| {
+        ctx.charge(1);
+        rt.reduce_done(ctx, kvmsr::JobId(st.job));
+        ctx.yield_terminate();
+    });
     let flush_ack = udweave::event::<EpiSt>(&mut eng, "pr_flush::ack", move |ctx, st| {
         st.pending -= 1;
         ctx.charge(1);
@@ -520,181 +532,140 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
             ctx.yield_terminate();
         }
     });
-    let map_job = {
-        let cur_iter = cur_iter.clone();
-        let reduce_cache = reduce_cache.clone();
-        let reduce_cache_epi = reduce_cache.clone();
-        rt.define_job(
-            JobSpec::new("pagerank", set, move |ctx, task, _rt| {
-                let s = task.key;
-                ctx.state_mut::<PrMapSt>().task = Some(*task);
-                ctx.send_dram_read(dsg.sub(s), 4, ret_rec);
-                Outcome::Async
-            })
-            .with_reduce(move |ctx, task, vals, _rt| {
-                let parity = *cur_iter.lock().unwrap() % 2;
-                let next = arrays[1 - parity as usize];
-                let va = next.word(task.key);
-                let delta = f64::from_bits(vals[0]);
-                ctx.charge(1);
-                if combining {
-                    let lane = ctx.nwid().0;
-                    let cache = {
-                        let mut rc = reduce_cache.lock().unwrap();
-                        match rc.get(&lane) {
-                            Some(c) => *c,
-                            None => {
-                                let c = CombiningCache::new(ctx, 256, Kind::F64);
-                                rc.insert(lane, c);
-                                c
-                            }
-                        }
-                    };
-                    cache.add_f64(ctx, va, delta);
-                    Outcome::Done
-                } else {
-                    ctx.state_mut::<RedSt>().job = task.job.0;
-                    ctx.dram_fetch_add_f64(va, delta, Some(red_ack), None);
-                    Outcome::Async
-                }
-            })
-            .epilogue(move |ctx, done| {
-                if !combining {
-                    return Outcome::Done;
-                }
-                let cache = reduce_cache_epi.lock().unwrap().get(&ctx.nwid().0).copied();
-                let entries = match cache {
-                    Some(c) => c.drain(ctx),
-                    None => Vec::new(),
+    let map_job = rt.define_job(
+        &mut eng,
+        JobSpec::new("pagerank", set, move |ctx, task, _rt| {
+            let s = task.key;
+            ctx.state_mut::<PrMapSt>().task = Some(*task);
+            ctx.send_dram_read(dsg.sub(s), 4, ret_rec);
+            Outcome::Async
+        })
+        .with_reduce(move |ctx, task, vals, _rt| {
+            let next = arrays[1 - parity(ctx)];
+            let va = next.word(task.key);
+            let delta = f64::from_bits(vals[0]);
+            ctx.charge(1);
+            if combining {
+                let lane = ctx.nwid().0;
+                let cache = match ctx.shard_state(shard).reduce_cache.get(&lane) {
+                    Some(c) => *c,
+                    None => {
+                        let c = CombiningCache::new(ctx, 256, Kind::F64);
+                        ctx.shard_state(shard).reduce_cache.insert(lane, c);
+                        c
+                    }
                 };
-                if entries.is_empty() {
-                    return Outcome::Done;
-                }
-                let st = ctx.state_mut::<EpiSt>();
-                st.pending = entries.len() as u32;
-                st.done_raw = done.raw();
-                for (va, bits) in entries {
-                    ctx.dram_fetch_add_f64(va, f64::from_bits(bits), Some(flush_ack), None);
-                }
+                cache.add_f64(ctx, va, delta);
+                Outcome::Done
+            } else {
+                ctx.state_mut::<RedSt>().job = task.job.0;
+                ctx.dram_fetch_add_f64(va, delta, Some(red_ack), None);
                 Outcome::Async
-            }),
-        )
-    };
+            }
+        })
+        .epilogue(move |ctx, done| {
+            if !combining {
+                return Outcome::Done;
+            }
+            let lane = ctx.nwid().0;
+            let cache = ctx.shard_state(shard).reduce_cache.get(&lane).copied();
+            let entries = match cache {
+                Some(c) => c.drain(ctx),
+                None => Vec::new(),
+            };
+            if entries.is_empty() {
+                return Outcome::Done;
+            }
+            let st = ctx.state_mut::<EpiSt>();
+            st.pending = entries.len() as u32;
+            st.done_raw = done.raw();
+            for (va, bits) in entries {
+                ctx.dram_fetch_add_f64(va, f64::from_bits(bits), Some(flush_ack), None);
+            }
+            Outcome::Async
+        }),
+    );
     // Zero the accumulation target before each sweep.
-    let zero_job = {
-        let cur_iter = cur_iter.clone();
-        kvmsr::define_do_all(&rt, "pagerank_zero", set, move |ctx, key, _arg| {
-            let parity = *cur_iter.lock().unwrap() % 2;
-            let next = arrays[1 - parity as usize];
-            ctx.send_dram_write(next.word(key), &[0f64.to_bits()], None);
-        })
-    };
+    let zero_job = kvmsr::define_do_all(&mut eng, &rt, "pagerank_zero", set, move |ctx, key, _arg| {
+        let next = arrays[1 - parity(ctx)];
+        ctx.send_dram_write(next.word(key), &[0f64.to_bits()], None);
+    });
     // In/out-split regime: sum each root's sub-cells into `totals`.
-    let agg_cells = {
-        let rt = rt.clone();
-        udweave::event::<AggSt>(&mut eng, "pr_agg::returnCells", move |ctx, st| {
-            let nargs = ctx.args().len();
-            for i in 0..nargs {
-                st.sum += ctx.argf(i);
-            }
-            ctx.charge(nargs as u64 + 1);
-            st.pending -= 1;
-            if st.pending == 0 {
-                let task = st.task.expect("cells before map");
-                ctx.send_dram_write(totals.word(task.key), &[st.sum.to_bits()], None);
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
-    let agg_fs = {
-        let cur_iter = cur_iter.clone();
-        udweave::event::<AggSt>(&mut eng, "pr_agg::returnFs", move |ctx, st| {
-            let a = ctx.arg(0);
-            let b = ctx.arg(1);
-            debug_assert!(b > a, "every vertex has at least one sub");
-            // cur_iter has not advanced yet: the freshly accumulated array
-            // is 1 - parity.
-            let parity = (*cur_iter.lock().unwrap() % 2) as usize;
-            let acc = arrays[1 - parity];
-            let mut off = a;
-            while off < b {
-                let k = (b - off).min(8);
-                st.pending += 1;
-                ctx.send_dram_read(acc.word(off), k as usize, agg_cells);
-                off += k;
-            }
-        })
-    };
-    let agg_job = rt.define_job(JobSpec::new(
-        "pagerank_aggregate",
-        set,
-        move |ctx, task, _rt| {
+    let agg_cells = udweave::event::<AggSt>(&mut eng, "pr_agg::returnCells", move |ctx, st| {
+        let nargs = ctx.args().len();
+        for i in 0..nargs {
+            st.sum += ctx.argf(i);
+        }
+        ctx.charge(nargs as u64 + 1);
+        st.pending -= 1;
+        if st.pending == 0 {
+            let task = st.task.expect("cells before map");
+            ctx.send_dram_write(totals.word(task.key), &[st.sum.to_bits()], None);
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
+    let agg_fs = udweave::event::<AggSt>(&mut eng, "pr_agg::returnFs", move |ctx, st| {
+        let a = ctx.arg(0);
+        let b = ctx.arg(1);
+        debug_assert!(b > a, "every vertex has at least one sub");
+        // cur_iter has not advanced yet: the freshly accumulated array
+        // is 1 - parity.
+        let acc = arrays[1 - parity(ctx)];
+        let mut off = a;
+        while off < b {
+            let k = (b - off).min(8);
+            st.pending += 1;
+            ctx.send_dram_read(acc.word(off), k as usize, agg_cells);
+            off += k;
+        }
+    });
+    let agg_job = rt.define_job(
+        &mut eng,
+        JobSpec::new("pagerank_aggregate", set, move |ctx, task, _rt| {
             ctx.state_mut::<AggSt>().task = Some(*task);
             ctx.send_dram_read(fs.word(task.key), 2, agg_fs);
             Outcome::Async
-        },
-    ));
+        }),
+    );
 
     // ---- iteration driver -------------------------------------------------
     let iters = cfg.iterations;
     let n_sub = dsg.n_sub;
     let mut driver = udweave::ThreadType::<DriverSt>::new("pr_driver");
-    let zero_label: Arc<Mutex<u16>> = Arc::default();
-    let iter_done_body = {
-        let cur_iter = cur_iter.clone();
-        let iter_ticks = iter_ticks.clone();
-        let rt = rt.clone();
-        let zero_label = zero_label.clone();
-        Arc::new(
-            move |ctx: &mut updown_sim::EventCtx<'_>, st: &mut DriverSt| {
-                iter_ticks.lock().unwrap().push(ctx.now());
-                st.iter += 1;
-                *cur_iter.lock().unwrap() = st.iter;
-                if st.iter == iters {
-                    ctx.stop();
-                    ctx.yield_terminate();
-                } else {
-                    let zd = updown_sim::EventLabel(*zero_label.lock().unwrap());
-                    let cont = ctx.self_event(zd);
-                    rt.start_from(ctx, zero_job, n_acc, 0, cont);
-                }
-            },
-        )
-    };
-    let agg_done_l = {
-        let body = iter_done_body.clone();
-        driver.event(&mut eng, "agg_done", move |ctx, st| body(ctx, st))
-    };
-    let map_done_l = {
-        let rt = rt.clone();
-        let emitted = emitted.clone();
-        let body = iter_done_body.clone();
-        driver.event(&mut eng, "iter_done", move |ctx, st| {
-            *emitted.lock().unwrap() = ctx.arg(1);
-            if use_subs {
-                let cont = ctx.self_event(agg_done_l);
-                rt.start_from(ctx, agg_job, n, 0, cont);
-            } else {
-                body(ctx, st);
-            }
-        })
-    };
-    let zero_done_l = {
-        let rt = rt.clone();
-        driver.event(&mut eng, "zero_done", move |ctx, _st| {
-            let cont = ctx.self_event(map_done_l);
-            rt.start_from(ctx, map_job, n_sub, 0, cont);
-        })
-    };
-    *zero_label.lock().unwrap() = zero_done_l.0;
-    let init_l = {
-        let rt = rt.clone();
-        driver.event(&mut eng, "updown_init", move |ctx, _st| {
-            let cont = ctx.self_event(zero_done_l);
+    let iter_done_body = move |ctx: &mut updown_sim::EventCtx<'_>, st: &mut DriverSt| {
+        let now = ctx.now();
+        ctx.shard_state(shard).iter_ticks.push(now);
+        st.iter += 1;
+        ctx.table(table).cur_iter.store(st.iter, Ordering::Relaxed);
+        if st.iter == iters {
+            ctx.stop();
+            ctx.yield_terminate();
+        } else {
+            let zd = ctx.table(table).zero_done.expect("bound before the run");
+            let cont = ctx.self_event(zd);
             rt.start_from(ctx, zero_job, n_acc, 0, cont);
-        })
+        }
     };
+    let agg_done_l = driver.event(&mut eng, "agg_done", iter_done_body);
+    let map_done_l = driver.event(&mut eng, "iter_done", move |ctx, st| {
+        ctx.shard_state(shard).emitted = ctx.arg(1);
+        if use_subs {
+            let cont = ctx.self_event(agg_done_l);
+            rt.start_from(ctx, agg_job, n, 0, cont);
+        } else {
+            iter_done_body(ctx, st);
+        }
+    });
+    let zero_done_l = driver.event(&mut eng, "zero_done", move |ctx, _st| {
+        let cont = ctx.self_event(map_done_l);
+        rt.start_from(ctx, map_job, n_sub, 0, cont);
+    });
+    eng.table_mut(table).zero_done = Some(zero_done_l);
+    let init_l = driver.event(&mut eng, "updown_init", move |ctx, _st| {
+        let cont = ctx.self_event(zero_done_l);
+        rt.start_from(ctx, zero_job, n_acc, 0, cont);
+    });
 
     eng.send(EventWord::new(NetworkId(0), init_l), [], EventWord::IGNORE);
     let report = eng.run();
@@ -721,8 +692,10 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
             .map(|v| base + damping * mem.read_f64(arrays[final_parity].word(v)).unwrap())
             .collect()
     };
-    let iter_ticks_out = iter_ticks.lock().unwrap().clone();
-    let emitted_out = *emitted.lock().unwrap();
+    // Only the driver's shard wrote these; the fold is the general rule.
+    let iter_ticks_out: Vec<u64> =
+        eng.shard_states(shard).flat_map(|s| s.iter_ticks.iter().copied()).collect();
+    let emitted_out = eng.shard_states(shard).map(|s| s.emitted).max().unwrap_or(0);
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("pagerank");
     PrResult {

@@ -14,8 +14,8 @@
 //! re-propagate existing state through older edges) — the streaming
 //! partial-match semantics, not an offline subgraph enumeration.
 
-use std::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use drammalloc::{Layout, Region};
@@ -139,6 +139,34 @@ struct FeedSt {
     per_batch: usize,
 }
 
+/// What partial match keeps per shard, all read back after the run.
+#[derive(Clone, Default)]
+struct PmShard {
+    /// (record id, latency) of every record completed here.
+    latencies: Vec<(u64, u64)>,
+    matches: u64,
+    /// Admissions a feeder on this shard put off because the credit gate
+    /// was shut.
+    throttled: u64,
+}
+
+/// Records admitted and not yet completed: the credit gate's counter.
+/// Feeders and completions of a one-node run share a shard, hence a
+/// worker; a run that spans nodes must never find the gate shut (asserted
+/// after the run), so what a feeder read there cannot have mattered.
+#[derive(Default)]
+struct Credits {
+    in_flight: std::sync::atomic::AtomicU64, // det-lint: allow — one shard, or a gate that never shuts
+}
+
+impl Clone for Credits {
+    fn clone(&self) -> Credits {
+        Credits {
+            in_flight: self.in_flight.load(Ordering::Relaxed).into(),
+        }
+    }
+}
+
 updown_sim::snap_state!(RecSt, "pm.record", { recid, src, dst, etype });
 updown_sim::snap_state!(FeedSt, "pm.feeder", { next, stride, per_batch });
 
@@ -168,20 +196,8 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     let state = sht.create(&mut eng, set, bl, eb, layout);
     let match_cell = Region::alloc_words(&mut eng, 1, Layout::cyclic(1)).expect("matches");
 
-    let latencies: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
-    let matches: Arc<Mutex<u64>> = Arc::default();
-    let in_flight: Arc<std::sync::atomic::AtomicU64> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&latencies);
-    eng.host_state_cell(&matches);
-    {
-        let a = in_flight.clone();
-        let b = in_flight.clone();
-        eng.register_host_state(
-            move || a.load(std::sync::atomic::Ordering::Relaxed),
-            move |v| b.store(*v, std::sync::atomic::Ordering::Relaxed),
-        );
-    }
+    let shard = eng.shard_slot::<PmShard>();
+    let credits = eng.table(Credits::default());
     let credit_cap = cfg.inflight_per_lane as u64 * cfg.lanes as u64;
     let pattern = cfg.pattern.clone();
     let plen = pattern.len() as u64;
@@ -189,128 +205,111 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     let interval = cfg.interval;
 
     // ---- per-record processing thread ------------------------------------
-    let complete = {
-        let latencies = latencies.clone();
-        let in_flight = in_flight.clone();
-        udweave::event::<RecSt>(&mut eng, "pm::complete", move |ctx, st| {
-            // Latency counts from the record's *nominal* arrival at the
-            // port (its place in the stream schedule), so port
-            // backpressure queueing is included. The nominal tick is a
-            // pure function of the record id — no cross-shard host
-            // lookup, which keeps isolated shard replay faithful.
-            let t0 = (st.recid / batch as u64) * interval;
-            latencies
-                .lock().unwrap()
-                .push((st.recid, ctx.now().saturating_sub(t0)));
-            in_flight.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            ctx.yield_terminate();
-        })
-    };
+    let complete = udweave::event::<RecSt>(&mut eng, "pm::complete", move |ctx, st| {
+        // Latency counts from the record's *nominal* arrival at the
+        // port (its place in the stream schedule), so port
+        // backpressure queueing is included. The nominal tick is a
+        // pure function of the record id — no cross-shard host
+        // lookup, which keeps isolated shard replay faithful.
+        let t0 = (st.recid / batch as u64) * interval;
+        let latency = ctx.now().saturating_sub(t0);
+        ctx.shard_state(shard).latencies.push((st.recid, latency));
+        ctx.table(credits).in_flight.fetch_sub(1, Ordering::Relaxed);
+        ctx.yield_terminate();
+    });
     let or_ack = udweave::event::<RecSt>(&mut eng, "pm::orAck", move |ctx, st| {
         let _ = st;
         let me = ctx.self_event(complete);
         ctx.send_event(me, [], EventWord::IGNORE);
     });
-    let state_ret = {
-        let sht2 = sht.clone();
-        let matches = matches.clone();
-        udweave::event::<RecSt>(&mut eng, "pm::stateRet", move |ctx, st| {
-            let found = ctx.arg(0);
-            let bits = if found != 0 { ctx.arg(1) } else { 0 } | 1;
-            let mut new = 0u64;
-            for (i, &pt) in pattern.iter().enumerate() {
-                if pt as u64 == st.etype && bits & (1 << i) != 0 {
-                    new |= 1 << (i + 1);
-                }
+    let state_ret = udweave::event::<RecSt>(&mut eng, "pm::stateRet", move |ctx, st| {
+        let found = ctx.arg(0);
+        let bits = if found != 0 { ctx.arg(1) } else { 0 } | 1;
+        let mut new = 0u64;
+        for (i, &pt) in pattern.iter().enumerate() {
+            if pt as u64 == st.etype && bits & (1 << i) != 0 {
+                new |= 1 << (i + 1);
             }
-            ctx.charge(pattern.len() as u64 + 2);
-            if new == 0 {
-                let me = ctx.self_event(complete);
-                ctx.send_event(me, [], EventWord::IGNORE);
-                return;
-            }
-            if new & (1 << plen) != 0 {
-                // Full match: the alert the artifact prints to the terminal.
-                *matches.lock().unwrap() += 1;
-                ctx.dram_fetch_add_u64(match_cell.base, 1, None, None);
-                ctx.print_with(|| {
-                    format!(
-                        "startPartialMatch: srcID: {}, dstID: {}, type_oid: {} -- MATCH",
-                        st.src, st.dst, st.etype
-                    )
-                });
-            }
-            let ack = ctx.self_event(or_ack);
-            sht2.fetch_or(ctx, state, st.dst, new, ack);
-        })
-    };
-    let edge_ack = {
-        let sht2 = sht.clone();
-        udweave::event::<RecSt>(&mut eng, "pm::edgeAck", move |ctx, st| {
-            let ret = ctx.self_event(state_ret);
-            sht2.get(ctx, state, st.src, ret);
-        })
-    };
-    let rec_proc = {
-        let sht2 = sht.clone();
-        udweave::event::<RecSt>(&mut eng, "pm::recProc", move |ctx, st| {
-            st.recid = ctx.arg(4);
-            if ctx.arg(0) == 0 {
-                st.src = ctx.arg(1);
-                let ack = ctx.self_event(complete);
-                pga.add_vertex(ctx, &sht2, ctx.arg(1), ctx.arg(2) as u16, ack);
-            } else {
-                st.src = ctx.arg(1);
-                st.dst = ctx.arg(2);
-                st.etype = ctx.arg(3);
-                let ack = ctx.self_event(edge_ack);
-                pga.add_edge(ctx, &sht2, st.src, st.dst, st.etype as u16, ack);
-            }
-        })
-    };
+        }
+        ctx.charge(pattern.len() as u64 + 2);
+        if new == 0 {
+            let me = ctx.self_event(complete);
+            ctx.send_event(me, [], EventWord::IGNORE);
+            return;
+        }
+        if new & (1 << plen) != 0 {
+            // Full match: the alert the artifact prints to the terminal.
+            ctx.shard_state(shard).matches += 1;
+            ctx.dram_fetch_add_u64(match_cell.base, 1, None, None);
+            ctx.print_with(|| {
+                format!(
+                    "startPartialMatch: srcID: {}, dstID: {}, type_oid: {} -- MATCH",
+                    st.src, st.dst, st.etype
+                )
+            });
+        }
+        let ack = ctx.self_event(or_ack);
+        sht.fetch_or(ctx, state, st.dst, new, ack);
+    });
+    let edge_ack = udweave::event::<RecSt>(&mut eng, "pm::edgeAck", move |ctx, st| {
+        let ret = ctx.self_event(state_ret);
+        sht.get(ctx, state, st.src, ret);
+    });
+    let rec_proc = udweave::event::<RecSt>(&mut eng, "pm::recProc", move |ctx, st| {
+        st.recid = ctx.arg(4);
+        if ctx.arg(0) == 0 {
+            st.src = ctx.arg(1);
+            let ack = ctx.self_event(complete);
+            pga.add_vertex(ctx, &sht, ctx.arg(1), ctx.arg(2) as u16, ack);
+        } else {
+            st.src = ctx.arg(1);
+            st.dst = ctx.arg(2);
+            st.etype = ctx.arg(3);
+            let ack = ctx.self_event(edge_ack);
+            pga.add_edge(ctx, &sht, st.src, st.dst, st.etype as u16, ack);
+        }
+    });
 
     // ---- feeders: the network stream arrives at several ingress lanes ----
     let recs: Arc<Vec<RawRecord>> = Arc::new(records.to_vec());
     let n_feeders = cfg.feeders.clamp(1, cfg.lanes);
     let per_batch = batch.div_ceil(n_feeders as usize).max(1);
     let lanes = cfg.lanes;
-    let feeder = {
-        let recs = recs.clone();
-        let in_flight = in_flight.clone();
-        udweave::event::<FeedSt>(&mut eng, "pm::feeder", move |ctx, st| {
-            if st.stride == 0 {
-                // First firing: args carry this feeder's lane offset.
-                st.next = ctx.arg(0) as usize;
-                st.stride = n_feeders as usize;
-                st.per_batch = per_batch;
+    let feeder = udweave::event::<FeedSt>(&mut eng, "pm::feeder", move |ctx, st| {
+        if st.stride == 0 {
+            // First firing: args carry this feeder's lane offset.
+            st.next = ctx.arg(0) as usize;
+            st.stride = n_feeders as usize;
+            st.per_batch = per_batch;
+        }
+        let in_flight = &ctx.table(credits).in_flight;
+        let mut sent = 0;
+        while sent < st.per_batch && st.next < recs.len() {
+            if in_flight.load(Ordering::Relaxed) >= credit_cap {
+                ctx.shard_state(shard).throttled += 1;
+                break;
             }
-            let mut sent = 0;
-            while sent < st.per_batch
-                && st.next < recs.len()
-                && in_flight.load(std::sync::atomic::Ordering::Relaxed) < credit_cap
-            {
-                let idx = st.next;
-                let r = &recs[idx];
-                in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let lane = set.lane(idx as u32 % lanes);
-                ctx.send_event(
-                    EventWord::new(lane, rec_proc),
-                    [r.rtype, r.fields[0], r.fields[1], r.fields[2], idx as u64],
-                    EventWord::IGNORE,
-                );
-                st.next += st.stride;
-                sent += 1;
-            }
-            if st.next < recs.len() {
-                let me = ctx.cur_evw();
-                // Back off a little harder when throttled by credits.
-                let delay = if sent == 0 { interval.max(50) } else { interval };
-                ctx.send_event_after(delay, me, [], EventWord::IGNORE);
-            } else {
-                ctx.yield_terminate();
-            }
-        })
-    };
+            let idx = st.next;
+            let r = &recs[idx];
+            in_flight.fetch_add(1, Ordering::Relaxed);
+            let lane = set.lane(idx as u32 % lanes);
+            ctx.send_event(
+                EventWord::new(lane, rec_proc),
+                [r.rtype, r.fields[0], r.fields[1], r.fields[2], idx as u64],
+                EventWord::IGNORE,
+            );
+            st.next += st.stride;
+            sent += 1;
+        }
+        if st.next < recs.len() {
+            let me = ctx.cur_evw();
+            // Back off a little harder when throttled by credits.
+            let delay = if sent == 0 { interval.max(50) } else { interval };
+            ctx.send_event_after(delay, me, [], EventWord::IGNORE);
+        } else {
+            ctx.yield_terminate();
+        }
+    });
 
     eng.enable_trace();
     for f in 0..n_feeders {
@@ -320,7 +319,21 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     }
     let report = eng.run();
 
-    let mut lat = latencies.lock().unwrap().clone();
+    // The gate reads a counter that completions on other shards decrement
+    // inside the same window: once it shuts, what a feeder admits depends
+    // on host timing. Until credits travel as messages (ROADMAP item 8b),
+    // a run whose lanes span nodes has to fit under the cap.
+    let span = mc.node_of(set.lane(cfg.lanes - 1)) + 1;
+    let throttled: u64 = eng.shard_states(shard).map(|s| s.throttled).sum();
+    assert!(
+        span == 1 || throttled == 0,
+        "partial_match: the credit gate ({credit_cap} credits) put off {throttled} admission(s) on a \
+         run spanning {span} nodes, where its counter is read across shards and the admission \
+         schedule would depend on host timing; raise inflight_per_lane or run on one node"
+    );
+
+    let mut lat: Vec<(u64, u64)> =
+        eng.shard_states(shard).flat_map(|s| s.latencies.iter().copied()).collect();
     if lat.len() != records.len() {
         let mut seen = std::collections::HashMap::new();
         for (id, _) in &lat {
@@ -340,7 +353,7 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
         );
     }
     lat.sort_unstable();
-    let matches_out = *matches.lock().unwrap();
+    let matches_out = eng.shard_states(shard).map(|s| s.matches).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("partial_match");
     PmResult {
@@ -512,6 +525,16 @@ mod tests {
         assert!(expect >= 2, "both 3-paths complete");
         assert_eq!(res.latencies.len(), recs.len());
         assert!(res.mean_latency() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "spanning 2 nodes")]
+    fn a_shut_credit_gate_is_refused_across_nodes() {
+        let ds = crate::ingest::datagen::generate(400, 60, 5);
+        let mut cfg = PmConfig::new(16, vec![1, 2]);
+        cfg.machine = MachineConfig::small(2, 1, 8);
+        cfg.inflight_per_lane = 1;
+        run_partial_match(&ds.records, &cfg);
     }
 
     #[test]

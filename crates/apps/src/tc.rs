@@ -12,8 +12,6 @@
 
 use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapBinding, MapTask, Outcome};
-use std::sync::Mutex;
-use std::sync::Arc;
 use udweave::LaneSet;
 use updown_graph::{Csr, DeviceCsr};
 use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
@@ -265,15 +263,12 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
     let variant = cfg.variant;
 
     // ---- reduce-side events -------------------------------------------------
-    let red_fin = {
-        let rt = rt.clone();
-        move |ctx: &mut updown_sim::EventCtx<'_>, st: &mut TcRedSt| {
-            if st.count > 0 {
-                ctx.dram_fetch_add_u64(total.base, st.count, None, None);
-            }
-            rt.reduce_done(ctx, kvmsr::JobId(st.job));
-            ctx.yield_terminate();
+    let red_fin = move |ctx: &mut updown_sim::EventCtx<'_>, st: &mut TcRedSt| {
+        if st.count > 0 {
+            ctx.dram_fetch_add_u64(total.base, st.count, None, None);
         }
+        rt.reduce_done(ctx, kvmsr::JobId(st.job));
+        ctx.yield_terminate();
     };
 
     // Merge whatever is buffered; returns true if the intersection is
@@ -323,50 +318,42 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
         }
     }
 
-    let red_fin2 = red_fin.clone();
-    let red_chunk_label: Arc<Mutex<updown_sim::EventLabel>> =
-        Arc::new(Mutex::new(updown_sim::EventLabel(u16::MAX)));
-    let red_chunk = {
-        let rcl = red_chunk_label.clone();
-        udweave::event::<TcRedSt>(&mut eng, "tc_reduce::returnChunk", move |ctx, st| {
-            let args = ctx.args();
-            let tag = args[args.len() - 1];
-            let side = (tag & 1) as usize;
-            let off = tag >> 1;
-            st.inflight[side] -= 1;
-            let words = &args[..args.len() - 1];
-            // An in-order chunk goes straight to the merge buffer; an early
-            // one waits in the stash until the prefix before it has drained.
-            if off == st.expected[side] {
-                st.expected[side] += words.len() as u64;
-                st.buf[side].extend(words);
-            } else {
-                st.stash[side].insert(off, words.to_vec());
+    let red_chunk = udweave::event::<TcRedSt>(&mut eng, "tc_reduce::returnChunk", move |ctx, st| {
+        let args = ctx.args();
+        let tag = args[args.len() - 1];
+        let side = (tag & 1) as usize;
+        let off = tag >> 1;
+        st.inflight[side] -= 1;
+        let words = &args[..args.len() - 1];
+        // An in-order chunk goes straight to the merge buffer; an early
+        // one waits in the stash until the prefix before it has drained.
+        if off == st.expected[side] {
+            st.expected[side] += words.len() as u64;
+            st.buf[side].extend(words);
+        } else {
+            st.stash[side].insert(off, words.to_vec());
+        }
+        while let Some(w) = st.stash[side].remove(&st.expected[side]) {
+            st.expected[side] += w.len() as u64;
+            st.buf[side].extend(w);
+        }
+        if !st.done && merge(st, ctx) {
+            st.done = true;
+        }
+        if st.done {
+            // Count settled; wait out any prefetched responses.
+            if st.inflight[0] == 0 && st.inflight[1] == 0 {
+                red_fin(ctx, st);
             }
-            while let Some(w) = st.stash[side].remove(&st.expected[side]) {
-                st.expected[side] += w.len() as u64;
-                st.buf[side].extend(w);
-            }
-            if !st.done && merge(st, ctx) {
-                st.done = true;
-            }
-            if st.done {
-                // Count settled; wait out any prefetched responses.
-                if st.inflight[0] == 0 && st.inflight[1] == 0 {
-                    red_fin2(ctx, st);
-                }
-                return;
-            }
-            let me = *rcl.lock().unwrap();
-            request_next(st, ctx, 0, me);
-            request_next(st, ctx, 1, me);
-        })
-    };
-    *red_chunk_label.lock().unwrap() = red_chunk;
+            return;
+        }
+        let me = ctx.cur_evw().label();
+        request_next(st, ctx, 0, me);
+        request_next(st, ctx, 1, me);
+    });
 
     // SpdReuse: the smaller list is already in scratchpad (st.spd_list);
     // stream the larger one against it.
-    let red_fin3 = red_fin.clone();
     let red_stream_spd = udweave::event::<TcRedSt>(&mut eng, "tc_reduce::streamVsSpd", move |ctx, st| {
         // Probe order does not matter against the cached list, so no
         // reassembly needed — just count in-flight chunks.
@@ -389,120 +376,109 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
             st.inflight[0] += 1;
         }
         if st.fetched[0] == st.deg[0] && st.inflight[0] == 0 {
-            red_fin3(ctx, st);
+            red_fin(ctx, st);
         }
     });
 
-    let red_load_spd = {
-        let red_fin4 = red_fin.clone();
-        udweave::event::<TcRedSt>(&mut eng, "tc_reduce::loadSpd", move |ctx, st| {
-            let n = ctx.args().len() - 1;
-            for i in 0..n {
-                st.spd_list.push(ctx.arg(i));
+    let red_load_spd = udweave::event::<TcRedSt>(&mut eng, "tc_reduce::loadSpd", move |ctx, st| {
+        let n = ctx.args().len() - 1;
+        for i in 0..n {
+            st.spd_list.push(ctx.arg(i));
+        }
+        ctx.charge(n as u64); // spd stores
+        st.fetched[1] += n as u64;
+        if st.fetched[1] < st.deg[1] {
+            let k = (st.deg[1] - st.fetched[1]).min(8);
+            let me = ctx.cur_evw().label();
+            ctx.send_dram_read_tagged(VAddr(st.nl[1]).word(st.fetched[1]), k as usize, me, 1);
+        } else {
+            // Smaller list cached; stream the larger side (pipelined).
+            if st.deg[0] == 0 || st.spd_list.is_empty() {
+                red_fin(ctx, st);
+                return;
             }
-            ctx.charge(n as u64); // spd stores
-            st.fetched[1] += n as u64;
-            if st.fetched[1] < st.deg[1] {
-                let k = (st.deg[1] - st.fetched[1]).min(8);
-                let me = ctx.cur_evw().label();
-                ctx.send_dram_read_tagged(VAddr(st.nl[1]).word(st.fetched[1]), k as usize, me, 1);
-            } else {
-                // Smaller list cached; stream the larger side (pipelined).
-                if st.deg[0] == 0 || st.spd_list.is_empty() {
-                    red_fin4(ctx, st);
-                    return;
-                }
-                while st.fetched[0] < st.deg[0] && (st.inflight[0] as u64) < TC_PREFETCH {
-                    let k = (st.deg[0] - st.fetched[0]).min(8);
-                    ctx.send_dram_read_tagged(
-                        VAddr(st.nl[0]).word(st.fetched[0]),
-                        k as usize,
-                        red_stream_spd,
-                        0,
-                    );
-                    st.fetched[0] += k;
-                    st.inflight[0] += 1;
-                }
+            while st.fetched[0] < st.deg[0] && (st.inflight[0] as u64) < TC_PREFETCH {
+                let k = (st.deg[0] - st.fetched[0]).min(8);
+                ctx.send_dram_read_tagged(
+                    VAddr(st.nl[0]).word(st.fetched[0]),
+                    k as usize,
+                    red_stream_spd,
+                    0,
+                );
+                st.fetched[0] += k;
+                st.inflight[0] += 1;
             }
-        })
-    };
+        }
+    });
 
-    let red_rec = {
-        let red_fin5 = red_fin.clone();
-        udweave::event::<TcRedSt>(&mut eng, "tc_reduce::returnRec", move |ctx, st| {
-            let side = ctx.arg(2) as usize;
-            st.deg[side] = ctx.arg(0);
-            st.nl[side] = ctx.arg(1);
-            st.recs_pending -= 1;
-            if st.recs_pending > 0 {
-                return;
+    let red_rec = udweave::event::<TcRedSt>(&mut eng, "tc_reduce::returnRec", move |ctx, st| {
+        let side = ctx.arg(2) as usize;
+        st.deg[side] = ctx.arg(0);
+        st.nl[side] = ctx.arg(1);
+        st.recs_pending -= 1;
+        if st.recs_pending > 0 {
+            return;
+        }
+        if st.deg[0] == 0 || st.deg[1] == 0 {
+            red_fin(ctx, st);
+            return;
+        }
+        match variant {
+            TcVariant::DualStream => {
+                // Fill both pipelines; merge proceeds on arrivals.
+                request_next(st, ctx, 0, red_chunk);
+                request_next(st, ctx, 1, red_chunk);
             }
-            if st.deg[0] == 0 || st.deg[1] == 0 {
-                red_fin5(ctx, st);
-                return;
-            }
-            match variant {
-                TcVariant::DualStream => {
-                    // Fill both pipelines; merge proceeds on arrivals.
-                    request_next(st, ctx, 0, red_chunk);
-                    request_next(st, ctx, 1, red_chunk);
+            TcVariant::SpdReuse => {
+                // Ensure side 1 is the smaller list (swap if needed).
+                if st.deg[0] < st.deg[1] {
+                    st.deg.swap(0, 1);
+                    st.nl.swap(0, 1);
                 }
-                TcVariant::SpdReuse => {
-                    // Ensure side 1 is the smaller list (swap if needed).
-                    if st.deg[0] < st.deg[1] {
-                        st.deg.swap(0, 1);
-                        st.nl.swap(0, 1);
-                    }
-                    let k = st.deg[1].min(8);
-                    ctx.send_dram_read_tagged(VAddr(st.nl[1]).word(0), k as usize, red_load_spd, 1);
-                }
+                let k = st.deg[1].min(8);
+                ctx.send_dram_read_tagged(VAddr(st.nl[1]).word(0), k as usize, red_load_spd, 1);
             }
-        })
-    };
+        }
+    });
 
     // ---- map-side events ---------------------------------------------------
-    let map_nl = {
-        let rt = rt.clone();
-        udweave::event::<TcMapSt>(&mut eng, "tc_map::returnRead", move |ctx, st| {
-            let mut task = st.task.expect("nl before map");
-            let nargs = ctx.args().len();
-            for i in 0..nargs {
-                let y = ctx.arg(i);
-                if y < st.x {
-                    let key = (st.x << 32) | y;
-                    rt.emit(ctx, &mut task, key, &[]);
-                }
+    let map_nl = udweave::event::<TcMapSt>(&mut eng, "tc_map::returnRead", move |ctx, st| {
+        let mut task = st.task.expect("nl before map");
+        let nargs = ctx.args().len();
+        for i in 0..nargs {
+            let y = ctx.arg(i);
+            if y < st.x {
+                let key = (st.x << 32) | y;
+                rt.emit(ctx, &mut task, key, &[]);
             }
-            ctx.charge(nargs as u64);
-            st.loaded += nargs as u64;
-            st.task = Some(task);
-            if st.loaded == st.deg {
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-            }
-        })
-    };
-    let map_rec = {
-        let rt = rt.clone();
-        udweave::event::<TcMapSt>(&mut eng, "tc_map::returnRec", move |ctx, st| {
-            st.deg = ctx.arg(0);
-            let nl_va = ctx.arg(1);
-            if st.deg == 0 {
-                let task = st.task.expect("rec before map");
-                rt.map_done(ctx, &task);
-                ctx.yield_terminate();
-                return;
-            }
-            let mut off = 0u64;
-            while off < st.deg {
-                let k = (st.deg - off).min(8);
-                ctx.send_dram_read(VAddr(nl_va).word(off), k as usize, map_nl);
-                off += k;
-            }
-        })
-    };
+        }
+        ctx.charge(nargs as u64);
+        st.loaded += nargs as u64;
+        st.task = Some(task);
+        if st.loaded == st.deg {
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+        }
+    });
+    let map_rec = udweave::event::<TcMapSt>(&mut eng, "tc_map::returnRec", move |ctx, st| {
+        st.deg = ctx.arg(0);
+        let nl_va = ctx.arg(1);
+        if st.deg == 0 {
+            let task = st.task.expect("rec before map");
+            rt.map_done(ctx, &task);
+            ctx.yield_terminate();
+            return;
+        }
+        let mut off = 0u64;
+        while off < st.deg {
+            let k = (st.deg - off).min(8);
+            ctx.send_dram_read(VAddr(nl_va).word(off), k as usize, map_nl);
+            off += k;
+        }
+    });
 
     let job = rt.define_job(
+        &mut eng,
         JobSpec::new("tc", set, move |ctx, task, _rt| {
             let st = ctx.state_mut::<TcMapSt>();
             st.task = Some(*task);
@@ -524,19 +500,16 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
     );
 
     // ---- driver -----------------------------------------------------------
-    let pairs: Arc<Mutex<u64>> = Arc::default();
-    // Handler-visible host state must survive rewinds (docs/checkpoint.md).
-    eng.host_state_cell(&pairs);
-    let p2 = pairs.clone();
+    // Read back after the run: the pair count, written on the driver's shard.
+    let pairs = eng.shard_slot::<u64>();
     let done = udweave::simple_event(&mut eng, "main_master::tc_launcher_done", move |ctx| {
-        *p2.lock().unwrap() = ctx.arg(1);
+        *ctx.shard_state(pairs) = ctx.arg(1);
         ctx.stop();
         ctx.yield_terminate();
     });
-    let rt2 = rt.clone();
     let init = udweave::simple_event(&mut eng, "main_master::init_tc", move |ctx| {
         let cont = EventWord::new(ctx.nwid(), done);
-        rt2.start_from(ctx, job, n, 0, cont);
+        rt.start_from(ctx, job, n, 0, cont);
         ctx.yield_terminate();
     });
 
@@ -545,7 +518,7 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
 
     let raw = eng.mem().read_u64(total.base).unwrap();
     assert_eq!(raw % 3, 0, "pair-intersection total must be 3 × triangles");
-    let pairs_out = *pairs.lock().unwrap();
+    let pairs_out = eng.shard_states(pairs).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
     eng.finish_replay("tc");
     TcResult {

@@ -7,8 +7,6 @@
 //! 4. KVMSR in-flight window sweep.
 
 use bench::timing::bench_host;
-use std::sync::Mutex;
-use std::sync::Arc;
 
 use kvmsr::{JobSpec, Kvmsr, MapBinding, Outcome};
 use udweave::{simple_event, LaneSet};
@@ -43,6 +41,7 @@ fn skew_job_ticks(binding: MapBinding, window: u32) -> u64 {
     let rt = Kvmsr::install(&mut eng);
     let set = LaneSet::all(eng.config());
     let job = rt.define_job(
+        &mut eng,
         JobSpec::new("skew", set, move |ctx, task, _rt| {
             // The first block of keys is 50x more expensive.
             ctx.charge(if task.key < 512 { 2000 } else { 40 });
@@ -51,16 +50,15 @@ fn skew_job_ticks(binding: MapBinding, window: u32) -> u64 {
         .map_binding(binding)
         .window(window),
     );
-    let done: Arc<Mutex<bool>> = Arc::default();
-    let d = done.clone();
+    let done = eng.shard_slot::<bool>();
     let fin = simple_event(&mut eng, "fin", move |ctx| {
-        *d.lock().unwrap() = true;
+        *ctx.shard_state(done) = true;
         ctx.stop();
     });
-    let (evw, args) = rt.start_msg(job, 8192, 0);
+    let (evw, args) = rt.start_msg(&eng, job, 8192, 0);
     eng.send(evw, args, EventWord::new(NetworkId(0), fin));
     let r = eng.run();
-    assert!(*done.lock().unwrap());
+    assert!(eng.shard_states(done).any(|&d| d));
     r.final_tick
 }
 
@@ -76,14 +74,14 @@ fn window_job_ticks(window: u32) -> u64 {
     let mut eng = Engine::new(MachineConfig::small(4, 2, 8));
     let data = Region::alloc_words(&mut eng, 8192, Layout::cyclic_bs(4, 32 * 1024)).unwrap();
     let rt = Kvmsr::install(&mut eng);
-    let rt2 = rt.clone();
     let ret = udweave::event::<St>(&mut eng, "ret", move |ctx, st| {
         let t = st.task.unwrap();
-        rt2.map_done(ctx, &t);
+        rt.map_done(ctx, &t);
         ctx.yield_terminate();
     });
     let set = LaneSet::all(eng.config());
     let job = rt.define_job(
+        &mut eng,
         JobSpec::new("mem", set, move |ctx, task, _rt| {
             ctx.state_mut::<St>().task = Some(*task);
             ctx.send_dram_read(data.word(task.key % 8192), 1, ret);
@@ -91,16 +89,15 @@ fn window_job_ticks(window: u32) -> u64 {
         })
         .window(window),
     );
-    let done: Arc<Mutex<bool>> = Arc::default();
-    let d = done.clone();
+    let done = eng.shard_slot::<bool>();
     let fin = simple_event(&mut eng, "fin", move |ctx| {
-        *d.lock().unwrap() = true;
+        *ctx.shard_state(done) = true;
         ctx.stop();
     });
-    let (evw, args) = rt.start_msg(job, 8192, 0);
+    let (evw, args) = rt.start_msg(&eng, job, 8192, 0);
     eng.send(evw, args, EventWord::new(NetworkId(0), fin));
     let r = eng.run();
-    assert!(*done.lock().unwrap());
+    assert!(eng.shard_states(done).any(|&d| d));
     r.final_tick
 }
 

@@ -3,8 +3,6 @@
 //! tree.
 
 use bench::timing::bench_host;
-use std::sync::Mutex;
-use std::sync::Arc;
 
 use drammalloc::Layout;
 use kvmsr::{JobSpec, Kvmsr, Outcome};
@@ -16,9 +14,9 @@ fn kvmsr_launch_ticks(lanes: u32) -> u64 {
     let mut eng = Engine::new(MachineConfig::small(lanes.div_ceil(128).max(1), 4, 32));
     let rt = Kvmsr::install(&mut eng);
     let set = LaneSet::new(NetworkId(0), lanes);
-    let job = rt.define_job(JobSpec::new("empty", set, |_c, _t, _r| Outcome::Done));
+    let job = rt.define_job(&mut eng, JobSpec::new("empty", set, |_c, _t, _r| Outcome::Done));
     let fin = simple_event(&mut eng, "fin", |ctx| ctx.stop());
-    let (evw, args) = rt.start_msg(job, 0, 0);
+    let (evw, args) = rt.start_msg(&eng, job, 0, 0);
     eng.send(evw, args, EventWord::new(NetworkId(0), fin));
     eng.run().final_tick
 }
@@ -28,16 +26,15 @@ fn sht_insert_run(n: u64) -> usize {
     let lib = updown_graph::ShtLib::install(&mut eng);
     let set = LaneSet::all(eng.config());
     let sht = lib.create(&mut eng, set, 64, 16, Layout::cyclic(1));
-    let lib2 = lib.clone();
     let go = simple_event(&mut eng, "go", move |ctx| {
         for k in 0..n {
-            lib2.insert(ctx, sht, k * 7 + 1, k, EventWord::IGNORE);
+            lib.insert(ctx, sht, k * 7 + 1, k, EventWord::IGNORE);
         }
         ctx.yield_terminate();
     });
     eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
     eng.run();
-    lib.len(sht)
+    lib.len(&eng, sht)
 }
 
 fn tree_broadcast_ticks(lanes: u32) -> u64 {
@@ -48,10 +45,9 @@ fn tree_broadcast_ticks(lanes: u32) -> u64 {
     });
     let tree = TreeComm::install(&mut eng, "t", 8);
     let set = LaneSet::new(NetworkId(0), lanes);
-    let done: Arc<Mutex<bool>> = Arc::default();
-    let d = done.clone();
+    let done = eng.shard_slot::<bool>();
     let fin = simple_event(&mut eng, "fin", move |ctx| {
-        *d.lock().unwrap() = true;
+        *ctx.shard_state(done) = true;
         ctx.stop();
     });
     let kick = simple_event(&mut eng, "kick", move |ctx| {
@@ -62,7 +58,7 @@ fn tree_broadcast_ticks(lanes: u32) -> u64 {
     });
     eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
     let r = eng.run();
-    assert!(*done.lock().unwrap());
+    assert!(eng.shard_states(done).any(|&d| d));
     r.final_tick
 }
 

@@ -3,7 +3,7 @@
 //! kvmap").
 
 use udweave::LaneSet;
-use updown_sim::EventCtx;
+use updown_sim::{Engine, EventCtx};
 
 use crate::runtime::{JobSpec, Kvmsr};
 use crate::task::{JobId, Outcome};
@@ -11,15 +11,17 @@ use crate::task::{JobId, Outcome};
 /// Define a do_all job: `f(ctx, key, user_arg)` runs once per key with
 /// Block binding; completion is signalled to the start continuation.
 pub fn define_do_all(
+    eng: &mut Engine,
     rt: &Kvmsr,
     name: &str,
     set: LaneSet,
     f: impl Fn(&mut EventCtx<'_>, u64, u64) + Send + Sync + 'static,
 ) -> JobId {
-    rt.define_job(JobSpec::new(name, set, move |ctx, task, _rt| {
+    let spec = JobSpec::new(name, set, move |ctx, task, _rt| {
         f(ctx, task.key, task.arg);
         Outcome::Done
-    }))
+    });
+    rt.define_job(eng, spec)
 }
 
 #[cfg(test)]
@@ -28,7 +30,7 @@ mod tests {
     use std::sync::Mutex;
     use std::sync::Arc;
     use udweave::simple_event;
-    use updown_sim::{Engine, EventWord, MachineConfig, NetworkId};
+    use updown_sim::{EventWord, MachineConfig, NetworkId};
 
     #[test]
     fn do_all_runs_per_key() {
@@ -37,12 +39,12 @@ mod tests {
         let acc: Arc<Mutex<u64>> = Arc::default();
         let acc2 = acc.clone();
         let set = LaneSet::new(NetworkId(0), 8);
-        let job = define_do_all(&rt, "sum", set, move |ctx, key, arg| {
+        let job = define_do_all(&mut eng, &rt, "sum", set, move |ctx, key, arg| {
             *acc2.lock().unwrap() += key * arg;
             ctx.charge(2);
         });
         let done = simple_event(&mut eng, "done", |ctx| ctx.stop());
-        let (evw, args) = rt.start_msg(job, 100, 3);
+        let (evw, args) = rt.start_msg(&eng, job, 100, 3);
         eng.send(evw, args, EventWord::new(NetworkId(0), done));
         eng.run();
         assert_eq!(*acc.lock().unwrap(), (0..100u64).sum::<u64>() * 3);

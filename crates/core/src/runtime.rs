@@ -20,13 +20,13 @@
 //! PBMW launchers additionally request key chunks from the master lane
 //! when their initial block runs dry.
 
-use std::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use udweave::{LaneSet, TreeComm};
 use updown_sim::{
     snap_fields, snap_state, Engine, EventCtx, EventLabel, EventWord, NetworkId, Operands,
+    ShardSlot, TableSlot,
 };
 
 use crate::binding::{KeyRange, MapBinding, ReduceBinding};
@@ -42,6 +42,7 @@ pub type ReduceFn =
 pub type EpilogueFn = Arc<dyn Fn(&mut EventCtx<'_>, EventWord) -> Outcome + Send + Sync>;
 
 /// A KVMSR job definition.
+#[derive(Clone)]
 pub struct JobSpec {
     pub name: String,
     /// Lanes this invocation targets (§2.3).
@@ -128,21 +129,40 @@ struct RunState {
     watermark: u64,
 }
 
-#[derive(Default)]
-struct Inner {
-    jobs: Vec<JobSpec>,
+/// One lane's reduce completions for one job — the per-lane scratchpad
+/// counter of the real implementation (spd costs charged at use). `done`
+/// only grows; the poll reports what this run added.
+#[derive(Default, Clone, Copy)]
+struct ReduceCount {
+    done: u64,
+    /// `done` as of the latest poll: once a run has finished, its total.
+    polled: u64,
+    /// `polled` when this run's launch reached the lane. A tuple can
+    /// arrive before the launch does, so the launch cannot simply zero
+    /// `done`; no poll of this run can.
+    base: u64,
+}
+
+/// What the runtime keeps per shard: a job's run bookkeeping lives with
+/// its master lane, a reduce counter with its reduce lane.
+#[derive(Default, Clone)]
+struct KvShard {
     runs: Vec<RunState>,
-    /// Reduce completions per (job, lane) — the per-lane scratchpad
-    /// counters of the real implementation (spd costs charged at use).
     /// A `BTreeMap` so any future iteration is deterministic by
     /// construction (see tools/determinism_lint.py).
-    reduce_counts: BTreeMap<(u32, u32), u64>,
+    reduce_counts: BTreeMap<(u32, u32), ReduceCount>,
+}
+
+impl KvShard {
+    fn run(&mut self, job: u32) -> &mut RunState {
+        udweave::program::entry(&mut self.runs, job as usize)
+    }
 }
 
 /// `race_order` token space for the reduce-completion poll protocol:
 /// `reduce_done` bumps a host-side per-(job, lane) counter that
-/// `poll_probe` reads, a lane-serialized exchange the race probe cannot
-/// see through the `Mutex`. Both sides order on `RACE_TOKEN_KV | job`
+/// `poll_probe` reads, a lane-serialized exchange in shard state, which
+/// the race probe cannot see. Both sides order on `RACE_TOKEN_KV | job`
 /// ("KV" in the high bytes); see docs/udrace.md.
 const RACE_TOKEN_KV: u64 = 0x4B56_0000_0000_0000;
 
@@ -162,31 +182,14 @@ struct Labels {
     epilogue_done: EventLabel,
 }
 
-impl Default for Labels {
-    fn default() -> Self {
-        let x = EventLabel(u16::MAX);
-        Labels {
-            start: x,
-            maps_done: x,
-            poll_result: x,
-            launch: x,
-            task_done: x,
-            pbmw_grant: x,
-            map_task: x,
-            reduce_exec: x,
-            poll_probe: x,
-            pbmw_request: x,
-            epilogue_probe: x,
-            epilogue_done: x,
-        }
-    }
-}
-
-/// The installed KVMSR runtime. Cheap to clone (shared internals).
-#[derive(Clone)]
+/// The installed KVMSR runtime: three engine slots and the launch tree.
+#[derive(Clone, Copy)]
 pub struct Kvmsr {
-    inner: Arc<Mutex<Inner>>,
-    labels: Arc<Mutex<Labels>>,
+    /// The job table, grown by [`Kvmsr::define_job`] between runs.
+    jobs: TableSlot<Vec<JobSpec>>,
+    /// The runtime's own labels, bound once at the end of `install`.
+    labels: TableSlot<Option<Labels>>,
+    state: ShardSlot<KvShard>,
     tree: TreeComm,
 }
 
@@ -244,299 +247,221 @@ impl Kvmsr {
     pub fn install(eng: &mut Engine) -> Kvmsr {
         eng.register_state_codec::<MasterState>();
         eng.register_state_codec::<LauncherState>();
-        let inner: Arc<Mutex<Inner>> = Arc::default();
-        // Run bookkeeping (active flags, PBMW watermarks) and the per-lane
-        // reduce-completion counters are host-side state read back by the
-        // poll/grant handlers — rewinds must carry them (docs/checkpoint.md).
-        {
-            let a = inner.clone();
-            let b = inner.clone();
-            eng.register_host_state(
-                move || {
-                    let inn = a.lock().unwrap();
-                    (inn.runs.clone(), inn.reduce_counts.clone())
-                },
-                move |(runs, counts)| {
-                    let mut inn = b.lock().unwrap();
-                    inn.runs = runs.clone();
-                    inn.reduce_counts = counts.clone();
-                },
-            );
-        }
-        let labels: Arc<Mutex<Labels>> = Arc::default();
         let tree = TreeComm::install(eng, "kvmsr_tree", 8);
         let rt = Kvmsr {
-            inner: inner.clone(),
-            labels: labels.clone(),
+            jobs: eng.table(Vec::new()),
+            labels: eng.table(None),
+            state: eng.shard_slot(),
             tree,
         };
 
         // ---- master thread ------------------------------------------------
         let mut master = udweave::ThreadType::<MasterState>::new("kvmsr_master");
-        let start = {
-            let rt = rt.clone();
-            master.event(eng, "start", move |ctx, st| {
-                st.job = ctx.arg(0) as u32;
-                st.keys = ctx.arg(1);
-                let user_arg = ctx.arg(2);
-                st.cont_raw = ctx.cont().raw();
-                let (set, watermark) = {
-                    let mut inner = rt.inner.lock().unwrap();
-                    let spec = &inner.jobs[st.job as usize];
-                    let set = spec.set;
-                    let wm = spec.map_binding.pbmw_watermark(st.keys, set.count);
-                    let job = st.job;
-                    let run = &mut inner.runs[job as usize];
-                    assert!(!run.active, "job {job} started while active");
-                    *run = RunState {
-                        active: true,
-                        keys: st.keys,
-                        watermark: wm,
-                    };
-                    inner.reduce_counts.retain(|(j, _), _| *j != job);
-                    (set, wm)
-                };
-                let _ = watermark;
-                ctx.bump("kvmsr.jobs", 1);
-                ctx.phase_begin("map");
-                // Launch broadcast; acks aggregate to maps_done.
-                let lb = rt.labels.lock().unwrap();
-                let args =
-                    rt.tree
-                        .start_args(set, lb.launch, &[st.job as u64, st.keys, user_arg]);
-                let md = ctx.self_event(lb.maps_done);
-                ctx.charge(4);
-                ctx.send_event(rt.tree.start_evw(set), args, md);
-            })
-        };
-        let maps_done = {
-            let rt = rt.clone();
-            master.event(eng, "maps_done", move |ctx, st| {
-                let processed = ctx.arg(0);
-                st.emitted = ctx.arg(1);
-                assert_eq!(
-                    processed, st.keys,
-                    "job {}: launcher reports lost keys",
-                    st.job
-                );
-                let (has_reduce, set, poll_probe, poll_result) = {
-                    let inner = rt.inner.lock().unwrap();
-                    let lb = rt.labels.lock().unwrap();
-                    (
-                        inner.jobs[st.job as usize].reduce.is_some(),
-                        inner.jobs[st.job as usize].set,
-                        lb.poll_probe,
-                        lb.poll_result,
-                    )
-                };
-                ctx.phase_end("map");
-                if !has_reduce || st.emitted == 0 {
-                    rt.finish_or_epilogue(ctx, st);
-                    return;
-                }
-                ctx.phase_begin("reduce");
-                // First reduce-termination poll, immediately.
-                let args = rt.tree.start_args(set, poll_probe, &[st.job as u64]);
-                let pr = ctx.self_event(poll_result);
-                ctx.charge(2);
-                ctx.send_event(rt.tree.start_evw(set), args, pr);
-            })
-        };
-        let poll_result = {
-            let rt = rt.clone();
-            master.event(eng, "poll_result", move |ctx, st| {
-                let sum = ctx.arg(0);
-                debug_assert!(sum <= st.emitted, "reduce over-count");
-                if sum == st.emitted {
-                    rt.finish_or_epilogue(ctx, st);
-                    return;
-                }
-                let (set, interval, poll_probe, poll_result) = {
-                    let inner = rt.inner.lock().unwrap();
-                    let lb = rt.labels.lock().unwrap();
-                    let spec = &inner.jobs[st.job as usize];
-                    (spec.set, spec.poll_interval, lb.poll_probe, lb.poll_result)
-                };
-                let args = rt.tree.start_args(set, poll_probe, &[st.job as u64]);
-                let pr = ctx.self_event(poll_result);
-                ctx.charge(2);
-                ctx.send_event_after(interval, rt.tree.start_evw(set), args, pr);
-            })
-        };
-
-        let epilogue_done = {
-            let rt = rt.clone();
-            master.event(eng, "epilogue_done", move |ctx, st| {
-                rt.finish(ctx, st);
-            })
-        };
-        let _ = epilogue_done;
+        let start = master.event(eng, "start", move |ctx, st| {
+            st.job = ctx.arg(0) as u32;
+            st.keys = ctx.arg(1);
+            let user_arg = ctx.arg(2);
+            st.cont_raw = ctx.cont().raw();
+            let spec = rt.job(ctx, st.job);
+            let set = spec.set;
+            let watermark = spec.map_binding.pbmw_watermark(st.keys, set.count);
+            let run = ctx.shard_state(rt.state).run(st.job);
+            assert!(!run.active, "job {} started while active", st.job);
+            *run = RunState {
+                active: true,
+                keys: st.keys,
+                watermark,
+            };
+            ctx.bump("kvmsr.jobs", 1);
+            ctx.phase_begin("map");
+            // Launch broadcast; acks aggregate to maps_done.
+            let lb = rt.labels(ctx);
+            let args = rt
+                .tree
+                .start_args(set, lb.launch, &[st.job as u64, st.keys, user_arg]);
+            let md = ctx.self_event(lb.maps_done);
+            ctx.charge(4);
+            ctx.send_event(rt.tree.start_evw(set), args, md);
+        });
+        let maps_done = master.event(eng, "maps_done", move |ctx, st| {
+            let processed = ctx.arg(0);
+            st.emitted = ctx.arg(1);
+            assert_eq!(
+                processed, st.keys,
+                "job {}: launcher reports lost keys",
+                st.job
+            );
+            let spec = rt.job(ctx, st.job);
+            ctx.phase_end("map");
+            if spec.reduce.is_none() || st.emitted == 0 {
+                rt.finish_or_epilogue(ctx, st);
+                return;
+            }
+            ctx.phase_begin("reduce");
+            // First reduce-termination poll, immediately.
+            let lb = rt.labels(ctx);
+            let args = rt.tree.start_args(spec.set, lb.poll_probe, &[st.job as u64]);
+            let pr = ctx.self_event(lb.poll_result);
+            ctx.charge(2);
+            ctx.send_event(rt.tree.start_evw(spec.set), args, pr);
+        });
+        let poll_result = master.event(eng, "poll_result", move |ctx, st| {
+            let sum = ctx.arg(0);
+            debug_assert!(sum <= st.emitted, "reduce over-count");
+            if sum == st.emitted {
+                rt.finish_or_epilogue(ctx, st);
+                return;
+            }
+            let spec = rt.job(ctx, st.job);
+            let lb = rt.labels(ctx);
+            let args = rt.tree.start_args(spec.set, lb.poll_probe, &[st.job as u64]);
+            let pr = ctx.self_event(lb.poll_result);
+            ctx.charge(2);
+            ctx.send_event_after(spec.poll_interval, rt.tree.start_evw(spec.set), args, pr);
+        });
+        let epilogue_done = master.event(eng, "epilogue_done", move |ctx, st| {
+            rt.finish(ctx, st);
+        });
 
         // ---- per-lane launcher thread --------------------------------------
         let mut launcher = udweave::ThreadType::<LauncherState>::new("kvmsr_launcher");
-        let launch = {
-            let rt = rt.clone();
-            launcher.event(eng, "launch", move |ctx, st| {
-                st.job = ctx.arg(0) as u32;
-                let keys = ctx.arg(1);
-                st.user_arg = ctx.arg(2);
-                st.ack = ctx.cont();
-                let (window, binding, set) = {
-                    let inner = rt.inner.lock().unwrap();
-                    let spec = &inner.jobs[st.job as usize];
-                    (spec.window, spec.map_binding, spec.set)
+        let launch = launcher.event(eng, "launch", move |ctx, st| {
+            st.job = ctx.arg(0) as u32;
+            let keys = ctx.arg(1);
+            st.user_arg = ctx.arg(2);
+            st.ack = ctx.cont();
+            let spec = rt.job(ctx, st.job);
+            // What the last poll saw belongs to runs that are over.
+            let lane = ctx.nwid().0;
+            if let Some(c) = ctx.shard_state(rt.state).reduce_counts.get_mut(&(st.job, lane)) {
+                c.base = c.polled;
+            }
+            let pos = spec.set.position_of(ctx.nwid());
+            st.range = spec.map_binding.initial_range(keys, pos, spec.set.count);
+            st.pbmw = matches!(spec.map_binding, MapBinding::Pbmw { .. });
+            ctx.charge(6);
+            for _ in 0..spec.window {
+                if !rt.spawn_one(ctx, st) {
+                    break;
+                }
+            }
+            rt.launcher_progress(ctx, st);
+        });
+        let task_done = launcher.event(eng, "task_done", move |ctx, st| {
+            st.in_flight -= 1;
+            ctx.trace_counter_add("kvmsr.in_flight", -1);
+            st.processed += 1;
+            st.emitted += ctx.arg(0);
+            ctx.charge(2);
+            rt.spawn_one(ctx, st);
+            rt.launcher_progress(ctx, st);
+        });
+        let pbmw_grant = launcher.event(eng, "pbmw_grant", move |ctx, st| {
+            let start = ctx.arg(0);
+            let len = ctx.arg(1);
+            st.requested = false;
+            ctx.charge(2);
+            if len == 0 {
+                st.drained = true;
+            } else {
+                st.range = KeyRange {
+                    next: start,
+                    end: start + len,
+                    stride: 1,
                 };
-                let pos = set.position_of(ctx.nwid());
-                st.range = binding.initial_range(keys, pos, set.count);
-                st.pbmw = matches!(binding, MapBinding::Pbmw { .. });
-                ctx.charge(6);
-                for _ in 0..window {
+                let window = rt.job(ctx, st.job).window;
+                while st.in_flight < window {
                     if !rt.spawn_one(ctx, st) {
                         break;
                     }
                 }
-                rt.launcher_progress(ctx, st);
-            })
-        };
-        let task_done = {
-            let rt = rt.clone();
-            launcher.event(eng, "task_done", move |ctx, st| {
-                st.in_flight -= 1;
-                ctx.trace_counter_add("kvmsr.in_flight", -1);
-                st.processed += 1;
-                st.emitted += ctx.arg(0);
-                ctx.charge(2);
-                rt.spawn_one(ctx, st);
-                rt.launcher_progress(ctx, st);
-            })
-        };
-        let pbmw_grant = {
-            let rt = rt.clone();
-            launcher.event(eng, "pbmw_grant", move |ctx, st| {
-                let start = ctx.arg(0);
-                let len = ctx.arg(1);
-                st.requested = false;
-                ctx.charge(2);
-                if len == 0 {
-                    st.drained = true;
-                } else {
-                    st.range = KeyRange {
-                        next: start,
-                        end: start + len,
-                        stride: 1,
-                    };
-                    let window = {
-                        let inner = rt.inner.lock().unwrap();
-                        inner.jobs[st.job as usize].window
-                    };
-                    while st.in_flight < window {
-                        if !rt.spawn_one(ctx, st) {
-                            break;
-                        }
-                    }
-                }
-                rt.launcher_progress(ctx, st);
-            })
-        };
+            }
+            rt.launcher_progress(ctx, st);
+        });
 
         // ---- map task wrapper ----------------------------------------------
-        let map_task = {
-            let rt = rt.clone();
-            udweave::simple_event(eng, "kvmsr::kv_map", move |ctx| {
-                let mut task = MapTask::parse(ctx);
-                let f = rt.inner.lock().unwrap().jobs[task.job.0 as usize].map.clone();
-                match f(ctx, &mut task, &rt) {
-                    Outcome::Done => {
-                        rt.map_done(ctx, &task);
-                        ctx.yield_terminate();
-                    }
-                    Outcome::Async => {}
-                }
-            })
-        };
-
-        // ---- reduce wrapper ---------------------------------------------------
-        let reduce_exec = {
-            let rt = rt.clone();
-            udweave::simple_event(eng, "kvmsr::kv_reduce", move |ctx| {
-                let job = JobId(ctx.arg(0) as u32);
-                let task = ReduceTask {
-                    job,
-                    key: ctx.arg(1),
-                };
-                let f = rt.inner.lock().unwrap().jobs[job.0 as usize]
-                    .reduce
-                    .clone()
-                    .expect("reduce tuple for map-only job");
-                let vals = Operands::from(&ctx.args()[2..]);
-                match f(ctx, &task, &vals, &rt) {
-                    Outcome::Done => {
-                        rt.reduce_done(ctx, job);
-                        ctx.yield_terminate();
-                    }
-                    Outcome::Async => {}
-                }
-            })
-        };
-
-        // ---- per-lane poll probe ------------------------------------------------
-        let poll_probe = {
-            let inner = inner.clone();
-            udweave::simple_event(eng, "kvmsr::poll_probe", move |ctx| {
-                let job = ctx.arg(0) as u32;
-                ctx.race_order(RACE_TOKEN_KV | job as u64);
-                let count = inner
-                    .lock().unwrap()
-                    .reduce_counts
-                    .get(&(job, ctx.nwid().0))
-                    .copied()
-                    .unwrap_or(0);
-                ctx.charge(2);
-                ctx.send_reply([count, 0]);
-                ctx.yield_terminate();
-            })
-        };
-
-        // ---- per-lane epilogue hook ------------------------------------------
-        let epilogue_probe = {
-            let inner = inner.clone();
-            udweave::simple_event(eng, "kvmsr::epilogue", move |ctx| {
-                let job = ctx.arg(0) as u32;
-                let done = ctx.cont();
-                let f = inner.lock().unwrap().jobs[job as usize].epilogue.clone();
-                let outcome = match f {
-                    Some(f) => f(ctx, done),
-                    None => Outcome::Done,
-                };
-                if outcome == Outcome::Done {
-                    ctx.send_reply([0u64, 0]);
+        let map_task = udweave::simple_event(eng, "kvmsr::kv_map", move |ctx| {
+            let mut task = MapTask::parse(ctx);
+            let f = &rt.job(ctx, task.job.0).map;
+            match f(ctx, &mut task, &rt) {
+                Outcome::Done => {
+                    rt.map_done(ctx, &task);
                     ctx.yield_terminate();
                 }
-            })
-        };
+                Outcome::Async => {}
+            }
+        });
+
+        // ---- reduce wrapper ---------------------------------------------------
+        let reduce_exec = udweave::simple_event(eng, "kvmsr::kv_reduce", move |ctx| {
+            let job = JobId(ctx.arg(0) as u32);
+            let task = ReduceTask {
+                job,
+                key: ctx.arg(1),
+            };
+            let f = rt
+                .job(ctx, job.0)
+                .reduce
+                .as_ref()
+                .expect("reduce tuple for map-only job");
+            let vals = Operands::from(&ctx.args()[2..]);
+            match f(ctx, &task, &vals, &rt) {
+                Outcome::Done => {
+                    rt.reduce_done(ctx, job);
+                    ctx.yield_terminate();
+                }
+                Outcome::Async => {}
+            }
+        });
+
+        // ---- per-lane poll probe ------------------------------------------------
+        let poll_probe = udweave::simple_event(eng, "kvmsr::poll_probe", move |ctx| {
+            let job = ctx.arg(0) as u32;
+            ctx.race_order(RACE_TOKEN_KV | job as u64);
+            let lane = ctx.nwid().0;
+            let count = match ctx.shard_state(rt.state).reduce_counts.get_mut(&(job, lane)) {
+                Some(c) => {
+                    c.polled = c.done;
+                    c.done - c.base
+                }
+                None => 0,
+            };
+            ctx.charge(2);
+            ctx.send_reply([count, 0]);
+            ctx.yield_terminate();
+        });
+
+        // ---- per-lane epilogue hook ------------------------------------------
+        let epilogue_probe = udweave::simple_event(eng, "kvmsr::epilogue", move |ctx| {
+            let job = ctx.arg(0) as u32;
+            let done = ctx.cont();
+            let outcome = match &rt.job(ctx, job).epilogue {
+                Some(f) => f(ctx, done),
+                None => Outcome::Done,
+            };
+            if outcome == Outcome::Done {
+                ctx.send_reply([0u64, 0]);
+                ctx.yield_terminate();
+            }
+        });
 
         // ---- PBMW master-side chunk server ------------------------------------
-        let pbmw_request = {
-            let inner = inner.clone();
-            udweave::simple_event(eng, "kvmsr::pbmw_request", move |ctx| {
-                let job = ctx.arg(0) as u32;
-                let mut inner = inner.lock().unwrap();
-                let chunk = match inner.jobs[job as usize].map_binding {
-                    MapBinding::Pbmw { chunk } => chunk,
-                    _ => unreachable!("PBMW request for non-PBMW job"),
-                };
-                let run = &mut inner.runs[job as usize];
-                let grant = chunk.min(run.keys - run.watermark);
-                let start = run.watermark;
-                run.watermark += grant;
-                drop(inner);
-                ctx.charge(3);
-                ctx.send_reply([start, grant]);
-                ctx.yield_terminate();
-            })
-        };
+        let pbmw_request = udweave::simple_event(eng, "kvmsr::pbmw_request", move |ctx| {
+            let job = ctx.arg(0) as u32;
+            let chunk = match rt.job(ctx, job).map_binding {
+                MapBinding::Pbmw { chunk } => chunk,
+                _ => unreachable!("PBMW request for non-PBMW job"),
+            };
+            let run = ctx.shard_state(rt.state).run(job);
+            let grant = chunk.min(run.keys - run.watermark);
+            let start = run.watermark;
+            run.watermark += grant;
+            ctx.charge(3);
+            ctx.send_reply([start, grant]);
+            ctx.yield_terminate();
+        });
 
-        *labels.lock().unwrap() = Labels {
+        *eng.table_mut(rt.labels) = Some(Labels {
             start,
             maps_done,
             poll_result,
@@ -549,36 +474,39 @@ impl Kvmsr {
             pbmw_request,
             epilogue_probe,
             epilogue_done,
-        };
+        });
         rt
+    }
+
+    /// A job's definition, borrowed for the whole run: its closures can be
+    /// called with `ctx`.
+    fn job<'a>(&self, ctx: &EventCtx<'a>, job: u32) -> &'a JobSpec {
+        &ctx.table(self.jobs)[job as usize]
+    }
+
+    fn labels<'a>(&self, ctx: &EventCtx<'a>) -> &'a Labels {
+        ctx.table(self.labels).as_ref().expect("labels are bound by install")
     }
 
     /// Run the epilogue broadcast if the job has one, else finish directly.
     fn finish_or_epilogue(&self, ctx: &mut EventCtx<'_>, st: &mut MasterState) {
-        let (has_epi, set) = {
-            let inner = self.inner.lock().unwrap();
-            let spec = &inner.jobs[st.job as usize];
-            (spec.epilogue.is_some(), spec.set)
-        };
+        let spec = self.job(ctx, st.job);
         ctx.phase_end("reduce");
-        if !has_epi {
+        if spec.epilogue.is_none() {
             self.finish(ctx, st);
             return;
         }
         ctx.phase_begin("epilogue");
-        let lb = *self.labels.lock().unwrap();
-        let args = self.tree.start_args(set, lb.epilogue_probe, &[st.job as u64]);
+        let lb = self.labels(ctx);
+        let args = self.tree.start_args(spec.set, lb.epilogue_probe, &[st.job as u64]);
         let done = ctx.self_event(lb.epilogue_done);
         ctx.charge(2);
-        ctx.send_event(self.tree.start_evw(set), args, done);
+        ctx.send_event(self.tree.start_evw(spec.set), args, done);
     }
 
     fn finish(&self, ctx: &mut EventCtx<'_>, st: &mut MasterState) {
         ctx.phase_end("epilogue");
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.runs[st.job as usize].active = false;
-        }
+        ctx.shard_state(self.state).run(st.job).active = false;
         let cont = EventWord::from_raw(st.cont_raw);
         if !cont.is_ignore() {
             ctx.send_event(cont, [st.keys, st.emitted], EventWord::IGNORE);
@@ -589,16 +517,15 @@ impl Kvmsr {
     /// Spawn the next map task on this launcher's lane. Returns false when
     /// the local range is empty (possibly requesting a PBMW refill).
     fn spawn_one(&self, ctx: &mut EventCtx<'_>, st: &mut LauncherState) -> bool {
+        let lb = self.labels(ctx);
         match st.range.take() {
             Some(key) => {
                 st.in_flight += 1;
                 ctx.bump("kvmsr.map_tasks", 1);
                 ctx.peak("kvmsr.window_peak", st.in_flight as u64);
                 ctx.trace_counter_add("kvmsr.in_flight", 1);
-                let lb = self.labels.lock().unwrap();
                 let td = ctx.self_event(lb.task_done);
                 let w = EventWord::new(ctx.nwid(), lb.map_task);
-                drop(lb);
                 ctx.send_event(
                     w,
                     [st.job as u64, key, st.user_arg, td.raw()],
@@ -609,10 +536,7 @@ impl Kvmsr {
             None => {
                 if st.pbmw && !st.requested && !st.drained {
                     st.requested = true;
-                    let (set, lb) = {
-                        let inner = self.inner.lock().unwrap();
-                        (inner.jobs[st.job as usize].set, *self.labels.lock().unwrap())
-                    };
+                    let set = self.job(ctx, st.job).set;
                     let dst = EventWord::new(set.lane(0), lb.pbmw_request);
                     let grant = ctx.self_event(lb.pbmw_grant);
                     ctx.send_event(dst, [st.job as u64], grant);
@@ -632,31 +556,30 @@ impl Kvmsr {
         }
     }
 
-    /// Define a job; returns its id for `start` calls.
-    pub fn define_job(&self, spec: JobSpec) -> JobId {
-        let mut inner = self.inner.lock().unwrap();
-        let id = JobId(inner.jobs.len() as u32);
-        inner.jobs.push(spec);
-        inner.runs.push(RunState::default());
-        id
+    /// Define a job; returns its id for `start` calls. The job table is a
+    /// program table, so this happens between runs.
+    pub fn define_job(&self, eng: &mut Engine, spec: JobSpec) -> JobId {
+        let jobs = eng.table_mut(self.jobs);
+        jobs.push(spec);
+        JobId(jobs.len() as u32 - 1)
     }
 
     /// The lane set a job targets.
-    pub fn job_set(&self, job: JobId) -> LaneSet {
-        self.inner.lock().unwrap().jobs[job.0 as usize].set
+    pub fn job_set(&self, eng: &Engine, job: JobId) -> LaneSet {
+        eng.table_ref(self.jobs)[job.0 as usize].set
     }
 
     /// Master lane of a job (where `start` messages go).
-    pub fn master_lane(&self, job: JobId) -> NetworkId {
-        self.job_set(job).lane(0)
+    pub fn master_lane(&self, eng: &Engine, job: JobId) -> NetworkId {
+        self.job_set(eng, job).lane(0)
     }
 
     /// Build the start message for host-side injection:
     /// `engine.send(evw, args, completion_cont)`.
-    pub fn start_msg(&self, job: JobId, keys: u64, user_arg: u64) -> (EventWord, Vec<u64>) {
-        let lb = self.labels.lock().unwrap();
+    pub fn start_msg(&self, eng: &Engine, job: JobId, keys: u64, user_arg: u64) -> (EventWord, Vec<u64>) {
+        let start = eng.table_ref(self.labels).expect("labels are bound by install").start;
         (
-            EventWord::new(self.master_lane(job), lb.start),
+            EventWord::new(self.master_lane(eng, job), start),
             vec![job.0 as u64, keys, user_arg],
         )
     }
@@ -671,8 +594,8 @@ impl Kvmsr {
         user_arg: u64,
         cont: EventWord,
     ) {
-        let (evw, args) = self.start_msg(job, keys, user_arg);
-        ctx.send_event(evw, args, cont);
+        let evw = EventWord::new(self.job(ctx, job.0).set.lane(0), self.labels(ctx).start);
+        ctx.send_event(evw, [job.0 as u64, keys, user_arg], cont);
     }
 
     /// `kv_map_emit`: route an intermediate tuple to its reduce lane.
@@ -687,18 +610,12 @@ impl Kvmsr {
     /// ([`MapTask::add_external_emits`]); forgetting to do so hangs the
     /// job's reduce termination.
     pub fn emit_uncounted(&self, ctx: &mut EventCtx<'_>, job: JobId, key: u64, vals: &[u64]) {
-        let (lane, label) = {
-            let inner = self.inner.lock().unwrap();
-            let spec = &inner.jobs[job.0 as usize];
-            (
-                spec.reduce_binding.lane_for(key, &spec.set),
-                self.labels.lock().unwrap().reduce_exec,
-            )
-        };
+        let spec = self.job(ctx, job.0);
+        let lane = spec.reduce_binding.lane_for(key, &spec.set);
         let mut args = Operands::from([job.0 as u64, key]);
         args.extend_from_slice(vals);
         ctx.charge(1);
-        ctx.send_event(EventWord::new(lane, label), args, EventWord::IGNORE);
+        ctx.send_event(EventWord::new(lane, self.labels(ctx).reduce_exec), args, EventWord::IGNORE);
     }
 
     /// `kv_map_return`: retire a map task (call once per task; the wrapper
@@ -711,8 +628,8 @@ impl Kvmsr {
     /// [`Outcome::Done`] reduces).
     pub fn reduce_done(&self, ctx: &mut EventCtx<'_>, job: JobId) {
         ctx.race_order(RACE_TOKEN_KV | job.0 as u64);
-        let mut inner = self.inner.lock().unwrap();
-        *inner.reduce_counts.entry((job.0, ctx.nwid().0)).or_insert(0) += 1;
+        let lane = ctx.nwid().0;
+        ctx.shard_state(self.state).reduce_counts.entry((job.0, lane)).or_default().done += 1;
         ctx.charge(1);
     }
 }
@@ -916,7 +833,7 @@ mod tests {
             *out2.lock().unwrap() = (ctx.arg(0), ctx.arg(1));
             ctx.stop();
         });
-        let (evw, args) = rt.start_msg(job, keys, arg);
+        let (evw, args) = rt.start_msg(eng, job, keys, arg);
         let cont = EventWord::new(NetworkId(0), done);
         eng.send(evw, args, cont);
         let r = eng.run();
@@ -931,7 +848,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
         let seen2 = seen.clone();
         let set = LaneSet::new(NetworkId(0), 8);
-        let job = rt.define_job(JobSpec::new("visit", set, move |ctx, task, _rt| {
+        let job = rt.define_job(&mut eng, JobSpec::new("visit", set, move |ctx, task, _rt| {
             seen2.lock().unwrap().push(task.key);
             ctx.charge(5);
             Outcome::Done
@@ -951,7 +868,7 @@ mod tests {
         let base = eng.mem_mut().alloc(4096, 0, 2, 4096).unwrap();
         let rt = Kvmsr::install(&mut eng);
         let set = LaneSet::new(NetworkId(0), 16);
-        let job = rt.define_job(
+        let job = rt.define_job(&mut eng,
             JobSpec::new("hist_map", set, move |ctx, task, rt| {
                 let bucket = task.key % 10;
                 rt.emit(ctx, task, bucket, &[1]);
@@ -986,15 +903,14 @@ mod tests {
         let rt = Kvmsr::install(&mut eng);
         let sum: Arc<Mutex<u64>> = Arc::default();
         let sum2 = sum.clone();
-        let rt2 = rt.clone();
         let on_read = udweave::event::<St>(&mut eng, "on_read", move |ctx, st| {
             *sum2.lock().unwrap() += ctx.arg(0);
             let task = st.task.unwrap();
-            rt2.map_done(ctx, &task);
+            rt.map_done(ctx, &task);
             ctx.yield_terminate();
         });
         let set = LaneSet::new(NetworkId(0), 4);
-        let job = rt.define_job(JobSpec::new("async", set, move |ctx, task, _rt| {
+        let job = rt.define_job(&mut eng, JobSpec::new("async", set, move |ctx, task, _rt| {
             ctx.state_mut::<St>().task = Some(*task);
             ctx.send_dram_read(VAddr(data.0).word(task.key), 1, on_read);
             Outcome::Async
@@ -1012,7 +928,7 @@ mod tests {
             let mut eng = engine(1, 2, 8);
             let rt = Kvmsr::install(&mut eng);
             let set = LaneSet::new(NetworkId(0), 16);
-            let job = rt.define_job(
+            let job = rt.define_job(&mut eng,
                 JobSpec::new("skew", set, move |ctx, task, _rt| {
                     // Keys in the first block are 100x more expensive.
                     let cost = if task.key < 64 { 4000 } else { 40 };
@@ -1029,7 +945,7 @@ mod tests {
                     *out2.lock().unwrap() = (ctx.arg(0), ctx.arg(1));
                     ctx.stop();
                 });
-                let (evw, args) = rt.start_msg(job, 1024, 0);
+                let (evw, args) = rt.start_msg(&eng, job, 1024, 0);
                 eng.send(evw, args, EventWord::new(NetworkId(0), done));
                 let r = eng.run();
                 let (p, e) = *out.lock().unwrap();
@@ -1051,7 +967,7 @@ mod tests {
         let mut eng = engine(1, 1, 4);
         let rt = Kvmsr::install(&mut eng);
         let set = LaneSet::new(NetworkId(0), 4);
-        let job = rt.define_job(
+        let job = rt.define_job(&mut eng,
             JobSpec::new("empty", set, |_ctx, _task, _rt| Outcome::Done)
                 .with_reduce(|_ctx, _t, _v, _rt| Outcome::Done),
         );
@@ -1074,15 +990,14 @@ mod tests {
             eng.mem_mut().write_u64(table.word(i), 100 + i).unwrap();
         }
         let rt = Kvmsr::install(&mut eng);
-        let rt2 = rt.clone();
         let on_read = udweave::event::<St>(&mut eng, "red_read", move |ctx, st| {
             let v = ctx.arg(0) + st.add;
             ctx.dram_fetch_add_u64(out, v, None, None);
-            rt2.reduce_done(ctx, JobId(st.job));
+            rt.reduce_done(ctx, JobId(st.job));
             ctx.yield_terminate();
         });
         let set = LaneSet::new(NetworkId(0), 4);
-        let job = rt.define_job(
+        let job = rt.define_job(&mut eng,
             JobSpec::new("amap", set, move |ctx, task, rt| {
                 rt.emit(ctx, task, task.key % 16, &[task.key]);
                 Outcome::Done
@@ -1109,7 +1024,7 @@ mod tests {
         let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(true));
         let ok2 = ok.clone();
         let set = LaneSet::new(NetworkId(0), 2);
-        let job = rt.define_job(JobSpec::new("arg", set, move |_ctx, task, _rt| {
+        let job = rt.define_job(&mut eng, JobSpec::new("arg", set, move |_ctx, task, _rt| {
             if task.arg != 777 {
                 *ok2.lock().unwrap() = false;
             }
@@ -1126,7 +1041,7 @@ mod tests {
         let count: Arc<Mutex<u64>> = Arc::default();
         let c2 = count.clone();
         let set = LaneSet::new(NetworkId(0), 4);
-        let job = rt.define_job(JobSpec::new("again", set, move |_ctx, _task, _rt| {
+        let job = rt.define_job(&mut eng, JobSpec::new("again", set, move |_ctx, _task, _rt| {
             *c2.lock().unwrap() += 1;
             Outcome::Done
         }));
@@ -1141,7 +1056,7 @@ mod tests {
             let mut eng = engine(1, 4, 16);
             let rt = Kvmsr::install(&mut eng);
             let set = LaneSet::new(NetworkId(0), lanes);
-            let job = rt.define_job(JobSpec::new("work", set, move |ctx, _task, _rt| {
+            let job = rt.define_job(&mut eng, JobSpec::new("work", set, move |ctx, _task, _rt| {
                 ctx.charge(500);
                 Outcome::Done
             }));
@@ -1152,7 +1067,7 @@ mod tests {
                     *out2.lock().unwrap() = (ctx.arg(0), ctx.arg(1));
                     ctx.stop();
                 });
-                let (evw, args) = rt.start_msg(job, 2048, 0);
+                let (evw, args) = rt.start_msg(&eng, job, 2048, 0);
                 eng.send(evw, args, EventWord::new(NetworkId(0), done));
                 let r = eng.run();
                 let p = out.lock().unwrap().0;

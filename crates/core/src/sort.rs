@@ -46,7 +46,7 @@ pub fn install_sort(eng: &mut updown_sim::Engine, rt: &Kvmsr, set: LaneSet, plan
     }
     updown_sim::snap_state!(MapSt, "sort.map", { task });
     eng.register_state_codec::<MapSt>();
-    let rt_for_read = rt.clone();
+    let rt_for_read = *rt;
     let on_read = udweave::event::<MapSt>(eng, "sort::returnRead", move |ctx, st| {
         let v = ctx.arg(0);
         let mut task = st.task.take().expect("read before map");
@@ -56,15 +56,11 @@ pub fn install_sort(eng: &mut updown_sim::Engine, rt: &Kvmsr, set: LaneSet, plan
         ctx.yield_terminate();
     });
     // Per-bucket append cursors. The Hash reduce binding sends every tuple
-    // for a bucket to one lane, so a lane-local counter (scratchpad in
-    // hardware; shadowed host-side with spd costs charged) hands out unique
+    // for a bucket to one lane, so a counter in that lane's shard
+    // (scratchpad in hardware, with spd costs charged) hands out unique
     // slots race-free. The DRAM length cell is updated with an atomic add
     // so `read_sorted` sees the final count.
-    // det-lint: allow — entry-only per-bucket counters; never iterated,
-    // so hash order cannot reach any output.
-    let cursors: std::sync::Arc<std::sync::Mutex<std::collections::HashMap<u64, u64>>> =
-        std::sync::Arc::default();
-    eng.host_state_cell(&cursors);
+    let cursors = eng.shard_slot::<std::collections::BTreeMap<u64, u64>>();
     let spec = JobSpec::new("global_sort", set, move |ctx, task, _rt| {
         ctx.state_mut::<MapSt>().task = Some(*task);
         ctx.send_dram_read(plan.input.word(task.key), 1, on_read);
@@ -73,20 +69,16 @@ pub fn install_sort(eng: &mut updown_sim::Engine, rt: &Kvmsr, set: LaneSet, plan
     .with_reduce(move |ctx, task, vals, _rt| {
         let bucket = task.key;
         let v = vals[0];
-        let idx = {
-            let mut c = cursors.lock().unwrap();
-            let e = c.entry(bucket).or_insert(0);
-            let idx = *e;
-            *e += 1;
-            idx
-        };
+        let e = ctx.shard_state(cursors).entry(bucket).or_insert(0);
+        let idx = *e;
+        *e += 1;
         assert!(idx < plan.segment_cap, "bucket {bucket} overflow");
         ctx.charge(3); // cursor load/inc/store
         ctx.dram_fetch_add_u64(plan.seg_len_base.word(bucket), 1, None, None);
         ctx.send_dram_write(plan.seg_slot(bucket, idx), &[v], None);
         Outcome::Done
     });
-    rt.define_job(spec)
+    rt.define_job(eng, spec)
 }
 
 /// The udspec declaration of the sort job: the KVMSR base protocol plus
@@ -155,7 +147,7 @@ mod tests {
         let set = udweave::LaneSet::new(NetworkId(0), 16);
         let job = install_sort(&mut eng, &rt, set, plan);
         let done = simple_event(&mut eng, "done", |ctx| ctx.stop());
-        let (evw, args) = rt.start_msg(job, n, 0);
+        let (evw, args) = rt.start_msg(&eng, job, n, 0);
         eng.send(evw, args, EventWord::new(NetworkId(0), done));
         eng.run();
 

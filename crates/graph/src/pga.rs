@@ -84,8 +84,8 @@ impl Pga {
     }
 
     /// Host-side sizes.
-    pub fn counts(&self, lib: &ShtLib) -> (usize, usize) {
-        (lib.len(self.vertices), lib.len(self.edges))
+    pub fn counts(&self, eng: &Engine, lib: &ShtLib) -> (usize, usize) {
+        (lib.len(eng, self.vertices), lib.len(eng, self.edges))
     }
 }
 
@@ -115,17 +115,16 @@ mod tests {
         let lib = ShtLib::install(&mut eng);
         let set = LaneSet::new(NetworkId(0), 8);
         let pga = Pga::create(&mut eng, &lib, set, 32, 8, 32, 8, Layout::cyclic(2));
-        let lib2 = lib.clone();
         let go = simple_event(&mut eng, "go", move |ctx| {
             for i in 0..20u64 {
-                pga.add_vertex(ctx, &lib2, i % 10, 1, EventWord::IGNORE);
-                pga.add_edge(ctx, &lib2, i % 10, (i + 1) % 10, 2, EventWord::IGNORE);
+                pga.add_vertex(ctx, &lib, i % 10, 1, EventWord::IGNORE);
+                pga.add_edge(ctx, &lib, i % 10, (i + 1) % 10, 2, EventWord::IGNORE);
             }
             ctx.yield_terminate();
         });
         eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
         eng.run();
-        let (nv, ne) = pga.counts(&lib);
+        let (nv, ne) = pga.counts(&eng, &lib);
         assert_eq!(nv, 10, "duplicate vertices deduped");
         assert_eq!(ne, 10, "duplicate edges deduped");
     }

@@ -11,14 +11,12 @@
 //! must be sized for the load (the artifact's configuration files expose
 //! exactly these knobs: `VERTEX_EB`, `EDGE_EB`, `VERTEX_BL`, `EDGE_BL`).
 
-use std::sync::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use drammalloc::{Layout, Region};
 use kvmsr::key_hash;
 use udweave::LaneSet;
-use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, VAddr};
+use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, ShardSlot, TableSlot, VAddr};
 
 /// Handle to one created table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,15 +47,22 @@ impl ShtOp {
     }
 }
 
+/// A table's geometry: fixed at `create`.
+#[derive(Clone)]
 struct ShtDef {
     set: LaneSet,
     buckets_per_lane: u32,
     entries_per_bucket: u32,
     region: Region,
-    /// Functional contents + slot assignment (the DRAM image is written
-    /// through and checked against this in tests).
-    shadow: BTreeMap<u64, (u64, u64)>, // key -> (slot word index, value)
-    lens: BTreeMap<u64, u32>,         // bucket -> occupancy
+}
+
+/// Functional contents + slot assignment of the buckets one shard's lanes
+/// own (the DRAM image is written through and checked against this in
+/// tests).
+#[derive(Clone, Default)]
+struct Shadow {
+    entries: BTreeMap<u64, (u64, u64)>, // key -> (slot word index, value)
+    lens: BTreeMap<u64, u32>,          // bucket -> occupancy
     max_bucket: u32,
 }
 
@@ -85,23 +90,20 @@ impl ShtDef {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    tables: Vec<ShtDef>,
-}
-
 /// `race_order` token space for SHT bucket operations: every op for a
-/// key routes to the owning lane and applies against the host-side
-/// shadow under a `Mutex`, a lane-serialized exchange the race probe
-/// cannot see. Both `sht::op` and `sht::op_fin` order on
+/// key routes to the owning lane and applies against the shadow in that
+/// lane's shard state, a lane-serialized exchange the race probe cannot
+/// see. Both `sht::op` and `sht::op_fin` order on
 /// `RACE_TOKEN_SH | sht_id` ("SH" in the high bytes); see
 /// docs/udrace.md.
 const RACE_TOKEN_SH: u64 = 0x5348_0000_0000_0000;
 
 /// The installed SHT library (shared handlers for all tables).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct ShtLib {
-    inner: Arc<Mutex<Inner>>,
+    defs: TableSlot<Vec<ShtDef>>,
+    /// Indexed by table id, grown at first touch.
+    shadows: ShardSlot<Vec<Shadow>>,
     op_label: EventLabel,
 }
 
@@ -118,139 +120,96 @@ updown_sim::snap_state!(Pending, "sht.pending", { sht, op, key, value, reply_raw
 
 impl ShtLib {
     pub fn install(eng: &mut Engine) -> ShtLib {
-        let inner: Arc<Mutex<Inner>> = Arc::default();
+        let defs = eng.table(Vec::<ShtDef>::new());
+        let shadows = eng.shard_slot::<Vec<Shadow>>();
         eng.register_state_codec::<Pending>();
-        // The functional table contents live host-side (the DRAM image is
-        // written through); rewinds must carry them or a replayed op sees
-        // end-of-run occupancy (docs/checkpoint.md).
-        {
-            let a = inner.clone();
-            let b = inner.clone();
-            eng.register_host_state(
-                move || {
-                    let inn = a.lock().unwrap();
-                    inn.tables
-                        .iter()
-                        .map(|t| (t.shadow.clone(), t.lens.clone(), t.max_bucket))
-                        .collect::<Vec<_>>()
-                },
-                move |saved| {
-                    let mut inn = b.lock().unwrap();
-                    assert_eq!(
-                        inn.tables.len(),
-                        saved.len(),
-                        "SHT restore: table count changed since the snapshot"
-                    );
-                    for (t, (shadow, lens, max_bucket)) in inn.tables.iter_mut().zip(saved) {
-                        t.shadow = shadow.clone();
-                        t.lens = lens.clone();
-                        t.max_bucket = *max_bucket;
-                    }
-                },
-            );
-        }
 
         // Second event of the op thread: the bucket line has arrived from
         // DRAM; apply the operation and reply.
-        let fin = {
-            let inner = inner.clone();
-            udweave::event::<Pending>(eng, "sht::op_fin", move |ctx, st| {
-                ctx.race_order(RACE_TOKEN_SH | st.sht as u64);
-                let mut inn = inner.lock().unwrap();
-                let t = &mut inn.tables[st.sht as usize];
+        let fin = udweave::event::<Pending>(eng, "sht::op_fin", move |ctx, st| {
+            ctx.race_order(RACE_TOKEN_SH | st.sht as u64);
+            let t = &ctx.table(defs)[st.sht as usize];
+            ctx.with_shard_state(shadows, |ctx, all| {
+                let sh = udweave::program::entry(all, st.sht as usize);
                 let op = ShtOp::from_u64(st.op);
                 let b = t.bucket_of(st.key);
-                let existing = t.shadow.get(&st.key).copied();
+                let existing = sh.entries.get(&st.key).copied();
                 // Cost: compare scanned keys (charged per entry present).
-                let blen = t.lens.get(&b).copied().unwrap_or(0);
+                let blen = sh.lens.get(&b).copied().unwrap_or(0);
                 ctx.charge(2 * blen as u64 + 2);
                 let mut write: Option<(u64, [u64; 2])> = None; // slot word -> words
-                let reply: [u64; 2];
-                match op {
-                    ShtOp::Get => {
-                        reply = match existing {
-                            Some((_, v)) => [1, v],
-                            None => [0, 0],
+                let reply = match (op, existing) {
+                    (ShtOp::Get, Some((_, v))) => [1, v],
+                    (ShtOp::Get, None) => [0, 0],
+                    (_, Some((slot, old))) => {
+                        let newv = match op {
+                            ShtOp::PutIfAbsent => old,
+                            ShtOp::Put => st.value,
+                            ShtOp::FetchOr => old | st.value,
+                            ShtOp::Get => unreachable!(),
                         };
-                    }
-                    ShtOp::PutIfAbsent | ShtOp::Put | ShtOp::FetchOr => {
-                        match existing {
-                            Some((slot, old)) => {
-                                let newv = match op {
-                                    ShtOp::PutIfAbsent => old,
-                                    ShtOp::Put => st.value,
-                                    ShtOp::FetchOr => old | st.value,
-                                    ShtOp::Get => unreachable!(),
-                                };
-                                if newv != old {
-                                    t.shadow.insert(st.key, (slot, newv));
-                                    write = Some((slot, [st.key, newv]));
-                                }
-                                reply = [1, old];
-                            }
-                            None => {
-                                let epb = t.entries_per_bucket;
-                                let base = t.bucket_base(b);
-                                let len = t.lens.entry(b).or_insert(0);
-                                assert!(
-                                    *len < epb,
-                                    "SHT bucket {b} overflow (epb = {epb}); size the table up"
-                                );
-                                let slot = base + 1 + 2 * *len as u64;
-                                *len += 1;
-                                let mb = *len;
-                                t.max_bucket = t.max_bucket.max(mb);
-                                t.shadow.insert(st.key, (slot, st.value));
-                                write = Some((slot, [st.key, st.value]));
-                                reply = [0, st.value];
-                            }
+                        if newv != old {
+                            sh.entries.insert(st.key, (slot, newv));
+                            write = Some((slot, [st.key, newv]));
                         }
+                        [1, old]
                     }
-                }
-                let region = t.region;
-                let hdr = t.bucket_base(b);
-                let new_len = t.lens.get(&b).copied().unwrap_or(0) as u64;
-                drop(inn);
+                    (_, None) => {
+                        let epb = t.entries_per_bucket;
+                        assert!(
+                            blen < epb,
+                            "SHT bucket {b} overflow (epb = {epb}); size the table up"
+                        );
+                        let slot = t.bucket_base(b) + 1 + 2 * blen as u64;
+                        sh.lens.insert(b, blen + 1);
+                        sh.max_bucket = sh.max_bucket.max(blen + 1);
+                        sh.entries.insert(st.key, (slot, st.value));
+                        write = Some((slot, [st.key, st.value]));
+                        [0, st.value]
+                    }
+                };
                 if let Some((slot, words)) = write {
-                    ctx.send_dram_write(region.word(slot), &words, None);
+                    ctx.send_dram_write(t.region.word(slot), &words, None);
                     // Keep the DRAM header in sync (plain write: this lane
                     // is the only writer of its buckets).
-                    ctx.send_dram_write(region.word(hdr), &[new_len], None);
+                    let new_len = sh.lens.get(&b).copied().unwrap_or(0) as u64;
+                    ctx.send_dram_write(t.region.word(t.bucket_base(b)), &[new_len], None);
                 }
                 let reply_to = EventWord::from_raw(st.reply_raw);
                 if !reply_to.is_ignore() {
                     ctx.send_event(reply_to, reply, EventWord::IGNORE);
                 }
-                ctx.yield_terminate();
-            })
-        };
+            });
+            ctx.yield_terminate();
+        });
 
         // First event: record the request and fetch the bucket line.
-        let op_label = {
-            let inner = inner.clone();
-            udweave::event::<Pending>(eng, "sht::op", move |ctx, st| {
-                *st = Pending {
-                    sht: ctx.arg(0) as u32,
-                    op: ctx.arg(1),
-                    key: ctx.arg(2),
-                    value: ctx.arg(3),
-                    reply_raw: ctx.cont().raw(),
-                };
-                ctx.race_order(RACE_TOKEN_SH | st.sht as u64);
-                let (va, words) = {
-                    let inn = inner.lock().unwrap();
-                    let t = &inn.tables[st.sht as usize];
-                    let b = t.bucket_of(st.key);
-                    let blen = t.lens.get(&b).copied().unwrap_or(0);
-                    // Header + up to the first 3 entries in one access.
-                    let words = (1 + 2 * blen.min(3) as usize).min(8);
-                    (t.region.word(t.bucket_base(b)), words)
-                };
-                ctx.send_dram_read(va, words, fin);
-            })
-        };
+        let op_label = udweave::event::<Pending>(eng, "sht::op", move |ctx, st| {
+            *st = Pending {
+                sht: ctx.arg(0) as u32,
+                op: ctx.arg(1),
+                key: ctx.arg(2),
+                value: ctx.arg(3),
+                reply_raw: ctx.cont().raw(),
+            };
+            ctx.race_order(RACE_TOKEN_SH | st.sht as u64);
+            let t = &ctx.table(defs)[st.sht as usize];
+            let b = t.bucket_of(st.key);
+            let blen = ctx
+                .shard_state(shadows)
+                .get(st.sht as usize)
+                .and_then(|sh| sh.lens.get(&b).copied())
+                .unwrap_or(0);
+            // Header + up to the first 3 entries in one access.
+            let words = (1 + 2 * blen.min(3) as usize).min(8);
+            ctx.send_dram_read(t.region.word(t.bucket_base(b)), words, fin);
+        });
 
-        ShtLib { inner, op_label }
+        ShtLib {
+            defs,
+            shadows,
+            op_label,
+        }
     }
 
     /// Declare the SHT op/op_fin protocol into a udspec
@@ -280,18 +239,14 @@ impl ShtLib {
         let words =
             set.count as u64 * buckets_per_lane as u64 * (1 + 2 * entries_per_bucket as u64);
         let region = Region::alloc_words(eng, words, layout).expect("SHT region");
-        let mut inner = self.inner.lock().unwrap();
-        let id = ShtId(inner.tables.len() as u32);
-        inner.tables.push(ShtDef {
+        let defs = eng.table_mut(self.defs);
+        defs.push(ShtDef {
             set,
             buckets_per_lane,
             entries_per_bucket,
             region,
-            shadow: BTreeMap::new(),
-            lens: BTreeMap::new(),
-            max_bucket: 0,
         });
-        id
+        ShtId(defs.len() as u32 - 1)
     }
 
     /// Issue an operation from inside an event; the reply goes to `cont`
@@ -305,7 +260,7 @@ impl ShtLib {
         value: u64,
         cont: EventWord,
     ) {
-        let owner = self.inner.lock().unwrap().tables[sht.0 as usize].owner(key);
+        let owner = ctx.table(self.defs)[sht.0 as usize].owner(key);
         let w = EventWord::new(owner, self.op_label);
         ctx.send_event(w, [sht.0 as u64, op as u64, key, value], cont);
     }
@@ -335,26 +290,31 @@ impl ShtLib {
 
     // ---- host-side inspection -------------------------------------------
 
-    pub fn host_get(&self, sht: ShtId, key: u64) -> Option<u64> {
-        self.inner.lock().unwrap().tables[sht.0 as usize]
-            .shadow
-            .get(&key)
-            .map(|&(_, v)| v)
+    /// Every touched shard's shadow of `sht`, in shard order.
+    fn shadows<'e>(&self, eng: &'e Engine, sht: ShtId) -> impl Iterator<Item = &'e Shadow> {
+        eng.shard_states(self.shadows)
+            .filter_map(move |all| all.get(sht.0 as usize))
     }
 
-    pub fn len(&self, sht: ShtId) -> usize {
-        self.inner.lock().unwrap().tables[sht.0 as usize].shadow.len()
+    pub fn host_get(&self, eng: &Engine, sht: ShtId, key: u64) -> Option<u64> {
+        let node = eng.config().node_of(self.owner(eng, sht, key));
+        let sh = eng.shard_state(self.shadows, node)?.get(sht.0 as usize)?;
+        sh.entries.get(&key).map(|&(_, v)| v)
     }
 
-    pub fn max_bucket_occupancy(&self, sht: ShtId) -> u32 {
-        self.inner.lock().unwrap().tables[sht.0 as usize].max_bucket
+    pub fn len(&self, eng: &Engine, sht: ShtId) -> usize {
+        self.shadows(eng, sht).map(|sh| sh.entries.len()).sum()
+    }
+
+    pub fn max_bucket_occupancy(&self, eng: &Engine, sht: ShtId) -> u32 {
+        self.shadows(eng, sht).map(|sh| sh.max_bucket).max().unwrap_or(0)
     }
 
     /// Rebuild the table's contents from the DRAM image (ignores the
     /// shadow): used to verify the device-resident data is complete.
-    pub fn dump_from_dram(&self, mem: &updown_sim::GlobalMemory, sht: ShtId) -> BTreeMap<u64, u64> {
-        let inner = self.inner.lock().unwrap();
-        let t = &inner.tables[sht.0 as usize];
+    pub fn dump_from_dram(&self, eng: &Engine, sht: ShtId) -> BTreeMap<u64, u64> {
+        let t = &eng.table_ref(self.defs)[sht.0 as usize];
+        let mem = eng.mem();
         let mut out = BTreeMap::new();
         for b in 0..t.total_buckets() {
             let base = t.bucket_base(b);
@@ -369,13 +329,13 @@ impl ShtLib {
     }
 
     /// Owner lane of a key (for co-locating follow-up work).
-    pub fn owner(&self, sht: ShtId, key: u64) -> NetworkId {
-        self.inner.lock().unwrap().tables[sht.0 as usize].owner(key)
+    pub fn owner(&self, eng: &Engine, sht: ShtId, key: u64) -> NetworkId {
+        eng.table_ref(self.defs)[sht.0 as usize].owner(key)
     }
 
     /// The backing region base (diagnostics).
-    pub fn region_base(&self, sht: ShtId) -> VAddr {
-        self.inner.lock().unwrap().tables[sht.0 as usize].region.base
+    pub fn region_base(&self, eng: &Engine, sht: ShtId) -> VAddr {
+        eng.table_ref(self.defs)[sht.0 as usize].region.base
     }
 }
 
@@ -383,6 +343,7 @@ impl ShtLib {
 mod tests {
     use super::*;
     use std::collections::BTreeMap as StdMap;
+    use std::sync::{Arc, Mutex};
     use udweave::simple_event;
     use updown_sim::MachineConfig;
 
@@ -403,10 +364,9 @@ mod tests {
             got2.lock().unwrap().push((ctx.arg(0), ctx.arg(1)));
             ctx.yield_terminate();
         });
-        let lib2 = lib.clone();
         let go = simple_event(&mut eng, "go", move |ctx| {
-            lib2.insert(ctx, sht, 42, 777, EventWord::IGNORE);
-            lib2.insert(ctx, sht, 43, 888, EventWord::IGNORE);
+            lib.insert(ctx, sht, 42, 777, EventWord::IGNORE);
+            lib.insert(ctx, sht, 43, 888, EventWord::IGNORE);
             // Get after inserts (message ordering to the same lane is
             // FIFO-ish here because all ops serialize on owner lanes, but
             // use a delay to be deterministic about arrival order).
@@ -418,19 +378,17 @@ mod tests {
             );
             ctx.yield_terminate();
         });
-        let lib3 = lib.clone();
         // Rebind: the delayed event does the gets.
         let _ = go;
         let do_gets = simple_event(&mut eng, "do_gets", move |ctx| {
             let cont = EventWord::new(ctx.nwid(), on_get);
-            lib3.get(ctx, sht, 42, cont);
-            lib3.get(ctx, sht, 99, cont);
+            lib.get(ctx, sht, 42, cont);
+            lib.get(ctx, sht, 99, cont);
             ctx.yield_terminate();
         });
-        let lib4 = lib.clone();
         let go2 = simple_event(&mut eng, "go2", move |ctx| {
-            lib4.insert(ctx, sht, 42, 777, EventWord::IGNORE);
-            lib4.insert(ctx, sht, 43, 888, EventWord::IGNORE);
+            lib.insert(ctx, sht, 42, 777, EventWord::IGNORE);
+            lib.insert(ctx, sht, 43, 888, EventWord::IGNORE);
             ctx.send_event_after(5000, EventWord::new(ctx.nwid(), do_gets), [], EventWord::IGNORE);
             ctx.yield_terminate();
         });
@@ -439,74 +397,67 @@ mod tests {
         let mut res = got.lock().unwrap().clone();
         res.sort_unstable();
         assert_eq!(res, vec![(0, 0), (1, 777)]);
-        assert_eq!(lib.host_get(sht, 43), Some(888));
-        assert_eq!(lib.len(sht), 2);
+        assert_eq!(lib.host_get(&eng, sht, 43), Some(888));
+        assert_eq!(lib.len(&eng, sht), 2);
     }
 
     #[test]
     fn put_if_absent_keeps_first() {
         let (mut eng, lib, sht) = setup(1);
-        let lib2 = lib.clone();
         let go = simple_event(&mut eng, "go", move |ctx| {
-            lib2.insert(ctx, sht, 7, 1, EventWord::IGNORE);
-            lib2.insert(ctx, sht, 7, 2, EventWord::IGNORE);
+            lib.insert(ctx, sht, 7, 1, EventWord::IGNORE);
+            lib.insert(ctx, sht, 7, 2, EventWord::IGNORE);
             ctx.yield_terminate();
         });
         eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
         eng.run();
-        assert_eq!(lib.host_get(sht, 7), Some(1));
+        assert_eq!(lib.host_get(&eng, sht, 7), Some(1));
     }
 
     #[test]
     fn put_overwrites_and_fetch_or_merges() {
         let (mut eng, lib, sht) = setup(1);
-        let lib2 = lib.clone();
-        let phase2 = {
-            let lib = lib.clone();
-            simple_event(&mut eng, "phase2", move |ctx| {
-                lib.put(ctx, sht, 7, 5, EventWord::IGNORE);
-                lib.fetch_or(ctx, sht, 8, 0b10, EventWord::IGNORE);
-                ctx.yield_terminate();
-            })
-        };
+        let phase2 = simple_event(&mut eng, "phase2", move |ctx| {
+            lib.put(ctx, sht, 7, 5, EventWord::IGNORE);
+            lib.fetch_or(ctx, sht, 8, 0b10, EventWord::IGNORE);
+            ctx.yield_terminate();
+        });
         let go = simple_event(&mut eng, "go", move |ctx| {
-            lib2.put(ctx, sht, 7, 1, EventWord::IGNORE);
-            lib2.fetch_or(ctx, sht, 8, 0b01, EventWord::IGNORE);
+            lib.put(ctx, sht, 7, 1, EventWord::IGNORE);
+            lib.fetch_or(ctx, sht, 8, 0b01, EventWord::IGNORE);
             ctx.send_event_after(5000, EventWord::new(ctx.nwid(), phase2), [], EventWord::IGNORE);
             ctx.yield_terminate();
         });
         eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
         eng.run();
-        assert_eq!(lib.host_get(sht, 7), Some(5));
-        assert_eq!(lib.host_get(sht, 8), Some(0b11));
+        assert_eq!(lib.host_get(&eng, sht, 7), Some(5));
+        assert_eq!(lib.host_get(&eng, sht, 8), Some(0b11));
     }
 
     #[test]
     fn dram_image_matches_shadow() {
         let (mut eng, lib, sht) = setup(2);
-        let lib2 = lib.clone();
         let go = simple_event(&mut eng, "go", move |ctx| {
             for k in 0..200u64 {
-                lib2.insert(ctx, sht, k * 31 + 1, k, EventWord::IGNORE);
+                lib.insert(ctx, sht, k * 31 + 1, k, EventWord::IGNORE);
             }
             ctx.yield_terminate();
         });
         eng.send(EventWord::new(NetworkId(0), go), [], EventWord::IGNORE);
         eng.run();
-        let dram = lib.dump_from_dram(eng.mem(), sht);
+        let dram = lib.dump_from_dram(&eng, sht);
         let expect: StdMap<u64, u64> = (0..200u64).map(|k| (k * 31 + 1, k)).collect();
         assert_eq!(dram, expect);
-        assert!(lib.max_bucket_occupancy(sht) <= 8);
+        assert!(lib.max_bucket_occupancy(&eng, sht) <= 8);
     }
 
     #[test]
     fn concurrent_inserts_from_many_lanes() {
         let (mut eng, lib, sht) = setup(2);
-        let lib2 = lib.clone();
         let worker = simple_event(&mut eng, "worker", move |ctx| {
             let base = ctx.arg(0);
             for k in 0..50u64 {
-                lib2.insert(ctx, sht, base * 1000 + k, base, EventWord::IGNORE);
+                lib.insert(ctx, sht, base * 1000 + k, base, EventWord::IGNORE);
             }
             ctx.yield_terminate();
         });
@@ -518,8 +469,8 @@ mod tests {
         });
         eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
         eng.run();
-        assert_eq!(lib.len(sht), 400);
-        let dram = lib.dump_from_dram(eng.mem(), sht);
+        assert_eq!(lib.len(&eng, sht), 400);
+        let dram = lib.dump_from_dram(&eng, sht);
         assert_eq!(dram.len(), 400);
     }
 }

@@ -124,9 +124,6 @@ updown_sim::snap_state!(RedSt, "shmem.reduce", { op, pending, acc_bits, reply_ra
 /// symmetric address space, not a tree (PE counts are node counts, small).
 pub fn install_reduce(eng: &mut Engine) -> EventLabel {
     eng.register_state_codec::<RedSt>();
-    let ret: std::sync::Arc<std::sync::Mutex<EventLabel>> =
-        std::sync::Arc::new(std::sync::Mutex::new(EventLabel(u16::MAX)));
-    let ret2 = ret.clone();
     let gather = eng.register(
         "shmem::reduce_gather",
         std::sync::Arc::new(move |ctx: &mut EventCtx<'_>| {
@@ -154,7 +151,7 @@ pub fn install_reduce(eng: &mut Engine) -> EventLabel {
             }
         }),
     );
-    let start = eng.register(
+    eng.register(
         "shmem::reduce",
         std::sync::Arc::new(move |ctx: &mut EventCtx<'_>| {
             let heap = SymmetricHeap {
@@ -174,14 +171,11 @@ pub fn install_reduce(eng: &mut Engine) -> EventLabel {
                     reply_raw,
                 };
             }
-            let gather = *ret2.lock().unwrap();
             for pe in 0..heap.pes {
                 heap.get(ctx, pe, off, 1, gather);
             }
         }),
-    );
-    *ret.lock().unwrap() = gather;
-    start
+    )
 }
 
 /// Arguments for a reduction start message.

@@ -2,10 +2,10 @@
 //! on-disk `updown-snapshot/v2` body codecs, plus the checkpoint boundary
 //! that exercises them mid-run. See `docs/checkpoint.md`.
 
-use std::any::{Any, TypeId};
+use std::any::TypeId;
 use std::collections::BTreeMap;
 
-use super::core::{Action, ActionArena, EngineCore, MemOp, MemResp, MemStage};
+use super::core::{Action, ActionArena, EngineCore, MemOp, MemResp, MemStage, Table};
 use super::{Engine, RestoreSlot};
 use crate::calendar::{CalendarQueue, Links};
 use crate::ids::{EventWord, NetworkId};
@@ -50,9 +50,8 @@ pub struct Snapshot {
     merged_stats: Counters,
     probe: Option<ProbeState>,
     race: Option<RaceState>,
-    /// One saved value per registered host-state hook, in registration
-    /// order (see [`Engine::register_host_state`]).
-    host: Vec<Box<dyn Any + Send>>,
+    /// The program tables; per-shard state travels inside `cores`.
+    tables: Vec<Table>,
 }
 
 impl Snapshot {
@@ -650,7 +649,7 @@ impl Engine {
             merged_stats: self.merged_stats.clone(),
             probe: self.shared.cfg.probe.as_ref().map(|p| p.snapshot_state()),
             race: self.shared.cfg.race.as_ref().map(|rp| rp.snapshot_state()),
-            host: self.host_hooks.iter().map(|h| (h.save)()).collect(),
+            tables: self.shared.tables.clone(),
         }
     }
 
@@ -666,13 +665,11 @@ impl Engine {
                 self.shards.len()
             )));
         }
-        if snap.host.len() != self.host_hooks.len() {
-            return Err(SnapshotError::Incompatible(format!(
-                "snapshot carries {} host-state value(s), engine has {} hook(s) \
-                 (register_host_state calls must precede the snapshot)",
-                snap.host.len(),
-                self.host_hooks.len()
-            )));
+        let slots = |cores: &[EngineCore], tables: &[Table]| (cores[0].state.len(), tables.len());
+        if slots(&snap.cores, &snap.tables) != slots(&self.shards, &self.shared.tables) {
+            return Err(SnapshotError::Incompatible(
+                "shard-state slots or program tables were declared after the snapshot".to_string(),
+            ));
         }
         self.shared.mem.restore_image(&snap.mem)?;
         let records: Vec<_> = self.shards.iter_mut().map(|s| s.record.take()).collect();
@@ -694,9 +691,7 @@ impl Engine {
         if let (Some(rp), Some(st)) = (&self.shared.cfg.race, &snap.race) {
             rp.restore_state(st);
         }
-        for (hook, saved) in self.host_hooks.iter().zip(&snap.host) {
-            (hook.load)(saved.as_ref());
-        }
+        self.shared.tables = snap.tables.clone();
         Ok(())
     }
 

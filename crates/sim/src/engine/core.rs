@@ -2,8 +2,10 @@
 //! slab, the window loop body, lane dispatch, and the fabric and DRAM
 //! paths. Imports none of its sibling modules.
 
+use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::calendar::{CalendarQueue, IdList, Links};
@@ -307,11 +309,85 @@ pub(super) struct ShardRecord {
     pub(super) open: bool,
 }
 
+/// Typed index of an engine-owned value; the flag tells the two kinds
+/// apart so one cannot be passed for the other.
+pub struct Slot<T, const TABLE: bool>(pub(super) u32, PhantomData<fn() -> T>);
+
+/// One `T` per shard, lent as `&mut T` to the handler the shard is
+/// executing ([`Engine::shard_slot`](super::Engine::shard_slot)).
+pub type ShardSlot<T> = Slot<T, false>;
+
+/// One `T` built at set-up and lent to every handler as `&T`
+/// ([`Engine::table`](super::Engine::table)).
+pub type TableSlot<T> = Slot<T, true>;
+
+// A handle is a plain index; `derive` would ask for `T: Copy`.
+impl<T, const TABLE: bool> Clone for Slot<T, TABLE> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T, const TABLE: bool> Copy for Slot<T, TABLE> {}
+
+impl<T, const TABLE: bool> Slot<T, TABLE> {
+    pub(super) fn new(idx: usize) -> Self {
+        Slot(idx as u32, PhantomData)
+    }
+}
+
+/// The `T` in a shard-state cell, defaulted at first touch.
+pub(super) fn shard_value<T: Default + Send + Clone + 'static>(
+    cell: &mut Option<Box<dyn SimState>>,
+) -> &mut T {
+    cell.get_or_insert_with(|| Box::<T>::default())
+        .as_any_mut()
+        .downcast_mut()
+        .expect("shard slot holds its own type")
+}
+
+/// One program table: the value and how to deep-copy it into a
+/// [`Snapshot`](super::Snapshot). Tables are `Sync`, which `SimState`
+/// boxes are not, so the clone is a function pointer taken where `T` is
+/// still known.
+pub(super) struct Table {
+    value: Box<dyn Any + Send + Sync>,
+    clone: fn(&dyn Any) -> Box<dyn Any + Send + Sync>,
+}
+
+impl Table {
+    pub(super) fn new<T: Clone + Send + Sync + 'static>(value: T) -> Table {
+        Table {
+            value: Box::new(value),
+            clone: |v| Box::new(v.downcast_ref::<T>().expect("table holds its own type").clone()),
+        }
+    }
+
+    pub(super) fn get<T: 'static>(&self) -> &T {
+        self.value.downcast_ref().expect("table slot holds its own type")
+    }
+
+    pub(super) fn get_mut<T: 'static>(&mut self) -> &mut T {
+        self.value.downcast_mut().expect("table slot holds its own type")
+    }
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table {
+            value: (self.clone)(&*self.value),
+            clone: self.clone,
+        }
+    }
+}
+
 /// State shared read-only by all shards during a run.
 pub(super) struct Shared {
     pub(super) cfg: MachineConfig,
     pub(super) mem: Arc<GlobalMemory>,
     pub(super) handlers: Vec<HandlerEntry>,
+    /// Program tables, indexed by [`TableSlot`]; they change only through
+    /// `&mut Engine`, i.e. between runs.
+    pub(super) tables: Vec<Table>,
     /// The system-network topology ([`MachineConfig::net`]`.topology`),
     /// shared read-only across shards.
     pub(super) topo: Arc<dyn Topology>,
@@ -332,6 +408,10 @@ pub(super) struct EngineCore {
     pub(super) calendar: CalendarQueue,
     pub(super) arena: ActionArena,
     pub(super) lanes: Vec<Lane>,
+    /// Shard state, one entry per declared [`ShardSlot`], defaulted at
+    /// first touch. Cloned with the core, so rewinds carry it; not part
+    /// of the on-disk format (a restoring run re-drives it).
+    pub(super) state: Vec<Option<Box<dyn SimState>>>,
     /// This node's memory channel (single-node instance, index 0).
     pub(super) channel: MemChannels,
     /// This node's NIC (single-node instance, index 0).
@@ -387,6 +467,7 @@ impl Clone for EngineCore {
             calendar: self.calendar.clone(),
             arena: self.arena.clone(),
             lanes: self.lanes.clone(),
+            state: self.state.iter().map(|s| s.as_ref().map(|b| b.clone_state())).collect(),
             channel: self.channel.clone(),
             nic: self.nic.clone(),
             fabric: self.fabric.clone(),

@@ -3,7 +3,7 @@
 
 use std::cell::OnceCell;
 
-use super::core::{EventCtx, Outgoing};
+use super::core::{shard_value, EventCtx, Outgoing, ShardSlot, TableSlot};
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
 use crate::lane::SimState;
@@ -172,6 +172,38 @@ impl<'a> EventCtx<'a> {
         self.detached_default = outer;
         self.state = OnceCell::from(boxed);
         r
+    }
+
+    // ---- shard state and program tables ----------------------------------
+
+    /// This shard's value for `slot`, defaulted at first touch. A shard is
+    /// only ever executed by the worker that claimed it, so the borrow
+    /// needs no lock; what other shards hold is out of reach by design.
+    pub fn shard_state<T: Default + Send + Clone + 'static>(&mut self, slot: ShardSlot<T>) -> &mut T {
+        shard_value(&mut self.shard.state[slot.0 as usize])
+    }
+
+    /// Run `f` with this shard's value for `slot` detached, so the borrow
+    /// can span other `ctx` calls (the shard-state form of
+    /// [`EventCtx::with_state`]). `f` must not reach for the same slot.
+    pub fn with_shard_state<T: Default + Send + Clone + 'static, R>(
+        &mut self,
+        slot: ShardSlot<T>,
+        f: impl FnOnce(&mut EventCtx<'a>, &mut T) -> R,
+    ) -> R {
+        let i = slot.0 as usize;
+        let mut cell = self.shard.state[i].take();
+        let r = f(self, shard_value(&mut cell));
+        debug_assert!(self.shard.state[i].is_none(), "shard slot touched while detached");
+        self.shard.state[i] = cell;
+        r
+    }
+
+    /// The program table behind `slot`. The borrow lives as long as the
+    /// run, not as long as `self`, so a closure stored in a table can be
+    /// called with this context.
+    pub fn table<T: 'static>(&self, slot: TableSlot<T>) -> &'a T {
+        self.shared.tables[slot.0 as usize].get()
     }
 
     // ---- sends -----------------------------------------------------------

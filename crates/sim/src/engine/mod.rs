@@ -59,15 +59,14 @@ mod replay;
 mod sched;
 
 pub use self::codec::Snapshot;
-pub use self::core::{EventCtx, Handler};
+pub use self::core::{EventCtx, Handler, ShardSlot, TableSlot};
 pub use self::replay::Recording;
 
-use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use self::codec::StateCodecs;
-use self::core::{Action, ActionArena, EngineCore, HandlerEntry, MemOp, Shared, ShardRecord};
+use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, MemOp, Shared, ShardRecord, Table};
 use self::sched::run_rounds;
 use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
@@ -119,13 +118,6 @@ pub struct Engine {
     merged_stats: Counters,
     /// Registered thread-state codecs for the on-disk snapshot format.
     codecs: StateCodecs,
-    /// Host-state hooks ([`Engine::register_host_state`]): deep
-    /// save/restore closures for library and application state that lives
-    /// *outside* the machine (the `Arc<Mutex<…>>` cells the Send+Sync
-    /// handler model keeps host-side). Participates in the in-memory
-    /// [`Snapshot`] tier so rewinds — including the record-replay rewind
-    /// to a recording's start — restore that state too.
-    host_hooks: Vec<HostHook>,
     /// Recordings harvested from completed runs (record/replay mode).
     recordings: Vec<Recording>,
     /// `--checkpoint` writes the snapshot once, at the first boundary.
@@ -142,18 +134,6 @@ enum RestoreSlot {
     Unloaded,
     Pending { header: SnapHeader, body: Vec<u8> },
     Done,
-}
-
-type HostSaveFn = Box<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>;
-
-type HostLoadFn = Box<dyn Fn(&dyn Any) + Send + Sync>;
-
-/// One registered host-state save/restore pair (see
-/// [`Engine::register_host_state`]). The saved value travels inside the
-/// in-memory [`Snapshot`] as a type-erased deep copy.
-struct HostHook {
-    save: HostSaveFn,
-    load: HostLoadFn,
 }
 
 impl Engine {
@@ -182,6 +162,7 @@ impl Engine {
                     v.resize_with(lanes_per_node as usize, Lane::default);
                     v
                 },
+                state: Vec::new(),
                 channel: MemChannels::new(1, &cfg.mem),
                 nic: Nics::new(1, &cfg.net),
                 fabric: Fabric::new(n_links, cfg.net.link_stat_window),
@@ -207,6 +188,7 @@ impl Engine {
                 cfg,
                 mem,
                 handlers: Vec::new(),
+                tables: Vec::new(),
                 topo,
                 lookahead,
             },
@@ -222,7 +204,6 @@ impl Engine {
             merged_print: Vec::new(),
             merged_stats: Counters::default(),
             codecs: StateCodecs::default(),
-            host_hooks: Vec::new(),
             recordings: Vec::new(),
             checkpoint_written: false,
             restore: RestoreSlot::Unloaded,
@@ -233,46 +214,56 @@ impl Engine {
         eng
     }
 
-    /// Register a host-state hook: a deep-save / restore pair for state a
-    /// handler closure keeps *outside* the machine (the `Arc<Mutex<…>>`
-    /// cells of the Send+Sync handler model — SHT shadows, KVMSR run
-    /// bookkeeping, app accumulators). The in-memory [`Snapshot`] tier
-    /// calls every registered `save` at [`Engine::snapshot`] and the
-    /// matching `load` at [`Engine::restore`], in registration order — so
-    /// rewinds (checkpoint self-checks, record-replay's rewind to a
-    /// recording's start, and the post-replay restore) carry that state
-    /// too. Any handler-visible mutable host state that is **read back**
-    /// by handlers (control flow, costs, send targets) MUST be registered,
-    /// or an isolated replay re-executes against end-of-run state and
-    /// diverges; registering write-only accumulators as well keeps them
-    /// from being double-counted by replay. The on-disk tier is unaffected
-    /// (a restoring process re-drives the workload, rebuilding host state
-    /// deterministically). See `docs/checkpoint.md`.
-    pub fn register_host_state<T: Send + 'static>(
-        &mut self,
-        save: impl Fn() -> T + Send + Sync + 'static,
-        load: impl Fn(&T) + Send + Sync + 'static,
-    ) {
-        self.host_hooks.push(HostHook {
-            save: Box::new(move || Box::new(save())),
-            load: Box::new(move |any| {
-                let v = any
-                    .downcast_ref::<T>()
-                    .expect("host-state hook: snapshot value type mismatch");
-                load(v);
-            }),
-        });
+    /// Declare a shard-state slot: one `T` per shard, defaulted at first
+    /// touch and lent to handlers by [`EventCtx::shard_state`]. The engine
+    /// owns the values, so snapshots, the checkpoint self-check and
+    /// [`Engine::replay_shard`] carry them with nothing to register. It is
+    /// the home for whatever one lane, accelerator or master mutates;
+    /// `docs/parallel-engine.md` says who may touch it.
+    pub fn shard_slot<T: Default + Send + Clone + 'static>(&mut self) -> ShardSlot<T> {
+        for s in &mut self.shards {
+            s.state.push(None);
+        }
+        ShardSlot::new(self.shards[0].state.len() - 1)
     }
 
-    /// [`Engine::register_host_state`] for the common `Arc<Mutex<T>>`
-    /// shape: snapshots clone the contents, restores overwrite them.
-    pub fn host_state_cell<T: Clone + Send + 'static>(&mut self, cell: &Arc<Mutex<T>>) {
-        let a = Arc::clone(cell);
-        let b = Arc::clone(cell);
-        self.register_host_state(
-            move || a.lock().unwrap().clone(),
-            move |v| *b.lock().unwrap() = v.clone(),
-        );
+    /// Shard `shard`'s value for `slot`, `None` if nothing touched it yet.
+    pub fn shard_state<T: 'static>(&self, slot: ShardSlot<T>, shard: u32) -> Option<&T> {
+        let b = self.shards[shard as usize].state[slot.0 as usize].as_ref()?;
+        Some(b.as_any().downcast_ref().expect("shard slot holds its own type"))
+    }
+
+    /// Host read-back: every touched shard's value for `slot`, in shard
+    /// order — the order a fold (sum, max, concatenate) must use to be
+    /// identical at every thread count.
+    pub fn shard_states<T: 'static>(&self, slot: ShardSlot<T>) -> impl Iterator<Item = &T> {
+        (0..self.shards.len() as u32).filter_map(move |k| self.shard_state(slot, k))
+    }
+
+    /// Host-side set-up access to one shard's value (between runs).
+    pub fn shard_state_mut<T: Default + Send + Clone + 'static>(
+        &mut self,
+        slot: ShardSlot<T>,
+        shard: u32,
+    ) -> &mut T {
+        shard_value(&mut self.shards[shard as usize].state[slot.0 as usize])
+    }
+
+    /// Add a program table: a value built at set-up that every handler
+    /// reads through [`EventCtx::table`]. It changes only through
+    /// [`Engine::table_mut`], i.e. between runs, and is deep-copied into
+    /// every [`Snapshot`].
+    pub fn table<T: Clone + Send + Sync + 'static>(&mut self, value: T) -> TableSlot<T> {
+        self.shared.tables.push(Table::new(value));
+        TableSlot::new(self.shared.tables.len() - 1)
+    }
+
+    pub fn table_ref<T: 'static>(&self, slot: TableSlot<T>) -> &T {
+        self.shared.tables[slot.0 as usize].get()
+    }
+
+    pub fn table_mut<T: 'static>(&mut self, slot: TableSlot<T>) -> &mut T {
+        self.shared.tables[slot.0 as usize].get_mut()
     }
 
     pub fn config(&self) -> &MachineConfig {

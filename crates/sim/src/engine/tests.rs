@@ -10,24 +10,107 @@ fn tiny() -> MachineConfig {
     MachineConfig::small(2, 2, 4)
 }
 
-#[test]
-fn host_state_hooks_rewind_with_snapshot() {
-    let mut eng = Engine::new(tiny());
-    let cell: Arc<Mutex<u64>> = Arc::default();
-    eng.host_state_cell(&cell);
-    *cell.lock().unwrap() = 7;
-    let snap = eng.snapshot();
-    *cell.lock().unwrap() = 99;
-    eng.restore(&snap).unwrap();
-    assert_eq!(*cell.lock().unwrap(), 7, "hooked cell must rewind");
+/// A handler that bumps its shard's counter, charges that many cycles
+/// (so timing depends on the state) and bounces to the other node until
+/// the counter reaches `hops`.
+fn register_bounce(eng: &mut Engine, slot: ShardSlot<u64>, hops: u64) -> EventLabel {
+    let lanes_per_node = eng.config().lanes_per_node();
+    let total = eng.config().total_lanes();
+    eng.register(
+        "bounce",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let n = ctx.shard_state(slot);
+            *n += 1;
+            let n = *n;
+            ctx.charge(n);
+            if n < hops {
+                let there = NetworkId((ctx.nwid().0 + lanes_per_node) % total);
+                ctx.send_event(EventWord::new(there, ctx.cur_evw().label()), [], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    )
+}
 
-    // A snapshot taken before a hook was registered cannot feed it.
-    let late: Arc<Mutex<u64>> = Arc::default();
-    eng.host_state_cell(&late);
-    assert!(
-        matches!(eng.restore(&snap), Err(SnapshotError::Incompatible(_))),
-        "hook-count mismatch must be a clean error"
-    );
+#[test]
+fn shard_state_and_program_table_rewind_with_restore() {
+    let mut eng = Engine::new(tiny());
+    let slot = eng.shard_slot::<u64>();
+    let table = eng.table(vec![1u64]);
+    *eng.shard_state_mut(slot, 1) = 7;
+    let snap = eng.snapshot();
+    *eng.shard_state_mut(slot, 1) = 99;
+    *eng.shard_state_mut(slot, 0) = 5;
+    eng.table_mut(table).push(2);
+    eng.restore(&snap).unwrap();
+    assert_eq!(eng.shard_state(slot, 1), Some(&7), "shard state must rewind");
+    assert_eq!(eng.shard_state(slot, 0), None, "an untouched shard rewinds to untouched");
+    assert_eq!(eng.table_ref(table), &[1], "program table must rewind");
+}
+
+#[test]
+fn slot_declared_after_a_snapshot_is_incompatible() {
+    let mut eng = Engine::new(tiny());
+    let snap = eng.snapshot();
+    eng.shard_slot::<u64>();
+    assert!(matches!(eng.restore(&snap), Err(SnapshotError::Incompatible(_))));
+
+    let mut eng = Engine::new(tiny());
+    let snap = eng.snapshot();
+    eng.table(0u64);
+    assert!(matches!(eng.restore(&snap), Err(SnapshotError::Incompatible(_))));
+}
+
+#[test]
+fn replay_shard_carries_shard_state() {
+    let mut cfg = tiny();
+    cfg.record = true;
+    let mut eng = Engine::new(cfg);
+    let slot = eng.shard_slot::<u64>();
+    let bounce = register_bounce(&mut eng, slot, 6);
+    eng.send(EventWord::new(NetworkId(0), bounce), [], EventWord::IGNORE);
+    eng.send(EventWord::new(NetworkId(eng.config().lanes_per_node()), bounce), [], EventWord::IGNORE);
+    eng.run();
+    let counts: Vec<u64> = eng.shard_states(slot).copied().collect();
+    assert_eq!(counts, [6, 6]);
+    let rec = eng.take_recordings().pop().expect("one recorded run");
+    for k in 0..2 {
+        assert_eq!(eng.replay_shard(&rec, k), Vec::<String>::new(), "shard {k}");
+    }
+    // Replay put the end-of-run state back.
+    assert_eq!(eng.shard_states(slot).copied().collect::<Vec<_>>(), counts);
+}
+
+#[test]
+fn shard_state_read_back_order_is_the_same_at_every_thread_count() {
+    let fold = |threads: u32| {
+        let mut cfg = MachineConfig::small(8, 1, 4);
+        cfg.threads = threads;
+        let mut eng = Engine::new(cfg);
+        let slot = eng.shard_slot::<Vec<(u64, u32)>>();
+        let note = eng.register(
+            "note",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let entry = (ctx.now(), ctx.nwid().0);
+                ctx.shard_state(slot).push(entry);
+                if ctx.arg(0) > 0 {
+                    let next = NetworkId((ctx.nwid().0 * 5 + 3) % 32);
+                    ctx.send_event(EventWord::new(next, ctx.cur_evw().label()), [ctx.arg(0) - 1], EventWord::IGNORE);
+                }
+                ctx.yield_terminate();
+            }),
+        );
+        for l in 0..32 {
+            eng.send(EventWord::new(NetworkId(l), note), [6], EventWord::IGNORE);
+        }
+        eng.run();
+        eng.shard_states(slot).flatten().copied().collect::<Vec<_>>()
+    };
+    let want = fold(1);
+    assert_eq!(want.len(), 32 * 7);
+    for threads in [2, 4, 7] {
+        assert_eq!(fold(threads), want, "threads = {threads}");
+    }
 }
 
 #[test]

@@ -55,7 +55,7 @@ pub use calendar::CalendarQueue;
 pub use config::{
     MachineConfig, MemoryConfig, NetworkConfig, NetworkConfigBuilder, OpCosts,
 };
-pub use engine::{Engine, EventCtx, Handler, Recording, Snapshot};
+pub use engine::{Engine, EventCtx, Handler, Recording, ShardSlot, Snapshot, TableSlot};
 pub use lane::SimState;
 pub use ids::{EventLabel, EventWord, NetworkId, ThreadId};
 pub use memory::{GlobalMemory, MemError, TranslationDescriptor, VAddr};

@@ -102,6 +102,15 @@ pub fn simple_event(
     eng.register(name, Arc::new(f))
 }
 
+/// `&mut v[i]`, growing `v` with defaults first: how shard state keyed by
+/// a small dense id (job, table, queue) is reached.
+pub fn entry<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,101 +10,70 @@
 //! ring and reply when data arrives — the blocking-consumer pattern used
 //! by producer/consumer pipelines.
 
-use std::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use updown_sim::spec::ProgramSpec;
-use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, VAddr};
+use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, ShardSlot, TableSlot, VAddr};
 
 /// Handle to a created queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueueId(pub u32);
 
+/// What never changes after `create`.
+#[derive(Clone)]
 struct QueueDef {
     owner: NetworkId,
     ring: VAddr,
     capacity: u64,
+}
+
+/// What the owner lane mutates; lives in the owner's shard.
+#[derive(Clone, Default)]
+struct Cursors {
     head: u64,
     tail: u64,
     waiters: VecDeque<EventWord>,
 }
 
-#[derive(Default)]
-struct Inner {
-    queues: Vec<QueueDef>,
-}
-
 /// The installed queue library (handlers shared by all queues).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct QueueLib {
-    inner: Arc<Mutex<Inner>>,
+    defs: TableSlot<Vec<QueueDef>>,
+    /// Indexed by queue id, grown at first touch.
+    cursors: ShardSlot<Vec<Cursors>>,
     enqueue_l: EventLabel,
     dequeue_l: EventLabel,
 }
 
 impl QueueLib {
     pub fn install(eng: &mut Engine) -> QueueLib {
-        let inner: Arc<Mutex<Inner>> = Arc::default();
-        // Cursors and parked consumers are host-side state read back by
-        // the enqueue/dequeue handlers — rewinds must carry them
-        // (docs/checkpoint.md).
-        {
-            let a = inner.clone();
-            let b = inner.clone();
-            eng.register_host_state(
-                move || {
-                    let inn = a.lock().unwrap();
-                    inn.queues
-                        .iter()
-                        .map(|q| (q.head, q.tail, q.waiters.clone()))
-                        .collect::<Vec<_>>()
-                },
-                move |saved| {
-                    let mut inn = b.lock().unwrap();
-                    assert_eq!(
-                        inn.queues.len(),
-                        saved.len(),
-                        "mpmc restore: queue count changed since the snapshot"
-                    );
-                    for (q, (head, tail, waiters)) in inn.queues.iter_mut().zip(saved) {
-                        q.head = *head;
-                        q.tail = *tail;
-                        q.waiters = waiters.clone();
-                    }
-                },
-            );
-        }
+        let defs = eng.table(Vec::<QueueDef>::new());
+        let cursors = eng.shard_slot::<Vec<Cursors>>();
 
-        let enqueue_l = {
-            let inner = inner.clone();
-            crate::program::simple_event(eng, "mpmc::enqueue", move |ctx| {
-                let qid = ctx.arg(0) as usize;
-                let value = ctx.arg(1);
-                let mut inn = inner.lock().unwrap();
-                let q = &mut inn.queues[qid];
-                debug_assert_eq!(ctx.nwid(), q.owner);
-                ctx.charge(3); // cursor load/compare/store
-                if let Some(waiter) = q.waiters.pop_front() {
-                    // Hand the value straight to a parked consumer.
-                    ctx.send_event(waiter, [1u64, value], EventWord::IGNORE);
-                } else {
-                    assert!(
-                        q.tail - q.head < q.capacity,
-                        "mpmc queue {qid} overflow (capacity {})",
-                        q.capacity
-                    );
-                    let slot = q.tail % q.capacity;
-                    q.tail += 1;
-                    let ring = q.ring;
-                    drop(inn);
-                    ctx.send_dram_write(ring.word(slot), &[value], None);
-                }
-                // Optional producer ack.
-                ctx.send_reply([1u64, 0]);
-                ctx.yield_terminate();
-            })
-        };
+        let enqueue_l = crate::program::simple_event(eng, "mpmc::enqueue", move |ctx| {
+            let qid = ctx.arg(0) as usize;
+            let value = ctx.arg(1);
+            let def = &ctx.table(defs)[qid];
+            debug_assert_eq!(ctx.nwid(), def.owner);
+            ctx.charge(3); // cursor load/compare/store
+            let q = crate::program::entry(ctx.shard_state(cursors), qid);
+            if let Some(waiter) = q.waiters.pop_front() {
+                // Hand the value straight to a parked consumer.
+                ctx.send_event(waiter, [1u64, value], EventWord::IGNORE);
+            } else {
+                assert!(
+                    q.tail - q.head < def.capacity,
+                    "mpmc queue {qid} overflow (capacity {})",
+                    def.capacity
+                );
+                let slot = q.tail % def.capacity;
+                q.tail += 1;
+                ctx.send_dram_write(def.ring.word(slot), &[value], None);
+            }
+            // Optional producer ack.
+            ctx.send_reply([1u64, 0]);
+            ctx.yield_terminate();
+        });
 
         // Second event of a dequeue thread: the ring slot arrived; relay
         // it to the consumer (third-party composition).
@@ -120,32 +89,28 @@ impl QueueLib {
             ctx.send_event(reply, [1u64, value], EventWord::IGNORE);
             ctx.yield_terminate();
         });
-        let dequeue_l = {
-            let inner = inner.clone();
-            crate::program::event::<DeqSt>(eng, "mpmc::dequeue", move |ctx, st| {
-                let qid = ctx.arg(0) as usize;
-                let reply = ctx.cont();
-                assert!(!reply.is_ignore(), "dequeue needs a continuation");
-                let mut inn = inner.lock().unwrap();
-                let q = &mut inn.queues[qid];
-                ctx.charge(3);
-                if q.head == q.tail {
-                    // Empty: park the consumer.
-                    q.waiters.push_back(reply);
-                    ctx.yield_terminate();
-                    return;
-                }
-                let slot = q.head % q.capacity;
-                q.head += 1;
-                let ring = q.ring;
-                drop(inn);
-                st.reply_raw = reply.raw();
-                ctx.send_dram_read(ring.word(slot), 1, deq_relay);
-            })
-        };
+        let dequeue_l = crate::program::event::<DeqSt>(eng, "mpmc::dequeue", move |ctx, st| {
+            let qid = ctx.arg(0) as usize;
+            let reply = ctx.cont();
+            assert!(!reply.is_ignore(), "dequeue needs a continuation");
+            let def = &ctx.table(defs)[qid];
+            ctx.charge(3);
+            let q = crate::program::entry(ctx.shard_state(cursors), qid);
+            if q.head == q.tail {
+                // Empty: park the consumer.
+                q.waiters.push_back(reply);
+                ctx.yield_terminate();
+                return;
+            }
+            let slot = q.head % def.capacity;
+            q.head += 1;
+            st.reply_raw = reply.raw();
+            ctx.send_dram_read(def.ring.word(slot), 1, deq_relay);
+        });
 
         QueueLib {
-            inner,
+            defs,
+            cursors,
             enqueue_l,
             dequeue_l,
         }
@@ -185,22 +150,18 @@ impl QueueLib {
             .mem_mut()
             .alloc(bytes, node, 1, bytes)
             .expect("queue ring");
-        let mut inn = self.inner.lock().unwrap();
-        let id = QueueId(inn.queues.len() as u32);
-        inn.queues.push(QueueDef {
+        let defs = eng.table_mut(self.defs);
+        defs.push(QueueDef {
             owner,
             ring,
             capacity,
-            head: 0,
-            tail: 0,
-            waiters: VecDeque::new(),
         });
-        id
+        QueueId(defs.len() as u32 - 1)
     }
 
     /// Enqueue `value`; optional ack (`[1, 0]`) to `cont`.
     pub fn enqueue(&self, ctx: &mut EventCtx<'_>, q: QueueId, value: u64, cont: EventWord) {
-        let owner = self.inner.lock().unwrap().queues[q.0 as usize].owner;
+        let owner = ctx.table(self.defs)[q.0 as usize].owner;
         ctx.send_event(
             EventWord::new(owner, self.enqueue_l),
             [q.0 as u64, value],
@@ -210,19 +171,20 @@ impl QueueLib {
 
     /// Dequeue: `cont` receives `[1, value]`, parking until data arrives.
     pub fn dequeue(&self, ctx: &mut EventCtx<'_>, q: QueueId, cont: EventWord) {
-        let owner = self.inner.lock().unwrap().queues[q.0 as usize].owner;
+        let owner = ctx.table(self.defs)[q.0 as usize].owner;
         ctx.send_event(EventWord::new(owner, self.dequeue_l), [q.0 as u64], cont);
     }
 
-    /// Host-side occupancy.
-    pub fn len(&self, q: QueueId) -> u64 {
-        let inn = self.inner.lock().unwrap();
-        let q = &inn.queues[q.0 as usize];
-        q.tail - q.head
+    /// Host-side occupancy: read from the owner's shard.
+    pub fn len(&self, eng: &Engine, q: QueueId) -> u64 {
+        let owner = eng.table_ref(self.defs)[q.0 as usize].owner;
+        eng.shard_state(self.cursors, eng.config().node_of(owner))
+            .and_then(|all| all.get(q.0 as usize))
+            .map_or(0, |c| c.tail - c.head)
     }
 
-    pub fn is_empty(&self, q: QueueId) -> bool {
-        self.len(q) == 0
+    pub fn is_empty(&self, eng: &Engine, q: QueueId) -> bool {
+        self.len(eng, q) == 0
     }
 }
 
@@ -230,6 +192,7 @@ impl QueueLib {
 mod tests {
     use super::*;
     use crate::program::simple_event;
+    use std::sync::{Arc, Mutex};
     use updown_sim::MachineConfig;
 
     #[test]
@@ -243,17 +206,15 @@ mod tests {
             g2.lock().unwrap().push(ctx.arg(1));
             ctx.yield_terminate();
         });
-        let lib2 = lib.clone();
         let consume = simple_event(&mut eng, "consume", move |ctx| {
             for _ in 0..5 {
-                lib2.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
+                lib.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
             }
             ctx.yield_terminate();
         });
-        let lib3 = lib.clone();
         let produce = simple_event(&mut eng, "produce", move |ctx| {
             for v in 10..15u64 {
-                lib3.enqueue(ctx, q, v, EventWord::IGNORE);
+                lib.enqueue(ctx, q, v, EventWord::IGNORE);
             }
             ctx.send_event_after(5000, EventWord::new(NetworkId(1), consume), [], EventWord::IGNORE);
             ctx.yield_terminate();
@@ -261,7 +222,7 @@ mod tests {
         eng.send(EventWord::new(NetworkId(0), produce), [], EventWord::IGNORE);
         eng.run();
         assert_eq!(&*got.lock().unwrap(), &[10, 11, 12, 13, 14]);
-        assert!(lib.is_empty(q));
+        assert!(lib.is_empty(&eng, q));
     }
 
     #[test]
@@ -275,17 +236,15 @@ mod tests {
             g2.lock().unwrap().push(ctx.arg(1));
             ctx.yield_terminate();
         });
-        let lib2 = lib.clone();
         // Consumers first (they park), producers later.
         let produce = simple_event(&mut eng, "produce", move |ctx| {
-            lib2.enqueue(ctx, q, 7, EventWord::IGNORE);
-            lib2.enqueue(ctx, q, 8, EventWord::IGNORE);
+            lib.enqueue(ctx, q, 7, EventWord::IGNORE);
+            lib.enqueue(ctx, q, 8, EventWord::IGNORE);
             ctx.yield_terminate();
         });
-        let lib3 = lib.clone();
         let consume = simple_event(&mut eng, "consume", move |ctx| {
-            lib3.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
-            lib3.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
+            lib.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
+            lib.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
             ctx.send_event_after(3000, EventWord::new(NetworkId(2), produce), [], EventWord::IGNORE);
             ctx.yield_terminate();
         });
@@ -307,18 +266,16 @@ mod tests {
             g2.lock().unwrap().push(ctx.arg(1));
             ctx.yield_terminate();
         });
-        let lib2 = lib.clone();
         let producer = simple_event(&mut eng, "producer", move |ctx| {
             let base = ctx.arg(0);
             for i in 0..10u64 {
-                lib2.enqueue(ctx, q, base * 100 + i, EventWord::IGNORE);
+                lib.enqueue(ctx, q, base * 100 + i, EventWord::IGNORE);
             }
             ctx.yield_terminate();
         });
-        let lib3 = lib.clone();
         let consumer = simple_event(&mut eng, "consumer", move |ctx| {
             for _ in 0..10 {
-                lib3.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
+                lib.dequeue(ctx, q, EventWord::new(ctx.nwid(), on_deq));
             }
             ctx.yield_terminate();
         });

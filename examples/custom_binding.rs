@@ -4,7 +4,6 @@
 //!
 //! `cargo run --release --example custom_binding`
 
-use std::sync::Mutex;
 use std::sync::Arc;
 
 use kvmsr::{JobSpec, Kvmsr, MapBinding, Outcome, ReduceBinding};
@@ -18,6 +17,7 @@ fn run(map_binding: MapBinding, label: &str) {
     // Skewed work: the first 1/16th of keys is 50x as expensive — the
     // situation PBMW exists for (§4.3.3).
     let job = rt.define_job(
+        &mut eng,
         JobSpec::new("skewed", set, move |ctx, task, rt| {
             let cost = if task.key < 256 { 2000 } else { 40 };
             ctx.charge(cost);
@@ -34,16 +34,15 @@ fn run(map_binding: MapBinding, label: &str) {
             Outcome::Done
         }),
     );
-    let done: Arc<Mutex<u64>> = Arc::default();
-    let d2 = done.clone();
+    let done = eng.shard_slot::<u64>();
     let fin = simple_event(&mut eng, "fin", move |ctx| {
-        *d2.lock().unwrap() = ctx.arg(0);
+        *ctx.shard_state(done) = ctx.arg(0);
         ctx.stop();
     });
-    let (evw, args) = rt.start_msg(job, 4096, 0);
+    let (evw, args) = rt.start_msg(&eng, job, 4096, 0);
     eng.send(evw, args, EventWord::new(NetworkId(0), fin));
     let r = eng.run();
-    assert_eq!(*done.lock().unwrap(), 4096);
+    assert_eq!(eng.shard_states(done).sum::<u64>(), 4096);
     println!("{label:>28}: {:>10} ticks", r.final_tick);
 }
 

@@ -3,9 +3,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use kvmsr::{JobSpec, Kvmsr, Outcome};
 use udweave::prelude::*;
 use updown_sim::{Engine, MachineConfig};
@@ -49,6 +46,7 @@ fn main() {
     let rt = Kvmsr::install(&mut eng);
     let set = LaneSet::all(eng.config());
     let job = rt.define_job(
+        &mut eng,
         JobSpec::new("histogram", set, move |ctx, task, rt| {
             rt.emit(ctx, task, task.key % 16, &[1]);
             Outcome::Done
@@ -58,17 +56,18 @@ fn main() {
             Outcome::Done
         }),
     );
-    let done: Arc<Mutex<bool>> = Arc::default();
-    let d2 = done.clone();
+    // Shard state: the engine keeps one value per node and lends it to the
+    // handler as `&mut`; the host reads it back, in node order, after the run.
+    let done = eng.shard_slot::<bool>();
     let fin = simple_event(&mut eng, "done", move |ctx| {
-        *d2.lock().unwrap() = true;
+        *ctx.shard_state(done) = true;
         ctx.stop();
     });
-    let (evw, args) = rt.start_msg(job, 4096, 0);
+    let (evw, args) = rt.start_msg(&eng, job, 4096, 0);
     eng.send(evw, args, EventWord::new(NetworkId(0), fin));
     let report = eng.run();
 
-    assert!(*done.lock().unwrap());
+    assert!(eng.shard_states(done).any(|&d| d));
     println!("\nhistogram over {} lanes:", eng.config().total_lanes());
     for b in 0..16u64 {
         let v = eng.mem().read_u64(VAddr(hist.0).word(b)).unwrap();

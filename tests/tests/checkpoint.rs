@@ -196,15 +196,15 @@ fn pagerank_replay_verifies_clean() {
     assert!(!check.dirty());
 }
 
-/// Regression: handler closures keep functional state host-side (SHT
-/// shadow tables, KVMSR run bookkeeping, app accumulators) in
-/// `Arc<Mutex<…>>` cells. Before the host-state hook registry
-/// ([`Engine::register_host_state`]) those cells were not rewound by
-/// restore, so isolated shard replay re-executed handlers against
-/// end-of-run state — at this scale the ingest SHT shadow diverged and
-/// replay injected an `sht::op_fin` onto a lane whose thread slot was
-/// already retired ("targets dead thread" panic). Pins replay at that
-/// formerly-failing scale.
+/// Regression: handlers keep functional state beside the machine (SHT
+/// shadow tables, KVMSR run bookkeeping, app accumulators). When that
+/// state lived outside the engine and restore did not rewind it,
+/// isolated shard replay re-executed handlers against end-of-run state —
+/// at this scale the ingest SHT shadow diverged and replay injected an
+/// `sht::op_fin` onto a lane whose thread slot was already retired
+/// ("targets dead thread" panic). It is engine-owned shard state now and
+/// rewinds with the cores; this pins replay at that formerly-failing
+/// scale.
 #[test]
 fn ingest_replay_survives_host_state_rewind() {
     let check = ReplayCheck::new();
@@ -250,7 +250,6 @@ fn lane(eng: &Engine, node: u32, idx: u32) -> NetworkId {
 /// ([`RUNG_DELAY`] is beyond the widest calendar ring, so those park in
 /// the overflow rung).
 fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
-    use std::sync::{Arc, Mutex};
     m.max_threads_per_lane = 4;
     let mut eng = Engine::new(m);
     let cell = eng.mem_mut().alloc(64, 0, 1, 4096).unwrap();
@@ -259,10 +258,8 @@ fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
         ctx.yield_terminate();
     });
     // "fix::ret" bounces to "fix::hop", whose label doesn't exist yet at
-    // registration time: thread a placeholder through (the shmem library
-    // uses the same pattern).
-    let hop_slot: Arc<Mutex<EventLabel>> = Arc::new(Mutex::new(EventLabel(u16::MAX)));
-    let hop_for_ret = hop_slot.clone();
+    // registration time: bind it through a program table.
+    let hop_slot = eng.table(None::<EventLabel>);
     let ret = udweave::event::<u64>(&mut eng, "fix::ret", move |ctx, st| {
         let remaining = *st;
         let loaded = ctx.arg(0);
@@ -275,7 +272,7 @@ fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
             let lanes = ctx.config().lanes_per_node();
             let other_node = u32::from(ctx.nwid().0 < lanes) ^ 1;
             let dst = NetworkId(other_node * lanes + (remaining % lanes as u64) as u32);
-            let hop = *hop_for_ret.lock().unwrap();
+            let hop = ctx.table(hop_slot).expect("bound below");
             ctx.send_event(EventWord::new(dst, hop), [remaining - 1], EventWord::IGNORE);
         }
         ctx.yield_terminate();
@@ -298,7 +295,7 @@ fn fixture(mut m: MachineConfig, far_delay: u64) -> (Engine, VAddr, EventWord) {
             // No terminate: the thread stays live until "fix::ret".
         })
     };
-    *hop_slot.lock().unwrap() = hop;
+    *eng.table_mut(hop_slot) = Some(hop);
     let start = EventWord::new(lane(&eng, 0, 0), hop);
     (eng, cell, start)
 }

@@ -118,6 +118,7 @@ fn kvmsr_delivers_exactly_once() {
         let seen: Arc<Mutex<std::collections::BTreeMap<u64, u64>>> = Arc::default();
         let seen2 = seen.clone();
         let job = rt.define_job(
+            &mut eng,
             JobSpec::new("p", set, move |ctx, task, rt| {
                 for i in 0..fanout {
                     rt.emit(ctx, task, task.key * 16 + i, &[task.key]);
@@ -138,7 +139,7 @@ fn kvmsr_delivers_exactly_once() {
             *d2.lock().unwrap() = Some((ctx.arg(0), ctx.arg(1)));
             ctx.stop();
         });
-        let (evw, args) = rt.start_msg(job, keys, 0);
+        let (evw, args) = rt.start_msg(&eng, job, keys, 0);
         eng.send(evw, args, EventWord::new(NetworkId(0), fin));
         eng.run();
         let (processed, emitted) = done.lock().unwrap().expect("job completed");
@@ -174,7 +175,6 @@ fn sht_matches_hashmap() {
         // Serialize ops through a chain: each op's reply triggers the next.
         let ops = Arc::new(ops);
         let idx: Arc<Mutex<usize>> = Arc::default();
-        let lib2 = lib.clone();
         let ops2 = ops.clone();
         let step_l: Arc<Mutex<updown_sim::EventLabel>> =
             Arc::new(Mutex::new(updown_sim::EventLabel(0)));
@@ -195,7 +195,7 @@ fn sht_matches_hashmap() {
                 _ => ShtOp::FetchOr,
             };
             let next = EventWord::new(ctx.nwid(), *sl.lock().unwrap());
-            lib2.op(ctx, sht, op, k, v, next);
+            lib.op(ctx, sht, op, k, v, next);
             ctx.yield_terminate();
         });
         *step_l.lock().unwrap() = step;
@@ -218,10 +218,10 @@ fn sht_matches_hashmap() {
             }
         }
         for (&k, &v) in &model {
-            assert_eq!(lib.host_get(sht, k), Some(v));
+            assert_eq!(lib.host_get(&eng, sht, k), Some(v));
         }
-        assert_eq!(lib.len(sht), model.len());
-        let dram = lib.dump_from_dram(eng.mem(), sht);
+        assert_eq!(lib.len(&eng, sht), model.len());
+        let dram = lib.dump_from_dram(&eng, sht);
         assert_eq!(dram, model);
     }
 }
@@ -254,7 +254,7 @@ fn global_sort_sorts() {
         let set = LaneSet::all(eng.config());
         let job = install_sort(&mut eng, &rt, set, plan);
         let fin = udweave::simple_event(&mut eng, "fin", |ctx| ctx.stop());
-        let (evw, args) = rt.start_msg(job, n, 0);
+        let (evw, args) = rt.start_msg(&eng, job, n, 0);
         eng.send(evw, args, EventWord::new(NetworkId(0), fin));
         eng.run();
         let got = read_sorted(eng.mem(), &plan);

@@ -265,8 +265,8 @@ fn kvmsr_conservation_catches_a_map_that_never_retires() {
             },
         )
         .with_reduce(|_ctx, _task, _vals, _rt| Outcome::Done);
-        let job = rt.define_job(spec);
-        let (evw, args) = rt.start_msg(job, 4, 0);
+        let job = rt.define_job(eng, spec);
+        let (evw, args) = rt.start_msg(eng, job, 4, 0);
         eng.send(evw, args, EventWord::IGNORE);
     });
     let f = findings

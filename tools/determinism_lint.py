@@ -30,6 +30,18 @@ displays and are exempt.
 Escape hatch: a line is exempt when it, or one of the two lines above it,
 contains `det-lint: allow` with a justification.
 
+Host locks (PR 20): handler-visible state lives in the engine — per-thread
+state, per-shard state (`Engine::shard_slot`) and program tables
+(`Engine::table`) — and is lent to handlers as plain borrows, so library
+and app code has no reason to lock. Outside `#[cfg(test)]`, a `Mutex`,
+`RwLock` or `Atomic*` type in `crates/{core,udweave,memory,graph,apps}/src`
+is a finding unless that very line carries `det-lint: allow — <reason>`
+(a cell the simulated protocol makes deterministic must say how). Test
+code is everything from a file's first `#[cfg(test)]` on, which is how
+every file in these crates is laid out. `crates/apps/src/baseline/`, the
+multithreaded host reference the differential tests compare against, is
+exempt as a directory.
+
 The lint also enforces `#![forbid(unsafe_code)]` as the first attribute of
 every workspace crate root and binary, so the no-unsafe guarantee cannot
 silently regress.
@@ -50,6 +62,17 @@ LINTED_DIRS = [
     "crates/memory/src",
     "crates/analysis/src",
 ]
+
+# Where host locks are findings (see "Host locks" above). `crates/apps` is
+# in this list only: it may hash and read the clock for host-side oracles.
+LOCK_DIRS = [
+    "crates/core/src",
+    "crates/udweave/src",
+    "crates/memory/src",
+    "crates/graph/src",
+    "crates/apps/src",
+]
+LOCK_EXEMPT = "crates/apps/src/baseline"
 
 # Test suites, linted by glob: a crate without a tests/ directory is fine.
 LINTED_GLOBS = [
@@ -74,6 +97,9 @@ PATTERNS = [
     (re.compile(r"\bthread::current\s*\("), "thread::current() (host thread identity)"),
 ]
 
+LOCK_PATTERN = re.compile(r"\b(Mutex|RwLock|Atomic(Bool|Ptr|[IU](8|16|32|64|size)))\b")
+CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
+
 ALLOW = "det-lint: allow"
 COMMENT = re.compile(r"^\s*(//|//!|///)")
 
@@ -90,6 +116,20 @@ def lint_file(path: Path) -> list:
         for pat, why in PATTERNS:
             if pat.search(line):
                 findings.append((path, i + 1, why, line.strip()))
+    return findings
+
+
+def lint_locks(path: Path) -> list:
+    findings = []
+    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        if CFG_TEST.match(line):
+            break
+        if COMMENT.match(line) or ALLOW in line:
+            continue
+        m = LOCK_PATTERN.search(line)
+        if m:
+            why = f"{m.group(1)} (host lock; use shard state or a program table)"
+            findings.append((path, i + 1, why, line.strip()))
     return findings
 
 
@@ -122,6 +162,10 @@ def main() -> int:
     for glob in LINTED_GLOBS:
         for path in sorted(root.glob(glob)):
             findings.extend(lint_file(path))
+    for d in LOCK_DIRS:
+        for path in sorted((root / d).rglob("*.rs")):
+            if LOCK_EXEMPT not in path.as_posix():
+                findings.extend(lint_locks(path))
     findings.extend(check_forbid(root))
     for path, lineno, why, text in findings:
         rel = path.relative_to(root)

@@ -10,6 +10,10 @@ names. Three tables, each in samples and percent of the samples kept:
 
   flat by function   innermost *inlined* function at the sampled pc
   flat by line       file:line at the sampled pc
+                     (a pc outside the binary — libc's memmove, malloc,
+                     futex, sched_yield — is keyed `[lib] ← caller` by the
+                     first frame of ours that called into it, so a fifth of
+                     a profile is not one `[libc.so.6]` row)
   inclusive          every function (inlined ones included) on the stack,
                      counted once per sample
 
@@ -106,14 +110,24 @@ def main():
                 out.append((f"[{locate(a).split('/')[-1]}]", "?"))
         return out
 
+    def flat(st):
+        """(function, file:line) a sample counts under in the flat tables."""
+        func, where = st[0]
+        if func.startswith("["):
+            ours = next(((f, w) for f, w in st if not f.startswith("[")), None)
+            if ours:
+                return f"{func} ← {ours[0]}", ours[1]
+        return func, where
+
     stacks = [frames(s) for s in samples]
     if args.under:
         stacks = [st for st in stacks if any(args.under in f for f, _ in st)]
         if not stacks:
             sys.exit(f"no sample has a frame containing {args.under!r}")
     total = len(stacks)
-    by_func = collections.Counter(st[0][0] for st in stacks if st)
-    by_line = collections.Counter(f"{st[0][1]}  ({st[0][0]})" for st in stacks if st)
+    flats = [flat(st) for st in stacks if st]
+    by_func = collections.Counter(f for f, _ in flats)
+    by_line = collections.Counter(f"{w}  ({f})" for f, w in flats)
     incl = collections.Counter(f for st in stacks for f in {f for f, _ in st})
 
     scope = f" under {args.under!r}" if args.under else ""
