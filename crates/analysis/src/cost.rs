@@ -1,10 +1,10 @@
-//! `udcost` static cost & communication analysis: predict per-event
+//! `ud cost`: static cost & communication analysis — predict per-event
 //! execution counts, per-node load, message traffic, and per-link demand
 //! from a [`ProgramSpec`] plus a [`Workload`] — declarations and host-side
 //! arithmetic only, zero simulation ticks.
 //!
 //! The analysis runs in three passes over the declared event-flow graph
-//! (send edges *and* same-thread resumptions):
+//! ([`declared_edges`]: send edges *and* same-thread resumptions):
 //!
 //! 1. **Symbolic pass** — propagate execution-count [`Bound`]s from
 //!    host-injected roots along the edges, `certify`-style (memoized DFS;
@@ -26,14 +26,16 @@
 //! The prediction is used three ways: [`CostReport::shard_hints`] ranks
 //! the shards by predicted work, [`calibrate`] grades the prediction
 //! against a recorded `updown-metrics/v1` export, and severity-graded
-//! findings (shard imbalance, link hot-spots, unbounded-cost events) ride
-//! the same [`SpecFinding`] channel as `udspec`.
+//! [`Finding`]s (shard imbalance, link hot-spots, unbounded-cost events)
+//! grade the placement.
 
 use std::collections::BTreeMap;
 
 use updown_sim::json::{JsonValue, JsonWriter};
-use updown_sim::spec::{Bound, ProgramSpec, Workload};
-use updown_sim::{MachineConfig, SpecFinding, SpecSeverity};
+use updown_sim::spec::{declared_edges, Bound, ProgramSpec, Workload};
+use updown_sim::MachineConfig;
+
+use crate::{bracketed, count_errors, document, write_findings, Finding, Report, Severity};
 
 /// Imbalance factor above which a shard-imbalance finding is a warning;
 /// above [`IMBALANCE_INFO`] it is reported at info severity.
@@ -44,20 +46,13 @@ pub const IMBALANCE_INFO: f64 = 1.25;
 pub const LINK_HOTSPOT_FACTOR: f64 = 3.0;
 
 /// How one declared edge moves execution count from `src` to `dst`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EdgeKind {
+struct Edge<'a> {
+    src: &'a str,
+    dst: &'a str,
     /// A declared send: each traversal is a real message on the fabric.
-    Send,
-    /// A same-thread resumption (DRAM read return, atomic ack, stored
-    /// continuation): drives executions but is not NIC traffic.
-    Resume,
-}
-
-#[derive(Clone, Debug)]
-struct Edge {
-    src: String,
-    dst: String,
-    kind: EdgeKind,
+    /// Otherwise a same-thread resumption (DRAM read return, atomic ack,
+    /// stored continuation): drives executions but is not NIC traffic.
+    is_send: bool,
     /// Declared per-execution multiplicity.
     fanout: Bound,
     /// Mean dynamic multiplicity: the workload override if given, else
@@ -148,7 +143,7 @@ pub struct CostReport {
     pub per_node_inject_bytes: Vec<f64>,
     /// Predicted load-imbalance factor (max/mean per-node events).
     pub imbalance: f64,
-    pub findings: Vec<SpecFinding>,
+    pub findings: Vec<Finding>,
     /// Present after [`calibrate`] ran against a metrics export.
     pub calibration: Option<Calibration>,
 }
@@ -163,10 +158,7 @@ impl CostReport {
     }
 
     pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == SpecSeverity::Error)
-            .count()
+        count_errors(&self.findings)
     }
 
     /// Clean = no error-severity findings (warnings are advisory).
@@ -175,55 +167,29 @@ impl CostReport {
     }
 }
 
-fn finding(
-    severity: SpecSeverity,
-    check: &'static str,
-    subject: impl Into<String>,
-    message: impl Into<String>,
-) -> SpecFinding {
-    SpecFinding {
-        severity,
-        check,
-        subject: subject.into(),
-        message: message.into(),
-    }
-}
-
-/// Collect the declared edge list: one entry per (event, send target) and
-/// per (event, resume target), with workload fan-out overrides applied.
-fn edges_of(spec: &ProgramSpec, w: &Workload) -> Vec<Edge> {
-    let mut out = Vec::new();
-    for ev in spec.events() {
-        for sd in &ev.sends {
-            for t in &sd.targets {
-                let key = (ev.name.clone(), t.clone());
-                let mean = w.fanouts.get(&key).copied().or(match sd.fanout {
-                    Bound::Finite(n) => Some(n as f64),
-                    Bound::Unbounded => None,
-                });
-                out.push(Edge {
-                    src: ev.name.clone(),
-                    dst: t.clone(),
-                    kind: EdgeKind::Send,
-                    fanout: sd.fanout,
-                    mean,
-                    max_args: sd.max_args.unwrap_or(sd.min_args),
-                });
+/// The declared edge list with workload fan-out overrides applied.
+fn edges_of<'a>(spec: &'a ProgramSpec, w: &Workload) -> Vec<Edge<'a>> {
+    declared_edges(spec)
+        .map(|e| {
+            let over = w.fanouts.get(&(e.src.to_string(), e.dst.to_string())).copied();
+            let (fanout, max_args) = match e.send {
+                Some(sd) => (sd.fanout, sd.max_args.unwrap_or(sd.min_args)),
+                None => (Bound::Finite(1), 0),
+            };
+            let declared = match fanout {
+                Bound::Finite(n) => Some(n as f64),
+                Bound::Unbounded => None,
+            };
+            Edge {
+                src: e.src,
+                dst: e.dst,
+                is_send: e.send.is_some(),
+                fanout,
+                mean: over.or(declared),
+                max_args,
             }
-        }
-        for r in &ev.resumes {
-            let key = (ev.name.clone(), r.clone());
-            out.push(Edge {
-                src: ev.name.clone(),
-                dst: r.clone(),
-                kind: EdgeKind::Resume,
-                fanout: Bound::Finite(1),
-                mean: Some(w.fanouts.get(&key).copied().unwrap_or(1.0)),
-                max_args: 0,
-            });
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// Symbolic pass: per-host-injection execution bound per event.
@@ -261,7 +227,7 @@ fn symbolic_bounds(
         if let Some(ids) = in_edges.get(name) {
             for &i in ids {
                 let e = &edges[i];
-                let src = bound_of(&e.src, spec, in_edges, edges, state);
+                let src = bound_of(e.src, spec, in_edges, edges, state);
                 total = total.add(src.mul(e.fanout));
             }
         }
@@ -285,13 +251,13 @@ fn concrete_counts(
     w: &Workload,
     in_edges: &BTreeMap<&str, Vec<usize>>,
     edges: &[Edge],
-) -> (BTreeMap<String, f64>, Vec<SpecFinding>) {
+) -> (BTreeMap<String, f64>, Vec<Finding>) {
     enum St {
         Computing,
         Done(f64),
     }
     let mut state: BTreeMap<String, St> = BTreeMap::new();
-    let mut findings: Vec<SpecFinding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
 
     #[allow(clippy::too_many_arguments)]
     fn count_of(
@@ -301,7 +267,7 @@ fn concrete_counts(
         in_edges: &BTreeMap<&str, Vec<usize>>,
         edges: &[Edge],
         state: &mut BTreeMap<String, St>,
-        findings: &mut Vec<SpecFinding>,
+        findings: &mut Vec<Finding>,
     ) -> f64 {
         if let Some(&c) = w.counts.get(name) {
             // Pinned counts win unconditionally; no recursion needed.
@@ -311,8 +277,8 @@ fn concrete_counts(
         if let Some(st) = state.get(name) {
             return match st {
                 St::Computing => {
-                    findings.push(finding(
-                        SpecSeverity::Info,
+                    findings.push(Finding::new(
+                        Severity::Info,
                         "cost-cycle",
                         name.to_string(),
                         "event is on a propagation cycle with no pinned count; \
@@ -332,13 +298,13 @@ fn concrete_counts(
         if let Some(ids) = in_edges.get(name) {
             for &i in ids {
                 let e = &edges[i];
-                let src = count_of(&e.src, spec, w, in_edges, edges, state, findings);
+                let src = count_of(e.src, spec, w, in_edges, edges, state, findings);
                 match e.mean {
                     Some(m) => total += src * m,
                     None => {
                         if src > 0.0 {
-                            findings.push(finding(
-                                SpecSeverity::Warning,
+                            findings.push(Finding::new(
+                                Severity::Warning,
                                 "unbounded-cost",
                                 name.to_string(),
                                 format!(
@@ -387,7 +353,7 @@ pub fn analyze_cost(
     let edges = edges_of(spec, workload);
     let mut in_edges: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, e) in edges.iter().enumerate() {
-        in_edges.entry(e.dst.as_str()).or_default().push(i);
+        in_edges.entry(e.dst).or_default().push(i);
     }
 
     let bounds = symbolic_bounds(spec, &in_edges, &edges);
@@ -429,7 +395,7 @@ pub fn analyze_cost(
         let ids = in_edges.get(ev.name.as_str());
         let inflow = |i: &usize| -> f64 {
             let e = &edges[*i];
-            counts.get(e.src.as_str()).copied().unwrap_or(0.0) * e.mean.unwrap_or(0.0)
+            counts.get(e.src).copied().unwrap_or(0.0) * e.mean.unwrap_or(0.0)
         };
         let total_in: f64 = ids.map_or(0.0, |ids| ids.iter().map(inflow).sum());
         if total_in <= 0.0 {
@@ -442,7 +408,7 @@ pub fn analyze_cost(
         let mut msg_total = 0.0;
         for &i in ids.into_iter().flatten() {
             let e = &edges[i];
-            if e.kind != EdgeKind::Send {
+            if !e.is_send {
                 continue;
             }
             let m = x * inflow(&i) / total_in;
@@ -451,11 +417,11 @@ pub fn analyze_cost(
             }
             msg_total += m;
             edge_costs.push(EdgeCost {
-                src: e.src.clone(),
-                dst: e.dst.clone(),
+                src: e.src.to_string(),
+                dst: e.dst.to_string(),
                 msgs: m,
                 bytes: m * wire_bytes(e.max_args, header),
-                local: is_local(&e.src, &e.dst),
+                local: is_local(e.src, e.dst),
             });
         }
         msgs_in.insert(ev.name.as_str(), msg_total);
@@ -512,11 +478,11 @@ pub fn analyze_cost(
     let imbalance = if mean_node > 0.0 { max_node / mean_node } else { 1.0 };
     if nodes > 1 && imbalance > IMBALANCE_INFO {
         let sev = if imbalance > IMBALANCE_WARN {
-            SpecSeverity::Warning
+            Severity::Warning
         } else {
-            SpecSeverity::Info
+            Severity::Info
         };
-        findings.push(finding(
+        findings.push(Finding::new(
             sev,
             "shard-imbalance",
             app.to_string(),
@@ -536,8 +502,8 @@ pub fn analyze_cost(
                 .iter()
                 .max_by(|a, b| a.bytes.partial_cmp(&b.bytes).unwrap())
                 .unwrap();
-            findings.push(finding(
-                SpecSeverity::Warning,
+            findings.push(Finding::new(
+                Severity::Warning,
                 "link-hotspot",
                 app.to_string(),
                 format!(
@@ -671,171 +637,166 @@ pub fn calibrate(report: &CostReport, metrics_json: &str) -> Result<Calibration,
     Ok(Calibration { entries, worst })
 }
 
-/// Append one report's `udcost/v1` object to a JSON writer.
-fn write_report_json(r: &CostReport, w: &mut JsonWriter) {
-    w.begin_obj();
-    w.key("app").string(&r.app);
-    w.key("nodes").u64(r.nodes as u64);
-    w.key("topology").string(&r.topology);
-    w.key("clean").bool(r.is_clean());
-    w.key("totals").begin_obj();
-    w.key("events").f64(r.total_events);
-    w.key("msgs").f64(r.total_msgs);
-    w.key("bytes").f64(r.total_bytes);
-    w.key("inter_node_msgs").f64(r.inter_node_msgs);
-    w.key("inter_node_bytes").f64(r.inter_node_bytes);
-    w.key("imbalance").f64(r.imbalance);
-    w.end_obj();
-    w.key("per_node").begin_arr();
-    for i in 0..r.per_node_events.len() {
+impl Report for CostReport {
+    const SCHEMA: &'static str = "udcost/v1";
+    const COUNTERS: &'static [&'static str] = &["errors"];
+    const ITEMS: &'static str = "reports";
+
+    fn app(&self) -> &str {
+        &self.app
+    }
+
+    fn is_clean(&self) -> bool {
+        CostReport::is_clean(self)
+    }
+
+    fn counter(&self, _: usize) -> u64 {
+        self.errors() as u64
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        let r = self;
         w.begin_obj();
-        w.key("events").f64(r.per_node_events[i]);
-        w.key("inject_bytes").f64(r.per_node_inject_bytes[i]);
+        w.key("app").string(&r.app);
+        w.key("nodes").u64(r.nodes as u64);
+        w.key("topology").string(&r.topology);
+        w.key("clean").bool(r.is_clean());
+        w.key("totals").begin_obj();
+        w.key("events").f64(r.total_events);
+        w.key("msgs").f64(r.total_msgs);
+        w.key("bytes").f64(r.total_bytes);
+        w.key("inter_node_msgs").f64(r.inter_node_msgs);
+        w.key("inter_node_bytes").f64(r.inter_node_bytes);
+        w.key("imbalance").f64(r.imbalance);
         w.end_obj();
-    }
-    w.end_arr();
-    w.key("shard_hints").begin_arr();
-    for h in r.shard_hints() {
-        w.u64(h);
-    }
-    w.end_arr();
-    w.key("events").begin_arr();
-    for e in &r.events {
-        w.begin_obj();
-        w.key("name").string(&e.name);
-        w.key("bound");
-        match e.bound {
-            Bound::Finite(n) => {
-                w.u64(n);
-            }
-            Bound::Unbounded => {
-                w.null();
-            }
-        }
-        w.key("count").f64(e.count);
-        w.key("pinned").bool(e.pinned);
-        w.key("msgs").f64(e.msgs);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.key("edges").begin_arr();
-    for e in &r.edges {
-        w.begin_obj();
-        w.key("src").string(&e.src);
-        w.key("dst").string(&e.dst);
-        w.key("msgs").f64(e.msgs);
-        w.key("bytes").f64(e.bytes);
-        w.key("local").bool(e.local);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.key("links").begin_arr();
-    for l in &r.links {
-        w.begin_obj();
-        w.key("src").u64(l.src as u64);
-        w.key("dst").u64(l.dst as u64);
-        w.key("bytes").f64(l.bytes);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.key("findings").begin_arr();
-    for f in &r.findings {
-        w.begin_obj();
-        w.key("check").string(f.check);
-        w.key("severity").string(f.severity.as_str());
-        w.key("subject").string(&f.subject);
-        w.key("message").string(&f.message);
-        w.end_obj();
-    }
-    w.end_arr();
-    if let Some(cal) = &r.calibration {
-        w.key("calibration").begin_obj();
-        w.key("entries").begin_arr();
-        for e in &cal.entries {
+        w.key("per_node").begin_arr();
+        for i in 0..r.per_node_events.len() {
             w.begin_obj();
-            w.key("counter").string(&e.counter);
-            w.key("predicted").f64(e.predicted);
-            w.key("actual").f64(e.actual);
-            w.key("factor").f64(e.factor);
+            w.key("events").f64(r.per_node_events[i]);
+            w.key("inject_bytes").f64(r.per_node_inject_bytes[i]);
             w.end_obj();
         }
         w.end_arr();
-        w.key("worst_factor").f64(cal.worst);
+        w.key("shard_hints").begin_arr();
+        for h in r.shard_hints() {
+            w.u64(h);
+        }
+        w.end_arr();
+        w.key("events").begin_arr();
+        for e in &r.events {
+            w.begin_obj();
+            w.key("name").string(&e.name);
+            w.key("bound");
+            match e.bound {
+                Bound::Finite(n) => {
+                    w.u64(n);
+                }
+                Bound::Unbounded => {
+                    w.null();
+                }
+            }
+            w.key("count").f64(e.count);
+            w.key("pinned").bool(e.pinned);
+            w.key("msgs").f64(e.msgs);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("edges").begin_arr();
+        for e in &r.edges {
+            w.begin_obj();
+            w.key("src").string(&e.src);
+            w.key("dst").string(&e.dst);
+            w.key("msgs").f64(e.msgs);
+            w.key("bytes").f64(e.bytes);
+            w.key("local").bool(e.local);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("links").begin_arr();
+        for l in &r.links {
+            w.begin_obj();
+            w.key("src").u64(l.src as u64);
+            w.key("dst").u64(l.dst as u64);
+            w.key("bytes").f64(l.bytes);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("findings");
+        write_findings(w, "subject", &r.findings);
+        if let Some(cal) = &r.calibration {
+            w.key("calibration").begin_obj();
+            w.key("entries").begin_arr();
+            for e in &cal.entries {
+                w.begin_obj();
+                w.key("counter").string(&e.counter);
+                w.key("predicted").f64(e.predicted);
+                w.key("actual").f64(e.actual);
+                w.key("factor").f64(e.factor);
+                w.end_obj();
+            }
+            w.end_arr();
+            w.key("worst_factor").f64(cal.worst);
+            w.end_obj();
+        }
         w.end_obj();
     }
-    w.end_obj();
+
+    fn render_text(&self) -> String {
+        let r = self;
+        let mut s = String::new();
+        s.push_str(&format!(
+            "udcost: {}  ({} node(s), {} topology)\n",
+            r.app, r.nodes, r.topology
+        ));
+        s.push_str(&format!(
+            "  predicted: {:.0} events, {:.0} msgs ({:.0} inter-node), \
+             {:.0} bytes on the wire, imbalance {:.2}x\n",
+            r.total_events, r.total_msgs, r.inter_node_msgs, r.total_bytes, r.imbalance
+        ));
+        s.push_str(&format!(
+            "  shard hints: {:?}\n",
+            r.shard_hints()
+        ));
+        let mut top: Vec<&EventCost> = r.events.iter().filter(|e| e.count > 0.0).collect();
+        top.sort_by(|a, b| b.count.partial_cmp(&a.count).unwrap().then(a.name.cmp(&b.name)));
+        for e in top.iter().take(8) {
+            s.push_str(&format!(
+                "    {:<44} {:>12.0}{}\n",
+                e.name,
+                e.count,
+                if e.pinned { "  (pinned)" } else { "" }
+            ));
+        }
+        if r.findings.is_empty() {
+            s.push_str("  findings: none\n");
+        } else {
+            for f in &r.findings {
+                s.push_str(&format!("  {}\n", bracketed(f)));
+            }
+        }
+        if let Some(cal) = &r.calibration {
+            s.push_str(&format!(
+                "  calibration: worst factor {:.2}x over {} counter(s)\n",
+                cal.worst,
+                cal.entries.len()
+            ));
+            for e in &cal.entries {
+                s.push_str(&format!(
+                    "    {:<20} predicted {:>12}  actual {:>12}  factor {:.2}x\n",
+                    e.counter,
+                    format!("{:.*}", if e.predicted < 100.0 { 2 } else { 0 }, e.predicted),
+                    format!("{:.*}", if e.actual < 100.0 { 2 } else { 0 }, e.actual),
+                    e.factor
+                ));
+            }
+        }
+        s
+    }
 }
 
 /// Render a full `udcost/v1` document over a set of reports.
 pub fn render_cost_document(reports: &[CostReport]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.key("schema").string("udcost/v1");
-    let errors: usize = reports.iter().map(|r| r.errors()).sum();
-    w.key("errors").u64(errors as u64);
-    w.key("clean").bool(reports.iter().all(|r| r.is_clean()));
-    w.key("reports").begin_arr();
-    for r in reports {
-        write_report_json(r, &mut w);
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
-}
-
-/// Human-readable rendering of one report (the CLI's default output).
-pub fn render_cost_text(r: &CostReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "udcost: {}  ({} node(s), {} topology)\n",
-        r.app, r.nodes, r.topology
-    ));
-    s.push_str(&format!(
-        "  predicted: {:.0} events, {:.0} msgs ({:.0} inter-node), \
-         {:.0} bytes on the wire, imbalance {:.2}x\n",
-        r.total_events, r.total_msgs, r.inter_node_msgs, r.total_bytes, r.imbalance
-    ));
-    s.push_str(&format!(
-        "  shard hints: {:?}\n",
-        r.shard_hints()
-    ));
-    let mut top: Vec<&EventCost> = r.events.iter().filter(|e| e.count > 0.0).collect();
-    top.sort_by(|a, b| b.count.partial_cmp(&a.count).unwrap().then(a.name.cmp(&b.name)));
-    for e in top.iter().take(8) {
-        s.push_str(&format!(
-            "    {:<44} {:>12.0}{}\n",
-            e.name,
-            e.count,
-            if e.pinned { "  (pinned)" } else { "" }
-        ));
-    }
-    if r.findings.is_empty() {
-        s.push_str("  findings: none\n");
-    } else {
-        for f in &r.findings {
-            s.push_str(&format!(
-                "  [{}] {} {}: {}\n",
-                f.severity, f.check, f.subject, f.message
-            ));
-        }
-    }
-    if let Some(cal) = &r.calibration {
-        s.push_str(&format!(
-            "  calibration: worst factor {:.2}x over {} counter(s)\n",
-            cal.worst,
-            cal.entries.len()
-        ));
-        for e in &cal.entries {
-            s.push_str(&format!(
-                "    {:<20} predicted {:>12}  actual {:>12}  factor {:.2}x\n",
-                e.counter,
-                format!("{:.*}", if e.predicted < 100.0 { 2 } else { 0 }, e.predicted),
-                format!("{:.*}", if e.actual < 100.0 { 2 } else { 0 }, e.actual),
-                e.factor
-            ));
-        }
-    }
-    s
+    document(reports)
 }
 
 #[cfg(test)]
@@ -877,7 +838,7 @@ mod tests {
         assert!(r
             .findings
             .iter()
-            .any(|f| f.check == "unbounded-cost" && f.severity == SpecSeverity::Warning));
+            .any(|f| f.check == "unbounded-cost" && f.severity == Severity::Warning));
         // Symbolic pass still classifies c as unbounded.
         let c = r.events.iter().find(|e| e.name == "t::c").unwrap();
         assert_eq!(c.bound, Bound::Unbounded);

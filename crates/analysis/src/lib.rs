@@ -1,12 +1,27 @@
 #![forbid(unsafe_code)]
-//! # udcheck — static event-protocol analysis for UDWeave programs
+//! # udcheck — analysis of UDWeave programs, one tool (`ud`) over one vocabulary
 //!
 //! UDWeave programs are webs of event handlers exchanging messages with
 //! operands and continuations; the protocol invariants that make them
 //! correct (every spawned task eventually terminates, every continuation is
 //! eventually resumed, senders and receivers agree on operand counts, KVMSR
 //! tasks conserve their `emit`/`map_done` messages) live entirely in the
-//! programmer's head. `udcheck` makes them checkable:
+//! programmer's head. This crate makes them checkable. The `ud` binary has
+//! four subcommands, each a module here, each producing per-app [`Report`]s
+//! of [`Finding`]s that render as text or as one versioned JSON
+//! [`document`] (docs/analysis.md):
+//!
+//! | subcommand | module | question | schema |
+//! |------------|--------|----------|--------|
+//! | `ud check` | this one | did the protocol *shape* go wrong in a probed run? | `udcheck/v1` |
+//! | `ud race`  | [`race`] | can two memory accesses race? | `udrace/v1` |
+//! | `ud spec`  | [`spec`] | can the declared protocol deadlock or blow a bound? | `udspec/v1` |
+//! | `ud cost`  | [`cost`] | how much load, traffic and link demand will it cost? | `udcost/v1` |
+//!
+//! [`apps`] holds the conformance-scale inputs and the per-app drivers the
+//! binary, the tests and the benchmark share.
+//!
+//! ## `ud check`
 //!
 //! 1. the simulator's [`ProtocolProbe`](updown_sim::ProtocolProbe) records a
 //!    commutative summary of everything a (tiny, deterministic) run did,
@@ -18,10 +33,8 @@
 //!
 //! The paired *runtime sanitizer* ([`MachineConfig::sanitize`](updown_sim::MachineConfig))
 //! cross-validates: every static check has a dynamic counterpart that fires
-//! at the violating event execution. `udcheck` runs with the sanitizer on,
+//! at the violating event execution. `ud check` runs with the sanitizer on,
 //! so its report carries both views.
-//!
-//! ## Checks
 //!
 //! | id                   | severity | what it catches                                      |
 //! |----------------------|----------|------------------------------------------------------|
@@ -38,8 +51,6 @@
 //! hard errors. "Clean" means zero error-severity findings and zero
 //! sanitizer diagnostics.
 
-use std::fmt;
-
 use updown_sim::json::JsonWriter;
 use updown_sim::{ProbeReport, ProtocolProbe};
 
@@ -48,13 +59,91 @@ pub mod cost;
 pub mod race;
 pub mod spec;
 
-pub use cost::{
-    analyze_cost, calibrate, render_cost_document, render_cost_text, Calibration, CostReport,
-};
+pub use cost::{analyze_cost, calibrate, render_cost_document, Calibration, CostReport};
 pub use race::{
     conflicted_regions, may_race, race_findings, render_race_document, RaceAnalysis,
 };
 pub use spec::{render_spec_document, SpecAnalysis};
+pub use updown_sim::spec::{Finding, Severity};
+
+// ---------------------------------------------------------------------------
+// Reports and documents
+// ---------------------------------------------------------------------------
+
+/// One app's result of one `ud` subcommand: everything the CLI's output
+/// tail and the JSON envelope need, whichever analysis produced it.
+pub trait Report {
+    /// Schema tag of the JSON document (`udcheck/v1`, ...).
+    const SCHEMA: &'static str;
+    /// Counters the envelope sums over its reports, written between
+    /// `schema` and `clean`.
+    const COUNTERS: &'static [&'static str];
+    /// Key of the envelope's per-app array.
+    const ITEMS: &'static str;
+
+    /// Name of the analyzed program.
+    fn app(&self) -> &str;
+    /// Whether this report lets `ud` exit 0.
+    fn is_clean(&self) -> bool;
+    /// This report's share of `COUNTERS[i]`.
+    fn counter(&self, i: usize) -> u64;
+    /// Append this report's object to the per-app array.
+    fn write_json(&self, w: &mut JsonWriter);
+    /// Human-readable rendering (the CLI's default output).
+    fn render_text(&self) -> String;
+    /// Graphviz rendering, for the subcommands that take `--dot`.
+    fn dot(&self) -> Option<String> {
+        None
+    }
+}
+
+/// Render the full JSON document of `R`'s schema over a set of reports.
+pub fn document<R: Report>(reports: &[R]) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_obj();
+    w.key("schema").string(R::SCHEMA);
+    for (i, name) in R::COUNTERS.iter().enumerate() {
+        w.key(name).u64(reports.iter().map(|r| r.counter(i)).sum());
+    }
+    w.key("clean").bool(reports.iter().all(|r| r.is_clean()));
+    w.key(R::ITEMS).begin_arr();
+    for r in reports {
+        r.write_json(&mut w);
+    }
+    w.end_arr();
+    w.end_obj();
+    w.finish()
+}
+
+/// Error-severity findings in `findings`.
+fn count_errors<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> usize {
+    findings
+        .into_iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count()
+}
+
+/// Write `findings` as a JSON array. `subject_key` is what the schema calls
+/// [`Finding::subject`]: `"handler"` in `udcheck/v1` and `udrace/v1`,
+/// `"subject"` in `udspec/v1` and `udcost/v1`.
+fn write_findings(w: &mut JsonWriter, subject_key: &str, findings: &[Finding]) {
+    w.begin_arr();
+    for f in findings {
+        w.begin_obj();
+        w.key("check").string(f.check);
+        w.key("severity").string(f.severity.as_str());
+        w.key(subject_key).string(&f.subject);
+        w.key("message").string(&f.message);
+        w.end_obj();
+    }
+    w.end_arr();
+}
+
+/// `[severity] check subject: message` — the line `ud spec` and `ud cost`
+/// print.
+fn bracketed(f: &Finding) -> String {
+    format!("[{}] {} {}: {}", f.severity, f.check, f.subject, f.message)
+}
 
 // ---------------------------------------------------------------------------
 // Event-flow graph
@@ -126,7 +215,7 @@ impl EventFlowGraph {
         self.nodes.iter().find(|n| n.label == label)
     }
 
-    /// Graphviz rendering (debugging aid; `udcheck --dot`).
+    /// Graphviz rendering (debugging aid; `ud check --dot`).
     pub fn to_dot(&self, title: &str) -> String {
         let mut s = String::new();
         s.push_str(&format!("digraph \"{title}\" {{\n  rankdir=LR;\n"));
@@ -152,57 +241,11 @@ impl EventFlowGraph {
 }
 
 // ---------------------------------------------------------------------------
-// Findings
+// Checks
 // ---------------------------------------------------------------------------
 
-/// Finding severity; `Error` sorts first. Only `Error` findings make a
-/// program "unclean" (and fail the `udcheck` CLI).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Error,
-    Warning,
-    Info,
-}
-
-impl Severity {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-            Severity::Info => "info",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One static-analysis finding, attributed to a handler (or thread group,
-/// named by its creating label's handler).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Finding {
-    /// Check id (kebab-case, stable — part of the `udcheck/v1` schema).
-    pub check: &'static str,
-    pub severity: Severity,
-    pub handler: String,
-    pub message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}] {}: {}",
-            self.severity, self.check, self.handler, self.message
-        )
-    }
-}
-
 /// Run all static checks over a probe report. Findings are deterministic
-/// and sorted by (severity, check, handler, message).
+/// and sorted ([`Finding`]'s order).
 pub fn analyze(r: &ProbeReport) -> Vec<Finding> {
     let mut out = Vec::new();
     check_send_unregistered(r, &mut out);
@@ -211,14 +254,7 @@ pub fn analyze(r: &ProbeReport) -> Vec<Finding> {
     check_scratchpad_leak(r, &mut out);
     check_operand_mismatch(r, &mut out);
     check_kvmsr_conservation(r, &mut out);
-    out.sort_by(|a, b| {
-        (a.severity, a.check, &a.handler, &a.message).cmp(&(
-            b.severity,
-            b.check,
-            &b.handler,
-            &b.message,
-        ))
-    });
+    out.sort();
     out
 }
 
@@ -228,15 +264,15 @@ fn check_send_unregistered(r: &ProbeReport, out: &mut Vec<Finding>) {
     for (&src, h) in &r.handlers {
         for (&dst, e) in &h.sends {
             if (dst as usize) >= r.handler_names.len() {
-                out.push(Finding {
-                    check: "send-unregistered",
-                    severity: Severity::Error,
-                    handler: r.handler_name(src).to_string(),
-                    message: format!(
+                out.push(Finding::new(
+                    Severity::Error,
+                    "send-unregistered",
+                    r.handler_name(src),
+                    format!(
                         "sends to unregistered event label {dst} ({} send(s))",
                         e.count
                     ),
-                });
+                ));
             }
         }
     }
@@ -254,27 +290,27 @@ fn check_never_terminates(r: &ProbeReport, out: &mut Vec<Finding>) {
         }
         let name = r.handler_name(label).to_string();
         if r.drained {
-            out.push(Finding {
-                check: "never-terminates",
-                severity: Severity::Error,
-                handler: name,
-                message: format!(
+            out.push(Finding::new(
+                Severity::Error,
+                "never-terminates",
+                name,
+                format!(
                     "group spawned {} thread context(s) and terminated none; \
                      {} still live when the run drained",
                     g.spawned, g.live_at_exit
                 ),
-            });
+            ));
         } else {
-            out.push(Finding {
-                check: "never-terminates",
-                severity: Severity::Info,
-                handler: name,
-                message: format!(
+            out.push(Finding::new(
+                Severity::Info,
+                "never-terminates",
+                name,
+                format!(
                     "group spawned {} thread context(s) and terminated none \
                      (run was stopped; fine for persistent service threads)",
                     g.spawned
                 ),
-            });
+            ));
         }
     }
 }
@@ -285,16 +321,16 @@ fn check_never_terminates(r: &ProbeReport, out: &mut Vec<Finding>) {
 fn check_unread_continuation(r: &ProbeReport, out: &mut Vec<Finding>) {
     for (&label, h) in &r.handlers {
         if h.recv_with_cont > 0 && h.cont_reads == 0 {
-            out.push(Finding {
-                check: "unread-continuation",
-                severity: Severity::Error,
-                handler: r.handler_name(label).to_string(),
-                message: format!(
+            out.push(Finding::new(
+                Severity::Error,
+                "unread-continuation",
+                r.handler_name(label),
+                format!(
                     "received {} message(s) carrying a continuation but never \
                      read ctx.cont(); those continuations can never resume",
                     h.recv_with_cont
                 ),
-            });
+            ));
         }
     }
 }
@@ -310,27 +346,27 @@ fn check_scratchpad_leak(r: &ProbeReport, out: &mut Vec<Finding>) {
         }
         let name = r.handler_name(label).to_string();
         if r.drained && g.live_at_exit > 0 {
-            out.push(Finding {
-                check: "scratchpad-leak",
-                severity: Severity::Error,
-                handler: name,
-                message: format!(
+            out.push(Finding::new(
+                Severity::Error,
+                "scratchpad-leak",
+                name,
+                format!(
                     "{} scratchpad word(s) allocated by a group with {} \
                      context(s) still live at drain",
                     g.spm_alloc_words, g.live_at_exit
                 ),
-            });
+            ));
         } else if !r.drained && g.spawned > 0 && g.terminated == 0 {
-            out.push(Finding {
-                check: "scratchpad-leak",
-                severity: Severity::Info,
-                handler: name,
-                message: format!(
+            out.push(Finding::new(
+                Severity::Info,
+                "scratchpad-leak",
+                name,
+                format!(
                     "{} scratchpad word(s) allocated by a group that \
                      terminated no contexts before the run was stopped",
                     g.spm_alloc_words
                 ),
-            });
+            ));
         }
     }
 }
@@ -358,15 +394,15 @@ fn check_operand_mismatch(r: &ProbeReport, out: &mut Vec<Finding>) {
             } else {
                 senders.join(", ")
             };
-            out.push(Finding {
-                check: "operand-mismatch",
-                severity: Severity::Error,
-                handler: r.handler_name(label).to_string(),
-                message: format!(
+            out.push(Finding::new(
+                Severity::Error,
+                "operand-mismatch",
+                r.handler_name(label),
+                format!(
                     "reads operand index {max_idx} but messages of this shape \
                      carry only {argc} operand(s) (senders: {via})"
                 ),
-            });
+            ));
         }
     }
 }
@@ -406,26 +442,26 @@ fn check_kvmsr_conservation(r: &ProbeReport, out: &mut Vec<Finding>) {
     let emits = reduce.map_or(0, sum_sends_to);
     let name = r.handler_name(map).to_string();
     if dones > g.spawned {
-        out.push(Finding {
-            check: "kvmsr-conservation",
-            severity: Severity::Error,
-            handler: name,
-            message: format!(
+        out.push(Finding::new(
+            Severity::Error,
+            "kvmsr-conservation",
+            name,
+            format!(
                 "{} map task(s) spawned but {dones} map_done message(s) sent — \
                  a task completed more than once",
                 g.spawned
             ),
-        });
+        ));
     } else if dones < g.spawned {
-        out.push(Finding {
-            check: "kvmsr-conservation",
-            severity: if r.drained {
+        out.push(Finding::new(
+            if r.drained {
                 Severity::Error
             } else {
                 Severity::Warning
             },
-            handler: name,
-            message: format!(
+            "kvmsr-conservation",
+            name,
+            format!(
                 "{} map task(s) spawned but only {dones} map_done message(s) \
                  sent ({emits} emit(s) observed){}",
                 g.spawned,
@@ -435,7 +471,7 @@ fn check_kvmsr_conservation(r: &ProbeReport, out: &mut Vec<Finding>) {
                     "; run was stopped — possible mid-phase truncation"
                 }
             ),
-        });
+        ));
     }
 }
 
@@ -468,20 +504,37 @@ impl Analysis {
     }
 
     pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
+        count_errors(&self.findings)
     }
 
     /// Clean = no error findings and no sanitizer diagnostics.
     pub fn is_clean(&self) -> bool {
         self.errors() == 0 && self.report.diagnostics.is_empty()
     }
+}
 
-    /// Append this run's `udcheck/v1` object to a JSON writer (one element
-    /// of the document's `runs` array).
-    pub fn write_json(&self, w: &mut JsonWriter) {
+impl Report for Analysis {
+    const SCHEMA: &'static str = "udcheck/v1";
+    const COUNTERS: &'static [&'static str] = &["errors", "diagnostics"];
+    const ITEMS: &'static str = "runs";
+
+    fn app(&self) -> &str {
+        &self.app
+    }
+
+    fn is_clean(&self) -> bool {
+        Analysis::is_clean(self)
+    }
+
+    fn counter(&self, i: usize) -> u64 {
+        [self.errors(), self.report.diagnostics.len()][i] as u64
+    }
+
+    fn dot(&self) -> Option<String> {
+        Some(self.graph.to_dot(&self.app))
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj();
         w.key("app").string(&self.app);
         w.key("drained").bool(self.report.drained);
@@ -516,16 +569,8 @@ impl Analysis {
         }
         w.end_arr();
         w.end_obj(); // graph
-        w.key("findings").begin_arr();
-        for f in &self.findings {
-            w.begin_obj();
-            w.key("check").string(f.check);
-            w.key("severity").string(f.severity.as_str());
-            w.key("handler").string(&f.handler);
-            w.key("message").string(&f.message);
-            w.end_obj();
-        }
-        w.end_arr();
+        w.key("findings");
+        write_findings(w, "handler", &self.findings);
         w.key("diagnostics").begin_arr();
         for d in &self.report.diagnostics {
             w.begin_obj();
@@ -543,8 +588,7 @@ impl Analysis {
         w.end_obj();
     }
 
-    /// Human-readable rendering (the CLI's default output).
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
             "udcheck: {}  ({} handlers, {} edges, {})\n",
@@ -592,21 +636,7 @@ impl Analysis {
 
 /// Render a full `udcheck/v1` document over a set of analyses.
 pub fn render_document(analyses: &[Analysis]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.key("schema").string("udcheck/v1");
-    let errors: usize = analyses.iter().map(|a| a.errors()).sum();
-    let diags: usize = analyses.iter().map(|a| a.report.diagnostics.len()).sum();
-    w.key("errors").u64(errors as u64);
-    w.key("diagnostics").u64(diags as u64);
-    w.key("clean").bool(analyses.iter().all(|a| a.is_clean()));
-    w.key("runs").begin_arr();
-    for a in analyses {
-        a.write_json(&mut w);
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
+    document(analyses)
 }
 
 #[cfg(test)]
@@ -655,7 +685,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].check, "send-unregistered");
         assert_eq!(f[0].severity, Severity::Error);
-        assert_eq!(f[0].handler, "a");
+        assert_eq!(f[0].subject, "a");
     }
 
     #[test]

@@ -1,31 +1,31 @@
-//! # udrace static layer — conflict-pair analysis over the event-flow graph
+//! # `ud race`, static layer — conflict-pair analysis over the event-flow graph
 //!
 //! The dynamic race probe ([`RaceProbe`](updown_sim::RaceProbe)) reports
 //! *observed* unordered conflicting accesses. This module adds the static
-//! half of `udrace`:
+//! half of `ud race`:
 //!
 //! 1. **May-race pre-pass**: handler pairs whose footprints touch the same
 //!    region (DRAM allocation or lane scratchpad) with at least one
 //!    plain-write access, and which have *no directed path either way* in
-//!    the udcheck event-flow graph. A send path is a happens-before proxy
+//!    the observed event-flow graph. A send path is a happens-before proxy
 //!    (messages order their endpoints), so pairs without one *may* race
 //!    even when the instrumented run happened to order them.
 //! 2. **Instrumentation pruning** ([`conflicted_regions`]): the same
 //!    conflict test selects which regions are worth word-granular
-//!    monitoring; `udrace --prune` runs a cheap footprint-only pass first
+//!    monitoring; `ud race --prune` runs a cheap footprint-only pass first
 //!    and then monitors only conflicted regions.
 //!
 //! The flow-graph path test is a heuristic (it does not model barrier
 //! counts or operand-dependent joins), so may-race findings are warnings
 //! or infos, never errors; only dynamic sites are errors. Pruning inherits
-//! the same caveat — CI runs udrace unpruned.
+//! the same caveat — CI runs `ud race` unpruned.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
 use updown_sim::{RaceFilter, RaceKind, RaceProbe, RaceReport, Region};
 
-use crate::{EventFlowGraph, Finding, Severity};
+use crate::{document, write_findings, EventFlowGraph, Finding, Report, Severity};
 
 /// Human-readable name of a footprint region.
 pub fn region_str(r: Region) -> String {
@@ -75,6 +75,19 @@ fn closure(graph: &EventFlowGraph) -> BTreeMap<u16, BTreeSet<u16>> {
     out
 }
 
+/// Whether a send path in either direction orders handlers `a` and `b`.
+fn ordered(reach: &BTreeMap<u16, BTreeSet<u16>>, a: u16, b: u16) -> bool {
+    reach.get(&a).is_some_and(|s| s.contains(&b)) || reach.get(&b).is_some_and(|s| s.contains(&a))
+}
+
+fn by_region(report: &RaceReport) -> BTreeMap<Region, Vec<&updown_sim::Footprint>> {
+    let mut out: BTreeMap<Region, Vec<&updown_sim::Footprint>> = BTreeMap::new();
+    for fp in &report.footprints {
+        out.entry(fp.region).or_default().push(fp);
+    }
+    out
+}
+
 /// Classification of one footprint pair sharing a region. `None` means the
 /// pair cannot race (reads only, or every write-class access on both sides
 /// is atomic-class — lane-serialized commutative RMW, which orders).
@@ -106,34 +119,26 @@ fn pair_kind(
 /// [`race_findings`].
 pub fn may_race(graph: &EventFlowGraph, report: &RaceReport) -> Vec<Finding> {
     let reach = closure(graph);
-    let ordered = |a: u16, b: u16| -> bool {
-        reach.get(&a).is_some_and(|s| s.contains(&b))
-            || reach.get(&b).is_some_and(|s| s.contains(&a))
-    };
-    let mut by_region: BTreeMap<Region, Vec<&updown_sim::Footprint>> = BTreeMap::new();
-    for fp in &report.footprints {
-        by_region.entry(fp.region).or_default().push(fp);
-    }
     let mut out = Vec::new();
-    for (&region, fps) in &by_region {
+    for (region, fps) in by_region(report) {
         for (i, a) in fps.iter().enumerate() {
             for b in &fps[i + 1..] {
                 if a.handler == b.handler {
                     continue; // same-handler parallelism is judged dynamically
                 }
                 let Some(kind) = pair_kind(a, b) else { continue };
-                if ordered(a.handler, b.handler) {
+                if ordered(&reach, a.handler, b.handler) {
                     continue;
                 }
                 let severity = match kind {
                     RaceKind::WriteWrite if report.drained => Severity::Warning,
                     _ => Severity::Info,
                 };
-                out.push(Finding {
-                    check: "may-race",
+                out.push(Finding::new(
                     severity,
-                    handler: report.handler_name(a.handler).to_string(),
-                    message: format!(
+                    "may-race",
+                    report.handler_name(a.handler),
+                    format!(
                         "may {} race with '{}' on {}: both touch it ({} vs {} \
                          write(s)) with no event-flow path between the handlers",
                         kind.as_str(),
@@ -142,7 +147,7 @@ pub fn may_race(graph: &EventFlowGraph, report: &RaceReport) -> Vec<Finding> {
                         a.writes,
                         b.writes
                     ),
-                });
+                ));
             }
         }
     }
@@ -154,11 +159,8 @@ pub fn race_findings(report: &RaceReport) -> Vec<Finding> {
     report
         .sites
         .iter()
-        .map(|s| Finding {
-            check: "race",
-            severity: Severity::Error,
-            handler: s.current.clone(),
-            message: format!(
+        .map(|s| {
+            let message = format!(
                 "{} {} race with '{}' on {}: {} (x{}, first at tick {} lane {})",
                 s.space.as_str(),
                 s.kind.as_str(),
@@ -168,7 +170,8 @@ pub fn race_findings(report: &RaceReport) -> Vec<Finding> {
                 s.count,
                 s.first_tick,
                 s.lane
-            ),
+            );
+            Finding::new(Severity::Error, "race", s.current.clone(), message)
         })
         .collect()
 }
@@ -181,25 +184,17 @@ pub fn race_findings(report: &RaceReport) -> Vec<Finding> {
 /// atomics never race with each other, and the probe maintains their
 /// release-acquire sync clocks even for filtered-out regions, so tracked
 /// regions keep the ordering they derive from a pruned barrier. Used by
-/// `udrace --prune` to filter the second, fully instrumented pass.
+/// `ud race --prune` to filter the second, fully instrumented pass.
 /// Heuristic — see the module docs.
 pub fn conflicted_regions(graph: &EventFlowGraph, report: &RaceReport) -> RaceFilter {
     let reach = closure(graph);
-    let ordered = |a: u16, b: u16| -> bool {
-        reach.get(&a).is_some_and(|s| s.contains(&b))
-            || reach.get(&b).is_some_and(|s| s.contains(&a))
-    };
-    let mut by_region: BTreeMap<Region, Vec<&updown_sim::Footprint>> = BTreeMap::new();
-    for fp in &report.footprints {
-        by_region.entry(fp.region).or_default().push(fp);
-    }
     let mut filter = RaceFilter::default();
-    for (&region, fps) in &by_region {
+    for (region, fps) in by_region(report) {
         let cross = fps.iter().enumerate().any(|(i, a)| {
             fps[i + 1..].iter().any(|b| {
                 a.handler != b.handler
                     && pair_kind(a, b).is_some()
-                    && !ordered(a.handler, b.handler)
+                    && !ordered(&reach, a.handler, b.handler)
             })
         });
         let self_par = fps.iter().any(|f| {
@@ -219,7 +214,7 @@ pub fn conflicted_regions(graph: &EventFlowGraph, report: &RaceReport) -> RaceFi
     filter
 }
 
-/// One app's udrace result: dynamic report + static findings, bundled for
+/// One app's `ud race` result: dynamic report + static findings, bundled for
 /// rendering (`udrace/v1`).
 #[derive(Clone, Debug)]
 pub struct RaceAnalysis {
@@ -237,14 +232,7 @@ impl RaceAnalysis {
         if let Some(g) = graph {
             findings.extend(may_race(g, &report));
         }
-        findings.sort_by(|a, b| {
-            (a.severity, a.check, &a.handler, &a.message).cmp(&(
-                b.severity,
-                b.check,
-                &b.handler,
-                &b.message,
-            ))
-        });
+        findings.sort();
         RaceAnalysis {
             app: app.to_string(),
             report,
@@ -253,10 +241,7 @@ impl RaceAnalysis {
     }
 
     pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
+        crate::count_errors(&self.findings)
     }
 
     /// Clean = no dynamic race sites and no truncated sites. May-race
@@ -264,10 +249,26 @@ impl RaceAnalysis {
     pub fn is_clean(&self) -> bool {
         self.report.is_clean()
     }
+}
 
-    /// Append this run's `udrace/v1` object to a JSON writer (one element
-    /// of the document's `runs` array).
-    pub fn write_json(&self, w: &mut JsonWriter) {
+impl Report for RaceAnalysis {
+    const SCHEMA: &'static str = "udrace/v1";
+    const COUNTERS: &'static [&'static str] = &["races"];
+    const ITEMS: &'static str = "runs";
+
+    fn app(&self) -> &str {
+        &self.app
+    }
+
+    fn is_clean(&self) -> bool {
+        RaceAnalysis::is_clean(self)
+    }
+
+    fn counter(&self, _: usize) -> u64 {
+        self.report.sites.len() as u64
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj();
         w.key("app").string(&self.app);
         w.key("drained").bool(self.report.drained);
@@ -303,21 +304,12 @@ impl RaceAnalysis {
             w.end_obj();
         }
         w.end_arr();
-        w.key("findings").begin_arr();
-        for f in &self.findings {
-            w.begin_obj();
-            w.key("check").string(f.check);
-            w.key("severity").string(f.severity.as_str());
-            w.key("handler").string(&f.handler);
-            w.key("message").string(&f.message);
-            w.end_obj();
-        }
-        w.end_arr();
+        w.key("findings");
+        write_findings(w, "handler", &self.findings);
         w.end_obj();
     }
 
-    /// Human-readable rendering (the CLI's default output).
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
             "udrace: {}  ({} access(es) over {} word(s), {})\n",
@@ -349,19 +341,7 @@ impl RaceAnalysis {
 
 /// Render a full `udrace/v1` document over a set of analyses.
 pub fn render_race_document(analyses: &[RaceAnalysis]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.key("schema").string("udrace/v1");
-    let races: u64 = analyses.iter().map(|a| a.report.sites.len() as u64).sum();
-    w.key("races").u64(races);
-    w.key("clean").bool(analyses.iter().all(|a| a.is_clean()));
-    w.key("runs").begin_arr();
-    for a in analyses {
-        a.write_json(&mut w);
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
+    document(analyses)
 }
 
 #[cfg(test)]

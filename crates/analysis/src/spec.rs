@@ -1,7 +1,8 @@
-//! `udspec` static analysis: deadlock and resource-bound checks over a
+//! `ud spec`: static deadlock and resource-bound checks over a
 //! [`ProgramSpec`] — declarations alone, zero simulation ticks.
 //!
-//! Three check families run over the declared event-flow graph:
+//! Three check families run over the declared event-flow graph
+//! ([`declared_edges`]):
 //!
 //! 1. **Wait-for cycles** (`wait-cycle`): strongly connected components of
 //!    the *group* digraph whose edges are continuation-carrying sends
@@ -23,59 +24,30 @@
 //!    names a declared event with a satisfiable operand range, and every
 //!    declared event is reachable from a host injection.
 //!
-//! Severity scale and the `clean` predicate mirror `udcheck`: clean means
-//! zero error-severity findings.
+//! Clean means zero error-severity findings, as for every subcommand.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
-use updown_sim::spec::{certify, Bound, Certification, ProgramSpec};
-use updown_sim::{MachineConfig, SpecFinding, SpecSeverity};
+use updown_sim::spec::{certify, declared_edges, Bound, Certification, ProgramSpec, SendDecl};
+use updown_sim::MachineConfig;
+
+use crate::{bracketed, count_errors, document, write_findings, Finding, Report, Severity};
 
 /// One continuation-carrying (wait) edge of the group digraph.
-#[derive(Clone, Debug)]
-struct WaitEdge {
-    src: String,
-    dst: String,
-    conditional: bool,
-    ordered: bool,
-}
-
-fn wait_edges(spec: &ProgramSpec) -> Vec<WaitEdge> {
-    let mut out = Vec::new();
-    for ev in spec.events() {
-        let src = spec.group_of(&ev.name).to_string();
-        for sd in &ev.sends {
-            if !sd.with_cont {
-                continue;
-            }
-            for t in &sd.targets {
-                out.push(WaitEdge {
-                    src: src.clone(),
-                    dst: spec.group_of(t).to_string(),
-                    conditional: sd.conditional,
-                    ordered: sd.ordered,
-                });
-            }
-        }
-    }
-    out
+struct WaitEdge<'a> {
+    src: &'a str,
+    dst: &'a str,
+    send: &'a SendDecl,
 }
 
 /// Strongly connected components of the wait digraph, via iterative
 /// Tarjan over a deterministic (sorted) node order.
-fn sccs(nodes: &[String], edges: &[WaitEdge]) -> Vec<Vec<String>> {
-    let idx: BTreeMap<&str, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+fn sccs<'a>(nodes: &[&'a str], edges: &[WaitEdge<'a>]) -> Vec<Vec<&'a str>> {
+    let idx: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for e in edges {
-        let (Some(&s), Some(&d)) = (idx.get(e.src.as_str()), idx.get(e.dst.as_str())) else {
-            continue;
-        };
-        adj[s].push(d);
+        adj[idx[e.src]].push(idx[e.dst]);
     }
     for a in &mut adj {
         a.sort_unstable();
@@ -88,7 +60,7 @@ fn sccs(nodes: &[String], edges: &[WaitEdge]) -> Vec<Vec<String>> {
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next = 0usize;
-    let mut out: Vec<Vec<String>> = Vec::new();
+    let mut out: Vec<Vec<&str>> = Vec::new();
 
     // Iterative Tarjan: (node, next-child-offset) call frames.
     for root in 0..n {
@@ -117,7 +89,7 @@ fn sccs(nodes: &[String], edges: &[WaitEdge]) -> Vec<Vec<String>> {
                     loop {
                         let w = stack.pop().expect("tarjan stack");
                         on_stack[w] = false;
-                        comp.push(nodes[w].clone());
+                        comp.push(nodes[w]);
                         if w == v {
                             break;
                         }
@@ -136,58 +108,46 @@ fn sccs(nodes: &[String], edges: &[WaitEdge]) -> Vec<Vec<String>> {
     out
 }
 
-fn finding(
-    severity: SpecSeverity,
-    check: &'static str,
-    subject: impl Into<String>,
-    message: impl Into<String>,
-) -> SpecFinding {
-    SpecFinding {
-        severity,
-        check,
-        subject: subject.into(),
-        message: message.into(),
-    }
-}
-
-/// Wait-for-cycle detection over continuation edges (check family 1).
-pub fn wait_cycle_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
-    let edges = wait_edges(spec);
-    let mut nodes: BTreeSet<String> = BTreeSet::new();
-    for e in &edges {
-        nodes.insert(e.src.clone());
-        nodes.insert(e.dst.clone());
-    }
-    let nodes: Vec<String> = nodes.into_iter().collect();
+/// Wait-for-cycle detection over continuation edges (check family 1):
+/// the sends declared `with_cont`, lifted from events to thread groups.
+pub fn wait_cycle_findings(spec: &ProgramSpec) -> Vec<Finding> {
+    let edges: Vec<WaitEdge> = declared_edges(spec)
+        .filter_map(|e| {
+            let send = e.send.filter(|sd| sd.with_cont)?;
+            Some(WaitEdge { src: spec.group_of(e.src), dst: spec.group_of(e.dst), send })
+        })
+        .collect();
+    let nodes: BTreeSet<&str> = edges.iter().flat_map(|e| [e.src, e.dst]).collect();
+    let nodes: Vec<&str> = nodes.into_iter().collect();
     let mut out = Vec::new();
     for comp in sccs(&nodes, &edges) {
-        let in_comp = |n: &str| comp.iter().any(|c| c == n);
-        let internal: Vec<&WaitEdge> = edges
+        let internal: Vec<&SendDecl> = edges
             .iter()
-            .filter(|e| in_comp(&e.src) && in_comp(&e.dst))
+            .filter(|e| comp.contains(&e.src) && comp.contains(&e.dst))
+            .map(|e| e.send)
             .collect();
         // A singleton without a self-loop is not a cycle.
         if internal.is_empty() {
             continue;
         }
         let severity = if internal.iter().all(|e| e.ordered) {
-            SpecSeverity::Info
+            Severity::Info
         } else if internal.iter().all(|e| !e.conditional && !e.ordered) {
-            SpecSeverity::Error
+            Severity::Error
         } else {
-            SpecSeverity::Warning
+            Severity::Warning
         };
         let shape = match severity {
-            SpecSeverity::Info => "ordered recursion (strictly descending, cannot deadlock)",
-            SpecSeverity::Error => {
+            Severity::Info => "ordered recursion (strictly descending, cannot deadlock)",
+            Severity::Error => {
                 "every wait is unconditional and unordered; deadlocks under thread-table saturation"
             }
-            SpecSeverity::Warning => "some waits are conditional; may deadlock on adverse paths",
+            Severity::Warning => "some waits are conditional; may deadlock on adverse paths",
         };
-        out.push(finding(
+        out.push(Finding::new(
             severity,
             "wait-cycle",
-            comp[0].clone(),
+            comp[0],
             format!(
                 "continuation wait cycle through {{{}}} ({} edge(s)): {shape}",
                 comp.join(", "),
@@ -199,12 +159,12 @@ pub fn wait_cycle_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
 }
 
 /// Resource-bound certification against machine capacities (family 2).
-pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<SpecFinding> {
+pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for g in &cert.groups {
         if g.live == Bound::Unbounded {
-            out.push(finding(
-                SpecSeverity::Info,
+            out.push(Finding::new(
+                Severity::Info,
                 "thread-bound-uncertified",
                 g.root.clone(),
                 if g.derived {
@@ -217,8 +177,8 @@ pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<SpecFindi
             ));
         }
         if g.spm == Bound::Unbounded {
-            out.push(finding(
-                SpecSeverity::Info,
+            out.push(Finding::new(
+                Severity::Info,
                 "spm-bound-uncertified",
                 g.root.clone(),
                 "no finite per-lane scratchpad bound declared".to_string(),
@@ -227,8 +187,8 @@ pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<SpecFindi
     }
     if let Bound::Finite(b) = cert.threads_per_lane {
         if b > u64::from(mc.max_threads_per_lane) {
-            out.push(finding(
-                SpecSeverity::Error,
+            out.push(Finding::new(
+                Severity::Error,
                 "thread-bound-capacity",
                 "machine".to_string(),
                 format!(
@@ -241,8 +201,8 @@ pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<SpecFindi
     }
     if let Bound::Finite(b) = cert.spm_words_per_lane {
         if b > u64::from(mc.spm_words) {
-            out.push(finding(
-                SpecSeverity::Error,
+            out.push(Finding::new(
+                Severity::Error,
                 "spm-bound-capacity",
                 "machine".to_string(),
                 format!(
@@ -257,25 +217,15 @@ pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<SpecFindi
 }
 
 /// Spec self-consistency (family 3).
-pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
+pub fn consistency_findings(spec: &ProgramSpec) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut targeted: BTreeSet<&str> = BTreeSet::new();
-    for ev in spec.events() {
-        for sd in &ev.sends {
-            for t in &sd.targets {
-                targeted.insert(t.as_str());
-            }
-        }
-        for r in &ev.resumes {
-            targeted.insert(r.as_str());
-        }
-    }
+    let targeted: BTreeSet<&str> = declared_edges(spec).map(|e| e.dst).collect();
     for ev in spec.events() {
         for sd in &ev.sends {
             for t in &sd.targets {
                 let Some(dst) = spec.event(t) else {
-                    out.push(finding(
-                        SpecSeverity::Error,
+                    out.push(Finding::new(
+                        Severity::Error,
                         "unknown-send-target",
                         ev.name.clone(),
                         format!("declares a send to `{t}`, which no thread-type declares"),
@@ -287,8 +237,8 @@ pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
                 let hi_ok = dst.max_args.is_none_or(|m| sd.min_args <= m);
                 let lo_ok = sd.max_args.is_none_or(|m| m >= dst.min_args);
                 if !(hi_ok && lo_ok) {
-                    out.push(finding(
-                        SpecSeverity::Error,
+                    out.push(Finding::new(
+                        Severity::Error,
                         "arity-incompatible",
                         ev.name.clone(),
                         format!(
@@ -304,8 +254,8 @@ pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
         }
         for r in &ev.resumes {
             if spec.event(r).is_none() {
-                out.push(finding(
-                    SpecSeverity::Warning,
+                out.push(Finding::new(
+                    Severity::Warning,
                     "unknown-resume-target",
                     ev.name.clone(),
                     format!("declares resumption at `{r}`, which no thread-type declares"),
@@ -314,8 +264,8 @@ pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
         }
         if let Some(root) = &ev.on {
             if spec.event(root).is_none() {
-                out.push(finding(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "unknown-group-root",
                     ev.name.clone(),
                     format!("declares membership in group `{root}`, which no thread-type declares"),
@@ -325,8 +275,8 @@ pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
         // Reachability: host-injected, a send/resume target, or a member
         // of a thread group (whose root delivers it via continuations).
         if !ev.from_host && ev.on.is_none() && !targeted.contains(ev.name.as_str()) {
-            out.push(finding(
-                SpecSeverity::Warning,
+            out.push(Finding::new(
+                Severity::Warning,
                 "unreachable-event",
                 ev.name.clone(),
                 "not host-injected and never the target of a declared send or \
@@ -343,13 +293,15 @@ pub fn consistency_findings(spec: &ProgramSpec) -> Vec<SpecFinding> {
 #[derive(Clone, Debug)]
 pub struct SpecAnalysis {
     pub app: String,
+    /// The analyzed declarations (what `--dot` draws).
+    pub spec: ProgramSpec,
     pub n_threads: usize,
     pub n_events: usize,
     pub cert: Certification,
-    pub findings: Vec<SpecFinding>,
+    pub findings: Vec<Finding>,
     /// Runtime-enforcement findings (`--enforce` only; empty for pure
     /// static runs).
-    pub enforced: Option<Vec<SpecFinding>>,
+    pub enforced: Option<Vec<Finding>>,
 }
 
 impl SpecAnalysis {
@@ -365,6 +317,7 @@ impl SpecAnalysis {
         findings.dedup();
         SpecAnalysis {
             app: app.to_string(),
+            spec: spec.clone(),
             n_threads: spec.threads.len(),
             n_events: spec.events().count(),
             cert,
@@ -374,11 +327,7 @@ impl SpecAnalysis {
     }
 
     pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .chain(self.enforced.iter().flatten())
-            .filter(|f| f.severity == SpecSeverity::Error)
-            .count()
+        count_errors(self.findings.iter().chain(self.enforced.iter().flatten()))
     }
 
     /// Clean = zero error-severity findings (static and, if run,
@@ -386,9 +335,30 @@ impl SpecAnalysis {
     pub fn is_clean(&self) -> bool {
         self.errors() == 0
     }
+}
 
-    /// Append this spec's `udspec/v1` object to a JSON writer.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+impl Report for SpecAnalysis {
+    const SCHEMA: &'static str = "udspec/v1";
+    const COUNTERS: &'static [&'static str] = &["errors"];
+    const ITEMS: &'static str = "specs";
+
+    fn app(&self) -> &str {
+        &self.app
+    }
+
+    fn is_clean(&self) -> bool {
+        SpecAnalysis::is_clean(self)
+    }
+
+    fn counter(&self, _: usize) -> u64 {
+        self.errors() as u64
+    }
+
+    fn dot(&self) -> Option<String> {
+        Some(spec_to_dot(&self.spec, &self.app))
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj();
         w.key("app").string(&self.app);
         w.key("threads").u64(self.n_threads as u64);
@@ -418,29 +388,16 @@ impl SpecAnalysis {
         }
         w.end_arr();
         w.end_obj(); // certification
-        let write_findings = |w: &mut JsonWriter, fs: &[SpecFinding]| {
-            w.begin_arr();
-            for f in fs {
-                w.begin_obj();
-                w.key("check").string(f.check);
-                w.key("severity").string(f.severity.as_str());
-                w.key("subject").string(&f.subject);
-                w.key("message").string(&f.message);
-                w.end_obj();
-            }
-            w.end_arr();
-        };
         w.key("findings");
-        write_findings(w, &self.findings);
+        write_findings(w, "subject", &self.findings);
         if let Some(enf) = &self.enforced {
             w.key("enforced");
-            write_findings(w, enf);
+            write_findings(w, "subject", enf);
         }
         w.end_obj();
     }
 
-    /// Human-readable rendering (the CLI's default output).
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
             "udspec: {}  ({} thread type(s), {} event(s); certified {} thread(s), \
@@ -455,10 +412,7 @@ impl SpecAnalysis {
             s.push_str("  findings: none\n");
         } else {
             for f in &self.findings {
-                s.push_str(&format!(
-                    "  [{}] {} {}: {}\n",
-                    f.severity, f.check, f.subject, f.message
-                ));
+                s.push_str(&format!("  {}\n", bracketed(f)));
             }
         }
         match &self.enforced {
@@ -466,10 +420,7 @@ impl SpecAnalysis {
             Some(enf) if enf.is_empty() => s.push_str("  enforcement: clean\n"),
             Some(enf) => {
                 for f in enf {
-                    s.push_str(&format!(
-                        "  enforcement[{}] {} {}: {}\n",
-                        f.severity, f.check, f.subject, f.message
-                    ));
+                    s.push_str(&format!("  enforcement{}\n", bracketed(f)));
                 }
             }
         }
@@ -482,7 +433,7 @@ impl SpecAnalysis {
 /// declared sends (labelled with their fanout; `cont` marks
 /// continuation-carrying waits, `new` thread-spawning sends) and dashed
 /// edges for same-thread resumptions. Host-injected events render as
-/// doubled boxes. Parity with `udcheck --dot`, but from declarations
+/// doubled boxes. Parity with `ud check --dot`, but from declarations
 /// alone — no run, no probe.
 pub fn spec_to_dot(spec: &ProgramSpec, title: &str) -> String {
     // Stable node ids: position in the spec's sorted event order.
@@ -511,34 +462,23 @@ pub fn spec_to_dot(spec: &ProgramSpec, title: &str) -> String {
         }
         s.push_str("  }\n");
     }
-    for e in spec.events() {
-        let src = ids[e.name.as_str()];
-        for sd in &e.sends {
-            let fan = match sd.fanout {
-                Bound::Finite(n) => format!("x{n}"),
-                Bound::Unbounded => "x*".to_string(),
-            };
-            let mut label = fan;
-            if sd.with_cont {
-                label.push_str(" cont");
-            }
-            if sd.to_new {
-                label.push_str(" new");
-            }
-            let style = if sd.conditional { ", style=dotted" } else { "" };
-            for t in &sd.targets {
-                if let Some(&dst) = ids.get(t.as_str()) {
-                    s.push_str(&format!(
-                        "  n{src} -> n{dst} [label=\"{label}\"{style}];\n"
-                    ));
-                }
-            }
-        }
-        for r in &e.resumes {
-            if let Some(&dst) = ids.get(r.as_str()) {
-                s.push_str(&format!("  n{src} -> n{dst} [style=dashed];\n"));
-            }
-        }
+    for e in declared_edges(spec) {
+        // An edge to an undeclared event has no node to point at.
+        let Some(&dst) = ids.get(e.dst) else { continue };
+        let attrs = match e.send {
+            None => "style=dashed".to_string(),
+            Some(sd) => format!(
+                "label=\"x{}{}{}\"{}",
+                match sd.fanout {
+                    Bound::Finite(n) => n.to_string(),
+                    Bound::Unbounded => "*".to_string(),
+                },
+                if sd.with_cont { " cont" } else { "" },
+                if sd.to_new { " new" } else { "" },
+                if sd.conditional { ", style=dotted" } else { "" },
+            ),
+        };
+        s.push_str(&format!("  n{} -> n{dst} [{attrs}];\n", ids[e.src]));
     }
     s.push_str("}\n");
     s
@@ -546,19 +486,7 @@ pub fn spec_to_dot(spec: &ProgramSpec, title: &str) -> String {
 
 /// Render a full `udspec/v1` document over a set of analyses.
 pub fn render_spec_document(analyses: &[SpecAnalysis]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.key("schema").string("udspec/v1");
-    let errors: usize = analyses.iter().map(|a| a.errors()).sum();
-    w.key("errors").u64(errors as u64);
-    w.key("clean").bool(analyses.iter().all(|a| a.is_clean()));
-    w.key("specs").begin_arr();
-    for a in analyses {
-        a.write_json(&mut w);
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
+    document(analyses)
 }
 
 /// Seeded-defect fixture: two worker classes that unconditionally wait on
@@ -633,7 +561,7 @@ mod tests {
         assert!(a
             .findings
             .iter()
-            .any(|f| f.check == "wait-cycle" && f.severity == SpecSeverity::Error));
+            .any(|f| f.check == "wait-cycle" && f.severity == Severity::Error));
     }
 
     #[test]
@@ -653,7 +581,7 @@ mod tests {
             .iter()
             .find(|f| f.check == "wait-cycle")
             .expect("self-loop reported");
-        assert_eq!(f.severity, SpecSeverity::Info);
+        assert_eq!(f.severity, Severity::Info);
         assert!(a.is_clean());
     }
 

@@ -9,7 +9,7 @@
 //! `--full` on the bench bins raises both. Strong-scaling *shape* depends
 //! on keys-per-lane and skew, which these settings preserve. The machine
 //! and menu constructors live here (not in the bench crate, which
-//! re-exports them) so `udcost --figure9` can reconstruct a bench run's
+//! re-exports them) so `ud cost --figure9` can reconstruct a bench run's
 //! exact inputs without depending on the bench crate.
 
 use updown_graph::generators::{erdos_renyi, forest_fire, rmat, RmatParams};
@@ -35,6 +35,27 @@ pub fn bench_machine(nodes: u32) -> MachineConfig {
         .lanes_per_accel(BENCH_LANES)
         .scaled_bandwidth()
         .build()
+}
+
+/// Most nodes a bench machine can have: lane ids are 32-bit.
+pub const MAX_BENCH_NODES: u32 = u32::MAX / (BENCH_ACCELS * BENCH_LANES);
+/// `--scale` shifts [`graph_menu_seeded`] can build: from −8 down every
+/// graph already sits at the s6 floor, and above 14 the menu's ForestFire
+/// s14 leaves what its generator accepts (R-MAT's `1..=31` is wider).
+pub const SCALE_SHIFTS: std::ops::RangeInclusive<i32> = -31..=14;
+
+/// Check `--nodes` / `--scale` as given on a command line, before
+/// [`bench_machine`] or [`graph_menu_seeded`] would assert on them. The
+/// error names the flag and the value.
+pub fn check_bench_args(nodes: u32, scale_shift: i32) -> Result<(), String> {
+    if !(1..=MAX_BENCH_NODES).contains(&nodes) {
+        return Err(format!("--nodes {nodes}: expects 1..={MAX_BENCH_NODES}"));
+    }
+    if !SCALE_SHIFTS.contains(&scale_shift) {
+        let (lo, hi) = (SCALE_SHIFTS.start(), SCALE_SHIFTS.end());
+        return Err(format!("--scale {scale_shift}: expects {lo}..={hi}"));
+    }
+    Ok(())
 }
 
 /// [`bench_machine`] with the simulator's window loop on `threads` host
@@ -233,6 +254,20 @@ mod tests {
     fn sweep_is_powers_of_two() {
         assert_eq!(node_sweep(16), vec![1, 2, 4, 8, 16]);
         assert_eq!(node_sweep(1), vec![1]);
+    }
+
+    #[test]
+    fn hostile_nodes_and_scale_are_refused_by_name() {
+        assert!(check_bench_args(1, 0).is_ok());
+        assert!(check_bench_args(MAX_BENCH_NODES, *SCALE_SHIFTS.end()).is_ok());
+        assert!(check_bench_args(0, 0).unwrap_err().starts_with("--nodes 0:"));
+        let e = check_bench_args(MAX_BENCH_NODES + 1, 0).unwrap_err();
+        assert!(e.starts_with("--nodes 33554432:"), "{e}");
+        assert!(check_bench_args(4, 40).unwrap_err().starts_with("--scale 40:"));
+        assert!(check_bench_args(4, i32::MIN).unwrap_err().starts_with("--scale -2147483648:"));
+        // The top of the range is what the menu's generators still accept.
+        let s = |base: i32| (base + SCALE_SHIFTS.end()) as u32;
+        assert!(s(14) <= 28, "ForestFire takes 1..=28, R-MAT and Erdos-Renyi 1..=31");
     }
 
     #[test]

@@ -139,9 +139,9 @@ fn usage_error(msg: &str) -> ! {
 
 /// The flags every figure binary shares.
 pub struct StdOpts {
-    /// `--nodes` / legacy `--max-nodes`: top of the node sweep.
+    /// `--nodes`: top of the node sweep.
     pub max_nodes: u32,
-    /// `--scale` / legacy `--scale-shift`: graph-scale shift vs defaults.
+    /// `--scale`: graph-scale shift vs defaults.
     pub scale_shift: i32,
     /// `--seed`: generator seed.
     pub seed: u64,
@@ -162,23 +162,22 @@ pub struct StdOpts {
 impl StdOpts {
     /// Parse the shared flags with per-binary defaults: `nodes_default`
     /// applies without `--full`, `nodes_full` with it (same for shift).
+    /// Exits with status 2 on a node count or scale shift no sweep can
+    /// build ([`updown_apps::harness::check_bench_args`]).
     pub fn parse(
         cli: &Cli,
         (nodes_default, nodes_full): (u32, u32),
         (shift_default, shift_full): (i32, i32),
     ) -> StdOpts {
         let full = cli.has("full");
-        // Both spellings are read unconditionally so that either counts
-        // as known to `Cli::reject_unknown`.
-        let (nodes, legacy_nodes) = (cli.opt("nodes"), cli.opt("max-nodes"));
-        let (scale, legacy_scale) = (cli.opt("scale"), cli.opt("scale-shift"));
+        let max_nodes = cli.get("nodes", if full { nodes_full } else { nodes_default });
+        let scale_shift = cli.get("scale", if full { shift_full } else { shift_default });
+        if let Err(e) = updown_apps::harness::check_bench_args(max_nodes, scale_shift) {
+            usage_error(&e);
+        }
         StdOpts {
-            max_nodes: nodes
-                .or(legacy_nodes)
-                .unwrap_or(if full { nodes_full } else { nodes_default }),
-            scale_shift: scale
-                .or(legacy_scale)
-                .unwrap_or(if full { shift_full } else { shift_default }),
+            max_nodes,
+            scale_shift,
             seed: cli.get("seed", 0),
             threads: cli.get("threads", 1).max(1),
             topology: parse_topology(cli),
@@ -524,10 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flag_names_still_work() {
-        let o = StdOpts::parse(&cli(&["--max-nodes", "4", "--scale-shift", "0"]), (32, 256), (1, 3));
-        assert_eq!(o.max_nodes, 4);
-        assert_eq!(o.scale_shift, 0);
+    fn legacy_flag_names_are_unknown_flags() {
+        let c = cli(&["--max-nodes", "4", "--scale-shift", "0"]);
+        let o = StdOpts::parse(&c, (32, 256), (1, 3));
+        assert_eq!((o.max_nodes, o.scale_shift), (32, 1), "the retired spellings set nothing");
+        assert_eq!(c.unknown(), vec!["max-nodes", "scale-shift"]);
     }
 
     #[test]
@@ -589,11 +589,11 @@ mod tests {
         let _ = StdOpts::parse(&c, (32, 256), (1, 3));
         let _ = Gates::from_cli(&c);
         assert_eq!(c.unknown(), vec!["steal", "bogus", "cost"]);
-        // Either spelling of a legacy pair is known, whichever was given.
+        // A retired spelling next to the current one is still refused.
         let c = cli(&["--max-nodes", "4", "--nodes", "8", "--full"]);
         let o = StdOpts::parse(&c, (32, 256), (1, 3));
         assert_eq!(o.max_nodes, 8);
-        assert!(c.unknown().is_empty());
+        assert_eq!(c.unknown(), vec!["max-nodes"]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The machine shapes and the graph menu standing in for the paper's
 //! inputs moved to [`updown_apps::harness`] so that analysis tools
-//! (`udcost --figure9`) can reconstruct bench inputs without depending on
+//! (`ud cost --figure9`) can reconstruct bench inputs without depending on
 //! this crate; they are re-exported here so bench binaries and external
 //! callers keep their spelling.
 

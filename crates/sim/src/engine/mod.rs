@@ -655,7 +655,7 @@ impl Engine {
                 );
                 let tick = self.final_tick();
                 for f in findings {
-                    if f.severity == crate::spec::SpecSeverity::Error {
+                    if f.severity == crate::spec::Severity::Error {
                         p.spec_violation(f.subject, format!("[{}] {}", f.check, f.message), tick);
                     }
                 }

@@ -68,7 +68,7 @@ pub use snapshot::{
 };
 pub use race::{Footprint, RaceFilter, RaceKind, RaceProbe, RaceReport, RaceSite, RaceSpace, Region};
 pub use spec::{
-    Bound, Certification, EventDecl, GroupBound, ProgramSpec, SendDecl, SpecFinding, SpecSeverity,
+    Bound, Certification, EventDecl, Finding, GroupBound, ProgramSpec, SendDecl, Severity,
     ThreadDecl, Workload,
 };
 pub use stats::{

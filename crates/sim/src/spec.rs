@@ -1,4 +1,6 @@
-//! `udspec`: declared-effects protocol specifications.
+//! Declared-effects protocol specifications, and the vocabulary every
+//! analysis built on them shares: [`declared_edges`], [`Finding`],
+//! [`Severity`].
 //!
 //! A [`ProgramSpec`] describes, ahead of any simulation, what each event
 //! handler of a protocol is allowed to do: which events it sends to (by
@@ -9,7 +11,7 @@
 //!
 //! The spec serves two purposes:
 //!
-//! 1. **Static analysis** (`analysis::spec`, the `udspec` bin): wait-for
+//! 1. **Static analysis** (`ud spec` and `ud cost`, crate `udcheck`): wait-for
 //!    cycle detection, resource-bound certification against
 //!    [`MachineConfig`](crate::MachineConfig) capacities, and
 //!    spec-consistency checks — all from declarations alone, with zero
@@ -383,6 +385,36 @@ impl ProgramSpec {
     }
 }
 
+/// One edge of the declared event-flow graph: a send — one per target of
+/// its [`SendDecl`], which carries the fanout, the operand range and the
+/// `to_new` / `with_cont` / `conditional` / `ordered` flags — or, with
+/// `send: None`, a same-thread resumption.
+#[derive(Clone, Copy, Debug)]
+pub struct DeclEdge<'a> {
+    pub src: &'a str,
+    pub dst: &'a str,
+    pub send: Option<&'a SendDecl>,
+}
+
+/// The declared graph of `spec` as one edge list, the only walk every
+/// analysis starts from. Order is deterministic: events by name, each
+/// event's sends (target by target, as declared) before its resumptions.
+pub fn declared_edges(spec: &ProgramSpec) -> impl Iterator<Item = DeclEdge<'_>> {
+    spec.events().flat_map(|ev| {
+        let src = ev.name.as_str();
+        let sends = ev.sends.iter().flat_map(move |sd| {
+            let send = Some(sd);
+            sd.targets.iter().map(move |dst| DeclEdge { src, dst, send })
+        });
+        let resumes = ev.resumes.iter().map(move |dst| DeclEdge {
+            src,
+            dst,
+            send: None,
+        });
+        sends.chain(resumes)
+    })
+}
+
 /// Certified per-lane bounds for one thread group.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupBound {
@@ -412,49 +444,29 @@ pub struct Certification {
 /// `live(sender's group) * fanout`, plus 1 if the root is host-injected.
 /// Spawn cycles make the bound `Unbounded`.
 pub fn certify(spec: &ProgramSpec) -> Certification {
-    // Group roots: every event some `to_new` send targets, every
-    // host-injected event, plus anything with a declared live bound or a
-    // nonzero spm bound that roots itself.
-    let mut roots: Vec<String> = Vec::new();
-    let push_root = |name: &str, roots: &mut Vec<String>| {
-        if !roots.iter().any(|r| r == name) {
-            roots.push(name.to_string());
-        }
-    };
-    for ev in spec.events() {
-        if ev.on.is_none()
-            && (ev.from_host
-                || ev.live_per_lane.is_some()
-                || ev.spm_per_lane != Bound::Finite(0))
-        {
-            push_root(&ev.name, &mut roots);
-        }
-        for sd in &ev.sends {
-            if sd.to_new {
-                for t in &sd.targets {
-                    push_root(spec.group_of(t), &mut roots);
-                }
-            }
-        }
-    }
-    roots.sort();
-
-    // Spawn in-edges per root: (sender group, fanout).
-    let mut in_edges: BTreeMap<&str, Vec<(&str, Bound)>> = BTreeMap::new();
-    for ev in spec.events() {
-        let src_group = spec.group_of(&ev.name);
-        for sd in &ev.sends {
-            if !sd.to_new {
-                continue;
-            }
-            for t in &sd.targets {
-                in_edges
-                    .entry(spec.group_of(t))
-                    .or_default()
-                    .push((src_group, sd.fanout));
-            }
-        }
-    }
+    // Spawn edges lifted to groups: (sender's group, spawned group, fanout).
+    let spawns: Vec<(&str, &str, Bound)> = declared_edges(spec)
+        .filter_map(|e| {
+            let sd = e.send.filter(|sd| sd.to_new)?;
+            Some((spec.group_of(e.src), spec.group_of(e.dst), sd.fanout))
+        })
+        .collect();
+    // Group roots: every spawned group, every host-injected event, plus
+    // anything with a declared live bound or a nonzero spm bound that
+    // roots itself.
+    let mut roots: Vec<&str> = spec
+        .events()
+        .filter(|ev| {
+            ev.on.is_none()
+                && (ev.from_host
+                    || ev.live_per_lane.is_some()
+                    || ev.spm_per_lane != Bound::Finite(0))
+        })
+        .map(|ev| ev.name.as_str())
+        .chain(spawns.iter().map(|s| s.1))
+        .collect();
+    roots.sort_unstable();
+    roots.dedup();
 
     #[derive(Clone, Copy, PartialEq)]
     enum St {
@@ -466,7 +478,7 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
     fn live_of(
         root: &str,
         spec: &ProgramSpec,
-        in_edges: &BTreeMap<&str, Vec<(&str, Bound)>>,
+        spawns: &[(&str, &str, Bound)],
         state: &mut BTreeMap<String, St>,
     ) -> Bound {
         if let Some(st) = state.get(root) {
@@ -485,16 +497,14 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
         } else {
             Bound::Finite(0)
         };
-        if let Some(edges) = in_edges.get(root) {
-            for (src, fanout) in edges {
-                if *src == root {
-                    // self-spawn: cycle
-                    total = Bound::Unbounded;
-                    continue;
-                }
-                let src_live = live_of(src, spec, in_edges, state);
-                total = total.add(src_live.mul(*fanout));
+        for &(src, _, fanout) in spawns.iter().filter(|s| s.1 == root) {
+            if src == root {
+                // self-spawn: cycle
+                total = Bound::Unbounded;
+                continue;
             }
+            let src_live = live_of(src, spec, spawns, state);
+            total = total.add(src_live.mul(fanout));
         }
         state.insert(root.to_string(), St::Done(total));
         total
@@ -503,16 +513,16 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
     let mut groups = Vec::new();
     let mut threads_total = Bound::Finite(0);
     let mut spm_total = Bound::Finite(0);
-    for root in &roots {
+    for root in roots {
         let derived = spec.event(root).is_none_or(|e| e.live_per_lane.is_none());
-        let live = live_of(root, spec, &in_edges, &mut state);
+        let live = live_of(root, spec, &spawns, &mut state);
         let spm = spec
             .event(root)
             .map_or(Bound::Finite(0), |e| e.spm_per_lane);
         threads_total = threads_total.add(live);
         spm_total = spm_total.add(spm);
         groups.push(GroupBound {
-            root: root.clone(),
+            root: root.to_string(),
             live,
             derived,
             spm,
@@ -525,7 +535,7 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
     }
 }
 
-/// Concrete workload facts for static cost prediction (`udcost`).
+/// Concrete workload facts for static cost prediction (`ud cost`).
 ///
 /// The symbolic pass over a [`ProgramSpec`] yields per-event count
 /// *bounds* (root multiplicity × fanout products); a `Workload` pins the
@@ -584,49 +594,52 @@ impl Workload {
     }
 }
 
-/// Severity of a spec finding, mirroring `udcheck`'s scale.
+/// Finding severity, shared by every analyzer; `Error` sorts first and is
+/// the only level that makes a report unclean.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpecSeverity {
+pub enum Severity {
     Error,
     Warning,
     Info,
 }
 
-impl SpecSeverity {
+impl Severity {
     pub fn as_str(self) -> &'static str {
         match self {
-            SpecSeverity::Error => "error",
-            SpecSeverity::Warning => "warning",
-            SpecSeverity::Info => "info",
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+            Severity::Info => "info",
         }
     }
 }
 
-impl fmt::Display for SpecSeverity {
+impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// One deviation between declared and observed (or internally declared)
-/// behavior.
+/// One analyzer finding. The derived order (severity, check, subject,
+/// message) is the order every report lists them in.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SpecFinding {
-    pub severity: SpecSeverity,
+pub struct Finding {
+    pub severity: Severity,
+    /// Check id (kebab-case, stable — part of every `*/v1` schema).
     pub check: &'static str,
-    /// Full event name (or group root / `machine`) the finding is about.
+    /// What the finding is about: a handler or full event name, a thread
+    /// group (named by its root), an app, or `machine`.
     pub subject: String,
     pub message: String,
 }
 
-impl SpecFinding {
-    fn new(
-        severity: SpecSeverity,
+impl Finding {
+    pub fn new(
+        severity: Severity,
         check: &'static str,
         subject: impl Into<String>,
         message: impl Into<String>,
-    ) -> SpecFinding {
-        SpecFinding {
+    ) -> Finding {
+        Finding {
             severity,
             check,
             subject: subject.into(),
@@ -635,8 +648,20 @@ impl SpecFinding {
     }
 }
 
+/// `severity[check] subject: message` — the line `ud check` and `ud race`
+/// print.
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}[{}] {}: {}",
+            self.severity, self.check, self.subject, self.message
+        )
+    }
+}
+
 /// Check an observed [`ProbeReport`] against declarations: the runtime
-/// enforcement half of udspec.
+/// enforcement half of `ud spec`.
 ///
 /// Scope rule: only events whose *class* appears in the spec are checked;
 /// host bookkeeping events of undeclared classes are ignored. The result
@@ -647,7 +672,7 @@ pub fn check_report(
     report: &ProbeReport,
     max_threads_per_lane: u16,
     spm_words: u32,
-) -> Vec<SpecFinding> {
+) -> Vec<Finding> {
     let mut out = Vec::new();
     if spec.is_empty() {
         return out;
@@ -661,8 +686,8 @@ pub fn check_report(
             continue;
         }
         let Some(decl) = spec.event(name) else {
-            out.push(SpecFinding::new(
-                SpecSeverity::Error,
+            out.push(Finding::new(
+                Severity::Error,
                 "undeclared-event",
                 name,
                 format!(
@@ -675,8 +700,8 @@ pub fn check_report(
         };
         for &argc in &h.incoming_argcs {
             if !decl.accepts_argc(argc) {
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "arity-mismatch",
                     name,
                     format!(
@@ -689,8 +714,8 @@ pub fn check_report(
             }
         }
         if h.terminates > 0 && !decl.terminates {
-            out.push(SpecFinding::new(
-                SpecSeverity::Error,
+            out.push(Finding::new(
+                Severity::Error,
                 "undeclared-terminate",
                 name,
                 format!(
@@ -712,8 +737,8 @@ pub fn check_report(
                 if decl.replies && edge.with_cont == 0 {
                     continue;
                 }
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "undeclared-send",
                     name,
                     format!(
@@ -725,8 +750,8 @@ pub fn check_report(
             }
             for &argc in &edge.argcs {
                 if !matching.iter().any(|sd| sd.accepts_argc(argc)) {
-                    out.push(SpecFinding::new(
-                        SpecSeverity::Error,
+                    out.push(Finding::new(
+                        Severity::Error,
                         "send-arity",
                         name,
                         format!(
@@ -736,8 +761,8 @@ pub fn check_report(
                 }
             }
             if edge.to_new > 0 && !matching.iter().any(|sd| sd.to_new) {
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "undeclared-spawn",
                     name,
                     format!(
@@ -747,8 +772,8 @@ pub fn check_report(
                 ));
             }
             if edge.with_cont > 0 && !matching.iter().any(|sd| sd.with_cont) {
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "undeclared-continuation",
                     name,
                     format!(
@@ -770,8 +795,8 @@ pub fn check_report(
             .max();
         if let Some((hw, lane)) = worst {
             if u64::from(hw) > b {
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "thread-bound-exceeded",
                     "machine".to_string(),
                     format!(
@@ -789,8 +814,8 @@ pub fn check_report(
             .max();
         if let Some((hw, lane)) = worst {
             if u64::from(hw) > b {
-                out.push(SpecFinding::new(
-                    SpecSeverity::Error,
+                out.push(Finding::new(
+                    Severity::Error,
                     "spm-bound-exceeded",
                     "machine".to_string(),
                     format!(
@@ -803,8 +828,8 @@ pub fn check_report(
     // Certified bounds must themselves fit the machine the run used.
     if let Bound::Finite(b) = cert.threads_per_lane {
         if b > u64::from(max_threads_per_lane) {
-            out.push(SpecFinding::new(
-                SpecSeverity::Warning,
+            out.push(Finding::new(
+                Severity::Warning,
                 "thread-bound-capacity",
                 "machine".to_string(),
                 format!(
@@ -815,8 +840,8 @@ pub fn check_report(
     }
     if let Bound::Finite(b) = cert.spm_words_per_lane {
         if b > u64::from(spm_words) {
-            out.push(SpecFinding::new(
-                SpecSeverity::Warning,
+            out.push(Finding::new(
+                Severity::Warning,
                 "spm-bound-capacity",
                 "machine".to_string(),
                 format!(

@@ -46,7 +46,7 @@ pub use program::{event, simple_event, ThreadType};
 pub use queue::{QueueId, QueueLib};
 pub use spmalloc::{sp_malloc, SpSlice};
 pub use updown_sim::spec::{
-    Bound, EventDecl, ProgramSpec, SendDecl, SpecFinding, SpecSeverity, ThreadDecl, Workload,
+    Bound, EventDecl, Finding, ProgramSpec, SendDecl, Severity, ThreadDecl, Workload,
 };
 
 /// Common imports for UDWeave-style programs.

@@ -4,7 +4,9 @@
 //! check fires on an engine-level program that actually commits the
 //! violation — not just on a synthetic [`ProbeReport`].
 
+use integration_tests::fnv1a;
 use kvmsr::{JobSpec, Kvmsr, Outcome};
+use udcheck::apps::{check_app, ALL_APPS};
 use udcheck::{analyze, Analysis, Finding, Severity};
 use udweave::LaneSet;
 use updown_apps::bfs::{run_bfs, BfsConfig};
@@ -22,7 +24,7 @@ use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 const SEED: u64 = 10;
 
 /// Conformance-scale machine with the probe and sanitizer armed — the same
-/// configuration the `udcheck` binary runs.
+/// configuration `ud check` runs.
 fn machine(nodes: u32, threads: u32, probe: &ProtocolProbe) -> MachineConfig {
     let mut m = MachineConfig::small(nodes, 2, 8);
     m.threads = threads;
@@ -163,6 +165,25 @@ fn clean_document_round_trips_as_json() {
         .and_then(|n| n.as_arr())
         .map(|n| !n.is_empty())
         .unwrap());
+}
+
+/// The full `udcheck/v1` document over all five apps at seed 10 hashes to
+/// the value this test produced at commit bffb298, when `udcheck` was a
+/// binary of its own, and is the same at one and at four worker threads.
+#[test]
+fn udcheck_document_bytes_are_those_of_the_udcheck_binary() {
+    for threads in [1, 4] {
+        let analyses: Vec<Analysis> = ALL_APPS
+            .iter()
+            .map(|app| check_app(app, threads, SEED))
+            .collect();
+        let doc = udcheck::render_document(&analyses);
+        assert_eq!(
+            fnv1a(doc.as_bytes()),
+            0x5BBF_BB68_E4C6_300C,
+            "threads={threads}: document moved:\n{doc}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 //! document is stable, and predictions calibrate against real conformance
 //! runs within the advertised tolerance.
 
+use integration_tests::fnv1a;
 use udcheck::apps::{workload_for, ALL_APPS};
 use udcheck::{analyze_cost, calibrate, render_cost_document, CostReport};
 use updown_graph::generators::{rmat, RmatParams};
@@ -15,7 +16,11 @@ use updown_sim::MachineConfig;
 const SEED: u64 = 10;
 
 fn report_for(app: &str) -> CostReport {
-    let (w, mc, spec) = workload_for(app, 1, SEED);
+    report_at(app, 1)
+}
+
+fn report_at(app: &str, threads: u32) -> CostReport {
+    let (w, mc, spec) = workload_for(app, threads, SEED);
     analyze_cost(app, &spec, &w, &mc)
 }
 
@@ -57,6 +62,22 @@ fn document_schema_and_determinism() {
     for r in rs {
         assert!(r.get("shard_hints").is_some());
         assert!(r.get("totals").is_some());
+    }
+}
+
+/// The full `udcost/v1` document over all five apps at seed 10 hashes to
+/// the value this test produced at commit bffb298, when `udcost` was a
+/// binary of its own, and is the same for a one- and a four-thread machine.
+#[test]
+fn udcost_document_bytes_are_those_of_the_udcost_binary() {
+    for threads in [1, 4] {
+        let reports: Vec<CostReport> = ALL_APPS.iter().map(|a| report_at(a, threads)).collect();
+        let doc = render_cost_document(&reports);
+        assert_eq!(
+            fnv1a(doc.as_bytes()),
+            0x549D_63E7_D53C_2C84,
+            "threads={threads}: document moved:\n{doc}"
+        );
     }
 }
 

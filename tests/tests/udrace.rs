@@ -6,11 +6,11 @@
 //! pinned to the bytes the tree-clock detector produced, and a seed sweep
 //! finds nothing but the known SHT bucket-straddle site.
 
-use udcheck::apps::{run_app, Probes, ALL_APPS};
-use udcheck::{conflicted_regions, render_race_document, EventFlowGraph, RaceAnalysis};
+use integration_tests::fnv1a;
+use udcheck::apps::{race_app, ALL_APPS};
+use udcheck::{render_race_document, RaceAnalysis};
 use updown_sim::{
-    Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe, RaceKind, RaceProbe, RaceSpace,
-    VAddr,
+    Engine, EventWord, MachineConfig, NetworkId, RaceKind, RaceProbe, RaceSpace, VAddr,
 };
 
 /// Tiny machine with the race probe armed.
@@ -23,35 +23,6 @@ fn machine(nodes: u32, threads: u32, race: &RaceProbe) -> MachineConfig {
 
 fn lane(eng: &Engine, node: u32, idx: u32) -> NetworkId {
     NetworkId(node * eng.config().lanes_per_node() + idx)
-}
-
-/// One app under the race detector, as the `udrace` bin runs it: with
-/// `prune`, a footprint-only scout run picks the regions to monitor.
-fn race_app(app: &str, threads: u32, seed: u64, prune: bool) -> RaceAnalysis {
-    let probed = |race: &RaceProbe| {
-        let flow = ProtocolProbe::new();
-        run_app(
-            app,
-            threads,
-            seed,
-            &Probes {
-                probe: Some(flow.clone()),
-                race: Some(race.clone()),
-                sanitize: false,
-                spec: None,
-            },
-        );
-        EventFlowGraph::from_report(&flow.snapshot())
-    };
-    let race = if prune {
-        let scout = RaceProbe::footprint_only();
-        let graph = probed(&scout);
-        RaceProbe::with_filter(conflicted_regions(&graph, &scout.snapshot()))
-    } else {
-        RaceProbe::new()
-    };
-    let graph = probed(&race);
-    RaceAnalysis::of(app, &race, Some(&graph))
 }
 
 /// Two host-spawned map-style tasks on different lanes write the same
@@ -199,12 +170,6 @@ fn udrace_document_is_byte_identical_across_thread_counts() {
     assert_eq!(d1, doc(2), "threads 1 vs 2");
     assert_eq!(d1, doc(4), "threads 1 vs 4");
     assert!(d1.contains("\"schema\":\"udrace/v1\""));
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The full `udrace/v1` document over all five apps at seed 10, in full

@@ -4,14 +4,12 @@
 //! declarations (and is byte-identical across host thread counts), and a
 //! deliberately wrong spec is caught by the engine's enforcement hook.
 
-use udcheck::apps::{run_app, spec_for, Probes, ALL_APPS};
+use integration_tests::fnv1a;
+use udcheck::apps::{spec_app, spec_for, ALL_APPS};
 use udcheck::spec::{spm_blowup_fixture, wait_cycle_fixture};
-use udcheck::{render_spec_document, SpecAnalysis};
+use udcheck::{render_spec_document, Finding, Report, Severity, SpecAnalysis};
 use updown_sim::json::JsonValue;
-use updown_sim::spec::check_report;
-use updown_sim::{
-    DiagKind, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe, SpecSeverity,
-};
+use updown_sim::{DiagKind, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 
 const SEED: u64 = 10;
 
@@ -43,7 +41,7 @@ fn wait_cycle_fixture_is_flagged() {
     assert!(
         a.findings
             .iter()
-            .any(|f| f.check == "wait-cycle" && f.severity == SpecSeverity::Error),
+            .any(|f| f.check == "wait-cycle" && f.severity == Severity::Error),
         "findings: {:?}",
         a.findings
     );
@@ -59,36 +57,26 @@ fn spm_blowup_fixture_is_flagged() {
         assert!(
             a.findings
                 .iter()
-                .any(|f| f.check == check && f.severity == SpecSeverity::Error),
+                .any(|f| f.check == check && f.severity == Severity::Error),
             "missing {check} in {:?}",
             a.findings
         );
     }
 }
 
-/// Run `app` at conformance scale with enforcement armed; return the full
-/// observed-vs-declared report.
-fn enforce(app: &str, threads: u32) -> Vec<updown_sim::SpecFinding> {
-    let spec = spec_for(app);
-    let probe = ProtocolProbe::new();
-    let probes = Probes {
-        probe: Some(probe.clone()),
-        race: None,
-        sanitize: false,
-        spec: Some(spec.clone()),
-    };
-    run_app(app, threads, SEED, &probes);
-    let mc = caps();
-    let report = probe.snapshot();
+/// Run `app` at conformance scale with enforcement armed, as `ud spec
+/// --enforce` does; return the full observed-vs-declared report. The
+/// engine's own hook turns exactly the error findings of this report into
+/// SpecViolation diagnostics, so none of either may exist.
+fn enforce(app: &str, threads: u32) -> Vec<Finding> {
+    let findings = spec_app(app, threads, SEED, true)
+        .enforced
+        .expect("--enforce records an observed-vs-declared report");
     assert!(
-        report
-            .diagnostics
-            .iter()
-            .all(|d| d.kind != DiagKind::SpecViolation),
-        "{app}: engine-side spec violations: {:?}",
-        report.diagnostics
+        findings.iter().all(|f| f.severity != Severity::Error),
+        "{app}: spec violations at --threads {threads}: {findings:?}"
     );
-    check_report(&spec, &report, mc.max_threads_per_lane, mc.spm_words)
+    findings
 }
 
 /// Observed behavior of every app matches its declarations at runtime.
@@ -99,7 +87,7 @@ fn all_apps_enforce_clean() {
         assert!(
             findings
                 .iter()
-                .all(|f| f.severity != SpecSeverity::Error),
+                .all(|f| f.severity != Severity::Error),
             "{app}: enforcement errors: {findings:?}"
         );
     }
@@ -156,6 +144,28 @@ fn engine_enforcement_catches_a_lying_spec() {
     );
 }
 
+/// The full `udspec/v1` document over all five apps at seed 10, static and
+/// with `--enforce`, hashes to the value this test produced at commit
+/// bffb298, when `udspec` was a binary of its own, and is the same at one
+/// and at four worker threads.
+#[test]
+fn udspec_document_bytes_are_those_of_the_udspec_binary() {
+    for (enforce, golden) in [(false, 0xC3F4_54AB_7AF1_DE30), (true, 0xCE6C_1229_095F_1840)] {
+        for threads in [1, 4] {
+            let analyses: Vec<SpecAnalysis> = ALL_APPS
+                .iter()
+                .map(|app| spec_app(app, threads, SEED, enforce))
+                .collect();
+            let doc = render_spec_document(&analyses);
+            assert_eq!(
+                fnv1a(doc.as_bytes()),
+                golden,
+                "enforce={enforce} threads={threads}: document moved:\n{doc}"
+            );
+        }
+    }
+}
+
 /// The `udspec/v1` document round-trips as JSON and carries the schema,
 /// certification and findings fields the CI job consumes.
 #[test]
@@ -177,7 +187,7 @@ fn spec_document_round_trips_as_json() {
     }
 }
 
-/// The declared-spec Graphviz renderer (`udspec --dot`) emits one cluster
+/// The declared-spec Graphviz renderer (`ud spec --dot`) emits one cluster
 /// per thread class, a node per declared event, and distinguishes send
 /// edges (fanout labels) from same-thread resumptions (dashed). Output is
 /// deterministic — it feeds byte-compared CI artifacts.
