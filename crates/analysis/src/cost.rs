@@ -35,7 +35,9 @@ use updown_sim::json::{JsonValue, JsonWriter};
 use updown_sim::spec::{declared_edges, Bound, ProgramSpec, Workload};
 use updown_sim::MachineConfig;
 
-use crate::{bracketed, count_errors, document, write_findings, Finding, Report, Severity};
+use crate::{
+    bracketed, count_errors, document, write_bound, write_findings, Finding, Report, Severity,
+};
 
 /// Imbalance factor above which a shard-imbalance finding is a warning;
 /// above [`IMBALANCE_INFO`] it is reported at info severity.
@@ -655,46 +657,38 @@ impl Report for CostReport {
     }
 
     fn write_json(&self, w: &mut JsonWriter) {
-        let r = self;
         w.begin_obj();
-        w.key("app").string(&r.app);
-        w.key("nodes").u64(r.nodes as u64);
-        w.key("topology").string(&r.topology);
-        w.key("clean").bool(r.is_clean());
+        w.key("app").string(&self.app);
+        w.key("nodes").u64(self.nodes as u64);
+        w.key("topology").string(&self.topology);
+        w.key("clean").bool(self.is_clean());
         w.key("totals").begin_obj();
-        w.key("events").f64(r.total_events);
-        w.key("msgs").f64(r.total_msgs);
-        w.key("bytes").f64(r.total_bytes);
-        w.key("inter_node_msgs").f64(r.inter_node_msgs);
-        w.key("inter_node_bytes").f64(r.inter_node_bytes);
-        w.key("imbalance").f64(r.imbalance);
+        w.key("events").f64(self.total_events);
+        w.key("msgs").f64(self.total_msgs);
+        w.key("bytes").f64(self.total_bytes);
+        w.key("inter_node_msgs").f64(self.inter_node_msgs);
+        w.key("inter_node_bytes").f64(self.inter_node_bytes);
+        w.key("imbalance").f64(self.imbalance);
         w.end_obj();
         w.key("per_node").begin_arr();
-        for i in 0..r.per_node_events.len() {
+        for i in 0..self.per_node_events.len() {
             w.begin_obj();
-            w.key("events").f64(r.per_node_events[i]);
-            w.key("inject_bytes").f64(r.per_node_inject_bytes[i]);
+            w.key("events").f64(self.per_node_events[i]);
+            w.key("inject_bytes").f64(self.per_node_inject_bytes[i]);
             w.end_obj();
         }
         w.end_arr();
         w.key("shard_hints").begin_arr();
-        for h in r.shard_hints() {
+        for h in self.shard_hints() {
             w.u64(h);
         }
         w.end_arr();
         w.key("events").begin_arr();
-        for e in &r.events {
+        for e in &self.events {
             w.begin_obj();
             w.key("name").string(&e.name);
             w.key("bound");
-            match e.bound {
-                Bound::Finite(n) => {
-                    w.u64(n);
-                }
-                Bound::Unbounded => {
-                    w.null();
-                }
-            }
+            write_bound(w, e.bound);
             w.key("count").f64(e.count);
             w.key("pinned").bool(e.pinned);
             w.key("msgs").f64(e.msgs);
@@ -702,7 +696,7 @@ impl Report for CostReport {
         }
         w.end_arr();
         w.key("edges").begin_arr();
-        for e in &r.edges {
+        for e in &self.edges {
             w.begin_obj();
             w.key("src").string(&e.src);
             w.key("dst").string(&e.dst);
@@ -713,7 +707,7 @@ impl Report for CostReport {
         }
         w.end_arr();
         w.key("links").begin_arr();
-        for l in &r.links {
+        for l in &self.links {
             w.begin_obj();
             w.key("src").u64(l.src as u64);
             w.key("dst").u64(l.dst as u64);
@@ -722,8 +716,8 @@ impl Report for CostReport {
         }
         w.end_arr();
         w.key("findings");
-        write_findings(w, "subject", &r.findings);
-        if let Some(cal) = &r.calibration {
+        write_findings(w, "subject", &self.findings);
+        if let Some(cal) = &self.calibration {
             w.key("calibration").begin_obj();
             w.key("entries").begin_arr();
             for e in &cal.entries {
@@ -742,22 +736,21 @@ impl Report for CostReport {
     }
 
     fn render_text(&self) -> String {
-        let r = self;
         let mut s = String::new();
         s.push_str(&format!(
             "udcost: {}  ({} node(s), {} topology)\n",
-            r.app, r.nodes, r.topology
+            self.app, self.nodes, self.topology
         ));
         s.push_str(&format!(
             "  predicted: {:.0} events, {:.0} msgs ({:.0} inter-node), \
              {:.0} bytes on the wire, imbalance {:.2}x\n",
-            r.total_events, r.total_msgs, r.inter_node_msgs, r.total_bytes, r.imbalance
+            self.total_events, self.total_msgs, self.inter_node_msgs, self.total_bytes, self.imbalance
         ));
         s.push_str(&format!(
             "  shard hints: {:?}\n",
-            r.shard_hints()
+            self.shard_hints()
         ));
-        let mut top: Vec<&EventCost> = r.events.iter().filter(|e| e.count > 0.0).collect();
+        let mut top: Vec<&EventCost> = self.events.iter().filter(|e| e.count > 0.0).collect();
         top.sort_by(|a, b| b.count.partial_cmp(&a.count).unwrap().then(a.name.cmp(&b.name)));
         for e in top.iter().take(8) {
             s.push_str(&format!(
@@ -767,14 +760,14 @@ impl Report for CostReport {
                 if e.pinned { "  (pinned)" } else { "" }
             ));
         }
-        if r.findings.is_empty() {
+        if self.findings.is_empty() {
             s.push_str("  findings: none\n");
         } else {
-            for f in &r.findings {
+            for f in &self.findings {
                 s.push_str(&format!("  {}\n", bracketed(f)));
             }
         }
-        if let Some(cal) = &r.calibration {
+        if let Some(cal) = &self.calibration {
             s.push_str(&format!(
                 "  calibration: worst factor {:.2}x over {} counter(s)\n",
                 cal.worst,

@@ -139,6 +139,14 @@ fn write_findings(w: &mut JsonWriter, subject_key: &str, findings: &[Finding]) {
     w.end_arr();
 }
 
+/// A [`Bound`](updown_sim::spec::Bound) as JSON: the count, or `null` for unbounded.
+fn write_bound(w: &mut JsonWriter, b: updown_sim::spec::Bound) {
+    match b {
+        updown_sim::spec::Bound::Finite(n) => w.u64(n),
+        updown_sim::spec::Bound::Unbounded => w.null(),
+    };
+}
+
 /// `[severity] check subject: message` — the line `ud spec` and `ud cost`
 /// print.
 fn bracketed(f: &Finding) -> String {

@@ -256,12 +256,14 @@ fn emit<R: Report>(
     let doc = document(reports);
     if let Some(path) = &o.out {
         write_file(o, path, &doc);
-        // `--dot --out report.json` also writes one Graphviz file per
-        // report (report.pagerank.dot, ...) alongside the JSON document.
-        let stem = path.strip_suffix(".json").unwrap_or(path);
-        for r in reports.iter().filter(|_| o.dot) {
-            let name = r.app().replace(':', "_");
-            write_file(o, &format!("{stem}.{name}.dot"), &r.dot().unwrap_or_default());
+        if o.dot {
+            // One Graphviz file per report (report.pagerank.dot, ...)
+            // alongside the JSON document.
+            let stem = path.strip_suffix(".json").unwrap_or(path);
+            for r in reports {
+                let name = r.app().replace(':', "_");
+                write_file(o, &format!("{stem}.{name}.dot"), &r.dot().unwrap_or_default());
+            }
         }
     }
     let unclean: Vec<&str> = reports.iter().filter(|r| !r.is_clean()).map(|r| r.app()).collect();
@@ -270,7 +272,7 @@ fn emit<R: Report>(
     } else {
         let mut stdout = std::io::stdout().lock();
         for r in reports {
-            let dot = r.dot().filter(|_| o.dot).unwrap_or_default();
+            let dot = if o.dot { r.dot().unwrap_or_default() } else { String::new() };
             let _ = write!(stdout, "{}{dot}{}", r.render_text(), after(r));
         }
         if let Some(line) = closing(&unclean) {

@@ -32,7 +32,9 @@ use updown_sim::json::JsonWriter;
 use updown_sim::spec::{certify, declared_edges, Bound, Certification, ProgramSpec, SendDecl};
 use updown_sim::MachineConfig;
 
-use crate::{bracketed, count_errors, document, write_findings, Finding, Report, Severity};
+use crate::{
+    bracketed, count_errors, document, write_bound, write_findings, Finding, Report, Severity,
+};
 
 /// One continuation-carrying (wait) edge of the group digraph.
 struct WaitEdge<'a> {
@@ -365,25 +367,19 @@ impl Report for SpecAnalysis {
         w.key("events").u64(self.n_events as u64);
         w.key("clean").bool(self.is_clean());
         w.key("certification").begin_obj();
-        let bound = |w: &mut JsonWriter, b: Bound| {
-            match b {
-                Bound::Finite(n) => w.u64(n),
-                Bound::Unbounded => w.null(),
-            };
-        };
         w.key("threads_per_lane");
-        bound(w, self.cert.threads_per_lane);
+        write_bound(w, self.cert.threads_per_lane);
         w.key("spm_words_per_lane");
-        bound(w, self.cert.spm_words_per_lane);
+        write_bound(w, self.cert.spm_words_per_lane);
         w.key("groups").begin_arr();
         for g in &self.cert.groups {
             w.begin_obj();
             w.key("root").string(&g.root);
             w.key("live");
-            bound(w, g.live);
+            write_bound(w, g.live);
             w.key("derived").bool(g.derived);
             w.key("spm");
-            bound(w, g.spm);
+            write_bound(w, g.spm);
             w.end_obj();
         }
         w.end_arr();
