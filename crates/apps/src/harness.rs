@@ -58,6 +58,15 @@ pub fn check_bench_args(nodes: u32, scale_shift: i32) -> Result<(), String> {
     Ok(())
 }
 
+/// Check an *absolute* R-MAT `--scale` (`figure12`, `baseline_compare`)
+/// before [`rmat`] would assert on it.
+pub fn check_rmat_scale(scale: u32) -> Result<(), String> {
+    if !(1..=31).contains(&scale) {
+        return Err(format!("--scale {scale}: expects 1..=31"));
+    }
+    Ok(())
+}
+
 /// [`bench_machine`] with the simulator's window loop on `threads` host
 /// threads. Simulated results are byte-identical for every value — it
 /// only changes host wall-clock (see docs/parallel-engine.md).
@@ -265,6 +274,9 @@ mod tests {
         assert!(e.starts_with("--nodes 33554432:"), "{e}");
         assert!(check_bench_args(4, 40).unwrap_err().starts_with("--scale 40:"));
         assert!(check_bench_args(4, i32::MIN).unwrap_err().starts_with("--scale -2147483648:"));
+        assert!(check_rmat_scale(1).is_ok() && check_rmat_scale(31).is_ok());
+        assert!(check_rmat_scale(0).unwrap_err().starts_with("--scale 0:"));
+        assert!(check_rmat_scale(99).unwrap_err().starts_with("--scale 99:"));
         // The top of the range is what the menu's generators still accept.
         let s = |base: i32| (base + SCALE_SHIFTS.end()) as u32;
         assert!(s(14) <= 28, "ForestFire takes 1..=28, R-MAT and Erdos-Renyi 1..=31");

@@ -28,8 +28,7 @@ use updown_graph::{algorithms, Csr};
 
 fn main() {
     let cli = Cli::parse();
-    let scale: u32 = cli.get("scale", 14);
-    let nodes: u32 = cli.get("nodes", 16);
+    let (nodes, scale) = bench::cli::nodes_and_rmat_scale(&cli, 16, 14);
     let seed: u64 = cli.get("seed", 0);
     let sim_threads: u32 = cli.get("threads", 1).max(1);
     let topology = bench::cli::parse_topology(&cli);

@@ -19,6 +19,9 @@ fn main() {
     let cli = Cli::parse();
     let full = cli.has("full");
     let n_records: usize = cli.get("records", if full { 400_000 } else { 150_000 });
+    if n_records == 0 {
+        bench::cli::usage_error("--records 0: expects at least 1 (no record, no latency to report)");
+    }
     let seed: u64 = cli.get("seed", 0);
     let threads: u32 = cli.get("threads", 1).max(1);
     let topology: TopologyKind = bench::cli::parse_topology(&cli);

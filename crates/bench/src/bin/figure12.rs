@@ -21,8 +21,13 @@ use updown_graph::preprocess::split_and_shuffle;
 fn main() {
     let cli = Cli::parse();
     let full = cli.has("full");
-    let compute_nodes: u32 = cli.get("nodes", 64);
-    let scale: u32 = cli.get("scale", if full { 17 } else { 16 });
+    let (compute_nodes, scale) =
+        bench::cli::nodes_and_rmat_scale(&cli, 64, if full { 17 } else { 16 });
+    if compute_nodes < 2 {
+        bench::cli::usage_error(&format!(
+            "--nodes {compute_nodes}: expects at least 2 (the sweep starts at 2 memory nodes)"
+        ));
+    }
     let seed: u64 = cli.get("seed", 0);
     let threads: u32 = cli.get("threads", 1).max(1);
     let topology = bench::cli::parse_topology(&cli);

@@ -132,7 +132,9 @@ impl Cli {
     }
 }
 
-fn usage_error(msg: &str) -> ! {
+/// Print `msg` and exit with status 2: a command line this binary cannot
+/// carry out.
+pub fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
@@ -185,6 +187,21 @@ impl StdOpts {
             exporter: Exporter::from_cli(cli),
         }
     }
+}
+
+/// `--nodes` and an *absolute* R-MAT `--scale`, as `figure12` and
+/// `baseline_compare` take them. Exits with status 2 on a value no run can
+/// build ([`updown_apps::harness::check_bench_args`],
+/// [`updown_apps::harness::check_rmat_scale`]).
+pub fn nodes_and_rmat_scale(cli: &Cli, nodes_default: u32, scale_default: u32) -> (u32, u32) {
+    let nodes = cli.get("nodes", nodes_default);
+    let scale = cli.get("scale", scale_default);
+    let checked = updown_apps::harness::check_bench_args(nodes, 0)
+        .and_then(|()| updown_apps::harness::check_rmat_scale(scale));
+    if let Err(e) = checked {
+        usage_error(&e);
+    }
+    (nodes, scale)
 }
 
 /// Parse `--topology`, exiting with the list of valid values on a bad

@@ -1,30 +1,37 @@
 #![forbid(unsafe_code)]
-//! The shared flag parser of the figure binaries, driven through
-//! `figure9` as a process: a node count or scale shift no sweep can build,
-//! and the retired `--max-nodes` / `--scale-shift` spellings, end in exit
-//! status 2 and a diagnostic naming the flag — not in a panic, and not in
-//! an empty sweep that exits 0.
+//! The flag parsing of the figure binaries, driven as processes: a node
+//! count, scale or record count no run can build, and the retired
+//! `--max-nodes` / `--scale-shift` spellings, end in exit status 2 and a
+//! diagnostic naming the flag — not in a panic, and not in an empty sweep
+//! or a `NaN` row that exits 0.
 
 use std::process::Command;
 
 #[test]
 fn hostile_values_and_retired_flags_exit_2_naming_the_flag() {
-    for (args, names) in [
-        (&["pr", "--nodes", "0"][..], &["--nodes", "0"][..]),
-        (&["pr", "--scale", "40"], &["--scale", "40"]),
-        (&["pr", "--nodes", "4294967295", "--scale", "-6"], &["--nodes", "4294967295"]),
-        (&["pr", "--max-nodes", "2", "--scale", "-6"], &["unknown flag", "--max-nodes"]),
-        (&["pr", "--nodes", "2", "--scale-shift", "-6"], &["unknown flag", "--scale-shift"]),
+    let figure9 = env!("CARGO_BIN_EXE_figure9");
+    let figure11 = env!("CARGO_BIN_EXE_figure11");
+    let figure12 = env!("CARGO_BIN_EXE_figure12");
+    let baseline_compare = env!("CARGO_BIN_EXE_baseline_compare");
+    for (bin, args, names) in [
+        (figure9, &["pr", "--nodes", "0"][..], &["--nodes", "0"][..]),
+        (figure9, &["pr", "--scale", "40"], &["--scale", "40"]),
+        (figure9, &["pr", "--nodes", "4294967295", "--scale", "-6"], &["--nodes", "4294967295"]),
+        (figure9, &["pr", "--max-nodes", "2", "--scale", "-6"], &["unknown flag", "--max-nodes"]),
+        (figure9, &["pr", "--nodes", "2", "--scale-shift", "-6"], &["unknown flag", "--scale-shift"]),
+        (figure11, &["--records", "0"], &["--records", "0"]),
+        (figure12, &["--nodes", "0", "--scale", "8"], &["--nodes", "0"]),
+        (figure12, &["--nodes", "1", "--scale", "8"], &["--nodes", "1"]),
+        (figure12, &["--nodes", "2", "--scale", "99"], &["--scale", "99"]),
+        (baseline_compare, &["--scale", "99", "--nodes", "2"], &["--scale", "99"]),
+        (baseline_compare, &["--scale", "10", "--nodes", "0"], &["--nodes", "0"]),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_figure9"))
-            .args(args)
-            .output()
-            .expect("figure9 runs");
+        let out = Command::new(bin).args(args).output().expect("the binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "figure9 {args:?}: {err}");
-        assert!(!err.contains("panicked"), "figure9 {args:?}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {err}");
+        assert!(!err.contains("panicked"), "{bin} {args:?}: {err}");
         for n in names {
-            assert!(err.contains(n), "figure9 {args:?}: diagnostic does not name `{n}`: {err}");
+            assert!(err.contains(n), "{bin} {args:?}: diagnostic does not name `{n}`: {err}");
         }
     }
 }

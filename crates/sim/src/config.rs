@@ -454,6 +454,11 @@ impl MachineConfigBuilder {
             self.cfg.accels_per_node >= 1 && self.cfg.lanes_per_accel >= 1,
             "machine needs at least one lane"
         );
+        assert!(
+            self.cfg.clock_ghz.is_finite() && self.cfg.clock_ghz > 0.0,
+            "clock must be finite and above 0 GHz, got {}",
+            self.cfg.clock_ghz
+        );
         self.cfg
     }
 }
@@ -616,6 +621,17 @@ mod tests {
             .build();
         assert_eq!(a.total_lanes(), b.total_lanes());
         assert_eq!(a.mem.node_bytes_per_cycle, b.mem.node_bytes_per_cycle);
+    }
+
+    /// A zero or NaN clock would make every Chrome timestamp and the
+    /// metrics' `seconds` print `null`.
+    #[test]
+    fn builder_refuses_a_clock_that_is_not_a_positive_number() {
+        for ghz in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| MachineConfig::builder().clock_ghz(ghz).build());
+            assert!(built.is_err(), "clock {ghz} was accepted");
+        }
+        assert_eq!(MachineConfig::builder().clock_ghz(1.6).build().clock_ghz, 1.6);
     }
 
     #[test]

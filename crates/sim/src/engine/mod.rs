@@ -444,12 +444,7 @@ impl Engine {
     /// in `chrome://tracing` or Perfetto). Includes phase spans even when
     /// event tracing is disabled.
     pub fn chrome_trace_json(&self) -> String {
-        let names: Vec<String> = self
-            .shared
-            .handlers
-            .iter()
-            .map(|h| h.name.clone())
-            .collect();
+        let names: Vec<&str> = self.shared.handlers.iter().map(|h| h.name.as_str()).collect();
         crate::trace::chrome_trace_json(
             &self.merged_trace,
             &self.phases_cache,
@@ -711,12 +706,17 @@ impl Engine {
     /// events, print lines (both drained in shard order), the counters
     /// cache, and the phase cache.
     fn collect_run_artifacts(&mut self) {
+        // One reservation for the whole run's recording (exact on the
+        // first run, amortized over later ones), then one copy of each
+        // event; the shards' chunks are freed as they are drained.
+        let recorded: usize = self.shards.iter().flat_map(|s| &s.tracer).map(Tracer::len).sum();
+        self.merged_trace.reserve(recorded);
         for core in &mut self.shards {
             if let Some(t) = &mut core.trace {
                 self.merged_print.append(t);
             }
             if let Some(tr) = &mut core.tracer {
-                self.merged_trace.append(&mut tr.events);
+                tr.drain_into(&mut self.merged_trace);
             }
         }
         self.merged_stats = self.merged_counters();

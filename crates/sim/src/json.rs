@@ -27,6 +27,15 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// A writer whose output buffer already holds `bytes` of capacity, for
+    /// documents whose size is known roughly beforehand.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            stack: Vec::new(),
+        }
+    }
+
     fn before_value(&mut self) {
         if let Some(has) = self.stack.last_mut() {
             if *has {
@@ -65,7 +74,7 @@ impl JsonWriter {
     /// Object key; the next value call supplies its value.
     pub fn key(&mut self, k: &str) -> &mut Self {
         self.before_value();
-        write_escaped(&mut self.out, k);
+        push_escaped(&mut self.out, k);
         self.out.push(':');
         // The upcoming value must not emit another comma.
         if let Some(has) = self.stack.last_mut() {
@@ -76,19 +85,19 @@ impl JsonWriter {
 
     pub fn string(&mut self, s: &str) -> &mut Self {
         self.before_value();
-        write_escaped(&mut self.out, s);
+        push_escaped(&mut self.out, s);
         self
     }
 
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.before_value();
-        let _ = write!(self.out, "{v}");
+        push_u64(&mut self.out, v);
         self
     }
 
     pub fn i64(&mut self, v: i64) -> &mut Self {
         self.before_value();
-        let _ = write!(self.out, "{v}");
+        push_i64(&mut self.out, v);
         self
     }
 
@@ -96,11 +105,7 @@ impl JsonWriter {
     /// NaN/infinity become `null` (JSON has no representation for them).
     pub fn f64(&mut self, v: f64) -> &mut Self {
         self.before_value();
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push_str("null");
-        }
+        push_f64(&mut self.out, v);
         self
     }
 
@@ -116,28 +121,75 @@ impl JsonWriter {
         self
     }
 
+    /// The output buffer, positioned for one element the caller renders
+    /// itself (the comma, if one is due, is already written). The caller
+    /// must append exactly one complete JSON value.
+    pub fn raw(&mut self) -> &mut String {
+        self.before_value();
+        &mut self.out
+    }
+
     pub fn finish(self) -> String {
         debug_assert!(self.stack.is_empty(), "unclosed JSON container");
         self.out
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string. A string with nothing to escape —
+/// every key and almost every name the simulator writes — is one scan and
+/// one copy.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Append `v` in decimal without going through `core::fmt`.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(buf[i..].iter().map(|&b| b as char));
+}
+
+/// Append `v` in decimal without going through `core::fmt`.
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append `v` as [`JsonWriter::f64`] prints it.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,11 +349,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                s.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or escape (both
+                // ASCII, so the run ends on a character boundary).
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *pos);
+                let run = &b[*pos..*pos + run];
+                s.push_str(std::str::from_utf8(run).map_err(|_| "invalid UTF-8")?);
+                *pos += run.len();
             }
         }
     }
@@ -413,6 +469,60 @@ mod tests {
         let mut w = JsonWriter::new();
         w.begin_arr().f64(f64::NAN).f64(f64::INFINITY).end_arr();
         assert_eq!(w.finish(), "[null,null]");
+    }
+
+    #[test]
+    fn strings_escape_what_json_requires_and_nothing_else() {
+        let mut w = JsonWriter::new();
+        w.begin_arr()
+            .string("plain::name")
+            .string("q\"uote")
+            .string("back\\slash")
+            .string("line\nfeed\ttab\rreturn")
+            .string("bell\u{7}")
+            .string("naïve → 図")
+            .string("")
+            .end_arr();
+        assert_eq!(
+            w.finish(),
+            r#"["plain::name","q\"uote","back\\slash","line\nfeed\ttab\rreturn","bell\u0007","naïve → 図",""]"#
+        );
+    }
+
+    #[test]
+    fn integers_print_as_fmt_prints_them() {
+        for v in [0, 1, 9, 10, 99, 100, 12345, u32::MAX as u64, 10u64.pow(19), u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        for v in [0, 1, -1, 10, -10, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut s = String::new();
+            push_i64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        let mut w = JsonWriter::new();
+        w.begin_arr().u64(u64::MAX).i64(i64::MIN).end_arr();
+        assert_eq!(w.finish(), "[18446744073709551615,-9223372036854775808]");
+    }
+
+    #[test]
+    fn raw_elements_get_their_commas() {
+        let mut w = JsonWriter::with_capacity(64);
+        w.begin_obj().key("rows").begin_arr();
+        w.raw().push_str("{\"a\":1}");
+        w.raw().push_str("[2]");
+        w.u64(3);
+        w.raw().push_str("true");
+        w.end_arr().key("n").u64(5).end_obj();
+        assert_eq!(w.finish(), r#"{"rows":[{"a":1},[2],3,true],"n":5}"#);
+    }
+
+    #[test]
+    fn parses_long_strings_between_escapes() {
+        let body = "naïve 図 ".repeat(50_000);
+        let v = JsonValue::parse(&format!("\"{body}\\n{body}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(format!("{body}\n{body}").as_str()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap; // det-lint: allow — entry-only counters below
 
-use crate::json::JsonWriter;
+use crate::json::{push_escaped, push_f64, push_i64, push_u64, JsonWriter};
 
 /// Stage of a DRAM transaction as it moves through the memory pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +93,18 @@ impl PhaseSpan {
     }
 }
 
+/// Events per recording chunk (160 KB of 40-byte events).
+const CHUNK_EVENTS: usize = 4096;
+
 /// Collects [`TraceEvent`]s during a run. Owned by the engine; present
 /// only when event tracing is enabled. `Clone` deep-copies the recording
 /// so snapshots can rewind the trace alongside machine state.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    pub events: Vec<TraceEvent>,
+    /// The recording, in order, in chunks that are never reallocated: a
+    /// chunk that has used its capacity is left as it is and a new one is
+    /// opened, so recording never copies what it has already recorded.
+    chunks: Vec<Vec<TraceEvent>>,
     next_id: u64,
     // det-lint: allow — entry-only lookups keyed by &'static str; never
     // iterated, so hash order cannot reach any output.
@@ -130,7 +136,20 @@ impl Tracer {
 
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(ev),
+            _ => self.record_in_new_chunk(ev),
+        }
+    }
+
+    /// Out of line: `record` is inlined at every record site of the
+    /// engine's event loop, which should carry only the push.
+    #[cold]
+    #[inline(never)]
+    fn record_in_new_chunk(&mut self, ev: TraceEvent) {
+        let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
+        chunk.push(ev);
+        self.chunks.push(chunk);
     }
 
     /// Adjust the named running counter by `delta` and record a sample.
@@ -138,9 +157,170 @@ impl Tracer {
         let v = self.counters.entry(name).or_insert(0);
         *v += delta;
         let value = *v;
-        self.events.push(TraceEvent::Counter { name, time, value });
+        self.record(TraceEvent::Counter { name, time, value });
+    }
+
+    /// Events recorded and not yet drained.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The events recorded and not yet drained, in recording order.
+    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.chunks.iter().flatten()
+    }
+
+    /// Move the recording to the end of `into` and release its chunks.
+    /// Ids and running counter values carry on into the next run.
+    pub fn drain_into(&mut self, into: &mut Vec<TraceEvent>) {
+        for mut chunk in std::mem::take(&mut self.chunks) {
+            into.append(&mut chunk);
+        }
     }
 }
+
+/// A divisor that is an integer 2^a·5^b, so that `ticks / div` has the
+/// finite decimal expansion `ticks·scale / 10^digits`.
+struct ExactDecimal {
+    div: u64,
+    /// `10^digits / div`.
+    scale: u64,
+    /// Fraction digits before trailing zeros are stripped: `max(a, b)`.
+    digits: u32,
+    /// Tick counts below this have an integer part of at most
+    /// `15 - digits` digits, so the expansion has at most 15 significant
+    /// digits (and the count is below 2^53, so `ticks as f64` is exact).
+    limit: u64,
+}
+
+impl ExactDecimal {
+    fn of(divisor: f64) -> Option<ExactDecimal> {
+        if !(1.0..=1e15).contains(&divisor) || divisor.fract() != 0.0 {
+            return None;
+        }
+        let div = divisor as u64;
+        let (mut rest, mut twos, mut fives) = (div, 0u32, 0u32);
+        while rest.is_multiple_of(2) {
+            rest /= 2;
+            twos += 1;
+        }
+        while rest.is_multiple_of(5) {
+            rest /= 5;
+            fives += 1;
+        }
+        let digits = twos.max(fives);
+        if rest != 1 || digits > 15 {
+            return None;
+        }
+        Some(ExactDecimal {
+            div,
+            scale: 2u64.pow(digits - twos) * 5u64.pow(digits - fives),
+            digits,
+            limit: div * 10u64.pow(15 - digits),
+        })
+    }
+}
+
+/// Ticks to the document's microsecond timestamps: the bytes `{}` prints
+/// for `ticks as f64 / (clock_ghz * 1000.0)`.
+///
+/// `{}` prints the shortest decimal that parses back to the f64, and that
+/// f64 is the one nearest the true quotient. When the quotient itself is a
+/// decimal of at most 15 significant digits it *is* that shortest form:
+/// it parses to the nearest f64, and no two decimals of ≤ 15 digits share
+/// an f64, so nothing shorter or equally short round-trips. Such quotients
+/// are printed from integer arithmetic; everything else goes through `{}`.
+struct Timestamps {
+    divisor: f64,
+    exact: Option<ExactDecimal>,
+}
+
+impl Timestamps {
+    fn new(clock_ghz: f64) -> Timestamps {
+        let divisor = clock_ghz * 1000.0;
+        Timestamps {
+            divisor,
+            exact: ExactDecimal::of(divisor),
+        }
+    }
+
+    fn micros(&self, ticks: u64) -> f64 {
+        ticks as f64 / self.divisor
+    }
+
+    fn push(&self, out: &mut String, ticks: u64) {
+        let Some(e) = self.exact.as_ref().filter(|e| ticks < e.limit) else {
+            return push_f64(out, self.micros(ticks));
+        };
+        push_u64(out, ticks / e.div);
+        let mut frac = ticks % e.div * e.scale;
+        if frac == 0 {
+            return;
+        }
+        let mut digits = e.digits as usize;
+        while frac.is_multiple_of(10) {
+            frac /= 10;
+            digits -= 1;
+        }
+        let mut buf = [b'0'; 15];
+        let mut i = digits;
+        while frac > 0 {
+            i -= 1;
+            buf[i] = b'0' + (frac % 10) as u8;
+            frac /= 10;
+        }
+        out.push('.');
+        out.extend(buf[..digits].iter().map(|&b| b as char));
+    }
+}
+
+/// One `traceEvents` row being written: literal template segments with
+/// the event's fields between them.
+struct Row<'a> {
+    out: &'a mut String,
+    ts: &'a Timestamps,
+}
+
+impl<'a> Row<'a> {
+    /// The next element of the array `w` is in.
+    fn begin(w: &'a mut JsonWriter, ts: &'a Timestamps) -> Row<'a> {
+        Row { out: w.raw(), ts }
+    }
+
+    fn lit(&mut self, s: &str) -> &mut Self {
+        self.out.push_str(s);
+        self
+    }
+
+    fn u(&mut self, v: impl Into<u64>) -> &mut Self {
+        push_u64(self.out, v.into());
+        self
+    }
+
+    fn i(&mut self, v: i64) -> &mut Self {
+        push_i64(self.out, v);
+        self
+    }
+
+    fn name(&mut self, s: &str) -> &mut Self {
+        push_escaped(self.out, s);
+        self
+    }
+
+    fn ts(&mut self, ticks: u64) -> &mut Self {
+        self.ts.push(self.out, ticks);
+        self
+    }
+}
+
+/// Document bytes reserved per recorded event: the five apps write 100 to
+/// 133 (a message transit is two rows). Reserving past the end costs
+/// address space only; falling short costs a copy of the document.
+const RESERVE_PER_EVENT: usize = 192;
 
 /// Export to Chrome `trace_event` JSON.
 ///
@@ -155,21 +335,16 @@ impl Tracer {
 pub fn chrome_trace_json(
     events: &[TraceEvent],
     phases: &[PhaseSpan],
-    names: &[String],
+    names: &[&str],
     lanes_per_node: u32,
     clock_ghz: f64,
     final_tick: u64,
 ) -> String {
-    let ts = |ticks: u64| -> f64 { ticks as f64 / (clock_ghz * 1000.0) };
-    let name_of = |label: u16| -> &str {
-        names
-            .get(label as usize)
-            .map(|s| s.as_str())
-            .unwrap_or("<unknown>")
-    };
+    let ts = Timestamps::new(clock_ghz);
+    let name_of = |label: u16| names.get(label as usize).copied().unwrap_or("<unknown>");
     let lanes_per_node = lanes_per_node.max(1);
 
-    let mut w = JsonWriter::new();
+    let mut w = JsonWriter::with_capacity(256 + events.len() * RESERVE_PER_EVENT);
     w.begin_obj().key("displayTimeUnit").string("ms");
     w.key("traceEvents").begin_arr();
 
@@ -190,14 +365,14 @@ pub fn chrome_trace_json(
             .key("tid")
             .u64(0)
             .key("ts")
-            .f64(ts(p.start))
+            .f64(ts.micros(p.start))
             .key("dur")
-            .f64(ts(end.saturating_sub(p.start)))
+            .f64(ts.micros(end.saturating_sub(p.start)))
             .end_obj();
     }
 
     for ev in events {
-        match ev {
+        match *ev {
             TraceEvent::Exec {
                 lane,
                 label,
@@ -207,27 +382,20 @@ pub fn chrome_trace_json(
             } => {
                 let pid = lane / lanes_per_node + 1;
                 max_pid = max_pid.max(pid);
-                w.begin_obj()
-                    .key("name")
-                    .string(name_of(*label))
-                    .key("cat")
-                    .string("lane")
-                    .key("ph")
-                    .string("X")
-                    .key("pid")
-                    .u64(pid as u64)
-                    .key("tid")
-                    .u64((lane % lanes_per_node) as u64)
-                    .key("ts")
-                    .f64(ts(*start))
-                    .key("dur")
-                    .f64(ts(end - start))
-                    .key("args")
-                    .begin_obj()
-                    .key("sim_tid")
-                    .u64(*tid as u64)
-                    .end_obj()
-                    .end_obj();
+                Row::begin(&mut w, &ts)
+                    .lit("{\"name\":")
+                    .name(name_of(label))
+                    .lit(",\"cat\":\"lane\",\"ph\":\"X\",\"pid\":")
+                    .u(pid)
+                    .lit(",\"tid\":")
+                    .u(lane % lanes_per_node)
+                    .lit(",\"ts\":")
+                    .ts(start)
+                    .lit(",\"dur\":")
+                    .ts(end - start)
+                    .lit(",\"args\":{\"sim_tid\":")
+                    .u(tid)
+                    .lit("}}");
             }
             TraceEvent::MsgTransit {
                 id,
@@ -239,30 +407,27 @@ pub fn chrome_trace_json(
             } => {
                 let pid = src / lanes_per_node + 1;
                 max_pid = max_pid.max(pid);
-                for (ph, t) in [("b", *depart), ("e", *arrive)] {
-                    w.begin_obj()
-                        .key("name")
-                        .string(name_of(*label))
-                        .key("cat")
-                        .string("msg")
-                        .key("ph")
-                        .string(ph)
-                        .key("id")
-                        .u64(*id)
-                        .key("pid")
-                        .u64(pid as u64)
-                        .key("tid")
-                        .u64((src % lanes_per_node) as u64)
-                        .key("ts")
-                        .f64(ts(t));
-                    if ph == "b" {
-                        w.key("args")
-                            .begin_obj()
-                            .key("dst_lane")
-                            .u64(*dst as u64)
-                            .end_obj();
+                for (t, begins) in [(depart, true), (arrive, false)] {
+                    let mut row = Row::begin(&mut w, &ts);
+                    row.lit("{\"name\":")
+                        .name(name_of(label))
+                        .lit(if begins {
+                            ",\"cat\":\"msg\",\"ph\":\"b\",\"id\":"
+                        } else {
+                            ",\"cat\":\"msg\",\"ph\":\"e\",\"id\":"
+                        })
+                        .u(id)
+                        .lit(",\"pid\":")
+                        .u(pid)
+                        .lit(",\"tid\":")
+                        .u(src % lanes_per_node)
+                        .lit(",\"ts\":")
+                        .ts(t);
+                    if begins {
+                        row.lit(",\"args\":{\"dst_lane\":").u(dst).lit("}}");
+                    } else {
+                        row.lit("}");
                     }
-                    w.end_obj();
                 }
             }
             TraceEvent::Dram {
@@ -275,34 +440,29 @@ pub fn chrome_trace_json(
             } => {
                 let pid = node + 1;
                 max_pid = max_pid.max(pid);
-                let ph = match stage {
-                    DramStage::Arrive => "b",
-                    DramStage::Served => "n",
-                    DramStage::Respond => "e",
-                };
-                w.begin_obj()
-                    .key("name")
-                    .string(if *write { "dram_write" } else { "dram_read" })
-                    .key("cat")
-                    .string("dram")
-                    .key("ph")
-                    .string(ph)
-                    .key("id")
-                    .u64(*id)
-                    .key("pid")
-                    .u64(pid as u64)
-                    .key("tid")
-                    .u64(lanes_per_node as u64) // a dedicated row below the lanes
-                    .key("ts")
-                    .f64(ts(*time));
-                if *stage == DramStage::Arrive {
-                    w.key("args")
-                        .begin_obj()
-                        .key("bytes")
-                        .u64(*bytes)
-                        .end_obj();
+                let mut row = Row::begin(&mut w, &ts);
+                row.lit(if write {
+                    "{\"name\":\"dram_write\",\"cat\":\"dram\",\"ph\":"
+                } else {
+                    "{\"name\":\"dram_read\",\"cat\":\"dram\",\"ph\":"
+                })
+                .lit(match stage {
+                    DramStage::Arrive => "\"b\",\"id\":",
+                    DramStage::Served => "\"n\",\"id\":",
+                    DramStage::Respond => "\"e\",\"id\":",
+                })
+                .u(id)
+                .lit(",\"pid\":")
+                .u(pid)
+                .lit(",\"tid\":")
+                .u(lanes_per_node) // a dedicated row below the lanes
+                .lit(",\"ts\":")
+                .ts(time);
+                if stage == DramStage::Arrive {
+                    row.lit(",\"args\":{\"bytes\":").u(bytes).lit("}}");
+                } else {
+                    row.lit("}");
                 }
-                w.end_obj();
             }
             TraceEvent::Link {
                 src,
@@ -313,40 +473,28 @@ pub fn chrome_trace_json(
             } => {
                 let pid = node + 1;
                 max_pid = max_pid.max(pid);
-                w.begin_obj()
-                    .key("name")
-                    .string(&format!("link n{}->n{} B", src, dst))
-                    .key("cat")
-                    .string("link")
-                    .key("ph")
-                    .string("C")
-                    .key("pid")
-                    .u64(pid as u64)
-                    .key("ts")
-                    .f64(ts(*time))
-                    .key("args")
-                    .begin_obj()
-                    .key("value")
-                    .u64(*value)
-                    .end_obj()
-                    .end_obj();
+                Row::begin(&mut w, &ts)
+                    .lit("{\"name\":\"link n")
+                    .u(src)
+                    .lit("->n")
+                    .u(dst)
+                    .lit(" B\",\"cat\":\"link\",\"ph\":\"C\",\"pid\":")
+                    .u(pid)
+                    .lit(",\"ts\":")
+                    .ts(time)
+                    .lit(",\"args\":{\"value\":")
+                    .u(value)
+                    .lit("}}");
             }
             TraceEvent::Counter { name, time, value } => {
-                w.begin_obj()
-                    .key("name")
-                    .string(name)
-                    .key("ph")
-                    .string("C")
-                    .key("pid")
-                    .u64(0)
-                    .key("ts")
-                    .f64(ts(*time))
-                    .key("args")
-                    .begin_obj()
-                    .key("value")
-                    .i64(*value)
-                    .end_obj()
-                    .end_obj();
+                Row::begin(&mut w, &ts)
+                    .lit("{\"name\":")
+                    .name(name)
+                    .lit(",\"ph\":\"C\",\"pid\":0,\"ts\":")
+                    .ts(time)
+                    .lit(",\"args\":{\"value\":")
+                    .i(value)
+                    .lit("}}");
             }
         }
     }
@@ -399,14 +547,137 @@ mod tests {
         t.counter_add("x", 2, 10);
         t.counter_add("x", -1, 20);
         let vals: Vec<i64> = t
-            .events
-            .iter()
+            .events()
             .map(|e| match e {
                 TraceEvent::Counter { value, .. } => *value,
                 _ => panic!(),
             })
             .collect();
         assert_eq!(vals, vec![2, 1]);
+    }
+
+    #[test]
+    fn recording_crosses_chunks_in_order_and_drains_empty() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+        let n = 2 * CHUNK_EVENTS as u64 + 17;
+        let mut t = Tracer::new();
+        for time in 0..n {
+            t.counter_add("x", 1, time);
+        }
+        assert_eq!(t.len(), n as usize);
+        // A clone's last chunk has no spare capacity to rely on; recording
+        // into it must still append.
+        let mut copy = t.clone();
+        copy.counter_add("x", 1, n);
+        assert_eq!(copy.len(), n as usize + 1);
+        let mut merged = vec![TraceEvent::Counter {
+            name: "earlier run",
+            time: 0,
+            value: 0,
+        }];
+        copy.drain_into(&mut merged);
+        assert!(copy.is_empty());
+        assert_eq!(copy.events().count(), 0);
+        assert_eq!(merged.len(), n as usize + 2);
+        for (i, ev) in merged[1..].iter().enumerate() {
+            match ev {
+                TraceEvent::Counter { time, value, .. } => {
+                    assert_eq!((*time, *value), (i as u64, i as i64 + 1));
+                }
+                _ => panic!(),
+            }
+        }
+        // The running value survives the drain.
+        copy.counter_add("x", 1, n + 1);
+        assert!(matches!(
+            copy.events().next(),
+            Some(TraceEvent::Counter { value, .. }) if *value == n as i64 + 2
+        ));
+    }
+
+    fn printed(ts: &Timestamps, ticks: u64) -> String {
+        let mut s = String::new();
+        ts.push(&mut s, ticks);
+        s
+    }
+
+    /// The integer path prints what `{}` prints for the f64 quotient: every
+    /// small tick count, the neighbourhood of every power of ten (where
+    /// digit counts and the 15-digit guard change), and seeded random
+    /// counts up to 2^53.
+    #[test]
+    fn exact_decimal_timestamps_equal_shortest_round_trip_floats() {
+        for ghz in [0.5, 1.0, 1.6, 2.0, 2.5] {
+            let ts = Timestamps::new(ghz);
+            let e = ts.exact.as_ref().expect("2^a·5^b divisor");
+            assert_eq!(e.div as f64, ghz * 1000.0);
+            assert_eq!(e.div * e.scale, 10u64.pow(e.digits));
+            let mut ticks: Vec<u64> = (0..=300_000).collect();
+            for k in 0..=18 {
+                let p = 10u64.pow(k);
+                ticks.extend([p - 1, p, p + 1]);
+                if let Some(whole) = p.checked_mul(e.div) {
+                    ticks.extend([whole - 1, whole, whole + 1]);
+                }
+            }
+            ticks.extend([e.limit - 1, e.limit, e.limit + 1, (1 << 53) - 1]);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ e.div;
+            for shift in [11, 20, 30, 40] {
+                for _ in 0..20_000 {
+                    // xorshift64
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    ticks.push(x >> shift);
+                }
+            }
+            for t in ticks {
+                assert_eq!(
+                    printed(&ts, t),
+                    format!("{}", t as f64 / (ghz * 1000.0)),
+                    "clock {ghz} GHz, tick {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn other_divisors_fall_back_to_float_formatting() {
+        for ghz in [1.1, 2.4, 3.0, 0.0003, 1e13] {
+            let ts = Timestamps::new(ghz);
+            assert!(ts.exact.is_none(), "clock {ghz}");
+            for t in [0, 1, 7, 1000, 123_456_789, u64::MAX] {
+                assert_eq!(printed(&ts, t), format!("{}", t as f64 / (ghz * 1000.0)));
+            }
+        }
+        // What a zero or NaN clock printed before `MachineConfigBuilder`
+        // refused them; a directly assigned field can still get here.
+        assert_eq!(printed(&Timestamps::new(0.0), 5), "null");
+        assert_eq!(printed(&Timestamps::new(f64::NAN), 5), "null");
+    }
+
+    #[test]
+    fn names_that_need_escaping_are_escaped() {
+        let events = [
+            TraceEvent::Exec {
+                lane: 0,
+                label: 0,
+                tid: 0,
+                start: 3,
+                end: 4,
+            },
+            TraceEvent::Exec {
+                lane: 0,
+                label: 9,
+                tid: 0,
+                start: 4,
+                end: 6,
+            },
+        ];
+        let s = chrome_trace_json(&events, &[], &["say \"hi\"\n"], 1, 2.0, 6);
+        assert!(s.contains(r#"{"name":"say \"hi\"\n","cat":"lane","ph":"X","pid":1,"tid":0,"ts":0.0015,"dur":0.0005,"args":{"sim_tid":0}}"#));
+        assert!(s.contains(r#"{"name":"<unknown>","cat":"lane""#));
+        JsonValue::parse(&s).expect("valid JSON");
     }
 
     #[test]
@@ -453,7 +724,7 @@ mod tests {
             start: 0,
             end: u64::MAX,
         }];
-        let names = vec!["handler_a".to_string()];
+        let names = ["handler_a"];
         let s = chrome_trace_json(&events, &phases, &names, 8, 2.0, 100);
         let v = JsonValue::parse(&s).expect("valid JSON");
         assert_eq!(v.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
