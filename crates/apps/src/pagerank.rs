@@ -404,6 +404,7 @@ pub fn workload(sg: &SplitGraph, cfg: &PrConfig) -> udweave::Workload {
 
 /// Run PageRank over a pre-split graph (either splitting regime).
 pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
+    assert!(cfg.iterations >= 1, "PageRank needs iterations >= 1: with 0 the driver never stops");
     let mut eng = Engine::new(cfg.machine.clone());
     register_codecs(&mut eng);
     if cfg.trace {
@@ -781,6 +782,16 @@ mod tests {
         cfg.iterations = 2;
         let res = run_pagerank(&sg, &cfg);
         check_result(&res, &g, 2, cfg.damping);
+    }
+
+    #[test]
+    #[should_panic(expected = "PageRank needs iterations >= 1")]
+    fn zero_iterations_is_refused_not_a_hang() {
+        let g = Csr::from_edges(&dedup_sort(rmat(5, RmatParams::default(), 1)));
+        let mut cfg = PrConfig::new(1);
+        cfg.machine = MachineConfig::small(1, 1, 4);
+        cfg.iterations = 0;
+        run_pagerank(&split_in_out(&g, 8), &cfg);
     }
 
     #[test]

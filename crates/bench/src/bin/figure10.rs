@@ -18,6 +18,11 @@ fn main() {
     let opts = StdOpts::parse(&cli, (32, 256), (0, 0));
     let full = opts.full;
     let base: usize = cli.get("base-records", if full { 400_000 } else { 60_000 });
+    if base < 50 {
+        bench::cli::usage_error(&format!(
+            "--base-records {base}: expects at least 50 (the 0.01x series would have no record)"
+        ));
+    }
     let nodes = node_sweep(opts.max_nodes);
     let mut gates = Gates::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);

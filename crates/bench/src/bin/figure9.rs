@@ -135,7 +135,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "all".into());
     let opts = StdOpts::parse(&cli, (32, 256), (1, 3));
-    let iters: u32 = cli.get("iters", 2);
+    let iters = bench::cli::pagerank_iters(&cli, 2);
     // `--min-nodes` trims the small end of the sweep (CI smoke uses it to
     // export a run that actually has cross-node fabric traffic).
     let min_nodes: u32 = cli.get("min-nodes", 1);

@@ -34,10 +34,9 @@ use updown_graph::preprocess::split_and_shuffle;
 
 fn main() {
     let cli = Cli::parse();
-    let nodes: u32 = cli.get("nodes", 64);
-    let scale: u32 = cli.get("scale", 13);
+    let (nodes, scale) = bench::cli::nodes_and_rmat_scale(&cli, 64, 13);
     let seed: u64 = cli.get("seed", 0);
-    let iters: u32 = cli.get("iters", 1);
+    let iters = bench::cli::pagerank_iters(&cli, 1);
     let mut threads_list: Vec<u32> = cli.list("threads").unwrap_or_else(|| vec![1, 2, 4]);
     threads_list.retain(|&t| t > 1);
     let min_speedup: f64 = cli.get("min-speedup", 0.0);

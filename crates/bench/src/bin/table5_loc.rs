@@ -36,8 +36,7 @@ fn loc(path: &str) -> u64 {
 fn main() {
     let cli = bench::Cli::parse();
     for f in [
-        "sanitize", "race", "spec", "topology", "checkpoint", "restore", "checkpoint-every",
-        "record", "replay",
+        "sanitize", "race", "spec", "topology", "checkpoint", "restore", "checkpoint-every", "replay",
     ] {
         if cli.has(f) {
             eprintln!("table5_loc: --{f} accepted, but this binary runs no simulation");

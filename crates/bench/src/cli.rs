@@ -204,6 +204,16 @@ pub fn nodes_and_rmat_scale(cli: &Cli, nodes_default: u32, scale_default: u32) -
     (nodes, scale)
 }
 
+/// `--iters`, the PageRank iteration count. Exits with status 2 on 0: the
+/// driver stops when an iteration completes, so no run would ever end.
+pub fn pagerank_iters(cli: &Cli, default: u32) -> u32 {
+    let iters = cli.get("iters", default);
+    if iters == 0 {
+        usage_error("--iters 0: expects at least 1 (PageRank stops when an iteration completes)");
+    }
+    iters
+}
+
 /// Parse `--topology`, exiting with the list of valid values on a bad
 /// one (a silent fallback to the default would quietly benchmark the
 /// wrong network).
@@ -231,9 +241,9 @@ pub fn parse_topology(cli: &Cli) -> TopologyKind {
 ///   state against it and round-trips the decoder. The header is validated
 ///   up front so a bad path or corrupt file is a clean CLI error; the
 ///   cadence defaults to the snapshot's window.
-/// * `--record` / `--replay` — capture every run's cross-shard message
-///   schedule; `--replay` also re-executes each shard of each recording
-///   in isolation afterwards and compares the event streams.
+/// * `--replay` — capture every run's cross-shard message schedule, then
+///   re-execute each shard of each recording in isolation and compare the
+///   event streams.
 ///
 /// None of them has an observer effect: armed sweeps print the same
 /// figures. [`Gates::exit_if_dirty`] at the end of `main` reports what
@@ -248,7 +258,6 @@ pub struct Gates {
     restore_path: Option<String>,
     /// First-run-wins: the snapshot paths attach to the first armed run.
     paths_armed: bool,
-    record: bool,
     replay: Option<ReplayCheck>,
     /// Label and probes of every run armed with `--sanitize`, `--race` or
     /// `--spec`.
@@ -277,7 +286,6 @@ impl Gates {
         if write_path.is_some() && every == 0 {
             every = 8;
         }
-        let replay = cli.has("replay");
         Gates {
             sanitize: cli.has("sanitize"),
             race: cli.has("race"),
@@ -286,8 +294,7 @@ impl Gates {
             write_path,
             restore_path,
             paths_armed: false,
-            record: cli.has("record") || replay,
-            replay: replay.then(ReplayCheck::new),
+            replay: cli.has("replay").then(ReplayCheck::new),
             runs: Vec::new(),
         }
     }
@@ -319,9 +326,6 @@ impl Gates {
                 cfg.checkpoint_path = self.write_path.clone().map(Into::into);
                 cfg.restore_path = self.restore_path.clone().map(Into::into);
             }
-        }
-        if self.record {
-            cfg.record = true;
         }
         if let Some(check) = &self.replay {
             cfg.replay = Some(check.clone());
@@ -622,7 +626,7 @@ mod tests {
         g.arm("a", &spec, &mut a);
         g.arm("b", &spec, &mut b);
         assert!(a.sanitize && a.probe.is_some() && a.enforce_spec.is_some());
-        assert!(a.race.is_none() && !a.record && a.replay.is_none());
+        assert!(a.race.is_none() && a.replay.is_none());
         assert_eq!((a.checkpoint_every, b.checkpoint_every), (3, 3));
         assert_eq!(g.runs.len(), 2);
         assert!(!g.dirty(), "nothing ran, nothing found");

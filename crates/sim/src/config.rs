@@ -259,14 +259,14 @@ pub struct MachineConfig {
     /// bench bins. Requires `checkpoint_every > 0` (the pause cadence is
     /// how the engine lands on the snapshot's window boundary).
     pub restore_path: Option<std::path::PathBuf>,
-    /// Record the per-window cross-shard message schedule plus each
-    /// shard's execution stream for post-run single-shard replay
-    /// ([`Engine::replay_shard`](crate::Engine::replay_shard)).
-    pub record: bool,
-    /// Self-verifying replay (`--replay` on the bench bins): record the
-    /// run, then after it completes replay every shard in isolation and
-    /// report mismatches into the shared [`ReplayCheck`](crate::ReplayCheck)
-    /// handle. Implies `record`.
+    /// Self-verifying replay (`--replay` on the bench bins): record each
+    /// run's per-window cross-shard message schedule and every shard's
+    /// execution stream; [`Engine::finish_replay`](crate::Engine::finish_replay)
+    /// then replays every shard in isolation and reports mismatches into
+    /// the shared [`ReplayCheck`](crate::ReplayCheck) handle. The only
+    /// switch that records: [`Engine::take_recordings`](crate::Engine::take_recordings)
+    /// and [`Engine::replay_shard`](crate::Engine::replay_shard) work on
+    /// what it captured.
     pub replay: Option<crate::snapshot::ReplayCheck>,
 }
 
@@ -290,7 +290,6 @@ impl Default for MachineConfig {
             checkpoint_every: 0,
             checkpoint_path: None,
             restore_path: None,
-            record: false,
             replay: None,
         }
     }
@@ -397,15 +396,7 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Record the cross-shard schedule for single-shard replay (see
-    /// [`MachineConfig::record`]).
-    pub fn record(mut self, on: bool) -> Self {
-        self.cfg.record = on;
-        self
-    }
-
-    /// Attach a self-verifying replay check (see [`MachineConfig::replay`];
-    /// implies recording).
+    /// Attach a self-verifying replay check (see [`MachineConfig::replay`]).
     pub fn replay(mut self, check: crate::snapshot::ReplayCheck) -> Self {
         self.cfg.replay = Some(check);
         self
@@ -449,16 +440,7 @@ impl MachineConfigBuilder {
     }
 
     pub fn build(self) -> MachineConfig {
-        assert!(self.cfg.nodes >= 1, "machine needs at least one node");
-        assert!(
-            self.cfg.accels_per_node >= 1 && self.cfg.lanes_per_accel >= 1,
-            "machine needs at least one lane"
-        );
-        assert!(
-            self.cfg.clock_ghz.is_finite() && self.cfg.clock_ghz > 0.0,
-            "clock must be finite and above 0 GHz, got {}",
-            self.cfg.clock_ghz
-        );
+        self.cfg.check();
         self.cfg
     }
 }
@@ -467,6 +449,24 @@ impl MachineConfig {
     /// Start building a config from the paper's defaults.
     pub fn builder() -> MachineConfigBuilder {
         MachineConfigBuilder::default()
+    }
+
+    /// Panic on a machine no run can use: no node, no lane, or a clock
+    /// that is not a positive number (it would print every Chrome `ts`
+    /// and the metrics `seconds` as `null`). [`MachineConfigBuilder::build`]
+    /// and [`crate::Engine::new`] both check, so a directly assigned field
+    /// is held to the same rule as a built one.
+    pub(crate) fn check(&self) {
+        assert!(self.nodes >= 1, "machine needs at least one node");
+        assert!(
+            self.accels_per_node >= 1 && self.lanes_per_accel >= 1,
+            "machine needs at least one lane"
+        );
+        assert!(
+            self.clock_ghz.is_finite() && self.clock_ghz > 0.0,
+            "clock must be finite and above 0 GHz, got {}",
+            self.clock_ghz
+        );
     }
 
     /// A full-size UpDown node count with default node internals.
@@ -632,6 +632,27 @@ mod tests {
             assert!(built.is_err(), "clock {ghz} was accepted");
         }
         assert_eq!(MachineConfig::builder().clock_ghz(1.6).build().clock_ghz, 1.6);
+    }
+
+    /// The fields are public, so the engine checks what the builder does.
+    #[test]
+    fn engine_refuses_directly_assigned_fields_the_builder_would() {
+        let bad: [fn(&mut MachineConfig); 5] = [
+            |c| c.clock_ghz = 0.0,
+            |c| c.clock_ghz = f64::NAN,
+            |c| c.nodes = 0,
+            |c| c.accels_per_node = 0,
+            |c| c.lanes_per_accel = 0,
+        ];
+        for (i, set) in bad.iter().enumerate() {
+            let mut cfg = MachineConfig::small(2, 2, 4);
+            set(&mut cfg);
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| crate::Engine::new(cfg)));
+            assert!(built.is_err(), "assignment {i} was accepted");
+        }
+        let mut cfg = MachineConfig::small(2, 2, 4);
+        cfg.clock_ghz = 1.6;
+        assert_eq!(crate::Engine::new(cfg).metrics().clock_ghz, 1.6);
     }
 
     #[test]

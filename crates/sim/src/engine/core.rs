@@ -71,8 +71,56 @@ impl MemOp {
         }
     }
 
-    fn is_write(&self) -> bool {
+    pub(super) fn is_write(&self) -> bool {
         !matches!(self, MemOp::Read { .. })
+    }
+
+    pub(super) fn is_atomic(&self) -> bool {
+        matches!(self, MemOp::AddU64 { .. } | MemOp::AddF64 { .. })
+    }
+
+    fn va(&self) -> VAddr {
+        match self {
+            MemOp::Read { va, .. }
+            | MemOp::Write { va, .. }
+            | MemOp::AddU64 { va, .. }
+            | MemOp::AddF64 { va, .. } => *va,
+        }
+    }
+
+    /// Apply the transaction's effect to `mem` and build the reply the
+    /// issuer asked for: a read's data, a write's ack (the address), an
+    /// atomic's old value — each followed by the issuer's tag.
+    // Forced inline: left as calls, this and `EventCtx::push_dram` cost
+    // `udbench` pr_1n 2–3 % more `wall_s` (interleaved pairs, PR 25).
+    #[inline(always)]
+    pub(super) fn apply(&self, mem: &GlobalMemory) -> Option<Message> {
+        fn fault<T>(e: crate::memory::MemError) -> T {
+            panic!("DRAM fault applying a request: {e}")
+        }
+        let reply = |to: EventWord, words: &[u64], tag| {
+            Message::new(to, reply_args(words, tag), EventWord::IGNORE, to.nwid())
+        };
+        match *self {
+            MemOp::Read { va, nwords, ret, tag } => {
+                let mut data = [0u64; HW_OPERANDS];
+                let data = &mut data[..nwords as usize];
+                mem.read_words_into(va, data).unwrap_or_else(fault);
+                Some(reply(ret, data, tag))
+            }
+            MemOp::Write { va, ref words, ack, tag } => {
+                mem.write_words(va, words).unwrap_or_else(fault);
+                ack.map(|ack| reply(ack, &[va.0], tag))
+            }
+            MemOp::AddU64 { va, delta, ret, tag } => {
+                let old = mem.fetch_add_u64(va, delta).unwrap_or_else(fault);
+                ret.map(|ret| reply(ret, &[old], tag))
+            }
+            MemOp::AddF64 { va, delta, ret, tag } => {
+                let old = mem.fetch_add_f64(va, delta).unwrap_or_else(fault);
+                ret.map(|ret| reply(ret, &[old.to_bits()], tag))
+            }
+        }
     }
 }
 
@@ -161,6 +209,22 @@ fn reply_args(words: &[u64], tag: Option<u64>) -> Operands {
     Operands::from(&buf[..n])
 }
 
+/// Record stage `stage` of DRAM transaction `id` when tracing is on.
+#[inline]
+fn trace_dram(
+    tracer: &mut Option<Tracer>,
+    id: u64,
+    stage: DramStage,
+    node: u32,
+    time: u64,
+    bytes: u64,
+    write: bool,
+) {
+    if let Some(tr) = tracer {
+        tr.record(TraceEvent::Dram { id, stage, node, time, bytes, write });
+    }
+}
+
 /// Slab storage for pending [`Action`]s: every calendar entry with a
 /// payload and every message waiting on a lane. The calendar and the lane
 /// inboxes hold bare `u32` ids, so queueing never moves a payload. A
@@ -232,35 +296,11 @@ impl ActionArena {
 /// Outgoing effects collected during one event execution; the engine turns
 /// them into scheduled actions at the event's completion time.
 pub(super) enum Outgoing {
+    /// A message and the cycles it waits after the event before entering
+    /// the network.
     Msg(Message, u64),
-    DramRead {
-        va: VAddr,
-        nwords: u8,
-        ret: EventWord,
-        tag: Option<u64>,
-        race: Option<RaceAccess>,
-    },
-    DramWrite {
-        va: VAddr,
-        words: Vec<u64>,
-        ack: Option<EventWord>,
-        tag: Option<u64>,
-        race: Option<RaceAccess>,
-    },
-    AtomicAddU64 {
-        va: VAddr,
-        delta: u64,
-        ret: Option<EventWord>,
-        tag: Option<u64>,
-        race: Option<RaceAccess>,
-    },
-    AtomicAddF64 {
-        va: VAddr,
-        delta: f64,
-        ret: Option<EventWord>,
-        tag: Option<u64>,
-        race: Option<RaceAccess>,
-    },
+    /// A DRAM request and the issuer's race context.
+    Dram(MemOp, Option<RaceAccess>),
 }
 
 /// A calendar entry crossing shards at a window boundary. Merged into the
@@ -449,8 +489,8 @@ pub(super) struct EngineCore {
     /// windows, swapped with the mailbox's storage each round).
     pub(super) xentry_scratch: Vec<XEntry>,
     /// Live recording for record-replay; `None` unless the current run
-    /// was started with [`MachineConfig::record`] / `replay`, or this
-    /// shard is being replayed in isolation.
+    /// was started with [`MachineConfig::replay`] set, or this shard is
+    /// being replayed in isolation.
     pub(super) record: Option<Box<ShardRecord>>,
 }
 
@@ -623,27 +663,18 @@ impl EngineCore {
         (depart, arrival)
     }
 
-    /// Latency for a lane->memory or memory->lane hop.
-    fn mem_hop_latency(shared: &Shared, lane_node: u32, mem_node: u32) -> u64 {
-        if lane_node == mem_node {
-            shared.cfg.net.intra_node_latency
+    /// Count a DRAM transaction issued at `t` from `src` and route its
+    /// channel-arrival stage to the owning shard: across the fabric for a
+    /// remote owner, one on-node hop for a local one.
+    fn dram_issue(&mut self, shared: &Shared, t: u64, src: NetworkId, op: MemOp, race: Option<RaceAccess>) {
+        if op.is_write() {
+            self.stats.dram_writes += 1;
+            self.stats.dram_write_bytes += op.bytes();
         } else {
-            shared.cfg.net.inter_node_latency
+            self.stats.dram_reads += 1;
+            self.stats.dram_read_bytes += op.bytes();
         }
-    }
-
-    /// Issue a DRAM transaction at `t` from `src`: reserve the source NIC
-    /// (remote targets) and route the channel-arrival stage to the owning
-    /// shard.
-    fn dram_issue(
-        &mut self,
-        shared: &Shared,
-        t: u64,
-        src: NetworkId,
-        va: VAddr,
-        op: MemOp,
-        race: Option<RaceAccess>,
-    ) {
+        let va = op.va();
         let owner = match shared.mem.owner_node(va) {
             Ok(n) => n,
             Err(e) => panic!("DRAM access fault from lane {}: {e} ({va:?})", src.0),
@@ -653,36 +684,20 @@ impl EngineCore {
             Some(tr) => tr.alloc_id(),
             None => 0,
         };
+        let request = Action::Mem {
+            stage: MemStage::Arrive,
+            op,
+            src_node,
+            owner,
+            trace_id,
+            race,
+        };
         if owner != src_node {
             self.stats.dram_remote_accesses += 1;
             // Request messages are one 72-byte unit regardless of payload.
-            self.fabric_send(
-                shared,
-                t,
-                owner,
-                72,
-                Action::Mem {
-                    stage: MemStage::Arrive,
-                    op,
-                    src_node,
-                    owner,
-                    trace_id,
-                    race,
-                },
-            );
+            self.fabric_send(shared, t, owner, 72, request);
         } else {
-            let arrival = t + Self::mem_hop_latency(shared, src_node, owner);
-            self.schedule(
-                arrival,
-                Action::Mem {
-                    stage: MemStage::Arrive,
-                    op,
-                    src_node,
-                    owner,
-                    trace_id,
-                    race,
-                },
-            );
+            self.schedule(t + shared.cfg.net.intra_node_latency, request);
         }
     }
 
@@ -756,16 +771,7 @@ impl EngineCore {
                 ..
             } => {
                 let bytes = op.bytes();
-                if let Some(tr) = &mut self.tracer {
-                    tr.record(TraceEvent::Dram {
-                        id: *trace_id,
-                        stage: DramStage::Arrive,
-                        node: *owner,
-                        time: now,
-                        bytes,
-                        write: op.is_write(),
-                    });
-                }
+                trace_dram(&mut self.tracer, *trace_id, DramStage::Arrive, *owner, now, bytes, op.is_write());
                 *stage = MemStage::Served;
                 let served = self.channel.service(0, now, bytes);
                 self.push_id(served, id);
@@ -781,92 +787,22 @@ impl EngineCore {
                 let (src_node, owner, trace_id) = (*src_node, *owner, *trace_id);
                 let bytes = op.bytes();
                 let write = op.is_write();
-                if let Some(tr) = &mut self.tracer {
-                    tr.record(TraceEvent::Dram {
-                        id: trace_id,
-                        stage: DramStage::Served,
-                        node: owner,
-                        time: now,
-                        bytes,
-                        write,
-                    });
-                }
+                trace_dram(&mut self.tracer, trace_id, DramStage::Served, owner, now, bytes, write);
                 // Record the access for race detection here: channel
                 // service order on the owning shard is the deterministic
                 // serialization point for this word's state. Atomic ops
                 // hand back an acquired clock for the reply to carry.
                 let mut race_acquired = None;
                 if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
-                    let (va, nwords, atomic, is_wr) = match &*op {
-                        MemOp::Read { va, nwords, .. } => (*va, *nwords as u32, false, false),
-                        MemOp::Write { va, words, .. } => (*va, words.len() as u32, false, true),
-                        MemOp::AddU64 { va, .. } | MemOp::AddF64 { va, .. } => (*va, 1, true, true),
-                    };
+                    let va = op.va();
                     let base = shared.mem.descriptor(va).map(|d| d.base.0).unwrap_or(va.0);
-                    race_acquired = rp.record_dram(acc, va, base, nwords, atomic, is_wr, now);
+                    let words = (bytes / 8) as u32;
+                    race_acquired = rp.record_dram(acc, va, base, words, op.is_atomic(), write, now);
                 }
                 // Apply the memory effect now, on the owning shard: channel
                 // service order is the deterministic serialization point
                 // for all accesses to this node's memory.
-                let mut reply = match &*op {
-                    &MemOp::Read {
-                        va,
-                        nwords,
-                        ret,
-                        tag,
-                    } => {
-                        let mut data = [0u64; HW_OPERANDS];
-                        let data = &mut data[..nwords as usize];
-                        shared
-                            .mem
-                            .read_words_into(va, data)
-                            .unwrap_or_else(|e| panic!("DRAM read fault at service time: {e}"));
-                        Some(Message::new(ret, reply_args(data, tag), EventWord::IGNORE, ret.nwid()))
-                    }
-                    MemOp::Write {
-                        va,
-                        words,
-                        ack,
-                        tag,
-                    } => {
-                        shared
-                            .mem
-                            .write_words(*va, words)
-                            .unwrap_or_else(|e| panic!("DRAM write fault at service time: {e}"));
-                        ack.map(|ack| {
-                            Message::new(ack, reply_args(&[va.0], *tag), EventWord::IGNORE, ack.nwid())
-                        })
-                    }
-                    &MemOp::AddU64 {
-                        va,
-                        delta,
-                        ret,
-                        tag,
-                    } => {
-                        let old = shared
-                            .mem
-                            .fetch_add_u64(va, delta)
-                            .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
-                        ret.map(|ret| {
-                            Message::new(ret, reply_args(&[old], tag), EventWord::IGNORE, ret.nwid())
-                        })
-                    }
-                    &MemOp::AddF64 {
-                        va,
-                        delta,
-                        ret,
-                        tag,
-                    } => {
-                        let old = shared
-                            .mem
-                            .fetch_add_f64(va, delta)
-                            .unwrap_or_else(|e| panic!("DRAM atomic fault: {e}"));
-                        ret.map(|ret| {
-                            let args = reply_args(&[old.to_bits()], tag);
-                            Message::new(ret, args, EventWord::IGNORE, ret.nwid())
-                        })
-                    }
-                };
+                let mut reply = op.apply(&shared.mem);
                 // The reply carries the issuer's clock so replies order
                 // with the issue (write -> ack -> send -> read chains);
                 // an atomic's reply carries the acquired clock instead,
@@ -890,8 +826,7 @@ impl EngineCore {
                 } else {
                     // The response overwrites the request in its slot.
                     *self.arena.get_mut(id) = done;
-                    let arrival = now + Self::mem_hop_latency(shared, src_node, owner);
-                    self.push_id(arrival, id);
+                    self.push_id(now + shared.cfg.net.intra_node_latency, id);
                 }
             }
             Action::MemDone {
@@ -899,16 +834,8 @@ impl EngineCore {
                 owner,
                 trace_id,
             } => {
-                if let Some(tr) = &mut self.tracer {
-                    tr.record(TraceEvent::Dram {
-                        id: *trace_id,
-                        stage: DramStage::Respond,
-                        node: *owner,
-                        time: now,
-                        bytes: resp.bytes,
-                        write: resp.write,
-                    });
-                }
+                let (bytes, write) = (resp.bytes, resp.write);
+                trace_dram(&mut self.tracer, *trace_id, DramStage::Respond, *owner, now, bytes, write);
                 match &resp.reply {
                     // The lane takes the reply straight out of this slot.
                     Some(msg) => {
@@ -945,10 +872,6 @@ impl EngineCore {
             let unregistered = label.0 as usize >= shared.handlers.len();
             let dead = !unregistered && !is_new && !lane.threads.contains(dst.tid());
             if unregistered || dead {
-                let more = !lane.inbox.is_empty();
-                if !more {
-                    lane.scheduled = false;
-                }
                 if let Some(p) = &shared.cfg.probe {
                     if unregistered {
                         p.diag(DiagKind::SendUnregistered, label.0, label.0 as u64, t, l, || {
@@ -966,28 +889,17 @@ impl EngineCore {
                 }
                 self.arena.take(self.calendar.links_mut(), id);
                 self.stats.msgs_dropped += 1;
-                if more {
-                    self.schedule_lane_run(t, l);
-                }
+                self.lane_next(li, t);
                 return;
             }
         }
         // Resolve the thread context.
-        let tid = match lane.resolve_thread(dst, max_threads) {
-            Some(tid) => tid,
-            None => {
-                // Thread table full: park this message and try the next.
-                self.calendar.links_mut().push_back(&mut lane.parked, id);
-                let more = !lane.inbox.is_empty();
-                if !more {
-                    lane.scheduled = false;
-                }
-                self.stats.thread_table_stalls += 1;
-                if more {
-                    self.schedule_lane_run(t, l);
-                }
-                return;
-            }
+        let Some(tid) = lane.resolve_thread(dst, max_threads) else {
+            // Thread table full: park this message and try the next.
+            self.calendar.links_mut().push_back(&mut lane.parked, id);
+            self.stats.thread_table_stalls += 1;
+            self.lane_next(li, t);
+            return;
         };
         let msg = self
             .arena
@@ -1178,74 +1090,7 @@ impl EngineCore {
                         });
                     }
                 }
-                Outgoing::DramRead {
-                    va,
-                    nwords,
-                    ret,
-                    tag,
-                    race,
-                } => {
-                    self.stats.dram_reads += 1;
-                    self.stats.dram_read_bytes += nwords as u64 * 8;
-                    self.dram_issue(
-                        shared,
-                        t_end,
-                        src,
-                        va,
-                        MemOp::Read {
-                            va,
-                            nwords,
-                            ret,
-                            tag,
-                        },
-                        race,
-                    );
-                }
-                Outgoing::DramWrite {
-                    va,
-                    words,
-                    ack,
-                    tag,
-                    race,
-                } => {
-                    self.stats.dram_writes += 1;
-                    self.stats.dram_write_bytes += words.len() as u64 * 8;
-                    self.dram_issue(
-                        shared,
-                        t_end,
-                        src,
-                        va,
-                        MemOp::Write {
-                            va,
-                            words,
-                            ack,
-                            tag,
-                        },
-                        race,
-                    );
-                }
-                Outgoing::AtomicAddU64 {
-                    va,
-                    delta,
-                    ret,
-                    tag,
-                    race,
-                } => {
-                    self.stats.dram_writes += 1;
-                    self.stats.dram_write_bytes += 8;
-                    self.dram_issue(shared, t_end, src, va, MemOp::AddU64 { va, delta, ret, tag }, race);
-                }
-                Outgoing::AtomicAddF64 {
-                    va,
-                    delta,
-                    ret,
-                    tag,
-                    race,
-                } => {
-                    self.stats.dram_writes += 1;
-                    self.stats.dram_write_bytes += 8;
-                    self.dram_issue(shared, t_end, src, va, MemOp::AddF64 { va, delta, ret, tag }, race);
-                }
+                Outgoing::Dram(op, race) => self.dram_issue(shared, t_end, src, op, race),
             }
         }
 
@@ -1255,11 +1100,17 @@ impl EngineCore {
             self.stop = true;
         }
 
-        let lane = &mut self.lanes[li];
-        if lane.inbox.is_empty() {
-            lane.scheduled = false;
+        self.lane_next(li, t_end);
+    }
+
+    /// The lane at shard index `li` is done with its current message at
+    /// `t`: run it again then if its inbox holds more, else mark it idle
+    /// (the next [`Self::enqueue`] schedules it).
+    fn lane_next(&mut self, li: usize, t: u64) {
+        if self.lanes[li].inbox.is_empty() {
+            self.lanes[li].scheduled = false;
         } else {
-            self.schedule_lane_run(t_end, l);
+            self.schedule_lane_run(t, self.base_lane + li as u32);
         }
     }
 }

@@ -3,14 +3,13 @@
 
 use std::cell::OnceCell;
 
-use super::core::{shard_value, EventCtx, Outgoing, ShardSlot, TableSlot};
+use super::core::{shard_value, EventCtx, MemOp, Outgoing, ShardSlot, TableSlot};
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
 use crate::lane::SimState;
 use crate::memory::VAddr;
 use crate::message::{Message, Operands};
 use crate::probe::DiagKind;
-use crate::race::RaceAccess;
 
 fn default_state<T: Default + Send + Clone + 'static>() -> Box<dyn SimState> {
     Box::<T>::default()
@@ -264,13 +263,6 @@ impl<'a> EventCtx<'a> {
         ));
     }
 
-    /// Race context for an outgoing DRAM operation of this execution.
-    fn race_access(&self, atomic: bool) -> Option<RaceAccess> {
-        self.race
-            .as_ref()
-            .map(|r| r.access(self.msg.dst.label().0, atomic))
-    }
-
     /// Reply on the continuation if one was provided.
     pub fn send_reply(&mut self, args: impl Into<Operands>) {
         let c = self.cont();
@@ -280,6 +272,16 @@ impl<'a> EventCtx<'a> {
     }
 
     // ---- DRAM ------------------------------------------------------------
+
+    /// Charge the issue of `op` and queue it, with this execution's race
+    /// context when a race probe is attached.
+    // Forced inline for the measured reason given at `MemOp::apply`.
+    #[inline(always)]
+    fn push_dram(&mut self, op: MemOp) {
+        self.cost += self.shared.cfg.costs.send_dram;
+        let race = self.race.as_ref().map(|r| r.access(self.msg.dst.label().0, op.is_atomic()));
+        self.out.push(Outgoing::Dram(op, race));
+    }
 
     /// Issue an asynchronous DRAM read of `nwords` (≤ 8) consecutive words;
     /// the response arrives at `ret_label` on *this* thread with the data
@@ -307,14 +309,12 @@ impl<'a> EventCtx<'a> {
         tag: Option<u64>,
     ) {
         assert!((1..=8).contains(&nwords), "hardware reads 1..=8 words");
-        self.cost += self.shared.cfg.costs.send_dram;
         let ret = self.self_event(ret_label);
-        self.out.push(Outgoing::DramRead {
+        self.push_dram(MemOp::Read {
             va,
             nwords: nwords as u8,
             ret,
             tag,
-            race: self.race_access(false),
         });
     }
 
@@ -344,14 +344,12 @@ impl<'a> EventCtx<'a> {
             !words.is_empty() && words.len() <= 8,
             "hardware writes 1..=8 words"
         );
-        self.cost += self.shared.cfg.costs.send_dram;
         let ack = ack_label.map(|l| self.self_event(l));
-        self.out.push(Outgoing::DramWrite {
+        self.push_dram(MemOp::Write {
             va,
             words: words.to_vec(),
             ack,
             tag,
-            race: self.race_access(false),
         });
     }
 
@@ -365,15 +363,8 @@ impl<'a> EventCtx<'a> {
         ret_label: Option<EventLabel>,
         tag: Option<u64>,
     ) {
-        self.cost += self.shared.cfg.costs.send_dram;
         let ret = ret_label.map(|l| self.self_event(l));
-        self.out.push(Outgoing::AtomicAddU64 {
-            va,
-            delta,
-            ret,
-            tag,
-            race: self.race_access(true),
-        });
+        self.push_dram(MemOp::AddU64 { va, delta, ret, tag });
     }
 
     /// Memory-side atomic add on an f64 cell.
@@ -384,15 +375,8 @@ impl<'a> EventCtx<'a> {
         ret_label: Option<EventLabel>,
         tag: Option<u64>,
     ) {
-        self.cost += self.shared.cfg.costs.send_dram;
         let ret = ret_label.map(|l| self.self_event(l));
-        self.out.push(Outgoing::AtomicAddF64 {
-            va,
-            delta,
-            ret,
-            tag,
-            race: self.race_access(true),
-        });
+        self.push_dram(MemOp::AddF64 { va, delta, ret, tag });
     }
 
     /// Zero-time functional peek at global memory. **Not** part of the

@@ -66,7 +66,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use self::codec::StateCodecs;
-use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, MemOp, Shared, ShardRecord, Table};
+use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, Shared, ShardRecord, Table};
 use self::sched::run_rounds;
 use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
@@ -118,7 +118,7 @@ pub struct Engine {
     merged_stats: Counters,
     /// Registered thread-state codecs for the on-disk snapshot format.
     codecs: StateCodecs,
-    /// Recordings harvested from completed runs (record/replay mode).
+    /// Recordings harvested from completed runs (under `replay`).
     recordings: Vec<Recording>,
     /// `--checkpoint` writes the snapshot once, at the first boundary.
     checkpoint_written: bool,
@@ -138,6 +138,7 @@ enum RestoreSlot {
 
 impl Engine {
     pub fn new(mut cfg: MachineConfig) -> Engine {
+        cfg.check();
         // The sanitizer and spec enforcement report through a probe;
         // create one when the caller asked for either without supplying
         // their own.
@@ -399,7 +400,7 @@ impl Engine {
             start: now,
             end: u64::MAX,
         });
-        self.rebuild_phases();
+        self.phases_cache = self.merged_phases();
     }
 
     /// End the open span with this name that started most recently,
@@ -422,7 +423,7 @@ impl Engine {
         if let Some((p, _)) = best {
             p.end = now;
         }
-        self.rebuild_phases();
+        self.phases_cache = self.merged_phases();
     }
 
     /// Phase spans recorded so far (open spans have `end == u64::MAX`),
@@ -431,13 +432,15 @@ impl Engine {
         &self.phases_cache
     }
 
-    fn rebuild_phases(&mut self) {
+    /// Host spans, then each shard's in shard order, stable-sorted by
+    /// start time.
+    fn merged_phases(&self) -> Vec<PhaseSpan> {
         let mut all: Vec<PhaseSpan> = self.host_phases.clone();
         for s in &self.shards {
             all.extend(s.phases.iter().cloned());
         }
         all.sort_by_key(|p| p.start);
-        self.phases_cache = all;
+        all
     }
 
     /// Export the event trace in Chrome `trace_event` JSON format (open
@@ -553,8 +556,7 @@ impl Engine {
             s.stop = false;
             s.handler_stats.resize(self.shared.handlers.len(), (0, 0));
         }
-        let record_mode = self.shared.cfg.record || self.shared.cfg.replay.is_some();
-        let record_start = if record_mode {
+        let record_start = if self.shared.cfg.replay.is_some() {
             let start = Box::new(self.snapshot());
             for s in &mut self.shards {
                 s.record = Some(Box::default());
@@ -672,31 +674,18 @@ impl Engine {
                 if id < core.arena.first_id {
                     continue; // a lane's run entry: lane work is discarded
                 }
-                let op = match core.arena.take(core.calendar.links_mut(), id) {
-                    // Not-yet-applied stages carry the op; apply effects.
-                    Action::Mem { op, .. } => op,
-                    Action::Deliver(_) => {
-                        core.stats.msgs_dropped += 1;
-                        continue;
+                match core.arena.take(core.calendar.links_mut(), id) {
+                    // A request not yet served: apply its effect (a read
+                    // has none) and drop the reply.
+                    Action::Mem { op, .. } => {
+                        if op.is_write() {
+                            op.apply(&self.shared.mem);
+                        }
                     }
-                    // MemDone responses were already applied at service
-                    // time on the owning shard.
-                    Action::MemDone { .. } => continue,
-                };
-                match op {
-                    MemOp::Write { va, words, .. } => {
-                        self.shared
-                            .mem
-                            .write_words(va, &words)
-                            .unwrap_or_else(|e| panic!("DRAM write fault at drain: {e}"));
-                    }
-                    MemOp::AddU64 { va, delta, .. } => {
-                        let _ = self.shared.mem.fetch_add_u64(va, delta);
-                    }
-                    MemOp::AddF64 { va, delta, .. } => {
-                        let _ = self.shared.mem.fetch_add_f64(va, delta);
-                    }
-                    MemOp::Read { .. } => {}
+                    Action::Deliver(_) => core.stats.msgs_dropped += 1,
+                    // A response's effect was applied at service time on
+                    // the owning shard.
+                    Action::MemDone { .. } => {}
                 }
             }
         }
@@ -720,7 +709,7 @@ impl Engine {
             }
         }
         self.merged_stats = self.merged_counters();
-        self.rebuild_phases();
+        self.phases_cache = self.merged_phases();
     }
 
     /// Build the final [`Metrics`] without running: machine-wide counters
@@ -775,11 +764,7 @@ impl Engine {
         hot.sort_by(|a, b| b.busy.cmp(&a.busy).then(a.lane.cmp(&b.lane)));
         hot.truncate(HOT_LANES_TOP_K);
 
-        let mut phases: Vec<PhaseSpan> = self.host_phases.clone();
-        for s in &self.shards {
-            phases.extend(s.phases.iter().cloned());
-        }
-        phases.sort_by_key(|p| p.start);
+        let mut phases = self.merged_phases();
         for p in &mut phases {
             if p.is_open() {
                 p.end = final_tick;
@@ -891,11 +876,6 @@ impl Engine {
             peak_window_bytes,
             top_links: per_link,
         }
-    }
-
-    /// Back-compat alias for [`Engine::metrics`].
-    pub fn report(&self) -> Metrics {
-        self.metrics()
     }
 
     /// Force every shard clock to `t` — test hook for the

@@ -9,7 +9,7 @@ use crate::snapshot::ReplayRunReport;
 /// One recorded run for deterministic record-replay: a full in-memory
 /// snapshot of the engine at run start, plus every shard's per-window
 /// cross-shard message schedule and execution stream. Produced when
-/// [`crate::MachineConfig::record`] (or `replay`) is set; consumed by
+/// [`crate::MachineConfig::replay`] is set; consumed by
 /// [`Engine::replay_shard`] / [`Engine::finish_replay`].
 pub struct Recording {
     pub(super) start: Box<Snapshot>,
@@ -133,7 +133,7 @@ impl Engine {
         }
     }
 
-    /// Hand over the recordings accumulated by record/replay-mode runs
+    /// Hand over the recordings accumulated by `replay` runs
     /// (for direct [`Engine::replay_shard`] use in tests and tools).
     pub fn take_recordings(&mut self) -> Vec<Recording> {
         std::mem::take(&mut self.recordings)

@@ -64,7 +64,7 @@ fn slot_declared_after_a_snapshot_is_incompatible() {
 #[test]
 fn replay_shard_carries_shard_state() {
     let mut cfg = tiny();
-    cfg.record = true;
+    cfg.replay = Some(crate::ReplayCheck::new());
     let mut eng = Engine::new(cfg);
     let slot = eng.shard_slot::<u64>();
     let bounce = register_bounce(&mut eng, slot, 6);
@@ -358,6 +358,63 @@ fn dram_write_and_ack() {
     eng.run();
     assert_eq!(*acked.lock().unwrap(), 1);
     assert_eq!(eng.mem().read_u64(a.word(2)).unwrap(), 99);
+}
+
+/// One handler issues every DRAM request kind — a 3-word read, a 2-word
+/// write, a u64 and an f64 fetch-and-add — against memory on its own node
+/// and, in a second run, on the other node. Pins the per-kind counters,
+/// the bytes the owner's channel served, the replies and the final tick.
+#[test]
+fn every_dram_request_kind_counts_its_bytes_local_and_remote() {
+    for (owner, remote, final_tick) in [(0, 0, 284), (1, 4, 2226)] {
+        let mut eng = Engine::new(tiny());
+        let a = eng.mem_mut().alloc(4096, owner, 1, 4096).unwrap();
+        eng.mem_mut().write_words(a, &[10, 20, 30]).unwrap();
+        eng.mem_mut().write_u64(a.word(6), 100).unwrap();
+        eng.mem_mut().write_f64(a.word(7), 1.5).unwrap();
+        let replies: Arc<Mutex<Vec<Vec<u64>>>> = Arc::default();
+        let replies2 = replies.clone();
+        let ret = eng.register(
+            "ret",
+            Arc::new(move |ctx: &mut EventCtx| {
+                replies2.lock().unwrap().push(ctx.args().to_vec());
+                let n = ctx.state_mut::<u64>();
+                *n += 1;
+                if *n == 4 {
+                    ctx.yield_terminate();
+                }
+            }),
+        );
+        let go = eng.register(
+            "go",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let a = VAddr(ctx.arg(0));
+                ctx.send_dram_read_tagged(a, 3, ret, 1);
+                ctx.send_dram_write_tagged(a.word(4), &[7, 8], ret, 2);
+                ctx.dram_fetch_add_u64(a.word(6), 5, Some(ret), Some(3));
+                ctx.dram_fetch_add_f64(a.word(7), 2.25, Some(ret), Some(4));
+            }),
+        );
+        eng.send(EventWord::new(NetworkId(0), go), [a.0], EventWord::IGNORE);
+        let m = eng.run();
+        let s = &m.stats;
+        assert_eq!((s.dram_reads, s.dram_read_bytes), (1, 24), "owner {owner}");
+        assert_eq!((s.dram_writes, s.dram_write_bytes), (3, 32), "owner {owner}");
+        assert_eq!(s.dram_remote_accesses, remote, "owner {owner}");
+        let served: Vec<u64> = m.nodes.iter().map(|n| n.dram_served_bytes).collect();
+        let mut want = vec![0, 0];
+        want[owner as usize] = 4 * 64;
+        assert_eq!(served, want, "owner {owner}: one 64-byte access per request");
+        let mut got = replies.lock().unwrap().clone();
+        let mut want = vec![vec![10, 20, 30, 1], vec![a.word(4).0, 2], vec![100, 3], vec![1.5f64.to_bits(), 4]];
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "owner {owner}");
+        assert_eq!(eng.mem().read_u64(a.word(5)).unwrap(), 8);
+        assert_eq!(eng.mem().read_u64(a.word(6)).unwrap(), 105);
+        assert_eq!(eng.mem().read_f64(a.word(7)).unwrap(), 3.75);
+        assert_eq!(m.final_tick, final_tick, "owner {owner}");
+    }
 }
 
 #[test]

@@ -178,7 +178,6 @@ fn pagerank_replay_verifies_clean() {
     cfg.machine = MachineConfig::small(2, 2, 4);
     cfg.machine.threads = 2;
     cfg.machine.checkpoint_every = 5;
-    cfg.machine.record = true;
     cfg.machine.replay = Some(check.clone());
     cfg.iterations = 2;
     run_pagerank(&sg, &cfg);
@@ -217,7 +216,6 @@ fn ingest_replay_survives_host_state_rewind() {
         .scaled_bandwidth()
         .build();
     cfg.machine.checkpoint_every = 4;
-    cfg.machine.record = true;
     cfg.machine.replay = Some(check.clone());
     run_ingest(&ds, &cfg);
     let reports = check.reports();
@@ -584,7 +582,7 @@ fn snapshots_with_untrustworthy_ids_or_the_old_schema_are_refused() {
 fn recorded_fixture_replays_byte_identically() {
     for threads in [1u32, 2] {
         let mut m = fixture_machine(threads);
-        m.record = true;
+        m.replay = Some(ReplayCheck::new());
         let (mut eng, _, start) = fixture(m, 0);
         eng.send(start, [300u64], EventWord::IGNORE);
         eng.run();
@@ -609,7 +607,7 @@ fn recorded_fixture_replays_byte_identically() {
 #[test]
 fn replay_spans_checkpoint_pauses() {
     let mut m = fixture_machine(2);
-    m.record = true;
+    m.replay = Some(ReplayCheck::new());
     m.checkpoint_every = 3;
     let (mut eng, _, start) = fixture(m, 0);
     eng.send(start, [300u64], EventWord::IGNORE);
