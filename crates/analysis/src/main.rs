@@ -29,7 +29,8 @@ use udcheck::spec::{spm_blowup_fixture, wait_cycle_fixture};
 use udcheck::{analyze_cost, calibrate, document, CostReport, Report, SpecAnalysis};
 use updown_apps::bfs::BfsConfig;
 use updown_apps::harness::{
-    bench_machine_topo, check_bench_args, graph_menu_seeded, prepared, prepared_undirected,
+    bench_machine_topo, check_bench_args, figure9_bfs_inputs, figure9_pr_inputs,
+    figure9_tc_inputs,
 };
 use updown_apps::pagerank::PrConfig;
 use updown_apps::tc::TcConfig;
@@ -75,7 +76,7 @@ fn usage() -> ! {
          --prune           footprint pass first, then monitor only conflicted regions\n\
          --enforce         also run each app with runtime spec enforcement\n\
          --fixture NAME    analyze a seeded-defect spec: wait-cycle | spm-blowup\n\
-         --figure9 APP     predict the first figure9 bench run of pr|bfs|tc\n\
+         --figure9 APP     predict the first `repro fig9` run of pr|bfs|tc\n\
          --nodes N         figure9 machine nodes (default 4)\n\
          --scale S         figure9 graph-scale shift (default 0)\n\
          --iters I         figure9 PageRank iterations (default 2)\n\
@@ -166,20 +167,17 @@ fn fixture(o: &Opts, name: &str) -> SpecAnalysis {
     SpecAnalysis::of(&format!("fixture:{name}"), &spec, &conformance_machine())
 }
 
-/// Predict the first simulated run of a `figure9` sweep — the run its
+/// Predict the first simulated run of a `repro fig9` sweep — the run its
 /// `--metrics-json` exporter records, so the report is directly
-/// calibratable against that file.
+/// calibratable against that file. The inputs come from the same
+/// `figure9_*_inputs` pipelines `repro fig9` runs.
 fn figure9_report(which: &str, o: &Opts) -> CostReport {
     check_bench_args(o.nodes, o.scale).unwrap_or_else(|e| die(o, &e));
     let mc = bench_machine_topo(o.nodes, o.threads, o.topology);
+    const MENU: &str = "the graph menu is never empty";
     match which {
         "pr" | "pagerank" => {
-            let (_, el) = graph_menu_seeded(o.scale, o.seed).remove(0);
-            let (sh, _) = updown_graph::preprocess::shuffle_ids(&el, 7);
-            let sg = updown_graph::preprocess::split_in_out(
-                &updown_graph::Csr::from_edges(&sh),
-                512,
-            );
+            let (_, sg) = figure9_pr_inputs(o.scale, o.seed).next().expect(MENU);
             let mut cfg = PrConfig::new(o.nodes);
             cfg.machine = mc.clone();
             cfg.iterations = o.iters;
@@ -187,17 +185,14 @@ fn figure9_report(which: &str, o: &Opts) -> CostReport {
             analyze_cost("figure9:pr", &updown_apps::pagerank::spec(), &w, &mc)
         }
         "bfs" => {
-            let (_, el) = graph_menu_seeded(o.scale, o.seed).remove(0);
-            let g = prepared(&el.symmetrize());
+            let (_, g) = figure9_bfs_inputs(o.scale, o.seed).next().expect(MENU);
             let mut cfg = BfsConfig::new(o.nodes, 0);
             cfg.machine = mc.clone();
             let w = updown_apps::bfs::workload(&g, &cfg);
             analyze_cost("figure9:bfs", &updown_apps::bfs::spec(), &w, &mc)
         }
         "tc" => {
-            // figure9 drops TC three scales relative to PR/BFS.
-            let (_, el) = graph_menu_seeded(o.scale - 3, o.seed).remove(0);
-            let g = prepared_undirected(&el);
+            let (_, g) = figure9_tc_inputs(o.scale, o.seed).next().expect(MENU);
             let mut cfg = TcConfig::new(o.nodes);
             cfg.machine = mc.clone();
             let w = updown_apps::tc::workload(&g, &cfg);

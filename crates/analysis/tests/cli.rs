@@ -2,7 +2,7 @@
 //! The `ud` binary, driven as a process: each subcommand's `--json` output
 //! is the library's document over the same apps, the seeded-defect
 //! fixtures fail, and a command line `ud` cannot make sense of ends in
-//! exit status 2 and a diagnostic — never a panic (`figure9`'s half of the
+//! exit status 2 and a diagnostic — never a panic (`repro`'s half of the
 //! same check is crates/bench/tests/cli.rs).
 
 use std::process::{Command, Output};

@@ -1,20 +1,20 @@
-//! Sweep helpers shared by the figure-regeneration binaries and the
-//! analysis tools: scaled-down machine shapes, the graph menu standing in
-//! for the paper's inputs, speedup arithmetic, and artifact-style table
-//! printing.
+//! Sweep helpers shared by `repro` (the figure-regeneration binary) and
+//! the analysis tools: scaled-down machine shapes, the graph menu standing
+//! in for the paper's inputs, Figure 9's per-app input pipelines, and
+//! speedup arithmetic.
 //!
 //! Scaling note (see DESIGN.md §1): the paper simulates full 2048-lane
 //! nodes against billion-edge graphs. To keep host runtimes in minutes we
 //! default to reduced nodes (`accels × lanes` below) and s11–s14 graphs;
-//! `--full` on the bench bins raises both. Strong-scaling *shape* depends
-//! on keys-per-lane and skew, which these settings preserve. The machine
-//! and menu constructors live here (not in the bench crate, which
-//! re-exports them) so `ud cost --figure9` can reconstruct a bench run's
-//! exact inputs without depending on the bench crate.
+//! `--full` on `repro` raises both. Strong-scaling *shape* depends on
+//! keys-per-lane and skew, which these settings preserve. The machine,
+//! menu and input constructors live here (not in the bench crate) so `ud
+//! cost --figure9` predicts the very run `repro fig9` exports without
+//! depending on the bench crate.
 
 use updown_graph::generators::{erdos_renyi, forest_fire, rmat, RmatParams};
-use updown_graph::preprocess::dedup_sort;
-use updown_graph::{Csr, EdgeList};
+use updown_graph::preprocess::{dedup_sort, shuffle_ids, split_in_out};
+use updown_graph::{Csr, EdgeList, SplitGraph};
 use updown_sim::{MachineConfig, TopologyKind};
 
 /// Accelerators per node in scaled-down benches.
@@ -58,7 +58,7 @@ pub fn check_bench_args(nodes: u32, scale_shift: i32) -> Result<(), String> {
     Ok(())
 }
 
-/// Check an *absolute* R-MAT `--scale` (`figure12`, `baseline_compare`)
+/// Check an *absolute* R-MAT `--scale` (`repro fig12`, `baseline`, `par`)
 /// before [`rmat`] would assert on it.
 pub fn check_rmat_scale(scale: u32) -> Result<(), String> {
     if !(1..=31).contains(&scale) {
@@ -86,12 +86,8 @@ pub fn bench_machine_topo(nodes: u32, threads: u32, topology: TopologyKind) -> M
     cfg
 }
 
-/// The graph menu used across Figure 9 (names echo the paper's inputs).
-pub fn graph_menu(scale_shift: i32) -> Vec<(String, EdgeList)> {
-    graph_menu_seeded(scale_shift, 0)
-}
-
-/// [`graph_menu`] with a `--seed` offset folded into every generator.
+/// The graph menu used across Figure 9 (names echo the paper's inputs),
+/// with a `--seed` offset folded into every generator.
 pub fn graph_menu_seeded(scale_shift: i32, seed: u64) -> Vec<(String, EdgeList)> {
     let s = |base: u32| (base as i32 + scale_shift).max(6) as u32;
     vec![
@@ -128,6 +124,29 @@ pub fn prepared_undirected(el: &EdgeList) -> Csr {
     g
 }
 
+/// Figure 9's PageRank inputs: each menu graph with its vertex ids
+/// shuffled and its high-degree vertices split at 512.
+pub fn figure9_pr_inputs(scale_shift: i32, seed: u64) -> impl Iterator<Item = (String, SplitGraph)> {
+    graph_menu_seeded(scale_shift, seed).into_iter().map(|(name, el)| {
+        let (shuffled, _) = shuffle_ids(&el, 7);
+        (name, split_in_out(&Csr::from_edges(&shuffled), 512))
+    })
+}
+
+/// Figure 9's BFS inputs: each menu graph symmetrized.
+pub fn figure9_bfs_inputs(scale_shift: i32, seed: u64) -> impl Iterator<Item = (String, Csr)> {
+    let menu = graph_menu_seeded(scale_shift, seed).into_iter();
+    menu.map(|(name, el)| (name, prepared(&el.symmetrize())))
+}
+
+/// Figure 9's TC inputs: the menu three scales below PR and BFS (TC is
+/// intersection-heavy; the paper likewise uses s25 for TC against s28
+/// elsewhere), undirected and sorted.
+pub fn figure9_tc_inputs(scale_shift: i32, seed: u64) -> impl Iterator<Item = (String, Csr)> {
+    let menu = graph_menu_seeded(scale_shift - 3, seed).into_iter();
+    menu.map(|(name, el)| (name, prepared_undirected(&el)))
+}
+
 /// Node-count sweep: 1..=max by powers of two.
 pub fn node_sweep(max: u32) -> Vec<u32> {
     let mut v = vec![];
@@ -148,84 +167,6 @@ pub fn speedups(ticks: &[u64]) -> Vec<f64> {
     ticks.iter().map(|&t| base / t as f64).collect()
 }
 
-/// A labelled series of (x, ticks) measurements.
-#[derive(Clone, Debug)]
-pub struct Series {
-    pub label: String,
-    pub points: Vec<(String, u64)>,
-}
-
-impl Series {
-    pub fn new(label: &str) -> Series {
-        Series {
-            label: label.to_string(),
-            points: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, x: impl ToString, ticks: u64) {
-        self.points.push((x.to_string(), ticks));
-    }
-
-    pub fn speedups(&self) -> Vec<f64> {
-        speedups(&self.points.iter().map(|p| p.1).collect::<Vec<_>>())
-    }
-}
-
-/// Print a speedup table: rows = x values, one column per series — the
-/// layout of the paper's raw-data tables.
-pub fn print_speedup_table(title: &str, x_label: &str, series: &[Series]) {
-    println!("\n=== {title} ===");
-    print!("{x_label:>12}");
-    for s in series {
-        print!(" {:>14}", s.label);
-    }
-    println!();
-    let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    let sp: Vec<Vec<f64>> = series.iter().map(|s| s.speedups()).collect();
-    // Row-major print over column-major data: index, don't iterate.
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..rows {
-        let x = series
-            .iter()
-            .find(|s| s.points.len() > r)
-            .map(|s| s.points[r].0.clone())
-            .unwrap_or_default();
-        print!("{x:>12}");
-        for (si, s) in series.iter().enumerate() {
-            if r < s.points.len() {
-                print!(" {:>14.2}", sp[si][r]);
-            } else {
-                print!(" {:>14}", "—");
-            }
-        }
-        println!();
-    }
-}
-
-/// Print absolute ticks alongside speedups for one series.
-pub fn print_series_detail(title: &str, s: &Series, clock_ghz: f64) {
-    println!("\n--- {title}: {} ---", s.label);
-    println!("{:>12} {:>14} {:>12} {:>10}", "x", "ticks", "time(ms)", "speedup");
-    for ((x, t), sp) in s.points.iter().zip(s.speedups()) {
-        println!(
-            "{:>12} {:>14} {:>12.4} {:>10.2}",
-            x,
-            t,
-            *t as f64 / (clock_ghz * 1e9) * 1e3,
-            sp
-        );
-    }
-}
-
-/// Geometric mean (for summarizing speedup rows).
-pub fn gmean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,20 +175,6 @@ mod tests {
     fn speedup_math() {
         assert_eq!(speedups(&[100, 50, 25]), vec![1.0, 2.0, 4.0]);
         assert!(speedups(&[]).is_empty());
-    }
-
-    #[test]
-    fn gmean_basics() {
-        assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(gmean(&[]), 0.0);
-    }
-
-    #[test]
-    fn series_accumulates() {
-        let mut s = Series::new("rmat");
-        s.push(1, 1000);
-        s.push(2, 400);
-        assert_eq!(s.speedups(), vec![1.0, 2.5]);
     }
 
     #[test]
@@ -284,7 +211,7 @@ mod tests {
 
     #[test]
     fn menu_has_four_graphs() {
-        let m = graph_menu(-4);
+        let m = graph_menu_seeded(-4, 0);
         assert_eq!(m.len(), 4);
         assert!(m[0].0.starts_with("RMAT"));
     }

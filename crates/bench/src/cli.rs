@@ -1,75 +1,58 @@
-//! The unified command-line surface of the figure binaries.
-//!
-//! Every binary parses [`Cli`] and understands the shared flags in
-//! [`StdOpts`] (`--nodes`, `--scale`, `--seed`, `--threads`,
-//! `--topology`, `--trace`, `--metrics-json`, `--full`) on top of its own
-//! specifics, builds one [`Gates`] for the observer flags, and ends its
-//! flag reading with [`Cli::reject_unknown`]. The
-//! [`Exporter`] turns the observability flags into files: when a binary
-//! sweeps many configurations, the *first* simulated run is the one that
-//! gets traced and exported — enough to inspect one representative run in
-//! `chrome://tracing` without multi-gigabyte outputs.
+//! The command line of `repro`: [`Cli`], the shared flags in [`StdOpts`],
+//! and the observer [`Gates`] and [`Exporter`] a [`crate::sweep::Sweep`] owns.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::fmt::Display;
 use std::str::FromStr;
 
+use updown_apps::harness::{bench_machine_topo, check_bench_args, check_rmat_scale};
 use updown_sim::{
-    DiagKind, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, ReplayCheck,
-    TopologyKind,
+    DiagKind, Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe,
+    ReplayCheck, TopologyKind,
 };
 
-/// Minimal flag parsing: `--key value` pairs plus positional args.
-///
-/// Nonsense ends in a diagnostic and exit status 2, never in a quiet
-/// default: a value that does not parse names its flag, and every key a
-/// binary asked about is remembered so [`Cli::reject_unknown`] can refuse
-/// the ones nobody read (typos, flags of another binary, retired flags).
+/// `--key value` pairs, bare `--flag`s and positional args. A value that
+/// does not parse exits with status 2 naming its flag, and
+/// [`Cli::reject_unknown`] refuses whatever nobody asked about.
+#[derive(Default)]
 pub struct Cli {
-    pub positional: Vec<String>,
+    positional: Vec<String>,
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
-    /// Keys some `opt`/`has` call has asked about.
+    /// Keys and the count of positional args something asked about.
     queried: RefCell<BTreeSet<String>>,
+    args_read: Cell<usize>,
 }
 
 impl Cli {
-    pub fn parse() -> Cli {
-        Self::from_args(std::env::args().skip(1))
-    }
-
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Cli {
-        let mut positional = Vec::new();
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
+        let mut cli = Cli::default();
         let mut args = args.into_iter().peekable();
         while let Some(a) = args.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match args.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        pairs.push((key.to_string(), args.next().unwrap()));
-                    }
-                    _ => flags.push(key.to_string()),
+            match (a.strip_prefix("--"), args.peek()) {
+                (Some(key), Some(v)) if !v.starts_with("--") => {
+                    cli.pairs.push((key.to_string(), args.next().unwrap()))
                 }
-            } else {
-                positional.push(a);
+                (Some(key), _) => cli.flags.push(key.to_string()),
+                (None, _) => cli.positional.push(a),
             }
         }
-        Cli {
-            positional,
-            pairs,
-            flags,
-            queried: RefCell::new(BTreeSet::new()),
-        }
+        cli
+    }
+
+    /// The `i`-th positional argument, if given.
+    pub fn arg(&self, i: usize) -> Option<&str> {
+        self.args_read.set(self.args_read.get().max(i + 1));
+        self.positional.get(i).map(String::as_str)
     }
 
     pub fn get<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> T {
         self.opt(key).unwrap_or(default)
     }
 
-    /// Last `--key value` occurrence parsed as `T`, `None` if absent.
-    /// Exits with status 2 when the value does not parse.
+    /// The last `--key value` parsed as `T`; exits with status 2 when it
+    /// does not parse.
     pub fn opt<T: FromStr<Err: Display>>(&self, key: &str) -> Option<T> {
         self.try_opt(key).unwrap_or_else(|e| usage_error(&e))
     }
@@ -79,28 +62,20 @@ impl Cli {
     pub fn try_opt<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Option<T>, String> {
         self.queried.borrow_mut().insert(key.to_string());
         match self.pairs.iter().rev().find(|(k, _)| k == key) {
-            Some((_, v)) => match v.parse() {
-                Ok(x) => Ok(Some(x)),
-                Err(e) => Err(format!("--{key} {v}: {e}")),
-            },
+            Some((_, v)) => v.parse().map(Some).map_err(|e| format!("--{key} {v}: {e}")),
             None if self.flags.iter().any(|f| f == key) => Err(format!("--{key}: expects a value")),
             None => Ok(None),
         }
     }
 
-    /// `--key a,b,c` with every element parsed as `T`; same failure
-    /// behaviour as [`Cli::opt`].
+    /// `--key a,b,c`, each element parsed as by [`Cli::opt`].
     pub fn list<T: FromStr<Err: Display>>(&self, key: &str) -> Option<Vec<T>> {
         let text: String = self.opt(key)?;
-        Some(
-            text.split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse()
-                        .unwrap_or_else(|e| usage_error(&format!("--{key} {text}: '{v}': {e}")))
-                })
-                .collect(),
-        )
+        let parse = |v: &str| {
+            let e = |e| usage_error(&format!("--{key} {text}: '{v}': {e}"));
+            v.trim().parse().unwrap_or_else(e)
+        };
+        Some(text.split(',').map(parse).collect())
     }
 
     pub fn has(&self, key: &str) -> bool {
@@ -108,8 +83,7 @@ impl Cli {
         self.flags.iter().any(|f| f == key) || self.pairs.iter().any(|(k, _)| k == key)
     }
 
-    /// Flags on the command line that no `opt`/`get`/`has` call has asked
-    /// about so far, in command-line order.
+    /// Flags nobody has asked about so far, in command-line order.
     pub fn unknown(&self) -> Vec<&str> {
         let queried = self.queried.borrow();
         let mut out: Vec<&str> = Vec::new();
@@ -121,87 +95,97 @@ impl Cli {
         out
     }
 
-    /// Call once, after the last flag has been read: exits with status 2
-    /// naming every flag this binary never looked at.
+    /// After the last flag is read: exit with status 2 naming an argument
+    /// or every flag nobody asked about.
     pub fn reject_unknown(&self) {
-        let unknown = self.unknown();
+        if let Some(a) = self.positional.get(self.args_read.get()) {
+            usage_error(&format!("unexpected argument '{a}'"));
+        }
+        let unknown: Vec<String> = self.unknown().iter().map(|k| format!("--{k}")).collect();
         if !unknown.is_empty() {
-            let names: Vec<String> = unknown.iter().map(|k| format!("--{k}")).collect();
-            usage_error(&format!("unknown flag {}", names.join(" ")));
+            usage_error(&format!("unknown flag {}", unknown.join(" ")));
         }
     }
 }
 
-/// Print `msg` and exit with status 2: a command line this binary cannot
-/// carry out.
+/// Print `msg` and exit with status 2: a command line `repro` cannot run.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
 
-/// The flags every figure binary shares.
-pub struct StdOpts {
-    /// `--nodes`: top of the node sweep.
-    pub max_nodes: u32,
-    /// `--scale`: graph-scale shift vs defaults.
-    pub scale_shift: i32,
-    /// `--seed`: generator seed.
-    pub seed: u64,
-    /// `--threads`: simulator worker threads (1 runs the window loop
-    /// inline). Results are byte-identical across values; only wall-clock
-    /// changes.
-    pub threads: u32,
-    /// `--topology`: system-network topology (`uniform`, `polar`,
-    /// `torus`, `dragonfly`). Results are byte-identical across thread
-    /// counts for every value; `uniform` reproduces the pre-fabric model.
-    pub topology: TopologyKind,
-    /// `--full`: paper-sized sweep.
+/// How a subcommand reads `--scale`: not at all, as a shift of the graph
+/// menu's scales or as one R-MAT scale; default without and with `--full`.
+#[derive(Clone, Copy)]
+pub enum Scale {
+    None,
+    Shift([i32; 2]),
+    Rmat([u32; 2]),
+}
+
+/// The shared flags one subcommand reads; it refuses the others.
+#[derive(Clone, Copy)]
+pub struct Surface {
+    /// `--nodes`, with its default without and with `--full`.
+    pub nodes: Option<[u32; 2]>,
+    pub scale: Scale,
+    /// `--full`: paper-sized defaults.
     pub full: bool,
-    /// `--trace <path>` / `--metrics-json <path>` exporter.
-    pub exporter: Exporter,
+    /// `--seed`, `--topology` and the observer flags of [`Gates`].
+    pub sim: bool,
+    /// One `--threads` count for every run, and `--trace` / `--metrics-json`
+    /// exporting the first ([`Exporter`]); `par` reads its own `--threads`.
+    pub export: bool,
+}
+
+/// The shared flags, as one subcommand's [`Surface`] reads them.
+pub struct StdOpts {
+    /// Top of the node sweep, or the machine size.
+    pub nodes: u32,
+    /// A menu shift or an absolute R-MAT scale, as [`Scale`] says.
+    pub scale: i32,
+    pub seed: u64,
+    /// Host threads walking the window loop; results are byte-identical
+    /// across values.
+    pub threads: u32,
+    pub topology: TopologyKind,
+    pub full: bool,
 }
 
 impl StdOpts {
-    /// Parse the shared flags with per-binary defaults: `nodes_default`
-    /// applies without `--full`, `nodes_full` with it (same for shift).
-    /// Exits with status 2 on a node count or scale shift no sweep can
-    /// build ([`updown_apps::harness::check_bench_args`]).
-    pub fn parse(
-        cli: &Cli,
-        (nodes_default, nodes_full): (u32, u32),
-        (shift_default, shift_full): (i32, i32),
-    ) -> StdOpts {
-        let full = cli.has("full");
-        let max_nodes = cli.get("nodes", if full { nodes_full } else { nodes_default });
-        let scale_shift = cli.get("scale", if full { shift_full } else { shift_default });
-        if let Err(e) = updown_apps::harness::check_bench_args(max_nodes, scale_shift) {
-            usage_error(&e);
-        }
+    /// Parse the flags `surface` names; exits with status 2 on values no
+    /// run can build ([`check_bench_args`], [`check_rmat_scale`]).
+    pub fn parse(cli: &Cli, surface: &Surface) -> StdOpts {
+        let full = surface.full && cli.has("full");
+        let nodes = surface.nodes.map_or(1, |n| cli.get("nodes", n[full as usize]));
+        let (scale, shift) = match surface.scale {
+            Scale::None => (0, 0),
+            Scale::Shift(s) => {
+                let s = cli.get("scale", s[full as usize]);
+                (s, s)
+            }
+            Scale::Rmat(s) => {
+                let s = cli.get("scale", s[full as usize]);
+                check_rmat_scale(s).unwrap_or_else(|e| usage_error(&e));
+                (s as i32, 0)
+            }
+        };
+        check_bench_args(nodes, shift).unwrap_or_else(|e| usage_error(&e));
+        let (sim, topology) = (surface.sim, TopologyKind::default());
         StdOpts {
-            max_nodes,
-            scale_shift,
-            seed: cli.get("seed", 0),
-            threads: cli.get("threads", 1).max(1),
-            topology: parse_topology(cli),
+            nodes,
+            scale,
+            seed: if sim { cli.get("seed", 0) } else { 0 },
+            threads: if surface.export { cli.get("threads", 1).max(1) } else { 1 },
+            topology: if sim { cli.get("topology", topology) } else { topology },
             full,
-            exporter: Exporter::from_cli(cli),
         }
     }
-}
 
-/// `--nodes` and an *absolute* R-MAT `--scale`, as `figure12` and
-/// `baseline_compare` take them. Exits with status 2 on a value no run can
-/// build ([`updown_apps::harness::check_bench_args`],
-/// [`updown_apps::harness::check_rmat_scale`]).
-pub fn nodes_and_rmat_scale(cli: &Cli, nodes_default: u32, scale_default: u32) -> (u32, u32) {
-    let nodes = cli.get("nodes", nodes_default);
-    let scale = cli.get("scale", scale_default);
-    let checked = updown_apps::harness::check_bench_args(nodes, 0)
-        .and_then(|()| updown_apps::harness::check_rmat_scale(scale));
-    if let Err(e) = checked {
-        usage_error(&e);
+    /// `nodes` nodes at `--threads` workers on the `--topology` network.
+    pub fn machine(&self, nodes: u32) -> MachineConfig {
+        bench_machine_topo(nodes, self.threads, self.topology)
     }
-    (nodes, scale)
 }
 
 /// `--iters`, the PageRank iteration count. Exits with status 2 on 0: the
@@ -214,69 +198,38 @@ pub fn pagerank_iters(cli: &Cli, default: u32) -> u32 {
     iters
 }
 
-/// Parse `--topology`, exiting with the list of valid values on a bad
-/// one (a silent fallback to the default would quietly benchmark the
-/// wrong network).
-pub fn parse_topology(cli: &Cli) -> TopologyKind {
-    cli.get("topology", TopologyKind::default())
-}
+/// Label and probes of one run armed with `--sanitize`, `--race` or `--spec`.
+type ArmedRun = (String, Option<ProtocolProbe>, Option<RaceProbe>);
+/// An observer's report lines for one armed run.
+type Findings = fn(&ArmedRun) -> Vec<String>;
 
-/// The observers a figure binary can arm on its simulated runs, built
-/// once from the command line:
-///
-/// * `--sanitize` — [`MachineConfig::sanitize`] plus a fresh
-///   [`ProtocolProbe`] per run (docs/udcheck.md).
-/// * `--race` — a fresh [`RaceProbe`] per run, the happens-before race
-///   detector (docs/udrace.md).
-/// * `--spec` — runtime protocol-spec enforcement
-///   ([`MachineConfig::enforce_spec`]) against the run's declared spec,
-///   reporting through the same probe as the sanitizer (docs/udspec.md).
-/// * `--checkpoint-every N` / `--checkpoint <path>` / `--restore <path>`
-///   (docs/checkpoint.md) — the engine pauses every `N` windows,
-///   snapshots, round-trips the snapshot and continues. `--checkpoint`
-///   also writes an `updown-snapshot/v2` file at the first boundary of the
-///   *first* armed run (first-run-wins, like the [`Exporter`]; the cadence
-///   defaults to 8). `--restore` re-drives the first armed run against
-///   such a file: at the recorded window the engine byte-compares its live
-///   state against it and round-trips the decoder. The header is validated
-///   up front so a bad path or corrupt file is a clean CLI error; the
-///   cadence defaults to the snapshot's window.
-/// * `--replay` — capture every run's cross-shard message schedule, then
-///   re-execute each shard of each recording in isolation and compare the
-///   event streams.
-///
-/// None of them has an observer effect: armed sweeps print the same
-/// figures. [`Gates::exit_if_dirty`] at the end of `main` reports what
-/// they found.
+/// The observers armed on every simulated run, none with an observer
+/// effect: `--sanitize`, `--race`, `--spec`, `--replay`, and
+/// `--checkpoint-every N` with `--checkpoint` / `--restore` (cadence 8, or
+/// the restored snapshot's window), whose paths go to the first armed run.
+/// See docs/udcheck.md, docs/udrace.md, docs/udspec.md, docs/checkpoint.md.
+#[derive(Default)]
 pub struct Gates {
     sanitize: bool,
     race: bool,
     spec: bool,
     /// Checkpoint cadence in windows, 0 = off.
     every: u64,
-    write_path: Option<String>,
-    restore_path: Option<String>,
-    /// First-run-wins: the snapshot paths attach to the first armed run.
-    paths_armed: bool,
+    /// `--checkpoint` and `--restore`, until the first armed run takes them.
+    paths: Option<(Option<String>, Option<String>)>,
     replay: Option<ReplayCheck>,
-    /// Label and probes of every run armed with `--sanitize`, `--race` or
-    /// `--spec`.
-    runs: Vec<(String, Option<ProtocolProbe>, Option<RaceProbe>)>,
+    runs: Vec<ArmedRun>,
 }
 
 impl Gates {
     pub fn from_cli(cli: &Cli) -> Gates {
-        let write_path: Option<String> = cli.opt("checkpoint");
-        let restore_path: Option<String> = cli.opt("restore");
+        let (write_path, restore_path): (Option<String>, Option<String>) = (cli.opt("checkpoint"), cli.opt("restore"));
         let mut every: u64 = cli.get("checkpoint-every", 0);
         if let Some(p) = &restore_path {
-            // Validate the header up front: a missing or corrupt snapshot
-            // should be a CLI error, not a mid-sweep panic.
             match updown_sim::snapshot::read_header(std::path::Path::new(p)) {
                 Ok(h) if every == 0 => every = h.window.max(1),
                 Ok(h) if h.window % every != 0 => usage_error(&format!(
-                    "--restore {p}: snapshot was taken at window {} which is not a \
-                     multiple of --checkpoint-every {every}",
+                    "--restore {p}: snapshot was taken at window {} which is not a multiple of --checkpoint-every {every}",
                     h.window
                 )),
                 Ok(_) => {}
@@ -286,165 +239,99 @@ impl Gates {
         if write_path.is_some() && every == 0 {
             every = 8;
         }
-        Gates {
-            sanitize: cli.has("sanitize"),
-            race: cli.has("race"),
-            spec: cli.has("spec"),
-            every,
-            write_path,
-            restore_path,
-            paths_armed: false,
-            replay: cli.has("replay").then(ReplayCheck::new),
-            runs: Vec::new(),
-        }
+        let (sanitize, race, spec) = (cli.has("sanitize"), cli.has("race"), cli.has("spec"));
+        let replay = cli.has("replay").then(ReplayCheck::new);
+        let paths = Some((write_path, restore_path));
+        Gates { sanitize, race, spec, every, paths, replay, runs: Vec::new() }
     }
 
-    /// Arm `cfg` with every observer the command line asked for. `label`
-    /// names the run in the final report; `spec` is the protocol `--spec`
-    /// holds it to.
+    /// Arm `cfg` with every observer asked for; `label` names the run in
+    /// the report, `spec` is the protocol `--spec` holds it to.
     pub fn arm(&mut self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
-        let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
-        let race = self.race.then(RaceProbe::new);
-        if self.sanitize {
-            cfg.sanitize = true;
-        }
+        cfg.sanitize |= self.sanitize;
         if self.spec {
             cfg.enforce_spec = Some(spec.clone());
         }
-        if probe.is_some() {
-            cfg.probe = probe.clone();
-        }
-        if race.is_some() {
-            cfg.race = race.clone();
-        }
+        let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
+        let race = self.race.then(RaceProbe::new);
         if probe.is_some() || race.is_some() {
+            (cfg.probe, cfg.race) = (probe.clone(), race.clone());
             self.runs.push((label.to_string(), probe, race));
         }
         if self.every != 0 {
             cfg.checkpoint_every = self.every;
-            if !std::mem::replace(&mut self.paths_armed, true) {
-                cfg.checkpoint_path = self.write_path.clone().map(Into::into);
-                cfg.restore_path = self.restore_path.clone().map(Into::into);
+            if let Some((write, restore)) = self.paths.take() {
+                (cfg.checkpoint_path, cfg.restore_path) = (write.map(Into::into), restore.map(Into::into));
             }
         }
-        if let Some(check) = &self.replay {
-            cfg.replay = Some(check.clone());
-        }
+        cfg.replay = self.replay.clone();
     }
 
-    /// Print what every armed observer found to stderr, one block per
-    /// observer; returns whether any of them found something.
-    fn dirty(&self) -> bool {
+    /// Print what each armed observer found to stderr; whether any found
+    /// something.
+    pub fn dirty(&self) -> bool {
+        fn diags(probe: &Option<ProtocolProbe>) -> Vec<Diagnostic> {
+            probe.iter().flat_map(|p| p.diagnostics()).collect()
+        }
+        let sanitizer: Findings = |(label, probe, _)| {
+            let at = |d: &Diagnostic| format!("x{}, first at tick {} lane {}", d.count, d.first_tick, d.lane);
+            let line = |d: &Diagnostic| {
+                format!("sanitizer[{}] {label}: {} — {} ({})", d.kind.as_str(), d.handler, d.detail, at(d))
+            };
+            diags(probe).iter().map(line).collect()
+        };
+        let udspec: Findings = |(label, probe, _)| {
+            let spec = diags(probe).into_iter().filter(|d| d.kind == DiagKind::SpecViolation);
+            spec.map(|d| format!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count)).collect()
+        };
+        // A run that overflowed the site cap is dirty too: the cap hides
+        // potential races.
+        let udrace: Findings = |(label, _, race)| {
+            let Some(r) = race.as_ref().map(RaceProbe::snapshot) else { return Vec::new() };
+            let sites = r.sites.iter().map(|s| {
+                let at = format!("x{}, first at tick {} lane {}", s.count, s.first_tick, s.lane);
+                format!("udrace[{label}] '{}' races with '{}': {} ({at})", s.current, s.prior, s.detail)
+            });
+            let cap = "distinct site(s) dropped past the site cap";
+            let dropped = (r.sites_truncated > 0).then(|| format!("udrace[{label}] warning: {} {cap}", r.sites_truncated));
+            sites.chain(dropped).collect()
+        };
+        let observers: [(bool, &str, &str, Findings); 3] = [
+            (self.sanitize, "sanitizer", "no protocol violations", sanitizer),
+            (self.race, "udrace", "no races", udrace),
+            (self.spec, "udspec", "no spec violations", udspec),
+        ];
         let mut any = false;
-        if self.sanitize {
-            let mut dirty = false;
-            for (label, probe, _) in &self.runs {
-                for d in probe.iter().flat_map(|p| p.diagnostics()) {
-                    dirty = true;
-                    eprintln!(
-                        "sanitizer[{}] {label}: {} — {} (x{}, first at tick {} lane {})",
-                        d.kind.as_str(),
-                        d.handler,
-                        d.detail,
-                        d.count,
-                        d.first_tick,
-                        d.lane
-                    );
-                }
+        for (_, tool, clean, findings) in observers.into_iter().filter(|o| o.0) {
+            let lines: Vec<String> = self.runs.iter().flat_map(findings).collect();
+            lines.iter().for_each(|line| eprintln!("{line}"));
+            if lines.is_empty() {
+                eprintln!("{tool}: {} run(s), {clean}", self.runs.len());
             }
-            if !dirty {
-                eprintln!("sanitizer: {} run(s), no protocol violations", self.runs.len());
-            }
-            any |= dirty;
+            any |= !lines.is_empty();
         }
-        if self.race {
-            // A run that overflowed the site cap is dirty too: the cap
-            // hides potential races.
-            let mut dirty = false;
-            for (label, _, race) in &self.runs {
-                let Some(r) = race.as_ref().map(|p| p.snapshot()) else {
-                    continue;
-                };
-                for s in &r.sites {
-                    dirty = true;
-                    eprintln!(
-                        "udrace[{label}] '{}' races with '{}': {} (x{}, first at tick {} lane {})",
-                        s.current, s.prior, s.detail, s.count, s.first_tick, s.lane
-                    );
-                }
-                if r.sites_truncated > 0 {
-                    dirty = true;
-                    eprintln!(
-                        "udrace[{label}] warning: {} distinct site(s) dropped past the site cap",
-                        r.sites_truncated
-                    );
-                }
-            }
-            if !dirty {
-                eprintln!("udrace: {} run(s), no races", self.runs.len());
-            }
-            any |= dirty;
-        }
-        if self.spec {
-            let mut dirty = false;
-            for (label, probe, _) in &self.runs {
-                for d in probe.iter().flat_map(|p| p.diagnostics()) {
-                    if d.kind != DiagKind::SpecViolation {
-                        continue;
-                    }
-                    dirty = true;
-                    eprintln!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count);
-                }
-            }
-            if !dirty {
-                eprintln!("udspec: {} run(s), no spec violations", self.runs.len());
-            }
-            any |= dirty;
-        }
-        if let Some(check) = &self.replay {
-            let reports = check.reports();
-            for r in &reports {
-                if r.ok() {
-                    eprintln!(
-                        "replay[{}]: {} shard(s), {} window(s), {} event(s) — byte-identical",
-                        r.label, r.shards, r.rounds, r.events
-                    );
-                } else {
-                    any = true;
-                    for m in &r.mismatches {
-                        eprintln!("replay[{}] DIVERGED: {m}", r.label);
-                    }
-                }
-            }
+        if let Some(reports) = self.replay.as_ref().map(ReplayCheck::reports) {
             if reports.is_empty() {
                 eprintln!("replay: no runs verified");
+            }
+            for r in &reports {
+                if r.ok() {
+                    let (shards, rounds, events) = (r.shards, r.rounds, r.events);
+                    eprintln!("replay[{}]: {shards} shard(s), {rounds} window(s), {events} event(s) — byte-identical", r.label);
+                }
+                r.mismatches.iter().for_each(|m| eprintln!("replay[{}] DIVERGED: {m}", r.label));
+                any |= !r.ok();
             }
         }
         any
     }
-
-    /// Tail-of-`main` helper: report, and exit non-zero if any observer
-    /// found something.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
 }
 
-/// Host-throughput annotation for sweep progress lines: simulated events
-/// retired per *host* second, formatted via [`crate::timing::fmt_rate`].
-///
-/// This figure goes to stdout/stderr next to the simulated-cycle numbers
-/// and is deliberately kept out of every metrics JSON: host throughput
-/// varies run to run, while the metrics files are byte-compared across
-/// engines and thread counts (see docs/perf.md).
-pub fn host_rate(events: u64, secs: f64) -> String {
-    crate::timing::fmt_rate(events, secs)
-}
-
-/// Writes the `--trace` and `--metrics-json` files for the first run of a
-/// sweep; subsequent calls are no-ops.
+/// Writes the `--trace` and `--metrics-json` files of the *first* run of
+/// a sweep, enough to inspect one representative run in
+/// `chrome://tracing` without multi-gigabyte outputs; later calls are
+/// no-ops.
+#[derive(Default)]
 pub struct Exporter {
     trace_path: Option<String>,
     metrics_path: Option<String>,
@@ -453,46 +340,39 @@ pub struct Exporter {
 
 impl Exporter {
     pub fn from_cli(cli: &Cli) -> Exporter {
-        Exporter {
-            trace_path: cli.opt("trace"),
-            metrics_path: cli.opt("metrics-json"),
-            exported: false,
-        }
+        Exporter { trace_path: cli.opt("trace"), metrics_path: cli.opt("metrics-json"), exported: false }
     }
 
-    /// Should the *next* simulated run record an event trace? True until
-    /// the first export happens, and only when `--trace` was given.
+    /// Whether the next run should record an event trace.
     pub fn want_trace(&self) -> bool {
         self.trace_path.is_some() && !self.exported
     }
 
-    /// True when either output flag was given and nothing is written yet.
-    pub fn pending(&self) -> bool {
-        !self.exported && (self.trace_path.is_some() || self.metrics_path.is_some())
-    }
-
-    /// Export the run (first call wins). `trace_json` is the Chrome-trace
-    /// JSON from the app result; pass `None` when tracing was off.
+    /// Export the run if it is the first; `trace_json` is `None` when
+    /// tracing was off.
     pub fn export(&mut self, label: &str, metrics: &Metrics, trace_json: Option<&str>) {
-        if self.exported {
+        if std::mem::replace(&mut self.exported, true) {
             return;
         }
         if let Some(path) = &self.metrics_path {
-            std::fs::write(path, metrics.to_json())
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            write_or_exit("--metrics-json", path, &metrics.to_json());
             eprintln!("  [{label}] metrics JSON -> {path}");
         }
-        if let Some(path) = &self.trace_path {
-            match trace_json {
-                Some(json) => {
-                    std::fs::write(path, json)
-                        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                    eprintln!("  [{label}] Chrome trace -> {path} (open in chrome://tracing)");
-                }
-                None => eprintln!("  [{label}] --trace given but the run recorded no trace"),
+        match (&self.trace_path, trace_json) {
+            (Some(path), Some(json)) => {
+                write_or_exit("--trace", path, json);
+                eprintln!("  [{label}] Chrome trace -> {path} (open in chrome://tracing)");
             }
+            (Some(_), None) => eprintln!("  [{label}] --trace given but the run recorded no trace"),
+            (None, _) => {}
         }
-        self.exported = true;
+    }
+}
+
+/// Write the file `flag` names, or exit with status 2 saying why.
+pub fn write_or_exit(flag: &str, path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        usage_error(&format!("{flag} {path}: {e}"));
     }
 }
 
@@ -503,6 +383,15 @@ mod tests {
     fn cli(args: &[&str]) -> Cli {
         Cli::from_args(args.iter().map(|s| s.to_string()))
     }
+
+    /// `repro fig9`'s surface.
+    const FIG9: Surface = Surface {
+        nodes: Some([32, 256]),
+        scale: Scale::Shift([1, 3]),
+        full: true,
+        sim: true,
+        export: true,
+    };
 
     #[test]
     fn std_opts_parse_shared_flags() {
@@ -517,37 +406,47 @@ mod tests {
             "--trace",
             "/tmp/t.json",
         ]);
-        let o = StdOpts::parse(&c, (32, 256), (1, 3));
-        assert_eq!(o.max_nodes, 8);
-        assert_eq!(o.scale_shift, -2);
+        let o = StdOpts::parse(&c, &FIG9);
+        assert_eq!(o.nodes, 8);
+        assert_eq!(o.scale, -2);
         assert_eq!(o.seed, 7);
         assert_eq!(o.threads, 1, "one worker by default");
         assert!(!o.full);
-        assert!(o.exporter.want_trace());
-        assert_eq!(c.positional, vec!["pr"]);
+        assert!(Exporter::from_cli(&c).want_trace());
+        assert_eq!(c.arg(0), Some("pr"));
+        assert_eq!(c.arg(1), None);
     }
 
     #[test]
     fn std_opts_defaults_follow_full() {
-        let o = StdOpts::parse(&cli(&["--full"]), (32, 256), (1, 3));
-        assert_eq!(o.max_nodes, 256);
-        assert_eq!(o.scale_shift, 3);
-        assert!(!o.exporter.want_trace());
+        let c = cli(&["--full"]);
+        let o = StdOpts::parse(&c, &FIG9);
+        assert_eq!(o.nodes, 256);
+        assert_eq!(o.scale, 3);
+        assert!(!Exporter::from_cli(&c).want_trace());
+        // An absolute R-MAT scale follows `--full` the same way; a
+        // surface without `--full` leaves the flag unread.
+        let fig12 = Surface { nodes: Some([64, 64]), scale: Scale::Rmat([16, 17]), ..FIG9 };
+        assert_eq!(StdOpts::parse(&c, &fig12).scale, 17);
+        let c = cli(&["--full"]);
+        let baseline = Surface { full: false, ..fig12 };
+        assert_eq!(StdOpts::parse(&c, &baseline).scale, 16);
+        assert_eq!(c.unknown(), vec!["full"]);
     }
 
     #[test]
     fn threads_flag_parses_and_clamps() {
-        let o = StdOpts::parse(&cli(&["--threads", "4"]), (32, 256), (1, 3));
+        let o = StdOpts::parse(&cli(&["--threads", "4"]), &FIG9);
         assert_eq!(o.threads, 4);
-        let o = StdOpts::parse(&cli(&["--threads", "0"]), (32, 256), (1, 3));
+        let o = StdOpts::parse(&cli(&["--threads", "0"]), &FIG9);
         assert_eq!(o.threads, 1, "0 clamps to one worker");
     }
 
     #[test]
     fn legacy_flag_names_are_unknown_flags() {
         let c = cli(&["--max-nodes", "4", "--scale-shift", "0"]);
-        let o = StdOpts::parse(&c, (32, 256), (1, 3));
-        assert_eq!((o.max_nodes, o.scale_shift), (32, 1), "the retired spellings set nothing");
+        let o = StdOpts::parse(&c, &FIG9);
+        assert_eq!((o.nodes, o.scale), (32, 1), "the retired spellings set nothing");
         assert_eq!(c.unknown(), vec!["max-nodes", "scale-shift"]);
     }
 
@@ -561,10 +460,9 @@ mod tests {
             metrics_path: Some(mp_s.clone()),
             exported: false,
         };
-        assert!(ex.pending());
         let m = sample_metrics(100);
         ex.export("first", &m, None);
-        assert!(!ex.pending());
+        assert!(ex.exported);
         let m2 = sample_metrics(999);
         ex.export("second", &m2, None);
         let written = std::fs::read_to_string(&mp).unwrap();
@@ -607,14 +505,25 @@ mod tests {
     #[test]
     fn flags_nobody_read_are_reported_unknown() {
         let c = cli(&["pr", "--nodes", "4", "--steal", "off", "--bogus", "--cost", "--race"]);
-        let _ = StdOpts::parse(&c, (32, 256), (1, 3));
+        let _ = StdOpts::parse(&c, &FIG9);
         let _ = Gates::from_cli(&c);
         assert_eq!(c.unknown(), vec!["steal", "bogus", "cost"]);
         // A retired spelling next to the current one is still refused.
         let c = cli(&["--max-nodes", "4", "--nodes", "8", "--full"]);
-        let o = StdOpts::parse(&c, (32, 256), (1, 3));
-        assert_eq!(o.max_nodes, 8);
+        let o = StdOpts::parse(&c, &FIG9);
+        assert_eq!(o.nodes, 8);
         assert_eq!(c.unknown(), vec!["max-nodes"]);
+        // A surface that runs nothing reads no flag at all.
+        let table1 = Surface {
+            nodes: None,
+            scale: Scale::None,
+            full: false,
+            sim: false,
+            export: false,
+        };
+        let c = cli(&["--topology", "torus", "--sanitize"]);
+        let _ = StdOpts::parse(&c, &table1);
+        assert_eq!(c.unknown(), vec!["topology", "sanitize"]);
     }
 
     #[test]
@@ -640,11 +549,11 @@ mod tests {
 
     #[test]
     fn topology_flag_parses_and_defaults() {
-        let o = StdOpts::parse(&cli(&[]), (32, 256), (1, 3));
+        let o = StdOpts::parse(&cli(&[]), &FIG9);
         assert_eq!(o.topology, TopologyKind::Uniform);
-        let o = StdOpts::parse(&cli(&["--topology", "torus"]), (32, 256), (1, 3));
+        let o = StdOpts::parse(&cli(&["--topology", "torus"]), &FIG9);
         assert_eq!(o.topology, TopologyKind::Torus);
-        let o = StdOpts::parse(&cli(&["--topology", "PolarStar"]), (32, 256), (1, 3));
+        let o = StdOpts::parse(&cli(&["--topology", "PolarStar"]), &FIG9);
         assert_eq!(o.topology, TopologyKind::Polar);
     }
 }

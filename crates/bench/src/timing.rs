@@ -1,34 +1,22 @@
-//! Minimal wall-clock measurement used by the `[[bench]]` targets in place
-//! of an external benchmarking framework: run a closure `iters` times and
-//! report mean host time per iteration. The simulated-tick numbers the
-//! benches print are deterministic; only these host-time figures vary.
+//! Wall-clock measurement in place of an external benchmarking framework.
+//! Only these host-time figures vary; simulated ticks are deterministic.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Run `f` once to warm up, then `iters` times; print the mean per-call
 /// wall time as `name ... mean <t> (N iters)`.
-pub fn bench_host<T>(name: &str, iters: u32, f: impl FnMut() -> T) {
-    bench_host_mean(name, iters, f);
-}
-
-/// [`bench_host`] that also returns the mean seconds per call, so callers
-/// can collect results into a machine-readable report (see
-/// `BENCH_engine.json` and the CI perf-smoke job).
-pub fn bench_host_mean<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> f64 {
+pub fn bench_host<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     black_box(f());
     let t0 = Instant::now();
     for _ in 0..iters {
         black_box(f());
     }
-    let per = t0.elapsed().as_secs_f64() / iters as f64;
-    println!("{name:<32} mean {} ({iters} iters)", fmt_secs(per));
-    per
+    println!("{name:<32} mean {:.3?} ({iters} iters)", t0.elapsed() / iters);
 }
 
-/// Format an events-per-second throughput figure for bench output.
-/// Deliberately *not* part of any metrics JSON: host throughput varies
-/// run to run, while the metrics files are byte-compared in CI.
+/// Simulated events retired per *host* second. Never part of a metrics
+/// document: it varies run to run, the documents are byte-compared.
 pub fn fmt_rate(events: u64, secs: f64) -> String {
     if secs <= 0.0 {
         return "-".to_string();
@@ -40,17 +28,5 @@ pub fn fmt_rate(events: u64, secs: f64) -> String {
         format!("{:.1} kev/s", r / 1e3)
     } else {
         format!("{r:.0} ev/s")
-    }
-}
-
-fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:.3} us", s * 1e6)
-    } else {
-        format!("{:.1} ns", s * 1e9)
     }
 }

@@ -251,7 +251,7 @@ impl SchedMetrics {
 /// Host-side scheduler diagnostics. These depend on thread timing (how
 /// many shards each worker happened to claim, how long it spun at the
 /// barrier), so they are **not** serialized into the byte-compared
-/// metrics JSON — they ride on [`Metrics`] for tools like `par_speedup`
+/// metrics JSON — they ride on [`Metrics`] for tools like `repro par`
 /// to print alongside wall-clock numbers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostSchedStats {
