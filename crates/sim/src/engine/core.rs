@@ -788,28 +788,27 @@ impl EngineCore {
                 let bytes = op.bytes();
                 let write = op.is_write();
                 trace_dram(&mut self.tracer, trace_id, DramStage::Served, owner, now, bytes, write);
-                // Record the access for race detection here: channel
-                // service order on the owning shard is the deterministic
-                // serialization point for this word's state. Atomic ops
-                // hand back an acquired clock for the reply to carry.
-                let mut race_acquired = None;
-                if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
-                    let va = op.va();
-                    let base = shared.mem.descriptor(va).map(|d| d.base.0).unwrap_or(va.0);
-                    let words = (bytes / 8) as u32;
-                    race_acquired = rp.record_dram(acc, va, base, words, op.is_atomic(), write, now);
-                }
                 // Apply the memory effect now, on the owning shard: channel
                 // service order is the deterministic serialization point
                 // for all accesses to this node's memory.
                 let mut reply = op.apply(&shared.mem);
-                // The reply carries the issuer's clock so replies order
-                // with the issue (write -> ack -> send -> read chains);
-                // an atomic's reply carries the acquired clock instead,
-                // ordering the issuer after every earlier fetch-and-add
-                // on the word (barrier release-acquire).
-                if let (Some(acc), Some(m)) = (race.as_ref(), reply.as_mut()) {
-                    m.race = Some(race_acquired.take().unwrap_or_else(|| acc.clock.clone()));
+                // Record the access for race detection at the same point;
+                // the probe reads no memory. The reply carries the issuer's
+                // clock so replies order with the issue (write -> ack ->
+                // send -> read chains); an atomic's reply carries the
+                // acquired clock instead, ordering the issuer after every
+                // earlier fetch-and-add on the word (barrier
+                // release-acquire).
+                if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
+                    let va = op.va();
+                    let base = shared.mem.descriptor(va).map(|d| d.base.0).unwrap_or(va.0);
+                    let words = (bytes / 8) as u32;
+                    let replied = reply.is_some();
+                    let acquired =
+                        rp.record_dram(acc, self.id, va, base, words, op.is_atomic(), write, now, replied);
+                    if let Some(m) = reply.as_mut() {
+                        m.race = Some(acquired.unwrap_or_else(|| acc.clock.clone()));
+                    }
                 }
                 let done = Action::MemDone {
                     resp: MemResp {
@@ -901,7 +900,7 @@ impl EngineCore {
             self.lane_next(li, t);
             return;
         };
-        let msg = self
+        let mut msg = self
             .arena
             .take(self.calendar.links_mut(), id)
             .into_message()
@@ -916,13 +915,15 @@ impl EngineCore {
         let created_by = lane.threads.created_by(tid);
         // Race detection: join the message's clock into the thread, bump
         // its epoch, and snapshot once for every effect of this execution.
+        // The probe takes the message's clock, so a thread's own snapshot
+        // coming home is let go before the bump.
         let race_exec = shared.cfg.race.as_ref().map(|rp| {
             let key = ThreadKey {
                 lane: l,
                 tid: tid.0,
                 gen: lane.threads.generation(tid),
             };
-            rp.begin_event(key, msg.race.as_ref())
+            rp.begin_event(key, msg.race.take())
         });
         let state = lane
             .threads

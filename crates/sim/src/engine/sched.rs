@@ -149,6 +149,9 @@ fn run_shard_round(
     core.record_begin_round(horizon, budget);
     core.drain_mailbox(&ctl.mailboxes[core.id as usize][drain_par]);
     let executed = core.window(shared, horizon, budget);
+    if let Some(rp) = &shared.cfg.race {
+        rp.end_window(core.id, ctl.mailboxes.len() as u32);
+    }
     core.record_end_round(executed);
     if executed > 0 {
         ctl.events.fetch_add(executed, Relaxed);

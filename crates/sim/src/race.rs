@@ -41,10 +41,36 @@
 //! else. Ids are never reused and clocks never truncated — either could
 //! make an unordered pair look ordered (docs/udrace.md, "Cost").
 //!
+//! **Only thread j's own `bump` ever raises entry j, so every clock's
+//! entry j is ≤ thread j's current own epoch.** Joins, copies and folds
+//! only move entries that some bump made, and a thread's live clock only
+//! grows. The probe leaves out every clock operation whose result that
+//! invariant already fixes, and every verdict stays what the full
+//! operation would give:
+//!
+//! - retiring a thread records its own epoch, not its whole clock: the
+//!   join of all final clocks *is* the vector of own epochs, and the
+//!   end-of-run fold takes each live thread's own entry the same way;
+//! - a release right after an acquire is a copy: once a thread has joined
+//!   a sync clock, its clock dominates it;
+//! - a clock records whose live clock it is a snapshot of (the host's for
+//!   sync and acquired clocks), and an execution triggered by its own
+//!   thread's earlier snapshot — every DRAM reply that comes back to its
+//!   issuer — skips the join;
+//! - an atomic's reply carries its word's sync clock itself, not a copy
+//!   (the next release copies it only if the reply is still in flight),
+//!   and the atomic's own access is checked against it in place;
+//! - a footprint-only scout keeps no clocks at all.
+//!
+//! Epochs are `u32`; a thread's 2^32nd event panics instead of wrapping.
+//! Debug builds assert that every skipped join would have been a no-op.
+//!
 //! Recording follows the zero-observer-effect contract of
 //! [`ProtocolProbe`](crate::ProtocolProbe): it charges no cycles and
-//! never perturbs the calendar, and every merge is commutative across
-//! shards, so reports are byte-identical at every `--threads` count.
+//! never perturbs the calendar. Every merge is commutative across shards
+//! except DRAM word state, which takes accesses in one fixed shard order
+//! (`ShardTurn`), so reports are byte-identical at every `--threads`
+//! count.
 //! Memory effects applied by `drain_in_flight` after a `ctx.stop()` are
 //! not recorded — detection covers everything executed before the stop.
 
@@ -71,32 +97,68 @@ pub(crate) struct ThreadKey {
 const HOST: u32 = 0;
 
 /// A vector clock: the epoch watermark of every thread, indexed by dense
-/// id. Entries past the end read as zero, so a clock is only as long as
-/// the newest thread it has heard from.
+/// id, and the id of the thread whose live clock this is (a snapshot of);
+/// [`HOST`] for the host's clock, a word's or token's sync clock and an
+/// acquired clock. Entries past the end read as zero, so a clock is only
+/// as long as the newest thread it has heard from.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct VClock(Vec<u64>);
+pub(crate) struct VClock {
+    epochs: Vec<u32>,
+    owner: u32,
+}
 
 impl VClock {
-    fn get(&self, id: u32) -> u64 {
-        self.0.get(id as usize).copied().unwrap_or(0)
+    /// The empty live clock of thread `id`, sized for its own entry,
+    /// which lies past every id the thread's first sender can have heard
+    /// of.
+    fn new(id: u32) -> VClock {
+        VClock {
+            epochs: Vec::with_capacity(id as usize + 1),
+            owner: id,
+        }
+    }
+
+    fn get(&self, id: u32) -> u32 {
+        self.epochs.get(id as usize).copied().unwrap_or(0)
+    }
+
+    fn entry(&mut self, id: u32) -> &mut u32 {
+        let i = id as usize;
+        if self.epochs.len() <= i {
+            self.epochs.resize(i + 1, 0);
+        }
+        &mut self.epochs[i]
     }
 
     fn bump(&mut self, id: u32) {
-        let i = id as usize;
-        if self.0.len() <= i {
-            self.0.resize(i + 1, 0);
-        }
-        self.0[i] += 1;
+        let e = self.entry(id);
+        *e = e
+            .checked_add(1)
+            .expect("udrace: a thread ran 2^32 events, past what a u32 epoch counts");
+    }
+
+    /// Raise entry `id` to at least `epoch`.
+    fn raise(&mut self, id: u32, epoch: u32) {
+        let e = self.entry(id);
+        *e = (*e).max(epoch);
     }
 
     /// Elementwise max with `src`: over the common prefix, then whatever
     /// `src` has beyond it is copied (max with the implied zeros).
     fn join(&mut self, src: &VClock) {
-        let common = self.0.len().min(src.0.len());
-        for (d, &s) in self.0.iter_mut().zip(&src.0[..common]) {
+        let common = self.epochs.len().min(src.epochs.len());
+        for (d, &s) in self.epochs.iter_mut().zip(&src.epochs[..common]) {
             *d = (*d).max(s);
         }
-        self.0.extend_from_slice(&src.0[common..]);
+        self.epochs.extend_from_slice(&src.epochs[common..]);
+    }
+
+    /// True when joining `self` into `other` would change nothing.
+    fn le(&self, other: &VClock) -> bool {
+        self.epochs
+            .iter()
+            .zip(0..)
+            .all(|(&e, id)| e <= other.get(id))
     }
 }
 
@@ -264,7 +326,7 @@ enum Loc {
 struct Access {
     who: ThreadRef,
     /// The accessor's own epoch at access time.
-    epoch: u64,
+    epoch: u32,
     tick: u64,
     label: u16,
     atomic: bool,
@@ -392,16 +454,47 @@ impl Threads {
     }
 
     /// Release-acquire between an executing thread and a sync clock:
-    /// the thread absorbs `sync`, then `sync` absorbs the thread. The
-    /// table's reference is dropped first so a clock nobody else holds
-    /// is updated in place.
+    /// the thread absorbs `sync`, then `sync` absorbs the thread — a copy,
+    /// since the thread's clock now dominates it. The table's reference
+    /// is dropped first so a clock nobody else holds is updated in place.
     fn sync(&mut self, exec: &mut RaceExec, sync: &mut VClock) {
         let slot = &mut self.clocks[exec.who.id as usize];
         *slot = None;
         let clock = Arc::make_mut(&mut exec.clock);
         clock.join(sync);
-        sync.join(clock);
+        sync.epochs.clone_from(&clock.epochs);
         *slot = Some(exec.clock.clone());
+    }
+
+    /// The clock a footprint-only scout hands every execution and host
+    /// send: the host's, never bumped, so always empty.
+    fn scout_clock(&mut self) -> Arc<VClock> {
+        self.clocks[HOST as usize]
+            .get_or_insert_with(Arc::default)
+            .clone()
+    }
+
+    /// Thread `id`'s current own epoch: its live clock's own entry, or
+    /// once it has retired, the entry `end_thread` left in `retired` (or,
+    /// after a run boundary, in the host clock).
+    fn own_epoch(&self, id: u32, retired: &VClock) -> u32 {
+        match &self.clocks[id as usize] {
+            Some(c) => c.get(id),
+            None => {
+                let host = self.clocks[HOST as usize].as_ref().map_or(0, |h| h.get(id));
+                retired.get(id).max(host)
+            }
+        }
+    }
+
+    /// The invariant, checked on one clock: no entry is above its
+    /// thread's own epoch, so folding `c` into a vector of own epochs
+    /// changes nothing.
+    fn bounded_by_own_epochs(&self, c: &VClock, retired: &VClock) -> bool {
+        c.epochs
+            .iter()
+            .zip(0..)
+            .all(|(&e, id)| e <= self.own_epoch(id, retired))
     }
 }
 
@@ -468,27 +561,38 @@ impl Sites {
     }
 }
 
+/// Per-word access state of every tracked word, and the race sites found
+/// in it. Kept apart from the sync clocks so an atomic's access can be
+/// checked against its word's sync clock in place.
+#[derive(Clone, Default)]
+struct Words {
+    states: BTreeMap<Loc, WordState>,
+    sites: Sites,
+    /// Word accesses recorded (after footprint filtering).
+    accesses: u64,
+}
+
 #[derive(Clone, Default)]
 struct Inner {
-    /// Record footprints only; skip per-word tracking entirely.
+    /// Record footprints only; skip per-word tracking and every clock.
     footprint_only: bool,
     filter: Option<RaceFilter>,
     threads: Threads,
-    /// Join of the final clocks of terminated threads (commutative).
+    /// The own epoch of every thread that terminated this run: by the
+    /// invariant, the join of their final clocks.
     retired: VClock,
-    words: BTreeMap<Loc, WordState>,
+    words: Words,
     /// Release clock per word updated by atomic-class accesses: a
     /// fetch-and-add both releases its clock into the word and acquires
     /// every earlier atomic's clock, so commutative update chains order
     /// their observers (barrier counters, combining slots).
-    word_sync: BTreeMap<Loc, VClock>,
+    word_sync: BTreeMap<Loc, Arc<VClock>>,
     /// Release clocks for explicit [`order_token`](RaceProbe::order_token)
     /// annotations, keyed by (lane, token): lane-serialized protocols the
     /// lane orders by construction (host-state polling, owner-lane tables).
     token_sync: BTreeMap<(u32, u64), VClock>,
-    sites: Sites,
     footprints: BTreeMap<(u16, Region), (u64, u64, u64)>,
-    accesses: u64,
+    turn: ShardTurn,
     names: Vec<String>,
     drained: bool,
 }
@@ -506,13 +610,94 @@ impl Inner {
     }
 
     fn tracked(&self, region: Region) -> bool {
-        if self.footprint_only {
-            return false;
-        }
         match (&self.filter, region) {
             (None, _) => true,
             (Some(f), Region::Dram(base)) => f.dram.contains(&base),
             (Some(f), Region::Spm(lane)) => f.spm.contains(&lane),
+        }
+    }
+}
+
+/// One DRAM operation's word accesses, queued until its shard's turn.
+#[derive(Clone)]
+struct QueuedDram {
+    region: Region,
+    va: u64,
+    nwords: u32,
+    cur: Access,
+    clock: Arc<VClock>,
+    write: bool,
+}
+
+/// The order DRAM word accesses reach the word states in: round by
+/// round, shard by shard in shard order, each shard's in its own order —
+/// the order one worker records them in. A word's state (and which of
+/// two tied occurrences names a site) depends on that order, and a
+/// multi-word access served on one shard can touch a word that another
+/// shard serves in the same round (the SHT bucket line that straddles
+/// two nodes' blocks). The shard holding the turn records at once; any
+/// other queues until the turn reaches it.
+#[derive(Clone, Default)]
+struct ShardTurn {
+    /// The shard whose accesses apply at once.
+    at: u32,
+    /// Which shards have finished the current round's window.
+    done: Vec<bool>,
+    queued: Vec<Vec<QueuedDram>>,
+}
+
+impl ShardTurn {
+    fn queue(&mut self, shard: u32, q: QueuedDram) {
+        let i = shard as usize;
+        if self.queued.len() <= i {
+            self.queued.resize_with(i + 1, Vec::new);
+        }
+        self.queued[i].push(q);
+    }
+
+    /// Shard `shard` (of `shards`) finished its window: pass the turn on,
+    /// applying each shard's queue as the turn reaches it, and start the
+    /// next round at shard 0 once every shard is through.
+    fn finish(&mut self, shard: u32, shards: u32, words: &mut Words) {
+        let n = shards as usize;
+        self.done.resize(n, false);
+        self.queued.resize_with(n, Vec::new);
+        self.done[shard as usize] = true;
+        while (self.at as usize) < n {
+            let t = self.at as usize;
+            for q in self.queued[t].drain(..) {
+                words.dram(q.region, q.va, q.nwords, q.cur, &q.clock, q.write);
+            }
+            if !self.done[t] {
+                return;
+            }
+            self.at += 1;
+        }
+        self.at = 0;
+        self.done.fill(false);
+    }
+}
+
+impl Words {
+    /// Record the accesses of one DRAM operation, word by word.
+    fn dram(
+        &mut self,
+        region: Region,
+        va: u64,
+        nwords: u32,
+        cur: Access,
+        clock: &VClock,
+        write: bool,
+    ) {
+        for i in 0..nwords as u64 {
+            self.access(
+                RaceSpace::Dram,
+                region,
+                Loc::Dram(va + 8 * i),
+                cur,
+                clock,
+                write,
+            );
         }
     }
 
@@ -528,7 +713,7 @@ impl Inner {
         write: bool,
     ) {
         self.accesses += 1;
-        let st = self.words.entry(loc).or_default();
+        let st = self.states.entry(loc).or_default();
         let sites = &mut self.sites;
         let mut race =
             |kind, prior: &Access| sites.record(space, kind, region, loc, prior, &cur, write);
@@ -627,21 +812,31 @@ impl RaceProbe {
     /// Begin one event execution: join the triggering message's clock
     /// (if any) into the thread's clock, bump the thread's own epoch,
     /// and return the snapshot every effect of this execution carries.
-    pub(crate) fn begin_event(&self, key: ThreadKey, incoming: Option<&Arc<VClock>>) -> RaceExec {
+    pub(crate) fn begin_event(&self, key: ThreadKey, incoming: Option<Arc<VClock>>) -> RaceExec {
         let mut g = self.inner.lock().unwrap();
+        if g.footprint_only {
+            let who = ThreadRef {
+                id: HOST,
+                lane: key.lane,
+                tid: key.tid,
+            };
+            let clock = g.threads.scout_clock();
+            return RaceExec { who, clock };
+        }
         let id = g.threads.intern(key);
         let slot = &mut g.threads.clocks[id as usize];
-        // A new thread's clock is the incoming one plus its own entry,
-        // which lies past every id the sender can have heard of: size it
-        // once for both.
-        let mut clock = slot
-            .take()
-            .unwrap_or_else(|| Arc::new(VClock(Vec::with_capacity(id as usize + 1))));
-        let c = Arc::make_mut(&mut clock);
-        if let Some(inc) = incoming {
-            c.join(inc);
+        let mut clock = slot.take().unwrap_or_else(|| Arc::new(VClock::new(id)));
+        match incoming {
+            // This thread's own earlier snapshot (a DRAM reply come home,
+            // a send to itself): its live clock already dominates it.
+            // Dropped first, so a clock nobody else holds bumps in place.
+            Some(inc) if inc.owner == id => {
+                debug_assert!(inc.le(&clock), "a live clock shrank below its own snapshot");
+            }
+            Some(inc) => Arc::make_mut(&mut clock).join(&inc),
+            None => {}
         }
-        c.bump(id);
+        Arc::make_mut(&mut clock).bump(id);
         *slot = Some(clock.clone());
         let who = ThreadRef {
             id,
@@ -651,17 +846,25 @@ impl RaceProbe {
         RaceExec { who, clock }
     }
 
-    /// The thread behind `exec` terminated: retire its clock (its
-    /// effects stay visible through messages it sent and through the
-    /// end-of-run host join) and forget its key.
+    /// The thread behind `exec` terminated: retire it (its effects stay
+    /// visible through messages it sent and through the end-of-run host
+    /// join, which needs only its own epoch) and forget its key.
     pub(crate) fn end_thread(&self, exec: &RaceExec) {
         let mut g = self.inner.lock().unwrap();
+        if g.footprint_only {
+            return;
+        }
         let Inner {
             threads, retired, ..
         } = &mut *g;
         threads.live.remove(&(exec.who.lane, exec.who.tid));
-        if let Some(c) = threads.clocks[exec.who.id as usize].take() {
-            retired.join(&c);
+        let id = exec.who.id;
+        if let Some(c) = threads.clocks[id as usize].take() {
+            retired.raise(id, c.get(id));
+            debug_assert!(
+                threads.bounded_by_own_epochs(&c, retired),
+                "joining the retired clock would have raised another thread's entry"
+            );
         }
     }
 
@@ -670,19 +873,25 @@ impl RaceProbe {
     /// executions it spawns stay mutually unordered.
     pub(crate) fn host_send(&self) -> Arc<VClock> {
         let mut g = self.inner.lock().unwrap();
+        if g.footprint_only {
+            return g.threads.scout_clock();
+        }
         let host = g.threads.clocks[HOST as usize].get_or_insert_with(Arc::default);
         Arc::make_mut(host).bump(HOST);
         host.clone()
     }
 
-    /// Record one DRAM operation of `nwords` words starting at `va`
-    /// (called at the deterministic serve point on the owner shard).
+    /// Record one DRAM operation of `nwords` words starting at `va`,
+    /// called at the deterministic serve point on the owner shard
+    /// `shard`; `replied` says whether the operation sends its issuer a
+    /// reply.
     ///
     /// Atomic-class operations are release-acquire points on their word:
     /// the returned clock (the issuer's clock joined with every earlier
     /// atomic's release on this word) must ride the reply so whatever the
     /// issuer does after the acknowledged fetch-and-add is ordered after
-    /// all the adds it observed. Plain operations return `None`.
+    /// all the adds it observed. Plain operations, and atomics without a
+    /// reply, return `None`.
     ///
     /// Sync clocks are maintained even for regions outside the prune
     /// filter: a filtered-out barrier counter still orders the tracked
@@ -692,12 +901,14 @@ impl RaceProbe {
     pub(crate) fn record_dram(
         &self,
         acc: &RaceAccess,
+        shard: u32,
         va: VAddr,
         alloc_base: u64,
         nwords: u32,
         atomic: bool,
         write: bool,
         tick: u64,
+        replied: bool,
     ) -> Option<Arc<VClock>> {
         let mut g = self.inner.lock().unwrap();
         let region = Region::Dram(alloc_base);
@@ -717,29 +928,57 @@ impl RaceProbe {
             label: acc.label,
             atomic,
         };
-        // Acquire-then-check is safe: a word's sync clock only ever holds
-        // atomic accessors' clocks, and atomic-vs-atomic pairs never race,
-        // so the acquired epochs reflect genuine ordering edges.
-        let mut acquired: Option<VClock> = None;
-        for i in 0..nwords as u64 {
-            let loc = Loc::Dram(va.0 + 8 * i);
-            if atomic {
-                // Release first: the word's clock then already is the
-                // issuer's joined with every earlier atomic's, which is
-                // what the issuer acquires.
-                let sync = g.word_sync.entry(loc).or_default();
-                sync.join(&acc.clock);
-                match &mut acquired {
-                    None => acquired = Some(sync.clone()),
-                    Some(acq) => acq.join(sync),
-                }
+        let Inner {
+            words,
+            word_sync,
+            turn,
+            ..
+        } = &mut *g;
+        let queued = tracked && turn.at != shard;
+        let mut queue = |clock| {
+            let q = QueuedDram {
+                region,
+                va: va.0,
+                nwords,
+                cur,
+                clock,
+                write,
+            };
+            turn.queue(shard, q);
+        };
+        if !atomic {
+            if queued {
+                queue(acc.clock.clone());
+            } else {
+                words.dram(region, va.0, nwords, cur, &acc.clock, write);
             }
-            if tracked {
-                let clock = acquired.as_ref().unwrap_or(&acc.clock);
-                g.access(RaceSpace::Dram, region, loc, cur, clock, write);
-            }
+            return None;
         }
-        acquired.map(Arc::new)
+        assert_eq!(nwords, 1, "an atomic-class DRAM operation is one word");
+        // Release first: the word's clock then already is the issuer's
+        // joined with every earlier atomic's, which is what the issuer
+        // acquires, and what its access is checked with. Acquire-then-
+        // check is safe: a word's sync clock only ever holds atomic
+        // accessors' clocks, and atomic-vs-atomic pairs never race, so
+        // the acquired epochs reflect genuine ordering edges. A reply or
+        // a queued check shares the word's clock; the next release copies
+        // it only if one of them still holds it.
+        let sync = word_sync.entry(Loc::Dram(va.0)).or_default();
+        Arc::make_mut(sync).join(&acc.clock);
+        if queued {
+            queue(sync.clone());
+        } else if tracked {
+            words.dram(region, va.0, 1, cur, sync, write);
+        }
+        replied.then(|| sync.clone())
+    }
+
+    /// Shard `shard` (of `shards`) finished its window of the current
+    /// round; see [`ShardTurn`].
+    pub(crate) fn end_window(&self, shard: u32, shards: u32) {
+        let mut g = self.inner.lock().unwrap();
+        let Inner { turn, words, .. } = &mut *g;
+        turn.finish(shard, shards, words);
     }
 
     /// Record one scratchpad word access from the executing thread.
@@ -775,7 +1014,7 @@ impl RaceProbe {
             let Inner {
                 threads, word_sync, ..
             } = &mut *g;
-            threads.sync(exec, word_sync.entry(loc).or_default());
+            threads.sync(exec, Arc::make_mut(word_sync.entry(loc).or_default()));
         }
         if !tracked {
             return;
@@ -787,7 +1026,8 @@ impl RaceProbe {
             label,
             atomic,
         };
-        g.access(RaceSpace::Spm, region, loc, cur, &exec.clock, write);
+        g.words
+            .access(RaceSpace::Spm, region, loc, cur, &exec.clock, write);
     }
 
     /// Explicit ordering annotation for a lane-serialized protocol: the
@@ -798,6 +1038,9 @@ impl RaceProbe {
     /// that flows through host-side state the probe cannot see.
     pub(crate) fn order_token(&self, exec: &mut RaceExec, lane: u32, token: u64) {
         let mut g = self.inner.lock().unwrap();
+        if g.footprint_only {
+            return;
+        }
         let Inner {
             threads,
             token_sync,
@@ -807,22 +1050,45 @@ impl RaceProbe {
     }
 
     /// Called by the engine at end of run: install handler names, note
-    /// how the run ended, and fold every clock into the host clock so a
-    /// subsequent `Engine::send` + `run()` is ordered after this run.
+    /// how the run ended, and fold every thread into the host clock so a
+    /// subsequent `Engine::send` + `run()` is ordered after this run. By
+    /// the invariant, a live thread's own entry is all its clock adds.
     pub(crate) fn finish_run(&self, names: Vec<String>, drained: bool) {
         let mut g = self.inner.lock().unwrap();
         g.names = names;
         g.drained = drained;
-        let retired = std::mem::take(&mut g.retired);
-        let (host, threads) = g
-            .threads
+        if g.footprint_only {
+            return;
+        }
+        let Inner {
+            threads,
+            retired,
+            turn,
+            ..
+        } = &mut *g;
+        debug_assert!(
+            turn.queued.iter().all(Vec::is_empty),
+            "a window never ended"
+        );
+        debug_assert!(
+            threads
+                .clocks
+                .iter()
+                .flatten()
+                .all(|c| threads.bounded_by_own_epochs(c, retired)),
+            "joining a live clock would have raised another thread's entry"
+        );
+        let retired = std::mem::take(retired);
+        let (host, live) = threads
             .clocks
             .split_first_mut()
             .expect("the host's slot is always there");
         let host = Arc::make_mut(host.get_or_insert_with(Arc::default));
         host.join(&retired);
-        for c in threads.iter().flatten() {
-            host.join(c);
+        for (c, id) in live.iter().zip(1..) {
+            if let Some(c) = c {
+                host.raise(id, c.get(id));
+            }
         }
     }
 
@@ -837,6 +1103,7 @@ impl RaceProbe {
                 .unwrap_or_else(|| format!("<label {label}>"))
         };
         let sites = g
+            .words
             .sites
             .sites
             .iter()
@@ -872,9 +1139,9 @@ impl RaceProbe {
         RaceReport {
             handler_names: g.names.clone(),
             sites,
-            sites_truncated: g.sites.truncated.len() as u64,
-            accesses: g.accesses,
-            words_tracked: g.words.len() as u64,
+            sites_truncated: g.words.sites.truncated.len() as u64,
+            accesses: g.words.accesses,
+            words_tracked: g.words.states.len() as u64,
             footprints,
             drained: g.drained,
         }
@@ -891,7 +1158,7 @@ mod tests {
 
     fn dram(p: &RaceProbe, e: &RaceExec, addr: u64, write: bool, atomic: bool, tick: u64) {
         let acc = e.access(e.who.tid, atomic); // label by tid for readable sites
-        p.record_dram(&acc, VAddr(addr), 0x1000, 1, atomic, write, tick);
+        p.record_dram(&acc, 0, VAddr(addr), 0x1000, 1, atomic, write, tick, true);
     }
 
     #[test]
@@ -910,7 +1177,7 @@ mod tests {
         let p = RaceProbe::new();
         let a = p.begin_event(key(0, 1), None);
         dram(&p, &a, 0x2000, true, false, 10);
-        let b = p.begin_event(key(1, 2), Some(&a.clock));
+        let b = p.begin_event(key(1, 2), Some(a.clock.clone()));
         dram(&p, &b, 0x2000, true, false, 20);
         assert!(p.snapshot().is_clean());
     }
@@ -920,8 +1187,8 @@ mod tests {
         let p = RaceProbe::new();
         let a = p.begin_event(key(0, 1), None);
         dram(&p, &a, 0x2000, true, false, 1);
-        let b = p.begin_event(key(1, 2), Some(&a.clock)); // a -> b
-        let c = p.begin_event(key(2, 3), Some(&b.clock)); // b -> c
+        let b = p.begin_event(key(1, 2), Some(a.clock.clone())); // a -> b
+        let c = p.begin_event(key(2, 3), Some(b.clock.clone())); // b -> c
         dram(&p, &c, 0x2000, false, false, 9);
         assert!(p.snapshot().is_clean());
     }
@@ -978,13 +1245,13 @@ mod tests {
     fn host_join_orders_successive_runs() {
         let p = RaceProbe::new();
         let root1 = p.host_send();
-        let a = p.begin_event(key(0, 1), Some(&root1));
+        let a = p.begin_event(key(0, 1), Some(root1.clone()));
         dram(&p, &a, 0x2000, true, false, 1);
         p.end_thread(&a);
         p.finish_run(Vec::new(), true); // run boundary
 
         let root2 = p.host_send();
-        let b = p.begin_event(key(1, 2), Some(&root2));
+        let b = p.begin_event(key(1, 2), Some(root2.clone()));
         dram(&p, &b, 0x2000, true, false, 2);
         assert!(p.snapshot().is_clean(), "second run ordered after first");
     }
@@ -994,8 +1261,8 @@ mod tests {
         let p = RaceProbe::new();
         let r1 = p.host_send();
         let r2 = p.host_send();
-        let a = p.begin_event(key(0, 1), Some(&r1));
-        let b = p.begin_event(key(1, 2), Some(&r2));
+        let a = p.begin_event(key(0, 1), Some(r1.clone()));
+        let b = p.begin_event(key(1, 2), Some(r2.clone()));
         dram(&p, &a, 0x2000, true, false, 1);
         dram(&p, &b, 0x2000, true, false, 2);
         assert_eq!(p.snapshot().sites.len(), 1);
@@ -1047,21 +1314,25 @@ mod tests {
             let acc = |e: &RaceExec| e.access(e.who.tid, false);
             p.record_dram(
                 &acc(&a),
+                0,
                 VAddr(0x2000 + 64 * i),
                 0x2000 + 64 * i,
                 1,
                 false,
                 true,
                 1,
+                true,
             );
             p.record_dram(
                 &acc(&b),
+                0,
                 VAddr(0x2000 + 64 * i),
                 0x2000 + 64 * i,
                 1,
                 false,
                 true,
                 2,
+                true,
             );
         }
         let r = p.snapshot();
@@ -1080,8 +1351,8 @@ mod tests {
         let b = p.begin_event(key(1, 2), None);
         // 0x9000 is outside the filter: footprinted, not tracked.
         let acc = |e: &RaceExec| e.access(e.who.tid, false);
-        p.record_dram(&acc(&a), VAddr(0x9000), 0x9000, 1, false, true, 1);
-        p.record_dram(&acc(&b), VAddr(0x9000), 0x9000, 1, false, true, 2);
+        p.record_dram(&acc(&a), 0, VAddr(0x9000), 0x9000, 1, false, true, 1, true);
+        p.record_dram(&acc(&b), 0, VAddr(0x9000), 0x9000, 1, false, true, 2, true);
         assert!(p.snapshot().is_clean(), "filtered region not tracked");
         // 0x1000 is inside the filter: tracked.
         dram(&p, &a, 0x1000, true, false, 3);
@@ -1102,16 +1373,16 @@ mod tests {
         let a = p.begin_event(key(0, 1), None);
         dram(&p, &a, 0x1000, true, false, 1); // plain write, tracked
                                               // a releases through a fetch-add on a filtered-out barrier word.
-        let rel = p.record_dram(&acc(&a), VAddr(0x9000), 0x9000, 1, true, true, 2);
+        let rel = p.record_dram(&acc(&a), 0, VAddr(0x9000), 0x9000, 1, true, true, 2, true);
         assert!(rel.is_some(), "atomic on a filtered region still releases");
         // b fetch-adds the same barrier word, acquiring a's clock...
         let b = p.begin_event(key(1, 2), None);
         let acq = p
-            .record_dram(&acc(&b), VAddr(0x9000), 0x9000, 1, true, true, 3)
+            .record_dram(&acc(&b), 0, VAddr(0x9000), 0x9000, 1, true, true, 3, true)
             .unwrap();
         // ...and b's continuation (ordered after the acknowledged add)
         // touches the tracked word: ordered through the pruned barrier.
-        let c = p.begin_event(key(1, 2), Some(&acq));
+        let c = p.begin_event(key(1, 2), Some(acq.clone()));
         dram(&p, &c, 0x1000, true, false, 4);
         assert!(
             p.snapshot().is_clean(),
@@ -1130,6 +1401,20 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(r.words_tracked, 0);
         assert_eq!(r.footprints.len(), 2);
+
+        // Nor any clock: every execution and host send shares one empty
+        // clock, and no thread is interned.
+        let root = p.host_send();
+        let mut c = p.begin_event(key(2, 3), Some(root.clone()));
+        p.order_token(&mut c, 2, 7);
+        p.end_thread(&c);
+        p.finish_run(Vec::new(), true);
+        assert!(
+            root.epochs.is_empty()
+                && Arc::ptr_eq(&root, &c.clock)
+                && Arc::ptr_eq(&a.clock, &b.clock)
+        );
+        assert!(p.inner.lock().unwrap().threads.live.is_empty());
     }
 
     #[test]
@@ -1169,7 +1454,7 @@ mod tests {
         dram(&p, &a, 0x2000, true, false, 1); // data write
         let acc_a = a.access(1, true);
         assert!(
-            p.record_dram(&acc_a, VAddr(0x3000), 0x1000, 1, true, true, 2)
+            p.record_dram(&acc_a, 0, VAddr(0x3000), 0x1000, 1, true, true, 2, true)
                 .is_some(),
             "atomics return an acquired clock"
         );
@@ -1177,10 +1462,10 @@ mod tests {
         let b = p.begin_event(key(1, 2), None);
         let acc_b = b.access(2, true);
         let acq = p
-            .record_dram(&acc_b, VAddr(0x3000), 0x1000, 1, true, true, 3)
+            .record_dram(&acc_b, 0, VAddr(0x3000), 0x1000, 1, true, true, 3, true)
             .unwrap();
         // The reply resumes B's thread carrying the acquired clock.
-        let b2 = p.begin_event(key(1, 2), Some(&acq));
+        let b2 = p.begin_event(key(1, 2), Some(acq.clone()));
         dram(&p, &b2, 0x2000, false, false, 4);
         assert!(p.snapshot().is_clean(), "fetch-add barrier orders the read");
 
@@ -1188,7 +1473,7 @@ mod tests {
         let c = p.begin_event(key(2, 3), None);
         let acc_c = c.access(3, false);
         assert!(p
-            .record_dram(&acc_c, VAddr(0x4000), 0x1000, 1, false, true, 5)
+            .record_dram(&acc_c, 0, VAddr(0x4000), 0x1000, 1, false, true, 5, true)
             .is_none());
     }
 
@@ -1231,9 +1516,9 @@ mod tests {
         assert_eq!(p.snapshot().sites.len(), 1, "other token: still racing");
     }
 
-    /// The detector's previous clock, kept as the reference the flat one
-    /// is checked against.
-    type RefClock = BTreeMap<u32, u64>;
+    /// The detector's previous clock (a `BTreeMap` per thread, commit
+    /// a87c478), kept as the reference the flat one is checked against.
+    type RefClock = BTreeMap<u32, u32>;
 
     fn ref_join(dst: &mut RefClock, src: &RefClock) {
         for (k, &v) in src {
@@ -1248,18 +1533,22 @@ mod tests {
     /// and the same clock in the reference form (which, like the old
     /// detector, has no entry for a thread it has not heard from).
     fn seeded_clock(rng: &mut u64, width: usize) -> (VClock, RefClock) {
-        let mut flat = vec![0u64; width];
+        let mut flat = vec![0u32; width];
         let mut reference = RefClock::new();
         for (id, e) in flat.iter_mut().enumerate() {
             *rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if (*rng >> 33).is_multiple_of(3) {
-                *e = 1 + (*rng >> 40) % 1000;
+                *e = 1 + (*rng >> 40) as u32 % 1000;
                 reference.insert(id as u32, *e);
             }
         }
-        (VClock(flat), reference)
+        let clock = VClock {
+            epochs: flat,
+            owner: HOST,
+        };
+        (clock, reference)
     }
 
     fn same(flat: &VClock, reference: &RefClock, ids: u32) -> bool {
@@ -1282,7 +1571,7 @@ mod tests {
                 ref_join(&mut rab, &rb);
                 assert!(same(&ab, &rab, ids), "join, widths {wa} and {wb}");
                 assert_eq!(
-                    ab.0.len(),
+                    ab.epochs.len(),
                     wa.max(wb),
                     "zero-extended to the wider, no further"
                 );
@@ -1290,11 +1579,16 @@ mod tests {
                 let mut ba = b.clone();
                 ba.join(&a);
                 assert!(same(&ba, &rab, ids), "commutative, widths {wa} and {wb}");
+                assert!(
+                    a.le(&ab) && b.le(&ab),
+                    "dominates both, widths {wa} and {wb}"
+                );
+                assert_eq!(ab.le(&a), b.le(&a), "no-op join, widths {wa} and {wb}");
 
                 let mut again = ab.clone();
                 again.join(&b);
                 again.join(&a);
-                assert_eq!(again.0, ab.0, "idempotent, widths {wa} and {wb}");
+                assert_eq!(again.epochs, ab.epochs, "idempotent, widths {wa} and {wb}");
             }
         }
     }
@@ -1305,8 +1599,109 @@ mod tests {
         c.bump(5);
         c.bump(5);
         c.bump(2);
-        assert_eq!(c.0, [0, 0, 1, 0, 0, 2]);
+        assert_eq!(c.epochs, [0, 0, 1, 0, 0, 2]);
         assert_eq!(c.get(6), 0, "past the end reads as never heard from");
+    }
+
+    #[test]
+    #[should_panic(expected = "a thread ran 2^32 events")]
+    fn an_epoch_past_u32_panics_instead_of_wrapping() {
+        let mut c = VClock::new(3);
+        c.raise(3, u32::MAX);
+        c.bump(3);
+    }
+
+    #[test]
+    fn the_host_fold_of_own_epochs_is_the_join_of_every_final_clock() {
+        // Three threads pass clocks around; two retire, one stays live
+        // after a release-acquire. Folding own epochs gives the host
+        // what joining every final clock gives it.
+        let p = RaceProbe::new();
+        let root = p.host_send();
+        let a1 = p.begin_event(key(0, 1), Some(root.clone()));
+        let b1 = p.begin_event(key(1, 1), Some(a1.clock.clone()));
+        let a2 = p.begin_event(key(0, 1), Some(b1.clock.clone()));
+        let c1 = p.begin_event(key(2, 1), Some(a2.clock.clone()));
+        let mut b2 = p.begin_event(key(1, 1), Some(c1.clock.clone()));
+        p.order_token(&mut b2, 1, 9);
+        p.end_thread(&a2);
+        p.end_thread(&c1);
+        let mut full = VClock::default();
+        for c in [&root, &a2.clock, &c1.clock, &b2.clock] {
+            full.join(c);
+        }
+        p.finish_run(Vec::new(), false);
+        let g = p.inner.lock().unwrap();
+        let host = g.threads.clocks[HOST as usize].as_ref().unwrap();
+        assert!(
+            (0..6).all(|id| host.get(id) == full.get(id)),
+            "{host:?} vs {full:?}"
+        );
+        assert_eq!(host.get(b2.who.id), 2, "the live thread's own epoch");
+    }
+
+    #[test]
+    fn word_state_sees_shards_in_shard_order_whatever_the_host_order() {
+        // Shard 1 serves b's read of a word before shard 0 serves a's
+        // write, as two workers may; the word state must see shard 0's
+        // access first, as one worker would, or the site's prior and
+        // detail flip.
+        let site = |host_order_first: u32| {
+            let p = RaceProbe::new();
+            let a = p.begin_event(key(0, 1), None);
+            let b = p.begin_event(key(8, 1), None);
+            let (acc_a, acc_b) = (a.access(1, false), b.access(2, false));
+            let ops = [
+                (0, &acc_a, true, 10), // shard 0: a writes at tick 10
+                (1, &acc_b, false, 5), // shard 1: b reads at tick 5
+            ];
+            for k in [host_order_first, 1 - host_order_first] {
+                let (shard, acc, write, tick) = ops[k as usize];
+                p.record_dram(
+                    acc,
+                    shard,
+                    VAddr(0x2000),
+                    0x1000,
+                    1,
+                    false,
+                    write,
+                    tick,
+                    true,
+                );
+            }
+            for shard in [host_order_first, 1 - host_order_first] {
+                p.end_window(shard, 2);
+            }
+            p.finish_run(vec!["?".into(), "a".into(), "b".into()], true);
+            let r = p.snapshot();
+            assert_eq!(r.sites.len(), 1);
+            r.sites[0].clone()
+        };
+        let s = site(0);
+        assert_eq!((s.prior.as_str(), s.current.as_str()), ("a", "b"));
+        assert_eq!(s, site(1), "shard 1 served first on the host");
+    }
+
+    #[test]
+    fn a_reply_coming_home_skips_the_join_and_bumps_in_place() {
+        let p = RaceProbe::new();
+        let a = p.begin_event(key(0, 1), None);
+        let acc = a.access(1, false);
+        let live = Arc::as_ptr(&a.clock);
+        drop(a);
+        // The read's reply carries the issuer's own snapshot home.
+        assert!(p
+            .record_dram(&acc, 0, VAddr(0x2000), 0x1000, 1, false, false, 1, true)
+            .is_none());
+        let a2 = p.begin_event(key(0, 1), Some(acc.clock));
+        assert_eq!(a2.clock.get(a2.who.id), 2);
+        assert!(
+            std::ptr::eq(Arc::as_ptr(&a2.clock), live),
+            "bumped in place, not copied"
+        );
+        // Another thread's snapshot is joined as before.
+        let b = p.begin_event(key(1, 1), Some(a2.clock.clone()));
+        assert_eq!(b.clock.get(a2.who.id), 2);
     }
 
     #[test]
@@ -1339,7 +1734,7 @@ mod tests {
         let a = p.begin_event(old_gen, None);
         dram(&p, &a, 0x2000, true, false, 1);
         p.end_thread(&a);
-        let b = p.begin_event(new_gen, Some(&a.clock));
+        let b = p.begin_event(new_gen, Some(a.clock.clone()));
         assert_ne!(a.who.id, b.who.id);
         dram(&p, &b, 0x2000, true, false, 2);
         assert!(
@@ -1367,7 +1762,7 @@ mod tests {
                 let acc = r.access(7, false);
                 // Each reader reads at a tick that names it.
                 let tick = 100 * lane as u64 + tid as u64;
-                p.record_dram(&acc, VAddr(0x2000), 0x1000, 1, false, false, tick);
+                p.record_dram(&acc, 0, VAddr(0x2000), 0x1000, 1, false, false, tick, true);
                 assert_eq!(r.who.id, i as u32 + 1);
             }
             let w = p.begin_event(key(9, 9), None);
@@ -1393,7 +1788,7 @@ mod tests {
         }
         {
             let g = p.inner.lock().unwrap();
-            let st = &g.words[&Loc::Dram(0x2000)];
+            let st = &g.words.states[&Loc::Dram(0x2000)];
             assert_eq!(st.reads.as_slice().len(), 5, "one read per thread");
             assert!(
                 st.reads.as_slice().iter().all(|a| a.tick == 11),
@@ -1403,11 +1798,14 @@ mod tests {
         // A writer that has heard from every reader is ordered after all.
         let mut w = p.begin_event(key(7, 1), None);
         for r in &readers {
-            w = p.begin_event(key(7, 1), Some(&r.clock));
+            w = p.begin_event(key(7, 1), Some(r.clock.clone()));
         }
         dram(&p, &w, 0x2000, true, false, 20);
         assert!(p.snapshot().is_clean());
         let g = p.inner.lock().unwrap();
-        assert!(g.words[&Loc::Dram(0x2000)].reads.as_slice().is_empty());
+        assert!(g.words.states[&Loc::Dram(0x2000)]
+            .reads
+            .as_slice()
+            .is_empty());
     }
 }

@@ -3,8 +3,9 @@
 //! are flagged, synchronized patterns (fetch-and-add barriers, message
 //! chains) are not, every application is race-free at conformance scale,
 //! the `udrace/v1` document is byte-identical at 1/2/4 worker threads and
-//! pinned to the bytes the tree-clock detector produced, and a seed sweep
-//! finds nothing but the known SHT bucket-straddle site.
+//! pinned to the bytes the map-clock detector produced, a seed sweep finds
+//! nothing but the known SHT bucket-straddle site, and the documents that
+//! report that site are pinned too.
 
 use integration_tests::fnv1a;
 use udcheck::apps::{race_app, ALL_APPS};
@@ -196,6 +197,35 @@ fn udrace_document_bytes_are_those_of_the_tree_clock_detector() {
 }
 const GOLDEN_FULL: u64 = 0x536E_9A13_D479_A379;
 const GOLDEN_PRUNE: u64 = 0xA7F0_C675_0B87_1503;
+
+/// partial_match's document at each seed that reports the SHT straddle,
+/// at one and at four worker threads. The goldens above are clean
+/// documents; these carry a site, so an ordering answer that moved would
+/// move its `count`, `first_tick` or `detail` and fail here. Hashes of
+/// the one-worker documents at commit f461ff1, before the probe skipped
+/// any clock work. Four workers give the same bytes because word state
+/// sees shards in shard order; at f461ff1 seeds 34 and 313 sometimes came
+/// out clean at four workers, depending on which shard reached the probe
+/// first.
+#[test]
+fn partial_match_straddle_documents_keep_their_bytes() {
+    for (seed, golden) in STRADDLE_GOLDENS {
+        for threads in [1, 4] {
+            let doc = render_race_document(&[race_app("partial_match", threads, seed, false)]);
+            assert_eq!(
+                fnv1a(doc.as_bytes()),
+                golden,
+                "seed {seed} threads={threads}: document moved:\n{doc}"
+            );
+        }
+    }
+}
+const STRADDLE_GOLDENS: [(u64, u64); 4] = [
+    (2, 0x21B3_2025_AEA2_F702),
+    (34, 0x7ED2_DC02_AB20_C70D),
+    (35, 0x6520_14D8_F753_9A78),
+    (313, 0xBA40_2E61_B008_E011),
+];
 
 /// partial_match at seeds 1..=40 and at 313: the only site udrace ever
 /// reports is the SHT bucket line straddling a block (ROADMAP item 8) —
