@@ -13,10 +13,10 @@ use updown_apps::tc::{run_tc, TcConfig};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split_in_out, SplitGraph};
 use updown_graph::Csr;
-use updown_sim::spec::{check_report, Workload};
+use updown_sim::spec::Workload;
 use updown_sim::{MachineConfig, ProgramSpec, ProtocolProbe, RaceProbe};
 
-use crate::{conflicted_regions, Analysis, EventFlowGraph, RaceAnalysis, SpecAnalysis};
+use crate::{Analysis, RaceAnalysis, SpecAnalysis};
 
 /// Canonical names of all five applications, in report order.
 pub const ALL_APPS: &[&str] = &["pagerank", "bfs", "tc", "ingest", "partial_match"];
@@ -53,12 +53,14 @@ pub fn spec_for(app: &str) -> ProgramSpec {
 /// Instrumentation to attach to a conformance-scale run.
 #[derive(Clone, Default)]
 pub struct Probes {
-    /// Protocol probe (event-flow summary); `ud check` always attaches one,
-    /// `ud race` attaches one to build the flow graph for may-race.
+    /// Protocol probe (event-flow summary), which also arms the runtime
+    /// sanitizer; `ud check` always attaches one, `ud race` attaches one
+    /// to build the flow graph for may-race.
     pub probe: Option<ProtocolProbe>,
     /// Race probe (happens-before detector).
     pub race: Option<RaceProbe>,
-    /// Attach the runtime sanitizer.
+    /// No effect: attaching `probe` is what arms the sanitizer. Kept only
+    /// because the frozen benchmark still sets it.
     pub sanitize: bool,
     /// Enforce a declared-effects protocol spec (`ud spec --enforce`).
     pub spec: Option<ProgramSpec>,
@@ -74,7 +76,6 @@ pub fn conformance_machine() -> MachineConfig {
 fn machine(threads: u32, p: &Probes) -> MachineConfig {
     let mut m = conformance_machine();
     m.threads = threads;
-    m.sanitize = p.sanitize;
     m.probe = p.probe.clone();
     m.race = p.race.clone();
     m.enforce_spec = p.spec.clone();
@@ -179,47 +180,35 @@ pub fn run_app(app: &str, threads: u32, seed: u64, probes: &Probes) {
     }
 }
 
-/// `ud check`: run one app with the protocol probe and the sanitizer
+/// `ud check`: run one app with the protocol probe (and so the sanitizer)
 /// attached and analyze what the probe saw.
 pub fn check_app(app: &str, threads: u32, seed: u64) -> Analysis {
     let probe = ProtocolProbe::new();
     let probes = Probes {
         probe: Some(probe.clone()),
-        sanitize: true,
         ..Probes::default()
     };
     run_app(app, threads, seed, &probes);
     Analysis::of(app, &probe)
 }
 
-/// `ud race`: run one app under the race detector. With `prune`, a
-/// footprint-only scout run first selects the regions worth word-granular
-/// monitoring and the detecting run monitors just those.
-pub fn race_app(app: &str, threads: u32, seed: u64, prune: bool) -> RaceAnalysis {
-    let probed = |race: &RaceProbe| {
-        let flow = ProtocolProbe::new();
-        let probes = Probes {
-            probe: Some(flow.clone()),
-            race: Some(race.clone()),
-            ..Probes::default()
-        };
-        run_app(app, threads, seed, &probes);
-        EventFlowGraph::from_report(&flow.snapshot())
+/// `ud race`: run one app under the race detector, with a protocol probe
+/// for the event-flow graph the may-race pass reads (and so the sanitizer
+/// armed; see [`RaceAnalysis::with_flow`]).
+pub fn race_app(app: &str, threads: u32, seed: u64) -> RaceAnalysis {
+    let (flow, race) = (ProtocolProbe::new(), RaceProbe::new());
+    let probes = Probes {
+        probe: Some(flow.clone()),
+        race: Some(race.clone()),
+        ..Probes::default()
     };
-    let race = if prune {
-        let scout = RaceProbe::footprint_only();
-        let graph = probed(&scout);
-        RaceProbe::with_filter(conflicted_regions(&graph, &scout.snapshot()))
-    } else {
-        RaceProbe::new()
-    };
-    let graph = probed(&race);
-    RaceAnalysis::of(app, &race, Some(&graph))
+    run_app(app, threads, seed, &probes);
+    RaceAnalysis::with_flow(app, &race, &flow)
 }
 
 /// `ud spec`: statically analyze one app's declared spec against the
 /// conformance machine's capacities; with `enforce`, also run the app with
-/// the spec attached and record the observed-vs-declared findings.
+/// the spec attached and record what [`SpecAnalysis::enforce`] finds.
 pub fn spec_app(app: &str, threads: u32, seed: u64, enforce: bool) -> SpecAnalysis {
     let mc = conformance_machine();
     let spec = spec_for(app);
@@ -228,16 +217,11 @@ pub fn spec_app(app: &str, threads: u32, seed: u64, enforce: bool) -> SpecAnalys
         let probe = ProtocolProbe::new();
         let probes = Probes {
             probe: Some(probe.clone()),
-            spec: Some(spec.clone()),
+            spec: Some(spec),
             ..Probes::default()
         };
         run_app(app, threads, seed, &probes);
-        analysis.enforced = Some(check_report(
-            &spec,
-            &probe.snapshot(),
-            mc.max_threads_per_lane,
-            mc.spm_words,
-        ));
+        analysis.enforce(&probe, &mc);
     }
     analysis
 }

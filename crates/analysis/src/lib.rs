@@ -31,10 +31,10 @@
 //! 3. [`analyze`] runs the static checks below over the graph and summary,
 //!    producing deterministic [`Finding`]s.
 //!
-//! The paired *runtime sanitizer* ([`MachineConfig::sanitize`](updown_sim::MachineConfig))
-//! cross-validates: every static check has a dynamic counterpart that fires
-//! at the violating event execution. `ud check` runs with the sanitizer on,
-//! so its report carries both views.
+//! The paired *runtime sanitizer*, armed by attaching the probe
+//! ([`MachineConfig::probe`](updown_sim::MachineConfig)), cross-validates:
+//! every static check has a dynamic counterpart that fires at the
+//! violating event execution, so a `ud check` report carries both views.
 //!
 //! | id                   | severity | what it catches                                      |
 //! |----------------------|----------|------------------------------------------------------|
@@ -52,7 +52,7 @@
 //! sanitizer diagnostics.
 
 use updown_sim::json::JsonWriter;
-use updown_sim::{ProbeReport, ProtocolProbe};
+use updown_sim::{DiagKind, ProbeReport, ProtocolProbe};
 
 pub mod apps;
 pub mod cost;
@@ -60,9 +60,7 @@ pub mod race;
 pub mod spec;
 
 pub use cost::{analyze_cost, calibrate, render_cost_document, Calibration, CostReport};
-pub use race::{
-    conflicted_regions, may_race, race_findings, render_race_document, RaceAnalysis,
-};
+pub use race::{may_race, race_findings, render_race_document, RaceAnalysis};
 pub use spec::{render_spec_document, SpecAnalysis};
 pub use updown_sim::spec::{Finding, Severity};
 
@@ -153,6 +151,20 @@ fn bracketed(f: &Finding) -> String {
     format!("[{}] {} {}: {}", f.severity, f.check, f.subject, f.message)
 }
 
+/// The sanitizer's diagnostics in a probe that rode along with another
+/// observer (`ud race`, `ud spec --enforce`), as `sanitizer` error
+/// findings: attaching the probe armed the sanitizer, so a violation it
+/// tolerated must still fail the run. Spec violations are left out;
+/// enforcement reports those itself.
+fn sanitizer_findings(report: &ProbeReport) -> impl Iterator<Item = Finding> + '_ {
+    let protocol = report.diagnostics.iter().filter(|d| d.kind != DiagKind::SpecViolation);
+    protocol.map(|d| {
+        let at = format!("x{}, first at tick {} lane {}", d.count, d.first_tick, d.lane);
+        let message = format!("{}: {} ({at})", d.kind.as_str(), d.detail);
+        Finding::new(Severity::Error, "sanitizer", d.handler.clone(), message)
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Event-flow graph
 // ---------------------------------------------------------------------------
@@ -217,10 +229,6 @@ impl EventFlowGraph {
             }
         }
         EventFlowGraph { nodes, edges }
-    }
-
-    pub fn node(&self, label: u16) -> Option<&FlowNode> {
-        self.nodes.iter().find(|n| n.label == label)
     }
 
     /// Graphviz rendering (debugging aid; `ud check --dot`).

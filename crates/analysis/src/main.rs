@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! ud check [APPS...] [--dot]
-//! ud race  [APPS...] [--prune]
+//! ud race  [APPS...]
 //! ud spec  [APPS...] [--enforce] [--fixture NAME] [--dot]
 //! ud cost  [APPS...] [--figure9 pr|bfs|tc] [--nodes N] [--scale S] [--iters I]
 //!          [--topology T] [--calibrate METRICS.json] [--tolerance F] [--hints]
@@ -44,7 +44,6 @@ struct Opts {
     json: bool,
     out: Option<String>,
     dot: bool,
-    prune: bool,
     enforce: bool,
     fixtures: Vec<String>,
     figure9: Option<String>,
@@ -61,7 +60,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: ud check|race|spec|cost [APPS...] [--threads N] [--seed S] [--json] [--out PATH]\n\
          \x20      ud check [--dot]\n\
-         \x20      ud race  [--prune]\n\
          \x20      ud spec  [--enforce] [--fixture NAME] [--dot]\n\
          \x20      ud cost  [--figure9 pr|bfs|tc] [--nodes N] [--scale S] [--iters I]\n\
          \x20               [--topology T] [--calibrate METRICS.json] [--tolerance F] [--hints]\n\
@@ -73,7 +71,6 @@ fn usage() -> ! {
          --out PATH        also write the JSON document to PATH\n\
          --dot             print Graphviz event-flow graphs; with --out PATH,\n\
          \x20                 also write per-app .dot files alongside the JSON\n\
-         --prune           footprint pass first, then monitor only conflicted regions\n\
          --enforce         also run each app with runtime spec enforcement\n\
          --fixture NAME    analyze a seeded-defect spec: wait-cycle | spm-blowup\n\
          --figure9 APP     predict the first `repro fig9` run of pr|bfs|tc\n\
@@ -110,7 +107,6 @@ fn parse_opts() -> Opts {
         json: false,
         out: None,
         dot: false,
-        prune: false,
         enforce: false,
         fixtures: Vec::new(),
         figure9: None,
@@ -132,7 +128,6 @@ fn parse_opts() -> Opts {
             (_, "--json") => o.json = true,
             (_, "--out") => o.out = Some(value(&mut it)),
             ("check" | "spec", "--dot") => o.dot = true,
-            ("race", "--prune") => o.prune = true,
             ("spec", "--enforce") => o.enforce = true,
             ("spec", "--fixture") => o.fixtures.push(value(&mut it)),
             ("cost", "--figure9") => o.figure9 = Some(value(&mut it)),
@@ -303,7 +298,7 @@ fn main() {
             emit(&o, &rs, none, closing, false);
         }
         "race" => {
-            let run = |app: &&str| race_app(app, o.threads, o.seed, o.prune);
+            let run = |app: &&str| race_app(app, o.threads, o.seed);
             let rs: Vec<_> = o.apps.iter().map(run).collect();
             let closing = |bad: &[&str]| verdict("udrace", rs.len(), "app(s) race-free", "RACES", bad);
             emit(&o, &rs, none, closing, false);

@@ -1,29 +1,24 @@
 //! # `ud race`, static layer — conflict-pair analysis over the event-flow graph
 //!
 //! The dynamic race probe ([`RaceProbe`](updown_sim::RaceProbe)) reports
-//! *observed* unordered conflicting accesses. This module adds the static
-//! half of `ud race`:
-//!
-//! 1. **May-race pre-pass**: handler pairs whose footprints touch the same
-//!    region (DRAM allocation or lane scratchpad) with at least one
-//!    plain-write access, and which have *no directed path either way* in
-//!    the observed event-flow graph. A send path is a happens-before proxy
-//!    (messages order their endpoints), so pairs without one *may* race
-//!    even when the instrumented run happened to order them.
-//! 2. **Instrumentation pruning** ([`conflicted_regions`]): the same
-//!    conflict test selects which regions are worth word-granular
-//!    monitoring; `ud race --prune` runs a cheap footprint-only pass first
-//!    and then monitors only conflicted regions.
+//! *observed* unordered conflicting accesses over every word the run
+//! touched. This module adds the static half of `ud race`, the **may-race
+//! pass**: handler pairs whose footprints touch the same region (DRAM
+//! allocation or lane scratchpad) with at least one plain-write access,
+//! and which have *no directed path either way* in the observed
+//! event-flow graph. A send path is a happens-before proxy (messages order
+//! their endpoints), so pairs without one *may* race even when the
+//! instrumented run happened to order them.
 //!
 //! The flow-graph path test is a heuristic (it does not model barrier
 //! counts or operand-dependent joins), so may-race findings are warnings
-//! or infos, never errors; only dynamic sites are errors. Pruning inherits
-//! the same caveat — CI runs `ud race` unpruned.
+//! or infos, never errors; only dynamic sites, and the diagnostics of the
+//! sanitizer the flow probe arms ([`RaceAnalysis::with_flow`]), are errors.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
-use updown_sim::{RaceFilter, RaceKind, RaceProbe, RaceReport, Region};
+use updown_sim::{ProtocolProbe, RaceKind, RaceProbe, RaceReport, Region};
 
 use crate::{document, write_findings, EventFlowGraph, Finding, Report, Severity};
 
@@ -176,44 +171,6 @@ pub fn race_findings(report: &RaceReport) -> Vec<Finding> {
         .collect()
 }
 
-/// Regions worth word-granular monitoring: any region with a conflicting
-/// cross-handler footprint pair, plus regions plain-written by a handler
-/// that executed more than once (parallel instances of one handler are
-/// invisible to the pair test). Regions whose only accesses are
-/// atomic-class (fetch-and-add barriers, combining slots) are pruned:
-/// atomics never race with each other, and the probe maintains their
-/// release-acquire sync clocks even for filtered-out regions, so tracked
-/// regions keep the ordering they derive from a pruned barrier. Used by
-/// `ud race --prune` to filter the second, fully instrumented pass.
-/// Heuristic — see the module docs.
-pub fn conflicted_regions(graph: &EventFlowGraph, report: &RaceReport) -> RaceFilter {
-    let reach = closure(graph);
-    let mut filter = RaceFilter::default();
-    for (region, fps) in by_region(report) {
-        let cross = fps.iter().enumerate().any(|(i, a)| {
-            fps[i + 1..].iter().any(|b| {
-                a.handler != b.handler
-                    && pair_kind(a, b).is_some()
-                    && !ordered(&reach, a.handler, b.handler)
-            })
-        });
-        let self_par = fps.iter().any(|f| {
-            f.writes > 0 && graph.node(f.handler).is_none_or(|n| n.executions > 1)
-        });
-        if cross || self_par {
-            match region {
-                Region::Dram(base) => {
-                    filter.dram.insert(base);
-                }
-                Region::Spm(lane) => {
-                    filter.spm.insert(lane);
-                }
-            }
-        }
-    }
-    filter
-}
-
 /// One app's `ud race` result: dynamic report + static findings, bundled for
 /// rendering (`udrace/v1`).
 #[derive(Clone, Debug)]
@@ -240,14 +197,26 @@ impl RaceAnalysis {
         }
     }
 
+    /// `ud race`'s analysis of a run that also carried the protocol probe
+    /// `flow`: its flow graph feeds the may-race pass, and since attaching
+    /// it armed the sanitizer, its diagnostics are error findings.
+    pub fn with_flow(app: &str, probe: &RaceProbe, flow: &ProtocolProbe) -> RaceAnalysis {
+        let report = flow.snapshot();
+        let mut a = RaceAnalysis::of(app, probe, Some(&EventFlowGraph::from_report(&report)));
+        a.findings.extend(crate::sanitizer_findings(&report));
+        a.findings.sort();
+        a
+    }
+
     pub fn errors(&self) -> usize {
         crate::count_errors(&self.findings)
     }
 
-    /// Clean = no dynamic race sites and no truncated sites. May-race
-    /// warnings/infos do not make a run unclean.
+    /// Clean = no dynamic race sites, no truncated sites and no other
+    /// error finding ([`RaceAnalysis::with_flow`] adds the sanitizer's).
+    /// May-race warnings/infos do not make a run unclean.
     pub fn is_clean(&self) -> bool {
-        self.report.is_clean()
+        self.report.is_clean() && self.errors() == 0
     }
 }
 
@@ -492,48 +461,10 @@ mod tests {
     }
 
     #[test]
-    fn conflicted_regions_select_cross_pairs_and_parallel_writers() {
-        let g = graph(&[(0, "a", 1), (1, "b", 1), (2, "par", 8)], &[(0, 1)]);
-        let r = report(
-            &["a", "b", "par"],
-            vec![
-                // a→b path: ordered, not conflicted.
-                fp(0, Region::Dram(0x100), 0, 5, 0),
-                fp(1, Region::Dram(0x100), 0, 3, 0),
-                // Parallel handler writing alone: conflicted (self-parallel).
-                fp(2, Region::Dram(0x200), 0, 9, 0),
-                // Single-execution handler writing alone: not conflicted.
-                fp(0, Region::Dram(0x300), 0, 2, 0),
-                // Scratchpad region with an unordered cross pair.
-                fp(1, Region::Spm(3), 0, 1, 0),
-                fp(2, Region::Spm(3), 2, 0, 0),
-            ],
-            true,
-        );
-        let filter = conflicted_regions(&g, &r);
-        assert!(!filter.dram.contains(&0x100));
-        assert!(filter.dram.contains(&0x200));
-        assert!(!filter.dram.contains(&0x300));
-        assert!(filter.spm.contains(&3));
-    }
-
-    #[test]
-    fn conflicted_regions_on_an_empty_graph_is_conservative() {
-        // An empty report prunes everything; an unknown writer (no
-        // flow-graph node, so no path and no execution count) is kept.
-        let g = graph(&[], &[]);
-        let f = conflicted_regions(&g, &report(&[], vec![], true));
-        assert!(f.dram.is_empty() && f.spm.is_empty());
-        let r = report(&["w"], vec![fp(0, Region::Dram(0x100), 0, 1, 0)], true);
-        let f = conflicted_regions(&g, &r);
-        assert!(f.dram.contains(&0x100), "unknown writer kept conservatively");
-    }
-
-    #[test]
     fn single_node_self_pairs_do_not_conflict() {
-        // One handler executing once: its own footprints never form a
-        // cross pair, and a single execution cannot self-race.
-        let g = graph(&[(0, "solo", 1)], &[]);
+        // One handler's own footprints never form a cross pair: whether
+        // its parallel instances race is for the dynamic probe to say.
+        let g = graph(&[(0, "solo", 8)], &[]);
         let r = report(
             &["solo"],
             vec![
@@ -543,40 +474,8 @@ mod tests {
             ],
             true,
         );
-        let f = conflicted_regions(&g, &r);
-        assert!(f.dram.is_empty() && f.spm.is_empty(), "kept: {f:?}");
-    }
-
-    #[test]
-    fn all_atomic_carriers_are_fully_pruned() {
-        // Fetch-add barriers: atomic-vs-atomic never races, and the probe
-        // maintains release-acquire clocks for filtered-out regions, so
-        // atomic-only regions drop out of the monitored set entirely —
-        // even when the handlers run many parallel instances.
-        let g = graph(&[(0, "a", 9), (1, "b", 9)], &[]);
-        let r = report(
-            &["a", "b"],
-            vec![
-                fp(0, Region::Dram(0x100), 0, 0, 7),
-                fp(1, Region::Dram(0x100), 0, 0, 5),
-                fp(0, Region::Spm(2), 0, 0, 3),
-            ],
-            true,
-        );
-        let f = conflicted_regions(&g, &r);
-        assert!(f.dram.is_empty() && f.spm.is_empty(), "kept: {f:?}");
-
-        // But an atomic writer against an unordered plain reader is a
-        // genuine conflict and stays monitored.
-        let r = report(
-            &["a", "b"],
-            vec![
-                fp(0, Region::Dram(0x100), 0, 0, 7),
-                fp(1, Region::Dram(0x100), 4, 0, 0),
-            ],
-            true,
-        );
-        assert!(conflicted_regions(&g, &r).dram.contains(&0x100));
+        let f = may_race(&g, &r);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

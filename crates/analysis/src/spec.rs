@@ -29,8 +29,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
-use updown_sim::spec::{certify, declared_edges, Bound, Certification, ProgramSpec, SendDecl};
-use updown_sim::MachineConfig;
+use updown_sim::spec::{
+    certify, check_report, declared_edges, Bound, Certification, ProgramSpec, SendDecl,
+};
+use updown_sim::{MachineConfig, ProtocolProbe};
 
 use crate::{
     bracketed, count_errors, document, write_bound, write_findings, Finding, Report, Severity,
@@ -326,6 +328,16 @@ impl SpecAnalysis {
             findings,
             enforced: None,
         }
+    }
+
+    /// Record `--enforce`'s findings for a run that carried `probe` with
+    /// this spec enforced on `mc`: the observed-vs-declared deviations, and,
+    /// since attaching the probe armed the sanitizer, its diagnostics.
+    pub fn enforce(&mut self, probe: &ProtocolProbe, mc: &MachineConfig) {
+        let report = probe.snapshot();
+        let mut enforced = check_report(&self.spec, &report, mc.max_threads_per_lane, mc.spm_words);
+        enforced.extend(crate::sanitizer_findings(&report));
+        self.enforced = Some(enforced);
     }
 
     pub fn errors(&self) -> usize {

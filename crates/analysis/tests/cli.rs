@@ -39,10 +39,8 @@ fn json_stdout_is_the_library_document() {
     for threads in [1, 4] {
         let checks: Vec<_> = ALL_APPS.iter().map(|a| check_app(a, threads, SEED)).collect();
         assert_prints(&["check"], threads, &render_document(&checks));
-        for (prune, args) in [(false, &["race"][..]), (true, &["race", "--prune"])] {
-            let races: Vec<_> = ALL_APPS.iter().map(|a| race_app(a, threads, SEED, prune)).collect();
-            assert_prints(args, threads, &render_race_document(&races));
-        }
+        let races: Vec<_> = ALL_APPS.iter().map(|a| race_app(a, threads, SEED)).collect();
+        assert_prints(&["race"], threads, &render_race_document(&races));
         for (enforce, args) in [(false, &["spec"][..]), (true, &["spec", "--enforce"])] {
             let specs: Vec<_> = ALL_APPS.iter().map(|a| spec_app(a, threads, SEED, enforce)).collect();
             assert_prints(args, threads, &render_spec_document(&specs));
@@ -99,6 +97,8 @@ fn nonsense_command_lines_exit_2_with_the_usage_text() {
         &["lint"],
         &["--json"],
         &["check", "--prune"],
+        // Retired: full detection is the one race mode.
+        &["race", "--prune"],
         &["race", "--dot"],
         &["spec", "--bogus"],
         &["cost", "pagerankk"],

@@ -248,10 +248,10 @@ impl Gates {
     /// Arm `cfg` with every observer asked for; `label` names the run in
     /// the report, `spec` is the protocol `--spec` holds it to.
     pub fn arm(&mut self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
-        cfg.sanitize |= self.sanitize;
         if self.spec {
             cfg.enforce_spec = Some(spec.clone());
         }
+        // One probe serves both: attaching it arms the sanitizer.
         let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
         let race = self.race.then(RaceProbe::new);
         if probe.is_some() || race.is_some() {
@@ -278,7 +278,7 @@ impl Gates {
             let line = |d: &Diagnostic| {
                 format!("sanitizer[{}] {label}: {} — {} ({})", d.kind.as_str(), d.handler, d.detail, at(d))
             };
-            diags(probe).iter().map(line).collect()
+            diags(probe).iter().filter(|d| d.kind != DiagKind::SpecViolation).map(line).collect()
         };
         let udspec: Findings = |(label, probe, _)| {
             let spec = diags(probe).into_iter().filter(|d| d.kind == DiagKind::SpecViolation);
@@ -296,16 +296,19 @@ impl Gates {
             let dropped = (r.sites_truncated > 0).then(|| format!("udrace[{label}] warning: {} {cap}", r.sites_truncated));
             sites.chain(dropped).collect()
         };
-        let observers: [(bool, &str, &str, Findings); 3] = [
-            (self.sanitize, "sanitizer", "no protocol violations", sanitizer),
-            (self.race, "udrace", "no races", udrace),
-            (self.spec, "udspec", "no spec violations", udspec),
+        // (armed, asked for, ...): `--spec`'s probe arms the sanitizer too,
+        // so its protocol violations fail the run without `--sanitize`; only
+        // an observer asked for prints its clean line.
+        let observers: [(bool, bool, &str, &str, Findings); 3] = [
+            (self.sanitize || self.spec, self.sanitize, "sanitizer", "no protocol violations", sanitizer),
+            (self.race, true, "udrace", "no races", udrace),
+            (self.spec, true, "udspec", "no spec violations", udspec),
         ];
         let mut any = false;
-        for (_, tool, clean, findings) in observers.into_iter().filter(|o| o.0) {
+        for (_, asked, tool, clean, findings) in observers.into_iter().filter(|o| o.0) {
             let lines: Vec<String> = self.runs.iter().flat_map(findings).collect();
             lines.iter().for_each(|line| eprintln!("{line}"));
-            if lines.is_empty() {
+            if lines.is_empty() && asked {
                 eprintln!("{tool}: {} run(s), {clean}", self.runs.len());
             }
             any |= !lines.is_empty();
@@ -379,6 +382,7 @@ pub fn write_or_exit(flag: &str, path: &str, text: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use updown_sim::{Engine, EventWord, NetworkId};
 
     fn cli(args: &[&str]) -> Cli {
         Cli::from_args(args.iter().map(|s| s.to_string()))
@@ -534,7 +538,7 @@ mod tests {
         let mut b = a.clone();
         g.arm("a", &spec, &mut a);
         g.arm("b", &spec, &mut b);
-        assert!(a.sanitize && a.probe.is_some() && a.enforce_spec.is_some());
+        assert!(a.probe.is_some() && a.enforce_spec.is_some());
         assert!(a.race.is_none() && a.replay.is_none());
         assert_eq!((a.checkpoint_every, b.checkpoint_every), (3, 3));
         assert_eq!(g.runs.len(), 2);
@@ -543,8 +547,27 @@ mod tests {
         let mut g = Gates::from_cli(&cli(&[]));
         let mut c = MachineConfig::small(1, 1, 2);
         g.arm("c", &spec, &mut c);
-        assert!(!c.sanitize && c.probe.is_none() && c.race.is_none() && c.checkpoint_every == 0);
+        assert!(c.probe.is_none() && c.race.is_none() && c.checkpoint_every == 0);
         assert!(g.runs.is_empty() && !g.dirty());
+    }
+
+    /// `--spec` alone arms the sanitizer through its probe: a send to a
+    /// dead thread is a diagnostic that fails the run, not a panic.
+    #[test]
+    fn the_spec_gate_fails_a_run_that_sends_to_a_dead_thread() {
+        let mut g = Gates::from_cli(&cli(&["--spec"]));
+        let mut cfg = MachineConfig::small(1, 1, 2);
+        g.arm("dead", &ProgramSpec::new(), &mut cfg);
+        let mut eng = Engine::new(cfg);
+        let late = udweave::simple_event(&mut eng, "fixture::late", |_ctx| {});
+        let first = udweave::simple_event(&mut eng, "fixture::first", move |ctx| {
+            let dst = ctx.self_event(late);
+            ctx.send_event_after(50, dst, [0u64; 0], EventWord::IGNORE);
+            ctx.yield_terminate();
+        });
+        eng.send(EventWord::new(NetworkId(0), first), [0u64; 0], EventWord::IGNORE);
+        eng.run();
+        assert!(g.dirty());
     }
 
     #[test]

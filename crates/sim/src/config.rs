@@ -220,16 +220,14 @@ pub struct MachineConfig {
     /// results are byte-identical for every thread count; this only
     /// selects how many OS threads execute the shards.
     pub threads: u32,
-    /// Runtime sanitizer (`--sanitize` on the bench bins): tolerate and
-    /// diagnose event-protocol violations — sends to dead threads or
-    /// unregistered labels are dropped, out-of-range operand/scratchpad
-    /// accesses read zero — instead of panicking. Off by default; for a
-    /// violation-free program enabling it changes nothing (results stay
-    /// byte-identical). When set without an explicit [`Self::probe`], the
-    /// engine creates one (see [`crate::Engine::sanitizer_diagnostics`]).
-    pub sanitize: bool,
     /// Optional protocol recording shared with the caller; see
-    /// [`ProtocolProbe`]. Recording has zero observer effect.
+    /// [`ProtocolProbe`]. Recording has zero observer effect. Attaching
+    /// one also arms the runtime sanitizer (`--sanitize` on the bench
+    /// bins): event-protocol violations — sends to dead threads or
+    /// unregistered labels are dropped, out-of-range operand/scratchpad
+    /// accesses read zero — become probe diagnostics instead of panics.
+    /// For a violation-free program that changes nothing (results stay
+    /// byte-identical).
     pub probe: Option<ProtocolProbe>,
     /// Runtime spec enforcement (`--spec` on the bench bins): at end of
     /// run the recorded [`ProtocolProbe`] summary is checked against this
@@ -283,7 +281,6 @@ impl Default for MachineConfig {
             max_threads_per_lane: 512,
             spm_words: 8192,
             threads: 1,
-            sanitize: false,
             probe: None,
             enforce_spec: None,
             race: None,
@@ -351,13 +348,8 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Enable the runtime sanitizer (see [`MachineConfig::sanitize`]).
-    pub fn sanitize(mut self, on: bool) -> Self {
-        self.cfg.sanitize = on;
-        self
-    }
-
-    /// Attach a protocol recording (see [`MachineConfig::probe`]).
+    /// Attach a protocol recording and arm the runtime sanitizer (see
+    /// [`MachineConfig::probe`]).
     pub fn probe(mut self, probe: ProtocolProbe) -> Self {
         self.cfg.probe = Some(probe);
         self

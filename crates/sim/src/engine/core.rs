@@ -864,27 +864,26 @@ impl EngineCore {
         let dst = self.arena.message(id).dst;
         let label = dst.label();
         let is_new = dst.tid() == ThreadId::NEW;
-        // Sanitizer: messages that cannot be dispatched (unregistered label
-        // or dead target thread) are diagnosed and dropped instead of
-        // panicking. Violation-free programs never reach either branch.
-        if shared.cfg.sanitize {
+        // Sanitizer (armed by an attached probe): messages that cannot be
+        // dispatched (unregistered label or dead target thread) are
+        // diagnosed and dropped instead of panicking. Violation-free
+        // programs never reach either branch.
+        if let Some(p) = &shared.cfg.probe {
             let unregistered = label.0 as usize >= shared.handlers.len();
             let dead = !unregistered && !is_new && !lane.threads.contains(dst.tid());
             if unregistered || dead {
-                if let Some(p) = &shared.cfg.probe {
-                    if unregistered {
-                        p.diag(DiagKind::SendUnregistered, label.0, label.0 as u64, t, l, || {
-                            format!("message delivered to unregistered event label {}", label.0)
-                        });
-                    } else {
-                        let tid = dst.tid().0;
-                        p.diag(DiagKind::SendToDeadThread, label.0, tid as u64, t, l, || {
-                            format!(
-                                "message for '{}' targets dead thread {tid} on lane {l}",
-                                shared.handlers[label.0 as usize].name
-                            )
-                        });
-                    }
+                if unregistered {
+                    p.diag(DiagKind::SendUnregistered, label.0, label.0 as u64, t, l, || {
+                        format!("message delivered to unregistered event label {}", label.0)
+                    });
+                } else {
+                    let tid = dst.tid().0;
+                    p.diag(DiagKind::SendToDeadThread, label.0, tid as u64, t, l, || {
+                        format!(
+                            "message for '{}' targets dead thread {tid} on lane {l}",
+                            shared.handlers[label.0 as usize].name
+                        )
+                    });
                 }
                 self.arena.take(self.calendar.links_mut(), id);
                 self.stats.msgs_dropped += 1;

@@ -79,7 +79,8 @@ impl<'a> EventCtx<'a> {
     }
 
     /// Operand `i` of the triggering message. Panics past the operand
-    /// count — unless the sanitizer is on, which diagnoses and reads zero.
+    /// count — unless a probe is attached (the sanitizer is armed), which
+    /// diagnoses and reads zero.
     #[inline]
     pub fn arg(&self, i: usize) -> u64 {
         if let Some(p) = &self.shared.cfg.probe {
@@ -100,9 +101,7 @@ impl<'a> EventCtx<'a> {
                         )
                     },
                 );
-                if self.shared.cfg.sanitize {
-                    return 0;
-                }
+                return 0;
             }
         }
         self.msg.args[i]
@@ -393,23 +392,26 @@ impl<'a> EventCtx<'a> {
         (self.lane - self.shard.base_lane) as usize
     }
 
-    /// Sanitizer diagnostic for a scratchpad access past `spm_words`.
-    fn spm_oob_diag(&self, op: &str, off: u32) {
-        if let Some(p) = &self.shared.cfg.probe {
-            p.diag(
-                DiagKind::ScratchpadOutOfBounds,
-                self.msg.dst.label().0,
-                off as u64,
-                self.shard.now,
-                self.lane,
-                || {
-                    format!(
-                        "'{}': {op} at word {off} past scratchpad size {}",
-                        self.event_name, self.shared.cfg.spm_words
-                    )
-                },
-            );
-        }
+    /// Sanitizer diagnostic for a scratchpad access past `spm_words`;
+    /// false when no probe is attached (the access then panics).
+    fn spm_oob_diag(&self, op: &str, off: u32) -> bool {
+        let Some(p) = &self.shared.cfg.probe else {
+            return false;
+        };
+        p.diag(
+            DiagKind::ScratchpadOutOfBounds,
+            self.msg.dst.label().0,
+            off as u64,
+            self.shard.now,
+            self.lane,
+            || {
+                format!(
+                    "'{}': {op} at word {off} past scratchpad size {}",
+                    self.event_name, self.shared.cfg.spm_words
+                )
+            },
+        );
+        true
     }
 
     /// Record one in-bounds scratchpad access for race detection.
@@ -444,7 +446,8 @@ impl<'a> EventCtx<'a> {
     }
 
     /// Scratchpad load (1 cycle), word-addressed. Out-of-bounds panics —
-    /// unless the sanitizer is on, which diagnoses and reads zero.
+    /// unless a probe is attached (the sanitizer is armed), which
+    /// diagnoses and reads zero.
     pub fn spm_read(&mut self, off: u32) -> u64 {
         self.spm_read_class(off, false)
     }
@@ -458,8 +461,7 @@ impl<'a> EventCtx<'a> {
     }
 
     fn spm_read_class(&mut self, off: u32, atomic: bool) -> u64 {
-        if self.shared.cfg.sanitize && off >= self.shared.cfg.spm_words {
-            self.spm_oob_diag("spm_read", off);
+        if off >= self.shared.cfg.spm_words && self.spm_oob_diag("spm_read", off) {
             self.cost += self.shared.cfg.costs.spd_access;
             return 0;
         }
@@ -471,7 +473,8 @@ impl<'a> EventCtx<'a> {
     }
 
     /// Scratchpad store (1 cycle), word-addressed. Out-of-bounds panics —
-    /// unless the sanitizer is on, which diagnoses and drops the store.
+    /// unless a probe is attached (the sanitizer is armed), which
+    /// diagnoses and drops the store.
     pub fn spm_write(&mut self, off: u32, v: u64) {
         self.spm_write_class(off, v, false)
     }
@@ -484,8 +487,7 @@ impl<'a> EventCtx<'a> {
     }
 
     fn spm_write_class(&mut self, off: u32, v: u64, atomic: bool) {
-        if self.shared.cfg.sanitize && off >= self.shared.cfg.spm_words {
-            self.spm_oob_diag("spm_write", off);
+        if off >= self.shared.cfg.spm_words && self.spm_oob_diag("spm_write", off) {
             self.cost += self.shared.cfg.costs.spd_access;
             return;
         }
@@ -498,11 +500,12 @@ impl<'a> EventCtx<'a> {
 
     /// Raw bump-allocate `words` of this lane's scratchpad (spMalloc's
     /// backing primitive). Panics when the scratchpad is exhausted —
-    /// unless the sanitizer is on, which diagnoses and refuses the bump.
+    /// unless a probe is attached (the sanitizer is armed), which
+    /// diagnoses and refuses the bump.
     pub fn spm_alloc(&mut self, words: u32) -> u32 {
         let idx = self.local_lane_idx();
         let base = self.shard.lanes[idx].spm_brk;
-        if self.shared.cfg.sanitize && base + words > self.shared.cfg.spm_words {
+        if base + words > self.shared.cfg.spm_words {
             if let Some(p) = &self.shared.cfg.probe {
                 let (lane, spm_words) = (self.lane, self.shared.cfg.spm_words);
                 p.diag(
@@ -519,8 +522,8 @@ impl<'a> EventCtx<'a> {
                         )
                     },
                 );
+                return base;
             }
-            return base;
         }
         assert!(
             base + words <= self.shared.cfg.spm_words,

@@ -75,7 +75,7 @@ use crate::lane::Lane;
 use crate::memory::{GlobalMemory, MemChannels};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, LinkId, Nics, Topology};
-use crate::probe::{Diagnostic, ProtocolProbe};
+use crate::probe::ProtocolProbe;
 use crate::snapshot::{self, SnapHeader};
 use crate::stats::{
     Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
@@ -139,10 +139,9 @@ enum RestoreSlot {
 impl Engine {
     pub fn new(mut cfg: MachineConfig) -> Engine {
         cfg.check();
-        // The sanitizer and spec enforcement report through a probe;
-        // create one when the caller asked for either without supplying
-        // their own.
-        if (cfg.sanitize || cfg.enforce_spec.is_some()) && cfg.probe.is_none() {
+        // Spec enforcement reports through a probe; create one when the
+        // caller did not supply their own.
+        if cfg.enforce_spec.is_some() && cfg.probe.is_none() {
             cfg.probe = Some(ProtocolProbe::new());
         }
         let lanes_per_node = cfg.lanes_per_node();
@@ -340,20 +339,9 @@ impl Engine {
     }
 
     /// The attached protocol probe, if any ([`MachineConfig::probe`], or
-    /// auto-created by [`MachineConfig::sanitize`]).
+    /// auto-created by [`MachineConfig::enforce_spec`]).
     pub fn probe(&self) -> Option<&ProtocolProbe> {
         self.shared.cfg.probe.as_ref()
-    }
-
-    /// Diagnostics collected by the protocol probe / runtime sanitizer so
-    /// far; empty when no probe is attached (and for violation-free runs).
-    pub fn sanitizer_diagnostics(&self) -> Vec<Diagnostic> {
-        self.shared
-            .cfg
-            .probe
-            .as_ref()
-            .map(|p| p.diagnostics())
-            .unwrap_or_default()
     }
 
     /// Record `[PRINT]`-style trace lines emitted via [`EventCtx::print`].
@@ -379,10 +367,6 @@ impl Engine {
                 s.tracer = Some(Tracer::with_id_base((i as u64) << 48));
             }
         }
-    }
-
-    pub fn event_trace_enabled(&self) -> bool {
-        self.shards.first().map(|s| s.tracer.is_some()).unwrap_or(false)
     }
 
     /// Recorded trace events (empty when event tracing is disabled),
@@ -456,11 +440,6 @@ impl Engine {
             self.shared.cfg.clock_ghz,
             self.final_tick(),
         )
-    }
-
-    /// Write the Chrome trace JSON to `path`.
-    pub fn write_chrome_trace(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.chrome_trace_json())
     }
 
     /// Machine-wide counters, merged across shards after each run.

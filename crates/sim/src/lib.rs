@@ -66,7 +66,7 @@ pub use snapshot::{
     ReplayCheck, ReplayRunReport, SnapField, SnapReader, SnapState, SnapWriter, SnapshotError,
     SNAP_SCHEMA,
 };
-pub use race::{Footprint, RaceFilter, RaceKind, RaceProbe, RaceReport, RaceSite, RaceSpace, Region};
+pub use race::{Footprint, RaceKind, RaceProbe, RaceReport, RaceSite, RaceSpace, Region};
 pub use spec::{
     Bound, Certification, EventDecl, Finding, GroupBound, ProgramSpec, SendDecl, Severity,
     ThreadDecl, Workload,

@@ -16,20 +16,76 @@
 //! and `min`-merges, i.e. commutative across shards — the summary is also
 //! identical at every `--threads` count.
 //!
-//! With [`MachineConfig::sanitize`](crate::MachineConfig) set, the engine
-//! additionally *tolerates* protocol violations instead of panicking —
-//! sends to dead threads or unregistered labels are dropped, out-of-range
-//! operand and scratchpad accesses read zero — each producing a
-//! deterministic diagnostic. For a violation-free program the sanitizer
-//! changes nothing: every guard only diverges on the violating path.
+//! Attaching a probe also arms the runtime sanitizer: the engine
+//! *tolerates* protocol violations instead of panicking — sends to dead
+//! threads or unregistered labels are dropped, out-of-range operand and
+//! scratchpad accesses read zero — each producing a deterministic
+//! diagnostic. For a violation-free program the sanitizer changes
+//! nothing: every guard only diverges on the violating path.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Cap on distinct diagnostic sites; repeats of a known site only bump its
-/// count, but pathological programs could mint unbounded *distinct* sites.
-const MAX_DIAG_SITES: usize = 1024;
+/// Cap on distinct sites one recording keeps (protocol diagnostics, race
+/// sites); repeats of a kept site only bump its count, but pathological
+/// programs could mint unbounded *distinct* sites.
+pub(crate) const MAX_SITES: usize = 1024;
+
+/// Deduplicated sites, each min-merged to its earliest (tick, lane)
+/// occurrence, capped at [`MAX_SITES`] distinct keys. The cap keeps the
+/// smallest keys, so which sites survive — and how many occurrences are
+/// dropped — depends on the multiset of occurrences, never on the order
+/// shards deliver them in.
+#[derive(Clone)]
+pub(crate) struct Sites<K> {
+    /// Key -> (first (tick, lane), detail of that occurrence, count).
+    pub kept: BTreeMap<K, ((u64, u32), String, u64)>,
+    /// Distinct keys dropped past the cap.
+    pub dropped: BTreeSet<K>,
+    /// Occurrences of the dropped keys.
+    pub suppressed: u64,
+}
+
+impl<K> Default for Sites<K> {
+    fn default() -> Self {
+        Sites {
+            kept: BTreeMap::new(),
+            dropped: BTreeSet::new(),
+            suppressed: 0,
+        }
+    }
+}
+
+impl<K: Ord + Copy> Sites<K> {
+    /// Merge one occurrence of site `key` at `at`. `detail` is only
+    /// rendered for a site's earliest occurrence, so callers may format
+    /// freely without a hot-path cost for repeats.
+    pub fn record(&mut self, key: K, at: (u64, u32), detail: impl FnOnce() -> String) {
+        if let Some((first, d, count)) = self.kept.get_mut(&key) {
+            *count += 1;
+            if at < *first {
+                *first = at;
+                *d = detail();
+            }
+            return;
+        }
+        if self.kept.len() >= MAX_SITES {
+            // Full: a key above every kept one is dropped; one below the
+            // largest evicts it. The largest kept key only ever falls, so
+            // a dropped key never comes back.
+            if self.kept.last_key_value().is_some_and(|(&top, _)| key > top) {
+                self.dropped.insert(key);
+                self.suppressed += 1;
+                return;
+            }
+            let (top, (_, _, count)) = self.kept.pop_last().expect("the cap is above zero");
+            self.dropped.insert(top);
+            self.suppressed += count;
+        }
+        self.kept.insert(key, (at, detail(), 1));
+    }
+}
 
 /// What went wrong. Ordering is severity-then-kind and is the primary sort
 /// key of [`ProtocolProbe::diagnostics`].
@@ -155,11 +211,11 @@ pub struct ProbeReport {
     /// cut-off). Leak checks are only meaningful when true.
     pub drained: bool,
     pub diagnostics: Vec<Diagnostic>,
-    /// Diagnostic *occurrences* dropped past [`MAX_DIAG_SITES`] distinct
-    /// sites (repeats of a dropped site all count).
+    /// Diagnostic *occurrences* dropped past [`MAX_SITES`] distinct sites
+    /// (repeats of a dropped site all count).
     pub suppressed: u64,
-    /// Distinct diagnostic *sites* dropped by the cap — `diagnostics` is
-    /// incomplete whenever this is non-zero.
+    /// Distinct diagnostic *sites* dropped by the cap (the largest keys) —
+    /// `diagnostics` is incomplete whenever this is non-zero.
     pub sites_truncated: u64,
     /// Per-lane live-thread highwater (global lane id → max live count),
     /// max-merged and thus commutative across shards.
@@ -177,18 +233,13 @@ impl ProbeReport {
     }
 }
 
-/// Site key → (first (tick, lane), detail of that occurrence, count).
-type DiagSites = BTreeMap<(DiagKind, u16, u64), ((u64, u32), String, u64)>;
-
 #[derive(Clone, Default)]
 struct Inner {
     handlers: BTreeMap<u16, HandlerRecord>,
     groups: BTreeMap<u16, GroupRecord>,
     names: Vec<String>,
-    diags: DiagSites,
-    suppressed: u64,
-    /// Distinct site keys dropped past the cap.
-    truncated: BTreeSet<(DiagKind, u16, u64)>,
+    /// Diagnostic sites keyed by (kind, label, aux).
+    diags: Sites<(DiagKind, u16, u64)>,
     drained: bool,
     thread_hw: BTreeMap<u32, u32>,
     spm_hw: BTreeMap<u32, u32>,
@@ -315,8 +366,7 @@ impl ProtocolProbe {
 
     /// Record (or merge into) a diagnostic site. `aux` disambiguates sites
     /// within one (kind, label) — e.g. the destination label or offset.
-    /// `detail` is only rendered for the earliest occurrence of a site, so
-    /// callers may format freely without a hot-path cost for repeats.
+    /// See [`Sites::record`] for `detail`.
     pub(crate) fn diag(
         &self,
         kind: DiagKind,
@@ -327,21 +377,7 @@ impl ProtocolProbe {
         detail: impl FnOnce() -> String,
     ) {
         let mut g = self.inner.lock().unwrap();
-        let key = (kind, label, aux);
-        if let Some((first, d, count)) = g.diags.get_mut(&key) {
-            *count += 1;
-            if (tick, lane) < *first {
-                *first = (tick, lane);
-                *d = detail();
-            }
-            return;
-        }
-        if g.diags.len() >= MAX_DIAG_SITES {
-            g.suppressed += 1;
-            g.truncated.insert(key);
-            return;
-        }
-        g.diags.insert(key, ((tick, lane), detail(), 1));
+        g.diags.record((kind, label, aux), (tick, lane), detail);
     }
 
     /// Record one thread still live when the run drained.
@@ -424,6 +460,7 @@ impl ProtocolProbe {
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let g = self.inner.lock().unwrap();
         g.diags
+            .kept
             .iter()
             .map(|(&(kind, label, _aux), &((tick, lane), ref detail, count))| Diagnostic {
                 kind,
@@ -451,8 +488,8 @@ impl ProtocolProbe {
             groups: g.groups.clone(),
             drained: g.drained,
             diagnostics: diags,
-            suppressed: g.suppressed,
-            sites_truncated: g.truncated.len() as u64,
+            suppressed: g.diags.suppressed,
+            sites_truncated: g.diags.dropped.len() as u64,
             thread_highwater: g.thread_hw.clone(),
             spm_highwater: g.spm_hw.clone(),
         }
@@ -488,25 +525,51 @@ mod tests {
     #[test]
     fn site_cap_suppresses_overflow() {
         let p = ProtocolProbe::new();
-        for i in 0..(MAX_DIAG_SITES as u64 + 10) {
+        for i in 0..(MAX_SITES as u64 + 10) {
             p.diag(DiagKind::OperandOutOfRange, 0, i, 1, 0, String::new);
         }
         let r = p.snapshot();
-        assert_eq!(r.diagnostics.len(), MAX_DIAG_SITES);
+        assert_eq!(r.diagnostics.len(), MAX_SITES);
         assert_eq!(r.suppressed, 10);
         assert_eq!(r.sites_truncated, 10);
     }
 
     #[test]
+    fn site_cap_keeps_the_same_sites_in_any_arrival_order() {
+        // Past the cap, which sites survive and how many occurrences are
+        // suppressed must not depend on which shard reached the probe
+        // first: the smallest keys stay, and an evicted site's count moves
+        // into `suppressed`.
+        let n = MAX_SITES as u64 + 10;
+        let report = |order: Vec<u64>| {
+            let p = ProtocolProbe::new();
+            for i in order {
+                // Site i occurs i % 3 + 1 times.
+                for k in 0..=i % 3 {
+                    p.diag(DiagKind::OperandOutOfRange, 0, i, i + k, 0, || format!("site {i}"));
+                }
+            }
+            p.snapshot()
+        };
+        let (up, down) = (report((0..n).collect()), report((0..n).rev().collect()));
+        assert_eq!(up.diagnostics, down.diagnostics);
+        assert_eq!(
+            (up.suppressed, up.sites_truncated),
+            (down.suppressed, down.sites_truncated)
+        );
+        assert_eq!(up.sites_truncated, 10);
+    }
+
+    #[test]
     fn truncated_counts_distinct_sites_not_occurrences() {
         let p = ProtocolProbe::new();
-        for i in 0..(MAX_DIAG_SITES as u64 + 2) {
+        for i in 0..(MAX_SITES as u64 + 2) {
             p.diag(DiagKind::OperandOutOfRange, 0, i, 1, 0, String::new);
         }
         // Repeat the two dropped sites: occurrences grow, sites do not.
         for _ in 0..3 {
-            p.diag(DiagKind::OperandOutOfRange, 0, MAX_DIAG_SITES as u64, 1, 0, String::new);
-            p.diag(DiagKind::OperandOutOfRange, 0, MAX_DIAG_SITES as u64 + 1, 1, 0, String::new);
+            p.diag(DiagKind::OperandOutOfRange, 0, MAX_SITES as u64, 1, 0, String::new);
+            p.diag(DiagKind::OperandOutOfRange, 0, MAX_SITES as u64 + 1, 1, 0, String::new);
         }
         let r = p.snapshot();
         assert_eq!(r.suppressed, 8, "2 first drops + 6 repeats");

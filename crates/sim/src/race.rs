@@ -59,8 +59,11 @@
 //!   issuer — skips the join;
 //! - an atomic's reply carries its word's sync clock itself, not a copy
 //!   (the next release copies it only if the reply is still in flight),
-//!   and the atomic's own access is checked against it in place;
-//! - a footprint-only scout keeps no clocks at all.
+//!   and the atomic's own access is checked against it in place.
+//!
+//! There is one mode: every word of every DRAM allocation and scratchpad
+//! is tracked. Per-(handler, region) footprints ride along for the static
+//! may-race pass of `ud race`.
 //!
 //! Epochs are `u32`; a thread's 2^32nd event panics instead of wrapping.
 //! Debug builds assert that every skipped join would have been a no-op.
@@ -74,14 +77,12 @@
 //! Memory effects applied by `drain_in_flight` after a `ctx.stop()` are
 //! not recorded — detection covers everything executed before the stop.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::memory::VAddr;
-
-/// Cap on distinct race sites, mirroring the probe's diagnostic cap.
-const MAX_RACE_SITES: usize = 1024;
+use crate::probe::Sites;
 
 /// Identity of one simulated thread as the engine names it: global lane
 /// id, thread id within the lane, and the slot generation (bumped on
@@ -286,14 +287,13 @@ pub struct RaceReport {
     pub handler_names: Vec<String>,
     /// Race sites ordered by (space, kind, handler pair, region).
     pub sites: Vec<RaceSite>,
-    /// Distinct sites dropped past the site cap.
+    /// Distinct sites dropped past the site cap (the largest keys).
     pub sites_truncated: u64,
-    /// Word accesses recorded (after footprint filtering).
+    /// Word accesses recorded.
     pub accesses: u64,
     /// Distinct words with tracked state.
     pub words_tracked: u64,
-    /// Per-(handler, region) access summaries — always recorded, even in
-    /// footprint-only mode.
+    /// Per-(handler, region) access summaries.
     pub footprints: Vec<Footprint>,
     /// Whether the run drained naturally (no `ctx.stop()`, no limit).
     pub drained: bool,
@@ -404,17 +404,8 @@ struct WordState {
     reads: Reads,
 }
 
+/// A race site: (space, kind, prior handler, current handler, region).
 type SiteKey = (RaceSpace, RaceKind, u16, u16, Region);
-
-/// Allocation filter produced by the static pre-pass: track word state
-/// only for these regions (footprints still cover everything).
-#[derive(Clone, Debug, Default)]
-pub struct RaceFilter {
-    /// DRAM allocation base addresses to monitor.
-    pub dram: BTreeSet<u64>,
-    /// Global lane ids whose scratchpads to monitor.
-    pub spm: BTreeSet<u32>,
-}
 
 /// The thread table: dense ids for live thread keys and the current
 /// clock of every id. Id [`HOST`] is the host's.
@@ -466,14 +457,6 @@ impl Threads {
         *slot = Some(exec.clock.clone());
     }
 
-    /// The clock a footprint-only scout hands every execution and host
-    /// send: the host's, never bumped, so always empty.
-    fn scout_clock(&mut self) -> Arc<VClock> {
-        self.clocks[HOST as usize]
-            .get_or_insert_with(Arc::default)
-            .clone()
-    }
-
     /// Thread `id`'s current own epoch: its live clock's own entry, or
     /// once it has retired, the entry `end_thread` left in `retired` (or,
     /// after a run boundary, in the host clock).
@@ -498,85 +481,43 @@ impl Threads {
     }
 }
 
-/// Deduplicated race sites, min-merged to their earliest occurrence.
-#[derive(Clone, Default)]
-struct Sites {
-    /// Site -> ((first tick, lane), detail of that occurrence, count).
-    sites: BTreeMap<SiteKey, ((u64, u32), String, u64)>,
-    /// Distinct site keys dropped past [`MAX_RACE_SITES`].
-    truncated: BTreeSet<SiteKey>,
-}
-
-impl Sites {
-    /// Min-merge one race occurrence into its site bucket.
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        space: RaceSpace,
-        kind: RaceKind,
-        region: Region,
-        loc: Loc,
-        prior: &Access,
-        cur: &Access,
-        cur_write: bool,
-    ) {
-        let key = (space, kind, prior.label, cur.label, region);
-        let tick = cur.tick;
-        let lane = cur.who.lane;
-        let detail = || {
-            let what = |a: &Access, wr: bool| {
-                let cls = if a.atomic {
-                    "atomic"
-                } else if wr {
-                    "write"
-                } else {
-                    "read"
-                };
-                format!("{cls} at tick {}", a.tick)
-            };
-            let place = match loc {
-                Loc::Dram(addr) => format!("dram word {addr:#x}"),
-                Loc::Spm(l, off) => format!("lane {l} spm[{off}]"),
-            };
-            let prior_wr = kind == RaceKind::WriteWrite || !cur_write;
-            format!(
-                "{place}: {} vs {} (unordered)",
-                what(prior, prior_wr),
-                what(cur, cur_write)
-            )
+/// The detail line of one race occurrence: where, and the two accesses.
+fn site_detail(kind: RaceKind, loc: Loc, prior: &Access, cur: &Access, cur_write: bool) -> String {
+    let what = |a: &Access, wr: bool| {
+        let cls = if a.atomic {
+            "atomic"
+        } else if wr {
+            "write"
+        } else {
+            "read"
         };
-        if let Some((first, d, count)) = self.sites.get_mut(&key) {
-            *count += 1;
-            if (tick, lane) < *first {
-                *first = (tick, lane);
-                *d = detail();
-            }
-            return;
-        }
-        if self.sites.len() >= MAX_RACE_SITES {
-            self.truncated.insert(key);
-            return;
-        }
-        self.sites.insert(key, ((tick, lane), detail(), 1));
-    }
+        format!("{cls} at tick {}", a.tick)
+    };
+    let place = match loc {
+        Loc::Dram(addr) => format!("dram word {addr:#x}"),
+        Loc::Spm(l, off) => format!("lane {l} spm[{off}]"),
+    };
+    let prior_wr = kind == RaceKind::WriteWrite || !cur_write;
+    format!(
+        "{place}: {} vs {} (unordered)",
+        what(prior, prior_wr),
+        what(cur, cur_write)
+    )
 }
 
-/// Per-word access state of every tracked word, and the race sites found
-/// in it. Kept apart from the sync clocks so an atomic's access can be
-/// checked against its word's sync clock in place.
+/// Per-word access state of every word, and the race sites found in it.
+/// Kept apart from the sync clocks so an atomic's access can be checked
+/// against its word's sync clock in place.
 #[derive(Clone, Default)]
 struct Words {
     states: BTreeMap<Loc, WordState>,
-    sites: Sites,
-    /// Word accesses recorded (after footprint filtering).
+    sites: Sites<SiteKey>,
+    /// Word accesses recorded.
     accesses: u64,
 }
 
 #[derive(Clone, Default)]
 struct Inner {
-    /// Record footprints only; skip per-word tracking and every clock.
-    footprint_only: bool,
-    filter: Option<RaceFilter>,
     threads: Threads,
     /// The own epoch of every thread that terminated this run: by the
     /// invariant, the join of their final clocks.
@@ -606,14 +547,6 @@ impl Inner {
             f.1 += 1;
         } else {
             f.0 += 1;
-        }
-    }
-
-    fn tracked(&self, region: Region) -> bool {
-        match (&self.filter, region) {
-            (None, _) => true,
-            (Some(f), Region::Dram(base)) => f.dram.contains(&base),
-            (Some(f), Region::Spm(lane)) => f.spm.contains(&lane),
         }
     }
 }
@@ -715,8 +648,13 @@ impl Words {
         self.accesses += 1;
         let st = self.states.entry(loc).or_default();
         let sites = &mut self.sites;
-        let mut race =
-            |kind, prior: &Access| sites.record(space, kind, region, loc, prior, &cur, write);
+        let mut race = |kind, prior: &Access| {
+            sites.record(
+                (space, kind, prior.label, cur.label, region),
+                (cur.tick, cur.who.lane),
+                || site_detail(kind, loc, prior, &cur, write),
+            )
+        };
         let unordered = |a: &Access| !a.ordered_before(clock);
         if write {
             if let Some(w) = &st.write {
@@ -793,36 +731,11 @@ impl RaceProbe {
         *self.inner.lock().unwrap() = st.0.clone();
     }
 
-    /// Footprint-only pass: record which handlers touch which regions
-    /// (for the static conflict pre-pass) without per-word tracking.
-    pub fn footprint_only() -> RaceProbe {
-        let p = RaceProbe::default();
-        p.inner.lock().unwrap().footprint_only = true;
-        p
-    }
-
-    /// Monitor only the regions named by `filter` (the pruned mode driven
-    /// by the static pre-pass). Footprints still cover everything.
-    pub fn with_filter(filter: RaceFilter) -> RaceProbe {
-        let p = RaceProbe::default();
-        p.inner.lock().unwrap().filter = Some(filter);
-        p
-    }
-
     /// Begin one event execution: join the triggering message's clock
     /// (if any) into the thread's clock, bump the thread's own epoch,
     /// and return the snapshot every effect of this execution carries.
     pub(crate) fn begin_event(&self, key: ThreadKey, incoming: Option<Arc<VClock>>) -> RaceExec {
         let mut g = self.inner.lock().unwrap();
-        if g.footprint_only {
-            let who = ThreadRef {
-                id: HOST,
-                lane: key.lane,
-                tid: key.tid,
-            };
-            let clock = g.threads.scout_clock();
-            return RaceExec { who, clock };
-        }
         let id = g.threads.intern(key);
         let slot = &mut g.threads.clocks[id as usize];
         let mut clock = slot.take().unwrap_or_else(|| Arc::new(VClock::new(id)));
@@ -851,9 +764,6 @@ impl RaceProbe {
     /// join, which needs only its own epoch) and forget its key.
     pub(crate) fn end_thread(&self, exec: &RaceExec) {
         let mut g = self.inner.lock().unwrap();
-        if g.footprint_only {
-            return;
-        }
         let Inner {
             threads, retired, ..
         } = &mut *g;
@@ -873,9 +783,6 @@ impl RaceProbe {
     /// executions it spawns stay mutually unordered.
     pub(crate) fn host_send(&self) -> Arc<VClock> {
         let mut g = self.inner.lock().unwrap();
-        if g.footprint_only {
-            return g.threads.scout_clock();
-        }
         let host = g.threads.clocks[HOST as usize].get_or_insert_with(Arc::default);
         Arc::make_mut(host).bump(HOST);
         host.clone()
@@ -892,11 +799,6 @@ impl RaceProbe {
     /// issuer does after the acknowledged fetch-and-add is ordered after
     /// all the adds it observed. Plain operations, and atomics without a
     /// reply, return `None`.
-    ///
-    /// Sync clocks are maintained even for regions outside the prune
-    /// filter: a filtered-out barrier counter still orders the tracked
-    /// regions that synchronize through it, so the pruned pass may drop
-    /// atomic-only regions without losing happens-before edges.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_dram(
         &self,
@@ -914,13 +816,6 @@ impl RaceProbe {
         let region = Region::Dram(alloc_base);
         let atomic = atomic || acc.atomic;
         g.footprint(acc.label, region, write, atomic && write);
-        if g.footprint_only {
-            return None;
-        }
-        let tracked = g.tracked(region);
-        if !tracked && !atomic {
-            return None;
-        }
         let cur = Access {
             who: acc.who,
             epoch: acc.clock.get(acc.who.id),
@@ -934,43 +829,36 @@ impl RaceProbe {
             turn,
             ..
         } = &mut *g;
-        let queued = tracked && turn.at != shard;
-        let mut queue = |clock| {
+        let clock = if atomic {
+            assert_eq!(nwords, 1, "an atomic-class DRAM operation is one word");
+            // Release first: the word's clock then already is the issuer's
+            // joined with every earlier atomic's, which is what the issuer
+            // acquires, and what its access is checked with. Acquire-then-
+            // check is safe: a word's sync clock only ever holds atomic
+            // accessors' clocks, and atomic-vs-atomic pairs never race, so
+            // the acquired epochs reflect genuine ordering edges. A reply or
+            // a queued check shares the word's clock; the next release
+            // copies it only if one of them still holds it.
+            let sync = word_sync.entry(Loc::Dram(va.0)).or_default();
+            Arc::make_mut(sync).join(&acc.clock);
+            &*sync
+        } else {
+            &acc.clock
+        };
+        if turn.at == shard {
+            words.dram(region, va.0, nwords, cur, clock, write);
+        } else {
             let q = QueuedDram {
                 region,
                 va: va.0,
                 nwords,
                 cur,
-                clock,
+                clock: clock.clone(),
                 write,
             };
             turn.queue(shard, q);
-        };
-        if !atomic {
-            if queued {
-                queue(acc.clock.clone());
-            } else {
-                words.dram(region, va.0, nwords, cur, &acc.clock, write);
-            }
-            return None;
         }
-        assert_eq!(nwords, 1, "an atomic-class DRAM operation is one word");
-        // Release first: the word's clock then already is the issuer's
-        // joined with every earlier atomic's, which is what the issuer
-        // acquires, and what its access is checked with. Acquire-then-
-        // check is safe: a word's sync clock only ever holds atomic
-        // accessors' clocks, and atomic-vs-atomic pairs never race, so
-        // the acquired epochs reflect genuine ordering edges. A reply or
-        // a queued check shares the word's clock; the next release copies
-        // it only if one of them still holds it.
-        let sync = word_sync.entry(Loc::Dram(va.0)).or_default();
-        Arc::make_mut(sync).join(&acc.clock);
-        if queued {
-            queue(sync.clone());
-        } else if tracked {
-            words.dram(region, va.0, 1, cur, sync, write);
-        }
-        replied.then(|| sync.clone())
+        (atomic && replied).then(|| clock.clone())
     }
 
     /// Shard `shard` (of `shards`) finished its window of the current
@@ -1001,23 +889,12 @@ impl RaceProbe {
         let mut g = self.inner.lock().unwrap();
         let region = Region::Spm(lane);
         g.footprint(label, region, write, atomic && write);
-        if g.footprint_only {
-            return;
-        }
-        let tracked = g.tracked(region);
-        if !tracked && !atomic {
-            return;
-        }
         let loc = Loc::Spm(lane, off);
-        // Release-acquire edges survive prune filtering (see record_dram).
         if atomic {
             let Inner {
                 threads, word_sync, ..
             } = &mut *g;
             threads.sync(exec, Arc::make_mut(word_sync.entry(loc).or_default()));
-        }
-        if !tracked {
-            return;
         }
         let cur = Access {
             who: exec.who,
@@ -1038,9 +915,6 @@ impl RaceProbe {
     /// that flows through host-side state the probe cannot see.
     pub(crate) fn order_token(&self, exec: &mut RaceExec, lane: u32, token: u64) {
         let mut g = self.inner.lock().unwrap();
-        if g.footprint_only {
-            return;
-        }
         let Inner {
             threads,
             token_sync,
@@ -1057,9 +931,6 @@ impl RaceProbe {
         let mut g = self.inner.lock().unwrap();
         g.names = names;
         g.drained = drained;
-        if g.footprint_only {
-            return;
-        }
         let Inner {
             threads,
             retired,
@@ -1105,7 +976,7 @@ impl RaceProbe {
         let sites = g
             .words
             .sites
-            .sites
+            .kept
             .iter()
             .map(
                 |(&(space, kind, prior, cur, region), &((tick, lane), ref detail, count))| {
@@ -1139,7 +1010,7 @@ impl RaceProbe {
         RaceReport {
             handler_names: g.names.clone(),
             sites,
-            sites_truncated: g.words.sites.truncated.len() as u64,
+            sites_truncated: g.words.sites.dropped.len() as u64,
             accesses: g.words.accesses,
             words_tracked: g.words.states.len() as u64,
             footprints,
@@ -1151,6 +1022,7 @@ impl RaceProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::MAX_SITES;
 
     fn key(lane: u32, tid: u16) -> ThreadKey {
         ThreadKey { lane, tid, gen: 0 }
@@ -1307,7 +1179,7 @@ mod tests {
     #[test]
     fn site_cap_counts_distinct_truncated_sites() {
         let p = RaceProbe::new();
-        for i in 0..(MAX_RACE_SITES as u64 + 7) {
+        for i in 0..(MAX_SITES as u64 + 7) {
             let a = p.begin_event(key(0, 1), None);
             let b = p.begin_event(key(1, 2), None);
             // Distinct region per pair => distinct site key.
@@ -1336,85 +1208,31 @@ mod tests {
             );
         }
         let r = p.snapshot();
-        assert_eq!(r.sites.len(), MAX_RACE_SITES);
+        assert_eq!(r.sites.len(), MAX_SITES);
         assert_eq!(r.sites_truncated, 7);
         assert!(!r.is_clean());
     }
 
     #[test]
-    fn footprints_cover_filtered_regions() {
-        let p = RaceProbe::with_filter(RaceFilter {
-            dram: BTreeSet::from([0x1000]),
-            spm: BTreeSet::new(),
-        });
-        let a = p.begin_event(key(0, 1), None);
-        let b = p.begin_event(key(1, 2), None);
-        // 0x9000 is outside the filter: footprinted, not tracked.
-        let acc = |e: &RaceExec| e.access(e.who.tid, false);
-        p.record_dram(&acc(&a), 0, VAddr(0x9000), 0x9000, 1, false, true, 1, true);
-        p.record_dram(&acc(&b), 0, VAddr(0x9000), 0x9000, 1, false, true, 2, true);
-        assert!(p.snapshot().is_clean(), "filtered region not tracked");
-        // 0x1000 is inside the filter: tracked.
-        dram(&p, &a, 0x1000, true, false, 3);
-        dram(&p, &b, 0x1000, true, false, 4);
-        let r = p.snapshot();
-        assert_eq!(r.sites.len(), 1);
-        let regions: BTreeSet<Region> = r.footprints.iter().map(|f| f.region).collect();
-        assert!(regions.contains(&Region::Dram(0x9000)), "footprint kept");
-    }
-
-    #[test]
-    fn pruned_barrier_still_orders_tracked_regions() {
-        let p = RaceProbe::with_filter(RaceFilter {
-            dram: BTreeSet::from([0x1000]),
-            spm: BTreeSet::new(),
-        });
-        let acc = |e: &RaceExec| e.access(e.who.tid, false);
-        let a = p.begin_event(key(0, 1), None);
-        dram(&p, &a, 0x1000, true, false, 1); // plain write, tracked
-                                              // a releases through a fetch-add on a filtered-out barrier word.
-        let rel = p.record_dram(&acc(&a), 0, VAddr(0x9000), 0x9000, 1, true, true, 2, true);
-        assert!(rel.is_some(), "atomic on a filtered region still releases");
-        // b fetch-adds the same barrier word, acquiring a's clock...
-        let b = p.begin_event(key(1, 2), None);
-        let acq = p
-            .record_dram(&acc(&b), 0, VAddr(0x9000), 0x9000, 1, true, true, 3, true)
-            .unwrap();
-        // ...and b's continuation (ordered after the acknowledged add)
-        // touches the tracked word: ordered through the pruned barrier.
-        let c = p.begin_event(key(1, 2), Some(acq.clone()));
-        dram(&p, &c, 0x1000, true, false, 4);
-        assert!(
-            p.snapshot().is_clean(),
-            "sync edges survive prune filtering"
-        );
-    }
-
-    #[test]
-    fn footprint_only_mode_tracks_no_words() {
-        let p = RaceProbe::footprint_only();
-        let a = p.begin_event(key(0, 1), None);
-        let b = p.begin_event(key(1, 2), None);
-        dram(&p, &a, 0x2000, true, false, 1);
-        dram(&p, &b, 0x2000, true, false, 2);
-        let r = p.snapshot();
-        assert!(r.is_clean());
-        assert_eq!(r.words_tracked, 0);
-        assert_eq!(r.footprints.len(), 2);
-
-        // Nor any clock: every execution and host send shares one empty
-        // clock, and no thread is interned.
-        let root = p.host_send();
-        let mut c = p.begin_event(key(2, 3), Some(root.clone()));
-        p.order_token(&mut c, 2, 7);
-        p.end_thread(&c);
-        p.finish_run(Vec::new(), true);
-        assert!(
-            root.epochs.is_empty()
-                && Arc::ptr_eq(&root, &c.clock)
-                && Arc::ptr_eq(&a.clock, &b.clock)
-        );
-        assert!(p.inner.lock().unwrap().threads.live.is_empty());
+    fn site_cap_keeps_the_same_sites_in_any_arrival_order() {
+        // Past the cap, which sites survive must not depend on which
+        // shard reached the probe first: the smallest keys stay.
+        let n = MAX_SITES as u64 + 7;
+        let report = |order: Vec<u64>| {
+            let p = RaceProbe::new();
+            for i in order {
+                let base = 0x2000 + 64 * i;
+                for (lane, tick) in [(0, 2 * i), (1, 2 * i + 1)] {
+                    let e = p.begin_event(key(lane, 1), None);
+                    let acc = e.access(1, false);
+                    p.record_dram(&acc, 0, VAddr(base), base, 1, false, true, tick, true);
+                }
+            }
+            p.snapshot()
+        };
+        let (up, down) = (report((0..n).collect()), report((0..n).rev().collect()));
+        assert_eq!(up.sites, down.sites);
+        assert_eq!((up.sites_truncated, down.sites_truncated), (7, 7));
     }
 
     #[test]

@@ -614,10 +614,9 @@ fn block_parse_partitions() {
 /// The sanitizer's contract has two halves, and both are load-bearing for
 /// `udcheck`:
 ///
-/// 1. **Zero observer effect.** Attaching a [`ProtocolProbe`] — with or
-///    without `sanitize` — must leave the simulated run byte-identical on
-///    clean programs: same metrics JSON, same final tick, at every thread
-///    count. Otherwise "run the app under udcheck" would analyze a
+/// 1. **Zero observer effect.** Attaching a [`ProtocolProbe`] — which arms
+///    the sanitizer — must leave the simulated run byte-identical on clean
+///    programs: same metrics JSON, same final tick, at every thread count. Otherwise "run the app under udcheck" would analyze a
 ///    different program than the one that ships.
 /// 2. **Deterministic diagnostics.** Each injected protocol misuse must
 ///    produce the same diagnostic sites at 1 thread and at 4 threads, so a
@@ -625,6 +624,7 @@ fn block_parse_partitions() {
 mod sanitizer {
     use std::sync::{Arc, Mutex};
 
+    use udcheck::{render_race_document, Finding, RaceAnalysis, Severity, SpecAnalysis};
     use updown_apps::ingest::datagen;
     use updown_apps::pagerank::{run_pagerank, PrConfig};
     use updown_apps::partial_match::{run_partial_match, PmConfig};
@@ -633,7 +633,7 @@ mod sanitizer {
     use updown_graph::Csr;
     use updown_sim::{
         DiagKind, Diagnostic, Engine, EventLabel, EventWord, MachineConfig, NetworkId,
-        ProtocolProbe,
+        ProgramSpec, ProtocolProbe, RaceProbe,
     };
 
     fn machine(nodes: u32, threads: u32) -> MachineConfig {
@@ -644,12 +644,11 @@ mod sanitizer {
 
     /// PageRank (ends via `ctx.stop()`) at conformance scale; returns the
     /// full metrics document + final tick.
-    fn pr_run(threads: u32, probe: Option<ProtocolProbe>, sanitize: bool) -> (String, u64) {
+    fn pr_run(threads: u32, probe: Option<ProtocolProbe>) -> (String, u64) {
         let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
         let sg = split_in_out(&g, 64);
         let mut cfg = PrConfig::new(2);
         cfg.machine = machine(2, threads);
-        cfg.machine.sanitize = sanitize;
         cfg.machine.probe = probe;
         cfg.iterations = 2;
         let r = run_pagerank(&sg, &cfg);
@@ -658,11 +657,10 @@ mod sanitizer {
 
     /// Partial match (drains naturally — exercises the leak sweep) at
     /// conformance scale.
-    fn pm_run(threads: u32, probe: Option<ProtocolProbe>, sanitize: bool) -> (String, u64) {
+    fn pm_run(threads: u32, probe: Option<ProtocolProbe>) -> (String, u64) {
         let ds = datagen::generate(200, 60, 7);
         let mut cfg = PmConfig::new(8, vec![1, 2]);
         cfg.machine = machine(2, threads);
-        cfg.machine.sanitize = sanitize;
         cfg.machine.probe = probe;
         cfg.batch = 16;
         cfg.interval = 200;
@@ -671,31 +669,26 @@ mod sanitizer {
         (r.report.to_json(), r.final_tick)
     }
 
-    /// Probe recording and the armed sanitizer leave clean programs
+    /// Probe recording and the sanitizer it arms leave clean programs
     /// byte-identical, sequential and parallel, stopped and drained.
     #[test]
     fn probe_and_sanitizer_have_zero_observer_effect() {
         for run in [pr_run, pm_run] {
             for threads in [1u32, 4] {
-                let base = run(threads, None, false);
                 let probe = ProtocolProbe::new();
-                let probed = run(threads, Some(probe.clone()), false);
+                let probed = run(threads, Some(probe.clone()));
+                assert_eq!(run(threads, None), probed, "probe perturbed the run (threads={threads})");
                 assert!(
                     probe.snapshot().diagnostics.is_empty(),
                     "clean app produced diagnostics"
                 );
-                let sanitizer = ProtocolProbe::new();
-                let sanitized = run(threads, Some(sanitizer.clone()), true);
-                assert_eq!(base, probed, "probe recording perturbed the run (threads={threads})");
-                assert_eq!(base, sanitized, "sanitizer perturbed a clean run (threads={threads})");
-                assert!(sanitizer.snapshot().diagnostics.is_empty());
             }
         }
     }
 
     /// As [`pr_run`] / [`pm_run`], with the happens-before race probe
     /// attached instead of the protocol probe.
-    fn pr_raced(threads: u32, race: &updown_sim::RaceProbe) -> (String, u64) {
+    fn pr_raced(threads: u32, race: &RaceProbe) -> (String, u64) {
         let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
         let sg = split_in_out(&g, 64);
         let mut cfg = PrConfig::new(2);
@@ -706,7 +699,7 @@ mod sanitizer {
         (r.report.to_json(), r.final_tick)
     }
 
-    fn pm_raced(threads: u32, race: &updown_sim::RaceProbe) -> (String, u64) {
+    fn pm_raced(threads: u32, race: &RaceProbe) -> (String, u64) {
         let ds = datagen::generate(200, 60, 7);
         let mut cfg = PmConfig::new(8, vec![1, 2]);
         cfg.machine = machine(2, threads);
@@ -723,13 +716,13 @@ mod sanitizer {
     /// count, and the clean apps stay race-free.
     #[test]
     fn race_probe_has_zero_observer_effect() {
-        type Bare = fn(u32, Option<ProtocolProbe>, bool) -> (String, u64);
-        type Raced = fn(u32, &updown_sim::RaceProbe) -> (String, u64);
+        type Bare = fn(u32, Option<ProtocolProbe>) -> (String, u64);
+        type Raced = fn(u32, &RaceProbe) -> (String, u64);
         let cases: [(Bare, Raced); 2] = [(pr_run, pr_raced), (pm_run, pm_raced)];
         for (bare, raced) in cases {
             for threads in [1u32, 4] {
-                let base = bare(threads, None, false);
-                let race = updown_sim::RaceProbe::new();
+                let base = bare(threads, None);
+                let race = RaceProbe::new();
                 let r = raced(threads, &race);
                 assert_eq!(base, r, "race probe perturbed the run (threads={threads})");
                 let snap = race.snapshot();
@@ -739,15 +732,17 @@ mod sanitizer {
         }
     }
 
-    /// Run an ad-hoc program under the armed sanitizer and return its
-    /// diagnostics. `build` registers handlers and injects host messages.
+    /// Run an ad-hoc program with a probe attached (the sanitizer armed)
+    /// and return its diagnostics. `build` registers handlers and injects
+    /// host messages.
     fn diags_at(threads: u32, build: impl Fn(&mut Engine)) -> Vec<Diagnostic> {
+        let probe = ProtocolProbe::new();
         let mut cfg = machine(2, threads);
-        cfg.sanitize = true;
+        cfg.probe = Some(probe.clone());
         let mut eng = Engine::new(cfg);
         build(&mut eng);
         eng.run();
-        eng.sanitizer_diagnostics()
+        probe.diagnostics()
     }
 
     fn kinds(diags: &[Diagnostic]) -> Vec<DiagKind> {
@@ -770,23 +765,67 @@ mod sanitizer {
         assert_eq!(d1, diags_at(4, fixture), "diagnostic diverged across thread counts");
     }
 
+    /// A handler that schedules a message to its own thread, then
+    /// terminates it: by the time the message arrives the context is dead.
+    fn dead_thread_fixture(eng: &mut Engine) {
+        let late = udweave::simple_event(eng, "fixture::late", |_ctx| {});
+        let first = udweave::simple_event(eng, "fixture::first", move |ctx| {
+            let dst = ctx.self_event(late);
+            ctx.send_event_after(50, dst, [0u64; 0], EventWord::IGNORE);
+            ctx.yield_terminate();
+        });
+        eng.send(EventWord::new(NetworkId(0), first), [0u64; 0], EventWord::IGNORE);
+    }
+
     #[test]
     fn send_to_dead_thread_is_diagnosed_deterministically() {
-        let fixture = |eng: &mut Engine| {
-            let late = udweave::simple_event(eng, "fixture::late", |_ctx| {});
-            let first = udweave::simple_event(eng, "fixture::first", move |ctx| {
-                // Schedule a message to this very thread, then terminate it:
-                // by the time the message arrives the context is dead.
-                let dst = ctx.self_event(late);
-                ctx.send_event_after(50, dst, [0u64; 0], EventWord::IGNORE);
-                ctx.yield_terminate();
-            });
-            eng.send(EventWord::new(NetworkId(0), first), [0u64; 0], EventWord::IGNORE);
-        };
-        let d1 = diags_at(1, fixture);
+        let d1 = diags_at(1, dead_thread_fixture);
         assert_eq!(kinds(&d1), vec![DiagKind::SendToDeadThread]);
         assert_eq!(d1[0].handler, "fixture::late");
-        assert_eq!(d1, diags_at(4, fixture));
+        assert_eq!(d1, diags_at(4, dead_thread_fixture));
+    }
+
+    /// Attaching a probe is all it takes to arm the sanitizer, also next
+    /// to a race probe (the `ud race` configuration) or an enforced spec
+    /// (`ud spec --enforce`): the dead-thread send is a diagnostic, not a
+    /// panic, and it fails that tool's verdict.
+    #[test]
+    fn an_attached_probe_alone_diagnoses_a_send_to_a_dead_thread() {
+        let sanitizer_error = |findings: &[Finding]| {
+            findings.iter().any(|f| {
+                f.check == "sanitizer"
+                    && f.severity == Severity::Error
+                    && f.subject == "fixture::late"
+                    && f.message.starts_with("send-to-dead-thread: ")
+            })
+        };
+
+        let (probe, race) = (ProtocolProbe::new(), RaceProbe::new());
+        let mut cfg = machine(2, 1);
+        cfg.probe = Some(probe.clone());
+        cfg.race = Some(race.clone());
+        let mut eng = Engine::new(cfg);
+        dead_thread_fixture(&mut eng);
+        eng.run();
+        assert_eq!(kinds(&probe.diagnostics()), vec![DiagKind::SendToDeadThread]);
+        assert_eq!(eng.stats().msgs_dropped, 1);
+        assert!(race.snapshot().is_clean(), "no race, only a protocol violation");
+        let a = RaceAnalysis::with_flow("fixture", &race, &probe);
+        assert!(!a.is_clean() && sanitizer_error(&a.findings), "{:?}", a.findings);
+        assert!(render_race_document(&[a]).contains("\"clean\":false"));
+
+        let probe = ProtocolProbe::new();
+        let mut cfg = machine(2, 1);
+        cfg.probe = Some(probe.clone());
+        cfg.enforce_spec = Some(ProgramSpec::new());
+        let mut eng = Engine::new(cfg.clone());
+        dead_thread_fixture(&mut eng);
+        eng.run();
+        let mut a = SpecAnalysis::of("fixture", &ProgramSpec::new(), &cfg);
+        assert!(a.is_clean(), "an empty spec has no static finding");
+        a.enforce(&probe, &cfg);
+        let enforced = a.enforced.as_deref().unwrap_or_default();
+        assert!(!a.is_clean() && sanitizer_error(enforced), "{enforced:?}");
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn fetch_add_barrier_is_ordered_not_racing() {
 fn all_apps_are_race_free_at_conformance_scale() {
     for threads in [1, 4] {
         for app in ALL_APPS {
-            let r = race_app(app, threads, 10, false).report;
+            let r = race_app(app, threads, 10).report;
             assert!(
                 r.is_clean(),
                 "{app} threads={threads}: race sites:\n{:#?}",
@@ -163,7 +163,7 @@ fn udrace_document_is_byte_identical_across_thread_counts() {
     let doc = |threads: u32| {
         let analyses: Vec<RaceAnalysis> = ["pagerank", "ingest"]
             .iter()
-            .map(|app| race_app(app, threads, 10, false))
+            .map(|app| race_app(app, threads, 10))
             .collect();
         render_race_document(&analyses)
     };
@@ -173,30 +173,25 @@ fn udrace_document_is_byte_identical_across_thread_counts() {
     assert!(d1.contains("\"schema\":\"udrace/v1\""));
 }
 
-/// The full `udrace/v1` document over all five apps at seed 10, in full
-/// and in `--prune` mode, hashes to the value this same test produced
-/// with the `BTreeMap`-clock detector (commit a87c478) — the flat-clock
-/// detector is held to the old detector's bytes, not to its own — and is
-/// the same at one and at four worker threads.
+/// The full `udrace/v1` document over all five apps at seed 10 hashes to
+/// the value this same test produced with the `BTreeMap`-clock detector
+/// (commit a87c478) — the flat-clock detector is held to the old
+/// detector's bytes, not to its own — and is the same at one and at four
+/// worker threads.
 #[test]
 fn udrace_document_bytes_are_those_of_the_tree_clock_detector() {
-    for (prune, golden) in [(false, GOLDEN_FULL), (true, GOLDEN_PRUNE)] {
-        for threads in [1, 4] {
-            let analyses: Vec<RaceAnalysis> = ALL_APPS
-                .iter()
-                .map(|app| race_app(app, threads, 10, prune))
-                .collect();
-            let doc = render_race_document(&analyses);
-            assert_eq!(
-                fnv1a(doc.as_bytes()),
-                golden,
-                "prune={prune} threads={threads}: document moved:\n{doc}"
-            );
-        }
+    for threads in [1, 4] {
+        let analyses: Vec<RaceAnalysis> =
+            ALL_APPS.iter().map(|app| race_app(app, threads, 10)).collect();
+        let doc = render_race_document(&analyses);
+        assert_eq!(
+            fnv1a(doc.as_bytes()),
+            GOLDEN_FULL,
+            "threads={threads}: document moved:\n{doc}"
+        );
     }
 }
 const GOLDEN_FULL: u64 = 0x536E_9A13_D479_A379;
-const GOLDEN_PRUNE: u64 = 0xA7F0_C675_0B87_1503;
 
 /// partial_match's document at each seed that reports the SHT straddle,
 /// at one and at four worker threads. The goldens above are clean
@@ -211,7 +206,7 @@ const GOLDEN_PRUNE: u64 = 0xA7F0_C675_0B87_1503;
 fn partial_match_straddle_documents_keep_their_bytes() {
     for (seed, golden) in STRADDLE_GOLDENS {
         for threads in [1, 4] {
-            let doc = render_race_document(&[race_app("partial_match", threads, seed, false)]);
+            let doc = render_race_document(&[race_app("partial_match", threads, seed)]);
             assert_eq!(
                 fnv1a(doc.as_bytes()),
                 golden,
@@ -236,7 +231,7 @@ const STRADDLE_GOLDENS: [(u64, u64); 4] = [
 fn partial_match_seed_sweep_reports_only_the_sht_straddle() {
     let mut reported = Vec::new();
     for seed in (1..=40).chain([313]) {
-        let a = race_app("partial_match", 1, seed, false);
+        let a = race_app("partial_match", 1, seed);
         assert_eq!(a.report.sites_truncated, 0, "seed {seed}");
         for s in &a.report.sites {
             // Either access may be served first.
