@@ -4,18 +4,20 @@
 //! arithmetic only, zero simulation ticks.
 //!
 //! The analysis runs in three passes over the declared event-flow graph
-//! ([`declared_edges`]: send edges *and* same-thread resumptions):
+//! ([`declared_edges`]: send edges *and* same-thread resumptions). The
+//! first two are the one walk `certify` also runs ([`propagate`]), over
+//! two value types:
 //!
-//! 1. **Symbolic pass** — propagate execution-count [`Bound`]s from
-//!    host-injected roots along the edges, `certify`-style (memoized DFS;
-//!    cycles and `fanout_unbounded` edges yield [`Bound::Unbounded`]).
-//!    This classifies every event as statically bounded or data-dependent.
-//! 2. **Concrete pass** — the same propagation against the numbers a
-//!    [`Workload`] pins: pinned counts take precedence over propagation,
-//!    workload mean fan-outs replace `fanout_unbounded` declarations, and
-//!    whatever remains unpinned is derived as
-//!    `Σ count(src) × fanout(src→dst)` (cycles contribute zero and are
-//!    reported).
+//! 1. **Symbolic pass** over [`Bound`] — execution-count bounds from
+//!    host-injected roots along the edges (cycles and `fanout_unbounded`
+//!    edges yield [`Bound::Unbounded`]). This classifies every event as
+//!    statically bounded or data-dependent.
+//! 2. **Concrete pass** over `f64` — the numbers a [`Workload`] pins:
+//!    pinned counts take precedence over propagation, workload mean
+//!    fan-outs replace `fanout_unbounded` declarations, and whatever
+//!    remains unpinned is derived as `Σ count(src) × fanout(src→dst)`. A
+//!    cycle contributes zero (a `cost-cycle` finding); an unbounded edge
+//!    with no workload mean contributes zero (an `unbounded-cost` finding).
 //! 3. **Traffic pass** — executions delivered by *send* edges are
 //!    messages (same-thread resumptions are DRAM round-trips, not NIC
 //!    traffic); declared operand ranges give wire bytes per message; the
@@ -32,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use updown_sim::json::{JsonValue, JsonWriter};
-use updown_sim::spec::{declared_edges, Bound, ProgramSpec, Workload};
+use updown_sim::spec::{declared_edges, propagate, Bound, ProgramSpec, Start, Workload};
 use updown_sim::MachineConfig;
 
 use crate::{
@@ -194,150 +196,6 @@ fn edges_of<'a>(spec: &'a ProgramSpec, w: &Workload) -> Vec<Edge<'a>> {
         .collect()
 }
 
-/// Symbolic pass: per-host-injection execution bound per event.
-fn symbolic_bounds(
-    spec: &ProgramSpec,
-    in_edges: &BTreeMap<&str, Vec<usize>>,
-    edges: &[Edge],
-) -> BTreeMap<String, Bound> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Computing,
-        Done(Bound),
-    }
-    let mut state: BTreeMap<String, St> = BTreeMap::new();
-
-    fn bound_of(
-        name: &str,
-        spec: &ProgramSpec,
-        in_edges: &BTreeMap<&str, Vec<usize>>,
-        edges: &[Edge],
-        state: &mut BTreeMap<String, St>,
-    ) -> Bound {
-        if let Some(st) = state.get(name) {
-            return match st {
-                St::Computing => Bound::Unbounded, // propagation cycle
-                St::Done(b) => *b,
-            };
-        }
-        state.insert(name.to_string(), St::Computing);
-        let mut total = if spec.event(name).is_some_and(|e| e.from_host) {
-            Bound::Finite(1)
-        } else {
-            Bound::Finite(0)
-        };
-        if let Some(ids) = in_edges.get(name) {
-            for &i in ids {
-                let e = &edges[i];
-                let src = bound_of(e.src, spec, in_edges, edges, state);
-                total = total.add(src.mul(e.fanout));
-            }
-        }
-        state.insert(name.to_string(), St::Done(total));
-        total
-    }
-
-    let mut out = BTreeMap::new();
-    for ev in spec.events() {
-        let b = bound_of(&ev.name, spec, in_edges, edges, &mut state);
-        out.insert(ev.name.clone(), b);
-    }
-    out
-}
-
-/// Concrete pass: predicted executions per event under the workload.
-/// Returns the counts plus propagation findings (cycles, unbounded edges
-/// with no workload override).
-fn concrete_counts(
-    spec: &ProgramSpec,
-    w: &Workload,
-    in_edges: &BTreeMap<&str, Vec<usize>>,
-    edges: &[Edge],
-) -> (BTreeMap<String, f64>, Vec<Finding>) {
-    enum St {
-        Computing,
-        Done(f64),
-    }
-    let mut state: BTreeMap<String, St> = BTreeMap::new();
-    let mut findings: Vec<Finding> = Vec::new();
-
-    #[allow(clippy::too_many_arguments)]
-    fn count_of(
-        name: &str,
-        spec: &ProgramSpec,
-        w: &Workload,
-        in_edges: &BTreeMap<&str, Vec<usize>>,
-        edges: &[Edge],
-        state: &mut BTreeMap<String, St>,
-        findings: &mut Vec<Finding>,
-    ) -> f64 {
-        if let Some(&c) = w.counts.get(name) {
-            // Pinned counts win unconditionally; no recursion needed.
-            state.insert(name.to_string(), St::Done(c));
-            return c;
-        }
-        if let Some(st) = state.get(name) {
-            return match st {
-                St::Computing => {
-                    findings.push(Finding::new(
-                        Severity::Info,
-                        "cost-cycle",
-                        name.to_string(),
-                        "event is on a propagation cycle with no pinned count; \
-                         the cyclic contribution is dropped from the prediction",
-                    ));
-                    0.0
-                }
-                St::Done(c) => *c,
-            };
-        }
-        state.insert(name.to_string(), St::Computing);
-        let mut total = if spec.event(name).is_some_and(|e| e.from_host) {
-            1.0
-        } else {
-            0.0
-        };
-        if let Some(ids) = in_edges.get(name) {
-            for &i in ids {
-                let e = &edges[i];
-                let src = count_of(e.src, spec, w, in_edges, edges, state, findings);
-                match e.mean {
-                    Some(m) => total += src * m,
-                    None => {
-                        if src > 0.0 {
-                            findings.push(Finding::new(
-                                Severity::Warning,
-                                "unbounded-cost",
-                                name.to_string(),
-                                format!(
-                                    "reached through the unbounded-fanout edge \
-                                     `{}` → `{}` with no workload fanout or \
-                                     pinned count; that edge contributes zero \
-                                     to the prediction",
-                                    e.src, e.dst
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        state.insert(name.to_string(), St::Done(total));
-        total
-    }
-
-    let mut out = BTreeMap::new();
-    for ev in spec.events() {
-        let c = count_of(
-            &ev.name, spec, w, in_edges, edges, &mut state, &mut findings,
-        );
-        out.insert(ev.name.clone(), c);
-    }
-    findings.sort();
-    findings.dedup();
-    (out, findings)
-}
-
 /// Wire bytes of one message carrying `args` operands (header + operands,
 /// padded to the 64-byte hardware message granularity per 8 operands).
 fn wire_bytes(args: u32, header: u64) -> f64 {
@@ -353,13 +211,61 @@ pub fn analyze_cost(
     mc: &MachineConfig,
 ) -> CostReport {
     let edges = edges_of(spec, workload);
-    let mut in_edges: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, e) in edges.iter().enumerate() {
-        in_edges.entry(e.dst).or_default().push(i);
+    let mut in_edges: BTreeMap<&str, Vec<(&str, &Edge)>> = BTreeMap::new();
+    for e in &edges {
+        in_edges.entry(e.dst).or_default().push((e.src, e));
     }
 
-    let bounds = symbolic_bounds(spec, &in_edges, &edges);
-    let (counts, mut findings) = concrete_counts(spec, workload, &in_edges, &edges);
+    // ---- symbolic and concrete passes ----------------------------------
+    let order = || spec.events().map(|ev| ev.name.as_str());
+    let from_host = |name: &str| u64::from(spec.event(name).is_some_and(|e| e.from_host));
+    let bounds = propagate(
+        order(),
+        &in_edges,
+        |name| Start::Seed(Bound::Finite(from_host(name))),
+        |acc: Bound, src: Bound, e: &&Edge| acc.add(src.mul(e.fanout)),
+        Bound::Unbounded,
+    )
+    .values;
+    let mut findings = Vec::new();
+    let counts = propagate(
+        order(),
+        &in_edges,
+        |name| match workload.counts.get(name) {
+            Some(&c) => Start::Pinned(c),
+            None => Start::Seed(from_host(name) as f64),
+        },
+        |acc: f64, src: f64, e: &&Edge| match e.mean {
+            Some(m) => acc + src * m,
+            None => {
+                if src > 0.0 {
+                    findings.push(Finding::new(
+                        Severity::Warning,
+                        "unbounded-cost",
+                        e.dst,
+                        format!(
+                            "reached through the unbounded-fanout edge `{}` → `{}` with no \
+                             workload fanout or pinned count; that edge contributes zero \
+                             to the prediction",
+                            e.src, e.dst
+                        ),
+                    ));
+                }
+                acc
+            }
+        },
+        0.0,
+    );
+    findings.extend(counts.cycles.iter().map(|&name| {
+        Finding::new(
+            Severity::Info,
+            "cost-cycle",
+            name,
+            "event is on a propagation cycle with no pinned count; \
+             the cyclic contribution is dropped from the prediction",
+        )
+    }));
+    let counts = counts.values;
 
     // ---- traffic pass ----------------------------------------------------
     let nodes = mc.nodes.max(1);
@@ -390,16 +296,13 @@ pub fn analyze_cost(
     let mut edge_costs: Vec<EdgeCost> = Vec::new();
     let mut msgs_in: BTreeMap<&str, f64> = BTreeMap::new();
     for ev in spec.events() {
-        let x = counts.get(ev.name.as_str()).copied().unwrap_or(0.0);
+        let x = counts[ev.name.as_str()];
         if x <= 0.0 {
             continue;
         }
-        let ids = in_edges.get(ev.name.as_str());
-        let inflow = |i: &usize| -> f64 {
-            let e = &edges[*i];
-            counts.get(e.src).copied().unwrap_or(0.0) * e.mean.unwrap_or(0.0)
-        };
-        let total_in: f64 = ids.map_or(0.0, |ids| ids.iter().map(inflow).sum());
+        let ins = in_edges.get(ev.name.as_str());
+        let inflow = |e: &Edge| counts[e.src] * e.mean.unwrap_or(0.0);
+        let total_in: f64 = ins.map_or(0.0, |ins| ins.iter().map(|(_, e)| inflow(e)).sum());
         if total_in <= 0.0 {
             // No predicted inflow: host injection or a reply path the
             // declarations cannot attribute. Count the executions as
@@ -408,12 +311,11 @@ pub fn analyze_cost(
             continue;
         }
         let mut msg_total = 0.0;
-        for &i in ids.into_iter().flatten() {
-            let e = &edges[i];
+        for &(_, e) in ins.into_iter().flatten() {
             if !e.is_send {
                 continue;
             }
-            let m = x * inflow(&i) / total_in;
+            let m = x * inflow(e) / total_in;
             if m <= 0.0 {
                 continue;
             }
@@ -529,8 +431,8 @@ pub fn analyze_cost(
         .events()
         .map(|ev| EventCost {
             name: ev.name.clone(),
-            bound: bounds.get(&ev.name).copied().unwrap_or(Bound::Unbounded),
-            count: counts.get(&ev.name).copied().unwrap_or(0.0),
+            bound: bounds[ev.name.as_str()],
+            count: counts[ev.name.as_str()],
             pinned: workload.counts.contains_key(&ev.name),
             msgs: msgs_in.get(ev.name.as_str()).copied().unwrap_or(0.0),
         })
@@ -580,49 +482,39 @@ pub fn calibrate(report: &CostReport, metrics_json: &str) -> Result<Calibration,
         ));
     }
     let counters = v.get("counters").ok_or("export has no `counters` object")?;
-    let counter = |name: &str| -> f64 {
-        counters
-            .get(name)
-            .and_then(|c| c.as_f64())
-            .unwrap_or(0.0)
+    // A count the export must carry: a missing, non-numeric or negative
+    // one is a malformed export, not a zero to grade against.
+    let count = |obj: &JsonValue, at: &str, key: &str| {
+        obj.get(key)
+            .and_then(JsonValue::as_f64)
+            .filter(|x| x.is_finite() && *x >= 0.0)
+            .ok_or_else(|| format!("export has no non-negative number at `{at}.{key}`"))
     };
-    let mut entries = vec![
-        CalEntry {
-            counter: "events_executed".into(),
-            predicted: report.total_events,
-            actual: counter("events_executed"),
-            factor: factor(report.total_events, counter("events_executed")),
-        },
-        CalEntry {
-            counter: "total_msgs".into(),
-            predicted: report.total_msgs,
-            actual: counter("total_msgs"),
-            factor: factor(report.total_msgs, counter("total_msgs")),
-        },
-        CalEntry {
-            counter: "msgs_inter_node".into(),
-            predicted: report.inter_node_msgs,
-            actual: counter("msgs_inter_node"),
-            factor: factor(report.inter_node_msgs, counter("msgs_inter_node")),
-        },
-    ];
+    let entry = |counter: &str, predicted: f64, actual: f64| CalEntry {
+        counter: counter.into(),
+        predicted,
+        actual,
+        factor: factor(predicted, actual),
+    };
+    let mut entries = Vec::new();
+    for (name, predicted) in [
+        ("events_executed", report.total_events),
+        ("total_msgs", report.total_msgs),
+        ("msgs_inter_node", report.inter_node_msgs),
+    ] {
+        let actual = count(counters, "counters", name)?;
+        entries.push(entry(name, predicted, actual));
+    }
     if let Some(fab) = v.get("fabric") {
-        let nic = fab
-            .get("nic_injected_bytes")
-            .and_then(|c| c.as_f64())
-            .unwrap_or(0.0);
-        entries.push(CalEntry {
-            counter: "nic_injected_bytes".into(),
-            predicted: report.inter_node_bytes,
-            actual: nic,
-            factor: factor(report.inter_node_bytes, nic),
-        });
+        let nic = count(fab, "fabric", "nic_injected_bytes")?;
+        entries.push(entry("nic_injected_bytes", report.inter_node_bytes, nic));
     }
     if let Some(nodes) = v.get("nodes").and_then(|n| n.as_arr()) {
-        let per: Vec<f64> = nodes
+        let per = nodes
             .iter()
-            .map(|n| n.get("events").and_then(|e| e.as_f64()).unwrap_or(0.0))
-            .collect();
+            .enumerate()
+            .map(|(i, n)| count(n, &format!("nodes[{i}]"), "events"))
+            .collect::<Result<Vec<f64>, String>>()?;
         if !per.is_empty() {
             let mean = per.iter().sum::<f64>() / per.len() as f64;
             let max = per.iter().cloned().fold(0.0, f64::max);
@@ -837,6 +729,99 @@ mod tests {
         assert_eq!(c.bound, Bound::Unbounded);
         let b = r.events.iter().find(|e| e.name == "t::b").unwrap();
         assert_eq!(b.bound, Bound::Finite(4));
+    }
+
+    /// Two host roots enter the cycle a ⇄ b from both ends. Events sort
+    /// a, b, c, d, e, r1, r2, so every walk starts at a, reaches b through
+    /// b's in-edge from a while a is still open, and memoizes b before a
+    /// is done. c is pinned (a declared live bound, a workload count), e
+    /// hangs off a through an unbounded fanout, d is b's resumption.
+    fn two_root_cycle() -> (ProgramSpec, Workload) {
+        let mut s = ProgramSpec::new();
+        let t = s.thread("cyc");
+        t.event("r1").from_host().send("cyc::a", |sd| {
+            sd.to_new().fanout(2);
+        });
+        t.event("r2").from_host().send("cyc::b", |sd| {
+            sd.to_new().fanout(3);
+        });
+        t.event("a")
+            .send("cyc::b", |sd| {
+                sd.to_new();
+            })
+            .send("cyc::c", |sd| {
+                sd.to_new().fanout_unbounded();
+            })
+            .send("cyc::e", |sd| {
+                sd.to_new().fanout_unbounded();
+            });
+        t.event("b")
+            .send("cyc::a", |sd| {
+                sd.to_new().fanout(0);
+            })
+            .send("cyc::a", |_| {})
+            .resumes("cyc::d");
+        t.event("c").live_per_lane(5).terminates();
+        t.event("d").terminates();
+        t.event("e").terminates();
+        let mut w = Workload::new();
+        w.count("cyc::c", 7.0);
+        (s, w)
+    }
+
+    #[test]
+    fn cycle_entered_from_two_roots_keeps_its_visit_order() {
+        let (s, w) = two_root_cycle();
+        let live: Vec<(String, Bound)> = updown_sim::spec::certify(&s)
+            .groups
+            .into_iter()
+            .map(|g| (g.root, g.live))
+            .collect();
+        let (u, f) = (Bound::Unbounded, Bound::Finite);
+        let expect_live = [
+            ("cyc::a", f(2)),
+            ("cyc::b", u),
+            ("cyc::c", f(5)),
+            ("cyc::e", u),
+            ("cyc::r1", f(1)),
+            ("cyc::r2", f(1)),
+        ];
+        let expect_live: Vec<(String, Bound)> =
+            expect_live.iter().map(|&(n, b)| (n.to_string(), b)).collect();
+        assert_eq!(live, expect_live, "certify");
+
+        let r = analyze_cost("cyc", &s, &w, &mc());
+        let got: Vec<(&str, Bound, f64)> =
+            r.events.iter().map(|e| (e.name.as_str(), e.bound, e.count)).collect();
+        assert_eq!(
+            got,
+            [
+                ("cyc::a", u, 5.0),
+                ("cyc::b", u, 3.0),
+                ("cyc::c", u, 7.0),
+                ("cyc::d", u, 3.0),
+                ("cyc::e", u, 0.0),
+                ("cyc::r1", f(1), 1.0),
+                ("cyc::r2", f(1), 1.0),
+            ],
+            "symbolic bound and concrete count per event"
+        );
+        let flow: Vec<String> = r
+            .findings
+            .iter()
+            .filter(|f| matches!(f.check, "cost-cycle" | "unbounded-cost"))
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(
+            flow,
+            [
+                "warning[unbounded-cost] cyc::e: reached through the unbounded-fanout edge \
+                 `cyc::a` → `cyc::e` with no workload fanout or pinned count; that edge \
+                 contributes zero to the prediction",
+                "info[cost-cycle] cyc::a: event is on a propagation cycle with no pinned \
+                 count; the cyclic contribution is dropped from the prediction",
+            ]
+        );
     }
 
     #[test]

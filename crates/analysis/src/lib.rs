@@ -51,6 +51,8 @@
 //! hard errors. "Clean" means zero error-severity findings and zero
 //! sanitizer diagnostics.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use updown_sim::json::JsonWriter;
 use updown_sim::{DiagKind, ProbeReport, ProtocolProbe};
 
@@ -163,6 +165,57 @@ fn sanitizer_findings(report: &ProbeReport) -> impl Iterator<Item = Finding> + '
         let message = format!("{}: {} ({at})", d.kind.as_str(), d.detail);
         Finding::new(Severity::Error, "sanitizer", d.handler.clone(), message)
     })
+}
+
+/// Transitive reachability over a directed edge list, generic over the node
+/// key: the one relation behind may-race ordering (over handler labels) and
+/// wait-for cycles (over thread-group names). Graphs here have tens of
+/// nodes, so a search per node is fine.
+struct Reach<K> {
+    /// Each node an edge leaves, with every node a path of one or more
+    /// edges leads to from it.
+    from: BTreeMap<K, BTreeSet<K>>,
+}
+
+impl<K: Ord + Copy> Reach<K> {
+    fn of(edges: impl IntoIterator<Item = (K, K)>) -> Reach<K> {
+        let mut succ: BTreeMap<K, BTreeSet<K>> = BTreeMap::new();
+        for (a, b) in edges {
+            succ.entry(a).or_default().insert(b);
+        }
+        let reached = |n: K| {
+            let (mut seen, mut work) = (BTreeSet::new(), vec![n]);
+            while let Some(k) = work.pop() {
+                for &d in succ.get(&k).into_iter().flatten() {
+                    if seen.insert(d) {
+                        work.push(d);
+                    }
+                }
+            }
+            seen
+        };
+        let from = succ.keys().map(|&n| (n, reached(n))).collect();
+        Reach { from }
+    }
+
+    /// Whether a path of one or more edges leads from `a` to `b`.
+    fn reaches(&self, a: K, b: K) -> bool {
+        self.from.get(&a).is_some_and(|s| s.contains(&b))
+    }
+
+    /// The strongly connected components (classes of mutually reachable
+    /// nodes) of the nodes an edge leaves, each sorted, listed by their
+    /// smallest node.
+    fn components(&self) -> Vec<Vec<K>> {
+        let mut out: Vec<Vec<K>> = Vec::new();
+        for &n in self.from.keys() {
+            if !out.iter().any(|comp| comp.contains(&n)) {
+                let mutual = |&m: &K| m == n || (self.reaches(n, m) && self.reaches(m, n));
+                out.push(self.from.keys().copied().filter(mutual).collect());
+            }
+        }
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! ud race  [APPS...]
 //! ud spec  [APPS...] [--enforce] [--fixture NAME] [--dot]
 //! ud cost  [APPS...] [--figure9 pr|bfs|tc] [--nodes N] [--scale S] [--iters I]
-//!          [--topology T] [--calibrate METRICS.json] [--tolerance F] [--hints]
+//!          [--topology T] [--calibrate METRICS.json [--tolerance F]]
 //! shared:  [--threads N] [--seed S] [--json] [--out PATH]
 //! ```
 //!
@@ -53,7 +53,6 @@ struct Opts {
     topology: TopologyKind,
     calibrate: Option<String>,
     tolerance: f64,
-    hints: bool,
 }
 
 fn usage() -> ! {
@@ -62,7 +61,7 @@ fn usage() -> ! {
          \x20      ud check [--dot]\n\
          \x20      ud spec  [--enforce] [--fixture NAME] [--dot]\n\
          \x20      ud cost  [--figure9 pr|bfs|tc] [--nodes N] [--scale S] [--iters I]\n\
-         \x20               [--topology T] [--calibrate METRICS.json] [--tolerance F] [--hints]\n\
+         \x20               [--topology T] [--calibrate METRICS.json [--tolerance F]]\n\
          \n\
          APPS: pagerank|pr  bfs  tc  ingest  partial_match|pm   (default: all)\n\
          --threads N       simulator worker threads (default 1)\n\
@@ -79,8 +78,7 @@ fn usage() -> ! {
          --iters I         figure9 PageRank iterations (default 2)\n\
          --topology T      uniform|polar|torus|dragonfly (default uniform)\n\
          --calibrate PATH  grade against an updown-metrics/v1 export\n\
-         --tolerance F     max relative-error factor for --calibrate (default 2.0)\n\
-         --hints           print predicted per-shard work (shard_hints)"
+         --tolerance F     max relative-error factor for --calibrate, >= 1 (default 2)"
     );
     std::process::exit(2);
 }
@@ -116,11 +114,11 @@ fn parse_opts() -> Opts {
         topology: TopologyKind::Uniform,
         calibrate: None,
         tolerance: 2.0,
-        hints: false,
     };
     if !["check", "race", "spec", "cost"].contains(&o.sub.as_str()) {
         usage();
     }
+    let mut tolerance = None;
     while let Some(a) = it.next() {
         match (o.sub.as_str(), a.as_str()) {
             (_, "--threads") => o.threads = value(&mut it),
@@ -136,8 +134,7 @@ fn parse_opts() -> Opts {
             ("cost", "--iters") => o.iters = value(&mut it),
             ("cost", "--topology") => o.topology = value(&mut it),
             ("cost", "--calibrate") => o.calibrate = Some(value(&mut it)),
-            ("cost", "--tolerance") => o.tolerance = value(&mut it),
-            ("cost", "--hints") => o.hints = true,
+            ("cost", "--tolerance") => tolerance = Some(value::<String>(&mut it)),
             (_, app) => match canon_app(app) {
                 Some(canon) => o.apps.push(canon),
                 None => {
@@ -145,6 +142,13 @@ fn parse_opts() -> Opts {
                     usage()
                 }
             },
+        }
+    }
+    if let Some(t) = tolerance {
+        match t.parse::<f64>() {
+            _ if o.calibrate.is_none() => die(&o, &format!("--tolerance {t} needs --calibrate")),
+            Ok(f) if f.is_finite() && f >= 1.0 => o.tolerance = f,
+            _ => die(&o, &format!("--tolerance {t}: expected a finite factor >= 1")),
         }
     }
     if o.apps.is_empty() && o.fixtures.is_empty() && o.figure9.is_none() {
@@ -233,13 +237,12 @@ fn write_file(o: &Opts, path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| die(o, &format!("cannot write {path}: {e}")));
 }
 
-/// The one output tail. `after` is extra text-mode output per report,
-/// `closing` the last text-mode line given the unclean apps; `failed`
-/// forces exit status 1 even when every report is clean.
+/// The one output tail. `closing` is the last text-mode line given the
+/// unclean apps; `failed` forces exit status 1 even when every report is
+/// clean.
 fn emit<R: Report>(
     o: &Opts,
     reports: &[R],
-    after: impl Fn(&R) -> String,
     closing: impl FnOnce(&[&str]) -> Option<String>,
     failed: bool,
 ) {
@@ -263,7 +266,7 @@ fn emit<R: Report>(
         let mut stdout = std::io::stdout().lock();
         for r in reports {
             let dot = if o.dot { r.dot().unwrap_or_default() } else { String::new() };
-            let _ = write!(stdout, "{}{dot}{}", r.render_text(), after(r));
+            let _ = write!(stdout, "{}{dot}", r.render_text());
         }
         if let Some(line) = closing(&unclean) {
             let _ = writeln!(stdout, "{line}");
@@ -284,39 +287,29 @@ fn verdict(tool: &str, n: usize, clean: &str, heading: &str, unclean: &[&str]) -
     })
 }
 
-/// No extra text-mode output per report.
-fn none<R>(_: &R) -> String {
-    String::new()
-}
-
 fn main() {
     let o = parse_opts();
     match o.sub.as_str() {
         "check" => {
             let rs: Vec<_> = o.apps.iter().map(|app| check_app(app, o.threads, o.seed)).collect();
             let closing = |bad: &[&str]| verdict("udcheck", rs.len(), "app(s) clean", "UNCLEAN", bad);
-            emit(&o, &rs, none, closing, false);
+            emit(&o, &rs, closing, false);
         }
         "race" => {
             let run = |app: &&str| race_app(app, o.threads, o.seed);
             let rs: Vec<_> = o.apps.iter().map(run).collect();
             let closing = |bad: &[&str]| verdict("udrace", rs.len(), "app(s) race-free", "RACES", bad);
-            emit(&o, &rs, none, closing, false);
+            emit(&o, &rs, closing, false);
         }
         "spec" => {
             let run = |app: &&str| spec_app(app, o.threads, o.seed, o.enforce);
             let fixtures = o.fixtures.iter().map(|f| fixture(&o, f));
             let rs: Vec<_> = fixtures.chain(o.apps.iter().map(run)).collect();
             let closing = |bad: &[&str]| verdict("udspec", rs.len(), "spec(s) clean", "UNCLEAN", bad);
-            emit(&o, &rs, none, closing, false);
+            emit(&o, &rs, closing, false);
         }
         _ => {
             let (rs, missed) = cost_reports(&o);
-            let hints = |r: &CostReport| {
-                let hints: Vec<String> = r.shard_hints().iter().map(|h| h.to_string()).collect();
-                format!("  shard_hints: {}\n", hints.join(","))
-            };
-            let after = |r: &CostReport| if o.hints { hints(r) } else { String::new() };
             let closing = |_: &[&str]| {
                 let line = format!(
                     "udcost: CALIBRATION FAILED: worst factor exceeds {:.2}x",
@@ -324,7 +317,7 @@ fn main() {
                 );
                 missed.then_some(line)
             };
-            emit(&o, &rs, after, closing, missed);
+            emit(&o, &rs, closing, missed);
         }
     }
 }

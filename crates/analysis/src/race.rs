@@ -15,12 +15,12 @@
 //! or infos, never errors; only dynamic sites, and the diagnostics of the
 //! sanitizer the flow probe arms ([`RaceAnalysis::with_flow`]), are errors.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use updown_sim::json::JsonWriter;
 use updown_sim::{ProtocolProbe, RaceKind, RaceProbe, RaceReport, Region};
 
-use crate::{document, write_findings, EventFlowGraph, Finding, Report, Severity};
+use crate::{document, write_findings, EventFlowGraph, Finding, Reach, Report, Severity};
 
 /// Human-readable name of a footprint region.
 pub fn region_str(r: Region) -> String {
@@ -43,36 +43,6 @@ fn region_json(w: &mut JsonWriter, r: Region) {
         }
     }
     w.end_obj();
-}
-
-/// Per-label transitive reachability over the event-flow graph's send
-/// edges. Labels are few (tens), so dense BFS per node is fine.
-fn closure(graph: &EventFlowGraph) -> BTreeMap<u16, BTreeSet<u16>> {
-    let mut succ: BTreeMap<u16, BTreeSet<u16>> = BTreeMap::new();
-    for e in &graph.edges {
-        succ.entry(e.src).or_default().insert(e.dst);
-    }
-    let mut out = BTreeMap::new();
-    for n in &graph.nodes {
-        let mut seen = BTreeSet::new();
-        let mut work = vec![n.label];
-        while let Some(l) = work.pop() {
-            if let Some(next) = succ.get(&l) {
-                for &d in next {
-                    if seen.insert(d) {
-                        work.push(d);
-                    }
-                }
-            }
-        }
-        out.insert(n.label, seen);
-    }
-    out
-}
-
-/// Whether a send path in either direction orders handlers `a` and `b`.
-fn ordered(reach: &BTreeMap<u16, BTreeSet<u16>>, a: u16, b: u16) -> bool {
-    reach.get(&a).is_some_and(|s| s.contains(&b)) || reach.get(&b).is_some_and(|s| s.contains(&a))
 }
 
 fn by_region(report: &RaceReport) -> BTreeMap<Region, Vec<&updown_sim::Footprint>> {
@@ -113,7 +83,7 @@ fn pair_kind(
 /// soften to [`Info`](Severity::Info). Dynamic sites are the errors — see
 /// [`race_findings`].
 pub fn may_race(graph: &EventFlowGraph, report: &RaceReport) -> Vec<Finding> {
-    let reach = closure(graph);
+    let reach = Reach::of(graph.edges.iter().map(|e| (e.src, e.dst)));
     let mut out = Vec::new();
     for (region, fps) in by_region(report) {
         for (i, a) in fps.iter().enumerate() {
@@ -122,7 +92,8 @@ pub fn may_race(graph: &EventFlowGraph, report: &RaceReport) -> Vec<Finding> {
                     continue; // same-handler parallelism is judged dynamically
                 }
                 let Some(kind) = pair_kind(a, b) else { continue };
-                if ordered(&reach, a.handler, b.handler) {
+                // A send path either way orders the pair.
+                if reach.reaches(a.handler, b.handler) || reach.reaches(b.handler, a.handler) {
                     continue;
                 }
                 let severity = match kind {

@@ -4,17 +4,21 @@
 //! Three check families run over the declared event-flow graph
 //! ([`declared_edges`]):
 //!
-//! 1. **Wait-for cycles** (`wait-cycle`): strongly connected components of
-//!    the *group* digraph whose edges are continuation-carrying sends
-//!    (the sender's thread holds its context until the reply arrives).
-//!    A cycle of unconditional, unordered waits is a certain deadlock
+//! 1. **Wait-for cycles** (`wait-cycle`): strongly connected components
+//!    of the *group* digraph whose edges are continuation-carrying sends
+//!    (the sender's thread holds its context until the reply arrives). A
+//!    component is a set of mutually reachable groups under the one
+//!    reachability relation `ud race`'s may-race pass also uses;
+//!    components are listed by their smallest group name. A cycle of
+//!    unconditional, unordered waits is a certain deadlock
 //!    shape under thread-table saturation (error); a cycle whose every
 //!    internal edge is declared `ordered` is hierarchical recursion that
 //!    strictly descends (info); anything in between is a warning.
 //! 2. **Resource-bound certification** (`thread-bound-*`, `spm-bound-*`):
-//!    [`certify`] folds spawn fan-out declarations into per-lane
-//!    live-thread and scratchpad-word upper bounds per thread group; the
-//!    totals must fit the target machine's thread table and scratchpad.
+//!    [`certify`] (the propagation walk `ud cost` also runs) folds spawn
+//!    fan-out declarations into per-lane live-thread and scratchpad-word
+//!    upper bounds per thread group; the totals must fit the target
+//!    machine's thread table and scratchpad.
 //!    Groups that only admit an unbounded derivation are reported at
 //!    info severity — the program relies on a dynamic throttle (credit
 //!    counters, windows) the spec cannot see.
@@ -35,100 +39,26 @@ use updown_sim::spec::{
 use updown_sim::{MachineConfig, ProtocolProbe};
 
 use crate::{
-    bracketed, count_errors, document, write_bound, write_findings, Finding, Report, Severity,
+    bracketed, count_errors, document, write_bound, write_findings, Finding, Reach, Report,
+    Severity,
 };
-
-/// One continuation-carrying (wait) edge of the group digraph.
-struct WaitEdge<'a> {
-    src: &'a str,
-    dst: &'a str,
-    send: &'a SendDecl,
-}
-
-/// Strongly connected components of the wait digraph, via iterative
-/// Tarjan over a deterministic (sorted) node order.
-fn sccs<'a>(nodes: &[&'a str], edges: &[WaitEdge<'a>]) -> Vec<Vec<&'a str>> {
-    let idx: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for e in edges {
-        adj[idx[e.src]].push(idx[e.dst]);
-    }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
-
-    let n = nodes.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut out: Vec<Vec<&str>> = Vec::new();
-
-    // Iterative Tarjan: (node, next-child-offset) call frames.
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = adj[v].get(*child) {
-                *child += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        comp.push(nodes[w]);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort();
-                    out.push(comp);
-                }
-                frames.pop();
-                if let Some(&mut (u, _)) = frames.last_mut() {
-                    low[u] = low[u].min(low[v]);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
-}
 
 /// Wait-for-cycle detection over continuation edges (check family 1):
 /// the sends declared `with_cont`, lifted from events to thread groups.
+/// A component is a set of mutually reachable groups ([`Reach`]).
 pub fn wait_cycle_findings(spec: &ProgramSpec) -> Vec<Finding> {
-    let edges: Vec<WaitEdge> = declared_edges(spec)
+    let edges: Vec<(&str, &str, &SendDecl)> = declared_edges(spec)
         .filter_map(|e| {
             let send = e.send.filter(|sd| sd.with_cont)?;
-            Some(WaitEdge { src: spec.group_of(e.src), dst: spec.group_of(e.dst), send })
+            Some((spec.group_of(e.src), spec.group_of(e.dst), send))
         })
         .collect();
-    let nodes: BTreeSet<&str> = edges.iter().flat_map(|e| [e.src, e.dst]).collect();
-    let nodes: Vec<&str> = nodes.into_iter().collect();
     let mut out = Vec::new();
-    for comp in sccs(&nodes, &edges) {
+    for comp in Reach::of(edges.iter().map(|&(src, dst, _)| (src, dst))).components() {
         let internal: Vec<&SendDecl> = edges
             .iter()
-            .filter(|e| comp.contains(&e.src) && comp.contains(&e.dst))
-            .map(|e| e.send)
+            .filter(|(src, dst, _)| comp.contains(src) && comp.contains(dst))
+            .map(|&(_, _, send)| send)
             .collect();
         // A singleton without a self-loop is not a cycle.
         if internal.is_empty() {
@@ -591,6 +521,60 @@ mod tests {
             .expect("self-loop reported");
         assert_eq!(f.severity, Severity::Info);
         assert!(a.is_clean());
+    }
+
+    #[test]
+    fn wait_cycle_findings_pin_components_order_and_severity() {
+        let mut s = ProgramSpec::new();
+        // Unconditional x::a ⇄ x::b, plus x::b's member x::b_ack waiting on
+        // x::a: three edges once lifted to groups.
+        s.thread("x").event("a").send("x::b", |sd| {
+            sd.with_cont();
+        });
+        s.thread("x").event("b").send("x::a", |sd| {
+            sd.with_cont();
+        });
+        s.thread("x").event("b_ack").on("x::b").send("x::a", |sd| {
+            sd.with_cont();
+        });
+        // y::p → y::q → y::r → y::p with one conditional wait, and a tail
+        // y::r → z::tail → z::end that closes no cycle. z::end's plain send
+        // back to y::p carries no continuation and is no wait edge.
+        s.thread("y").event("p").send("y::q", |sd| {
+            sd.with_cont();
+        });
+        s.thread("y").event("q").send("y::r", |sd| {
+            sd.with_cont().conditional();
+        });
+        s.thread("y")
+            .event("r")
+            .send("y::p", |sd| {
+                sd.with_cont();
+            })
+            .send("z::tail", |sd| {
+                sd.with_cont();
+            });
+        s.thread("z").event("tail").send("z::end", |sd| {
+            sd.with_cont();
+        });
+        s.thread("z").event("end").send("y::p", |_| {});
+        // An ordered self-loop.
+        s.thread("t").event("relay").send("t::relay", |sd| {
+            sd.with_cont().conditional().ordered();
+        });
+        let got: Vec<String> = wait_cycle_findings(&s).iter().map(|f| f.to_string()).collect();
+        assert_eq!(
+            got,
+            [
+                "info[wait-cycle] t::relay: continuation wait cycle through {t::relay} \
+                 (1 edge(s)): ordered recursion (strictly descending, cannot deadlock)",
+                "error[wait-cycle] x::a: continuation wait cycle through {x::a, x::b} \
+                 (3 edge(s)): every wait is unconditional and unordered; deadlocks under \
+                 thread-table saturation",
+                "warning[wait-cycle] y::p: continuation wait cycle through {y::p, y::q, y::r} \
+                 (3 edge(s)): some waits are conditional; may deadlock on adverse paths",
+            ]
+        );
     }
 
     #[test]

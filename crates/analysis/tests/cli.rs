@@ -85,9 +85,27 @@ fn hostile_values_exit_2_naming_flag_and_value() {
         (&["cost", "--figure9", "pr", "--nodes", "0"][..], ["--nodes", "0"]),
         (&["cost", "--figure9", "bfs", "--scale", "99999"][..], ["--scale", "99999"]),
         (&["cost", "--figure9", "tc", "--nodes", "4294967295"][..], ["--nodes", "4294967295"]),
+        // A tolerance is a finite factor >= 1, and only grades a calibration.
+        (&["cost", "pr", "--calibrate", "m.json", "--tolerance", "nan"][..], ["--tolerance", "nan"]),
+        (&["cost", "pr", "--calibrate", "m.json", "--tolerance", "inf"][..], ["--tolerance", "inf"]),
+        (&["cost", "pr", "--calibrate", "m.json", "--tolerance", "-1"][..], ["--tolerance", "-1"]),
+        (&["cost", "pr", "--calibrate", "m.json", "--tolerance", "0.5"][..], ["--tolerance", "0.5"]),
+        (&["cost", "pr", "--tolerance", "2"][..], ["--tolerance", "--calibrate"]),
     ] {
         assert_refused(&format!("ud {args:?}"), &ud(args), &names);
     }
+}
+
+/// A metrics export missing a graded counter is refused naming it, not
+/// graded as a zero (which would end in an infinite factor and exit 1).
+#[test]
+fn malformed_calibration_export_exits_2_naming_the_counter() {
+    let path = std::env::temp_dir().join(format!("ud-cli-{}.metrics.json", std::process::id()));
+    std::fs::write(&path, r#"{"schema":"updown-metrics/v1","counters":{"total_msgs":1}}"#)
+        .expect("write temp export");
+    let out = ud(&["cost", "pr", "--calibrate", path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    assert_refused("malformed export", &out, &["counters.events_executed"]);
 }
 
 #[test]
@@ -100,6 +118,8 @@ fn nonsense_command_lines_exit_2_with_the_usage_text() {
         // Retired: full detection is the one race mode.
         &["race", "--prune"],
         &["race", "--dot"],
+        // Retired: the text and JSON reports already carry the shard hints.
+        &["cost", "--hints"],
         &["spec", "--bogus"],
         &["cost", "pagerankk"],
         &["check", "--seed"],

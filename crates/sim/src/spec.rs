@@ -1,6 +1,6 @@
 //! Declared-effects protocol specifications, and the vocabulary every
-//! analysis built on them shares: [`declared_edges`], [`Finding`],
-//! [`Severity`].
+//! analysis built on them shares: [`declared_edges`], [`propagate`],
+//! [`Finding`], [`Severity`].
 //!
 //! A [`ProgramSpec`] describes, ahead of any simulation, what each event
 //! handler of a protocol is allowed to do: which events it sends to (by
@@ -28,7 +28,7 @@
 //! a thread created at a different label declare membership with
 //! [`EventDecl::on`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::probe::ProbeReport;
@@ -415,6 +415,98 @@ pub fn declared_edges(spec: &ProgramSpec) -> impl Iterator<Item = DeclEdge<'_>> 
     })
 }
 
+/// How [`propagate`] starts a node: `Pinned` is its value outright (its
+/// in-edges are never walked), `Seed` is what its in-edges add to.
+#[derive(Clone, Copy, Debug)]
+pub enum Start<T> {
+    Pinned(T),
+    Seed(T),
+}
+
+/// What [`propagate`] computed.
+#[derive(Clone, Debug)]
+pub struct Propagation<'a, T> {
+    /// The value of every node the walk reached.
+    pub values: BTreeMap<&'a str, T>,
+    /// Each node the walk re-entered while its own value was still open,
+    /// in the order it met them; that in-edge read the cycle value.
+    pub cycles: Vec<&'a str>,
+}
+
+/// The one memoized propagation over a graph's in-edges that [`certify`]
+/// and `ud cost` run. A node's value is its [`Start`] folded with
+/// `step(acc, value(src), edge)` over `in_edges[node]` (`(src, edge)`
+/// pairs, walked in their given order). Nodes are visited in `order`. A
+/// node met again before its value is done is a cycle: that in-edge reads
+/// `cycle`. A value is memoized when first done, so on a cycle it depends
+/// on where the walk entered it.
+pub fn propagate<'a, T: Copy, E>(
+    order: impl IntoIterator<Item = &'a str>,
+    in_edges: &BTreeMap<&'a str, Vec<(&'a str, E)>>,
+    start: impl Fn(&str) -> Start<T>,
+    mut step: impl FnMut(T, T, &E) -> T,
+    cycle: T,
+) -> Propagation<'a, T> {
+    enum Memo<T> {
+        Computing,
+        Done(T),
+    }
+    struct Walk<'a, 'w, T, E> {
+        in_edges: &'w BTreeMap<&'a str, Vec<(&'a str, E)>>,
+        start: &'w dyn Fn(&str) -> Start<T>,
+        step: &'w mut dyn FnMut(T, T, &E) -> T,
+        cycle: T,
+        memo: BTreeMap<&'a str, Memo<T>>,
+        cycles: Vec<&'a str>,
+    }
+    impl<'a, T: Copy, E> Walk<'a, '_, T, E> {
+        fn value(&mut self, node: &'a str) -> T {
+            let mut acc = match self.memo.get(node) {
+                Some(Memo::Done(v)) => return *v,
+                Some(Memo::Computing) => {
+                    self.cycles.push(node);
+                    return self.cycle;
+                }
+                None => match (self.start)(node) {
+                    Start::Pinned(v) => {
+                        self.memo.insert(node, Memo::Done(v));
+                        return v;
+                    }
+                    Start::Seed(v) => v,
+                },
+            };
+            self.memo.insert(node, Memo::Computing);
+            let in_edges = self.in_edges;
+            for (src, e) in in_edges.get(node).into_iter().flatten() {
+                let v = self.value(src);
+                acc = (self.step)(acc, v, e);
+            }
+            self.memo.insert(node, Memo::Done(acc));
+            acc
+        }
+    }
+    let mut walk = Walk {
+        in_edges,
+        start: &start,
+        step: &mut step,
+        cycle,
+        memo: BTreeMap::new(),
+        cycles: Vec::new(),
+    };
+    for node in order {
+        walk.value(node);
+    }
+    // Every visit has returned, so every memo entry is done.
+    let values = walk.memo.into_iter().filter_map(|(n, m)| match m {
+        Memo::Done(v) => Some((n, v)),
+        Memo::Computing => None,
+    });
+    Propagation {
+        values: values.collect(),
+        cycles: walk.cycles,
+    }
+}
+
 /// Certified per-lane bounds for one thread group.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupBound {
@@ -442,19 +534,20 @@ pub struct Certification {
 /// A group's live bound is, unless declared with `live_per_lane`, the sum
 /// over all `to_new` send edges targeting its root of
 /// `live(sender's group) * fanout`, plus 1 if the root is host-injected.
-/// Spawn cycles make the bound `Unbounded`.
+/// A spawn cycle reads as `Unbounded` ([`propagate`]).
 pub fn certify(spec: &ProgramSpec) -> Certification {
-    // Spawn edges lifted to groups: (sender's group, spawned group, fanout).
-    let spawns: Vec<(&str, &str, Bound)> = declared_edges(spec)
-        .filter_map(|e| {
-            let sd = e.send.filter(|sd| sd.to_new)?;
-            Some((spec.group_of(e.src), spec.group_of(e.dst), sd.fanout))
-        })
-        .collect();
+    // Spawn edges lifted to groups, keyed by the spawned group.
+    let mut spawns: BTreeMap<&str, Vec<(&str, Bound)>> = BTreeMap::new();
+    for e in declared_edges(spec) {
+        if let Some(sd) = e.send.filter(|sd| sd.to_new) {
+            let edge = (spec.group_of(e.src), sd.fanout);
+            spawns.entry(spec.group_of(e.dst)).or_default().push(edge);
+        }
+    }
     // Group roots: every spawned group, every host-injected event, plus
     // anything with a declared live bound or a nonzero spm bound that
     // roots itself.
-    let mut roots: Vec<&str> = spec
+    let roots: BTreeSet<&str> = spec
         .events()
         .filter(|ev| {
             ev.on.is_none()
@@ -463,59 +556,21 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
                     || ev.spm_per_lane != Bound::Finite(0))
         })
         .map(|ev| ev.name.as_str())
-        .chain(spawns.iter().map(|s| s.1))
+        .chain(spawns.keys().copied())
         .collect();
-    roots.sort_unstable();
-    roots.dedup();
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Computing,
-        Done(Bound),
-    }
-    let mut state: BTreeMap<String, St> = BTreeMap::new();
-
-    fn live_of(
-        root: &str,
-        spec: &ProgramSpec,
-        spawns: &[(&str, &str, Bound)],
-        state: &mut BTreeMap<String, St>,
-    ) -> Bound {
-        if let Some(st) = state.get(root) {
-            return match st {
-                St::Computing => Bound::Unbounded, // spawn cycle
-                St::Done(b) => *b,
-            };
-        }
-        if let Some(decl) = spec.event(root).and_then(|e| e.live_per_lane) {
-            state.insert(root.to_string(), St::Done(decl));
-            return decl;
-        }
-        state.insert(root.to_string(), St::Computing);
-        let mut total = if spec.event(root).is_some_and(|e| e.from_host) {
-            Bound::Finite(1)
-        } else {
-            Bound::Finite(0)
-        };
-        for &(src, _, fanout) in spawns.iter().filter(|s| s.1 == root) {
-            if src == root {
-                // self-spawn: cycle
-                total = Bound::Unbounded;
-                continue;
-            }
-            let src_live = live_of(src, spec, spawns, state);
-            total = total.add(src_live.mul(fanout));
-        }
-        state.insert(root.to_string(), St::Done(total));
-        total
-    }
+    let start = |root: &str| match spec.event(root) {
+        Some(EventDecl { live_per_lane: Some(declared), .. }) => Start::Pinned(*declared),
+        ev => Start::Seed(Bound::Finite(ev.is_some_and(|e| e.from_host).into())),
+    };
+    let step = |acc: Bound, src: Bound, &fanout: &Bound| acc.add(src.mul(fanout));
+    let walk = propagate(roots.iter().copied(), &spawns, start, step, Bound::Unbounded);
 
     let mut groups = Vec::new();
     let mut threads_total = Bound::Finite(0);
     let mut spm_total = Bound::Finite(0);
     for root in roots {
         let derived = spec.event(root).is_none_or(|e| e.live_per_lane.is_none());
-        let live = live_of(root, spec, &spawns, &mut state);
+        let live = walk.values[root];
         let spm = spec
             .event(root)
             .map_or(Bound::Finite(0), |e| e.spm_per_lane);
@@ -907,6 +962,19 @@ mod tests {
         });
         let cert = certify(&s);
         assert_eq!(cert.threads_per_lane, Bound::Unbounded);
+    }
+
+    #[test]
+    fn certify_fanout_zero_self_spawn_spawns_nothing() {
+        // A spawn edge back into its own group reads the cycle value,
+        // Unbounded; times fanout 0 it adds nothing, as on a longer cycle.
+        let mut s = ProgramSpec::new();
+        s.thread("a").event("go").from_host().send("a::go", |sd| {
+            sd.to_new().fanout(0);
+        });
+        assert_eq!(certify(&s).threads_per_lane, Bound::Finite(1));
+        s.event_mut("a::go").sends[0].fanout = Bound::Finite(1);
+        assert_eq!(certify(&s).threads_per_lane, Bound::Unbounded);
     }
 
     #[test]

@@ -94,28 +94,44 @@ fn conformance_pr() -> (updown_graph::SplitGraph, PrConfig) {
 
 /// The static prediction lands within 2x of a real simulated run on
 /// every calibrated counter (events, messages, inter-node traffic,
-/// injected bytes, per-node imbalance).
+/// injected bytes, per-node imbalance), and its worst factor is pinned
+/// exactly: a prediction or simulator change that moves it either way,
+/// even inside 2x, has to say so here.
 #[test]
 fn pagerank_prediction_calibrates_within_2x() {
     let r = report_for("pagerank");
     let (sg, cfg) = conformance_pr();
     let sim = run_pagerank(&sg, &cfg);
     let cal = calibrate(&r, &sim.report.to_json()).expect("valid metrics export");
-    assert!(
-        cal.within(2.0),
-        "worst factor {:.2}x; entries: {:?}",
-        cal.worst,
-        cal.entries
-            .iter()
-            .map(|e| format!("{} p={:.0} a={:.0} f={:.2}", e.counter, e.predicted, e.actual, e.factor))
-            .collect::<Vec<_>>()
-    );
+    let entries: Vec<String> = cal
+        .entries
+        .iter()
+        .map(|e| format!("{} p={:.0} a={:.0} f={:.2}", e.counter, e.predicted, e.actual, e.factor))
+        .collect();
+    assert!(cal.within(2.0), "worst factor {:.2}x; entries: {entries:?}", cal.worst);
+    assert_eq!(cal.worst, 1.6760231667253753, "worst factor drifted; entries: {entries:?}");
 }
 
-/// `calibrate` rejects non-metrics documents instead of comparing junk.
+/// `calibrate` rejects non-metrics documents, and metrics exports whose
+/// graded counters are missing, non-numeric or negative, instead of
+/// comparing junk; the error names the counter.
 #[test]
 fn calibrate_rejects_foreign_schemas() {
     let r = report_for("pagerank");
     assert!(calibrate(&r, r#"{"schema":"udcost/v1"}"#).is_err());
     assert!(calibrate(&r, "{").is_err());
+    let good = r#""events_executed":10,"total_msgs":8,"msgs_inter_node":4"#;
+    for (counters, rest, named) in [
+        (r#""total_msgs":8,"msgs_inter_node":4"#, "", "counters.events_executed"),
+        (r#""events_executed":10,"total_msgs":"8","msgs_inter_node":4"#, "", "counters.total_msgs"),
+        (r#""events_executed":10,"total_msgs":8,"msgs_inter_node":-4"#, "", "counters.msgs_inter_node"),
+        (good, r#","fabric":{}"#, "fabric.nic_injected_bytes"),
+        (good, r#","nodes":[{"events":6},{"events":-6}]"#, "nodes[1].events"),
+    ] {
+        let export = format!(r#"{{"schema":"updown-metrics/v1","counters":{{{counters}}}{rest}}}"#);
+        let err = calibrate(&r, &export).expect_err(&export);
+        assert!(err.contains(named), "{export}: {err}");
+    }
+    let export = format!(r#"{{"schema":"updown-metrics/v1","counters":{{{good}}}}}"#);
+    assert!(calibrate(&r, &export).is_ok(), "{export}");
 }
