@@ -5,7 +5,7 @@
 use std::any::TypeId;
 use std::collections::BTreeMap;
 
-use super::core::{Action, ActionArena, EngineCore, MemOp, MemResp, MemStage, Table};
+use super::core::{Action, ActionArena, EngineCore, MemOp, MemResp, MemStage, Table, Tag};
 use super::{Engine, RestoreSlot};
 use crate::calendar::{CalendarQueue, Links};
 use crate::ids::{EventWord, NetworkId};
@@ -94,10 +94,11 @@ fn codec_load<T: SnapState>(r: &mut SnapReader<'_>) -> Result<Box<dyn SimState>,
 // --- on-disk body codecs for the engine's private types ------------------
 //
 // The binary body of `updown-snapshot/v2` is written field-by-field in a
-// fixed order by these helpers. Race contexts riding in-flight actions and
-// messages are intentionally *not* serialized (vector clocks are process-
-// local); see `Engine::checkpoint_boundary` for how `--restore` stays
-// correct regardless.
+// fixed order by these helpers. A DRAM transaction's trace id is written
+// from the slab's side table, where it lives; the race contexts beside it
+// are intentionally *not* serialized (vector clocks are process-local); see
+// `Engine::checkpoint_boundary` for how `--restore` stays correct
+// regardless.
 
 fn save_msg(m: &Message, w: &mut SnapWriter) {
     m.dst.put(w);
@@ -112,7 +113,6 @@ fn load_msg(r: &mut SnapReader<'_>) -> Result<Message, SnapshotError> {
         args: Operands::take(r)?,
         cont: EventWord::take(r)?,
         src: NetworkId::take(r)?,
-        race: None,
     })
 }
 
@@ -189,7 +189,8 @@ fn load_memop(r: &mut SnapReader<'_>) -> Result<MemOp, SnapshotError> {
     })
 }
 
-fn save_action(a: &Action, w: &mut SnapWriter) {
+/// `trace_id` is the slot's, from the side table (0 when untraced).
+fn save_action(a: &Action, trace_id: u64, w: &mut SnapWriter) {
     match a {
         Action::Deliver(m) => {
             w.u8(0);
@@ -200,8 +201,6 @@ fn save_action(a: &Action, w: &mut SnapWriter) {
             op,
             src_node,
             owner,
-            trace_id,
-            race: _,
         } => {
             w.u8(match stage {
                 MemStage::Arrive => 2,
@@ -210,13 +209,9 @@ fn save_action(a: &Action, w: &mut SnapWriter) {
             save_memop(op, w);
             w.u32(*src_node);
             w.u32(*owner);
-            w.u64(*trace_id);
+            w.u64(trace_id);
         }
-        Action::MemDone {
-            resp,
-            owner,
-            trace_id,
-        } => {
+        Action::MemDone { resp, owner } => {
             w.u8(4);
             match &resp.reply {
                 Some(m) => {
@@ -225,35 +220,40 @@ fn save_action(a: &Action, w: &mut SnapWriter) {
                 }
                 None => w.bool(false),
             }
-            w.u64(resp.bytes);
+            w.u64(resp.bytes as u64);
             w.bool(resp.write);
             w.u32(*owner);
-            w.u64(*trace_id);
+            w.u64(trace_id);
         }
     }
 }
 
-fn load_action(r: &mut SnapReader<'_>) -> Result<Action, SnapshotError> {
+/// An action and its trace id (0 for a delivery).
+fn load_action(r: &mut SnapReader<'_>) -> Result<(Action, u64), SnapshotError> {
     // Tag 1 is not assigned: a lane's run entry is an id, not an action.
     Ok(match r.u8()? {
-        0 => Action::Deliver(load_msg(r)?),
-        tag @ (2 | 3) => Action::Mem {
-            stage: if tag == 2 { MemStage::Arrive } else { MemStage::Served },
-            op: load_memop(r)?,
-            src_node: r.u32()?,
-            owner: r.u32()?,
-            trace_id: r.u64()?,
-            race: None,
-        },
-        4 => Action::MemDone {
-            resp: MemResp {
-                reply: if r.bool()? { Some(load_msg(r)?) } else { None },
-                bytes: r.u64()?,
-                write: r.bool()?,
+        0 => (Action::Deliver(load_msg(r)?), 0),
+        tag @ (2 | 3) => (
+            Action::Mem {
+                stage: if tag == 2 { MemStage::Arrive } else { MemStage::Served },
+                op: load_memop(r)?,
+                src_node: r.u32()?,
+                owner: r.u32()?,
             },
-            owner: r.u32()?,
-            trace_id: r.u64()?,
-        },
+            r.u64()?,
+        ),
+        4 => {
+            let reply = if r.bool()? { Some(load_msg(r)?) } else { None };
+            let bytes = r.u64()?;
+            let bytes = u32::try_from(bytes)
+                .map_err(|_| SnapshotError::Format(format!("DRAM response of {bytes} bytes")))?;
+            let resp = MemResp {
+                reply,
+                bytes,
+                write: r.bool()?,
+            };
+            (Action::MemDone { resp, owner: r.u32()? }, r.u64()?)
+        }
         t => return Err(SnapshotError::Format(format!("bad Action tag {t}"))),
     })
 }
@@ -415,11 +415,11 @@ fn save_core(codecs: &StateCodecs, core: &EngineCore, w: &mut SnapWriter) -> Res
     w.u64(core.sent_seq);
     w.u64(core.last_completion);
     w.usize(core.arena.slots.len());
-    for slot in &core.arena.slots {
+    for (slot, id) in core.arena.slots.iter().zip(core.arena.first_id..) {
         match slot {
             Some(a) => {
                 w.bool(true);
-                save_action(a, w);
+                save_action(a, core.arena.trace_id(id), w);
             }
             None => w.bool(false),
         }
@@ -475,12 +475,20 @@ fn load_core(
     let nslots = r.len(1)?;
     let mut arena = ActionArena::new(first_id);
     arena.slots.reserve(nslots);
-    for _ in 0..nslots {
-        arena.slots.push(if r.bool()? {
-            Some(load_action(r)?)
+    for id in (first_id..).take(nslots) {
+        if r.bool()? {
+            let (action, trace_id) = load_action(r)?;
+            arena.slots.push(Some(action));
+            arena.set_tag(
+                id,
+                Tag {
+                    trace_id,
+                    ..Tag::default()
+                },
+            );
         } else {
-            None
-        });
+            arena.slots.push(None);
+        }
     }
     // Ids are not trusted: the shared link array refuses an id that is out
     // of range or in two lists (a cycle would hang the run), and the slab

@@ -16,7 +16,7 @@ use crate::memory::{GlobalMemory, MemChannels, VAddr};
 use crate::message::{Message, Operands, HW_OPERANDS};
 use crate::network::{Fabric, Nics, Topology};
 use crate::probe::DiagKind;
-use crate::race::{RaceAccess, RaceExec, ThreadKey};
+use crate::race::{RaceAccess, RaceExec, ThreadKey, VClock};
 use crate::stats::Counters;
 use crate::trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
 
@@ -131,7 +131,8 @@ impl MemOp {
 #[derive(Clone, Debug)]
 pub(super) struct MemResp {
     pub(super) reply: Option<Message>,
-    pub(super) bytes: u64,
+    /// Payload bytes, at most 64.
+    pub(super) bytes: u32,
     pub(super) write: bool,
 }
 
@@ -153,26 +154,69 @@ pub(super) enum MemStage {
 /// transaction advances by changing `stage` (or being overwritten by its
 /// response) in place and re-queueing the same id, and a message waits in
 /// its lane's inbox *as its slot id* until the handler starts.
+///
+/// Nothing here is observer data: what a tracer or a race probe keeps per
+/// pending entry is a [`Tag`] beside the slot.
 #[derive(Clone, Debug)]
 pub(super) enum Action {
     Deliver(Message),
-    /// A request at the owning node. `trace_id` correlates the stages of
-    /// one transaction in the event trace; 0 when tracing is off. `race`
-    /// is the issuer's race context when a [`RaceProbe`] is attached.
+    /// A request at the owning node.
     Mem {
         stage: MemStage,
         op: MemOp,
         src_node: u32,
         owner: u32,
-        trace_id: u64,
-        race: Option<RaceAccess>,
     },
     /// Response arrived back at the issuing shard: deliver the reply.
     MemDone {
         resp: MemResp,
         owner: u32,
-        trace_id: u64,
     },
+}
+
+/// Observer data of one pending entry, kept beside its [`Action`] instead
+/// of inside it: the trace id that correlates the stages of one DRAM
+/// transaction in the event trace (0 when untraced), and its race data.
+/// Empty unless a tracer or a [`RaceProbe`](crate::RaceProbe) is attached;
+/// never affects simulated time, wire size or cost.
+#[derive(Clone, Default)]
+pub(super) struct Tag {
+    pub(super) trace_id: u64,
+    pub(super) race: RaceTag,
+}
+
+/// What the race probe keeps for one pending entry.
+#[derive(Clone, Default)]
+pub(super) enum RaceTag {
+    #[default]
+    None,
+    /// The clock a message carries to its handler: the happens-before
+    /// edge of delivery.
+    Clock(Arc<VClock>),
+    /// The issuer's race context of a DRAM request.
+    Access(RaceAccess),
+}
+
+impl Tag {
+    /// A message's tag: its race clock, if any.
+    fn clock(clock: Option<Arc<VClock>>) -> Tag {
+        Tag {
+            trace_id: 0,
+            race: clock.map_or(RaceTag::None, RaceTag::Clock),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.trace_id == 0 && matches!(self.race, RaceTag::None)
+    }
+}
+
+/// Entry `i` of a side vector, growing it with defaults to reach `i`.
+fn side_entry<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 impl Action {
@@ -239,11 +283,21 @@ fn trace_dram(
 /// store ids, so slot numbering (and hence future freelist reuse order)
 /// must survive a restore exactly for re-encoded snapshots to stay
 /// byte-identical.
+///
+/// Observer data ([`Tag`]) lives in two side vectors keyed by the same
+/// slot index: ids are unique among pending entries, and a vacant slot's
+/// entries are always empty. Each grows only when its half of an
+/// inserted tag is non-empty, so a run with no tracer and no race probe
+/// allocates neither, and a traced run touches 8 bytes per slot.
 #[derive(Clone)]
 pub(super) struct ActionArena {
     pub(super) first_id: u32,
     pub(super) slots: Vec<Option<Action>>,
     pub(super) free: IdList,
+    /// `trace_ids[i]` and `races[i]` belong to slot `i`; slots past the end
+    /// of either have none.
+    pub(super) trace_ids: Vec<u64>,
+    pub(super) races: Vec<RaceTag>,
 }
 
 impl ActionArena {
@@ -252,11 +306,13 @@ impl ActionArena {
             first_id,
             slots: Vec::new(),
             free: IdList::default(),
+            trace_ids: Vec::new(),
+            races: Vec::new(),
         }
     }
 
-    fn insert(&mut self, links: &mut Links, action: Action) -> u32 {
-        match links.pop_front(&mut self.free) {
+    fn insert(&mut self, links: &mut Links, action: Action, tag: Tag) -> u32 {
+        let id = match links.pop_front(&mut self.free) {
             Some(id) => {
                 self.slots[(id - self.first_id) as usize] = Some(action);
                 id
@@ -267,15 +323,46 @@ impl ActionArena {
                 self.slots.push(Some(action));
                 id
             }
-        }
+        };
+        self.set_tag(id, tag);
+        id
     }
 
     pub(super) fn take(&mut self, links: &mut Links, id: u32) -> Action {
-        let a = self.slots[(id - self.first_id) as usize]
-            .take()
-            .expect("live arena slot");
+        let i = (id - self.first_id) as usize;
+        let a = self.slots[i].take().expect("live arena slot");
+        if let Some(t) = self.trace_ids.get_mut(i) {
+            *t = 0;
+        }
+        if let Some(r) = self.races.get_mut(i) {
+            *r = RaceTag::None;
+        }
         links.push_front(&mut self.free, id);
         a
+    }
+
+    /// Move slot `id`'s race data out, leaving it empty.
+    pub(super) fn take_race(&mut self, id: u32) -> RaceTag {
+        self.races
+            .get_mut((id - self.first_id) as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Give slot `id`, whose observer data is empty, the data of `tag`.
+    pub(super) fn set_tag(&mut self, id: u32, tag: Tag) {
+        let i = (id - self.first_id) as usize;
+        if tag.trace_id != 0 {
+            *side_entry(&mut self.trace_ids, i) = tag.trace_id;
+        }
+        if !matches!(tag.race, RaceTag::None) {
+            *side_entry(&mut self.races, i) = tag.race;
+        }
+    }
+
+    /// The trace id of slot `id`'s DRAM transaction; 0 when untraced.
+    pub(super) fn trace_id(&self, id: u32) -> u64 {
+        self.trace_ids.get((id - self.first_id) as usize).copied().unwrap_or(0)
     }
 
     fn get_mut(&mut self, id: u32) -> &mut Action {
@@ -296,22 +383,54 @@ impl ActionArena {
 /// Outgoing effects collected during one event execution; the engine turns
 /// them into scheduled actions at the event's completion time.
 pub(super) enum Outgoing {
-    /// A message and the cycles it waits after the event before entering
-    /// the network.
-    Msg(Message, u64),
+    /// A message, the cycles it waits after the event before entering the
+    /// network, and the sender's race clock.
+    Msg(Message, u64, Option<Arc<VClock>>),
     /// A DRAM request and the issuer's race context.
     Dram(MemOp, Option<RaceAccess>),
 }
 
-/// A calendar entry crossing shards at a window boundary. Merged into the
-/// destination calendar in `(src, order)` order, which reproduces the
-/// exact creation order a serial exchange would have produced.
+/// A calendar entry crossing shards at a window boundary.
 #[derive(Clone)]
 pub(super) struct XEntry {
     pub(super) time: u64,
-    pub(super) src: u32,
-    pub(super) order: u64,
     pub(super) action: Action,
+}
+
+/// One source shard's cross-shard entries for one destination, in send
+/// order, with their observer data beside them: `tags[i]` belongs to
+/// `entries[i]`, and entries past the end of `tags` have none, so an
+/// unobserved run never fills it.
+#[derive(Clone, Default)]
+pub(super) struct XBuf {
+    pub(super) entries: Vec<XEntry>,
+    pub(super) tags: Vec<Tag>,
+    /// Capacity the pair's other buffer had when last flushed: a full
+    /// buffer grows straight to it (or doubles, if that is more).
+    pub(super) hint: usize,
+}
+
+/// Entries a cross-shard buffer allocates room for first.
+const XBUF_FIRST: usize = 32;
+
+impl XBuf {
+    fn push(&mut self, time: u64, action: Action, tag: Tag) {
+        if !tag.is_empty() {
+            self.tags.resize_with(self.entries.len(), Tag::default);
+            self.tags.push(tag);
+        }
+        let len = self.entries.len();
+        if len == self.entries.capacity() {
+            let cap = (2 * len).max(self.hint).max(XBUF_FIRST);
+            self.entries.reserve_exact(cap - len);
+        }
+        self.entries.push(XEntry { time, action });
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.entries.clear();
+        self.tags.clear();
+    }
 }
 
 /// One executed lane event in a shard's recorded execution stream; the
@@ -477,17 +596,16 @@ pub(super) struct EngineCore {
     pub(super) last_completion: u64,
     /// Per-handler (execution count, last tick) for diagnostics.
     pub(super) handler_stats: Vec<(u64, u64)>,
-    /// Monotone order stamp for cross-shard entries produced here.
+    /// Cross-shard entries sent so far; only the `updown-snapshot/v2`
+    /// body reads it.
     pub(super) sent_seq: u64,
     /// Cross-shard entries buffered during a window, per destination
-    /// shard; flushed into the mailboxes at the window boundary.
-    pub(super) outbuf: Vec<Vec<XEntry>>,
+    /// shard, in buffers taken from the exchange at the window start and
+    /// put back at its boundary.
+    pub(super) outbuf: Vec<XBuf>,
     /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
     /// across events; one less allocation per sending event).
     pub(super) out_scratch: Vec<Outgoing>,
-    /// Recycled mailbox-drain buffer ([`XEntry`] capacity persists across
-    /// windows, swapped with the mailbox's storage each round).
-    pub(super) xentry_scratch: Vec<XEntry>,
     /// Live recording for record-replay; `None` unless the current run
     /// was started with [`MachineConfig::replay`] set, or this shard is
     /// being replayed in isolation.
@@ -522,10 +640,9 @@ impl Clone for EngineCore {
             handler_stats: self.handler_stats.clone(),
             sent_seq: self.sent_seq,
             outbuf: self.outbuf.clone(),
-            // Scratch buffers hold no state between events/windows; fresh
-            // empties keep the clone cheap and content-identical.
+            // The scratch buffer holds no state between events; a fresh
+            // empty keeps the clone cheap and content-identical.
             out_scratch: Vec::new(),
-            xentry_scratch: Vec::new(),
             record: None,
         }
     }
@@ -556,8 +673,15 @@ impl EngineCore {
         }
     }
 
-    pub(super) fn schedule(&mut self, time: u64, action: Action) {
-        let id = self.arena.insert(self.calendar.links_mut(), action);
+    /// Observer tags this shard's side table and cross-shard buffers have
+    /// room for (host-side memory report).
+    pub(super) fn tag_capacity(&self) -> usize {
+        let arena = self.arena.trace_ids.capacity() + self.arena.races.capacity();
+        arena + self.outbuf.iter().map(|b| b.tags.capacity()).sum::<usize>()
+    }
+
+    pub(super) fn schedule(&mut self, time: u64, action: Action, tag: Tag) {
+        let id = self.arena.insert(self.calendar.links_mut(), action, tag);
         self.push_id(time, id);
     }
 
@@ -580,10 +704,11 @@ impl EngineCore {
         self.calendar.peek_time().unwrap_or(u64::MAX)
     }
 
-    /// Host-side injection: give `msg` a slot and queue it on its lane.
-    pub(super) fn deliver(&mut self, t: u64, msg: Message) {
+    /// Host-side injection: give `msg` (and its race clock) a slot and
+    /// queue it on its lane.
+    pub(super) fn deliver(&mut self, t: u64, msg: Message, clock: Option<Arc<VClock>>) {
         let l = msg.dst.nwid();
-        let id = self.arena.insert(self.calendar.links_mut(), Action::Deliver(msg));
+        let id = self.arena.insert(self.calendar.links_mut(), Action::Deliver(msg), Tag::clock(clock));
         self.enqueue(t, l, id);
     }
 
@@ -611,14 +736,9 @@ impl EngineCore {
 
     /// Buffer a cross-shard calendar entry for delivery at the next
     /// window boundary.
-    fn push_cross(&mut self, dst: u32, time: u64, action: Action) {
+    fn push_cross(&mut self, dst: u32, time: u64, action: Action, tag: Tag) {
         self.sent_seq += 1;
-        self.outbuf[dst as usize].push(XEntry {
-            time,
-            src: self.id,
-            order: self.sent_seq,
-            action,
-        });
+        self.outbuf[dst as usize].push(time, action, tag);
     }
 
     /// Carry `action` from this node to remote `dst_node`: serialize the
@@ -639,6 +759,7 @@ impl EngineCore {
         dst_node: u32,
         bytes: u64,
         action: Action,
+        tag: Tag,
     ) -> (u64, u64) {
         let depart = self.nic.inject(0, ready, bytes);
         let src_node = self.id;
@@ -659,14 +780,14 @@ impl EngineCore {
             }
         }
         let arrival = depart + shared.topo.latency(src_node, dst_node);
-        self.push_cross(dst_node, arrival, action);
+        self.push_cross(dst_node, arrival, action, tag);
         (depart, arrival)
     }
 
     /// Count a DRAM transaction issued at `t` from `src` and route its
     /// channel-arrival stage to the owning shard: across the fabric for a
     /// remote owner, one on-node hop for a local one.
-    fn dram_issue(&mut self, shared: &Shared, t: u64, src: NetworkId, op: MemOp, race: Option<RaceAccess>) {
+    fn dram_issue(&mut self, shared: &Shared, t: u64, src: NetworkId, op: MemOp, access: Option<RaceAccess>) {
         if op.is_write() {
             self.stats.dram_writes += 1;
             self.stats.dram_write_bytes += op.bytes();
@@ -689,15 +810,17 @@ impl EngineCore {
             op,
             src_node,
             owner,
+        };
+        let tag = Tag {
             trace_id,
-            race,
+            race: access.map_or(RaceTag::None, RaceTag::Access),
         };
         if owner != src_node {
             self.stats.dram_remote_accesses += 1;
             // Request messages are one 72-byte unit regardless of payload.
-            self.fabric_send(shared, t, owner, 72, request);
+            self.fabric_send(shared, t, owner, 72, request, tag);
         } else {
-            self.schedule(t + shared.cfg.net.intra_node_latency, request);
+            self.schedule(t + shared.cfg.net.intra_node_latency, request, tag);
         }
     }
 
@@ -767,12 +890,12 @@ impl EngineCore {
                 stage: stage @ MemStage::Arrive,
                 op,
                 owner,
-                trace_id,
                 ..
             } => {
-                let bytes = op.bytes();
-                trace_dram(&mut self.tracer, *trace_id, DramStage::Arrive, *owner, now, bytes, op.is_write());
+                let (owner, bytes, write) = (*owner, op.bytes(), op.is_write());
                 *stage = MemStage::Served;
+                let trace_id = self.arena.trace_id(id);
+                trace_dram(&mut self.tracer, trace_id, DramStage::Arrive, owner, now, bytes, write);
                 let served = self.channel.service(0, now, bytes);
                 self.push_id(served, id);
             }
@@ -781,17 +904,16 @@ impl EngineCore {
                 op,
                 src_node,
                 owner,
-                trace_id,
-                race,
             } => {
-                let (src_node, owner, trace_id) = (*src_node, *owner, *trace_id);
-                let bytes = op.bytes();
-                let write = op.is_write();
-                trace_dram(&mut self.tracer, trace_id, DramStage::Served, owner, now, bytes, write);
+                let (src_node, owner) = (*src_node, *owner);
+                let (va, bytes, write, atomic) = (op.va(), op.bytes(), op.is_write(), op.is_atomic());
                 // Apply the memory effect now, on the owning shard: channel
                 // service order is the deterministic serialization point
                 // for all accesses to this node's memory.
-                let mut reply = op.apply(&shared.mem);
+                let reply = op.apply(&shared.mem);
+                let trace_id = self.arena.trace_id(id);
+                let race = self.arena.take_race(id);
+                trace_dram(&mut self.tracer, trace_id, DramStage::Served, owner, now, bytes, write);
                 // Record the access for race detection at the same point;
                 // the probe reads no memory. The reply carries the issuer's
                 // clock so replies order with the issue (write -> ack ->
@@ -799,48 +921,46 @@ impl EngineCore {
                 // acquired clock instead, ordering the issuer after every
                 // earlier fetch-and-add on the word (barrier
                 // release-acquire).
-                if let (Some(rp), Some(acc)) = (&shared.cfg.race, race.as_ref()) {
-                    let va = op.va();
+                let mut clock = None;
+                if let (Some(rp), RaceTag::Access(acc)) = (&shared.cfg.race, race) {
                     let base = shared.mem.descriptor(va).map(|d| d.base.0).unwrap_or(va.0);
                     let words = (bytes / 8) as u32;
                     let replied = reply.is_some();
-                    let acquired =
-                        rp.record_dram(acc, self.id, va, base, words, op.is_atomic(), write, now, replied);
-                    if let Some(m) = reply.as_mut() {
-                        m.race = Some(acquired.unwrap_or_else(|| acc.clock.clone()));
+                    let acquired = rp.record_dram(&acc, self.id, va, base, words, atomic, write, now, replied);
+                    if replied {
+                        clock = Some(acquired.unwrap_or(acc.clock));
                     }
                 }
                 let done = Action::MemDone {
                     resp: MemResp {
                         reply,
-                        bytes,
+                        bytes: bytes as u32,
                         write,
                     },
                     owner,
+                };
+                let tag = Tag {
                     trace_id,
+                    race: clock.map_or(RaceTag::None, RaceTag::Clock),
                 };
                 if owner != src_node {
                     self.arena.take(self.calendar.links_mut(), id);
-                    self.fabric_send(shared, now, src_node, 8 + bytes, done);
+                    self.fabric_send(shared, now, src_node, 8 + bytes, done, tag);
                 } else {
                     // The response overwrites the request in its slot.
                     *self.arena.get_mut(id) = done;
+                    self.arena.set_tag(id, tag);
                     self.push_id(now + shared.cfg.net.intra_node_latency, id);
                 }
             }
-            Action::MemDone {
-                resp,
-                owner,
-                trace_id,
-            } => {
-                let (bytes, write) = (resp.bytes, resp.write);
-                trace_dram(&mut self.tracer, *trace_id, DramStage::Respond, *owner, now, bytes, write);
-                match &resp.reply {
+            Action::MemDone { resp, owner } => {
+                let (owner, bytes, write) = (*owner, resp.bytes as u64, resp.write);
+                let lane = resp.reply.as_ref().map(|msg| msg.dst.nwid());
+                let trace_id = self.arena.trace_id(id);
+                trace_dram(&mut self.tracer, trace_id, DramStage::Respond, owner, now, bytes, write);
+                match lane {
                     // The lane takes the reply straight out of this slot.
-                    Some(msg) => {
-                        let l = msg.dst.nwid();
-                        self.enqueue(now, l, id);
-                    }
+                    Some(l) => self.enqueue(now, l, id),
                     None => {
                         self.arena.take(self.calendar.links_mut(), id);
                     }
@@ -899,7 +1019,11 @@ impl EngineCore {
             self.lane_next(li, t);
             return;
         };
-        let mut msg = self
+        let incoming = match self.arena.take_race(id) {
+            RaceTag::Clock(clock) => Some(clock),
+            _ => None,
+        };
+        let msg = self
             .arena
             .take(self.calendar.links_mut(), id)
             .into_message()
@@ -922,7 +1046,7 @@ impl EngineCore {
                 tid: tid.0,
                 gen: lane.threads.generation(tid),
             };
-            rp.begin_event(key, msg.race.take())
+            rp.begin_event(key, incoming)
         });
         let state = lane
             .threads
@@ -1053,7 +1177,8 @@ impl EngineCore {
         let src_node = self.id;
         for o in out.drain(..) {
             match o {
-                Outgoing::Msg(msg, delay) => {
+                Outgoing::Msg(msg, delay, clock) => {
+                    let tag = Tag::clock(clock);
                     let ready = t_end + delay;
                     let dst = msg.dst.nwid();
                     assert!(
@@ -1067,7 +1192,7 @@ impl EngineCore {
                     let label = msg.dst.label().0;
                     let (depart, arrival) = if dst_node != src_node {
                         self.stats.msgs_inter_node += 1;
-                        self.fabric_send(shared, ready, dst_node, bytes, Action::Deliver(msg))
+                        self.fabric_send(shared, ready, dst_node, bytes, Action::Deliver(msg), tag)
                     } else {
                         if shared.cfg.accel_of(src) == shared.cfg.accel_of(dst) {
                             self.stats.msgs_intra_accel += 1;
@@ -1075,7 +1200,7 @@ impl EngineCore {
                             self.stats.msgs_intra_node += 1;
                         }
                         let arrival = ready + shared.cfg.local_msg_latency(src, dst);
-                        self.schedule(arrival, Action::Deliver(msg));
+                        self.schedule(arrival, Action::Deliver(msg), tag);
                         (ready, arrival)
                     };
                     if let Some(tr) = &mut self.tracer {
@@ -1090,7 +1215,7 @@ impl EngineCore {
                         });
                     }
                 }
-                Outgoing::Dram(op, race) => self.dram_issue(shared, t_end, src, op, race),
+                Outgoing::Dram(op, access) => self.dram_issue(shared, t_end, src, op, access),
             }
         }
 

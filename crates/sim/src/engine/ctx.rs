@@ -251,14 +251,9 @@ impl<'a> EventCtx<'a> {
             }
         }
         self.out.push(Outgoing::Msg(
-            Message {
-                dst,
-                args,
-                cont,
-                src: self.nwid(),
-                race: self.race.as_ref().map(|r| r.clock.clone()),
-            },
+            Message::new(dst, args, cont, self.nwid()),
             delay,
+            self.race.as_ref().map(|r| r.clock.clone()),
         ));
     }
 

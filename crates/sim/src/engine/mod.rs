@@ -20,12 +20,14 @@
 //! floor (earliest pending entry anywhere), opens the window
 //! `[floor, floor + lookahead)`, and every shard executes exactly its
 //! calendar entries below the horizon. Cross-shard effects produced inside
-//! a window land at or beyond the horizon and are exchanged through
-//! deterministic per-destination mailboxes at the window boundary.
+//! a window land at or beyond the horizon and are exchanged at the window
+//! boundary through one cell per (source, destination, round parity).
 //!
 //! **Determinism:** shard count equals node count (fixed by the
-//! [`MachineConfig`]), mailbox entries are merged in `(source shard,
-//! source sequence)` order, and [`MachineConfig::threads`] only decides
+//! [`MachineConfig`]), a destination drains its cells in source-shard
+//! order, each in the order its source sent (the `(source shard, source
+//! sequence)` merge, with nothing to sort), and [`MachineConfig::threads`]
+//! only decides
 //! how many OS threads walk the *same* window loop (one worker runs it
 //! inline) — so the merged event order, every counter, and every trace
 //! span are byte-identical across thread counts.
@@ -39,9 +41,9 @@
 //!
 //! | file | holds |
 //! |---|---|
-//! | `core.rs` | one shard (`EngineCore`): pending-event slab, `window`, `dispatch`, `lane_run`, the fabric/DRAM paths, and the types they share (`Shared`, [`EventCtx`]'s fields, the recording structs) |
+//! | `core.rs` | one shard (`EngineCore`): pending-event slab and its observer side table, `window`, `dispatch`, `lane_run`, the fabric/DRAM paths, and the types they share (`Shared`, [`EventCtx`]'s fields, the cross-shard buffers, the recording structs) |
 //! | `ctx.rs` | the handler-facing API: `impl EventCtx` |
-//! | `sched.rs` | the window loop: mailboxes, barrier, control block, `worker_loop`, `run_rounds` |
+//! | `sched.rs` | the window loop: the exchange cells, barrier, control block, `worker_loop`, `run_rounds` |
 //! | `codec.rs` | both snapshot tiers: [`Snapshot`], the `updown-snapshot/v2` body codecs, and `Engine`'s snapshot/restore/checkpoint methods |
 //! | `replay.rs` | [`Recording`] and `Engine`'s single-shard replay methods |
 //! | `mod.rs` | [`Engine`]: construction, registration, `run`, metrics roll-up |
@@ -67,7 +69,7 @@ use std::sync::Arc;
 
 use self::codec::StateCodecs;
 use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, Shared, ShardRecord, Table};
-use self::sched::run_rounds;
+use self::sched::{run_rounds, Exchange};
 use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId};
@@ -93,6 +95,8 @@ const FABRIC_TOP_LINKS: usize = 16;
 pub struct Engine {
     shared: Shared,
     shards: Vec<EngineCore>,
+    /// The cross-shard exchange cells; empty between runs.
+    exchange: Exchange,
     event_limit: u64,
     /// Logical conservative windows accumulated over all runs (reported
     /// as `Counters::windows`).
@@ -176,9 +180,8 @@ impl Engine {
                 last_completion: 0,
                 handler_stats: Vec::new(),
                 sent_seq: 0,
-                outbuf: (0..n).map(|_| Vec::new()).collect(),
+                outbuf: (0..n).map(|_| Default::default()).collect(),
                 out_scratch: Vec::new(),
-                xentry_scratch: Vec::new(),
                 record: None,
             })
             .collect();
@@ -193,6 +196,7 @@ impl Engine {
                 lookahead,
             },
             shards,
+            exchange: Exchange::new(n as usize),
             event_limit: u64::MAX,
             windows: 0,
             sched_win_max_sum: 0,
@@ -312,13 +316,13 @@ impl Engine {
             l.0,
             self.shared.cfg.total_lanes()
         );
-        let mut msg = Message::new(dst, args, cont, NetworkId(0));
+        let msg = Message::new(dst, args, cont, NetworkId(0));
         // Host sends are ordered with each other and after every prior
         // completed run; the executions they spawn stay mutually unordered.
-        msg.race = self.shared.cfg.race.as_ref().map(|rp| rp.host_send());
+        let clock = self.shared.cfg.race.as_ref().map(|rp| rp.host_send());
         let t = self.now();
         let node = self.shared.cfg.node_of(l);
-        self.shards[node as usize].deliver(t, msg);
+        self.shards[node as usize].deliver(t, msg, clock);
     }
 
     /// Functional access to global memory for host-side setup/inspection
@@ -570,7 +574,14 @@ impl Engine {
         let mut total_rounds = 0u64;
         let workers = self.shared.cfg.threads.max(1) as usize;
         let stopped = loop {
-            let out = run_rounds(&mut self.shards, &self.shared, workers, self.event_limit, round_limit);
+            let out = run_rounds(
+                &mut self.shards,
+                &self.shared,
+                &self.exchange,
+                workers,
+                self.event_limit,
+                round_limit,
+            );
             self.windows += out.rounds;
             self.sched_win_max_sum += out.win_max_sum;
             self.sched_win_max_peak = self.sched_win_max_peak.max(out.win_max_peak);
@@ -783,6 +794,8 @@ impl Engine {
             host_calendar: HostCalendarStats {
                 rung_pushes: self.shards.iter().map(|s| s.calendar.rung_pushes()).sum(),
                 ring_width: self.shards.iter().map(|s| s.calendar.ring_width()).max().unwrap_or(0),
+                observer_tags: self.exchange.tag_capacity()
+                    + self.shards.iter().map(EngineCore::tag_capacity).sum::<usize>(),
             },
         }
     }

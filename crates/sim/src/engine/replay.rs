@@ -2,7 +2,7 @@
 //! single-shard replay that checks it.
 
 use super::codec::Snapshot;
-use super::core::{ExecRec, ShardRecord};
+use super::core::{ExecRec, ShardRecord, Tag};
 use super::Engine;
 use crate::snapshot::ReplayRunReport;
 
@@ -81,8 +81,10 @@ impl Engine {
         }));
         let plan = &rec.shards[k];
         for round in &plan.rounds {
+            // Observer data is not replayed: a replay compares execution
+            // streams, and the observers are rewound afterwards.
             for e in &round.inject {
-                self.shards[k].schedule(e.time, e.action.clone());
+                self.shards[k].schedule(e.time, e.action.clone(), Tag::default());
             }
             self.shards[k].window(&self.shared, round.horizon, round.budget);
             // Cross-shard sends of an isolated replay go nowhere: the

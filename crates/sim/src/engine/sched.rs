@@ -1,4 +1,4 @@
-//! The conservative window loop: per-destination mailboxes, the barrier,
+//! The conservative window loop: the cross-shard exchange, the barrier,
 //! the shared control block, and the workers that claim shards round by
 //! round. One policy, nothing to configure.
 
@@ -6,17 +6,79 @@ use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use super::core::{EngineCore, Shared, XEntry};
+use super::core::{EngineCore, Shared, XBuf};
 
-/// A per-(destination, parity) queue of cross-shard calendar entries.
+/// The cross-shard exchange: one cell per (source, destination, parity),
+/// owned by the [`Engine`](super::Engine) so its buffers keep their
+/// capacity from run to run.
+///
 /// Double-buffered by round parity: pushes in round `r` go to parity
 /// `r % 2` and are drained at the start of round `r + 1` — a fast worker
-/// can never consume entries from the round still in progress.
+/// can never consume entries from the round still in progress. A cell is
+/// used by its source in round `r` and by its destination in round `r + 1`,
+/// a barrier apart, so its lock is never contended; it is there so safe
+/// Rust can hand the buffer from one worker to another.
+///
+/// So a (source, destination) pair owns two buffers, one per parity. At the
+/// start of its round-`r` window a source takes the buffers of its
+/// parity-`r % 2` cells, which their destinations emptied a round earlier,
+/// appends to them in send order, and at the end of the window puts the
+/// filled ones back and marks them. No entry is copied from buffer to
+/// buffer, and every buffer keeps its capacity. A destination drains its
+/// cells in source order, which is the `(source shard, send order)` merge
+/// a serial exchange produces, and visits only the sources its mark bits
+/// name.
+pub(super) struct Exchange {
+    shards: usize,
+    /// Words per mark bitset: one bit per source shard.
+    words: usize,
+    /// The cell of `(src, dst, par)` is in slot `(par * shards + dst) *
+    /// shards + src`. The same vector holds the mark bitsets, so the
+    /// exchange is one allocation: the sources that filled a cell of
+    /// `(dst, par)` are the bits of the `mark`s of the `words` slots from
+    /// `(par * shards + dst) * words`. Marks are set and cleared
+    /// `Relaxed`: a mark set in round `r` is read in round `r + 1`, and the
+    /// window barrier's `Release` / `Acquire` pairing orders the two; a
+    /// cell's contents are published by its own lock.
+    slots: Vec<ExchangeSlot>,
+}
+
 #[derive(Default)]
-struct Mailbox {
-    q: Mutex<Vec<XEntry>>,
+struct ExchangeSlot {
+    cell: Mutex<XBuf>,
+    mark: AtomicU64,
+}
+
+impl Exchange {
+    pub(super) fn new(shards: usize) -> Exchange {
+        Exchange {
+            shards,
+            words: shards.div_ceil(64),
+            slots: (0..2 * shards * shards).map(|_| ExchangeSlot::default()).collect(),
+        }
+    }
+
+    fn cell(&self, src: usize, dst: usize, par: usize) -> MutexGuard<'_, XBuf> {
+        self.slots[(par * self.shards + dst) * self.shards + src]
+            .cell
+            .lock()
+            .expect("a worker panicked holding an exchange cell")
+    }
+
+    /// Word `w` of the bitset of sources that filled a cell of `(dst, par)`.
+    fn mark(&self, dst: usize, par: usize, w: usize) -> &AtomicU64 {
+        &self.slots[(par * self.shards + dst) * self.words + w].mark
+    }
+
+    /// Observer tags the cells have room for (host-side memory report).
+    pub(super) fn tag_capacity(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.cell.lock().expect("a worker panicked holding an exchange cell").tags.capacity())
+            .sum()
+    }
 }
 
 /// A sense-reversing (generation-counting) barrier. `std::sync::Barrier`
@@ -79,11 +141,9 @@ struct Ctl {
     /// Upper bound (exclusive) of the current window; `u64::MAX` signals
     /// completion.
     horizon: AtomicU64,
-    /// Per-destination double-buffered cross-shard queues.
-    mailboxes: Vec<[Mailbox; 2]>,
     /// Double-buffered floor accumulators, indexed by round parity:
     /// during round `r` every worker folds its shards' next-event times
-    /// and flushed mailbox minima into `floor_acc[r % 2]`; the
+    /// and flushed entry minima into `floor_acc[r % 2]`; the
     /// coordinator consumes that value as round `r + 1`'s floor with a
     /// single `swap`, so no per-shard scan sits on the serial section.
     floor_acc: [AtomicU64; 2],
@@ -134,30 +194,31 @@ struct Ctl {
 /// round by round.
 type ShardSlot<'a> = Mutex<&'a mut EngineCore>;
 
-/// Execute one shard's share of a round: drain its mailbox, run the
-/// window, publish cross-shard output, and fold the floor/imbalance
-/// accumulators.
+/// Execute one shard's share of a round of parity `par`: drain what other
+/// shards sent it last round, run the window, publish cross-shard output,
+/// and fold the floor/imbalance accumulators.
 fn run_shard_round(
     core: &mut EngineCore,
     ctl: &Ctl,
+    ex: &Exchange,
     shared: &Shared,
     horizon: u64,
     budget: u64,
-    drain_par: usize,
-    push_par: usize,
+    par: usize,
 ) {
     core.record_begin_round(horizon, budget);
-    core.drain_mailbox(&ctl.mailboxes[core.id as usize][drain_par]);
+    core.drain_exchange(ex, 1 - par);
+    core.take_outbufs(ex, par);
     let executed = core.window(shared, horizon, budget);
     if let Some(rp) = &shared.cfg.race {
-        rp.end_window(core.id, ctl.mailboxes.len() as u32);
+        rp.end_window(core.id, ex.shards as u32);
     }
     core.record_end_round(executed);
     if executed > 0 {
         ctl.events.fetch_add(executed, Relaxed);
     }
-    let flushed_min = core.flush_outbuf(&ctl.mailboxes, push_par);
-    ctl.floor_acc[push_par].fetch_min(core.next_time().min(flushed_min), Relaxed);
+    let flushed_min = core.flush_outbuf(ex, par);
+    ctl.floor_acc[par].fetch_min(core.next_time().min(flushed_min), Relaxed);
     ctl.cost[core.id as usize].store(executed, Relaxed);
     ctl.round_max.fetch_max(executed, Relaxed);
     if core.stop {
@@ -177,6 +238,7 @@ fn worker_loop(
     slots: &[ShardSlot<'_>],
     is_coord: bool,
     ctl: &Ctl,
+    ex: &Exchange,
     shared: &Shared,
 ) {
     let mut round: u64 = 0;
@@ -202,7 +264,7 @@ fn worker_loop(
             } else if ctl.rounds.load(Relaxed) >= ctl.round_limit {
                 // Checkpoint boundary: stop opening windows but remember
                 // that the machine is paused, not finished. The post-run
-                // mailbox drain folds in-flight entries back into the
+                // exchange drain folds in-flight entries back into the
                 // calendars, so the paused state is self-contained.
                 ctl.paused.store(true, Relaxed);
                 ctl.horizon.store(u64::MAX, Relaxed);
@@ -238,8 +300,7 @@ fn worker_loop(
         if horizon == u64::MAX {
             break;
         }
-        let drain_par = ((round + 1) % 2) as usize;
-        let push_par = (round % 2) as usize;
+        let par = (round % 2) as usize;
         let budget = ctl.round_budget.load(Relaxed);
         loop {
             let k = ctl.claim.fetch_add(1, Relaxed);
@@ -251,7 +312,7 @@ fn worker_loop(
                 ctl.steals.fetch_add(1, Relaxed);
             }
             let mut core = slots[idx].lock().unwrap();
-            run_shard_round(&mut core, ctl, shared, horizon, budget, drain_par, push_par);
+            run_shard_round(&mut core, ctl, ex, shared, horizon, budget, par);
         }
         round += 1;
     }
@@ -283,6 +344,7 @@ pub(super) struct RoundsOutcome {
 pub(super) fn run_rounds(
     shards: &mut [EngineCore],
     shared: &Shared,
+    ex: &Exchange,
     workers: usize,
     event_limit: u64,
     round_limit: u64,
@@ -292,7 +354,6 @@ pub(super) fn run_rounds(
     let ctl = Ctl {
         barrier: SpinBarrier::new(workers),
         horizon: AtomicU64::new(0),
-        mailboxes: (0..n).map(|_| [Mailbox::default(), Mailbox::default()]).collect(),
         // Round 0 drains parity 1: seed its floor accumulator with the
         // initial global floor, as if a previous round had published it.
         floor_acc: [
@@ -328,31 +389,31 @@ pub(super) fn run_rounds(
         if workers == 1 {
             // No scope to set up: a run on one worker allocates nothing
             // per invocation beyond the control block.
-            worker_loop(home(0), &slots, true, &ctl, shared);
+            worker_loop(home(0), &slots, true, &ctl, ex, shared);
         } else {
             std::thread::scope(|s| {
                 for i in 1..workers {
                     let (ctl, slots) = (&ctl, &slots);
-                    s.spawn(move || worker_loop(home(i), slots, false, ctl, shared));
+                    s.spawn(move || worker_loop(home(i), slots, false, ctl, ex, shared));
                 }
-                worker_loop(home(0), &slots, true, &ctl, shared);
+                worker_loop(home(0), &slots, true, &ctl, ex, shared);
             });
         }
     }
-    // Entries still parked in the mailboxes (stop or event-limit endings)
-    // go back into the destination calendars so a later `run()` resumes
-    // them; drain order is deterministic (parity, then (src, order)).
+    // Entries still in the exchange (stop or event-limit endings) go back
+    // into the destination calendars so a later `run()` resumes them; drain
+    // order is deterministic (parity, then source shard, then send order),
+    // and it leaves every cell empty for the next invocation.
     let rounds = ctl.rounds.load(Relaxed);
     for core in shards.iter_mut() {
-        let mb = &ctl.mailboxes[core.id as usize];
         // A recording captures this drain as a zero-width round: a
         // replay must merge these entries into the calendar at exactly
-        // this point (with these seq stamps) even though no window runs —
-        // a checkpoint pause otherwise hides them from the inject
-        // schedule and the replayed shard diverges.
+        // this point even though no window runs — a checkpoint pause
+        // otherwise hides them from the inject schedule and the replayed
+        // shard diverges.
         core.record_begin_round(0, 0);
         for par in [(rounds % 2) as usize, ((rounds + 1) % 2) as usize] {
-            core.drain_mailbox(&mb[par]);
+            core.drain_exchange(ex, par);
         }
         core.record_end_round(0);
     }
@@ -368,47 +429,71 @@ pub(super) fn run_rounds(
 }
 
 impl EngineCore {
-    /// Move all entries out of `mb` into this shard's calendar, in
-    /// deterministic `(source shard, source order)` order.
-    fn drain_mailbox(&mut self, mb: &Mailbox) {
-        // Swap the mailbox's storage with the recycled drain buffer so
-        // both vectors keep their capacity across windows.
-        let mut entries = std::mem::take(&mut self.xentry_scratch);
-        debug_assert!(entries.is_empty());
-        std::mem::swap(&mut *mb.q.lock().unwrap(), &mut entries);
-        if !entries.is_empty() {
-            entries.sort_unstable_by_key(|e| (e.src, e.order));
-            if let Some(rec) = &mut self.record {
-                // Only drains inside an open round belong to the recorded
-                // schedule; the post-run parity drain re-queues leftovers
-                // for a later run and is reproduced by that run's record.
-                if rec.open {
-                    if let Some(r) = rec.rounds.last_mut() {
-                        r.inject.extend(entries.iter().cloned());
-                    }
-                }
-            }
-            for e in entries.drain(..) {
-                self.schedule(e.time, e.action);
+    /// Move every entry other shards sent this one in parity `par` into
+    /// its calendar: source shards in order, each one's entries in the
+    /// order it sent them.
+    fn drain_exchange(&mut self, ex: &Exchange, par: usize) {
+        let dst = self.id as usize;
+        for w in 0..ex.words {
+            let mut bits = ex.mark(dst, par, w).swap(0, Relaxed);
+            while bits != 0 {
+                let src = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.drain_buf(&mut ex.cell(src, dst, par));
             }
         }
-        self.xentry_scratch = entries;
+    }
+
+    /// Schedule `buf`'s entries, leaving it empty with its capacity.
+    fn drain_buf(&mut self, buf: &mut XBuf) {
+        if let Some(rec) = &mut self.record {
+            // Only drains inside an open round belong to the recorded
+            // schedule; the post-run parity drain re-queues leftovers for
+            // a later run and is reproduced by that run's record.
+            if rec.open {
+                if let Some(r) = rec.rounds.last_mut() {
+                    r.inject.extend(buf.entries.iter().cloned());
+                }
+            }
+        }
+        let mut tags = buf.tags.drain(..);
+        for e in buf.entries.drain(..) {
+            self.schedule(e.time, e.action, tags.next().unwrap_or_default());
+        }
+    }
+
+    /// Take the buffers of this shard's parity-`par` cells, which their
+    /// destinations emptied a round ago, to buffer this window's
+    /// cross-shard entries in; each cell holds what the shard held.
+    fn take_outbufs(&mut self, ex: &Exchange, par: usize) {
+        let src = self.id as usize;
+        for (dst, buf) in self.outbuf.iter_mut().enumerate() {
+            let hint = buf.hint;
+            std::mem::swap(&mut *ex.cell(src, dst, par), buf);
+            buf.hint = hint;
+        }
     }
 
     /// Publish this window's buffered cross-shard entries into the
-    /// destination mailboxes (parity `par`). Returns the earliest entry
-    /// time flushed (`u64::MAX` when nothing was buffered) so the worker
-    /// can fold it into the next round's floor accumulator.
-    fn flush_outbuf(&mut self, mailboxes: &[[Mailbox; 2]], par: usize) -> u64 {
+    /// exchange (parity `par`): put each filled buffer back into its cell
+    /// and mark the cell. Returns the earliest entry time
+    /// flushed (`u64::MAX` when nothing was buffered) so the worker can
+    /// fold it into the next round's floor accumulator.
+    fn flush_outbuf(&mut self, ex: &Exchange, par: usize) -> u64 {
         let mut flushed_min = u64::MAX;
+        let src = self.id as usize;
         for (dst, buf) in self.outbuf.iter_mut().enumerate() {
-            if buf.is_empty() {
+            if buf.entries.is_empty() {
                 continue;
             }
-            for e in buf.iter() {
+            for e in &buf.entries {
                 flushed_min = flushed_min.min(e.time);
             }
-            mailboxes[dst][par].q.lock().unwrap().append(buf);
+            let mut cell = ex.cell(src, dst, par);
+            debug_assert!(cell.entries.is_empty(), "cell ({src}, {dst}, {par}) was not drained");
+            std::mem::swap(&mut *cell, buf);
+            buf.hint = cell.entries.capacity();
+            ex.mark(dst, par, src / 64).fetch_or(1 << (src % 64), Relaxed);
         }
         flushed_min
     }

@@ -1,9 +1,8 @@
 use super::*;
 use crate::config::MachineConfig;
 use std::sync::{Arc, Mutex};
-use super::core::MemResp;
+use super::core::{MemResp, XEntry};
 use crate::memory::VAddr;
-use crate::race::RaceAccess;
 use crate::snapshot::SnapshotError;
 
 fn tiny() -> MachineConfig {
@@ -241,13 +240,15 @@ fn dram_read_roundtrip_with_latency() {
 
 #[test]
 fn calendar_payload_sizes_are_pinned() {
-    // The calendar arena holds one `Action` per pending entry; both
-    // sizes feed straight into peak RSS (docs/perf.md).
-    assert_eq!(std::mem::size_of::<Message>(), 72);
-    assert!(std::mem::size_of::<Action>() <= 112);
-    // An in-flight DRAM operation's race context rides inside `Action`
-    // on every run, probe or not.
-    assert!(std::mem::size_of::<RaceAccess>() <= 24);
+    use std::mem::size_of;
+    // The calendar arena holds one `Option<Action>` per pending entry and
+    // the exchange one `XEntry` per cross-shard entry; both sizes feed
+    // straight into peak RSS (docs/perf.md). A `Message` is one 64-byte
+    // UpDown message, and no observer data rides in either record.
+    assert_eq!(size_of::<Message>(), 64);
+    assert!(size_of::<Action>() <= 80);
+    assert_eq!(size_of::<Option<Action>>(), size_of::<Action>());
+    assert!(size_of::<XEntry>() <= 88);
 }
 
 /// Pause with a spilled (6-operand) message and a tagged 8-word DRAM

@@ -5,19 +5,17 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
 
 use crate::ids::{EventWord, NetworkId};
-use crate::race::VClock;
 use crate::snapshot::{SnapField, SnapReader, SnapWriter, SnapshotError};
 
 /// Hardware operand capacity of one 64-byte message.
 pub const HW_OPERANDS: usize = 8;
 
 /// Operands a message stores inline. Fixed by measurement, not a knob: 4
-/// keeps `Message` at 72 B and the engine's calendar `Action` at 112 B;
-/// 9 grew `Action` to 144 B and `pr_1n` `peak_rss_mb` by 18 %
-/// (`docs/perf.md`, "Allocation budget").
+/// keeps `Message` at 64 B and the engine's calendar `Action` at 80 B;
+/// 9 grew `Action` (then 112 B) to 144 B and `pr_1n` `peak_rss_mb` by
+/// 18 % (`docs/perf.md`, "Allocation budget").
 pub const INLINE_OPERANDS: usize = 4;
 
 /// The operand words of a [`Message`]: up to [`INLINE_OPERANDS`] live
@@ -142,10 +140,6 @@ pub struct Message {
     /// Continuation word delivered to the handler as `CCONT`.
     pub cont: EventWord,
     pub src: NetworkId,
-    /// Sender's vector-clock snapshot, present only when a
-    /// [`RaceProbe`](crate::RaceProbe) is attached. Carries the
-    /// happens-before edge of delivery; never affects wire size or cost.
-    pub(crate) race: Option<Arc<VClock>>,
 }
 
 impl Message {
@@ -155,7 +149,6 @@ impl Message {
             args: args.into(),
             cont,
             src,
-            race: None,
         }
     }
 

@@ -1028,6 +1028,13 @@ mod tests {
         ThreadKey { lane, tid, gen: 0 }
     }
 
+    #[test]
+    fn an_access_context_is_three_words() {
+        // Every DRAM request an execution issues under the probe carries
+        // one from the handler to the serve point.
+        assert!(std::mem::size_of::<RaceAccess>() <= 24);
+    }
+
     fn dram(p: &RaceProbe, e: &RaceExec, addr: u64, write: bool, atomic: bool, tick: u64) {
         let acc = e.access(e.who.tid, atomic); // label by tid for readable sites
         p.record_dram(&acc, 0, VAddr(addr), 0x1000, 1, atomic, write, tick, true);

@@ -279,6 +279,10 @@ pub struct HostCalendarStats {
     pub rung_pushes: u64,
     /// Widest ring any shard's calendar has grown to, in ticks.
     pub ring_width: usize,
+    /// Capacity, in entries, of the observer side tables: the per-shard
+    /// tags beside the pending-event slab and the tag vectors beside the
+    /// cross-shard buffers. 0 unless a tracer or a race probe was attached.
+    pub observer_tags: usize,
 }
 
 /// Final report of a simulation run: the machine-wide [`Counters`] plus

@@ -4,9 +4,12 @@
 //! and each timestamp through `{}`. Both host thread counts give the same
 //! bytes; a routed topology covers multi-hop `Link` rows, and two more
 //! clocks cover a timestamp divisor with six fraction digits and one that
-//! is not of the form 2^a·5^b.
+//! is not of the form 2^a·5^b. With a race probe attached as well, each
+//! trace keeps its bytes and the race report keeps the `udrace/v1` pin.
 
 use integration_tests::fnv1a;
+use udcheck::apps::ALL_APPS;
+use udcheck::{render_race_document, RaceAnalysis};
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
@@ -15,7 +18,7 @@ use updown_apps::tc::{run_tc, TcConfig};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split_in_out};
 use updown_graph::Csr;
-use updown_sim::{MachineConfig, TopologyKind};
+use updown_sim::{MachineConfig, ProtocolProbe, RaceProbe, TopologyKind};
 
 const SEED: u64 = 10;
 
@@ -77,15 +80,16 @@ fn trace_of(app: &str, m: MachineConfig) -> String {
     doc.expect("cfg.trace was set")
 }
 
+const PINS: [(&str, u64); 5] = [
+    ("pagerank", 0x9A53_2E57_8CC0_A67B),
+    ("bfs", 0x60E4_BE51_5D24_DEE6),
+    ("tc", 0x1BFF_1ACD_66EC_D3CC),
+    ("ingest", 0x1EE8_7784_10CB_0A1E),
+    ("partial_match", 0x5527_273D_481E_F165),
+];
+
 #[test]
 fn chrome_documents_of_the_five_apps_are_those_of_the_builder_chain() {
-    const PINS: [(&str, u64); 5] = [
-        ("pagerank", 0x9A53_2E57_8CC0_A67B),
-        ("bfs", 0x60E4_BE51_5D24_DEE6),
-        ("tc", 0x1BFF_1ACD_66EC_D3CC),
-        ("ingest", 0x1EE8_7784_10CB_0A1E),
-        ("partial_match", 0x5527_273D_481E_F165),
-    ];
     for (app, pin) in PINS {
         for threads in [1, 4] {
             let doc = trace_of(app, machine(2, threads));
@@ -139,6 +143,40 @@ fn chrome_document_bytes_at_other_clocks() {
             "clock {ghz}: {} bytes, hash {:#018X}",
             doc.len(),
             fnv1a(doc.as_bytes())
+        );
+    }
+}
+
+/// Trace and race probe on one run: both observers keep their per-entry
+/// data in the same side tables, and neither disturbs the other. Every
+/// app's Chrome document hashes to its pin above, and the five race
+/// reports render the `udrace/v1` document `tests/tests/udrace.rs` pins
+/// (`ud race`'s probes: a protocol probe for the flow graph, and the race
+/// probe).
+#[test]
+fn traced_race_runs_keep_both_pinned_documents() {
+    const UDRACE_GOLDEN: u64 = 0x536E_9A13_D479_A379;
+    for threads in [1, 4] {
+        let mut analyses = Vec::new();
+        for ((app, pin), canon) in PINS.iter().zip(ALL_APPS) {
+            assert_eq!(app, canon);
+            let (flow, race) = (ProtocolProbe::new(), RaceProbe::new());
+            let mut m = machine(2, threads);
+            m.probe = Some(flow.clone());
+            m.race = Some(race.clone());
+            let doc = trace_of(app, m);
+            assert_eq!(
+                fnv1a(doc.as_bytes()),
+                *pin,
+                "{app} threads={threads}: trace moved"
+            );
+            analyses.push(RaceAnalysis::with_flow(app, &race, &flow));
+        }
+        let doc = render_race_document(&analyses);
+        assert_eq!(
+            fnv1a(doc.as_bytes()),
+            UDRACE_GOLDEN,
+            "threads={threads}: race document moved:\n{doc}"
         );
     }
 }

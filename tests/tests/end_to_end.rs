@@ -182,3 +182,36 @@ fn app_runs_never_take_the_calendar_overflow_rung() {
     assert_eq!(bfs.dist, algorithms::bfs(&g, 0));
     assert_eq!(bfs.report.host_calendar.rung_pushes, 0, "BFS, 16 nodes");
 }
+
+/// What a tracer or race probe keeps per pending entry lives beside the
+/// slab and the cross-shard buffers, not inside their records, and a run
+/// with neither attached never allocates it: a 16-node PageRank leaves
+/// every side table and every exchange tag vector at zero capacity. The
+/// same run traced does fill them.
+#[test]
+fn an_unobserved_run_allocates_no_observer_side_table() {
+    let g = Csr::from_edges(&dedup_sort(rmat(9, RmatParams::default(), 10)));
+    let sg = split_in_out(&g, 64);
+    let mut cfg = PrConfig::new(16);
+    cfg.machine = machine(16);
+    cfg.machine.threads = 2;
+    cfg.iterations = 2;
+    let plain = run_pagerank(&sg, &cfg);
+    assert!(
+        plain.report.stats.msgs_inter_node > 1000,
+        "the run must cross shards"
+    );
+    assert_eq!(plain.report.host_calendar.observer_tags, 0);
+
+    cfg.trace = true;
+    let traced = run_pagerank(&sg, &cfg);
+    assert!(
+        traced.report.host_calendar.observer_tags > 0,
+        "a traced run tags its DRAM stages"
+    );
+    assert_eq!(
+        traced.report.to_json(),
+        plain.report.to_json(),
+        "tracing moved the run"
+    );
+}
