@@ -62,7 +62,9 @@ pub struct Probes {
     /// No effect: attaching `probe` is what arms the sanitizer. Kept only
     /// because the frozen benchmark still sets it.
     pub sanitize: bool,
-    /// Enforce a declared-effects protocol spec (`ud spec --enforce`).
+    /// No effect: a spec is enforced after the run, on the probe's report
+    /// ([`SpecAnalysis::enforce`]). Kept only because the frozen benchmark
+    /// still sets it.
     pub spec: Option<ProgramSpec>,
 }
 
@@ -78,7 +80,6 @@ fn machine(threads: u32, p: &Probes) -> MachineConfig {
     m.threads = threads;
     m.probe = p.probe.clone();
     m.race = p.race.clone();
-    m.enforce_spec = p.spec.clone();
     m
 }
 
@@ -208,7 +209,8 @@ pub fn race_app(app: &str, threads: u32, seed: u64) -> RaceAnalysis {
 
 /// `ud spec`: statically analyze one app's declared spec against the
 /// conformance machine's capacities; with `enforce`, also run the app with
-/// the spec attached and record what [`SpecAnalysis::enforce`] finds.
+/// a probe attached and record what [`SpecAnalysis::enforce`] finds in
+/// its report.
 pub fn spec_app(app: &str, threads: u32, seed: u64, enforce: bool) -> SpecAnalysis {
     let mc = conformance_machine();
     let spec = spec_for(app);
@@ -217,7 +219,6 @@ pub fn spec_app(app: &str, threads: u32, seed: u64, enforce: bool) -> SpecAnalys
         let probe = ProtocolProbe::new();
         let probes = Probes {
             probe: Some(probe.clone()),
-            spec: Some(spec),
             ..Probes::default()
         };
         run_app(app, threads, seed, &probes);

@@ -54,7 +54,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
-use updown_sim::{DiagKind, ProbeReport, ProtocolProbe};
+use updown_sim::{ProbeReport, ProtocolProbe};
 
 pub mod apps;
 pub mod cost;
@@ -156,11 +156,9 @@ fn bracketed(f: &Finding) -> String {
 /// The sanitizer's diagnostics in a probe that rode along with another
 /// observer (`ud race`, `ud spec --enforce`), as `sanitizer` error
 /// findings: attaching the probe armed the sanitizer, so a violation it
-/// tolerated must still fail the run. Spec violations are left out;
-/// enforcement reports those itself.
+/// tolerated must still fail the run.
 fn sanitizer_findings(report: &ProbeReport) -> impl Iterator<Item = Finding> + '_ {
-    let protocol = report.diagnostics.iter().filter(|d| d.kind != DiagKind::SpecViolation);
-    protocol.map(|d| {
+    report.diagnostics.iter().map(|d| {
         let at = format!("x{}, first at tick {} lane {}", d.count, d.first_tick, d.lane);
         let message = format!("{}: {} ({at})", d.kind.as_str(), d.detail);
         Finding::new(Severity::Error, "sanitizer", d.handler.clone(), message)

@@ -260,9 +260,10 @@ impl SpecAnalysis {
         }
     }
 
-    /// Record `--enforce`'s findings for a run that carried `probe` with
-    /// this spec enforced on `mc`: the observed-vs-declared deviations, and,
-    /// since attaching the probe armed the sanitizer, its diagnostics.
+    /// Record `--enforce`'s findings for a run on `mc` that carried
+    /// `probe`: its report checked against this spec (the observed-vs-
+    /// declared deviations), and, since attaching the probe armed the
+    /// sanitizer, its diagnostics.
     pub fn enforce(&mut self, probe: &ProtocolProbe, mc: &MachineConfig) {
         let report = probe.snapshot();
         let mut enforced = check_report(&self.spec, &report, mc.max_threads_per_lane, mc.spm_words);

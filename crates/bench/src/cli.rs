@@ -7,9 +7,10 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use updown_apps::harness::{bench_machine_topo, check_bench_args, check_rmat_scale};
+use updown_sim::spec::check_report;
 use updown_sim::{
-    DiagKind, Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe,
-    ReplayCheck, TopologyKind,
+    Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, ReplayCheck,
+    Severity, TopologyKind,
 };
 
 /// `--key value` pairs, bare `--flag`s and positional args. A value that
@@ -198,10 +199,21 @@ pub fn pagerank_iters(cli: &Cli, default: u32) -> u32 {
     iters
 }
 
-/// Label and probes of one run armed with `--sanitize`, `--race` or `--spec`.
-type ArmedRun = (String, Option<ProtocolProbe>, Option<RaceProbe>);
+/// Label and probes of one run armed with `--sanitize`, `--race` or
+/// `--spec`, and under `--spec` the spec it is held to with the machine's
+/// per-lane thread-table and scratchpad sizes.
+type ArmedRun = (String, Option<ProtocolProbe>, Option<RaceProbe>, Option<(ProgramSpec, u16, u32)>);
 /// An observer's report lines for one armed run.
 type Findings = fn(&ArmedRun) -> Vec<String>;
+
+/// `--spec`'s report lines for one run: the probe's report held to the
+/// run's spec once the run is over, one line per error.
+fn spec_errors((label, probe, _, spec): &ArmedRun) -> Vec<String> {
+    let (Some(probe), Some((spec, threads, spm))) = (probe, spec) else { return Vec::new() };
+    let errors = check_report(spec, &probe.snapshot(), *threads, *spm);
+    let errors = errors.into_iter().filter(|f| f.severity == Severity::Error);
+    errors.map(|f| format!("udspec[{label}] {}: [{}] {} (x1)", f.subject, f.check, f.message)).collect()
+}
 
 /// The observers armed on every simulated run, none with an observer
 /// effect: `--sanitize`, `--race`, `--spec`, `--replay`, and
@@ -248,15 +260,14 @@ impl Gates {
     /// Arm `cfg` with every observer asked for; `label` names the run in
     /// the report, `spec` is the protocol `--spec` holds it to.
     pub fn arm(&mut self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
-        if self.spec {
-            cfg.enforce_spec = Some(spec.clone());
-        }
-        // One probe serves both: attaching it arms the sanitizer.
+        // One probe serves both: attaching it arms the sanitizer, and
+        // `--spec` checks its report once the run is over.
         let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
         let race = self.race.then(RaceProbe::new);
         if probe.is_some() || race.is_some() {
             (cfg.probe, cfg.race) = (probe.clone(), race.clone());
-            self.runs.push((label.to_string(), probe, race));
+            let spec = self.spec.then(|| (spec.clone(), cfg.max_threads_per_lane, cfg.spm_words));
+            self.runs.push((label.to_string(), probe, race, spec));
         }
         if self.every != 0 {
             cfg.checkpoint_every = self.every;
@@ -270,23 +281,16 @@ impl Gates {
     /// Print what each armed observer found to stderr; whether any found
     /// something.
     pub fn dirty(&self) -> bool {
-        fn diags(probe: &Option<ProtocolProbe>) -> Vec<Diagnostic> {
-            probe.iter().flat_map(|p| p.diagnostics()).collect()
-        }
-        let sanitizer: Findings = |(label, probe, _)| {
+        let sanitizer: Findings = |(label, probe, _, _)| {
             let at = |d: &Diagnostic| format!("x{}, first at tick {} lane {}", d.count, d.first_tick, d.lane);
-            let line = |d: &Diagnostic| {
-                format!("sanitizer[{}] {label}: {} — {} ({})", d.kind.as_str(), d.handler, d.detail, at(d))
+            let line = |d: Diagnostic| {
+                format!("sanitizer[{}] {label}: {} — {} ({})", d.kind.as_str(), d.handler, d.detail, at(&d))
             };
-            diags(probe).iter().filter(|d| d.kind != DiagKind::SpecViolation).map(line).collect()
-        };
-        let udspec: Findings = |(label, probe, _)| {
-            let spec = diags(probe).into_iter().filter(|d| d.kind == DiagKind::SpecViolation);
-            spec.map(|d| format!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count)).collect()
+            probe.iter().flat_map(ProtocolProbe::diagnostics).map(line).collect()
         };
         // A run that overflowed the site cap is dirty too: the cap hides
         // potential races.
-        let udrace: Findings = |(label, _, race)| {
+        let udrace: Findings = |(label, _, race, _)| {
             let Some(r) = race.as_ref().map(RaceProbe::snapshot) else { return Vec::new() };
             let sites = r.sites.iter().map(|s| {
                 let at = format!("x{}, first at tick {} lane {}", s.count, s.first_tick, s.lane);
@@ -302,7 +306,7 @@ impl Gates {
         let observers: [(bool, bool, &str, &str, Findings); 3] = [
             (self.sanitize || self.spec, self.sanitize, "sanitizer", "no protocol violations", sanitizer),
             (self.race, true, "udrace", "no races", udrace),
-            (self.spec, true, "udspec", "no spec violations", udspec),
+            (self.spec, true, "udspec", "no spec violations", spec_errors),
         ];
         let mut any = false;
         for (_, asked, tool, clean, findings) in observers.into_iter().filter(|o| o.0) {
@@ -538,10 +542,11 @@ mod tests {
         let mut b = a.clone();
         g.arm("a", &spec, &mut a);
         g.arm("b", &spec, &mut b);
-        assert!(a.probe.is_some() && a.enforce_spec.is_some());
-        assert!(a.race.is_none() && a.replay.is_none());
+        assert!(a.probe.is_some() && a.race.is_none() && a.replay.is_none());
         assert_eq!((a.checkpoint_every, b.checkpoint_every), (3, 3));
         assert_eq!(g.runs.len(), 2);
+        let caps = |run: &ArmedRun| run.3.as_ref().map(|(_, threads, spm)| (*threads, *spm));
+        assert!(g.runs.iter().all(|r| caps(r) == Some((a.max_threads_per_lane, a.spm_words))));
         assert!(!g.dirty(), "nothing ran, nothing found");
 
         let mut g = Gates::from_cli(&cli(&[]));
@@ -567,6 +572,37 @@ mod tests {
         });
         eng.send(EventWord::new(NetworkId(0), first), [0u64; 0], EventWord::IGNORE);
         eng.run();
+        assert!(g.dirty());
+    }
+
+    /// `--spec` holds a run to its spec after the run: a spec that gets
+    /// the handler's arity and terminate wrong makes the run dirty, with
+    /// one `udspec[...]` line per error.
+    #[test]
+    fn the_spec_gate_fails_a_run_that_breaks_its_spec() {
+        let mut spec = ProgramSpec::new();
+        spec.thread("fixture").event("victim").args(3, 3);
+        let mut g = Gates::from_cli(&cli(&["--spec"]));
+        let mut cfg = MachineConfig::small(1, 1, 2);
+        g.arm("liar", &spec, &mut cfg);
+        let mut eng = Engine::new(cfg);
+        let victim = udweave::simple_event(&mut eng, "fixture::victim", |ctx| {
+            let _ = ctx.arg(0);
+            ctx.yield_terminate();
+        });
+        eng.send(EventWord::new(NetworkId(0), victim), [7u64], EventWord::IGNORE);
+        eng.run();
+        assert_eq!(
+            spec_errors(&g.runs[0]),
+            [
+                "udspec[liar] fixture::victim: [arity-mismatch] received 1-operand message; \
+                 spec declares 3..3 (x1)",
+                "udspec[liar] machine: [thread-bound-exceeded] lane 0 reached 1 live threads; \
+                 certified per-lane bound is 0 (x1)",
+                "udspec[liar] fixture::victim: [undeclared-terminate] terminated its thread 1 \
+                 times but spec declares no terminate edge (x1)",
+            ]
+        );
         assert!(g.dirty());
     }
 

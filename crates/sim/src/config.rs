@@ -5,12 +5,15 @@
 //! inter-node message latency, ~4 TB/s node injection bandwidth and
 //! ~9.4 TB/s node memory bandwidth. All values are per-cycle at 2 GHz so one
 //! simulator tick is one lane cycle.
+//!
+//! The observer handles (`probe`, `race`, `replay`) never change a result;
+//! a protocol spec is not a setting but checked on the probe's report after
+//! the run ([`crate::spec::check_report`]).
 
 use crate::ids::NetworkId;
 use crate::network::TopologyKind;
 use crate::probe::ProtocolProbe;
 use crate::race::RaceProbe;
-use crate::spec::ProgramSpec;
 
 /// Per-operation lane costs in cycles (Table 2 of the paper).
 #[derive(Clone, Debug)]
@@ -221,7 +224,8 @@ pub struct MachineConfig {
     /// selects how many OS threads execute the shards.
     pub threads: u32,
     /// Optional protocol recording shared with the caller; see
-    /// [`ProtocolProbe`]. Recording has zero observer effect. Attaching
+    /// [`ProtocolProbe`]: the engine publishes its shards' merged record
+    /// there after every run. Recording has zero observer effect. Attaching
     /// one also arms the runtime sanitizer (`--sanitize` on the bench
     /// bins): event-protocol violations — sends to dead threads or
     /// unregistered labels are dropped, out-of-range operand/scratchpad
@@ -229,14 +233,6 @@ pub struct MachineConfig {
     /// For a violation-free program that changes nothing (results stay
     /// byte-identical).
     pub probe: Option<ProtocolProbe>,
-    /// Runtime spec enforcement (`--spec` on the bench bins): at end of
-    /// run the recorded [`ProtocolProbe`] summary is checked against this
-    /// declared protocol spec ([`crate::spec::check_report`]); deviations
-    /// become [`DiagKind::SpecViolation`](crate::DiagKind) diagnostics.
-    /// When set without an explicit [`Self::probe`], the engine creates
-    /// one. Enforcement is post-hoc over the commutative summary, so the
-    /// findings are byte-identical at every thread count.
-    pub enforce_spec: Option<ProgramSpec>,
     /// Optional happens-before race recording (`--race` on the bench
     /// bins); see [`RaceProbe`]. Recording has zero observer effect.
     pub race: Option<RaceProbe>,
@@ -282,7 +278,6 @@ impl Default for MachineConfig {
             spm_words: 8192,
             threads: 1,
             probe: None,
-            enforce_spec: None,
             race: None,
             checkpoint_every: 0,
             checkpoint_path: None,
@@ -352,13 +347,6 @@ impl MachineConfigBuilder {
     /// [`MachineConfig::probe`]).
     pub fn probe(mut self, probe: ProtocolProbe) -> Self {
         self.cfg.probe = Some(probe);
-        self
-    }
-
-    /// Enforce a declared protocol spec at end of run (see
-    /// [`MachineConfig::enforce_spec`]).
-    pub fn enforce_spec(mut self, spec: ProgramSpec) -> Self {
-        self.cfg.enforce_spec = Some(spec);
         self
     }
 

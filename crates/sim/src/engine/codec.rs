@@ -13,7 +13,6 @@ use crate::lane::{Lane, SimState, ThreadSlot};
 use crate::memory::{MemChannels, MemoryImage, VAddr};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, Nics};
-use crate::probe::ProbeState;
 use crate::race::RaceState;
 use crate::snapshot::{
     self, SnapField, SnapHeader, SnapReader, SnapState, SnapWriter, SnapshotError,
@@ -23,9 +22,9 @@ use crate::trace::{PhaseSpan, TraceEvent};
 
 /// A full in-memory snapshot of the simulator: per-shard calendars,
 /// action arenas, lane thread tables and scratchpads, DRAM, fabric/NIC/
-/// channel occupancy, counters — plus the engine-level observability
-/// buffers (trace, print, phases) and the protocol-probe / race-probe
-/// clocks. Restoring one is an exact rewind: continuing from it is
+/// channel occupancy, counters, the shards' protocol records — plus the
+/// engine-level observability buffers (trace, print, phases) and the
+/// race-probe clocks. Restoring one is an exact rewind: continuing from it is
 /// byte-identical to never having left (including udcheck/udrace
 /// reports).
 ///
@@ -48,7 +47,6 @@ pub struct Snapshot {
     merged_trace: Vec<TraceEvent>,
     merged_print: Vec<String>,
     merged_stats: Counters,
-    probe: Option<ProbeState>,
     race: Option<RaceState>,
     /// The program tables; per-shard state travels inside `cores`.
     tables: Vec<Table>,
@@ -640,9 +638,9 @@ impl Engine {
         self.codecs.by_key.insert(T::KEY, codec_load::<T>);
     }
 
-    /// Take a full in-memory [`Snapshot`]: per-shard state, DRAM image,
-    /// observability buffers, and probe/race clocks. Restoring it with
-    /// [`Engine::restore`] is an exact rewind.
+    /// Take a full in-memory [`Snapshot`]: per-shard state (protocol
+    /// records included), DRAM image, observability buffers, and race
+    /// clocks. Restoring it with [`Engine::restore`] is an exact rewind.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             cores: self.shards.clone(),
@@ -655,7 +653,6 @@ impl Engine {
             merged_trace: self.merged_trace.clone(),
             merged_print: self.merged_print.clone(),
             merged_stats: self.merged_stats.clone(),
-            probe: self.shared.cfg.probe.as_ref().map(|p| p.snapshot_state()),
             race: self.shared.cfg.race.as_ref().map(|rp| rp.snapshot_state()),
             tables: self.shared.tables.clone(),
         }
@@ -693,9 +690,6 @@ impl Engine {
         self.merged_trace = snap.merged_trace.clone();
         self.merged_print = snap.merged_print.clone();
         self.merged_stats = snap.merged_stats.clone();
-        if let (Some(p), Some(st)) = (&self.shared.cfg.probe, &snap.probe) {
-            p.restore_state(st);
-        }
         if let (Some(rp), Some(st)) = (&self.shared.cfg.race, &snap.race) {
             rp.restore_state(st);
         }

@@ -15,7 +15,7 @@ use crate::lane::{Lane, SimState};
 use crate::memory::{GlobalMemory, MemChannels, VAddr};
 use crate::message::{Message, Operands, HW_OPERANDS};
 use crate::network::{Fabric, Nics, Topology};
-use crate::probe::DiagKind;
+use crate::probe::{DiagKind, ProtocolRecord};
 use crate::race::{RaceAccess, RaceExec, ThreadKey, VClock};
 use crate::stats::Counters;
 use crate::trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
@@ -585,6 +585,11 @@ pub(super) struct EngineCore {
     /// recording paths are read-only with respect to simulated time,
     /// costs, and calendar sequence numbers (zero observer effect).
     pub(super) tracer: Option<Tracer>,
+    /// This shard's protocol recording; present iff a
+    /// [`ProtocolProbe`](crate::ProtocolProbe) is attached, and its
+    /// presence arms the sanitizer. Cloned with the core, so rewinds carry
+    /// it; the engine merges every shard's at the end of a run.
+    pub(super) protocol: Option<Box<ProtocolRecord>>,
     /// Device-side phase spans opened on this shard, in begin order.
     pub(super) phases: Vec<PhaseSpan>,
     /// Runtime-defined counters, split by merge rule: `custom_add`
@@ -633,6 +638,7 @@ impl Clone for EngineCore {
             stop: self.stop,
             trace: self.trace.clone(),
             tracer: self.tracer.clone(),
+            protocol: self.protocol.clone(),
             phases: self.phases.clone(),
             custom_add: self.custom_add.clone(),
             custom_peak: self.custom_peak.clone(),
@@ -984,11 +990,11 @@ impl EngineCore {
         let dst = self.arena.message(id).dst;
         let label = dst.label();
         let is_new = dst.tid() == ThreadId::NEW;
-        // Sanitizer (armed by an attached probe): messages that cannot be
+        // Sanitizer (armed by a protocol record): messages that cannot be
         // dispatched (unregistered label or dead target thread) are
         // diagnosed and dropped instead of panicking. Violation-free
         // programs never reach either branch.
-        if let Some(p) = &shared.cfg.probe {
+        if let Some(p) = &mut self.protocol {
             let unregistered = label.0 as usize >= shared.handlers.len();
             let dead = !unregistered && !is_new && !lane.threads.contains(dst.tid());
             if unregistered || dead {
@@ -1031,7 +1037,7 @@ impl EngineCore {
         if is_new {
             self.stats.threads_created += 1;
             lane.threads.set_created_by(tid, label.0);
-            if let Some(p) = &shared.cfg.probe {
+            if let Some(p) = &mut self.protocol {
                 p.spawn(label.0, l, lane.threads.len() as u32);
             }
         }
@@ -1096,11 +1102,13 @@ impl EngineCore {
             ..
         } = ctx;
 
-        if let Some(p) = &shared.cfg.probe {
+        if let Some(p) = &mut self.protocol {
+            let argc = msg.args.len() as u32;
+            p.end_arg_reads(label.0, argc, (t, l), &entry.name);
             p.exec(
                 label.0,
                 created_by,
-                msg.args.len() as u32,
+                argc,
                 !msg.cont.is_ignore(),
                 cont_read.get(),
                 terminated,

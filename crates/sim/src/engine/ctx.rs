@@ -69,10 +69,10 @@ impl<'a> EventCtx<'a> {
 
     #[inline]
     pub fn args(&self) -> &[u64] {
-        if let Some(p) = &self.shared.cfg.probe {
-            let n = self.msg.args.len() as u32;
+        if let Some(p) = &self.shard.protocol {
+            let n = self.msg.args.len();
             if n > 0 {
-                p.arg_read(self.msg.dst.label().0, n, n - 1);
+                p.note_arg(n - 1, n);
             }
         }
         &self.msg.args
@@ -83,24 +83,8 @@ impl<'a> EventCtx<'a> {
     /// diagnoses and reads zero.
     #[inline]
     pub fn arg(&self, i: usize) -> u64 {
-        if let Some(p) = &self.shared.cfg.probe {
-            let label = self.msg.dst.label().0;
-            let argc = self.msg.args.len();
-            p.arg_read(label, argc as u32, i as u32);
-            if i >= argc {
-                p.diag(
-                    DiagKind::OperandOutOfRange,
-                    label,
-                    i as u64,
-                    self.shard.now,
-                    self.lane,
-                    || {
-                        format!(
-                            "'{}' reads operand {i} of a {argc}-operand message",
-                            self.event_name
-                        )
-                    },
-                );
+        if let Some(p) = &self.shard.protocol {
+            if p.note_arg(i, self.msg.args.len()) {
                 return 0;
             }
         }
@@ -224,7 +208,7 @@ impl<'a> EventCtx<'a> {
         assert!(!dst.is_ignore(), "send_event to IGNORE");
         self.cost += self.shared.cfg.costs.send_msg;
         let args = args.into();
-        if let Some(p) = &self.shared.cfg.probe {
+        if let Some(p) = &mut self.shard.protocol {
             let src = self.msg.dst.label().0;
             let dl = dst.label().0;
             p.send(
@@ -389,8 +373,8 @@ impl<'a> EventCtx<'a> {
 
     /// Sanitizer diagnostic for a scratchpad access past `spm_words`;
     /// false when no probe is attached (the access then panics).
-    fn spm_oob_diag(&self, op: &str, off: u32) -> bool {
-        let Some(p) = &self.shared.cfg.probe else {
+    fn spm_oob_diag(&mut self, op: &str, off: u32) -> bool {
+        let Some(p) = &mut self.shard.protocol else {
             return false;
         };
         p.diag(
@@ -501,7 +485,7 @@ impl<'a> EventCtx<'a> {
         let idx = self.local_lane_idx();
         let base = self.shard.lanes[idx].spm_brk;
         if base + words > self.shared.cfg.spm_words {
-            if let Some(p) = &self.shared.cfg.probe {
+            if let Some(p) = &mut self.shard.protocol {
                 let (lane, spm_words) = (self.lane, self.shared.cfg.spm_words);
                 p.diag(
                     DiagKind::ScratchpadExhausted,
@@ -529,7 +513,7 @@ impl<'a> EventCtx<'a> {
             self.shared.cfg.spm_words
         );
         self.shard.lanes[idx].spm_brk += words;
-        if let Some(p) = &self.shared.cfg.probe {
+        if let Some(p) = &mut self.shard.protocol {
             let brk = self.shard.lanes[idx].spm_brk;
             p.spm_alloc_rec(self.msg.dst.label().0, self.created_by, words, self.lane, brk);
         }
@@ -549,7 +533,7 @@ impl<'a> EventCtx<'a> {
     /// bug; the protocol probe diagnoses it.
     pub fn yield_terminate(&mut self) {
         if self.terminated {
-            if let Some(p) = &self.shared.cfg.probe {
+            if let Some(p) = &mut self.shard.protocol {
                 p.diag(
                     DiagKind::DoubleTerminate,
                     self.msg.dst.label().0,

@@ -77,7 +77,7 @@ use crate::lane::Lane;
 use crate::memory::{GlobalMemory, MemChannels};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, LinkId, Nics, Topology};
-use crate::probe::ProtocolProbe;
+use crate::probe::ProtocolRecord;
 use crate::snapshot::{self, SnapHeader};
 use crate::stats::{
     Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
@@ -141,13 +141,8 @@ enum RestoreSlot {
 }
 
 impl Engine {
-    pub fn new(mut cfg: MachineConfig) -> Engine {
+    pub fn new(cfg: MachineConfig) -> Engine {
         cfg.check();
-        // Spec enforcement reports through a probe; create one when the
-        // caller did not supply their own.
-        if cfg.enforce_spec.is_some() && cfg.probe.is_none() {
-            cfg.probe = Some(ProtocolProbe::new());
-        }
         let lanes_per_node = cfg.lanes_per_node();
         let mem = Arc::new(GlobalMemory::new(cfg.nodes));
         let n = cfg.nodes;
@@ -174,6 +169,7 @@ impl Engine {
                 stop: false,
                 trace: None,
                 tracer: None,
+                protocol: cfg.probe.is_some().then(Box::default),
                 phases: Vec::new(),
                 custom_add: BTreeMap::new(),
                 custom_peak: BTreeMap::new(),
@@ -340,12 +336,6 @@ impl Engine {
     /// with [`Metrics`] when exceeded.
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
-    }
-
-    /// The attached protocol probe, if any ([`MachineConfig::probe`], or
-    /// auto-created by [`MachineConfig::enforce_spec`]).
-    pub fn probe(&self) -> Option<&ProtocolProbe> {
-        self.shared.cfg.probe.as_ref()
     }
 
     /// Record `[PRINT]`-style trace lines emitted via [`EventCtx::print`].
@@ -618,35 +608,17 @@ impl Engine {
         let hit_limit = self.event_limit != u64::MAX && total >= self.event_limit;
         let drained = !stopped && !hit_limit;
         if let Some(p) = &self.shared.cfg.probe {
-            if drained {
-                for shard in &self.shards {
-                    for lane in &shard.lanes {
-                        for created_by in lane.threads.live_created_by() {
-                            p.live_at_exit(created_by);
-                        }
-                    }
-                }
+            // The shards' records merged in shard order, then the exit
+            // sweep, taken afresh from the lanes.
+            let mut record = ProtocolRecord::default();
+            for r in self.shards.iter().flat_map(|s| &s.protocol) {
+                record.merge(r);
             }
             let names = self.shared.handlers.iter().map(|h| h.name.clone()).collect();
-            p.finish_run(names, drained, self.final_tick());
-            // Spec enforcement: check the commutative summary against the
-            // declared protocol; Error-severity deviations become
-            // deterministic SpecViolation diagnostics.
-            if let Some(spec) = &self.shared.cfg.enforce_spec {
-                let report = p.snapshot();
-                let findings = crate::spec::check_report(
-                    spec,
-                    &report,
-                    self.shared.cfg.max_threads_per_lane,
-                    self.shared.cfg.spm_words,
-                );
-                let tick = self.final_tick();
-                for f in findings {
-                    if f.severity == crate::spec::Severity::Error {
-                        p.spec_violation(f.subject, format!("[{}] {}", f.check, f.message), tick);
-                    }
-                }
-            }
+            let live = self.shards.iter().flat_map(|s| &s.lanes);
+            let live = live.flat_map(|lane| lane.threads.live_created_by());
+            record.finish_run(names, drained, self.final_tick(), live);
+            p.publish(record);
         }
         if let Some(rp) = &self.shared.cfg.race {
             let names = self.shared.handlers.iter().map(|h| h.name.clone()).collect();

@@ -16,8 +16,8 @@
 //!    [`MachineConfig`](crate::MachineConfig) capacities, and
 //!    spec-consistency checks — all from declarations alone, with zero
 //!    simulation ticks.
-//! 2. **Runtime enforcement** (`MachineConfig::enforce_spec`, `--spec` on
-//!    the bench bins): after a run, [`check_report`] replays the recorded
+//! 2. **Runtime enforcement** (`ud spec --enforce`, `--spec` on the bench
+//!    bins): after a run, [`check_report`] replays the recorded
 //!    [`ProbeReport`](crate::ProbeReport) against the declarations. Any
 //!    undeclared send/spawn, arity violation, or certified-bound overrun
 //!    becomes a deterministic finding that is byte-identical across host

@@ -786,9 +786,10 @@ mod sanitizer {
     }
 
     /// Attaching a probe is all it takes to arm the sanitizer, also next
-    /// to a race probe (the `ud race` configuration) or an enforced spec
-    /// (`ud spec --enforce`): the dead-thread send is a diagnostic, not a
-    /// panic, and it fails that tool's verdict.
+    /// to a race probe (the `ud race` configuration) or for spec
+    /// enforcement (`ud spec --enforce`, which checks the report after the
+    /// run): the dead-thread send is a diagnostic, not a panic, and it
+    /// fails that tool's verdict.
     #[test]
     fn an_attached_probe_alone_diagnoses_a_send_to_a_dead_thread() {
         let sanitizer_error = |findings: &[Finding]| {
@@ -817,7 +818,6 @@ mod sanitizer {
         let probe = ProtocolProbe::new();
         let mut cfg = machine(2, 1);
         cfg.probe = Some(probe.clone());
-        cfg.enforce_spec = Some(ProgramSpec::new());
         let mut eng = Engine::new(cfg.clone());
         dead_thread_fixture(&mut eng);
         eng.run();
@@ -854,15 +854,25 @@ mod sanitizer {
         let fixture = move |eng: &mut Engine| {
             let s = seen2.clone();
             let l = udweave::simple_event(eng, "fixture::oob", move |ctx| {
-                // The message carries 1 operand; index 3 is out of range.
-                s.lock().unwrap().push(ctx.arg(3));
+                // The message carries 1 operand; indices 3 and 5 are out
+                // of range, and 3 is read twice.
+                s.lock().unwrap().extend([ctx.arg(3), ctx.arg(5), ctx.arg(3)]);
                 ctx.yield_terminate();
             });
             eng.send(EventWord::new(NetworkId(0), l), [7u64], EventWord::IGNORE);
         };
         let d1 = diags_at(1, &fixture);
-        assert_eq!(kinds(&d1), vec![DiagKind::OperandOutOfRange]);
+        assert_eq!(kinds(&d1), vec![DiagKind::OperandOutOfRange; 2]);
         assert_eq!(d1[0].handler, "fixture::oob");
+        // One site per index, each with its count and its own detail.
+        let sites: Vec<(&str, u64)> = d1.iter().map(|d| (d.detail.as_str(), d.count)).collect();
+        assert_eq!(
+            sites,
+            [
+                ("'fixture::oob' reads operand 3 of a 1-operand message", 2),
+                ("'fixture::oob' reads operand 5 of a 1-operand message", 1),
+            ]
+        );
         assert_eq!(d1, diags_at(4, &fixture));
         // The tolerated read returns 0 — never garbage.
         assert!(seen.lock().unwrap().iter().all(|&v| v == 0));

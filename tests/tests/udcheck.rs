@@ -216,6 +216,35 @@ fn never_terminates_is_an_error_on_a_drained_run() {
     );
 }
 
+/// A second `run()` on one engine re-sweeps the lanes instead of adding
+/// to the first sweep: one thread that never terminates is one leaked
+/// thread and one `thread-leak-at-exit` site after any number of drained
+/// runs.
+#[test]
+fn a_second_run_does_not_double_count_a_leak() {
+    let probe = ProtocolProbe::new();
+    let mut eng = Engine::new(machine(2, 1, &probe));
+    let l = udweave::simple_event(&mut eng, "fixture::immortal", |_ctx| {});
+    eng.send(EventWord::new(NetworkId(0), l), [0u64; 0], EventWord::IGNORE);
+    eng.run();
+    let first = probe.snapshot();
+    eng.run();
+    let report = probe.snapshot();
+    assert!(report.drained);
+    assert_eq!(report.groups[&l.0].live_at_exit, 1);
+    let leaks: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.kind == updown_sim::DiagKind::ThreadLeakAtExit)
+        .map(|d| d.detail.as_str())
+        .collect();
+    assert_eq!(
+        leaks,
+        ["1 thread(s) of this group still live after the run drained"]
+    );
+    assert_eq!(report.diagnostics, first.diagnostics);
+}
+
 #[test]
 fn unread_continuation_is_an_error() {
     let findings = findings_of(|eng| {

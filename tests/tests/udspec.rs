@@ -2,14 +2,16 @@
 //! analyze clean with zero simulation ticks, the seeded-defect fixtures
 //! are flagged statically, runtime enforcement agrees with the
 //! declarations (and is byte-identical across host thread counts), and a
-//! deliberately wrong spec is caught by the engine's enforcement hook.
+//! deliberately wrong spec is caught by checking the probe's report after
+//! the run.
 
 use integration_tests::fnv1a;
 use udcheck::apps::{spec_app, spec_for, ALL_APPS};
 use udcheck::spec::{spm_blowup_fixture, wait_cycle_fixture};
 use udcheck::{render_spec_document, Finding, Report, Severity, SpecAnalysis};
 use updown_sim::json::JsonValue;
-use updown_sim::{DiagKind, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
+use updown_sim::spec::check_report;
+use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 
 const SEED: u64 = 10;
 
@@ -64,10 +66,9 @@ fn spm_blowup_fixture_is_flagged() {
     }
 }
 
-/// Run `app` at conformance scale with enforcement armed, as `ud spec
-/// --enforce` does; return the full observed-vs-declared report. The
-/// engine's own hook turns exactly the error findings of this report into
-/// SpecViolation diagnostics, so none of either may exist.
+/// Run `app` at conformance scale and check its probe's report against its
+/// spec, as `ud spec --enforce` does; return the full observed-vs-declared
+/// report, which may hold no error.
 fn enforce(app: &str, threads: u32) -> Vec<Finding> {
     let findings = spec_app(app, threads, SEED, true)
         .enforced
@@ -104,9 +105,10 @@ fn enforcement_is_thread_count_invariant() {
     }
 }
 
-/// A deliberately wrong spec is caught by the engine's own enforcement
-/// hook (`MachineConfig::enforce_spec`): the run finishes, and the probe
-/// carries deterministic SpecViolation diagnostics.
+/// A deliberately wrong spec is caught after the run: the engine runs
+/// with only a probe attached, and `check_report` on the probe's report
+/// finds the deviations as error findings — the one enforcement path,
+/// shared by `ud spec --enforce` and `repro --spec`.
 #[test]
 fn engine_enforcement_catches_a_lying_spec() {
     let mut spec = updown_sim::ProgramSpec::new();
@@ -116,8 +118,7 @@ fn engine_enforcement_catches_a_lying_spec() {
     let probe = ProtocolProbe::new();
     let mut mc = caps();
     mc.probe = Some(probe.clone());
-    mc.enforce_spec = Some(spec);
-    let mut eng = Engine::new(mc);
+    let mut eng = Engine::new(mc.clone());
     let l = udweave::simple_event(&mut eng, "fixture::victim", |ctx| {
         let _ = ctx.arg(0);
         ctx.yield_terminate();
@@ -125,23 +126,16 @@ fn engine_enforcement_catches_a_lying_spec() {
     eng.send(EventWord::new(NetworkId(0), l), [7u64], EventWord::IGNORE);
     eng.run();
     let report = probe.snapshot();
-    let spec_viols: Vec<_> = report
-        .diagnostics
+    assert!(report.diagnostics.is_empty(), "no protocol violation: {:?}", report.diagnostics);
+    let findings = check_report(&spec, &report, mc.max_threads_per_lane, mc.spm_words);
+    let errors: Vec<&str> = findings
         .iter()
-        .filter(|d| d.kind == DiagKind::SpecViolation)
+        .filter(|f| f.severity == Severity::Error)
+        .map(|f| f.check)
         .collect();
-    assert!(
-        spec_viols.iter().any(|d| d.detail.contains("arity-mismatch")),
-        "diagnostics: {:?}",
-        report.diagnostics
-    );
-    assert!(
-        spec_viols
-            .iter()
-            .any(|d| d.detail.contains("undeclared-terminate")),
-        "diagnostics: {:?}",
-        report.diagnostics
-    );
+    for check in ["arity-mismatch", "undeclared-terminate"] {
+        assert!(errors.contains(&check), "missing {check} in {findings:?}");
+    }
 }
 
 /// The full `udspec/v1` document over all five apps at seed 10, static and

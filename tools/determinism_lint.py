@@ -42,6 +42,13 @@ every file in these crates is laid out. `crates/apps/src/baseline/`, the
 multithreaded host reference the differential tests compare against, is
 exempt as a directory.
 
+The same rule covers the protocol recording, `crates/sim/src/probe.rs`:
+each shard records into its own record with plain `&mut` access, and the
+engine publishes the merged record once the workers have joined. The
+handle's one `Mutex` line carries its `det-lint: allow` as that end-of-run
+outbox; a lock anywhere else in the file would put one back on the
+per-event path.
+
 The lint also enforces `#![forbid(unsafe_code)]` as the first attribute of
 every workspace crate root and binary, so the no-unsafe guarantee cannot
 silently regress.
@@ -73,6 +80,10 @@ LOCK_DIRS = [
     "crates/apps/src",
 ]
 LOCK_EXEMPT = "crates/apps/src/baseline"
+# Single files under the host-lock rule (see "Host locks" above).
+LOCK_FILES = [
+    "crates/sim/src/probe.rs",
+]
 
 # Test suites, linted by glob: a crate without a tests/ directory is fine.
 LINTED_GLOBS = [
@@ -166,6 +177,8 @@ def main() -> int:
         for path in sorted((root / d).rglob("*.rs")):
             if LOCK_EXEMPT not in path.as_posix():
                 findings.extend(lint_locks(path))
+    for f in LOCK_FILES:
+        findings.extend(lint_locks(root / f))
     findings.extend(check_forbid(root))
     for path, lineno, why, text in findings:
         rel = path.relative_to(root)
