@@ -190,7 +190,7 @@ mod tests {
             assert_eq!(pnn, 2 + (b % 4) as u32);
         }
         for n in 2..6 {
-            assert_eq!(d.bytes_on_node(n), size / 4, "each node gets 8 blocks");
+            assert_eq!(d.bytes_on_node(n).unwrap(), size / 4, "each node gets 8 blocks");
         }
     }
 
@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(d.block_size, 32768);
         // 32 blocks over 8 nodes -> 4 blocks/node.
         for n in 0..8 {
-            assert_eq!(d.bytes_on_node(n), 4 * 32768);
+            assert_eq!(d.bytes_on_node(n).unwrap(), 4 * 32768);
         }
     }
 

@@ -7,12 +7,16 @@
 //! an offset with no software overhead. `NRNodes` and `BS` are powers of two
 //! so the swizzle is pure bit manipulation.
 //!
-//! Data is stored virtually-contiguously per allocation (placement affects
-//! *timing*, not contents), which is exactly the observable behaviour of a
-//! flat shared address space.
+//! Each allocation's bytes live in one `Bank` per owning node. A bank is
+//! sparse: it backs the 256-byte pages a program has written and reads
+//! every other byte as zero, so host memory follows what a run touches,
+//! not what it allocates (`docs/perf.md`, "Where `ingest_pm`'s memory
+//! goes"). Placement affects *timing*, not contents, which is exactly the
+//! observable behaviour of a flat shared address space.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::snapshot::{SnapField, SnapReader, SnapWriter, SnapshotError};
@@ -119,10 +123,12 @@ impl TranslationDescriptor {
         (block / self.nr_nodes as u64) * self.block_size + (off & (self.block_size - 1))
     }
 
-    /// Bytes of this region resident on a given node.
-    pub fn bytes_on_node(&self, node: u32) -> u64 {
-        if node < self.first_node || node >= self.first_node + self.nr_nodes {
-            return 0;
+    /// Bytes of this region resident on a given node. A descriptor whose
+    /// node span runs past `u32::MAX` is an error, not a wrapped span.
+    pub fn bytes_on_node(&self, node: u32) -> Result<u64, MemError> {
+        let end = self.end_node()?;
+        if node < self.first_node || node >= end {
+            return Ok(0);
         }
         let k = (node - self.first_node) as u64;
         let full_blocks = self.size / self.block_size;
@@ -135,24 +141,234 @@ impl TranslationDescriptor {
         } else if k == extra && rem > 0 {
             bytes += rem;
         }
-        bytes
+        Ok(bytes)
+    }
+
+    /// One past the last node of the span, `first_node + nr_nodes`.
+    fn end_node(&self) -> Result<u32, MemError> {
+        self.first_node.checked_add(self.nr_nodes).ok_or_else(|| {
+            MemError::OutOfRange(format!(
+                "node span {} + {} overflows a node number",
+                self.first_node, self.nr_nodes
+            ))
+        })
+    }
+}
+
+/// Bytes per page of a [`Bank`]: the unit it backs on first write.
+const PAGE_SHIFT: u32 = 8;
+const PAGE: usize = 1 << PAGE_SHIFT;
+/// Pages per pool chunk of a bank of 64 KiB or more; a smaller bank's
+/// chunk is its own length rounded up to a power of two pages.
+const CHUNK_PAGES: usize = 256;
+
+type Page = [u8; PAGE];
+
+/// One node's share of an allocation, addressed by [`node_offset`]. Only
+/// the pages a write has touched are backed; every other byte reads as
+/// zero. A bank no write has touched owns no heap memory at all.
+///
+/// [`node_offset`]: TranslationDescriptor::node_offset
+struct Bank {
+    len: usize,
+    /// Per page: 0 if never written, else 1 + the page's index in the pool.
+    /// Empty until the first write, then a zeroed allocation, so an
+    /// untouched stretch of it is not resident either.
+    table: Box<[u32]>,
+    /// The pool, in write order: chunks of `1 << chunk_shift` pages, the
+    /// last one cut to the pages the bank can still need. The first chunk
+    /// is held apart so a one-chunk bank costs two allocations, not three.
+    first: Box<[Page]>,
+    more: Vec<Box<[Page]>>,
+    chunk_shift: u32,
+    /// Pages handed out of the pool.
+    backed: u32,
+}
+
+impl Bank {
+    fn new(len: usize) -> Bank {
+        let pages = len.div_ceil(PAGE);
+        Bank {
+            len,
+            table: Box::default(),
+            first: Box::default(),
+            more: Vec::new(),
+            chunk_shift: pages.next_power_of_two().min(CHUNK_PAGES).trailing_zeros(),
+            backed: 0,
+        }
+    }
+
+    /// The pool page behind a table entry, as `(chunk, index in chunk)`.
+    #[inline]
+    fn locate(&self, slot: u32) -> (usize, usize) {
+        let i = (slot - 1) as usize;
+        (i >> self.chunk_shift, i & ((1 << self.chunk_shift) - 1))
+    }
+
+    /// A written page by its table entry.
+    #[inline]
+    fn page(&self, slot: u32) -> &Page {
+        match self.locate(slot) {
+            (0, i) => &self.first[i],
+            (c, i) => &self.more[c - 1][i],
+        }
+    }
+
+    /// Page `p`, backed from the pool if this is its first write.
+    #[inline]
+    fn page_mut(&mut self, p: usize) -> &mut Page {
+        let slot = match self.table.get(p) {
+            Some(&slot) if slot != 0 => slot,
+            _ => self.back(p),
+        };
+        match self.locate(slot) {
+            (0, i) => &mut self.first[i],
+            (c, i) => &mut self.more[c - 1][i],
+        }
+    }
+
+    #[cold]
+    fn back(&mut self, p: usize) -> u32 {
+        let pages = self.len.div_ceil(PAGE);
+        if self.table.is_empty() {
+            self.table = vec![0; pages].into_boxed_slice();
+        }
+        let i = self.backed as usize;
+        let per_chunk = 1 << self.chunk_shift;
+        if i & (per_chunk - 1) == 0 {
+            let chunk = vec![[0; PAGE]; per_chunk.min(pages - i)].into_boxed_slice();
+            if i == 0 {
+                self.first = chunk;
+            } else {
+                self.more.reserve_exact(pages.div_ceil(per_chunk) - 1);
+                self.more.push(chunk);
+            }
+        }
+        self.backed += 1;
+        self.table[p] = self.backed;
+        self.backed
+    }
+
+    fn read(&self, mut off: usize, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            let o = off & (PAGE - 1);
+            let n = out.len().min(PAGE - o);
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(n);
+            match self.table.get(off >> PAGE_SHIFT) {
+                Some(&slot) if slot != 0 => run.copy_from_slice(&self.page(slot)[o..o + run.len()]),
+                _ => run.fill(0),
+            }
+            (off, out) = (off + run.len(), rest);
+        }
+    }
+
+    fn write(&mut self, mut off: usize, mut data: &[u8]) {
+        while !data.is_empty() {
+            let o = off & (PAGE - 1);
+            let (run, rest) = data.split_at(data.len().min(PAGE - o));
+            self.page_mut(off >> PAGE_SHIFT)[o..o + run.len()].copy_from_slice(run);
+            (off, data) = (off + run.len(), rest);
+        }
+    }
+
+    /// Replace the word at `off` with `f(old)` and return `old`.
+    #[inline]
+    fn rmw_u64(&mut self, off: usize, f: impl Fn(u64) -> u64) -> u64 {
+        let o = off & (PAGE - 1);
+        if o <= PAGE - 8 {
+            let word: &mut [u8; 8] = (&mut self.page_mut(off >> PAGE_SHIFT)[o..o + 8])
+                .try_into()
+                .expect("8-byte word");
+            let old = u64::from_le_bytes(*word);
+            *word = f(old).to_le_bytes();
+            return old;
+        }
+        let mut word = [0u8; 8];
+        self.read(off, &mut word);
+        let old = u64::from_le_bytes(word);
+        self.write(off, &f(old).to_le_bytes());
+        old
+    }
+
+    /// The written pages, copied in page order.
+    fn image(&self) -> BankImage {
+        let mut pages = Vec::with_capacity(self.backed as usize);
+        for (p, &slot) in self.table.iter().enumerate() {
+            if slot != 0 {
+                pages.push((p as u32, *self.page(slot)));
+            }
+        }
+        BankImage {
+            len: self.len,
+            pages,
+        }
+    }
+
+    /// Take the contents of `img`. Pages backed here but absent from the
+    /// image are zeroed, not released: a rewind keeps the pool it has.
+    fn restore(&mut self, img: &BankImage) {
+        self.first.fill([0; PAGE]);
+        for chunk in &mut self.more {
+            chunk.fill([0; PAGE]);
+        }
+        for (p, page) in &img.pages {
+            *self.page_mut(*p as usize) = *page;
+        }
+    }
+}
+
+/// A bank's contents in a [`MemoryImage`]: its written pages, in page
+/// order, each with its page number.
+struct BankImage {
+    len: usize,
+    pages: Vec<(u32, Page)>,
+}
+
+impl BankImage {
+    /// The bank's dense bytes, length-prefixed: unwritten pages as zeros.
+    fn save(&self, w: &mut SnapWriter) {
+        w.bytes_with(self.len, |dense| {
+            for (p, page) in &self.pages {
+                let at = (*p as usize) << PAGE_SHIFT;
+                let n = PAGE.min(self.len - at);
+                dense[at..at + n].copy_from_slice(&page[..n]);
+            }
+        });
+    }
+
+    /// The image of dense bank bytes, keeping none of their all-zero pages.
+    fn load(dense: &[u8]) -> BankImage {
+        let pages = dense
+            .chunks(PAGE)
+            .enumerate()
+            .filter(|(_, bytes)| bytes.iter().any(|&b| b != 0))
+            .map(|(p, bytes)| {
+                let mut page = [0; PAGE];
+                page[..bytes.len()].copy_from_slice(bytes);
+                (p as u32, page)
+            })
+            .collect();
+        BankImage {
+            len: dense.len(),
+            pages,
+        }
     }
 }
 
 struct Allocation {
     desc: TranslationDescriptor,
-    /// Backing storage, banked per owning node (dense [`node_offset`]
-    /// indexing within each bank). Banks carry their own locks so shards
-    /// apply memory-side effects concurrently with zero contention as long
-    /// as they touch their own node's data — which the engine guarantees by
-    /// applying every timed operation on the owner shard.
-    banks: Vec<Mutex<Vec<u8>>>,
+    /// Backing storage, one bank per owning node. Banks carry their own
+    /// locks so shards apply memory-side effects concurrently with zero
+    /// contention as long as they touch their own node's data — which the
+    /// engine guarantees by applying every timed operation on the owner
+    /// shard.
+    banks: Vec<Mutex<Bank>>,
     live: bool,
 }
 
 impl Allocation {
     #[inline]
-    fn bank(&self, node: u32) -> &Mutex<Vec<u8>> {
+    fn bank(&self, node: u32) -> &Mutex<Bank> {
         &self.banks[(node - self.desc.first_node) as usize]
     }
 }
@@ -211,13 +427,6 @@ impl GlobalMemory {
         if size == 0 {
             return Err(MemError::BadLayout("zero-size allocation".into()));
         }
-        if first_node + nr_nodes > self.nodes {
-            return Err(MemError::OutOfRange(format!(
-                "nodes [{first_node}, {}) exceed machine of {} nodes",
-                first_node + nr_nodes,
-                self.nodes
-            )));
-        }
         let base = VAddr(self.cursor);
         let desc = TranslationDescriptor {
             base,
@@ -226,15 +435,41 @@ impl GlobalMemory {
             nr_nodes,
             block_size,
         };
+        let end_node = desc.end_node()?;
+        if end_node > self.nodes {
+            return Err(MemError::OutOfRange(format!(
+                "nodes [{first_node}, {end_node}) exceed machine of {} nodes",
+                self.nodes
+            )));
+        }
         desc.validate(self.min_block)?;
-        self.cursor += size + VA_GAP;
-        // Round the cursor so every allocation base is block-aligned enough
-        // for the next descriptor's arithmetic to stay simple.
-        self.cursor = (self.cursor + 63) & !63;
+        // The next base: past this allocation and its guard gap, rounded so
+        // every allocation base is block-aligned enough for the next
+        // descriptor's arithmetic to stay simple.
+        let cursor = size
+            .checked_add(VA_GAP + 63)
+            .and_then(|span| self.cursor.checked_add(span))
+            .map(|end| end & !63)
+            .ok_or_else(|| {
+                MemError::OutOfRange(format!(
+                    "{size} bytes at {base:?} run past the end of the address space"
+                ))
+            })?;
+        let bank_len = |n| -> Result<usize, MemError> {
+            let bytes = desc.bytes_on_node(n)?;
+            // A page-table entry is a u32 and 0 means "never written".
+            usize::try_from(bytes)
+                .ok()
+                .filter(|_| bytes.div_ceil(PAGE as u64) < u32::MAX as u64)
+                .ok_or_else(|| {
+                    MemError::OutOfRange(format!("{bytes} bytes on node {n} exceed a bank"))
+                })
+        };
+        let banks = (first_node..end_node)
+            .map(|n| Ok(Mutex::new(Bank::new(bank_len(n)?))))
+            .collect::<Result<_, MemError>>()?;
+        self.cursor = cursor;
         let id = self.allocs.len();
-        let banks = (first_node..first_node + nr_nodes)
-            .map(|n| Mutex::new(vec![0u8; desc.bytes_on_node(n) as usize]))
-            .collect();
         self.allocs.push(Allocation {
             desc,
             banks,
@@ -284,13 +519,14 @@ impl GlobalMemory {
     }
 
     /// Walk the banked storage covering `[va, va+len)`, calling `f` with
-    /// each in-block slice and its offset into the access. Spans at most one
-    /// allocation; each chunk is visited under its bank's lock.
+    /// each in-block run: its bank, its offset in the bank, and its range
+    /// within the access. Spans at most one allocation; each run is visited
+    /// under its bank's lock.
     fn with_span(
         &self,
         va: VAddr,
         len: usize,
-        mut f: impl FnMut(&mut [u8], usize),
+        mut f: impl FnMut(&mut Bank, usize, Range<usize>),
     ) -> Result<(), MemError> {
         let id = self.find(va)?;
         let a = &self.allocs[id];
@@ -305,23 +541,18 @@ impl GlobalMemory {
                 (a.desc.block_size - ((cur.0 - a.desc.base.0) % a.desc.block_size)) as usize;
             let n = (len - done).min(in_block);
             let boff = a.desc.node_offset(cur) as usize;
-            let mut bank = a.bank(a.desc.pnn(cur)).lock().unwrap();
-            f(&mut bank[boff..boff + n], done);
+            f(&mut a.bank(a.desc.pnn(cur)).lock().unwrap(), boff, done..done + n);
             done += n;
         }
         Ok(())
     }
 
     pub fn read_bytes(&self, va: VAddr, out: &mut [u8]) -> Result<(), MemError> {
-        self.with_span(va, out.len(), |chunk, done| {
-            out[done..done + chunk.len()].copy_from_slice(chunk);
-        })
+        self.with_span(va, out.len(), |bank, off, run| bank.read(off, &mut out[run]))
     }
 
     pub fn write_bytes(&self, va: VAddr, data: &[u8]) -> Result<(), MemError> {
-        self.with_span(va, data.len(), |chunk, done| {
-            chunk.copy_from_slice(&data[done..done + chunk.len()]);
-        })
+        self.with_span(va, data.len(), |bank, off, run| bank.write(off, &data[run]))
     }
 
     pub fn read_u64(&self, va: VAddr) -> Result<u64, MemError> {
@@ -386,7 +617,7 @@ impl GlobalMemory {
     /// hardware would: by the first word not wholly inside the allocation.
     fn word_fault(&self, va: VAddr, n: usize) -> MemError {
         (0..n as u64)
-            .find_map(|i| self.with_span(va.word(i), 8, |_, _| {}).err())
+            .find_map(|i| self.with_span(va.word(i), 8, |_, _, _| {}).err())
             .expect("a faulting span has a faulting word")
     }
 
@@ -403,25 +634,19 @@ impl GlobalMemory {
     }
 
     fn rmw_u64(&self, va: VAddr, f: impl Fn(u64) -> u64) -> Result<u64, MemError> {
-        let mut old = 0u64;
-        let mut buf: Option<[u8; 8]> = None;
-        self.with_span(va, 8, |chunk, done| {
-            if chunk.len() == 8 && done == 0 {
-                // Fast path: the word lives in one bank; update in place.
-                let prev = u64::from_le_bytes(chunk.try_into().unwrap());
-                old = prev;
-                chunk.copy_from_slice(&f(prev).to_le_bytes());
-            } else {
-                // Block-straddling word: collect first, write back below.
-                let b = buf.get_or_insert([0u8; 8]);
-                b[done..done + chunk.len()].copy_from_slice(chunk);
+        let mut old = None;
+        self.with_span(va, 8, |bank, off, run| {
+            // The word lives in one bank: update it in place.
+            if run.len() == 8 {
+                old = Some(bank.rmw_u64(off, &f));
             }
         })?;
-        if let Some(b) = buf {
-            let prev = u64::from_le_bytes(b);
-            old = prev;
-            self.write_u64(va, f(prev))?;
+        if let Some(old) = old {
+            return Ok(old);
         }
+        // A word straddling two blocks: read both halves, write back.
+        let old = self.read_u64(va)?;
+        self.write_u64(va, f(old))?;
         Ok(old)
     }
 
@@ -440,9 +665,11 @@ impl GlobalMemory {
         self.allocs.iter().filter(|a| a.live).count()
     }
 
-    /// Deep copy of all memory contents plus the allocation-table shape,
-    /// for snapshots. The engine only snapshots at window boundaries, where
-    /// no lane holds a bank lock, so taking every lock in order is safe.
+    /// Copy of all memory contents plus the allocation-table shape, for
+    /// snapshots. Only written pages are copied: the image is as sparse as
+    /// the memory (the on-disk codec still writes every byte). The engine
+    /// only snapshots at window boundaries, where no lane holds a bank
+    /// lock, so taking every lock in order is safe.
     pub(crate) fn image(&self) -> MemoryImage {
         MemoryImage {
             cursor: self.cursor,
@@ -455,7 +682,7 @@ impl GlobalMemory {
                     banks: a
                         .banks
                         .iter()
-                        .map(|b| b.lock().unwrap().clone())
+                        .map(|b| b.lock().unwrap().image())
                         .collect(),
                 })
                 .collect(),
@@ -488,35 +715,33 @@ impl GlobalMemory {
                     "allocation {i} bank count mismatch"
                 )));
             }
+            let mut banks = cur.banks.iter().zip(&img_a.banks);
+            if banks.any(|(b, img_b)| b.lock().unwrap().len != img_b.len) {
+                return Err(SnapshotError::Incompatible(format!(
+                    "allocation {i} bank size mismatch"
+                )));
+            }
         }
         for (cur, img_a) in self.allocs.iter().zip(&img.allocs) {
             for (bank, img_b) in cur.banks.iter().zip(&img_a.banks) {
-                let mut b = bank.lock().unwrap();
-                if b.len() != img_b.len() {
-                    return Err(SnapshotError::Incompatible(
-                        "bank size mismatch".to_string(),
-                    ));
-                }
-                b.copy_from_slice(img_b);
+                bank.lock().unwrap().restore(img_b);
             }
         }
         Ok(())
     }
 }
 
-/// Snapshot of global-memory contents: one byte vector per bank, plus the
-/// descriptor table needed to validate compatibility on restore.
-#[derive(Clone, Debug)]
+/// Snapshot of global-memory contents: the written pages of every bank,
+/// plus the descriptor table needed to validate compatibility on restore.
 pub(crate) struct MemoryImage {
     cursor: u64,
     allocs: Vec<AllocImage>,
 }
 
-#[derive(Clone, Debug)]
 struct AllocImage {
     desc: TranslationDescriptor,
     live: bool,
-    banks: Vec<Vec<u8>>,
+    banks: Vec<BankImage>,
 }
 
 impl MemoryImage {
@@ -532,7 +757,7 @@ impl MemoryImage {
             w.bool(a.live);
             w.usize(a.banks.len());
             for b in &a.banks {
-                w.bytes(b);
+                b.save(w);
             }
         }
     }
@@ -553,7 +778,7 @@ impl MemoryImage {
             let nbanks = r.len(8)?;
             let mut banks = Vec::with_capacity(nbanks);
             for _ in 0..nbanks {
-                banks.push(r.bytes()?.to_vec());
+                banks.push(BankImage::load(r.bytes()?));
             }
             allocs.push(AllocImage { desc, live, banks });
         }
@@ -678,11 +903,11 @@ mod tests {
     #[test]
     fn bytes_on_node_balance() {
         let d = desc(10 * 4096 + 100, 2, 4, 4096);
-        let total: u64 = (0..8).map(|n| d.bytes_on_node(n)).sum();
+        let total: u64 = (0..8).map(|n| d.bytes_on_node(n).unwrap()).sum();
         assert_eq!(total, d.size);
-        assert_eq!(d.bytes_on_node(0), 0);
-        assert_eq!(d.bytes_on_node(2), 3 * 4096); // blocks 0,4,8
-        assert_eq!(d.bytes_on_node(4), 2 * 4096 + 100); // blocks 2,6 + tail
+        assert_eq!(d.bytes_on_node(0).unwrap(), 0);
+        assert_eq!(d.bytes_on_node(2).unwrap(), 3 * 4096); // blocks 0,4,8
+        assert_eq!(d.bytes_on_node(4).unwrap(), 2 * 4096 + 100); // blocks 2,6 + tail
     }
 
     #[test]
@@ -914,8 +1139,8 @@ mod tests {
             assert_eq!(d.pnn(va), 3);
             assert_eq!(d.node_offset(va), blk * 4096 + 13);
         }
-        assert_eq!(d.bytes_on_node(3), 16 * 4096);
-        assert_eq!(d.bytes_on_node(2), 0);
+        assert_eq!(d.bytes_on_node(3).unwrap(), 16 * 4096);
+        assert_eq!(d.bytes_on_node(2).unwrap(), 0);
     }
 
     #[test]
@@ -939,5 +1164,73 @@ mod tests {
         // After free, the stale descriptor no longer translates.
         m.free(b).unwrap();
         assert_eq!(m.descriptor(b), Err(MemError::Fault(b)));
+    }
+
+    #[test]
+    fn node_span_and_address_space_overflow_are_errors() {
+        let mut m = GlobalMemory::new(4);
+        assert!(matches!(
+            m.alloc(64, u32::MAX, 1, 4096),
+            Err(MemError::OutOfRange(_))
+        ));
+        assert!(matches!(
+            m.alloc(u64::MAX - VA_BASE - 8, 0, 1, 4096),
+            Err(MemError::OutOfRange(_))
+        ));
+        // Past what a bank's u32 page table can index.
+        assert!(matches!(
+            m.alloc(1 << 41, 0, 1, 4096),
+            Err(MemError::OutOfRange(_))
+        ));
+        // A refused allocation leaves the address space as it was.
+        assert_eq!(m.alloc(4096, 0, 1, 4096), Ok(VAddr(VA_BASE)));
+        let d = TranslationDescriptor {
+            first_node: u32::MAX - 1,
+            ..desc(4096, 0, 2, 4096)
+        };
+        assert!(matches!(d.bytes_on_node(0), Err(MemError::OutOfRange(_))));
+        assert!(matches!(d.bytes_on_node(u32::MAX), Err(MemError::OutOfRange(_))));
+    }
+
+    /// Bytes of the pages written in all banks, whole pages.
+    fn backed_bytes(m: &GlobalMemory) -> u64 {
+        let banks = m.allocs.iter().flat_map(|a| &a.banks);
+        banks.map(|b| b.lock().unwrap().backed as u64 * PAGE as u64).sum()
+    }
+
+    /// Pages reserved by a bank's pool, handed out or not.
+    fn reserved_pages(m: &GlobalMemory, va: VAddr) -> usize {
+        let a = &m.allocs[m.find(va).unwrap()];
+        let bank = a.bank(a.desc.pnn(va)).lock().unwrap();
+        bank.first.len() + bank.more.iter().map(|c| c.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn banks_back_only_the_pages_a_program_writes() {
+        let mut m = GlobalMemory::new(8);
+        let a = m.alloc(1 << 30, 0, 8, 4096).unwrap();
+        assert_eq!(backed_bytes(&m), 0, "untouched");
+
+        let mut buf = vec![0xffu8; 1 << 20];
+        m.read_bytes(a.offset(12_345), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0));
+        for off in (0..1u64 << 30).step_by(1 << 16) {
+            assert_eq!(m.read_u64(a.offset(off)).unwrap(), 0);
+        }
+        assert_eq!(m.read_words(a.offset((1 << 30) - 64), 8).unwrap(), [0; 8]);
+        assert_eq!(backed_bytes(&m), 0, "read");
+
+        let at = a.offset(5 * 4096 + 512);
+        m.write_u64(at, 7).unwrap();
+        assert_eq!(backed_bytes(&m), PAGE as u64, "one word written");
+        assert_eq!(reserved_pages(&m, at), CHUNK_PAGES, "one 64 KiB chunk");
+        m.fetch_add_u64(at.word(1), 1).unwrap();
+        assert_eq!(backed_bytes(&m), PAGE as u64, "same page");
+
+        let small = m.alloc(100, 3, 1, 4096).unwrap();
+        m.write_bytes(small, &[1; 100]).unwrap();
+        m.fetch_add_u64(small.offset(92), 1).unwrap();
+        assert_eq!(reserved_pages(&m, small), 1, "a 100-byte bank");
+        assert_eq!(backed_bytes(&m), 2 * PAGE as u64);
     }
 }

@@ -158,6 +158,15 @@ impl SnapWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Length-prefixed bytes that `fill` writes in place, for a caller
+    /// that does not hold them in one slice.
+    pub(crate) fn bytes_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        self.u64(len as u64);
+        let at = self.buf.len();
+        self.buf.resize(at + len, 0);
+        fill(&mut self.buf[at..]);
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
