@@ -23,7 +23,7 @@
 //!
 //! ## `ud check`
 //!
-//! 1. the simulator's [`ProtocolProbe`](updown_sim::ProtocolProbe) records a
+//! 1. the simulator's [`ProtocolProbe`] records a
 //!    commutative summary of everything a (tiny, deterministic) run did,
 //! 2. [`EventFlowGraph::from_report`] lifts the summary into an event-flow
 //!    graph — handler nodes, send edges annotated with operand counts,

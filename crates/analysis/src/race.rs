@@ -1,6 +1,6 @@
 //! # `ud race`, static layer — conflict-pair analysis over the event-flow graph
 //!
-//! The dynamic race probe ([`RaceProbe`](updown_sim::RaceProbe)) reports
+//! The dynamic race probe ([`RaceProbe`]) reports
 //! *observed* unordered conflicting accesses over every word the run
 //! touched. This module adds the static half of `ud race`, the **may-race
 //! pass**: handler pairs whose footprints touch the same region (DRAM

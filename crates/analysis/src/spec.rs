@@ -45,7 +45,7 @@ use crate::{
 
 /// Wait-for-cycle detection over continuation edges (check family 1):
 /// the sends declared `with_cont`, lifted from events to thread groups.
-/// A component is a set of mutually reachable groups ([`Reach`]).
+/// A component is a set of mutually reachable groups (`Reach`).
 pub fn wait_cycle_findings(spec: &ProgramSpec) -> Vec<Finding> {
     let edges: Vec<(&str, &str, &SendDecl)> = declared_edges(spec)
         .filter_map(|e| {

@@ -29,12 +29,7 @@ pub const BENCH_LANES: u32 = 32;
 /// shrunken node is never bandwidth-bound and placement effects
 /// (Figure 12) vanish.
 pub fn bench_machine(nodes: u32) -> MachineConfig {
-    MachineConfig::builder()
-        .nodes(nodes)
-        .accels_per_node(BENCH_ACCELS)
-        .lanes_per_accel(BENCH_LANES)
-        .scaled_bandwidth()
-        .build()
+    MachineConfig::small(nodes, BENCH_ACCELS, BENCH_LANES).scaled_bandwidth()
 }
 
 /// Most nodes a bench machine can have: lane ids are 32-bit.

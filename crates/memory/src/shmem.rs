@@ -1,5 +1,5 @@
 //! SHMEM library (Table 5: "SHMEM (put/get, reductions)", 1,914 LoC of
-//! UDWeave in the paper; [38]): symmetric data objects over UpDown's
+//! UDWeave in the paper; \[38\]): symmetric data objects over UpDown's
 //! translation-supported data placement.
 //!
 //! A [`SymmetricHeap`] is one DRAMmalloc allocation laid out contiguously

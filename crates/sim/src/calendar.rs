@@ -14,10 +14,10 @@
 //! # Design
 //!
 //! A pending entry is a bare `u32` **id**, unique among pending entries
-//! (debug-asserted). The queue owns one link array ([`Links`]) indexed by
+//! (debug-asserted). The queue owns one link array (`Links`) indexed by
 //! id; every list in the store — a bucket, the same-tick fast lane, and the
 //! engine's own lists over the same ids (slab freelist, lane inboxes) — is
-//! an [`IdList`] `(head, tail)` pair threaded through it. An id is in at
+//! an `IdList` `(head, tail)` pair threaded through it. An id is in at
 //! most one list at a time, so one `u32` per id links them all and no list
 //! owns a heap block.
 //!

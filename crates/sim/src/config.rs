@@ -100,85 +100,6 @@ impl Default for NetworkConfig {
     }
 }
 
-impl NetworkConfig {
-    /// Start building a network config from the paper's defaults.
-    pub fn builder() -> NetworkConfigBuilder {
-        NetworkConfigBuilder::default()
-    }
-}
-
-/// Fluent constructor for [`NetworkConfig`], mirroring
-/// [`MachineConfig::builder`]. Obtained via [`NetworkConfig::builder`]:
-///
-/// ```
-/// use updown_sim::{NetworkConfig, TopologyKind};
-/// let net = NetworkConfig::builder()
-///     .topology(TopologyKind::Torus)
-///     .hop_latency(250)
-///     .nic_bytes_per_cycle(1024)
-///     .build();
-/// assert_eq!(net.topology, TopologyKind::Torus);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct NetworkConfigBuilder {
-    cfg: NetworkConfig,
-}
-
-impl NetworkConfigBuilder {
-    /// Select the system-network topology (see [`crate::network`]).
-    pub fn topology(mut self, kind: TopologyKind) -> Self {
-        self.cfg.topology = kind;
-        self
-    }
-
-    pub fn intra_accel_latency(mut self, cycles: u64) -> Self {
-        self.cfg.intra_accel_latency = cycles;
-        self
-    }
-
-    pub fn intra_node_latency(mut self, cycles: u64) -> Self {
-        self.cfg.intra_node_latency = cycles;
-        self
-    }
-
-    pub fn inter_node_latency(mut self, cycles: u64) -> Self {
-        self.cfg.inter_node_latency = cycles;
-        self
-    }
-
-    /// Per-link traversal latency for routed topologies.
-    pub fn hop_latency(mut self, cycles: u64) -> Self {
-        self.cfg.hop_latency = cycles.max(1);
-        self
-    }
-
-    pub fn nic_bytes_per_cycle(mut self, bytes: u64) -> Self {
-        self.cfg.nic_bytes_per_cycle = bytes.max(1);
-        self
-    }
-
-    /// Nominal per-link capacity (utilization reporting reference).
-    pub fn link_bytes_per_cycle(mut self, bytes: u64) -> Self {
-        self.cfg.link_bytes_per_cycle = bytes.max(1);
-        self
-    }
-
-    /// Demand-bucketing window for per-link peak statistics.
-    pub fn link_stat_window(mut self, cycles: u64) -> Self {
-        self.cfg.link_stat_window = cycles.max(1);
-        self
-    }
-
-    pub fn msg_header_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.msg_header_bytes = bytes;
-        self
-    }
-
-    pub fn build(self) -> NetworkConfig {
-        self.cfg
-    }
-}
-
 /// DRAM model: per-node memory channel with fixed access latency and a FIFO
 /// bandwidth queue (queueing delay is how data-placement contention appears,
 /// Figure 12).
@@ -287,155 +208,11 @@ impl Default for MachineConfig {
     }
 }
 
-/// Fluent constructor for [`MachineConfig`], starting from the paper's
-/// defaults. Obtained via [`MachineConfig::builder`]:
-///
-/// ```
-/// use updown_sim::MachineConfig;
-/// let cfg = MachineConfig::builder()
-///     .nodes(4)
-///     .accels_per_node(4)
-///     .lanes_per_accel(32)
-///     .scaled_bandwidth()
-///     .build();
-/// assert_eq!(cfg.lanes_per_node(), 128);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct MachineConfigBuilder {
-    cfg: MachineConfig,
-}
-
-impl MachineConfigBuilder {
-    pub fn nodes(mut self, n: u32) -> Self {
-        self.cfg.nodes = n;
-        self
-    }
-
-    pub fn accels_per_node(mut self, n: u32) -> Self {
-        self.cfg.accels_per_node = n;
-        self
-    }
-
-    pub fn lanes_per_accel(mut self, n: u32) -> Self {
-        self.cfg.lanes_per_accel = n;
-        self
-    }
-
-    pub fn clock_ghz(mut self, ghz: f64) -> Self {
-        self.cfg.clock_ghz = ghz;
-        self
-    }
-
-    pub fn max_threads_per_lane(mut self, n: u16) -> Self {
-        self.cfg.max_threads_per_lane = n;
-        self
-    }
-
-    pub fn spm_words(mut self, n: u32) -> Self {
-        self.cfg.spm_words = n;
-        self
-    }
-
-    /// Host worker threads for the window loop (`1` runs it inline;
-    /// results are identical for every value).
-    pub fn threads(mut self, n: u32) -> Self {
-        self.cfg.threads = n.max(1);
-        self
-    }
-
-    /// Attach a protocol recording and arm the runtime sanitizer (see
-    /// [`MachineConfig::probe`]).
-    pub fn probe(mut self, probe: ProtocolProbe) -> Self {
-        self.cfg.probe = Some(probe);
-        self
-    }
-
-    /// Attach a race recording (see [`MachineConfig::race`]).
-    pub fn race(mut self, race: RaceProbe) -> Self {
-        self.cfg.race = Some(race);
-        self
-    }
-
-    /// Checkpoint every `n` scheduler windows (see
-    /// [`MachineConfig::checkpoint_every`]).
-    pub fn checkpoint_every(mut self, n: u64) -> Self {
-        self.cfg.checkpoint_every = n;
-        self
-    }
-
-    /// Write a snapshot file at the first checkpoint boundary (see
-    /// [`MachineConfig::checkpoint_path`]).
-    pub fn checkpoint_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.cfg.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Resume from a snapshot file (see [`MachineConfig::restore_path`]).
-    pub fn restore_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.cfg.restore_path = Some(path.into());
-        self
-    }
-
-    /// Attach a self-verifying replay check (see [`MachineConfig::replay`]).
-    pub fn replay(mut self, check: crate::snapshot::ReplayCheck) -> Self {
-        self.cfg.replay = Some(check);
-        self
-    }
-
-    pub fn costs(mut self, costs: OpCosts) -> Self {
-        self.cfg.costs = costs;
-        self
-    }
-
-    pub fn net(mut self, net: NetworkConfig) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Select the system-network topology without replacing the rest of
-    /// the network config (shorthand for `.net(...)` with only
-    /// [`NetworkConfig::topology`] changed).
-    pub fn topology(mut self, kind: TopologyKind) -> Self {
-        self.cfg.net.topology = kind;
-        self
-    }
-
-    pub fn mem(mut self, mem: MemoryConfig) -> Self {
-        self.cfg.mem = mem;
-        self
-    }
-
-    /// Scale per-node memory and NIC bandwidth to the configured lane
-    /// count so bytes-per-cycle-per-lane matches the full 2048-lane node.
-    /// Call after setting the topology; a shrunken node with full-node
-    /// bandwidth is never bandwidth-bound, which hides placement effects.
-    pub fn scaled_bandwidth(mut self) -> Self {
-        let full = MachineConfig::default();
-        let factor = self.cfg.lanes_per_node() as f64 / full.lanes_per_node() as f64;
-        self.cfg.mem.node_bytes_per_cycle =
-            ((full.mem.node_bytes_per_cycle as f64 * factor) as u64).max(64);
-        self.cfg.net.nic_bytes_per_cycle =
-            ((full.net.nic_bytes_per_cycle as f64 * factor) as u64).max(64);
-        self
-    }
-
-    pub fn build(self) -> MachineConfig {
-        self.cfg.check();
-        self.cfg
-    }
-}
-
 impl MachineConfig {
-    /// Start building a config from the paper's defaults.
-    pub fn builder() -> MachineConfigBuilder {
-        MachineConfigBuilder::default()
-    }
-
     /// Panic on a machine no run can use: no node, no lane, or a clock
     /// that is not a positive number (it would print every Chrome `ts`
-    /// and the metrics `seconds` as `null`). [`MachineConfigBuilder::build`]
-    /// and [`crate::Engine::new`] both check, so a directly assigned field
-    /// is held to the same rule as a built one.
+    /// and the metrics `seconds` as `null`). [`crate::Engine::new`] checks
+    /// every machine it is given.
     pub(crate) fn check(&self) {
         assert!(self.nodes >= 1, "machine needs at least one node");
         assert!(
@@ -451,16 +228,31 @@ impl MachineConfig {
 
     /// A full-size UpDown node count with default node internals.
     pub fn with_nodes(nodes: u32) -> MachineConfig {
-        MachineConfig::builder().nodes(nodes).build()
+        MachineConfig { nodes, ..MachineConfig::default() }
     }
 
     /// A reduced machine for unit tests: `nodes × accels × lanes`.
     pub fn small(nodes: u32, accels_per_node: u32, lanes_per_accel: u32) -> MachineConfig {
-        MachineConfig::builder()
-            .nodes(nodes)
-            .accels_per_node(accels_per_node)
-            .lanes_per_accel(lanes_per_accel)
-            .build()
+        MachineConfig {
+            nodes,
+            accels_per_node,
+            lanes_per_accel,
+            ..MachineConfig::default()
+        }
+    }
+
+    /// Scale per-node memory and NIC bandwidth to the configured lane
+    /// count so bytes-per-cycle-per-lane matches the full 2048-lane node.
+    /// Call after setting the node shape; a shrunken node with full-node
+    /// bandwidth is never bandwidth-bound, which hides placement effects.
+    pub fn scaled_bandwidth(mut self) -> MachineConfig {
+        let full = MachineConfig::default();
+        let factor = self.lanes_per_node() as f64 / full.lanes_per_node() as f64;
+        self.mem.node_bytes_per_cycle =
+            ((full.mem.node_bytes_per_cycle as f64 * factor) as u64).max(64);
+        self.net.nic_bytes_per_cycle =
+            ((full.net.nic_bytes_per_cycle as f64 * factor) as u64).max(64);
+        self
     }
 
     #[inline]
@@ -557,27 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn network_builder_mirrors_machine_builder() {
-        let net = NetworkConfig::builder()
-            .topology(TopologyKind::Dragonfly)
-            .hop_latency(123)
-            .link_bytes_per_cycle(256)
-            .link_stat_window(500)
-            .inter_node_latency(900)
-            .build();
-        assert_eq!(net.topology, TopologyKind::Dragonfly);
-        assert_eq!(net.hop_latency, 123);
-        assert_eq!(net.link_bytes_per_cycle, 256);
-        assert_eq!(net.link_stat_window, 500);
-        assert_eq!(net.inter_node_latency, 900);
-        let cfg = MachineConfig::builder()
-            .nodes(4)
-            .topology(TopologyKind::Torus)
-            .build();
-        assert_eq!(cfg.net.topology, TopologyKind::Torus);
-    }
-
-    #[test]
     fn tick_conversion_matches_artifact_formula() {
         // The artifact converts ticks via time = ticks / 2e9.
         let cfg = MachineConfig::default();
@@ -591,30 +362,24 @@ mod tests {
         assert_eq!(cfg.total_lanes(), 2048);
     }
 
-    #[test]
-    fn builder_matches_struct_forms() {
-        let a = MachineConfig::small(2, 4, 8);
-        let b = MachineConfig::builder()
-            .nodes(2)
-            .accels_per_node(4)
-            .lanes_per_accel(8)
-            .build();
-        assert_eq!(a.total_lanes(), b.total_lanes());
-        assert_eq!(a.mem.node_bytes_per_cycle, b.mem.node_bytes_per_cycle);
-    }
-
     /// A zero or NaN clock would make every Chrome timestamp and the
-    /// metrics' `seconds` print `null`.
+    /// metrics' `seconds` print `null`. `Engine::new` is the one place a
+    /// clock is checked.
     #[test]
     fn builder_refuses_a_clock_that_is_not_a_positive_number() {
         for ghz in [0.0, -2.0, f64::NAN, f64::INFINITY] {
-            let built = std::panic::catch_unwind(|| MachineConfig::builder().clock_ghz(ghz).build());
+            let mut cfg = MachineConfig::small(2, 2, 4);
+            cfg.clock_ghz = ghz;
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| crate::Engine::new(cfg)));
             assert!(built.is_err(), "clock {ghz} was accepted");
         }
-        assert_eq!(MachineConfig::builder().clock_ghz(1.6).build().clock_ghz, 1.6);
+        let mut cfg = MachineConfig::small(2, 2, 4);
+        cfg.clock_ghz = 1.6;
+        assert_eq!(crate::Engine::new(cfg).metrics().clock_ghz, 1.6);
     }
 
-    /// The fields are public, so the engine checks what the builder does.
+    /// The fields are public, so `Engine::new` refuses a machine no run
+    /// can use: no clock, no node, or no lane to run on.
     #[test]
     fn engine_refuses_directly_assigned_fields_the_builder_would() {
         let bad: [fn(&mut MachineConfig); 5] = [
@@ -630,20 +395,12 @@ mod tests {
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| crate::Engine::new(cfg)));
             assert!(built.is_err(), "assignment {i} was accepted");
         }
-        let mut cfg = MachineConfig::small(2, 2, 4);
-        cfg.clock_ghz = 1.6;
-        assert_eq!(crate::Engine::new(cfg).metrics().clock_ghz, 1.6);
     }
 
     #[test]
     fn scaled_bandwidth_preserves_per_lane_ratio() {
         let full = MachineConfig::default();
-        let cfg = MachineConfig::builder()
-            .nodes(4)
-            .accels_per_node(4)
-            .lanes_per_accel(32)
-            .scaled_bandwidth()
-            .build();
+        let cfg = MachineConfig::small(4, 4, 32).scaled_bandwidth();
         let r_full = full.mem.node_bytes_per_cycle as f64 / full.lanes_per_node() as f64;
         let r_cfg = cfg.mem.node_bytes_per_cycle as f64 / cfg.lanes_per_node() as f64;
         assert!((r_full - r_cfg).abs() / r_full < 0.05);

@@ -269,6 +269,32 @@ fn trace_dram(
     }
 }
 
+/// Record one `Link` row per hop of the route `src -> dst` that a message
+/// departing at `depart` has just taken through `fabric`, when tracing is
+/// on. A minimal route never repeats a link, so each link's cumulative
+/// bytes are still what they were right after its hop.
+fn trace_route(
+    tracer: &mut Option<Tracer>,
+    topo: &Topology,
+    fabric: &Fabric,
+    depart: u64,
+    src: u32,
+    dst: u32,
+) {
+    if let Some(tr) = tracer {
+        for (k, &l) in topo.route(src, dst).iter().enumerate() {
+            let link = topo.links()[l.0 as usize];
+            tr.record(TraceEvent::Link {
+                src: link.src,
+                dst: link.dst,
+                node: src,
+                time: topo.hop_time(depart, k),
+                value: fabric.bytes()[l.0 as usize],
+            });
+        }
+    }
+}
+
 /// Slab storage for pending [`Action`]s: every calendar entry with a
 /// payload and every message waiting on a lane. The calendar and the lane
 /// inboxes hold bare `u32` ids, so queueing never moves a payload. A
@@ -549,7 +575,7 @@ pub(super) struct Shared {
     pub(super) tables: Vec<Table>,
     /// The system-network topology ([`MachineConfig::net`]`.topology`),
     /// shared read-only across shards.
-    pub(super) topo: Arc<dyn Topology>,
+    pub(super) topo: Arc<Topology>,
     /// Conservative time-window length: the minimum time by which any
     /// cross-node effect can trail its injection
     /// ([`Topology::min_transit`], floored at 1).
@@ -768,24 +794,8 @@ impl EngineCore {
         tag: Tag,
     ) -> (u64, u64) {
         let depart = self.nic.inject(0, ready, bytes);
-        let src_node = self.id;
-        let route = shared.topo.route(src_node, dst_node);
-        let hops = route.len();
-        for (k, &l) in route.iter().enumerate() {
-            let t = shared.topo.hop_time(depart, k, hops);
-            let cumulative = self.fabric.record(l, t, bytes);
-            if let Some(tr) = &mut self.tracer {
-                let link = shared.topo.links()[l.0 as usize];
-                tr.record(TraceEvent::Link {
-                    src: link.src,
-                    dst: link.dst,
-                    node: src_node,
-                    time: t,
-                    value: cumulative,
-                });
-            }
-        }
-        let arrival = depart + shared.topo.latency(src_node, dst_node);
+        let arrival = self.fabric.transit(&shared.topo, depart, self.id, dst_node, bytes);
+        trace_route(&mut self.tracer, &shared.topo, &self.fabric, depart, self.id, dst_node);
         self.push_cross(dst_node, arrival, action, tag);
         (depart, arrival)
     }

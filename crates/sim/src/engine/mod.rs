@@ -5,7 +5,7 @@
 //! # Sharded conservative-window execution
 //!
 //! The machine is partitioned into **shards, one per node**. Each shard
-//! ([`EngineCore`]) owns its node's lanes, event calendar, NIC and memory
+//! (`EngineCore`) owns its node's lanes, event calendar, NIC and memory
 //! channel, so a shard can execute independently as long as it does not run
 //! past the point where another shard could still affect it.
 //!
@@ -279,8 +279,8 @@ impl Engine {
     /// The system-network topology this machine runs on — the routing
     /// authority for cross-node transit (per-pair routes, hop latency,
     /// link enumeration).
-    pub fn topology(&self) -> &dyn Topology {
-        &*self.shared.topo
+    pub fn topology(&self) -> &Topology {
+        &self.shared.topo
     }
 
     /// Register an event handler; returns its label.
@@ -519,7 +519,7 @@ impl Engine {
     ///
     /// When [`MachineConfig::checkpoint_every`] is set the run proceeds
     /// in segments of that many windows; between segments the engine
-    /// takes a checkpoint (see [`Engine::checkpoint_boundary`]). Results
+    /// takes a checkpoint (see `Engine::checkpoint_boundary`). Results
     /// are byte-identical to an unsegmented run: a paused scheduler
     /// invocation folds all in-flight cross-shard entries back into the
     /// per-shard calendars, so segment boundaries are self-contained and
@@ -779,7 +779,7 @@ impl Engine {
     /// Every step is an ordered sum, so the result is byte-identical
     /// across thread counts.
     fn fabric_metrics(&self) -> FabricMetrics {
-        let topo = &*self.shared.topo;
+        let topo = &self.shared.topo;
         let links = topo.links();
         let mut per_link: Vec<LinkMetrics> = Vec::new();
         let mut link_bytes_total = 0u64;

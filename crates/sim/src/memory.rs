@@ -581,7 +581,7 @@ impl GlobalMemory {
     }
 
     /// Fill `out` with consecutive u64 words: one translation and one bank
-    /// lock per in-block run of up to [`SPAN_WORDS`] words.
+    /// lock per in-block run of up to `SPAN_WORDS` words.
     pub fn read_words_into(&self, va: VAddr, out: &mut [u64]) -> Result<(), MemError> {
         let mut bytes = [0u8; SPAN_WORDS * 8];
         for (i, words) in out.chunks_mut(SPAN_WORDS).enumerate() {

@@ -24,7 +24,7 @@
 //! one uniform `inter_node_latency` through an ideal crossbar — and is
 //! the default.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -83,15 +83,15 @@ impl TopologyKind {
     }
 
     /// Instantiate this topology for `nodes` nodes with `net`'s latencies.
-    pub fn build(self, nodes: u32, net: &NetworkConfig) -> Arc<dyn Topology> {
-        let nodes = nodes.max(1);
+    pub fn build(self, nodes: u32, net: &NetworkConfig) -> Arc<Topology> {
+        let n = nodes.max(1);
         let hop = net.hop_latency.max(1);
-        match self {
-            TopologyKind::Uniform => Arc::new(Uniform::new(nodes, net.inter_node_latency.max(1))),
-            TopologyKind::Polar => Arc::new(Polar::new(nodes, hop)),
-            TopologyKind::Torus => Arc::new(Torus::new(nodes, hop)),
-            TopologyKind::Dragonfly => Arc::new(Dragonfly::new(nodes, hop)),
-        }
+        Arc::new(match self {
+            TopologyKind::Uniform => Topology::uniform(n, net.inter_node_latency.max(1)),
+            TopologyKind::Polar => Topology::polar(n, hop),
+            TopologyKind::Torus => Topology::torus(n, hop),
+            TopologyKind::Dragonfly => Topology::dragonfly(n, hop),
+        })
     }
 }
 
@@ -118,48 +118,231 @@ impl FromStr for TopologyKind {
 }
 
 /// A system-network topology: the directed-link set and, for every ordered
-/// node pair, the fixed minimal route a message traverses. Implementations
-/// are immutable after construction; the engine shares one instance across
-/// shards.
-pub trait Topology: Send + Sync {
-    fn kind(&self) -> TopologyKind;
+/// node pair, the fixed minimal route a message traverses. The kinds differ
+/// only in this data, which is fixed at construction; the engine shares one
+/// instance across shards.
+pub struct Topology {
+    kind: TopologyKind,
+    nodes: u32,
+    /// Cycles per link; for the uniform crossbar, its whole transit.
+    hop: u64,
+    links: Vec<Link>,
+    routes: Routes,
+    min_transit: u64,
+    diameter: u32,
+}
 
-    /// Node count the topology was built for (the Uniform crossbar
+impl Topology {
+    pub fn kind(&self) -> TopologyKind {
+        self.kind
+    }
+
+    /// Node count the topology was built for (the uniform crossbar
     /// pseudo-node is *not* counted).
-    fn nodes(&self) -> u32;
+    pub fn nodes(&self) -> u32 {
+        self.nodes
+    }
 
     /// All directed links, indexed by [`LinkId`].
-    fn links(&self) -> &[Link];
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
 
     /// The ordered directed links a message traverses from `src` to
     /// `dst`; empty iff `src == dst`.
-    fn route(&self, src: u32, dst: u32) -> &[LinkId];
+    pub fn route(&self, src: u32, dst: u32) -> &[LinkId] {
+        self.routes.get(src, dst)
+    }
 
     /// Cycles to traverse one link.
-    fn hop_latency(&self) -> u64;
+    pub fn hop_latency(&self) -> u64 {
+        self.hop
+    }
 
     /// End-to-end transit latency `src -> dst`, excluding NIC injection
     /// serialization.
-    fn latency(&self, src: u32, dst: u32) -> u64 {
-        self.route(src, dst).len() as u64 * self.hop_latency()
+    pub fn latency(&self, src: u32, dst: u32) -> u64 {
+        self.route_latency(self.route(src, dst).len())
     }
 
-    /// Traversal time of hop `k` (of `hops`) for a message departing at
-    /// `depart`. Monotone in `k`; hop `hops - 1` finishes at
-    /// `depart + latency`.
-    fn hop_time(&self, depart: u64, k: usize, hops: usize) -> u64 {
-        let _ = hops;
-        depart + k as u64 * self.hop_latency()
+    /// Latency of a route of `hops` links: a routed message arrives one
+    /// hop after it enters its last link, while the uniform crossbar's
+    /// up-link and down-link together cost one `inter_node_latency`.
+    fn route_latency(&self, hops: usize) -> u64 {
+        let charged = match self.kind {
+            TopologyKind::Uniform => hops.saturating_sub(1),
+            _ => hops,
+        };
+        charged as u64 * self.hop
+    }
+
+    /// Traversal time of hop `k` for a message departing at `depart`:
+    /// monotone in `k` and never after `depart + latency`. The uniform
+    /// crossbar's up-link is traversed at depart, its down-link at arrival.
+    pub fn hop_time(&self, depart: u64, k: usize) -> u64 {
+        depart + k as u64 * self.hop
     }
 
     /// Minimum time by which any cross-node effect can trail the moment it
     /// is injected — the scheduler's conservative lookahead bound.
-    fn min_transit(&self) -> u64 {
-        self.hop_latency()
+    pub fn min_transit(&self) -> u64 {
+        self.min_transit
     }
 
     /// Longest minimal route, in hops.
-    fn diameter(&self) -> u32;
+    pub fn diameter(&self) -> u32 {
+        self.diameter
+    }
+
+    /// The pre-fabric model: an ideal crossbar with one up-link and one
+    /// down-link per node (pseudo-node `n` is the crossbar). Every remote
+    /// pair costs exactly `inter_node_latency`, so simulated timing is
+    /// byte-identical to the historical uniform model; the diameter is its
+    /// two links, even on one node.
+    fn uniform(n: u32, inter_node_latency: u64) -> Topology {
+        // Node i's up-link is LinkId(2i), its down-link LinkId(2i + 1).
+        let links: Vec<Link> = (0..n)
+            .flat_map(|i| [Link { src: i, dst: n }, Link { src: n, dst: i }])
+            .collect();
+        let routes = Routes::build(n, &links, |cur, dst| if cur == n { dst } else { n });
+        Topology {
+            kind: TopologyKind::Uniform,
+            nodes: n,
+            hop: inter_node_latency,
+            links,
+            routes,
+            min_transit: inter_node_latency,
+            diameter: 2,
+        }
+    }
+
+    /// A routed topology: `links`, each `hop` cycles, and the next-hop rule
+    /// `next(cur, dst)`. The lookahead is the shortest route's latency
+    /// (one hop and diameter 0 on a single node).
+    fn routed(
+        kind: TopologyKind,
+        n: u32,
+        hop: u64,
+        links: Vec<Link>,
+        next: impl Fn(u32, u32) -> u32,
+    ) -> Topology {
+        let routes = Routes::build(n, &links, next);
+        let (min_hops, diameter) = routes.hop_bounds();
+        Topology {
+            kind,
+            nodes: n,
+            hop,
+            links,
+            routes,
+            min_transit: hop * u64::from(min_hops),
+            diameter,
+        }
+    }
+
+    /// PolarStar-flavored low-diameter network as a 2D HyperX: nodes on a
+    /// `rows x cols` grid, complete graph within every row and every
+    /// column. One hop fixes the column, one fixes the row: diameter <= 2.
+    fn polar(n: u32, hop: u64) -> Topology {
+        let (_rows, cols) = grid_dims(n);
+        let mut links = Vec::new();
+        for u in 0..n {
+            let (ur, uc) = (u / cols, u % cols);
+            for v in 0..n {
+                let (vr, vc) = (v / cols, v % cols);
+                if u != v && (ur == vr || uc == vc) {
+                    links.push(Link { src: u, dst: v });
+                }
+            }
+        }
+        Topology::routed(TopologyKind::Polar, n, hop, links, |cur, dst| {
+            let (cr, cc) = (cur / cols, cur % cols);
+            let (dr, dc) = (dst / cols, dst % cols);
+            if cc != dc {
+                cr * cols + dc // row hop to the target column
+            } else {
+                dr * cols + cc // column hop to the target row
+            }
+        })
+    }
+
+    /// 2D torus with dimension-order (column-first) routing; each step
+    /// takes the shorter wraparound direction, ties broken toward +1.
+    fn torus(n: u32, hop: u64) -> Topology {
+        let (rows, cols) = grid_dims(n);
+        let mut set = BTreeSet::new();
+        for u in 0..n {
+            let (ur, uc) = (u / cols, u % cols);
+            if cols > 1 {
+                set.insert((u, ur * cols + (uc + 1) % cols));
+                set.insert((u, ur * cols + (uc + cols - 1) % cols));
+            }
+            if rows > 1 {
+                set.insert((u, ((ur + 1) % rows) * cols + uc));
+                set.insert((u, ((ur + rows - 1) % rows) * cols + uc));
+            }
+        }
+        let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
+        // One wraparound-shortest step along a ring of length `len`.
+        let step = |pos: u32, target: u32, len: u32| -> u32 {
+            let fwd = (target + len - pos) % len;
+            if fwd <= len - fwd {
+                (pos + 1) % len
+            } else {
+                (pos + len - 1) % len
+            }
+        };
+        Topology::routed(TopologyKind::Torus, n, hop, links, |cur, dst| {
+            let (cr, cc) = (cur / cols, cur % cols);
+            let (dr, dc) = (dst / cols, dst % cols);
+            if cc != dc {
+                cr * cols + step(cc, dc, cols)
+            } else {
+                step(cr, dr, rows) * cols + cc
+            }
+        })
+    }
+
+    /// Dragonfly: groups of `g = ceil(sqrt(n))` nodes, complete graph
+    /// within each group, one directed global link per ordered group pair
+    /// whose endpoints rotate over group members (`gw(a, b) = a*g + b %
+    /// size(a)`), spreading gateway load. Routes are local-global-local:
+    /// diameter <= 3.
+    fn dragonfly(n: u32, hop: u64) -> Topology {
+        let g = ((n as f64).sqrt().ceil() as u32).max(1);
+        let groups = n.div_ceil(g);
+        let size = |a: u32| -> u32 { g.min(n - a * g) };
+        let gw = |a: u32, b: u32| -> u32 { a * g + b % size(a) };
+        let mut set = BTreeSet::new();
+        for u in 0..n {
+            let gu = u / g;
+            for v in (gu * g)..(gu * g + size(gu)) {
+                if v != u {
+                    set.insert((u, v));
+                }
+            }
+        }
+        for a in 0..groups {
+            for b in 0..groups {
+                if a != b {
+                    set.insert((gw(a, b), gw(b, a)));
+                }
+            }
+        }
+        let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
+        Topology::routed(TopologyKind::Dragonfly, n, hop, links, |cur, dst| {
+            let (ga, gd) = (cur / g, dst / g);
+            if ga == gd {
+                dst
+            } else {
+                let exit = gw(ga, gd);
+                if cur == exit {
+                    gw(gd, ga)
+                } else {
+                    exit
+                }
+            }
+        })
+    }
 }
 
 /// Flattened per-pair route table: CSR over `(src * n + dst)`.
@@ -229,7 +412,7 @@ impl Routes {
     }
 }
 
-/// Row/column factorization shared by [`Polar`] and [`Torus`]:
+/// Row/column factorization shared by the polar and torus topologies:
 /// `rows x cols = n` with `rows` the largest divisor `<= sqrt(n)`
 /// (prime `n` degenerates to `1 x n`).
 fn grid_dims(n: u32) -> (u32, u32) {
@@ -242,347 +425,6 @@ fn grid_dims(n: u32) -> (u32, u32) {
         i += 1;
     }
     (rows, n / rows)
-}
-
-/// The pre-fabric model: an ideal crossbar with one up-link and one
-/// down-link per node (pseudo-node `n` is the crossbar). Every remote pair
-/// is exactly `inter_node_latency` end to end, regardless of hop count, so
-/// simulated timing is byte-identical to the historical uniform model.
-pub struct Uniform {
-    n: u32,
-    inter_node_latency: u64,
-    links: Vec<Link>,
-    routes: Routes,
-}
-
-impl Uniform {
-    pub fn new(n: u32, inter_node_latency: u64) -> Uniform {
-        let mut links = Vec::with_capacity(2 * n as usize);
-        for i in 0..n {
-            links.push(Link { src: i, dst: n }); // up, LinkId(2i)
-            links.push(Link { src: n, dst: i }); // down, LinkId(2i + 1)
-        }
-        let mut offsets = Vec::with_capacity((n as usize * n as usize) + 1);
-        offsets.push(0u32);
-        let mut hops = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    hops.push(LinkId(2 * s));
-                    hops.push(LinkId(2 * d + 1));
-                }
-                offsets.push(hops.len() as u32);
-            }
-        }
-        Uniform {
-            n,
-            inter_node_latency,
-            links,
-            routes: Routes { n, offsets, hops },
-        }
-    }
-}
-
-impl Topology for Uniform {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Uniform
-    }
-
-    fn nodes(&self) -> u32 {
-        self.n
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn route(&self, src: u32, dst: u32) -> &[LinkId] {
-        self.routes.get(src, dst)
-    }
-
-    fn hop_latency(&self) -> u64 {
-        self.inter_node_latency
-    }
-
-    fn latency(&self, src: u32, dst: u32) -> u64 {
-        if src == dst {
-            0
-        } else {
-            self.inter_node_latency
-        }
-    }
-
-    /// The up-link is traversed at injection, the down-link at delivery.
-    fn hop_time(&self, depart: u64, k: usize, _hops: usize) -> u64 {
-        if k == 0 {
-            depart
-        } else {
-            depart + self.inter_node_latency
-        }
-    }
-
-    fn min_transit(&self) -> u64 {
-        self.inter_node_latency
-    }
-
-    fn diameter(&self) -> u32 {
-        2
-    }
-}
-
-/// PolarStar-flavored low-diameter network as a 2D HyperX: nodes on a
-/// `rows x cols` grid, complete graph within every row and every column.
-/// One hop fixes the column, one fixes the row: diameter <= 2.
-pub struct Polar {
-    n: u32,
-    hop: u64,
-    min_transit: u64,
-    diameter: u32,
-    links: Vec<Link>,
-    routes: Routes,
-}
-
-impl Polar {
-    pub fn new(n: u32, hop: u64) -> Polar {
-        let (_rows, cols) = grid_dims(n);
-        let mut links = Vec::new();
-        for u in 0..n {
-            let (ur, uc) = (u / cols, u % cols);
-            for v in 0..n {
-                let (vr, vc) = (v / cols, v % cols);
-                if u != v && (ur == vr || uc == vc) {
-                    links.push(Link { src: u, dst: v });
-                }
-            }
-        }
-        let routes = Routes::build(n, &links, |cur, dst| {
-            let (cr, cc) = (cur / cols, cur % cols);
-            let (dr, dc) = (dst / cols, dst % cols);
-            if cc != dc {
-                cr * cols + dc // row hop to the target column
-            } else {
-                dr * cols + cc // column hop to the target row
-            }
-        });
-        let (min_hops, diameter) = routes.hop_bounds();
-        Polar {
-            n,
-            hop,
-            min_transit: hop * min_hops as u64,
-            diameter,
-            links,
-            routes,
-        }
-    }
-}
-
-impl Topology for Polar {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Polar
-    }
-
-    fn nodes(&self) -> u32 {
-        self.n
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn route(&self, src: u32, dst: u32) -> &[LinkId] {
-        self.routes.get(src, dst)
-    }
-
-    fn hop_latency(&self) -> u64 {
-        self.hop
-    }
-
-    fn min_transit(&self) -> u64 {
-        self.min_transit
-    }
-
-    fn diameter(&self) -> u32 {
-        self.diameter
-    }
-}
-
-/// 2D torus with dimension-order (column-first) routing; each step takes
-/// the shorter wraparound direction, ties broken toward +1.
-pub struct Torus {
-    n: u32,
-    hop: u64,
-    min_transit: u64,
-    diameter: u32,
-    links: Vec<Link>,
-    routes: Routes,
-}
-
-impl Torus {
-    pub fn new(n: u32, hop: u64) -> Torus {
-        let (rows, cols) = grid_dims(n);
-        let mut set = std::collections::BTreeSet::new();
-        for u in 0..n {
-            let (ur, uc) = (u / cols, u % cols);
-            if cols > 1 {
-                set.insert((u, ur * cols + (uc + 1) % cols));
-                set.insert((u, ur * cols + (uc + cols - 1) % cols));
-            }
-            if rows > 1 {
-                set.insert((u, ((ur + 1) % rows) * cols + uc));
-                set.insert((u, ((ur + rows - 1) % rows) * cols + uc));
-            }
-        }
-        let links: Vec<Link> = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
-        // One wraparound-shortest step along a ring of length `len`.
-        let step = |pos: u32, target: u32, len: u32| -> u32 {
-            let fwd = (target + len - pos) % len;
-            if fwd <= len - fwd {
-                (pos + 1) % len
-            } else {
-                (pos + len - 1) % len
-            }
-        };
-        let routes = Routes::build(n, &links, |cur, dst| {
-            let (cr, cc) = (cur / cols, cur % cols);
-            let (dr, dc) = (dst / cols, dst % cols);
-            if cc != dc {
-                cr * cols + step(cc, dc, cols)
-            } else {
-                step(cr, dr, rows) * cols + cc
-            }
-        });
-        let (min_hops, diameter) = routes.hop_bounds();
-        Torus {
-            n,
-            hop,
-            min_transit: hop * min_hops as u64,
-            diameter,
-            links,
-            routes,
-        }
-    }
-}
-
-impl Topology for Torus {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Torus
-    }
-
-    fn nodes(&self) -> u32 {
-        self.n
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn route(&self, src: u32, dst: u32) -> &[LinkId] {
-        self.routes.get(src, dst)
-    }
-
-    fn hop_latency(&self) -> u64 {
-        self.hop
-    }
-
-    fn min_transit(&self) -> u64 {
-        self.min_transit
-    }
-
-    fn diameter(&self) -> u32 {
-        self.diameter
-    }
-}
-
-/// Dragonfly: groups of `g = ceil(sqrt(n))` nodes, complete graph within
-/// each group, one directed global link per ordered group pair whose
-/// endpoints rotate over group members (`gw(a, b) = a*g + b % size(a)`),
-/// spreading gateway load. Routes are local-global-local: diameter <= 3.
-pub struct Dragonfly {
-    n: u32,
-    hop: u64,
-    min_transit: u64,
-    diameter: u32,
-    links: Vec<Link>,
-    routes: Routes,
-}
-
-impl Dragonfly {
-    pub fn new(n: u32, hop: u64) -> Dragonfly {
-        let g = (n as f64).sqrt().ceil() as u32;
-        let g = g.max(1);
-        let groups = n.div_ceil(g);
-        let size = |a: u32| -> u32 { g.min(n - a * g) };
-        let gw = |a: u32, b: u32| -> u32 { a * g + b % size(a) };
-        let mut set = std::collections::BTreeSet::new();
-        for u in 0..n {
-            let gu = u / g;
-            for v in (gu * g)..(gu * g + size(gu)) {
-                if v != u {
-                    set.insert((u, v));
-                }
-            }
-        }
-        for a in 0..groups {
-            for b in 0..groups {
-                if a != b {
-                    set.insert((gw(a, b), gw(b, a)));
-                }
-            }
-        }
-        let links: Vec<Link> = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
-        let routes = Routes::build(n, &links, |cur, dst| {
-            let (ga, gd) = (cur / g, dst / g);
-            if ga == gd {
-                dst
-            } else {
-                let exit = gw(ga, gd);
-                if cur == exit {
-                    gw(gd, ga)
-                } else {
-                    exit
-                }
-            }
-        });
-        let (min_hops, diameter) = routes.hop_bounds();
-        Dragonfly {
-            n,
-            hop,
-            min_transit: hop * min_hops as u64,
-            diameter,
-            links,
-            routes,
-        }
-    }
-}
-
-impl Topology for Dragonfly {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Dragonfly
-    }
-
-    fn nodes(&self) -> u32 {
-        self.n
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn route(&self, src: u32, dst: u32) -> &[LinkId] {
-        self.routes.get(src, dst)
-    }
-
-    fn hop_latency(&self) -> u64 {
-        self.hop
-    }
-
-    fn min_transit(&self) -> u64 {
-        self.min_transit
-    }
-
-    fn diameter(&self) -> u32 {
-        self.diameter
-    }
 }
 
 /// Per-shard fabric state: byte/flit counters and windowed demand per
@@ -627,14 +469,14 @@ impl Fabric {
 
     /// Advance one in-flight message hop-by-hop across `topo`'s route,
     /// attributing its bytes to every directed link at that link's
-    /// traversal time. Returns the arrival time at `dst`.
-    pub fn transit(&mut self, topo: &dyn Topology, depart: u64, src: u32, dst: u32, bytes: u64) -> u64 {
+    /// traversal time. Returns the arrival time at `dst`. This is the one
+    /// route walk: the engine sends every cross-node message through it.
+    pub fn transit(&mut self, topo: &Topology, depart: u64, src: u32, dst: u32, bytes: u64) -> u64 {
         let route = topo.route(src, dst);
-        let hops = route.len();
         for (k, &l) in route.iter().enumerate() {
-            self.record(l, topo.hop_time(depart, k, hops), bytes);
+            self.record(l, topo.hop_time(depart, k), bytes);
         }
-        depart + topo.latency(src, dst)
+        depart + topo.route_latency(route.len())
     }
 
     /// Cumulative bytes per link (indexed by [`LinkId`]).
@@ -755,7 +597,7 @@ mod tests {
 
     const NODE_COUNTS: &[u32] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 32];
 
-    fn all_topos(n: u32) -> Vec<Arc<dyn Topology>> {
+    fn all_topos(n: u32) -> Vec<Arc<Topology>> {
         let net = NetworkConfig::default();
         TopologyKind::ALL.iter().map(|k| k.build(n, &net)).collect()
     }
@@ -849,6 +691,50 @@ mod tests {
         }
     }
 
+    /// Pins every table a topology exposes — the link numbering, each
+    /// ordered route, per-hop traversal times, end-to-end latency, the
+    /// lookahead bound and the diameter — for every kind at 1..=17, 32 and
+    /// 64 nodes. Hop times are read back through `Fabric::transit` at a
+    /// one-cycle demand window: a minimal route never repeats a link, so a
+    /// link's last demand bucket is the cycle it was traversed.
+    #[test]
+    fn topology_tables_are_pinned() {
+        const DEPART: u64 = 3;
+        let net = NetworkConfig::default();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for n in (1..=17).chain([32, 64]) {
+            for kind in TopologyKind::ALL {
+                let topo = kind.build(n, &net);
+                put(topo.min_transit());
+                put(u64::from(topo.diameter()));
+                put(topo.hop_latency());
+                for l in topo.links() {
+                    put(u64::from(l.src));
+                    put(u64::from(l.dst));
+                }
+                for s in 0..n {
+                    for d in 0..n {
+                        let route = topo.route(s, d);
+                        put(route.len() as u64);
+                        put(topo.latency(s, d));
+                        let mut f = Fabric::new(topo.links().len(), 1);
+                        put(f.transit(topo.as_ref(), DEPART, s, d, 1));
+                        for &l in route {
+                            put(u64::from(l.0));
+                            put(f.demand(l).len() as u64 - 1);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x45fd_aff3_9632_be67, "topology tables moved: {h:#018x}");
+    }
+
     #[test]
     fn uniform_latency_matches_pre_fabric_model() {
         let net = NetworkConfig::default();
@@ -857,13 +743,13 @@ mod tests {
         assert_eq!(topo.latency(2, 2), 0);
         assert_eq!(topo.min_transit(), net.inter_node_latency);
         // Up-link at depart, down-link at arrival.
-        assert_eq!(topo.hop_time(100, 0, 2), 100);
-        assert_eq!(topo.hop_time(100, 1, 2), 100 + net.inter_node_latency);
+        assert_eq!(topo.hop_time(100, 0), 100);
+        assert_eq!(topo.hop_time(100, 1), 100 + net.inter_node_latency);
     }
 
     #[test]
     fn torus_prime_node_count_degenerates_to_ring() {
-        let topo = Torus::new(7, 10);
+        let topo = Topology::torus(7, 10);
         assert_eq!(topo.diameter(), 3); // 1 x 7 ring
         assert_eq!(topo.links().len(), 14);
         assert_eq!(topo.latency(0, 3), 30);
@@ -894,7 +780,7 @@ mod tests {
 
     #[test]
     fn fabric_transit_attributes_every_hop() {
-        let topo = Torus::new(4, 10); // 2 x 2
+        let topo = Topology::torus(4, 10); // 2 x 2
         let mut f = Fabric::new(topo.links().len(), 100);
         let arrival = f.transit(&topo, 1000, 0, 3, 72);
         assert_eq!(arrival, 1020, "two hops at 10 cycles each");
@@ -905,7 +791,7 @@ mod tests {
 
     #[test]
     fn nic_serializes_injections() {
-        let cfg = NetworkConfig::builder().nic_bytes_per_cycle(64).build();
+        let cfg = NetworkConfig { nic_bytes_per_cycle: 64, ..NetworkConfig::default() };
         let mut nics = Nics::new(2, &cfg);
         assert_eq!(nics.inject(0, 10, 64), 11);
         assert_eq!(nics.inject(0, 10, 64), 12, "second message queues");
@@ -915,7 +801,7 @@ mod tests {
 
     #[test]
     fn nic_pipelines_small_messages() {
-        let cfg = NetworkConfig::builder().nic_bytes_per_cycle(2048).build();
+        let cfg = NetworkConfig { nic_bytes_per_cycle: 2048, ..NetworkConfig::default() };
         let mut nics = Nics::new(1, &cfg);
         // 28 x 72-byte messages fit within one cycle of port bandwidth.
         for _ in 0..28 {

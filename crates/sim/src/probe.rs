@@ -236,7 +236,7 @@ pub struct ProbeReport {
     /// cut-off). Leak checks are only meaningful when true.
     pub drained: bool,
     pub diagnostics: Vec<Diagnostic>,
-    /// Diagnostic *occurrences* dropped past [`MAX_SITES`] distinct sites
+    /// Diagnostic *occurrences* dropped past `MAX_SITES` distinct sites
     /// (repeats of a dropped site all count).
     pub suppressed: u64,
     /// Distinct diagnostic *sites* dropped by the cap (the largest keys) —

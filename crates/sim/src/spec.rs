@@ -18,7 +18,7 @@
 //!    simulation ticks.
 //! 2. **Runtime enforcement** (`ud spec --enforce`, `--spec` on the bench
 //!    bins): after a run, [`check_report`] replays the recorded
-//!    [`ProbeReport`](crate::ProbeReport) against the declarations. Any
+//!    [`ProbeReport`] against the declarations. Any
 //!    undeclared send/spawn, arity violation, or certified-bound overrun
 //!    becomes a deterministic finding that is byte-identical across host
 //!    thread counts (the probe itself is commutative).

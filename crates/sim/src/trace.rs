@@ -650,8 +650,8 @@ mod tests {
                 assert_eq!(printed(&ts, t), format!("{}", t as f64 / (ghz * 1000.0)));
             }
         }
-        // What a zero or NaN clock printed before `MachineConfigBuilder`
-        // refused them; a directly assigned field can still get here.
+        // What a zero or NaN clock printed before `Engine::new` refused
+        // such a machine; `Timestamps::new` itself still takes any clock.
         assert_eq!(printed(&Timestamps::new(0.0), 5), "null");
         assert_eq!(printed(&Timestamps::new(f64::NAN), 5), "null");
     }

@@ -209,12 +209,7 @@ fn ingest_replay_survives_host_state_rewind() {
     let check = ReplayCheck::new();
     let ds = datagen::sized(2000, 2.0, 500, 13);
     let mut cfg = IngestConfig::new(1);
-    cfg.machine = MachineConfig::builder()
-        .nodes(1)
-        .accels_per_node(4)
-        .lanes_per_accel(32)
-        .scaled_bandwidth()
-        .build();
+    cfg.machine = MachineConfig::small(1, 4, 32).scaled_bandwidth();
     cfg.machine.checkpoint_every = 4;
     cfg.machine.replay = Some(check.clone());
     run_ingest(&ds, &cfg);

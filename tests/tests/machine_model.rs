@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use std::sync::Arc;
 
 use udweave::prelude::*;
-use updown_sim::{Engine, MachineConfig, MemoryConfig, NetworkConfig};
+use updown_sim::{Engine, MachineConfig, MemoryConfig};
 
 fn fanout_reads(nodes: u32, mem_nodes: u32, reads: u64, bw: u64) -> u64 {
     let mut cfg = MachineConfig::small(nodes, 2, 8);
@@ -83,7 +83,7 @@ fn nic_contention_slows_bursts() {
     // longer than the same count under a fat NIC.
     fn burst(nic_bw: u64) -> u64 {
         let mut cfg = MachineConfig::small(2, 2, 8);
-        cfg.net = NetworkConfig::builder().nic_bytes_per_cycle(nic_bw).build();
+        cfg.net.nic_bytes_per_cycle = nic_bw;
         let lanes_per_node = cfg.lanes_per_node();
         let mut eng = Engine::new(cfg);
         let sink = simple_event(&mut eng, "sink", |ctx| ctx.yield_terminate());
