@@ -290,9 +290,6 @@ pub fn workload(g: &Csr, cfg: &BfsConfig) -> udweave::Workload {
 pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     let mc = &cfg.machine;
     let mut eng = Engine::new(mc.clone());
-    eng.register_state_codec::<MasterSt>();
-    eng.register_state_codec::<WorkerSt>();
-    eng.register_state_codec::<DriverSt>();
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -473,7 +470,6 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
         job: u32,
     }
     updown_sim::snap_state!(RedSt, "bfs.reduce", { pending, job });
-    eng.register_state_codec::<RedSt>();
     let red_ack = udweave::event::<RedSt>(&mut eng, "bfs_reduce::writeAck", move |ctx, st| {
         st.pending -= 1;
         ctx.charge(1);
@@ -577,7 +573,6 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
         eng.shard_states(shard).flat_map(|s| s.round_ticks.iter().copied()).collect();
     let traversed_out = eng.shard_states(shard).map(|s| s.traversed).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("bfs");
     BfsResult {
         dist: dist_out,
         rounds: round_ticks_out.len() as u32,

@@ -85,7 +85,6 @@ updown_sim::snap_state!(EmSt, "em.map", { task, recid });
 pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig) -> EmResult {
     let mc = &cfg.machine;
     let mut eng = Engine::new(mc.clone());
-    eng.register_state_codec::<EmSt>();
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -181,7 +180,6 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
     let mut out: Vec<u64> = eng.shard_states(hits).flatten().copied().collect();
     out.sort_unstable();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("exact_match");
     EmResult {
         hits: out,
         final_tick: report.final_tick,

@@ -108,8 +108,6 @@ pub fn expected_graph(records: &[RawRecord]) -> (usize, usize) {
 pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
     let mc = &cfg.machine;
     let mut eng = Engine::new(mc.clone());
-    eng.register_state_codec::<P1St>();
-    eng.register_state_codec::<P2St>();
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -298,7 +296,6 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
         .shard_states(ticks)
         .fold((0, 0), |a, t| (a.0.max(t.0), a.1.max(t.1)));
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("ingest");
     IngestResult {
         phase1_tick,
         phase2_tick,

@@ -157,14 +157,6 @@ updown_sim::snap_state!(EpiSt, "pr.epilogue", { pending, done_raw });
 updown_sim::snap_state!(AggSt, "pr.agg", { task, pending, sum });
 updown_sim::snap_state!(DriverSt, "pr.driver", { iter });
 
-fn register_codecs(eng: &mut Engine) {
-    eng.register_state_codec::<PrMapSt>();
-    eng.register_state_codec::<RedSt>();
-    eng.register_state_codec::<EpiSt>();
-    eng.register_state_codec::<AggSt>();
-    eng.register_state_codec::<DriverSt>();
-}
-
 /// The udspec declaration of the PageRank protocol: the KVMSR base plus
 /// the worker, reduce-ack, flush, aggregation, and driver handlers
 /// (docs/udspec.md).
@@ -406,7 +398,6 @@ pub fn workload(sg: &SplitGraph, cfg: &PrConfig) -> udweave::Workload {
 pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     assert!(cfg.iterations >= 1, "PageRank needs iterations >= 1: with 0 the driver never stops");
     let mut eng = Engine::new(cfg.machine.clone());
-    register_codecs(&mut eng);
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -698,7 +689,6 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
         eng.shard_states(shard).flat_map(|s| s.iter_ticks.iter().copied()).collect();
     let emitted_out = eng.shard_states(shard).map(|s| s.emitted).max().unwrap_or(0);
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("pagerank");
     PrResult {
         values,
         iter_ticks: iter_ticks_out,

@@ -174,8 +174,6 @@ updown_sim::snap_state!(FeedSt, "pm.feeder", { next, stride, per_batch });
 pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     let mc = &cfg.machine;
     let mut eng = Engine::new(mc.clone());
-    eng.register_state_codec::<RecSt>();
-    eng.register_state_codec::<FeedSt>();
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -311,7 +309,6 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
         }
     });
 
-    eng.enable_trace();
     for f in 0..n_feeders {
         // Spread ingress ports across the lane set.
         let port = set.lane(f * (lanes / n_feeders).max(1) % lanes);
@@ -355,7 +352,6 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     lat.sort_unstable();
     let matches_out = eng.shard_states(shard).map(|s| s.matches).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("partial_match");
     PmResult {
         matches: matches_out,
         latencies: lat.into_iter().map(|(_, l)| l).collect(),

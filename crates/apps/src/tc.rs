@@ -244,8 +244,6 @@ pub fn workload(g: &Csr, cfg: &TcConfig) -> udweave::Workload {
 pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
     let mc = &cfg.machine;
     let mut eng = Engine::new(mc.clone());
-    eng.register_state_codec::<TcMapSt>();
-    eng.register_state_codec::<TcRedSt>();
     if cfg.trace {
         eng.enable_event_trace();
     }
@@ -520,7 +518,6 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
     assert_eq!(raw % 3, 0, "pair-intersection total must be 3 × triangles");
     let pairs_out = eng.shard_states(pairs).sum();
     let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
-    eng.finish_replay("tc");
     TcResult {
         triangles: raw / 3,
         final_tick: report.final_tick,

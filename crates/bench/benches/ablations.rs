@@ -71,6 +71,7 @@ fn window_job_ticks(window: u32) -> u64 {
     struct St {
         task: Option<MapTask>,
     }
+    updown_sim::snap_state!(St, "ablation.window", { task });
     let mut eng = Engine::new(MachineConfig::small(4, 2, 8));
     let data = Region::alloc_words(&mut eng, 8192, Layout::cyclic_bs(4, 32 * 1024)).unwrap();
     let rt = Kvmsr::install(&mut eng);

@@ -199,16 +199,17 @@ pub fn pagerank_iters(cli: &Cli, default: u32) -> u32 {
     iters
 }
 
-/// Label and probes of one run armed with `--sanitize`, `--race` or
-/// `--spec`, and under `--spec` the spec it is held to with the machine's
-/// per-lane thread-table and scratchpad sizes.
-type ArmedRun = (String, Option<ProtocolProbe>, Option<RaceProbe>, Option<(ProgramSpec, u16, u32)>);
+/// Label and probes of one run armed with `--sanitize`, `--race`, `--spec`
+/// or `--replay`, under `--spec` the spec it is held to with the machine's
+/// per-lane thread-table and scratchpad sizes, and under `--replay` the
+/// run's own verdict handle.
+type ArmedRun = (String, Option<ProtocolProbe>, Option<RaceProbe>, Option<(ProgramSpec, u16, u32)>, Option<ReplayCheck>);
 /// An observer's report lines for one armed run.
 type Findings = fn(&ArmedRun) -> Vec<String>;
 
 /// `--spec`'s report lines for one run: the probe's report held to the
 /// run's spec once the run is over, one line per error.
-fn spec_errors((label, probe, _, spec): &ArmedRun) -> Vec<String> {
+fn spec_errors((label, probe, _, spec, _): &ArmedRun) -> Vec<String> {
     let (Some(probe), Some((spec, threads, spm))) = (probe, spec) else { return Vec::new() };
     let errors = check_report(spec, &probe.snapshot(), *threads, *spm);
     let errors = errors.into_iter().filter(|f| f.severity == Severity::Error);
@@ -229,7 +230,7 @@ pub struct Gates {
     every: u64,
     /// `--checkpoint` and `--restore`, until the first armed run takes them.
     paths: Option<(Option<String>, Option<String>)>,
-    replay: Option<ReplayCheck>,
+    replay: bool,
     runs: Vec<ArmedRun>,
 }
 
@@ -251,8 +252,7 @@ impl Gates {
         if write_path.is_some() && every == 0 {
             every = 8;
         }
-        let (sanitize, race, spec) = (cli.has("sanitize"), cli.has("race"), cli.has("spec"));
-        let replay = cli.has("replay").then(ReplayCheck::new);
+        let (sanitize, race, spec, replay) = (cli.has("sanitize"), cli.has("race"), cli.has("spec"), cli.has("replay"));
         let paths = Some((write_path, restore_path));
         Gates { sanitize, race, spec, every, paths, replay, runs: Vec::new() }
     }
@@ -264,10 +264,11 @@ impl Gates {
         // `--spec` checks its report once the run is over.
         let probe = (self.sanitize || self.spec).then(ProtocolProbe::new);
         let race = self.race.then(RaceProbe::new);
-        if probe.is_some() || race.is_some() {
-            (cfg.probe, cfg.race) = (probe.clone(), race.clone());
+        let replay = self.replay.then(ReplayCheck::new);
+        if probe.is_some() || race.is_some() || replay.is_some() {
+            (cfg.probe, cfg.race, cfg.replay) = (probe.clone(), race.clone(), replay.clone());
             let spec = self.spec.then(|| (spec.clone(), cfg.max_threads_per_lane, cfg.spm_words));
-            self.runs.push((label.to_string(), probe, race, spec));
+            self.runs.push((label.to_string(), probe, race, spec, replay));
         }
         if self.every != 0 {
             cfg.checkpoint_every = self.every;
@@ -275,13 +276,12 @@ impl Gates {
                 (cfg.checkpoint_path, cfg.restore_path) = (write.map(Into::into), restore.map(Into::into));
             }
         }
-        cfg.replay = self.replay.clone();
     }
 
     /// Print what each armed observer found to stderr; whether any found
     /// something.
     pub fn dirty(&self) -> bool {
-        let sanitizer: Findings = |(label, probe, _, _)| {
+        let sanitizer: Findings = |(label, probe, ..)| {
             let at = |d: &Diagnostic| format!("x{}, first at tick {} lane {}", d.count, d.first_tick, d.lane);
             let line = |d: Diagnostic| {
                 format!("sanitizer[{}] {label}: {} — {} ({})", d.kind.as_str(), d.handler, d.detail, at(&d))
@@ -290,7 +290,7 @@ impl Gates {
         };
         // A run that overflowed the site cap is dirty too: the cap hides
         // potential races.
-        let udrace: Findings = |(label, _, race, _)| {
+        let udrace: Findings = |(label, _, race, ..)| {
             let Some(r) = race.as_ref().map(RaceProbe::snapshot) else { return Vec::new() };
             let sites = r.sites.iter().map(|s| {
                 let at = format!("x{}, first at tick {} lane {}", s.count, s.first_tick, s.lane);
@@ -317,18 +317,24 @@ impl Gates {
             }
             any |= !lines.is_empty();
         }
-        if let Some(reports) = self.replay.as_ref().map(ReplayCheck::reports) {
+        // One verdict line per run, summed over the run's recordings (one
+        // per scheduler invocation); a replay that verified nothing fails.
+        if self.replay && self.runs.is_empty() {
+            eprintln!("replay: no runs verified");
+            any = true;
+        }
+        for (label, .., check) in &self.runs {
+            let Some(reports) = check.as_ref().map(ReplayCheck::reports) else { continue };
+            let diverged: Vec<&String> = reports.iter().flat_map(|r| &r.mismatches).collect();
+            diverged.iter().for_each(|m| eprintln!("replay[{label}] DIVERGED: {m}"));
             if reports.is_empty() {
-                eprintln!("replay: no runs verified");
+                eprintln!("replay[{label}]: nothing verified");
+            } else if diverged.is_empty() {
+                let (rounds, events) = reports.iter().fold((0, 0), |(w, e), r| (w + r.rounds, e + r.events));
+                let shards = reports[0].shards;
+                eprintln!("replay[{label}]: {shards} shard(s), {rounds} window(s), {events} event(s) — byte-identical");
             }
-            for r in &reports {
-                if r.ok() {
-                    let (shards, rounds, events) = (r.shards, r.rounds, r.events);
-                    eprintln!("replay[{}]: {shards} shard(s), {rounds} window(s), {events} event(s) — byte-identical", r.label);
-                }
-                r.mismatches.iter().for_each(|m| eprintln!("replay[{}] DIVERGED: {m}", r.label));
-                any |= !r.ok();
-            }
+            any |= reports.is_empty() || !diverged.is_empty();
         }
         any
     }
@@ -554,6 +560,21 @@ mod tests {
         g.arm("c", &spec, &mut c);
         assert!(c.probe.is_none() && c.race.is_none() && c.checkpoint_every == 0);
         assert!(g.runs.is_empty() && !g.dirty());
+    }
+
+    /// `--replay` arms one check per run. A replay that verified nothing —
+    /// no run armed, or an armed run that never ran — fails; one run that
+    /// replayed clean passes.
+    #[test]
+    fn a_replay_that_verified_nothing_fails() {
+        assert!(Gates::from_cli(&cli(&["--replay"])).dirty(), "no run armed");
+        let mut g = Gates::from_cli(&cli(&["--replay"]));
+        let mut cfg = MachineConfig::small(1, 1, 2);
+        g.arm("idle", &ProgramSpec::new(), &mut cfg);
+        assert!(cfg.replay.is_some() && cfg.probe.is_none());
+        assert!(g.dirty(), "an armed run that never ran verified nothing");
+        Engine::new(cfg).run();
+        assert!(!g.dirty(), "one run, one clean verdict");
     }
 
     /// `--spec` alone arms the sanitizer through its probe: a send to a

@@ -88,6 +88,27 @@ fn table5_counts_the_source_tree_from_any_directory() {
     assert!(count > 0, "{sht}");
 }
 
+/// `--replay` prints one verdict line per run, summed over the run's
+/// recordings (one per checkpoint segment here), and exits 0 when every
+/// shard replays clean. Every armed `repro` run verifies something; the
+/// failing branch for one that verified nothing is
+/// `cli::tests::a_replay_that_verified_nothing_fails`.
+#[test]
+fn replay_prints_one_verdict_line_per_run() {
+    let out = repro(&[
+        "fig9", "pr", "--nodes", "2", "--scale", "-6", "--iters", "1", "--threads", "2",
+        "--checkpoint-every", "4", "--replay",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let runs = err.lines().filter(|l| l.ends_with(" host")).count();
+    let verdicts: Vec<&str> = err.lines().filter(|l| l.starts_with("replay")).collect();
+    assert_eq!((runs, verdicts.len()), (8, 8), "{err}");
+    assert!(verdicts.iter().all(|l| l.ends_with("— byte-identical")), "{err}");
+    let pinned = "replay[pr RMAT s8 nodes=2]: 2 shard(s), 25 window(s), 17502 event(s) — byte-identical";
+    assert!(verdicts.contains(&pinned), "{err}");
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }

@@ -245,8 +245,6 @@ impl Kvmsr {
     /// Install the runtime's event handlers on an engine. Call once, before
     /// defining jobs.
     pub fn install(eng: &mut Engine) -> Kvmsr {
-        eng.register_state_codec::<MasterState>();
-        eng.register_state_codec::<LauncherState>();
         let tree = TreeComm::install(eng, "kvmsr_tree", 8);
         let rt = Kvmsr {
             jobs: eng.table(Vec::new()),
@@ -895,6 +893,7 @@ mod tests {
         struct St {
             task: Option<MapTask>,
         }
+        updown_sim::snap_state!(St, "test.async_map", { task });
         let mut eng = engine(1, 1, 4);
         let data = eng.mem_mut().alloc(8192, 0, 1, 4096).unwrap();
         for i in 0..1000 {
@@ -983,6 +982,7 @@ mod tests {
             job: u32,
             add: u64,
         }
+        updown_sim::snap_state!(St, "test.async_reduce", { job, add });
         let mut eng = engine(1, 1, 4);
         let table = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
         let out = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();

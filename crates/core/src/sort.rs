@@ -45,7 +45,6 @@ pub fn install_sort(eng: &mut updown_sim::Engine, rt: &Kvmsr, set: LaneSet, plan
         task: Option<crate::task::MapTask>,
     }
     updown_sim::snap_state!(MapSt, "sort.map", { task });
-    eng.register_state_codec::<MapSt>();
     let rt_for_read = *rt;
     let on_read = udweave::event::<MapSt>(eng, "sort::returnRead", move |ctx, st| {
         let v = ctx.arg(0);

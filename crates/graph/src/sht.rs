@@ -122,7 +122,6 @@ impl ShtLib {
     pub fn install(eng: &mut Engine) -> ShtLib {
         let defs = eng.table(Vec::<ShtDef>::new());
         let shadows = eng.shard_slot::<Vec<Shadow>>();
-        eng.register_state_codec::<Pending>();
 
         // Second event of the op thread: the bucket line has arrived from
         // DRAM; apply the operation and reply.

@@ -123,6 +123,8 @@ updown_sim::snap_state!(RedSt, "shmem.reduce", { op, pending, acc_bits, reply_ra
 /// This is the library-side "reduction" of Table 5: a gather over the
 /// symmetric address space, not a tree (PE counts are node counts, small).
 pub fn install_reduce(eng: &mut Engine) -> EventLabel {
+    // Raw handlers keep `RedSt` with `state_mut`, so nothing registers its
+    // snapshot codec for them (a typed `udweave` event would).
     eng.register_state_codec::<RedSt>();
     let gather = eng.register(
         "shmem::reduce_gather",

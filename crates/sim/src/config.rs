@@ -174,14 +174,12 @@ pub struct MachineConfig {
     /// bench bins. Requires `checkpoint_every > 0` (the pause cadence is
     /// how the engine lands on the snapshot's window boundary).
     pub restore_path: Option<std::path::PathBuf>,
-    /// Self-verifying replay (`--replay` on the bench bins): record each
-    /// run's per-window cross-shard message schedule and every shard's
-    /// execution stream; [`Engine::finish_replay`](crate::Engine::finish_replay)
-    /// then replays every shard in isolation and reports mismatches into
-    /// the shared [`ReplayCheck`](crate::ReplayCheck) handle. The only
-    /// switch that records: [`Engine::take_recordings`](crate::Engine::take_recordings)
-    /// and [`Engine::replay_shard`](crate::Engine::replay_shard) work on
-    /// what it captured.
+    /// Self-verifying replay (`--replay` on `repro`): every scheduler
+    /// invocation of [`Engine::run`](crate::Engine::run) records each
+    /// shard's per-window cross-shard schedule and execution stream, then
+    /// replays every shard in isolation before the run goes on and pushes
+    /// one verdict to the shared [`ReplayCheck`](crate::ReplayCheck)
+    /// handle.
     pub replay: Option<crate::snapshot::ReplayCheck>,
 }
 

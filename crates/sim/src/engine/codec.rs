@@ -606,8 +606,8 @@ fn load_core(
 
 impl DecodedCore {
     /// Install the decoded functional state into a live core, leaving the
-    /// observability fields (trace, tracer, phases) and any in-progress
-    /// recording untouched — the re-driving run already reproduced those.
+    /// observability fields (trace, tracer, phases) untouched — the
+    /// re-driving run already reproduced those.
     fn install(self, core: &mut EngineCore) {
         core.now = self.now;
         core.stop = self.stop;
@@ -630,7 +630,10 @@ impl Engine {
     /// Register the on-disk codec for a thread-state type `T`. Required
     /// before `write_snapshot`/`snapshot_bytes` can serialize live
     /// threads whose state is a `T`, and before a snapshot containing
-    /// `T::KEY` sections can be restored.
+    /// `T::KEY` sections can be restored. Typed events register theirs
+    /// (`udweave::ThreadType::event`); call this for a state a raw
+    /// handler keeps with [`crate::EventCtx::state_mut`]. Registering
+    /// twice is a no-op.
     pub fn register_state_codec<T: SnapState>(&mut self) {
         self.codecs
             .by_type
@@ -660,8 +663,7 @@ impl Engine {
 
     /// Rewind the engine to `snap`. Continuing afterwards is byte-identical
     /// to never having left: metrics, traces, and udcheck/udrace reports
-    /// all match an uninterrupted run. In-progress recordings survive the
-    /// rewind (they are run artifacts, not machine state).
+    /// all match an uninterrupted run.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         if snap.cores.len() != self.shards.len() {
             return Err(SnapshotError::Incompatible(format!(
@@ -677,11 +679,7 @@ impl Engine {
             ));
         }
         self.shared.mem.restore_image(&snap.mem)?;
-        let records: Vec<_> = self.shards.iter_mut().map(|s| s.record.take()).collect();
         self.shards = snap.cores.clone();
-        for (s, rec) in self.shards.iter_mut().zip(records) {
-            s.record = rec;
-        }
         self.windows = snap.windows;
         self.sched_win_max_sum = snap.sched_win_max_sum;
         self.sched_win_max_peak = snap.sched_win_max_peak;

@@ -460,7 +460,7 @@ impl XBuf {
 }
 
 /// One executed lane event in a shard's recorded execution stream; the
-/// unit compared by [`Engine::replay_shard`].
+/// unit a replay compares.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(super) struct ExecRec {
     time: u64,
@@ -473,25 +473,21 @@ pub(super) struct ExecRec {
 }
 
 /// One conservative window of a shard's recording: the horizon it ran
-/// under, the event budget it was handed, the cross-shard entries drained
-/// into its calendar at the window start, and how many lane events it
-/// executed.
+/// under, the event budget it was handed, and the cross-shard entries
+/// drained into its calendar at the window start.
 #[derive(Clone, Default)]
 pub(super) struct RoundRec {
     pub(super) horizon: u64,
     pub(super) budget: u64,
-    pub(super) executed: u64,
     pub(super) inject: Vec<XEntry>,
 }
 
-/// Everything one shard contributes to a run recording. `open` marks the
-/// round currently being recorded (the post-run mailbox drain happens with
-/// no round open, so leftover entries are not mis-attributed).
+/// Everything one shard contributes to the recording of one scheduler
+/// invocation.
 #[derive(Clone, Default)]
 pub(super) struct ShardRecord {
     pub(super) rounds: Vec<RoundRec>,
     pub(super) exec: Vec<ExecRec>,
-    pub(super) open: bool,
 }
 
 /// Typed index of an engine-owned value; the flag tells the two kinds
@@ -637,16 +633,15 @@ pub(super) struct EngineCore {
     /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
     /// across events; one less allocation per sending event).
     pub(super) out_scratch: Vec<Outgoing>,
-    /// Live recording for record-replay; `None` unless the current run
-    /// was started with [`MachineConfig::replay`] set, or this shard is
-    /// being replayed in isolation.
+    /// Live recording for record-replay; `None` unless a scheduler
+    /// invocation under [`MachineConfig::replay`] is running, or this shard
+    /// is being replayed in isolation.
     pub(super) record: Option<Box<ShardRecord>>,
 }
 
 /// Deep copy of a shard's simulation state. The `record` field is *not*
-/// cloned: recordings are run artifacts owned by the engine, and cloning
-/// cores into a [`Snapshot`] (or restoring one) must neither duplicate
-/// nor destroy an in-progress recording.
+/// cloned: a recording belongs to the invocation it records, not to the
+/// machine state a [`Snapshot`] holds.
 impl Clone for EngineCore {
     fn clone(&self) -> EngineCore {
         EngineCore {
@@ -682,26 +677,14 @@ impl Clone for EngineCore {
 
 impl EngineCore {
     /// Open a recording round: remember the horizon and budget this
-    /// window runs under, and start attributing mailbox drains to it.
+    /// window runs under; the window's exchange drain is attributed to it.
     pub(super) fn record_begin_round(&mut self, horizon: u64, budget: u64) {
         if let Some(rec) = &mut self.record {
             rec.rounds.push(RoundRec {
                 horizon,
                 budget,
-                executed: 0,
                 inject: Vec::new(),
             });
-            rec.open = true;
-        }
-    }
-
-    /// Close the recording round with the number of lane events executed.
-    pub(super) fn record_end_round(&mut self, executed: u64) {
-        if let Some(rec) = &mut self.record {
-            if let Some(r) = rec.rounds.last_mut() {
-                r.executed = executed;
-            }
-            rec.open = false;
         }
     }
 

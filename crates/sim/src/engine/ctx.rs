@@ -357,13 +357,6 @@ impl<'a> EventCtx<'a> {
         self.push_dram(MemOp::AddF64 { va, delta, ret, tag });
     }
 
-    /// Zero-time functional peek at global memory. **Not** part of the
-    /// machine model: intended for assertions, oracles and trace output
-    /// only. Timed code must use `send_dram_read`.
-    pub fn dram_peek_u64(&self, va: VAddr) -> u64 {
-        self.shared.mem.read_u64(va).expect("peek fault")
-    }
-
     // ---- scratchpad --------------------------------------------------------
 
     #[inline]

@@ -45,7 +45,7 @@
 //! | `ctx.rs` | the handler-facing API: `impl EventCtx` |
 //! | `sched.rs` | the window loop: the exchange cells, barrier, control block, `worker_loop`, `run_rounds` |
 //! | `codec.rs` | both snapshot tiers: [`Snapshot`], the `updown-snapshot/v2` body codecs, and `Engine`'s snapshot/restore/checkpoint methods |
-//! | `replay.rs` | [`Recording`] and `Engine`'s single-shard replay methods |
+//! | `replay.rs` | the recording of one scheduler invocation and its single-shard replay |
 //! | `mod.rs` | [`Engine`]: construction, registration, `run`, metrics roll-up |
 //! | `tests.rs` | the unit tests (`engine::tests::*`), which drive whole engines |
 //!
@@ -62,14 +62,13 @@ mod sched;
 
 pub use self::codec::Snapshot;
 pub use self::core::{EventCtx, Handler, ShardSlot, TableSlot};
-pub use self::replay::Recording;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use self::codec::StateCodecs;
-use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, Shared, ShardRecord, Table};
-use self::sched::{run_rounds, Exchange};
+use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, Shared, Table};
+use self::sched::{run_rounds, settle, Exchange};
 use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId};
@@ -122,8 +121,6 @@ pub struct Engine {
     merged_stats: Counters,
     /// Registered thread-state codecs for the on-disk snapshot format.
     codecs: StateCodecs,
-    /// Recordings harvested from completed runs (under `replay`).
-    recordings: Vec<Recording>,
     /// `--checkpoint` writes the snapshot once, at the first boundary.
     checkpoint_written: bool,
     /// Deferred `--restore` state (loaded lazily on the first run).
@@ -204,7 +201,6 @@ impl Engine {
             merged_print: Vec::new(),
             merged_stats: Counters::default(),
             codecs: StateCodecs::default(),
-            recordings: Vec::new(),
             checkpoint_written: false,
             restore: RestoreSlot::Unloaded,
         };
@@ -217,7 +213,7 @@ impl Engine {
     /// Declare a shard-state slot: one `T` per shard, defaulted at first
     /// touch and lent to handlers by [`EventCtx::shard_state`]. The engine
     /// owns the values, so snapshots, the checkpoint self-check and
-    /// [`Engine::replay_shard`] carry them with nothing to register. It is
+    /// record-replay carry them with nothing to register. It is
     /// the home for whatever one lane, accelerator or master mutates;
     /// `docs/parallel-engine.md` says who may touch it.
     pub fn shard_slot<T: Default + Send + Clone + 'static>(&mut self) -> ShardSlot<T> {
@@ -524,20 +520,15 @@ impl Engine {
     /// invocation folds all in-flight cross-shard entries back into the
     /// per-shard calendars, so segment boundaries are self-contained and
     /// the next segment recomputes the exact same window floors.
+    ///
+    /// Under [`MachineConfig::replay`] every segment (the whole run when
+    /// nothing pauses it) is recorded, and each shard of it replayed alone
+    /// before the run goes on; the verdicts go to the `ReplayCheck`.
     pub fn run(&mut self) -> Metrics {
         for s in &mut self.shards {
             s.stop = false;
             s.handler_stats.resize(self.shared.handlers.len(), (0, 0));
         }
-        let record_start = if self.shared.cfg.replay.is_some() {
-            let start = Box::new(self.snapshot());
-            for s in &mut self.shards {
-                s.record = Some(Box::default());
-            }
-            Some(start)
-        } else {
-            None
-        };
         if let RestoreSlot::Unloaded = self.restore {
             self.restore = match self.shared.cfg.restore_path.clone() {
                 Some(path) => {
@@ -561,9 +552,9 @@ impl Engine {
         }
         let ck = self.shared.cfg.checkpoint_every;
         let round_limit = if ck == 0 { u64::MAX } else { ck };
-        let mut total_rounds = 0u64;
         let workers = self.shared.cfg.threads.max(1) as usize;
         let stopped = loop {
+            let start = self.start_recording();
             let out = run_rounds(
                 &mut self.shards,
                 &self.shared,
@@ -578,24 +569,15 @@ impl Engine {
             self.host_sched.steals += out.steals;
             self.host_sched.idle_spins += out.idle_spins;
             self.host_sched.barrier_rounds += out.rounds;
-            total_rounds += out.rounds;
+            if let Some(start) = start {
+                self.verify_recording(&start, self.windows - out.rounds..self.windows);
+            }
+            settle(&mut self.shards, &self.exchange, out.rounds);
             if !out.paused {
                 break out.stopped;
             }
             self.checkpoint_boundary();
         };
-        if let Some(start) = record_start {
-            let shards: Vec<ShardRecord> = self
-                .shards
-                .iter_mut()
-                .map(|s| s.record.take().map(|b| *b).unwrap_or_default())
-                .collect();
-            self.recordings.push(Recording {
-                start,
-                shards,
-                rounds: total_rounds,
-            });
-        }
         if stopped {
             self.drain_in_flight();
         }

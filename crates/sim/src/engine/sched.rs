@@ -213,7 +213,6 @@ fn run_shard_round(
     if let Some(rp) = &shared.cfg.race {
         rp.end_window(core.id, ex.shards as u32);
     }
-    core.record_end_round(executed);
     if executed > 0 {
         ctl.events.fetch_add(executed, Relaxed);
     }
@@ -263,9 +262,9 @@ fn worker_loop(
                 ctl.horizon.store(u64::MAX, Relaxed);
             } else if ctl.rounds.load(Relaxed) >= ctl.round_limit {
                 // Checkpoint boundary: stop opening windows but remember
-                // that the machine is paused, not finished. The post-run
-                // exchange drain folds in-flight entries back into the
-                // calendars, so the paused state is self-contained.
+                // that the machine is paused, not finished. `settle`
+                // folds in-flight entries back into the calendars, so the
+                // paused state is self-contained.
                 ctl.paused.store(true, Relaxed);
                 ctl.horizon.store(u64::MAX, Relaxed);
             } else {
@@ -340,7 +339,7 @@ pub(super) struct RoundsOutcome {
 /// cumulative event count reaches `event_limit`, or `round_limit` rounds
 /// have run (a checkpoint pause; `u64::MAX` disables it). One worker runs
 /// the identical loop inline, so results agree across thread counts by
-/// construction.
+/// construction. Entries still in flight stay in `ex` until [`settle`].
 pub(super) fn run_rounds(
     shards: &mut [EngineCore],
     shared: &Shared,
@@ -400,23 +399,7 @@ pub(super) fn run_rounds(
             });
         }
     }
-    // Entries still in the exchange (stop or event-limit endings) go back
-    // into the destination calendars so a later `run()` resumes them; drain
-    // order is deterministic (parity, then source shard, then send order),
-    // and it leaves every cell empty for the next invocation.
     let rounds = ctl.rounds.load(Relaxed);
-    for core in shards.iter_mut() {
-        // A recording captures this drain as a zero-width round: a
-        // replay must merge these entries into the calendar at exactly
-        // this point even though no window runs — a checkpoint pause
-        // otherwise hides them from the inject schedule and the replayed
-        // shard diverges.
-        core.record_begin_round(0, 0);
-        for par in [(rounds % 2) as usize, ((rounds + 1) % 2) as usize] {
-            core.drain_exchange(ex, par);
-        }
-        core.record_end_round(0);
-    }
     RoundsOutcome {
         rounds,
         stopped: ctl.stop.load(Relaxed),
@@ -425,6 +408,19 @@ pub(super) fn run_rounds(
         win_max_peak: ctl.win_max_peak.load(Relaxed),
         steals: ctl.steals.load(Relaxed),
         idle_spins: ctl.barrier.spins.load(Relaxed),
+    }
+}
+
+/// Put the entries an invocation of `rounds` windows left in the exchange
+/// (stop, event-limit and checkpoint-pause endings) back into the
+/// destination calendars, so a later invocation resumes them. The drain
+/// order is deterministic (parity, then source shard, then send order),
+/// and it leaves every cell empty for the next invocation.
+pub(super) fn settle(shards: &mut [EngineCore], ex: &Exchange, rounds: u64) {
+    for core in shards.iter_mut() {
+        for par in [(rounds % 2) as usize, ((rounds + 1) % 2) as usize] {
+            core.drain_exchange(ex, par);
+        }
     }
 }
 
@@ -446,15 +442,11 @@ impl EngineCore {
 
     /// Schedule `buf`'s entries, leaving it empty with its capacity.
     fn drain_buf(&mut self, buf: &mut XBuf) {
-        if let Some(rec) = &mut self.record {
-            // Only drains inside an open round belong to the recorded
-            // schedule; the post-run parity drain re-queues leftovers for
-            // a later run and is reproduced by that run's record.
-            if rec.open {
-                if let Some(r) = rec.rounds.last_mut() {
-                    r.inject.extend(buf.entries.iter().cloned());
-                }
-            }
+        // A recording is armed only while windows run, so every drain it
+        // sees is a window's: the settle drain after an invocation lands
+        // in the calendars the next recording starts from.
+        if let Some(r) = self.record.as_mut().and_then(|rec| rec.rounds.last_mut()) {
+            r.inject.extend(buf.entries.iter().cloned());
         }
         let mut tags = buf.tags.drain(..);
         for e in buf.entries.drain(..) {

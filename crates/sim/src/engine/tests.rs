@@ -62,22 +62,24 @@ fn slot_declared_after_a_snapshot_is_incompatible() {
 
 #[test]
 fn replay_shard_carries_shard_state() {
+    let check = crate::ReplayCheck::new();
     let mut cfg = tiny();
-    cfg.replay = Some(crate::ReplayCheck::new());
+    cfg.replay = Some(check.clone());
     let mut eng = Engine::new(cfg);
     let slot = eng.shard_slot::<u64>();
     let bounce = register_bounce(&mut eng, slot, 6);
     eng.send(EventWord::new(NetworkId(0), bounce), [], EventWord::IGNORE);
     eng.send(EventWord::new(NetworkId(eng.config().lanes_per_node()), bounce), [], EventWord::IGNORE);
     eng.run();
-    let counts: Vec<u64> = eng.shard_states(slot).copied().collect();
-    assert_eq!(counts, [6, 6]);
-    let rec = eng.take_recordings().pop().expect("one recorded run");
-    for k in 0..2 {
-        assert_eq!(eng.replay_shard(&rec, k), Vec::<String>::new(), "shard {k}");
-    }
+    // Both shards replayed alone from the recorded start, where the slot
+    // was untouched, and reproduced their streams.
+    let reports = check.reports();
+    assert_eq!(reports.len(), 1, "one scheduler invocation, one verdict");
+    assert_eq!(reports[0].shards, 2);
+    assert!(reports[0].events >= 12, "vacuous recording: {:?}", reports[0]);
+    assert_eq!(reports[0].mismatches, Vec::<String>::new());
     // Replay put the end-of-run state back.
-    assert_eq!(eng.shard_states(slot).copied().collect::<Vec<_>>(), counts);
+    assert_eq!(eng.shard_states(slot).copied().collect::<Vec<_>>(), [6, 6]);
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use calendar::CalendarQueue;
 pub use config::{MachineConfig, MemoryConfig, NetworkConfig, OpCosts};
-pub use engine::{Engine, EventCtx, Handler, Recording, ShardSlot, Snapshot, TableSlot};
+pub use engine::{Engine, EventCtx, Handler, ShardSlot, Snapshot, TableSlot};
 pub use lane::SimState;
 pub use ids::{EventLabel, EventWord, NetworkId, ThreadId};
 pub use memory::{GlobalMemory, MemError, TranslationDescriptor, VAddr};

@@ -442,8 +442,11 @@ impl SnapField for crate::ids::EventWord {
     }
 }
 
-/// A software thread state serializable across processes. Register the
-/// type with `Engine::register_state_codec::<T>()`; live thread states of
+/// A software thread state serializable across processes. A typed event
+/// (`udweave::ThreadType::event`, `udweave::event`) registers its state's
+/// codec; a handler registered raw that keeps its state with
+/// `EventCtx::state_mut` registers it with
+/// `Engine::register_state_codec::<T>()`. Live thread states of
 /// unregistered types make `Engine::snapshot_bytes` fail with a clean
 /// [`SnapshotError::UnencodableState`] naming the type.
 ///
@@ -613,19 +616,20 @@ pub fn read_header(path: &std::path::Path) -> Result<SnapHeader, SnapshotError> 
     Ok(unframe(&bytes)?.0)
 }
 
-/// Verdict for one run's record-replay verification: every shard was
-/// replayed in isolation against the recorded cross-shard schedule and
-/// its execution stream compared to the recording.
+/// Verdict on one recorded scheduler invocation (a run, or the part of
+/// one between checkpoint pauses): every shard was replayed in isolation
+/// against the recorded cross-shard schedule and its execution stream
+/// compared to the recording.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayRunReport {
-    pub label: String,
     pub shards: u32,
     /// Conservative windows in the recording.
     pub rounds: u64,
     /// Events executed in the recording, summed over shards.
     pub events: u64,
-    /// Human-readable divergence descriptions, empty when every shard
-    /// replayed byte-identically.
+    /// Human-readable divergence descriptions, each naming its shard and
+    /// the recording's window range; empty when every shard replayed
+    /// byte-identically.
     pub mismatches: Vec<String>,
 }
 
@@ -640,14 +644,12 @@ struct ReplayInner {
     runs: Vec<ReplayRunReport>,
 }
 
-/// Shared handle gating record-replay verification (`--replay` on the
-/// bench bins), in the same shape as
+/// Shared handle gating record-replay verification (`--replay` on
+/// `repro`), in the same shape as
 /// [`ProtocolProbe`](crate::ProtocolProbe): keep one clone, put another in
-/// [`MachineConfig::replay`](crate::MachineConfig). The engine records
-/// every run's cross-shard schedule; the application calls
-/// `Engine::finish_replay` once its results are extracted (replay
-/// re-executes handlers, so it must not interleave with live phases), and
-/// the per-run verdicts accumulate here.
+/// [`MachineConfig::replay`](crate::MachineConfig). `Engine::run` records
+/// every scheduler invocation, replays each shard of it alone before it
+/// goes on, and pushes one verdict here per invocation.
 #[derive(Clone, Default)]
 pub struct ReplayCheck {
     inner: Arc<Mutex<ReplayInner>>,
@@ -791,7 +793,6 @@ mod tests {
         let rc = ReplayCheck::new();
         assert!(!rc.dirty());
         rc.push_run(ReplayRunReport {
-            label: "a".into(),
             shards: 2,
             rounds: 10,
             events: 100,
@@ -799,7 +800,6 @@ mod tests {
         });
         assert!(!rc.dirty());
         rc.push_run(ReplayRunReport {
-            label: "b".into(),
             shards: 2,
             rounds: 3,
             events: 7,

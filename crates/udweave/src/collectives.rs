@@ -110,7 +110,6 @@ updown_sim::snap_state!(RelayState, "udweave.tree_relay", { pending, acc, parent
 impl TreeComm {
     pub fn install(eng: &mut Engine, name: &str, fanout: u32) -> TreeComm {
         assert!(fanout >= 2);
-        eng.register_state_codec::<RelayState>();
         // Registration order: gather first so relay can reference it.
         // Labels are allocated sequentially; we register a placeholder-free
         // pair by registering gather, then relay.

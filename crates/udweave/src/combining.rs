@@ -131,22 +131,15 @@ impl CombiningCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::event;
+    use crate::program::simple_event;
     use updown_sim::{Engine, EventWord, MachineConfig, NetworkId};
-
-    #[derive(Clone, Default)]
-    struct St {
-        cache: Option<CombiningCache>,
-    }
 
     #[test]
     fn combines_and_flushes_f64() {
         let mut eng = Engine::new(MachineConfig::small(1, 1, 1));
         let base = eng.mem_mut().alloc(1 << 12, 0, 1, 4096).unwrap();
-        let go = event::<St>(&mut eng, "go", move |ctx, st| {
-            let c = *st
-                .cache
-                .get_or_insert_with(|| CombiningCache::new(ctx, 8, Kind::F64));
+        let go = simple_event(&mut eng, "go", move |ctx| {
+            let c = CombiningCache::new(ctx, 8, Kind::F64);
             // Many adds to 3 distinct cells.
             for i in 0..30u64 {
                 c.add_f64(ctx, VAddr(ctx.arg(0)).word(i % 3), 1.0);
@@ -171,10 +164,8 @@ mod tests {
         let mut eng = Engine::new(MachineConfig::small(1, 1, 1));
         let base = eng.mem_mut().alloc(1 << 14, 0, 1, 4096).unwrap();
         let n_cells = 64u64; // more cells than the 4-slot cache -> evictions
-        let go = event::<St>(&mut eng, "go", move |ctx, st| {
-            let c = *st
-                .cache
-                .get_or_insert_with(|| CombiningCache::new(ctx, 4, Kind::U64));
+        let go = simple_event(&mut eng, "go", move |ctx| {
+            let c = CombiningCache::new(ctx, 4, Kind::U64);
             for rep in 0..3u64 {
                 for i in 0..n_cells {
                     c.add_u64(ctx, VAddr(ctx.arg(0)).word(i), rep + 1);

@@ -10,9 +10,11 @@
 use std::sync::Arc;
 
 use updown_sim::spec::{ProgramSpec, ThreadDecl};
-use updown_sim::{Engine, EventCtx, EventLabel};
+use updown_sim::{Engine, EventCtx, EventLabel, SnapState};
 
-/// A group of events sharing a thread-state type `S`.
+/// A group of events sharing a thread-state type `S`. `S` is a
+/// [`SnapState`], so a live thread's state can go into an on-disk
+/// snapshot: registering an event registers the codec too.
 ///
 /// ```
 /// use updown_sim::{Engine, MachineConfig, EventWord, NetworkId};
@@ -20,6 +22,7 @@ use updown_sim::{Engine, EventCtx, EventLabel};
 ///
 /// #[derive(Clone, Default)]
 /// struct TExample { result: u64 }
+/// updown_sim::snap_state!(TExample, "doc.texample", { result });
 ///
 /// let mut eng = Engine::new(MachineConfig::small(1, 1, 2));
 /// let mut t = ThreadType::<TExample>::new("TExample");
@@ -60,7 +63,7 @@ impl<S> ThreadType<S> {
     }
 }
 
-impl<S: Default + Send + Clone + 'static> ThreadType<S> {
+impl<S: SnapState> ThreadType<S> {
     pub fn new(name: &str) -> ThreadType<S> {
         ThreadType {
             name: name.to_string(),
@@ -68,8 +71,9 @@ impl<S: Default + Send + Clone + 'static> ThreadType<S> {
         }
     }
 
-    /// Register an event of this thread type. The handler gets the thread
-    /// state (default-initialized at thread creation).
+    /// Register an event of this thread type, and `S`'s snapshot codec.
+    /// The handler gets the thread state (default-initialized at thread
+    /// creation).
     pub fn event(
         &mut self,
         eng: &mut Engine,
@@ -77,6 +81,7 @@ impl<S: Default + Send + Clone + 'static> ThreadType<S> {
         f: impl Fn(&mut EventCtx<'_>, &mut S) + Send + Sync + 'static,
     ) -> EventLabel {
         let full = format!("{}::{}", self.name, event_name);
+        eng.register_state_codec::<S>();
         eng.register(
             &full,
             Arc::new(move |ctx: &mut EventCtx<'_>| ctx.with_state(|ctx, st: &mut S| f(ctx, st))),
@@ -84,8 +89,9 @@ impl<S: Default + Send + Clone + 'static> ThreadType<S> {
     }
 }
 
-/// Register a standalone event with default-initialized typed state.
-pub fn event<S: Default + Send + Clone + 'static>(
+/// Register a standalone event with default-initialized typed state, and
+/// `S`'s snapshot codec.
+pub fn event<S: SnapState>(
     eng: &mut Engine,
     name: &str,
     f: impl Fn(&mut EventCtx<'_>, &mut S) + Send + Sync + 'static,
@@ -123,6 +129,7 @@ mod tests {
         struct St {
             acc: u64,
         }
+        updown_sim::snap_state!(St, "test.shared", { acc });
         let mut eng = Engine::new(MachineConfig::small(1, 1, 2));
         let out: Arc<Mutex<u64>> = Arc::default();
         let out2 = out.clone();
@@ -151,6 +158,7 @@ mod tests {
         struct St {
             v: u64,
         }
+        updown_sim::snap_state!(St, "test.supersede", { v });
         let mut eng = Engine::new(MachineConfig::small(1, 1, 2));
         let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
         let mut t = ThreadType::<St>::new("T");

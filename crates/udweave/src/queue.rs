@@ -82,7 +82,6 @@ impl QueueLib {
             reply_raw: u64,
         }
         updown_sim::snap_state!(DeqSt, "udweave.mpmc_deq", { reply_raw });
-        eng.register_state_codec::<DeqSt>();
         let deq_relay = crate::program::event::<DeqSt>(eng, "mpmc::deq_relay", move |ctx, st| {
             let value = ctx.arg(0);
             let reply = EventWord::from_raw(st.reply_raw);

@@ -184,13 +184,8 @@ fn pagerank_replay_verifies_clean() {
     let reports = check.reports();
     assert!(!reports.is_empty(), "replay produced no verdicts");
     for r in &reports {
-        assert!(r.events > 0, "{}: vacuous recording", r.label);
-        assert!(
-            r.ok(),
-            "{}: replay diverged: {:?}",
-            r.label,
-            r.mismatches
-        );
+        assert!(r.events > 0, "vacuous recording: {r:?}");
+        assert!(r.ok(), "replay diverged: {:?}", r.mismatches);
     }
     assert!(!check.dirty());
 }
@@ -216,8 +211,8 @@ fn ingest_replay_survives_host_state_rewind() {
     let reports = check.reports();
     assert!(!reports.is_empty(), "replay produced no verdicts");
     for r in &reports {
-        assert!(r.events > 0, "{}: vacuous recording", r.label);
-        assert!(r.ok(), "{}: replay diverged: {:?}", r.label, r.mismatches);
+        assert!(r.events > 0, "vacuous recording: {r:?}");
+        assert!(r.ok(), "replay diverged: {:?}", r.mismatches);
     }
     assert!(!check.dirty());
 }
@@ -570,49 +565,91 @@ fn snapshots_with_untrustworthy_ids_or_the_old_schema_are_refused() {
     assert_eq!(eng.run().to_json(), twin.run().to_json());
 }
 
-/// Golden-fixture replay: record a seeded run, then replay every shard in
+/// Golden-fixture replay: a recorded seeded run replays every shard in
 /// isolation — each must reproduce its recorded lane event stream
 /// exactly, and the recording must not be vacuous.
 #[test]
 fn recorded_fixture_replays_byte_identically() {
     for threads in [1u32, 2] {
+        let check = ReplayCheck::new();
         let mut m = fixture_machine(threads);
-        m.replay = Some(ReplayCheck::new());
+        m.replay = Some(check.clone());
         let (mut eng, _, start) = fixture(m, 0);
         eng.send(start, [300u64], EventWord::IGNORE);
         eng.run();
-        let recs = eng.take_recordings();
-        assert_eq!(recs.len(), 1, "one run, one recording");
-        let rec = &recs[0];
-        assert!(rec.events() > 100, "vacuous recording: {}", rec.events());
-        assert_eq!(rec.shard_count(), 2);
-        for k in 0..rec.shard_count() {
-            let mismatches = eng.replay_shard(rec, k);
-            assert!(
-                mismatches.is_empty(),
-                "threads={threads} shard {k} diverged: {mismatches:?}"
-            );
-        }
+        let reports = check.reports();
+        assert_eq!(reports.len(), 1, "one run, one recording");
+        let r = &reports[0];
+        assert!(r.events > 100, "vacuous recording: {}", r.events);
+        assert_eq!(r.shards, 2);
+        assert!(r.ok(), "threads={threads} diverged: {:?}", r.mismatches);
     }
 }
 
-/// Recording across checkpoint pauses: the in-flight entries folded back
-/// into the calendars at a pause boundary must appear in the replay
-/// schedule (as zero-width rounds), or isolated replay diverges.
+/// Recording across checkpoint pauses: each pause ends one recording and
+/// the next starts from the calendars the pause drain filled, so every
+/// segment replays clean and together they cover the whole run — every
+/// window once, and every lane event an unpaused recording holds.
 #[test]
 fn replay_spans_checkpoint_pauses() {
-    let mut m = fixture_machine(2);
-    m.replay = Some(ReplayCheck::new());
-    m.checkpoint_every = 3;
-    let (mut eng, _, start) = fixture(m, 0);
-    eng.send(start, [300u64], EventWord::IGNORE);
-    eng.run();
-    let recs = eng.take_recordings();
-    assert_eq!(recs.len(), 1);
-    for k in 0..recs[0].shard_count() {
-        let mismatches = eng.replay_shard(&recs[0], k);
-        assert!(mismatches.is_empty(), "shard {k}: {mismatches:?}");
+    let record = |checkpoint_every: u64| {
+        let check = ReplayCheck::new();
+        let mut m = fixture_machine(2);
+        m.replay = Some(check.clone());
+        m.checkpoint_every = checkpoint_every;
+        let (mut eng, _, start) = fixture(m, 0);
+        eng.send(start, [300u64], EventWord::IGNORE);
+        let windows = eng.run().stats.windows;
+        (check.reports(), windows)
+    };
+    let (whole, windows) = record(0);
+    let (segments, paused_windows) = record(3);
+    assert_eq!(windows, paused_windows);
+    assert!(segments.len() > 2, "the run never paused: {segments:?}");
+    for (i, r) in segments.iter().enumerate() {
+        assert!(r.ok(), "segment {i}: {:?}", r.mismatches);
+        assert!(r.rounds == 3 || i == segments.len() - 1, "segment {i}: {r:?}");
     }
+    assert_eq!(segments.iter().map(|r| r.rounds).sum::<u64>(), windows);
+    assert_eq!(segments.iter().map(|r| r.events).sum::<u64>(), whole[0].events);
+}
+
+/// Replay can fail. A shard-1 handler branches on a program-table counter
+/// that a shard-0 handler bumps during the run — state outside every
+/// shard, which no rewind restores. Live, shard 1 reads one bump; replayed
+/// alone after shard 0's replay bumped again, it reads two and takes the
+/// other branch. The verdict names shard 1 and the recording's windows.
+#[test]
+fn replay_reports_a_shard_that_reads_another_shards_writes() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    let check = ReplayCheck::new();
+    let mut m = fixture_machine(1);
+    m.replay = Some(check.clone());
+    let mut eng = Engine::new(m);
+    let bumps = eng.table(Arc::new(AtomicU64::new(0)));
+    let extra = udweave::simple_event(&mut eng, "leak::extra", |ctx| ctx.yield_terminate());
+    let read = udweave::simple_event(&mut eng, "leak::read", move |ctx| {
+        if ctx.table(bumps).load(Relaxed) != 1 {
+            ctx.send_event(EventWord::new(ctx.nwid(), extra), [0u64; 0], EventWord::IGNORE);
+        }
+        ctx.yield_terminate();
+    });
+    let shard1 = lane(&eng, 1, 0);
+    let bump = udweave::simple_event(&mut eng, "leak::bump", move |ctx| {
+        ctx.table(bumps).fetch_add(1, Relaxed);
+        ctx.send_event(EventWord::new(shard1, read), [0u64; 0], EventWord::IGNORE);
+        ctx.yield_terminate();
+    });
+    eng.send(EventWord::new(lane(&eng, 0, 0), bump), [0u64; 0], EventWord::IGNORE);
+    let windows = eng.run().stats.windows;
+    let reports = check.reports();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(
+        reports[0].mismatches,
+        [format!("shard 1, windows 0..{windows}: event count: recorded 1, replayed 2")],
+    );
+    assert!(check.dirty());
 }
 
 /// Regression (satellite 4): a snapshot taken while a far-future entry
