@@ -1,5 +1,5 @@
 //! The five applications at conformance scale, and the per-app drivers
-//! the `ud` binary, the integration tests and the benchmark share. Each app
+//! `repro`'s analyzer subcommands, the integration tests and the benchmark share. Each app
 //! runs at the same tiny deterministic scale as
 //! `tests/tests/conformance.rs`, so a clean bill here covers the exact
 //! protocols the conformance matrix exercises.
@@ -54,7 +54,7 @@ pub fn spec_for(app: &str) -> ProgramSpec {
 #[derive(Clone, Default)]
 pub struct Probes {
     /// Protocol probe (event-flow summary), which also arms the runtime
-    /// sanitizer; `ud check` always attaches one, `ud race` attaches one
+    /// sanitizer; `repro check` always attaches one, `repro race` attaches one
     /// to build the flow graph for may-race.
     pub probe: Option<ProtocolProbe>,
     /// Race probe (happens-before detector).
@@ -145,7 +145,7 @@ fn case(app: &str, seed: u64, machine: MachineConfig) -> Case {
 /// Build the conformance-scale workload descriptor for one app: the inputs
 /// of [`run_app`], fed to each app's `workload()` hook instead of its
 /// simulator entry point. Returns the workload, the machine it describes,
-/// and the app's declared spec — everything `ud cost` needs, with zero
+/// and the app's declared spec — everything `repro cost` needs, with zero
 /// simulation.
 ///
 /// `app` must be canonical (see [`canon_app`]).
@@ -181,7 +181,7 @@ pub fn run_app(app: &str, threads: u32, seed: u64, probes: &Probes) {
     }
 }
 
-/// `ud check`: run one app with the protocol probe (and so the sanitizer)
+/// `repro check`: run one app with the protocol probe (and so the sanitizer)
 /// attached and analyze what the probe saw.
 pub fn check_app(app: &str, threads: u32, seed: u64) -> Analysis {
     let probe = ProtocolProbe::new();
@@ -193,7 +193,7 @@ pub fn check_app(app: &str, threads: u32, seed: u64) -> Analysis {
     Analysis::of(app, &probe)
 }
 
-/// `ud race`: run one app under the race detector, with a protocol probe
+/// `repro race`: run one app under the race detector, with a protocol probe
 /// for the event-flow graph the may-race pass reads (and so the sanitizer
 /// armed; see [`RaceAnalysis::with_flow`]).
 pub fn race_app(app: &str, threads: u32, seed: u64) -> RaceAnalysis {
@@ -207,7 +207,7 @@ pub fn race_app(app: &str, threads: u32, seed: u64) -> RaceAnalysis {
     RaceAnalysis::with_flow(app, &race, &flow)
 }
 
-/// `ud spec`: statically analyze one app's declared spec against the
+/// `repro spec`: statically analyze one app's declared spec against the
 /// conformance machine's capacities; with `enforce`, also run the app with
 /// a probe attached and record what [`SpecAnalysis::enforce`] finds in
 /// its report.

@@ -1,4 +1,4 @@
-//! `ud cost`: static cost & communication analysis — predict per-event
+//! `repro cost`: static cost & communication analysis — predict per-event
 //! execution counts, per-node load, message traffic, and per-link demand
 //! from a [`ProgramSpec`] plus a [`Workload`] — declarations and host-side
 //! arithmetic only, zero simulation ticks.

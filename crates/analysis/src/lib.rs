@@ -1,27 +1,28 @@
 #![forbid(unsafe_code)]
-//! # udcheck — analysis of UDWeave programs, one tool (`ud`) over one vocabulary
+//! # udcheck — analysis of UDWeave programs, four analyzers over one vocabulary
 //!
 //! UDWeave programs are webs of event handlers exchanging messages with
 //! operands and continuations; the protocol invariants that make them
 //! correct (every spawned task eventually terminates, every continuation is
 //! eventually resumed, senders and receivers agree on operand counts, KVMSR
 //! tasks conserve their `emit`/`map_done` messages) live entirely in the
-//! programmer's head. This crate makes them checkable. The `ud` binary has
-//! four subcommands, each a module here, each producing per-app [`Report`]s
-//! of [`Finding`]s that render as text or as one versioned JSON
+//! programmer's head. This crate makes them checkable. It is a library:
+//! `repro` (`crates/bench`) parses the command line and prints, and this
+//! crate has one module per analyzer subcommand, each producing per-app
+//! [`Report`]s of [`Finding`]s that render as text or as one versioned JSON
 //! [`document`] (docs/analysis.md):
 //!
 //! | subcommand | module | question | schema |
 //! |------------|--------|----------|--------|
-//! | `ud check` | this one | did the protocol *shape* go wrong in a probed run? | `udcheck/v1` |
-//! | `ud race`  | [`race`] | can two memory accesses race? | `udrace/v1` |
-//! | `ud spec`  | [`spec`] | can the declared protocol deadlock or blow a bound? | `udspec/v1` |
-//! | `ud cost`  | [`cost`] | how much load, traffic and link demand will it cost? | `udcost/v1` |
+//! | `repro check` | this one | did the protocol *shape* go wrong in a probed run? | `udcheck/v1` |
+//! | `repro race`  | [`race`] | can two memory accesses race? | `udrace/v1` |
+//! | `repro spec`  | [`spec`] | can the declared protocol deadlock or blow a bound? | `udspec/v1` |
+//! | `repro cost`  | [`cost`] | how much load, traffic and link demand will it cost? | `udcost/v1` |
 //!
-//! [`apps`] holds the conformance-scale inputs and the per-app drivers the
-//! binary, the tests and the benchmark share.
+//! [`apps`] holds the conformance-scale inputs and the per-app drivers
+//! `repro`, the tests and the benchmark share.
 //!
-//! ## `ud check`
+//! ## `repro check`
 //!
 //! 1. the simulator's [`ProtocolProbe`] records a
 //!    commutative summary of everything a (tiny, deterministic) run did,
@@ -34,7 +35,7 @@
 //! The paired *runtime sanitizer*, armed by attaching the probe
 //! ([`MachineConfig::probe`](updown_sim::MachineConfig)), cross-validates:
 //! every static check has a dynamic counterpart that fires at the
-//! violating event execution, so a `ud check` report carries both views.
+//! violating event execution, so a `repro check` report carries both views.
 //!
 //! | id                   | severity | what it catches                                      |
 //! |----------------------|----------|------------------------------------------------------|
@@ -70,7 +71,7 @@ pub use updown_sim::spec::{Finding, Severity};
 // Reports and documents
 // ---------------------------------------------------------------------------
 
-/// One app's result of one `ud` subcommand: everything the CLI's output
+/// One app's result of one analyzer subcommand: everything the CLI's output
 /// tail and the JSON envelope need, whichever analysis produced it.
 pub trait Report {
     /// Schema tag of the JSON document (`udcheck/v1`, ...).
@@ -83,7 +84,7 @@ pub trait Report {
 
     /// Name of the analyzed program.
     fn app(&self) -> &str;
-    /// Whether this report lets `ud` exit 0.
+    /// Whether this report lets `repro` exit 0.
     fn is_clean(&self) -> bool;
     /// This report's share of `COUNTERS[i]`.
     fn counter(&self, i: usize) -> u64;
@@ -147,14 +148,14 @@ fn write_bound(w: &mut JsonWriter, b: updown_sim::spec::Bound) {
     };
 }
 
-/// `[severity] check subject: message` — the line `ud spec` and `ud cost`
+/// `[severity] check subject: message` — the line `repro spec` and `repro cost`
 /// print.
 fn bracketed(f: &Finding) -> String {
     format!("[{}] {} {}: {}", f.severity, f.check, f.subject, f.message)
 }
 
 /// The sanitizer's diagnostics in a probe that rode along with another
-/// observer (`ud race`, `ud spec --enforce`), as `sanitizer` error
+/// observer (`repro race`, `repro spec --enforce`), as `sanitizer` error
 /// findings: attaching the probe armed the sanitizer, so a violation it
 /// tolerated must still fail the run.
 fn sanitizer_findings(report: &ProbeReport) -> impl Iterator<Item = Finding> + '_ {
@@ -282,7 +283,7 @@ impl EventFlowGraph {
         EventFlowGraph { nodes, edges }
     }
 
-    /// Graphviz rendering (debugging aid; `ud check --dot`).
+    /// Graphviz rendering (debugging aid; `repro check --dot`).
     pub fn to_dot(&self, title: &str) -> String {
         let mut s = String::new();
         s.push_str(&format!("digraph \"{title}\" {{\n  rankdir=LR;\n"));

@@ -1,8 +1,8 @@
-//! # `ud race`, static layer — conflict-pair analysis over the event-flow graph
+//! # `repro race`, static layer — conflict-pair analysis over the event-flow graph
 //!
 //! The dynamic race probe ([`RaceProbe`]) reports
 //! *observed* unordered conflicting accesses over every word the run
-//! touched. This module adds the static half of `ud race`, the **may-race
+//! touched. This module adds the static half of `repro race`, the **may-race
 //! pass**: handler pairs whose footprints touch the same region (DRAM
 //! allocation or lane scratchpad) with at least one plain-write access,
 //! and which have *no directed path either way* in the observed
@@ -142,7 +142,7 @@ pub fn race_findings(report: &RaceReport) -> Vec<Finding> {
         .collect()
 }
 
-/// One app's `ud race` result: dynamic report + static findings, bundled for
+/// One app's `repro race` result: dynamic report + static findings, bundled for
 /// rendering (`udrace/v1`).
 #[derive(Clone, Debug)]
 pub struct RaceAnalysis {
@@ -168,7 +168,7 @@ impl RaceAnalysis {
         }
     }
 
-    /// `ud race`'s analysis of a run that also carried the protocol probe
+    /// `repro race`'s analysis of a run that also carried the protocol probe
     /// `flow`: its flow graph feeds the may-race pass, and since attaching
     /// it armed the sanitizer, its diagnostics are error findings.
     pub fn with_flow(app: &str, probe: &RaceProbe, flow: &ProtocolProbe) -> RaceAnalysis {

@@ -1,4 +1,4 @@
-//! `ud spec`: static deadlock and resource-bound checks over a
+//! `repro spec`: static deadlock and resource-bound checks over a
 //! [`ProgramSpec`] — declarations alone, zero simulation ticks.
 //!
 //! Three check families run over the declared event-flow graph
@@ -8,14 +8,14 @@
 //!    of the *group* digraph whose edges are continuation-carrying sends
 //!    (the sender's thread holds its context until the reply arrives). A
 //!    component is a set of mutually reachable groups under the one
-//!    reachability relation `ud race`'s may-race pass also uses;
+//!    reachability relation `repro race`'s may-race pass also uses;
 //!    components are listed by their smallest group name. A cycle of
 //!    unconditional, unordered waits is a certain deadlock
 //!    shape under thread-table saturation (error); a cycle whose every
 //!    internal edge is declared `ordered` is hierarchical recursion that
 //!    strictly descends (info); anything in between is a warning.
 //! 2. **Resource-bound certification** (`thread-bound-*`, `spm-bound-*`):
-//!    [`certify`] (the propagation walk `ud cost` also runs) folds spawn
+//!    [`certify`] (the propagation walk `repro cost` also runs) folds spawn
 //!    fan-out declarations into per-lane live-thread and scratchpad-word
 //!    upper bounds per thread group; the totals must fit the target
 //!    machine's thread table and scratchpad.
@@ -372,7 +372,7 @@ impl Report for SpecAnalysis {
 /// declared sends (labelled with their fanout; `cont` marks
 /// continuation-carrying waits, `new` thread-spawning sends) and dashed
 /// edges for same-thread resumptions. Host-injected events render as
-/// doubled boxes. Parity with `ud check --dot`, but from declarations
+/// doubled boxes. Parity with `repro check --dot`, but from declarations
 /// alone — no run, no probe.
 pub fn spec_to_dot(spec: &ProgramSpec, title: &str) -> String {
     // Stable node ids: position in the spec's sorted event order.

@@ -8,9 +8,8 @@
 //! default to reduced nodes (`accels × lanes` below) and s11–s14 graphs;
 //! `--full` on `repro` raises both. Strong-scaling *shape* depends on
 //! keys-per-lane and skew, which these settings preserve. The machine,
-//! menu and input constructors live here (not in the bench crate) so `ud
-//! cost --figure9` predicts the very run `repro fig9` exports without
-//! depending on the bench crate.
+//! menu and input constructors live here, where `repro cost --figure9`
+//! and `repro fig9` both build the run the latter exports.
 
 use updown_graph::generators::{erdos_renyi, forest_fire, rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, shuffle_ids, split_in_out};

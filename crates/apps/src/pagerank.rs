@@ -267,7 +267,8 @@ pub fn spec() -> udweave::ProgramSpec {
 /// over the roots, all on the KVMSR skeleton (per-lane launch/epilogue,
 /// tree collectives, two poll rounds).
 pub fn workload(sg: &SplitGraph, cfg: &PrConfig) -> udweave::Workload {
-    let iters = cfg.iterations.max(1) as f64;
+    assert!(cfg.iterations >= 1, "PageRank needs iterations >= 1: with 0 the driver never stops");
+    let iters = cfg.iterations as f64;
     let lanes = cfg.machine.total_lanes() as u64;
     let nodes = cfg.machine.nodes.max(1);
     let n = sg.n_orig as u64;
@@ -661,16 +662,6 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
 
     eng.send(EventWord::new(NetworkId(0), init_l), [], EventWord::IGNORE);
     let report = eng.run();
-    if std::env::var("UPDOWN_DEBUG").is_ok() {
-        for (nm, c) in eng.event_counts() {
-            eprintln!("  {c:>10}  {nm}");
-        }
-        eprintln!(
-            "  busiest lane: {:?}, most events: {:?}",
-            eng.busiest_lane(),
-            eng.most_events_lane()
-        );
-    }
 
     // Read back: pr(v) = base + d * S_total(v).
     let mem = eng.mem();

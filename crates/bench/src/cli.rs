@@ -13,6 +13,10 @@ use updown_sim::{
     Severity, TopologyKind,
 };
 
+/// The flags that never take a value: the token after one is a positional
+/// argument or the next flag, never the flag's value.
+const BARE: [&str; 8] = ["full", "sanitize", "race", "spec", "replay", "json", "dot", "enforce"];
+
 /// `--key value` pairs, bare `--flag`s and positional args. A value that
 /// does not parse exits with status 2 naming its flag, and
 /// [`Cli::reject_unknown`] refuses whatever nobody asked about.
@@ -32,7 +36,7 @@ impl Cli {
         let mut args = args.into_iter().peekable();
         while let Some(a) = args.next() {
             match (a.strip_prefix("--"), args.peek()) {
-                (Some(key), Some(v)) if !v.starts_with("--") => {
+                (Some(key), Some(v)) if !v.starts_with("--") && !BARE.contains(&key) => {
                     cli.pairs.push((key.to_string(), args.next().unwrap()))
                 }
                 (Some(key), _) => cli.flags.push(key.to_string()),
@@ -48,6 +52,12 @@ impl Cli {
         self.positional.get(i).map(String::as_str)
     }
 
+    /// The positional arguments from the `from`-th on.
+    pub fn args(&self, from: usize) -> &[String] {
+        self.args_read.set(self.args_read.get().max(self.positional.len()));
+        self.positional.get(from..).unwrap_or_default()
+    }
+
     pub fn get<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> T {
         self.opt(key).unwrap_or(default)
     }
@@ -61,12 +71,22 @@ impl Cli {
     /// [`Cli::opt`] with the failure as a value: `Err` names the flag and
     /// the text that did not parse (or says the flag came without one).
     pub fn try_opt<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Option<T>, String> {
+        Ok(self.try_all(key)?.pop())
+    }
+
+    /// Every `--key value`, in command-line order, each parsed as by
+    /// [`Cli::opt`].
+    pub fn all<T: FromStr<Err: Display>>(&self, key: &str) -> Vec<T> {
+        self.try_all(key).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    fn try_all<T: FromStr<Err: Display>>(&self, key: &str) -> Result<Vec<T>, String> {
         self.queried.borrow_mut().insert(key.to_string());
-        match self.pairs.iter().rev().find(|(k, _)| k == key) {
-            Some((_, v)) => v.parse().map(Some).map_err(|e| format!("--{key} {v}: {e}")),
-            None if self.flags.iter().any(|f| f == key) => Err(format!("--{key}: expects a value")),
-            None => Ok(None),
+        if self.flags.iter().any(|f| f == key) {
+            return Err(format!("--{key}: expects a value"));
         }
+        let values = self.pairs.iter().filter(|(k, _)| k == key);
+        values.map(|(_, v)| v.parse().map_err(|e| format!("--{key} {v}: {e}"))).collect()
     }
 
     /// `--key a,b,c`, each element parsed as by [`Cli::opt`].
@@ -79,9 +99,11 @@ impl Cli {
         Some(text.split(',').map(parse).collect())
     }
 
+    /// Whether the bare `--key` was given; `key` is one of `BARE`.
     pub fn has(&self, key: &str) -> bool {
+        debug_assert!(BARE.contains(&key), "--{key} takes a value");
         self.queried.borrow_mut().insert(key.to_string());
-        self.flags.iter().any(|f| f == key) || self.pairs.iter().any(|(k, _)| k == key)
+        self.flags.iter().any(|f| f == key)
     }
 
     /// Flags nobody has asked about so far, in command-line order.
@@ -132,10 +154,14 @@ pub struct Surface {
     pub scale: Scale,
     /// `--full`: paper-sized defaults.
     pub full: bool,
-    /// `--seed`, `--topology` and the observer flags of [`Gates`].
-    pub sim: bool,
-    /// One `--threads` count for every run, and `--trace` / `--metrics-json`
-    /// exporting the first ([`Exporter`]); `par` reads its own `--threads`.
+    /// `--seed`, with its default.
+    pub seed: Option<u64>,
+    pub topology: bool,
+    /// One `--threads` count for every run; `par` reads its own list.
+    pub threads: bool,
+    /// The observer flags of [`Gates`].
+    pub gates: bool,
+    /// `--trace` / `--metrics-json`, exporting the first run ([`Exporter`]).
     pub export: bool,
 }
 
@@ -172,13 +198,13 @@ impl StdOpts {
             }
         };
         check_bench_args(nodes, shift).unwrap_or_else(|e| usage_error(&e));
-        let (sim, topology) = (surface.sim, TopologyKind::default());
+        let topology = TopologyKind::default();
         StdOpts {
             nodes,
             scale,
-            seed: if sim { cli.get("seed", 0) } else { 0 },
-            threads: if surface.export { cli.get("threads", 1).max(1) } else { 1 },
-            topology: if sim { cli.get("topology", topology) } else { topology },
+            seed: surface.seed.map_or(0, |seed| cli.get("seed", seed)),
+            threads: if surface.threads { cli.get("threads", 1).max(1) } else { 1 },
+            topology: if surface.topology { cli.get("topology", topology) } else { topology },
             full,
         }
     }
@@ -403,7 +429,10 @@ mod tests {
         nodes: Some([32, 256]),
         scale: Scale::Shift([1, 3]),
         full: true,
-        sim: true,
+        seed: Some(0),
+        topology: true,
+        threads: true,
+        gates: true,
         export: true,
     };
 
@@ -517,6 +546,15 @@ mod tests {
     }
 
     #[test]
+    fn a_bare_flag_leaves_the_next_token_positional() {
+        let c = cli(&["fig9", "--sanitize", "pr", "--json", "--nodes", "4", "--full", "2"]);
+        assert!(c.has("sanitize") && c.has("json") && c.has("full"));
+        assert_eq!(c.args(1), ["pr", "2"]);
+        assert_eq!(c.get("nodes", 0), 4);
+        assert!(c.unknown().is_empty());
+    }
+
+    #[test]
     fn flags_nobody_read_are_reported_unknown() {
         let c = cli(&["pr", "--nodes", "4", "--steal", "off", "--bogus", "--cost", "--race"]);
         let _ = StdOpts::parse(&c, &FIG9);
@@ -532,7 +570,10 @@ mod tests {
             nodes: None,
             scale: Scale::None,
             full: false,
-            sim: false,
+            seed: None,
+            topology: false,
+            threads: false,
+            gates: false,
             export: false,
         };
         let c = cli(&["--topology", "torus", "--sanitize"]);

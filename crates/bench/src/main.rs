@@ -1,7 +1,8 @@
 #![forbid(unsafe_code)]
 //! `repro` regenerates the paper's evaluation on the simulator: Figures
 //! 9–12, Tables 1, 5 and 8–12, the §5.2 host baseline and the host-thread
-//! speedup of the window loop. Stdout is deterministic.
+//! speedup of the window loop. It also analyzes the same programs: `check`,
+//! `race`, `spec` and `cost` (docs/analysis.md). Stdout is deterministic.
 
 use std::cell::Cell;
 use std::path::Path;
@@ -11,6 +12,9 @@ use bench::sweep::{Job, Sweep};
 use bench::table::Table;
 use bench::timing::fmt_rate;
 use drammalloc::{dram_malloc_layout, Layout};
+use udcheck::apps::{canon_app, check_app, conformance_machine, race_app, spec_app, workload_for, ALL_APPS};
+use udcheck::spec::{spm_blowup_fixture, wait_cycle_fixture};
+use udcheck::{analyze_cost, calibrate, document, CostReport, Report, SpecAnalysis};
 use updown_apps::baseline;
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::harness::{
@@ -35,11 +39,18 @@ usage: repro fig9 [pr|bfs|tc|all] [--nodes 32] [--min-nodes 1] [--scale 1] [--it
        repro table1 | table5
        repro baseline [--nodes 16] [--scale 14]
        repro par [--nodes 64] [--scale 13] [--iters 1] [--threads 1,2,4] [--min-speedup F] [--json-out PATH]
-all but table1 and table5: [--seed 0] [--topology uniform|polar|torus|dragonfly] [--sanitize] [--race]
+       repro check|race|spec|cost [APPS...] [--threads 1] [--seed 10] [--json] [--out PATH]
+       repro check [--dot]
+       repro spec [--enforce] [--fixture wait-cycle|spm-blowup] [--dot]
+       repro cost [--figure9 pr|bfs|tc] [--nodes 4] [--scale 0] [--iters 2] [--topology T]
+                  [--calibrate METRICS.json [--tolerance 2]]
+fig9-fig12, baseline and par: [--seed 0] [--topology uniform|polar|torus|dragonfly] [--sanitize] [--race]
   [--spec] [--replay] [--checkpoint PATH] [--checkpoint-every N] [--restore PATH]
 fig9-fig12 and baseline: [--threads 1] [--trace PATH] [--metrics-json PATH] (export the first run)
 fig9-fig12: [--full] (paper-sized defaults: many minutes of host time)
---scale shifts fig9's graph menu; it is an absolute R-MAT scale for fig12, baseline and par";
+--scale shifts fig9's and cost --figure9's graph menu; it is an absolute R-MAT scale for fig12, baseline and par
+APPS: pagerank|pr bfs tc ingest partial_match|pm (default: all five); --dot prints Graphviz graphs,
+  and with --out PATH also writes one .dot file per report next to PATH; exit 1 on an unclean report";
 
 /// A subcommand with its flags read, ready to run.
 type Run = Box<dyn FnOnce(&mut Sweep)>;
@@ -52,11 +63,17 @@ struct Sub {
 }
 
 /// The figures read every shared flag (`--nodes` and `--scale` per figure); table1 and table5 none.
-const FIG: Surface = Surface { nodes: None, scale: Scale::None, full: true, sim: true, export: true };
-const NO_FLAGS: Surface = Surface { full: false, sim: false, export: false, ..FIG };
+#[rustfmt::skip]
+const FIG: Surface = Surface {
+    nodes: None, scale: Scale::None, full: true, seed: Some(0), topology: true, threads: true, gates: true, export: true,
+};
+#[rustfmt::skip]
+const NO_FLAGS: Surface = Surface { full: false, seed: None, topology: false, threads: false, gates: false, export: false, ..FIG };
+/// The analyzers read `--seed` (10 by default) and `--threads`.
+const ANALYZER: Surface = Surface { seed: Some(10), threads: true, ..NO_FLAGS };
 
 #[rustfmt::skip]
-const SUBS: [Sub; 8] = [
+const SUBS: [Sub; 12] = [
     Sub { name: "fig9", reads: Surface { nodes: Some([32, 256]), scale: Scale::Shift([1, 3]), ..FIG }, parse: fig9 },
     Sub { name: "fig10", reads: Surface { nodes: Some([32, 256]), ..FIG }, parse: fig10 },
     Sub { name: "fig11", reads: FIG, parse: fig11 },
@@ -65,7 +82,12 @@ const SUBS: [Sub; 8] = [
     Sub { name: "table5", reads: NO_FLAGS, parse: |_, _| Box::new(|_: &mut Sweep| table5()) },
     Sub { name: "baseline", reads: Surface { nodes: Some([16, 16]), scale: Scale::Rmat([14, 14]), full: false, ..FIG },
           parse: |_, o| Box::new(move |sw: &mut Sweep| baseline(&o, sw)) },
-    Sub { name: "par", reads: Surface { nodes: Some([64, 64]), scale: Scale::Rmat([13, 13]), sim: true, ..NO_FLAGS }, parse: par },
+    Sub { name: "par", reads: Surface { nodes: Some([64, 64]), scale: Scale::Rmat([13, 13]), seed: Some(0), topology: true, gates: true, ..NO_FLAGS },
+          parse: par },
+    Sub { name: "check", reads: ANALYZER, parse: check },
+    Sub { name: "race", reads: ANALYZER, parse: race },
+    Sub { name: "spec", reads: ANALYZER, parse: spec },
+    Sub { name: "cost", reads: Surface { nodes: Some([4, 4]), scale: Scale::Shift([0, 0]), topology: true, ..ANALYZER }, parse: cost },
 ];
 
 fn main() {
@@ -128,18 +150,16 @@ fn fig9(cli: &Cli, o: StdOpts) -> Run {
         let runs = |app: &str| which == app || which == "all";
         if runs("pr") {
             let (title, inputs) = ("Figure 9 (left) / Table 8: PageRank speedup", figure9_pr_inputs(o.scale, o.seed));
-            let job = |n| PrConfig { machine: o.machine(n), iterations: iters, ..PrConfig::new(n) };
-            speedup_table(sw, title, "pr", inputs, &nodes, job, run_pagerank);
+            speedup_table(sw, title, "pr", inputs, &nodes, |n| fig9_pr(&o, iters, n), run_pagerank);
         }
         if runs("bfs") {
             let (title, inputs) = ("Figure 9 (center) / Table 9: BFS speedup", figure9_bfs_inputs(o.scale, o.seed));
-            let job = |n| BfsConfig { machine: o.machine(n), ..BfsConfig::new(n, 0) };
-            speedup_table(sw, title, "bfs", inputs, &nodes, job, run_bfs);
+            speedup_table(sw, title, "bfs", inputs, &nodes, |n| fig9_bfs(&o, n), run_bfs);
         }
         if runs("tc") {
             // Each graph carries its first run's triangle count for the rest to match.
             let inputs = figure9_tc_inputs(o.scale, o.seed).map(|(name, g)| (name, (g, Cell::new(None))));
-            let job = |n| TcConfig { machine: o.machine(n), ..TcConfig::new(n) };
+            let job = |n| fig9_tc(&o, n);
             let run = |(g, first): &(Csr, Cell<Option<u64>>), c: &TcConfig| {
                 let r = run_tc(g, c);
                 assert_eq!(first.get().unwrap_or(r.triangles), r.triangles, "count must not depend on machine");
@@ -149,6 +169,20 @@ fn fig9(cli: &Cli, o: StdOpts) -> Run {
             speedup_table(sw, "Figure 9 (right) / Table 10: TC speedup", "tc", inputs, &tc_nodes, job, run);
         }
     })
+}
+
+/// `fig9`'s PageRank, BFS and TC configs at `n` nodes; `cost --figure9`
+/// predicts the first run of the sweep from the same config.
+fn fig9_pr(o: &StdOpts, iters: u32, n: u32) -> PrConfig {
+    PrConfig { machine: o.machine(n), iterations: iters, ..PrConfig::new(n) }
+}
+
+fn fig9_bfs(o: &StdOpts, n: u32) -> BfsConfig {
+    BfsConfig { machine: o.machine(n), ..BfsConfig::new(n, 0) }
+}
+
+fn fig9_tc(o: &StdOpts, n: u32) -> TcConfig {
+    TcConfig { machine: o.machine(n), ..TcConfig::new(n) }
 }
 
 /// Figure 10 (+ Table 11): ingestion (TFORM parse + PGA insert) scaling
@@ -433,4 +467,182 @@ fn par(cli: &Cli, o: StdOpts) -> Run {
         write_or_exit("--json-out", &path, &(w.finish() + "\n"));
         println!("wrote {path}");
     })
+}
+
+/// The apps named after the subcommand, canonical; all five when none is
+/// and `others` (fixtures, `--figure9`) selected no other report.
+fn apps(cli: &Cli, others: bool) -> Vec<&'static str> {
+    let canon = |a: &String| canon_app(a).unwrap_or_else(|| usage_error(&format!("unknown app or argument '{a}'")));
+    let named: Vec<&'static str> = cli.args(1).iter().map(canon).collect();
+    if named.is_empty() && !others { ALL_APPS.to_vec() } else { named }
+}
+
+/// What every analyzer ends in: the versioned JSON document (`--json`,
+/// `--out PATH`) or the text rendering, `--dot` graphs where the
+/// subcommand draws them, and exit status 1 on an unclean report.
+struct Tail {
+    json: bool,
+    out: Option<String>,
+    dot: bool,
+}
+
+impl Tail {
+    fn from_cli(cli: &Cli, draws: bool) -> Tail {
+        Tail { json: cli.has("json"), out: cli.opt("out"), dot: draws && cli.has("dot") }
+    }
+
+    /// Print `reports`; `closing` is the last text line given the unclean
+    /// apps, and `failed` exits 1 even when every report is clean.
+    fn emit<R: Report>(&self, reports: &[R], closing: impl FnOnce(&[&str]) -> Option<String>, failed: bool) {
+        let doc = document(reports);
+        if let Some(path) = &self.out {
+            write_or_exit("--out", path, &doc);
+            if self.dot {
+                // One Graphviz file per report (report.pagerank.dot, ...)
+                // next to the JSON document.
+                let stem = path.strip_suffix(".json").unwrap_or(path);
+                for r in reports {
+                    let name = r.app().replace(':', "_");
+                    write_or_exit("--out", &format!("{stem}.{name}.dot"), &r.dot().unwrap_or_default());
+                }
+            }
+        }
+        let unclean: Vec<&str> = reports.iter().filter(|r| !r.is_clean()).map(|r| r.app()).collect();
+        if self.json {
+            println!("{doc}");
+        } else {
+            for r in reports {
+                let dot = if self.dot { r.dot().unwrap_or_default() } else { String::new() };
+                print!("{}{dot}", r.render_text());
+            }
+            if let Some(line) = closing(&unclean) {
+                println!("{line}");
+            }
+        }
+        if failed || !unclean.is_empty() {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `tool: all N <clean>` or `tool: <HEADING>: a, b` — the line the text
+/// of `check`, `race` and `spec` ends with.
+fn verdict(tool: &str, n: usize, clean: &str, heading: &str, unclean: &[&str]) -> Option<String> {
+    Some(if unclean.is_empty() {
+        format!("{tool}: all {n} {clean}")
+    } else {
+        format!("{tool}: {heading}: {}", unclean.join(", "))
+    })
+}
+
+/// `check`: each app's protocol probe and sanitizer (`udcheck/v1`).
+fn check(cli: &Cli, o: StdOpts) -> Run {
+    let (apps, tail) = (apps(cli, false), Tail::from_cli(cli, true));
+    Box::new(move |_: &mut Sweep| {
+        let rs: Vec<_> = apps.iter().map(|app| check_app(app, o.threads, o.seed)).collect();
+        tail.emit(&rs, |bad| verdict("udcheck", rs.len(), "app(s) clean", "UNCLEAN", bad), false);
+    })
+}
+
+/// `race`: each app under the happens-before race probe (`udrace/v1`).
+fn race(cli: &Cli, o: StdOpts) -> Run {
+    let (apps, tail) = (apps(cli, false), Tail::from_cli(cli, false));
+    Box::new(move |_: &mut Sweep| {
+        let rs: Vec<_> = apps.iter().map(|app| race_app(app, o.threads, o.seed)).collect();
+        tail.emit(&rs, |bad| verdict("udrace", rs.len(), "app(s) race-free", "RACES", bad), false);
+    })
+}
+
+/// `spec`: each declared protocol, and with `--enforce` each app's run held
+/// to it; `--fixture` adds a seeded-defect spec (`udspec/v1`).
+fn spec(cli: &Cli, o: StdOpts) -> Run {
+    let fixture = |name: &String| {
+        let spec = match name.as_str() {
+            "wait-cycle" => wait_cycle_fixture(),
+            "spm-blowup" => spm_blowup_fixture(),
+            other => usage_error(&format!("--fixture {other}: expects wait-cycle or spm-blowup")),
+        };
+        SpecAnalysis::of(&format!("fixture:{name}"), &spec, &conformance_machine())
+    };
+    let fixtures: Vec<SpecAnalysis> = cli.all("fixture").iter().map(fixture).collect();
+    let (enforce, apps, tail) = (cli.has("enforce"), apps(cli, !fixtures.is_empty()), Tail::from_cli(cli, true));
+    Box::new(move |_: &mut Sweep| {
+        let run = |app: &&str| spec_app(app, o.threads, o.seed, enforce);
+        let rs: Vec<_> = fixtures.into_iter().chain(apps.iter().map(run)).collect();
+        tail.emit(&rs, |bad| verdict("udspec", rs.len(), "spec(s) clean", "UNCLEAN", bad), false);
+    })
+}
+
+/// `cost`: each app's static cost prediction, and with `--figure9` the
+/// first run of that `fig9` sweep, graded with `--calibrate` against its
+/// `--metrics-json` export (`udcost/v1`).
+fn cost(cli: &Cli, o: StdOpts) -> Run {
+    let iters = pagerank_iters(cli, 2);
+    let figure9: Option<String> = cli.opt("figure9");
+    if let Some(which) = figure9.as_deref().filter(|w| !["pr", "pagerank", "bfs", "tc"].contains(w)) {
+        usage_error(&format!("--figure9 {which}: expects pr|bfs|tc"));
+    }
+    let apps = apps(cli, figure9.is_some());
+    let calibration: Option<String> = cli.opt("calibrate");
+    let tolerance = match cli.opt::<String>("tolerance") {
+        None => 2.0,
+        Some(t) if calibration.is_none() => usage_error(&format!("--tolerance {t}: needs --calibrate")),
+        Some(t) => match t.parse::<f64>() {
+            Ok(f) if f.is_finite() && f >= 1.0 => f,
+            _ => usage_error(&format!("--tolerance {t}: expects a finite factor >= 1")),
+        },
+    };
+    let selected = apps.len() + figure9.is_some() as usize;
+    let calibration = calibration.map(|path| {
+        if selected != 1 {
+            usage_error(&format!(
+                "--calibrate grades exactly one report; name one app or use --figure9 ({selected} selected)"
+            ));
+        }
+        let metrics = std::fs::read_to_string(&path).unwrap_or_else(|e| usage_error(&format!("--calibrate {path}: {e}")));
+        (path, metrics)
+    });
+    let tail = Tail::from_cli(cli, false);
+    Box::new(move |_: &mut Sweep| {
+        let mut rs: Vec<CostReport> = figure9.map(|which| figure9_cost(&which, &o, iters)).into_iter().collect();
+        rs.extend(apps.iter().map(|app| {
+            let (w, mc, spec) = workload_for(app, o.threads, o.seed);
+            analyze_cost(app, &spec, &w, &mc)
+        }));
+        let mut missed = false;
+        if let Some((path, metrics)) = calibration {
+            let cal = calibrate(&rs[0], &metrics).unwrap_or_else(|e| usage_error(&format!("--calibrate {path}: {e}")));
+            missed = !cal.within(tolerance);
+            rs[0].calibration = Some(cal);
+        }
+        let closing = |_: &[&str]| {
+            missed.then(|| format!("udcost: CALIBRATION FAILED: worst factor exceeds {tolerance:.2}x"))
+        };
+        tail.emit(&rs, closing, missed);
+    })
+}
+
+/// The cost prediction of the first run of `repro fig9 <which>` at
+/// `--nodes` (with `--min-nodes` at the same count): the run its
+/// `--metrics-json` exporter records, from the same inputs and config.
+fn figure9_cost(which: &str, o: &StdOpts, iters: u32) -> CostReport {
+    const MENU: &str = "the graph menu is never empty";
+    match which {
+        "pr" | "pagerank" => {
+            let (_, sg) = figure9_pr_inputs(o.scale, o.seed).next().expect(MENU);
+            let cfg = fig9_pr(o, iters, o.nodes);
+            let w = updown_apps::pagerank::workload(&sg, &cfg);
+            analyze_cost("figure9:pr", &PrConfig::spec(), &w, &cfg.machine)
+        }
+        "bfs" => {
+            let (_, g) = figure9_bfs_inputs(o.scale, o.seed).next().expect(MENU);
+            let cfg = fig9_bfs(o, o.nodes);
+            analyze_cost("figure9:bfs", &BfsConfig::spec(), &updown_apps::bfs::workload(&g, &cfg), &cfg.machine)
+        }
+        _ => {
+            let (_, g) = figure9_tc_inputs(o.scale, o.seed).next().expect(MENU);
+            let cfg = fig9_tc(o, o.nodes);
+            analyze_cost("figure9:tc", &TcConfig::spec(), &updown_apps::tc::workload(&g, &cfg), &cfg.machine)
+        }
+    }
 }

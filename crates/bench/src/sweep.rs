@@ -46,7 +46,7 @@ pub struct Sweep {
 impl Sweep {
     /// The observers and exports `surface` reads from the command line.
     pub fn from_cli(cli: &Cli, surface: &Surface) -> Sweep {
-        let gates = if surface.sim { Gates::from_cli(cli) } else { Gates::default() };
+        let gates = if surface.gates { Gates::from_cli(cli) } else { Gates::default() };
         let exporter = if surface.export { Exporter::from_cli(cli) } else { Exporter::default() };
         Sweep { gates, exporter, failed: false }
     }

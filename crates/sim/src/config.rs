@@ -289,12 +289,6 @@ impl MachineConfig {
         NetworkId(node * self.lanes_per_node() + accel * self.lanes_per_accel + lane)
     }
 
-    /// First lane of a node.
-    #[inline]
-    pub fn node_base(&self, node: u32) -> NetworkId {
-        NetworkId(node * self.lanes_per_node())
-    }
-
     /// Convert simulated ticks to seconds at the configured clock.
     #[inline]
     pub fn ticks_to_seconds(&self, ticks: u64) -> f64 {

@@ -10,7 +10,7 @@ use super::{Engine, RestoreSlot};
 use crate::calendar::{CalendarQueue, Links};
 use crate::ids::{EventWord, NetworkId};
 use crate::lane::{Lane, SimState, ThreadSlot};
-use crate::memory::{MemChannels, MemoryImage, VAddr};
+use crate::memory::{MemChannel, MemoryImage, VAddr};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, Nics};
 use crate::race::RaceState;
@@ -398,7 +398,7 @@ struct DecodedCore {
     calendar: CalendarQueue,
     arena: ActionArena,
     lanes: Vec<Lane>,
-    channel: MemChannels,
+    channel: MemChannel,
     nic: Nics,
     fabric: Fabric,
     stats: Counters,

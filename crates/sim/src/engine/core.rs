@@ -12,7 +12,7 @@ use crate::calendar::{CalendarQueue, IdList, Links};
 use crate::config::MachineConfig;
 use crate::ids::{EventWord, NetworkId, ThreadId};
 use crate::lane::{Lane, SimState};
-use crate::memory::{GlobalMemory, MemChannels, VAddr};
+use crate::memory::{GlobalMemory, MemChannel, VAddr};
 use crate::message::{Message, Operands, HW_OPERANDS};
 use crate::network::{Fabric, Nics, Topology};
 use crate::probe::{DiagKind, ProtocolRecord};
@@ -593,8 +593,8 @@ pub(super) struct EngineCore {
     /// first touch. Cloned with the core, so rewinds carry it; not part
     /// of the on-disk format (a restoring run re-drives it).
     pub(super) state: Vec<Option<Box<dyn SimState>>>,
-    /// This node's memory channel (single-node instance, index 0).
-    pub(super) channel: MemChannels,
+    /// This node's memory channel.
+    pub(super) channel: MemChannel,
     /// This node's NIC (single-node instance, index 0).
     pub(super) nic: Nics,
     /// Per-link fabric counters for traffic *injected by this shard*
@@ -621,7 +621,8 @@ pub(super) struct EngineCore {
     pub(super) custom_peak: BTreeMap<&'static str, u64>,
     /// Completion time of the latest-finishing executed event.
     pub(super) last_completion: u64,
-    /// Per-handler (execution count, last tick) for diagnostics.
+    /// Per-handler (execution count, last tick); only the
+    /// `updown-snapshot/v2` body reads it.
     pub(super) handler_stats: Vec<(u64, u64)>,
     /// Cross-shard entries sent so far; only the `updown-snapshot/v2`
     /// body reads it.
@@ -895,7 +896,7 @@ impl EngineCore {
                 *stage = MemStage::Served;
                 let trace_id = self.arena.trace_id(id);
                 trace_dram(&mut self.tracer, trace_id, DramStage::Arrive, owner, now, bytes, write);
-                let served = self.channel.service(0, now, bytes);
+                let served = self.channel.service(now, bytes);
                 self.push_id(served, id);
             }
             Action::Mem {

@@ -73,7 +73,7 @@ use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId};
 use crate::lane::Lane;
-use crate::memory::{GlobalMemory, MemChannels};
+use crate::memory::{GlobalMemory, MemChannel};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, LinkId, Nics, Topology};
 use crate::probe::ProtocolRecord;
@@ -159,7 +159,7 @@ impl Engine {
                     v
                 },
                 state: Vec::new(),
-                channel: MemChannels::new(1, &cfg.mem),
+                channel: MemChannel::new(&cfg.mem),
                 nic: Nics::new(1, &cfg.net),
                 fabric: Fabric::new(n_links, cfg.net.link_stat_window),
                 stats: Counters::default(),
@@ -446,53 +446,6 @@ impl Engine {
         c
     }
 
-    /// Per-lane busy-cycle maximum and its lane id (diagnostics: detects
-    /// serialization hot spots).
-    pub fn busiest_lane(&self) -> (u32, u64) {
-        let mut best = (0u32, 0u64);
-        for s in &self.shards {
-            for (i, l) in s.lanes.iter().enumerate() {
-                if l.busy > best.1 {
-                    best = (s.base_lane + i as u32, l.busy);
-                }
-            }
-        }
-        best
-    }
-
-    /// Lane with the most executed events (diagnostics).
-    pub fn most_events_lane(&self) -> (u32, u64) {
-        let mut best = (0u32, 0u64);
-        for s in &self.shards {
-            for (i, l) in s.lanes.iter().enumerate() {
-                if l.events > best.1 {
-                    best = (s.base_lane + i as u32, l.events);
-                }
-            }
-        }
-        best
-    }
-
-    /// Execution counts per event name, descending (diagnostics).
-    pub fn event_counts(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = Vec::new();
-        for (i, h) in self.shared.handlers.iter().enumerate() {
-            let mut count = 0u64;
-            let mut last = 0u64;
-            for s in &self.shards {
-                if let Some((c, t)) = s.handler_stats.get(i) {
-                    count += c;
-                    last = last.max(*t);
-                }
-            }
-            if count > 0 {
-                v.push((format!("{} (last @{})", h.name, last), count));
-            }
-        }
-        v.sort_by_key(|e| std::cmp::Reverse(e.1));
-        v
-    }
-
     /// Current simulation time: the maximum of the shard clocks.
     pub fn now(&self) -> u64 {
         self.shards.iter().map(|s| s.now).max().unwrap_or(0)
@@ -668,7 +621,7 @@ impl Engine {
             .map(|n| NodeMetrics {
                 node: n as u32,
                 lanes: lanes_per_node as u64,
-                dram_served_bytes: self.shards[n].channel.served_bytes.first().copied().unwrap_or(0),
+                dram_served_bytes: self.shards[n].channel.served_bytes,
                 nic_injected_bytes: self.shards[n].nic.injected_bytes.first().copied().unwrap_or(0),
                 ..NodeMetrics::default()
             })

@@ -19,7 +19,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use crate::snapshot::{SnapField, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 /// A virtual address in the UpDown global address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -376,7 +376,7 @@ impl Allocation {
 /// Simulated global memory: all live allocations plus the swizzle index.
 ///
 /// Reads/writes here are *functional* (host-visible contents). Timing is
-/// modeled separately by [`MemChannels`] when accesses are issued from lanes
+/// modeled separately by [`MemChannel`] when accesses are issued from lanes
 /// through the engine. Content access takes `&self` (per-bank interior
 /// mutability) so the parallel scheduler can share one `GlobalMemory`
 /// across shard threads; the allocation table itself only changes through
@@ -650,14 +650,6 @@ impl GlobalMemory {
         Ok(old)
     }
 
-    /// Total bytes currently allocated (live).
-    pub fn live_bytes(&self) -> u64 {
-        self.allocs
-            .iter()
-            .filter(|a| a.live)
-            .map(|a| a.desc.size)
-            .sum()
-    }
 
     /// Number of live translation descriptors (the paper notes typical
     /// programs need only 2–4).
@@ -786,69 +778,61 @@ impl MemoryImage {
     }
 }
 
-/// Per-node DRAM channel timing: FIFO service at the configured bandwidth
-/// plus fixed access latency. `service` returns the completion time of a
-/// request arriving at `arrival` transferring `bytes`.
+/// One node's DRAM channel timing: FIFO service at the configured
+/// bandwidth plus fixed access latency. `service` returns the completion
+/// time of a request arriving at `arrival` transferring `bytes`.
 #[derive(Clone)]
-pub struct MemChannels {
+pub struct MemChannel {
     /// Pipeline occupancy in *byte-units*: one cycle of channel time equals
     /// `bytes_per_cycle` units, so accesses much smaller than the per-cycle
     /// bandwidth coexist in one cycle (HBM stacks serve many 64-byte
     /// accesses per cycle) while sustained demand beyond the bandwidth
     /// queues — the contention that drives Figure 12.
-    busy_units: Vec<u64>,
+    busy_units: u64,
     bytes_per_cycle: u64,
     latency: u64,
     granularity: u64,
-    /// Total bytes served per node (stats).
-    pub served_bytes: Vec<u64>,
+    /// Total bytes served (stats).
+    pub served_bytes: u64,
 }
 
-impl MemChannels {
-    pub fn new(nodes: u32, cfg: &crate::config::MemoryConfig) -> MemChannels {
-        MemChannels {
-            busy_units: vec![0; nodes as usize],
+impl MemChannel {
+    pub fn new(cfg: &crate::config::MemoryConfig) -> MemChannel {
+        MemChannel {
+            busy_units: 0,
             bytes_per_cycle: cfg.node_bytes_per_cycle.max(1),
             latency: cfg.dram_latency,
             granularity: cfg.access_granularity.max(1),
-            served_bytes: vec![0; nodes as usize],
+            served_bytes: 0,
         }
     }
 
-    /// Schedule a transfer on `node`'s channel.
-    pub fn service(&mut self, node: u32, arrival: u64, bytes: u64) -> u64 {
-        let n = node as usize;
+    /// Schedule a transfer on the channel.
+    pub fn service(&mut self, arrival: u64, bytes: u64) -> u64 {
         let bytes = bytes.max(1).div_ceil(self.granularity) * self.granularity;
-        let start_units = (arrival * self.bytes_per_cycle).max(self.busy_units[n]);
-        self.busy_units[n] = start_units + bytes;
-        self.served_bytes[n] += bytes;
-        self.busy_units[n].div_ceil(self.bytes_per_cycle) + self.latency
+        let start_units = (arrival * self.bytes_per_cycle).max(self.busy_units);
+        self.busy_units = start_units + bytes;
+        self.served_bytes += bytes;
+        self.busy_units.div_ceil(self.bytes_per_cycle) + self.latency
     }
 
-    /// Current backlog on a node's channel relative to `now`, in cycles.
-    pub fn backlog(&self, node: u32, now: u64) -> u64 {
-        self.busy_units[node as usize]
-            .div_ceil(self.bytes_per_cycle)
-            .saturating_sub(now)
-    }
-
-    /// Snapshot the mutable timing state (occupancy + served counters). The
-    /// fixed rate parameters come from config and are not serialized.
+    /// Snapshot the mutable timing state (occupancy + served counter). The
+    /// fixed rate parameters come from config and are not serialized. Each
+    /// value is written as a one-element list, the layout of the per-node
+    /// vectors this struct once held.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        self.busy_units.put(w);
-        self.served_bytes.put(w);
+        for v in [self.busy_units, self.served_bytes] {
+            w.usize(1);
+            w.u64(v);
+        }
     }
 
     pub(crate) fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let busy = Vec::<u64>::take(r)?;
-        let served = Vec::<u64>::take(r)?;
-        if busy.len() != self.busy_units.len() || served.len() != self.served_bytes.len() {
-            return Err(SnapshotError::Incompatible(
-                "memory-channel node count mismatch".to_string(),
-            ));
-        }
-        self.busy_units = busy;
-        self.served_bytes = served;
+        let mut one = || match r.usize()? {
+            1 => r.u64(),
+            _ => Err(SnapshotError::Incompatible("memory-channel node count mismatch".to_string())),
+        };
+        (self.busy_units, self.served_bytes) = (one()?, one()?);
         Ok(())
     }
 }
@@ -972,14 +956,12 @@ mod tests {
             node_bytes_per_cycle: 64,
             access_granularity: 64,
         };
-        let mut ch = MemChannels::new(2, &cfg);
-        let t1 = ch.service(0, 0, 64); // 1 cycle xfer + 100
-        let t2 = ch.service(0, 0, 64); // queued behind first
+        let mut ch = MemChannel::new(&cfg);
+        let t1 = ch.service(0, 64); // 1 cycle xfer + 100
+        let t2 = ch.service(0, 64); // queued behind first
         assert_eq!(t1, 101);
         assert_eq!(t2, 102);
-        // Other node independent.
-        assert_eq!(ch.service(1, 0, 64), 101);
-        assert_eq!(ch.backlog(0, 0), 2);
+        assert_eq!(ch.served_bytes, 128);
     }
 
     #[test]
@@ -990,12 +972,12 @@ mod tests {
             node_bytes_per_cycle: 4096,
             access_granularity: 64,
         };
-        let mut ch = MemChannels::new(1, &cfg);
+        let mut ch = MemChannel::new(&cfg);
         for _ in 0..64 {
-            assert_eq!(ch.service(0, 0, 64), 101, "all within the first cycle");
+            assert_eq!(ch.service(0, 64), 101, "all within the first cycle");
         }
         // The 65th spills into the next cycle.
-        assert_eq!(ch.service(0, 0, 64), 102);
+        assert_eq!(ch.service(0, 64), 102);
     }
 
     #[test]

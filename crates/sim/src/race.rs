@@ -63,7 +63,7 @@
 //!
 //! There is one mode: every word of every DRAM allocation and scratchpad
 //! is tracked. Per-(handler, region) footprints ride along for the static
-//! may-race pass of `ud race`.
+//! may-race pass of `repro race`.
 //!
 //! Epochs are `u32`; a thread's 2^32nd event panics instead of wrapping.
 //! Debug builds assert that every skipped join would have been a no-op.

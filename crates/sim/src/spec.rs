@@ -11,12 +11,12 @@
 //!
 //! The spec serves two purposes:
 //!
-//! 1. **Static analysis** (`ud spec` and `ud cost`, crate `udcheck`): wait-for
+//! 1. **Static analysis** (`repro spec` and `repro cost`, crate `udcheck`): wait-for
 //!    cycle detection, resource-bound certification against
 //!    [`MachineConfig`](crate::MachineConfig) capacities, and
 //!    spec-consistency checks — all from declarations alone, with zero
 //!    simulation ticks.
-//! 2. **Runtime enforcement** (`ud spec --enforce`, `--spec` on the bench
+//! 2. **Runtime enforcement** (`repro spec --enforce`, `--spec` on the bench
 //!    bins): after a run, [`check_report`] replays the recorded
 //!    [`ProbeReport`] against the declarations. Any
 //!    undeclared send/spawn, arity violation, or certified-bound overrun
@@ -434,7 +434,7 @@ pub struct Propagation<'a, T> {
 }
 
 /// The one memoized propagation over a graph's in-edges that [`certify`]
-/// and `ud cost` run. A node's value is its [`Start`] folded with
+/// and `repro cost` run. A node's value is its [`Start`] folded with
 /// `step(acc, value(src), edge)` over `in_edges[node]` (`(src, edge)`
 /// pairs, walked in their given order). Nodes are visited in `order`. A
 /// node met again before its value is done is a cycle: that in-edge reads
@@ -590,7 +590,7 @@ pub fn certify(spec: &ProgramSpec) -> Certification {
     }
 }
 
-/// Concrete workload facts for static cost prediction (`ud cost`).
+/// Concrete workload facts for static cost prediction (`repro cost`).
 ///
 /// The symbolic pass over a [`ProgramSpec`] yields per-event count
 /// *bounds* (root multiplicity × fanout products); a `Workload` pins the
@@ -703,7 +703,7 @@ impl Finding {
     }
 }
 
-/// `severity[check] subject: message` — the line `ud check` and `ud race`
+/// `severity[check] subject: message` — the line `repro check` and `repro race`
 /// print.
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -716,7 +716,7 @@ impl fmt::Display for Finding {
 }
 
 /// Check an observed [`ProbeReport`] against declarations: the runtime
-/// enforcement half of `ud spec`.
+/// enforcement half of `repro spec`.
 ///
 /// Scope rule: only events whose *class* appears in the spec are checked;
 /// host bookkeeping events of undeclared classes are ignored. The result

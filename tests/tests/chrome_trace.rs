@@ -28,7 +28,7 @@ fn machine(nodes: u32, threads: u32) -> MachineConfig {
     m
 }
 
-/// The Chrome trace of one app on `m`, over the inputs `ud check` runs
+/// The Chrome trace of one app on `m`, over the inputs `repro check` runs
 /// (`udcheck::apps`, seed 10).
 fn trace_of(app: &str, m: MachineConfig) -> String {
     let nodes = m.nodes;
@@ -151,7 +151,7 @@ fn chrome_document_bytes_at_other_clocks() {
 /// data in the same side tables, and neither disturbs the other. Every
 /// app's Chrome document hashes to its pin above, and the five race
 /// reports render the `udrace/v1` document `tests/tests/udrace.rs` pins
-/// (`ud race`'s probes: a protocol probe for the flow graph, and the race
+/// (`repro race`'s probes: a protocol probe for the flow graph, and the race
 /// probe).
 #[test]
 fn traced_race_runs_keep_both_pinned_documents() {

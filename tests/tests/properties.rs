@@ -872,8 +872,8 @@ mod sanitizer {
     }
 
     /// Attaching a probe is all it takes to arm the sanitizer, also next
-    /// to a race probe (the `ud race` configuration) or for spec
-    /// enforcement (`ud spec --enforce`, which checks the report after the
+    /// to a race probe (the `repro race` configuration) or for spec
+    /// enforcement (`repro spec --enforce`, which checks the report after the
     /// run): the dead-thread send is a diagnostic, not a panic, and it
     /// fails that tool's verdict.
     #[test]

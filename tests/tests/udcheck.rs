@@ -24,7 +24,7 @@ use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 const SEED: u64 = 10;
 
 /// Conformance-scale machine with the probe attached, which arms the
-/// sanitizer — the same configuration `ud check` runs.
+/// sanitizer — the same configuration `repro check` runs.
 fn machine(nodes: u32, threads: u32, probe: &ProtocolProbe) -> MachineConfig {
     let mut m = MachineConfig::small(nodes, 2, 8);
     m.threads = threads;

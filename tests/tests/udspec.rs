@@ -67,7 +67,7 @@ fn spm_blowup_fixture_is_flagged() {
 }
 
 /// Run `app` at conformance scale and check its probe's report against its
-/// spec, as `ud spec --enforce` does; return the full observed-vs-declared
+/// spec, as `repro spec --enforce` does; return the full observed-vs-declared
 /// report, which may hold no error.
 fn enforce(app: &str, threads: u32) -> Vec<Finding> {
     let findings = spec_app(app, threads, SEED, true)
@@ -108,7 +108,7 @@ fn enforcement_is_thread_count_invariant() {
 /// A deliberately wrong spec is caught after the run: the engine runs
 /// with only a probe attached, and `check_report` on the probe's report
 /// finds the deviations as error findings — the one enforcement path,
-/// shared by `ud spec --enforce` and `repro --spec`.
+/// shared by `repro spec --enforce` and `repro --spec`.
 #[test]
 fn engine_enforcement_catches_a_lying_spec() {
     let mut spec = updown_sim::ProgramSpec::new();
@@ -181,7 +181,7 @@ fn spec_document_round_trips_as_json() {
     }
 }
 
-/// The declared-spec Graphviz renderer (`ud spec --dot`) emits one cluster
+/// The declared-spec Graphviz renderer (`repro spec --dot`) emits one cluster
 /// per thread class, a node per declared event, and distinguishes send
 /// edges (fanout labels) from same-thread resumptions (dashed). Output is
 /// deterministic — it feeds byte-compared CI artifacts.
