@@ -6,7 +6,8 @@ use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, MutexGuard};
 
 use crate::calendar::{CalendarQueue, IdList, Links};
 use crate::config::MachineConfig;
@@ -289,7 +290,7 @@ fn trace_route(
                 dst: link.dst,
                 node: src,
                 time: topo.hop_time(depart, k),
-                value: fabric.bytes()[l.0 as usize],
+                value: fabric.bytes(l),
             });
         }
     }
@@ -431,8 +432,8 @@ pub(super) struct XEntry {
 pub(super) struct XBuf {
     pub(super) entries: Vec<XEntry>,
     pub(super) tags: Vec<Tag>,
-    /// Capacity the pair's other buffer had when last flushed: a full
-    /// buffer grows straight to it (or doubles, if that is more).
+    /// Capacity the pair's last flushed buffer had ([`Route::hint`]): a
+    /// full buffer grows straight to it (or doubles, if that is more).
     pub(super) hint: usize,
 }
 
@@ -452,11 +453,132 @@ impl XBuf {
         }
         self.entries.push(XEntry { time, action });
     }
+}
 
-    pub(super) fn clear(&mut self) {
-        self.entries.clear();
-        self.tags.clear();
+/// The cross-shard exchange: one cell per (source, destination, parity),
+/// owned by the [`Engine`](super::Engine) so its buffers keep their
+/// capacity from run to run.
+///
+/// Double-buffered by round parity: pushes in round `r` go to parity
+/// `r % 2` and are drained at the start of round `r + 1` — a fast worker
+/// can never consume entries from the round still in progress. A cell is
+/// used by its source in round `r` and by its destination in round `r + 1`,
+/// a barrier apart, so its lock is never contended; it is there so safe
+/// Rust can hand the buffer from one worker to another.
+///
+/// So a (source, destination) pair that sends owns exactly two buffers,
+/// one per parity, and a pair that never sends owns none. The first time
+/// a round-`r` window sends to a destination, its source takes the buffer
+/// of its parity-`r % 2` cell, which the destination emptied a round
+/// earlier (a fresh one the first time the pair sends at that parity),
+/// and appends to it in send order; at the end of the window it puts each
+/// buffer it took back, filled, and marks the cell. No entry is copied
+/// from buffer to buffer, and every buffer keeps its capacity. A
+/// destination drains its cells in source order, which is the `(source
+/// shard, send order)` merge a serial exchange produces, and visits only
+/// the sources its mark bits name.
+pub(super) struct Exchange {
+    pub(super) shards: usize,
+    /// Words per bitset row: one bit per shard.
+    pub(super) words: usize,
+    /// The cell of `(src, dst, par)` is `cells[(par * shards + src) *
+    /// shards + dst]`, so a source's cells of one parity are adjacent. It
+    /// is empty until the pair first sends at that parity, and while its
+    /// source holds the buffer during a window.
+    cells: Vec<std::sync::Mutex<Option<Box<XBuf>>>>, // det-lint: allow — uncontended: source, destination a barrier apart
+    /// The sources that filled a cell of `(dst, par)` are the bits of the
+    /// `words` words from `(par * shards + dst) * words`. Marks are set and
+    /// cleared `Relaxed`: a mark set in round `r` is read in round `r + 1`,
+    /// and the window barrier's `Release` / `Acquire` pairing orders the
+    /// two; a cell's contents are published by its own lock.
+    marks: Vec<AtomicU64>,
+    /// The destinations `src` has allocated a cell for are the bits of the
+    /// `words` words from `src * words`; only `src` sets them. Lets a
+    /// host-side walk visit the allocated cells only.
+    allocated: Vec<AtomicU64>,
+}
+
+impl Exchange {
+    pub(super) fn new(shards: usize) -> Exchange {
+        let words = shards.div_ceil(64);
+        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Exchange {
+            shards,
+            words,
+            cells: (0..2 * shards * shards).map(|_| Default::default()).collect(),
+            marks: zeros(2 * shards * words),
+            allocated: zeros(shards * words),
+        }
     }
+
+    pub(super) fn cell(&self, src: usize, dst: usize, par: usize) -> MutexGuard<'_, Option<Box<XBuf>>> {
+        self.cells[(par * self.shards + src) * self.shards + dst]
+            .lock()
+            .expect("a worker panicked holding an exchange cell")
+    }
+
+    /// Word `w` of the bitset of sources that filled a cell of `(dst, par)`.
+    pub(super) fn mark(&self, dst: usize, par: usize, w: usize) -> &AtomicU64 {
+        &self.marks[(par * self.shards + dst) * self.words + w]
+    }
+
+    /// Take the buffer of cell `(src, dst, par)`, which its destination
+    /// emptied a round ago, for a window of `src` to fill; the first time
+    /// the pair sends at this parity, a fresh one.
+    fn take(&self, src: usize, dst: usize, par: usize) -> Box<XBuf> {
+        let buf = self.cell(src, dst, par).take().unwrap_or_else(|| {
+            self.allocated[src * self.words + dst / 64].fetch_or(1 << (dst % 64), Relaxed);
+            Box::default()
+        });
+        assert!(buf.entries.is_empty(), "cell ({src}, {dst}, {par}) was not drained");
+        buf
+    }
+
+    /// The `(source, destination)` pairs that have allocated a cell, in
+    /// source then destination order.
+    pub(super) fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.shards).flat_map(move |src| {
+            (0..self.words).flat_map(move |w| {
+                let mut bits = self.allocated[src * self.words + w].load(Relaxed);
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let dst = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        (src, dst)
+                    })
+                })
+            })
+        })
+    }
+
+    /// Observer tags the allocated cells have room for (host-side memory
+    /// report).
+    pub(super) fn tag_capacity(&self) -> usize {
+        let cap = |src, dst, par| self.cell(src, dst, par).as_ref().map_or(0, |b| b.tags.capacity());
+        self.pairs().map(|(src, dst)| cap(src, dst, 0) + cap(src, dst, 1)).sum()
+    }
+}
+
+/// Where a window's cross-shard entries go.
+#[derive(Clone, Copy)]
+pub(super) enum Sends<'a> {
+    /// Into the exchange cells of the window's round parity.
+    Exchange(&'a Exchange, usize),
+    /// Into buffers of the shard's own that are dropped after the window:
+    /// a replayed window never touches the exchange, whose cells may
+    /// still hold the recorded run's last entries.
+    Discard,
+}
+
+/// What a shard knows of its pair with one destination.
+#[derive(Clone, Copy, Default)]
+pub(super) struct Route {
+    /// 1 + the index in [`EngineCore::outbox`] of the buffer this window
+    /// took for the destination; 0 when it has sent there nothing yet.
+    pub(super) taken: u32,
+    /// Capacity of the pair's last flushed buffer: the next buffer taken
+    /// grows straight to it.
+    pub(super) hint: u32,
 }
 
 /// One executed lane event in a shard's recorded execution stream; the
@@ -627,10 +749,14 @@ pub(super) struct EngineCore {
     /// Cross-shard entries sent so far; only the `updown-snapshot/v2`
     /// body reads it.
     pub(super) sent_seq: u64,
-    /// Cross-shard entries buffered during a window, per destination
-    /// shard, in buffers taken from the exchange at the window start and
-    /// put back at its boundary.
-    pub(super) outbuf: Vec<XBuf>,
+    /// Cross-shard entries buffered during a window: one buffer per
+    /// destination sent to, taken from the exchange at the first send
+    /// there and put back at the window boundary, in first-send order.
+    /// Empty between windows.
+    pub(super) outbox: Vec<(u32, Box<XBuf>)>,
+    /// Per destination shard this one has sent to, indexed by its id;
+    /// grown to the highest id sent to.
+    pub(super) routes: Vec<Route>,
     /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
     /// across events; one less allocation per sending event).
     pub(super) out_scratch: Vec<Outgoing>,
@@ -667,7 +793,8 @@ impl Clone for EngineCore {
             last_completion: self.last_completion,
             handler_stats: self.handler_stats.clone(),
             sent_seq: self.sent_seq,
-            outbuf: self.outbuf.clone(),
+            outbox: self.outbox.clone(),
+            routes: self.routes.clone(),
             // The scratch buffer holds no state between events; a fresh
             // empty keeps the clone cheap and content-identical.
             out_scratch: Vec::new(),
@@ -693,7 +820,7 @@ impl EngineCore {
     /// room for (host-side memory report).
     pub(super) fn tag_capacity(&self) -> usize {
         let arena = self.arena.trace_ids.capacity() + self.arena.races.capacity();
-        arena + self.outbuf.iter().map(|b| b.tags.capacity()).sum::<usize>()
+        arena + self.outbox.iter().map(|(_, b)| b.tags.capacity()).sum::<usize>()
     }
 
     pub(super) fn schedule(&mut self, time: u64, action: Action, tag: Tag) {
@@ -751,43 +878,64 @@ impl EngineCore {
     }
 
     /// Buffer a cross-shard calendar entry for delivery at the next
-    /// window boundary.
-    fn push_cross(&mut self, dst: u32, time: u64, action: Action, tag: Tag) {
+    /// window boundary, taking the pair's buffer on the window's first
+    /// send to `dst`.
+    fn push_cross(&mut self, sends: Sends<'_>, dst: u32, time: u64, action: Action, tag: Tag) {
         self.sent_seq += 1;
-        self.outbuf[dst as usize].push(time, action, tag);
+        let d = dst as usize;
+        if d >= self.routes.len() {
+            self.routes.resize(d + 1, Route::default());
+        }
+        let route = &mut self.routes[d];
+        if route.taken == 0 {
+            let mut buf = match sends {
+                Sends::Exchange(ex, par) => ex.take(self.id as usize, d, par),
+                Sends::Discard => Box::default(),
+            };
+            buf.hint = route.hint as usize;
+            self.outbox.push((dst, buf));
+            route.taken = self.outbox.len() as u32;
+        }
+        self.outbox[route.taken as usize - 1].1.push(time, action, tag);
     }
 
-    /// Carry `action` from this node to remote `dst_node`: serialize the
-    /// bytes at this node's NIC, advance the message hop-by-hop across the
-    /// fabric (attributing per-link counters at each hop's traversal
-    /// time), and buffer the cross-shard delivery at the arrival time.
-    /// Returns `(depart, arrival)` for tracing.
+    /// Drop the buffers a [`Sends::Discard`] window filled.
+    pub(super) fn discard_outbox(&mut self) {
+        for (dst, _) in self.outbox.drain(..) {
+            self.routes[dst as usize].taken = 0;
+        }
+    }
+
+    /// Carry `bytes` from this node to remote `dst_node`: serialize them
+    /// at this node's NIC and advance the message hop-by-hop across the
+    /// fabric, attributing per-link counters at each hop's traversal time.
+    /// Returns `(depart, arrival)`; the caller buffers the cross-shard
+    /// delivery at `arrival` ([`Self::push_cross`]).
     ///
     /// All fabric state touched here belongs to this (source) shard, and
     /// the arrival trails `depart` by at least [`Topology::min_transit`]
     /// = the scheduler lookahead, so the conservative-window invariant
     /// holds for every topology and results stay byte-identical across
     /// thread counts.
-    fn fabric_send(
-        &mut self,
-        shared: &Shared,
-        ready: u64,
-        dst_node: u32,
-        bytes: u64,
-        action: Action,
-        tag: Tag,
-    ) -> (u64, u64) {
+    fn fabric_send(&mut self, shared: &Shared, ready: u64, dst_node: u32, bytes: u64) -> (u64, u64) {
         let depart = self.nic.inject(0, ready, bytes);
         let arrival = self.fabric.transit(&shared.topo, depart, self.id, dst_node, bytes);
         trace_route(&mut self.tracer, &shared.topo, &self.fabric, depart, self.id, dst_node);
-        self.push_cross(dst_node, arrival, action, tag);
         (depart, arrival)
     }
 
     /// Count a DRAM transaction issued at `t` from `src` and route its
     /// channel-arrival stage to the owning shard: across the fabric for a
     /// remote owner, one on-node hop for a local one.
-    fn dram_issue(&mut self, shared: &Shared, t: u64, src: NetworkId, op: MemOp, access: Option<RaceAccess>) {
+    fn dram_issue(
+        &mut self,
+        shared: &Shared,
+        sends: Sends<'_>,
+        t: u64,
+        src: NetworkId,
+        op: MemOp,
+        access: Option<RaceAccess>,
+    ) {
         if op.is_write() {
             self.stats.dram_writes += 1;
             self.stats.dram_write_bytes += op.bytes();
@@ -818,7 +966,8 @@ impl EngineCore {
         if owner != src_node {
             self.stats.dram_remote_accesses += 1;
             // Request messages are one 72-byte unit regardless of payload.
-            self.fabric_send(shared, t, owner, 72, request, tag);
+            let (_, arrival) = self.fabric_send(shared, t, owner, 72);
+            self.push_cross(sends, owner, arrival, request, tag);
         } else {
             self.schedule(t + shared.cfg.net.intra_node_latency, request, tag);
         }
@@ -854,8 +1003,9 @@ impl EngineCore {
     }
 
     /// Execute calendar entries strictly below `horizon`, up to `budget`
-    /// events. Returns the number of events executed in this window.
-    pub(super) fn window(&mut self, shared: &Shared, horizon: u64, budget: u64) -> u64 {
+    /// events, sending cross-shard entries through `sends`. Returns the
+    /// number of events executed in this window.
+    pub(super) fn window(&mut self, shared: &Shared, sends: Sends<'_>, horizon: u64, budget: u64) -> u64 {
         let before = self.stats.events_executed;
         while !self.stop && self.stats.events_executed - before < budget {
             let Some((t, id)) = self.calendar.pop_if_before(horizon) else {
@@ -869,16 +1019,16 @@ impl EngineCore {
             }
             self.now = t;
             if id < self.arena.first_id {
-                self.lane_run(shared, self.base_lane + id);
+                self.lane_run(shared, sends, self.base_lane + id);
             } else {
-                self.dispatch(shared, id);
+                self.dispatch(shared, sends, id);
             }
         }
         self.stats.events_executed - before
     }
 
     /// Advance the pending entry in slab slot `id` by one stage, in place.
-    fn dispatch(&mut self, shared: &Shared, id: u32) {
+    fn dispatch(&mut self, shared: &Shared, sends: Sends<'_>, id: u32) {
         let now = self.now;
         match self.arena.get_mut(id) {
             Action::Deliver(msg) => {
@@ -945,7 +1095,8 @@ impl EngineCore {
                 };
                 if owner != src_node {
                     self.arena.take(self.calendar.links_mut(), id);
-                    self.fabric_send(shared, now, src_node, 8 + bytes, done, tag);
+                    let (_, arrival) = self.fabric_send(shared, now, src_node, 8 + bytes);
+                    self.push_cross(sends, src_node, arrival, done, tag);
                 } else {
                     // The response overwrites the request in its slot.
                     *self.arena.get_mut(id) = done;
@@ -969,7 +1120,7 @@ impl EngineCore {
         }
     }
 
-    fn lane_run(&mut self, shared: &Shared, l: u32) {
+    fn lane_run(&mut self, shared: &Shared, sends: Sends<'_>, l: u32) {
         let t = self.now;
         let max_threads = shared.cfg.max_threads_per_lane;
         let li = (l - self.base_lane) as usize;
@@ -1194,7 +1345,9 @@ impl EngineCore {
                     let label = msg.dst.label().0;
                     let (depart, arrival) = if dst_node != src_node {
                         self.stats.msgs_inter_node += 1;
-                        self.fabric_send(shared, ready, dst_node, bytes, Action::Deliver(msg), tag)
+                        let (depart, arrival) = self.fabric_send(shared, ready, dst_node, bytes);
+                        self.push_cross(sends, dst_node, arrival, Action::Deliver(msg), tag);
+                        (depart, arrival)
                     } else {
                         if shared.cfg.accel_of(src) == shared.cfg.accel_of(dst) {
                             self.stats.msgs_intra_accel += 1;
@@ -1217,7 +1370,7 @@ impl EngineCore {
                         });
                     }
                 }
-                Outgoing::Dram(op, access) => self.dram_issue(shared, t_end, src, op, access),
+                Outgoing::Dram(op, access) => self.dram_issue(shared, sends, t_end, src, op, access),
             }
         }
 

@@ -41,9 +41,9 @@
 //!
 //! | file | holds |
 //! |---|---|
-//! | `core.rs` | one shard (`EngineCore`): pending-event slab and its observer side table, `window`, `dispatch`, `lane_run`, the fabric/DRAM paths, and the types they share (`Shared`, [`EventCtx`]'s fields, the cross-shard buffers, the recording structs) |
+//! | `core.rs` | one shard (`EngineCore`): pending-event slab and its observer side table, `window`, `dispatch`, `lane_run`, the fabric/DRAM paths, and the types they share (`Shared`, [`EventCtx`]'s fields, the cross-shard buffers and the exchange cells they travel in, the recording structs) |
 //! | `ctx.rs` | the handler-facing API: `impl EventCtx` |
-//! | `sched.rs` | the window loop: the exchange cells, barrier, control block, `worker_loop`, `run_rounds` |
+//! | `sched.rs` | the window loop: exchange drain and flush, barrier, control block, `worker_loop`, `run_rounds` |
 //! | `codec.rs` | both snapshot tiers: [`Snapshot`], the `updown-snapshot/v2` body codecs, and `Engine`'s snapshot/restore/checkpoint methods |
 //! | `replay.rs` | the recording of one scheduler invocation and its single-shard replay |
 //! | `mod.rs` | [`Engine`]: construction, registration, `run`, metrics roll-up |
@@ -67,15 +67,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use self::codec::StateCodecs;
-use self::core::{shard_value, Action, ActionArena, EngineCore, HandlerEntry, Shared, Table};
-use self::sched::{run_rounds, settle, Exchange};
+use self::core::{shard_value, Action, ActionArena, EngineCore, Exchange, HandlerEntry, Shared, Table};
+use self::sched::{run_rounds, settle};
 use crate::calendar::CalendarQueue;
 use crate::config::MachineConfig;
 use crate::ids::{EventLabel, EventWord, NetworkId};
 use crate::lane::Lane;
 use crate::memory::{GlobalMemory, MemChannel};
 use crate::message::{Message, Operands};
-use crate::network::{Fabric, LinkId, Nics, Topology};
+use crate::network::{Fabric, Nics, Topology};
 use crate::probe::ProtocolRecord;
 use crate::snapshot::{self, SnapHeader};
 use crate::stats::{
@@ -94,7 +94,7 @@ const FABRIC_TOP_LINKS: usize = 16;
 pub struct Engine {
     shared: Shared,
     shards: Vec<EngineCore>,
-    /// The cross-shard exchange cells; empty between runs.
+    /// The cross-shard exchange cells; drained between runs.
     exchange: Exchange,
     event_limit: u64,
     /// Logical conservative windows accumulated over all runs (reported
@@ -173,7 +173,8 @@ impl Engine {
                 last_completion: 0,
                 handler_stats: Vec::new(),
                 sent_seq: 0,
-                outbuf: (0..n).map(|_| Default::default()).collect(),
+                outbox: Vec::new(),
+                routes: Vec::new(),
                 out_scratch: Vec::new(),
                 record: None,
             })
@@ -711,31 +712,27 @@ impl Engine {
     /// the per-link byte/flit counters across shards, element-wise sum the
     /// per-link demand windows (a link's demand in a window is the total
     /// over every shard injecting into it) and take each link's peak.
-    /// Every step is an ordered sum, so the result is byte-identical
-    /// across thread counts.
+    /// Every step is an exact integer sum, so the result is byte-identical
+    /// across thread counts; each shard adds only the links it used.
     fn fabric_metrics(&self) -> FabricMetrics {
         let topo = &self.shared.topo;
         let links = topo.links();
+        let mut sums: Vec<(u64, u64, Vec<u64>)> = vec![(0, 0, Vec::new()); links.len()];
+        for t in self.shards.iter().flat_map(|s| s.fabric.used()) {
+            let (bytes, flits, window_sum) = &mut sums[t.link.0 as usize];
+            *bytes += t.bytes;
+            *flits += t.flits;
+            if window_sum.len() < t.demand.len() {
+                window_sum.resize(t.demand.len(), 0);
+            }
+            for (w, v) in window_sum.iter_mut().zip(&t.demand) {
+                *w += v;
+            }
+        }
         let mut per_link: Vec<LinkMetrics> = Vec::new();
         let mut link_bytes_total = 0u64;
         let mut peak_window_bytes = 0u64;
-        let mut window_sum: Vec<u64> = Vec::new();
-        for (i, l) in links.iter().enumerate() {
-            let id = LinkId(i as u32);
-            let mut bytes = 0u64;
-            let mut flits = 0u64;
-            window_sum.clear();
-            for s in &self.shards {
-                bytes += s.fabric.bytes()[i];
-                flits += s.fabric.flits()[i];
-                let d = s.fabric.demand(id);
-                if window_sum.len() < d.len() {
-                    window_sum.resize(d.len(), 0);
-                }
-                for (w, v) in window_sum.iter_mut().zip(d) {
-                    *w += v;
-                }
-            }
+        for (l, (bytes, flits, window_sum)) in links.iter().zip(sums) {
             if bytes == 0 {
                 continue;
             }

@@ -5,7 +5,7 @@
 use std::ops::Range;
 
 use super::codec::Snapshot;
-use super::core::{ExecRec, ShardRecord, Tag};
+use super::core::{ExecRec, Sends, ShardRecord, Tag};
 use super::Engine;
 use crate::snapshot::ReplayRunReport;
 
@@ -83,13 +83,11 @@ impl Engine {
             for e in &round.inject {
                 self.shards[k].schedule(e.time, e.action.clone(), Tag::default());
             }
-            self.shards[k].window(&self.shared, round.horizon, round.budget);
             // Cross-shard sends of an isolated replay go nowhere: the
             // other shards' effects are already represented by the
             // recorded inject schedule.
-            for buf in self.shards[k].outbuf.iter_mut() {
-                buf.clear();
-            }
+            self.shards[k].window(&self.shared, Sends::Discard, round.horizon, round.budget);
+            self.shards[k].discard_outbox();
         }
         self.shards[k].record.take().map(|b| b.exec).unwrap_or_default()
     }

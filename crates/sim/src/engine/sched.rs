@@ -1,85 +1,12 @@
-//! The conservative window loop: the cross-shard exchange, the barrier,
-//! the shared control block, and the workers that claim shards round by
-//! round. One policy, nothing to configure.
+//! The conservative window loop: the exchange drain and flush, the
+//! barrier, the shared control block, and the workers that claim shards
+//! round by round. One policy, nothing to configure.
 
 use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::{Mutex, MutexGuard};
-
-use super::core::{EngineCore, Shared, XBuf};
-
-/// The cross-shard exchange: one cell per (source, destination, parity),
-/// owned by the [`Engine`](super::Engine) so its buffers keep their
-/// capacity from run to run.
-///
-/// Double-buffered by round parity: pushes in round `r` go to parity
-/// `r % 2` and are drained at the start of round `r + 1` — a fast worker
-/// can never consume entries from the round still in progress. A cell is
-/// used by its source in round `r` and by its destination in round `r + 1`,
-/// a barrier apart, so its lock is never contended; it is there so safe
-/// Rust can hand the buffer from one worker to another.
-///
-/// So a (source, destination) pair owns two buffers, one per parity. At the
-/// start of its round-`r` window a source takes the buffers of its
-/// parity-`r % 2` cells, which their destinations emptied a round earlier,
-/// appends to them in send order, and at the end of the window puts the
-/// filled ones back and marks them. No entry is copied from buffer to
-/// buffer, and every buffer keeps its capacity. A destination drains its
-/// cells in source order, which is the `(source shard, send order)` merge
-/// a serial exchange produces, and visits only the sources its mark bits
-/// name.
-pub(super) struct Exchange {
-    shards: usize,
-    /// Words per mark bitset: one bit per source shard.
-    words: usize,
-    /// The cell of `(src, dst, par)` is in slot `(par * shards + dst) *
-    /// shards + src`. The same vector holds the mark bitsets, so the
-    /// exchange is one allocation: the sources that filled a cell of
-    /// `(dst, par)` are the bits of the `mark`s of the `words` slots from
-    /// `(par * shards + dst) * words`. Marks are set and cleared
-    /// `Relaxed`: a mark set in round `r` is read in round `r + 1`, and the
-    /// window barrier's `Release` / `Acquire` pairing orders the two; a
-    /// cell's contents are published by its own lock.
-    slots: Vec<ExchangeSlot>,
-}
-
-#[derive(Default)]
-struct ExchangeSlot {
-    cell: Mutex<XBuf>,
-    mark: AtomicU64,
-}
-
-impl Exchange {
-    pub(super) fn new(shards: usize) -> Exchange {
-        Exchange {
-            shards,
-            words: shards.div_ceil(64),
-            slots: (0..2 * shards * shards).map(|_| ExchangeSlot::default()).collect(),
-        }
-    }
-
-    fn cell(&self, src: usize, dst: usize, par: usize) -> MutexGuard<'_, XBuf> {
-        self.slots[(par * self.shards + dst) * self.shards + src]
-            .cell
-            .lock()
-            .expect("a worker panicked holding an exchange cell")
-    }
-
-    /// Word `w` of the bitset of sources that filled a cell of `(dst, par)`.
-    fn mark(&self, dst: usize, par: usize, w: usize) -> &AtomicU64 {
-        &self.slots[(par * self.shards + dst) * self.words + w].mark
-    }
-
-    /// Observer tags the cells have room for (host-side memory report).
-    pub(super) fn tag_capacity(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.cell.lock().expect("a worker panicked holding an exchange cell").tags.capacity())
-            .sum()
-    }
-}
+use super::core::{EngineCore, Exchange, Sends, Shared, XBuf};
 
 /// A sense-reversing (generation-counting) barrier. `std::sync::Barrier`
 /// takes a mutex on every `wait`, which dominates short windows; this one
@@ -192,7 +119,7 @@ struct Ctl {
 /// cursor hands out each index once), so the lock is uncontended — it
 /// exists to let safe Rust move a `&mut` shard between worker threads
 /// round by round.
-type ShardSlot<'a> = Mutex<&'a mut EngineCore>;
+type ShardSlot<'a> = std::sync::Mutex<&'a mut EngineCore>; // det-lint: allow — uncontended: one claim per slot per round
 
 /// Execute one shard's share of a round of parity `par`: drain what other
 /// shards sent it last round, run the window, publish cross-shard output,
@@ -208,15 +135,14 @@ fn run_shard_round(
 ) {
     core.record_begin_round(horizon, budget);
     core.drain_exchange(ex, 1 - par);
-    core.take_outbufs(ex, par);
-    let executed = core.window(shared, horizon, budget);
+    let executed = core.window(shared, Sends::Exchange(ex, par), horizon, budget);
     if let Some(rp) = &shared.cfg.race {
         rp.end_window(core.id, ex.shards as u32);
     }
     if executed > 0 {
         ctl.events.fetch_add(executed, Relaxed);
     }
-    let flushed_min = core.flush_outbuf(ex, par);
+    let flushed_min = core.flush_outbox(ex, par);
     ctl.floor_acc[par].fetch_min(core.next_time().min(flushed_min), Relaxed);
     ctl.cost[core.id as usize].store(executed, Relaxed);
     ctl.round_max.fetch_max(executed, Relaxed);
@@ -378,7 +304,7 @@ pub(super) fn run_rounds(
     {
         // Shard slots: workers move `&mut` shards between threads round
         // by round through these (uncontended) mutexes.
-        let slots: Vec<ShardSlot<'_>> = shards.iter_mut().map(Mutex::new).collect();
+        let slots: Vec<ShardSlot<'_>> = shards.iter_mut().map(ShardSlot::new).collect();
         // Home ranges (sizes differ by at most one): the baseline a claim
         // is compared against to count as a steal.
         let home = |i: usize| {
@@ -435,7 +361,8 @@ impl EngineCore {
             while bits != 0 {
                 let src = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.drain_buf(&mut ex.cell(src, dst, par));
+                let mut cell = ex.cell(src, dst, par);
+                self.drain_buf(cell.as_mut().expect("a marked cell holds its buffer"));
             }
         }
     }
@@ -454,37 +381,23 @@ impl EngineCore {
         }
     }
 
-    /// Take the buffers of this shard's parity-`par` cells, which their
-    /// destinations emptied a round ago, to buffer this window's
-    /// cross-shard entries in; each cell holds what the shard held.
-    fn take_outbufs(&mut self, ex: &Exchange, par: usize) {
-        let src = self.id as usize;
-        for (dst, buf) in self.outbuf.iter_mut().enumerate() {
-            let hint = buf.hint;
-            std::mem::swap(&mut *ex.cell(src, dst, par), buf);
-            buf.hint = hint;
-        }
-    }
-
     /// Publish this window's buffered cross-shard entries into the
-    /// exchange (parity `par`): put each filled buffer back into its cell
-    /// and mark the cell. Returns the earliest entry time
+    /// exchange (parity `par`): put each buffer the window took back into
+    /// its cell, filled, and mark the cell. Returns the earliest entry time
     /// flushed (`u64::MAX` when nothing was buffered) so the worker can
     /// fold it into the next round's floor accumulator.
-    fn flush_outbuf(&mut self, ex: &Exchange, par: usize) -> u64 {
+    fn flush_outbox(&mut self, ex: &Exchange, par: usize) -> u64 {
         let mut flushed_min = u64::MAX;
         let src = self.id as usize;
-        for (dst, buf) in self.outbuf.iter_mut().enumerate() {
-            if buf.entries.is_empty() {
-                continue;
-            }
+        for (dst, buf) in self.outbox.drain(..) {
+            let dst = dst as usize;
             for e in &buf.entries {
                 flushed_min = flushed_min.min(e.time);
             }
-            let mut cell = ex.cell(src, dst, par);
-            debug_assert!(cell.entries.is_empty(), "cell ({src}, {dst}, {par}) was not drained");
-            std::mem::swap(&mut *cell, buf);
-            buf.hint = cell.entries.capacity();
+            let route = &mut self.routes[dst];
+            route.taken = 0;
+            route.hint = buf.entries.capacity() as u32;
+            *ex.cell(src, dst, par) = Some(buf);
             ex.mark(dst, par, src / 64).fetch_or(1 << (src % 64), Relaxed);
         }
         flushed_min

@@ -911,3 +911,81 @@ fn time_went_backwards_is_a_hard_error() {
     eng.force_clock_for_test(1_000_000);
     eng.run();
 }
+
+/// Under `replay`, `Engine::run` replays each checkpoint segment before it
+/// settles the entries the segment left in the exchange. Here every event
+/// sends to another node, so every pause has entries in flight; a replayed
+/// window that touched the exchange would lose them, and the run would end
+/// differently from the same run without replay.
+#[test]
+fn replay_across_checkpoint_pauses_leaves_entries_in_flight_alone() {
+    let run = |replay: Option<crate::ReplayCheck>| {
+        let mut cfg = MachineConfig::small(4, 2, 4);
+        cfg.checkpoint_every = 3;
+        cfg.replay = replay;
+        let lanes_per_node = cfg.lanes_per_node();
+        let mut eng = Engine::new(cfg);
+        let hop = eng.register(
+            "hop",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let left = ctx.arg(0);
+                if left > 0 {
+                    let next = (ctx.nwid().0 + lanes_per_node + 1) % ctx.config().total_lanes();
+                    let w = EventWord::new(NetworkId(next), ctx.cur_evw().label());
+                    ctx.send_event(w, [left - 1], EventWord::IGNORE);
+                }
+                ctx.yield_terminate();
+            }),
+        );
+        for node in 0..4 {
+            let lane = NetworkId(node * lanes_per_node + node);
+            eng.send(EventWord::new(lane, hop), [30], EventWord::IGNORE);
+        }
+        eng.run().to_json()
+    };
+    let check = crate::ReplayCheck::new();
+    let bare = run(None);
+    assert_eq!(run(Some(check.clone())), bare, "replay changed the run");
+    let reports = check.reports();
+    assert!(reports.len() >= 8, "too few checkpoint segments: {}", reports.len());
+    for r in &reports {
+        assert_eq!((r.shards, r.mismatches.as_slice()), (4, &[] as &[String]));
+    }
+    assert_eq!(reports.iter().map(|r| r.events).sum::<u64>(), 4 * 31);
+}
+
+/// 64 shards in a ring, each sending only to the next one: the exchange
+/// allocates buffers for those 64 pairs and no other, and the metrics are
+/// the same at one and two threads.
+#[test]
+fn ring_traffic_allocates_only_the_pairs_that_send() {
+    const SHARDS: u32 = 64;
+    let run = |threads: u32| {
+        let mut cfg = MachineConfig::small(SHARDS, 1, 2);
+        cfg.threads = threads;
+        let lanes_per_node = cfg.lanes_per_node();
+        let mut eng = Engine::new(cfg);
+        let hop = eng.register(
+            "hop",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let left = ctx.arg(0);
+                if left > 0 {
+                    let next = (ctx.node() + 1) % SHARDS * lanes_per_node;
+                    let w = EventWord::new(NetworkId(next), ctx.cur_evw().label());
+                    ctx.send_event(w, [left - 1], EventWord::IGNORE);
+                }
+                ctx.yield_terminate();
+            }),
+        );
+        for node in 0..SHARDS {
+            eng.send(EventWord::new(NetworkId(node * lanes_per_node), hop), [5], EventWord::IGNORE);
+        }
+        let json = eng.run().to_json();
+        (json, eng.exchange.pairs().collect::<Vec<_>>())
+    };
+    let (json, pairs) = run(1);
+    let ring: Vec<(usize, usize)> = (0..SHARDS as usize).map(|s| (s, (s + 1) % SHARDS as usize)).collect();
+    assert_eq!(pairs, ring, "allocated pairs are the active ones");
+    assert!(json.contains(&format!("\"events_executed\":{}", SHARDS * 6)), "{json}");
+    assert_eq!(run(2), (json, pairs), "threads = 2");
+}

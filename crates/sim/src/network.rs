@@ -432,23 +432,39 @@ fn grid_dims(n: u32) -> (u32, u32) {
 /// fabric state; the engine sum-merges the per-shard counters at metrics
 /// time (and element-wise sums the demand windows before taking the peak),
 /// which keeps every figure byte-identical across `--threads` values.
+///
+/// A shard sends over few of the machine's links, so it keeps counters for
+/// those only: a link it never used reads as zero, and costs nothing.
 #[derive(Clone)]
 pub struct Fabric {
-    bytes: Vec<u64>,
-    flits: Vec<u64>,
+    n_links: usize,
     stat_window: u64,
-    /// Per link, bytes per `stat_window`-cycle bucket (bucket `i` covers
+    /// 1 + the index in `used` of each link this shard has sent over, 0
+    /// for the rest; grown to the highest link id used.
+    slot: Vec<u32>,
+    /// Counters of the links used, in first-use order.
+    used: Vec<LinkTraffic>,
+}
+
+/// One link's traffic from one shard.
+#[derive(Clone)]
+pub(crate) struct LinkTraffic {
+    pub(crate) link: LinkId,
+    pub(crate) bytes: u64,
+    /// Traversals.
+    pub(crate) flits: u64,
+    /// Bytes per `stat_window`-cycle bucket (bucket `i` covers
     /// `[i * stat_window, (i + 1) * stat_window)`). Grown on demand.
-    demand: Vec<Vec<u64>>,
+    pub(crate) demand: Vec<u64>,
 }
 
 impl Fabric {
     pub fn new(n_links: usize, stat_window: u64) -> Fabric {
         Fabric {
-            bytes: vec![0; n_links],
-            flits: vec![0; n_links],
+            n_links,
             stat_window: stat_window.max(1),
-            demand: vec![Vec::new(); n_links],
+            slot: Vec::new(),
+            used: Vec::new(),
         }
     }
 
@@ -456,15 +472,23 @@ impl Fabric {
     /// link's cumulative byte count (for trace counters).
     pub fn record(&mut self, link: LinkId, time: u64, bytes: u64) -> u64 {
         let l = link.0 as usize;
-        self.bytes[l] += bytes;
-        self.flits[l] += 1;
-        let bucket = (time / self.stat_window) as usize;
-        let d = &mut self.demand[l];
-        if d.len() <= bucket {
-            d.resize(bucket + 1, 0);
+        assert!(l < self.n_links, "link {l} of a {}-link fabric", self.n_links);
+        if l >= self.slot.len() {
+            self.slot.resize(l + 1, 0);
         }
-        d[bucket] += bytes;
-        self.bytes[l]
+        if self.slot[l] == 0 {
+            self.used.push(LinkTraffic { link, bytes: 0, flits: 0, demand: Vec::new() });
+            self.slot[l] = self.used.len() as u32;
+        }
+        let t = &mut self.used[self.slot[l] as usize - 1];
+        t.bytes += bytes;
+        t.flits += 1;
+        let bucket = (time / self.stat_window) as usize;
+        if t.demand.len() <= bucket {
+            t.demand.resize(bucket + 1, 0);
+        }
+        t.demand[bucket] += bytes;
+        t.bytes
     }
 
     /// Advance one in-flight message hop-by-hop across `topo`'s route,
@@ -479,19 +503,30 @@ impl Fabric {
         depart + topo.route_latency(route.len())
     }
 
-    /// Cumulative bytes per link (indexed by [`LinkId`]).
-    pub fn bytes(&self) -> &[u64] {
-        &self.bytes
+    /// The traffic of `link`; `None` if this shard never sent over it.
+    fn link(&self, link: LinkId) -> Option<&LinkTraffic> {
+        let i = *self.slot.get(link.0 as usize)?;
+        i.checked_sub(1).map(|i| &self.used[i as usize])
     }
 
-    /// Traversals (flits) per link.
-    pub fn flits(&self) -> &[u64] {
-        &self.flits
+    /// Cumulative bytes over `link`.
+    pub fn bytes(&self, link: LinkId) -> u64 {
+        self.link(link).map_or(0, |t| t.bytes)
     }
 
-    /// Demand buckets of one link (bytes per `stat_window` cycles).
+    /// Traversals (flits) of `link`.
+    pub fn flits(&self, link: LinkId) -> u64 {
+        self.link(link).map_or(0, |t| t.flits)
+    }
+
+    /// Demand buckets of `link` (bytes per `stat_window` cycles).
     pub fn demand(&self, link: LinkId) -> &[u64] {
-        &self.demand[link.0 as usize]
+        self.link(link).map_or(&[], |t| &t.demand)
+    }
+
+    /// The links this shard has sent over, in first-use order.
+    pub(crate) fn used(&self) -> &[LinkTraffic] {
+        &self.used
     }
 
     pub fn stat_window(&self) -> u64 {
@@ -499,14 +534,24 @@ impl Fabric {
     }
 
     /// Snapshot counters + demand windows (the link table is rebuilt from
-    /// config, only the accumulated traffic needs serializing).
+    /// config, only the accumulated traffic needs serializing): bytes and
+    /// flits of every link, then every link's demand buckets, in link
+    /// order, zero and empty for the links never used.
     pub(crate) fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::SnapField;
-        self.bytes.put(w);
-        self.flits.put(w);
-        w.usize(self.demand.len());
-        for d in &self.demand {
-            d.put(w);
+        let ids = || (0..self.n_links as u32).map(LinkId);
+        for field in [Fabric::bytes, Fabric::flits] {
+            w.usize(self.n_links);
+            for l in ids() {
+                w.u64(field(self, l));
+            }
+        }
+        w.usize(self.n_links);
+        for l in ids() {
+            let d = self.demand(l);
+            w.usize(d.len());
+            for &v in d {
+                w.u64(v);
+            }
         }
     }
 
@@ -518,18 +563,22 @@ impl Fabric {
         let bytes = Vec::<u64>::take(r)?;
         let flits = Vec::<u64>::take(r)?;
         let nd = r.len(8)?;
-        if bytes.len() != self.bytes.len() || flits.len() != self.flits.len() || nd != self.demand.len() {
+        if bytes.len() != self.n_links || flits.len() != self.n_links || nd != self.n_links {
             return Err(SnapshotError::Incompatible(
                 "fabric link count mismatch".to_string(),
             ));
         }
-        let mut demand = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            demand.push(Vec::<u64>::take(r)?);
+        let mut fabric = Fabric::new(self.n_links, self.stat_window);
+        for (l, (bytes, flits)) in bytes.into_iter().zip(flits).enumerate() {
+            let demand = Vec::<u64>::take(r)?;
+            if flits != 0 || bytes != 0 || !demand.is_empty() {
+                fabric.slot.resize(l + 1, 0);
+                let link = LinkId(l as u32);
+                fabric.used.push(LinkTraffic { link, bytes, flits, demand });
+                fabric.slot[l] = fabric.used.len() as u32;
+            }
         }
-        self.bytes = bytes;
-        self.flits = flits;
-        self.demand = demand;
+        *self = fabric;
         Ok(())
     }
 }
@@ -772,8 +821,8 @@ mod tests {
         let mut f = Fabric::new(3, 100);
         assert_eq!(f.record(LinkId(1), 50, 64), 64);
         assert_eq!(f.record(LinkId(1), 250, 8), 72);
-        assert_eq!(f.bytes()[1], 72);
-        assert_eq!(f.flits()[1], 2);
+        assert_eq!(f.bytes(LinkId(1)), 72);
+        assert_eq!(f.flits(LinkId(1)), 2);
         assert_eq!(f.demand(LinkId(1)), &[64, 0, 8]);
         assert_eq!(f.demand(LinkId(0)), &[] as &[u64]);
     }
@@ -784,9 +833,10 @@ mod tests {
         let mut f = Fabric::new(topo.links().len(), 100);
         let arrival = f.transit(&topo, 1000, 0, 3, 72);
         assert_eq!(arrival, 1020, "two hops at 10 cycles each");
-        let used: u64 = f.flits().iter().sum();
+        let links = || (0..topo.links().len() as u32).map(LinkId);
+        let used: u64 = links().map(|l| f.flits(l)).sum();
         assert_eq!(used, 2);
-        assert_eq!(f.bytes().iter().sum::<u64>(), 144);
+        assert_eq!(links().map(|l| f.bytes(l)).sum::<u64>(), 144);
     }
 
     #[test]

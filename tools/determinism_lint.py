@@ -49,6 +49,19 @@ handle's one `Mutex` line carries its `det-lint: allow` as that end-of-run
 outbox; a lock anywhere else in the file would put one back on the
 per-event path.
 
+Engine locks: the scheduler in `crates/sim/src/engine` has exactly two
+locks, both uncontended by construction and there only because
+`forbid(unsafe_code)` leaves safe Rust no other way to hand data between
+worker threads: the exchange cell (`Exchange::cells`: a source fills it in
+round r, its destination drains it in round r + 1, a barrier apart) and
+the shard slot (`ShardSlot`: the claim cursor hands each slot to one
+worker per round). Each is declared on one line that names its lock type
+and carries `det-lint: allow — <reason>`; `ENGINE_LOCKS` lists those two
+lines, and each excuses one line. Any other line in that directory that
+names a lock type (`Mutex`, `RwLock`, `Condvar`, `OnceLock`, `LazyLock`,
+`Once`, `Barrier`) outside test code is a finding, whatever it carries;
+`engine/tests.rs` is test code.
+
 The lint also enforces `#![forbid(unsafe_code)]` as the first attribute of
 every workspace crate root and binary, so the no-unsafe guarantee cannot
 silently regress.
@@ -84,6 +97,17 @@ LOCK_EXEMPT = "crates/apps/src/baseline"
 LOCK_FILES = [
     "crates/sim/src/probe.rs",
 ]
+
+# The engine's only locks (see "Engine locks" above): the file and the
+# declaration that may name one. Everything else in ENGINE_DIR that names a
+# lock type is a finding.
+ENGINE_DIR = "crates/sim/src/engine"
+ENGINE_TESTS = "crates/sim/src/engine/tests.rs"
+ENGINE_LOCKS = [
+    ("crates/sim/src/engine/core.rs", re.compile(r"^\s*cells: Vec<std::sync::Mutex<")),
+    ("crates/sim/src/engine/sched.rs", re.compile(r"^type ShardSlot<'a> = std::sync::Mutex<")),
+]
+ENGINE_LOCK_PATTERN = re.compile(r"\b(Mutex|RwLock|Condvar|OnceLock|LazyLock|Once|Barrier)\b")
 
 # Test suites, linted by glob: a crate without a tests/ directory is fine.
 LINTED_GLOBS = [
@@ -144,6 +168,30 @@ def lint_locks(path: Path) -> list:
     return findings
 
 
+def lint_engine_locks(root: Path) -> list:
+    findings = []
+    # Each allowed declaration excuses one line, once.
+    allowed = [(root / f, pat) for f, pat in ENGINE_LOCKS]
+    for path in sorted((root / ENGINE_DIR).rglob("*.rs")):
+        if path == root / ENGINE_TESTS:
+            continue
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            if CFG_TEST.match(line):
+                break
+            if COMMENT.match(line):
+                continue
+            m = ENGINE_LOCK_PATTERN.search(line)
+            if not m:
+                continue
+            hit = next((e for e in allowed if e[0] == path and e[1].match(line)), None)
+            if hit and ALLOW in line:
+                allowed.remove(hit)
+                continue
+            why = f"{m.group(1)} (the engine's only locks are the exchange cell and the shard slot)"
+            findings.append((path, i + 1, why, line.strip()))
+    return findings
+
+
 def check_forbid(root: Path) -> list:
     findings = []
     for glob in FORBID_GLOBS:
@@ -179,6 +227,7 @@ def main() -> int:
                 findings.extend(lint_locks(path))
     for f in LOCK_FILES:
         findings.extend(lint_locks(root / f))
+    findings.extend(lint_engine_locks(root))
     findings.extend(check_forbid(root))
     for path, lineno, why, text in findings:
         rel = path.relative_to(root)
