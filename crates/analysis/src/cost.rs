@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 
 use updown_sim::json::{JsonValue, JsonWriter};
+use updown_sim::message::wire_bytes;
 use updown_sim::spec::{declared_edges, propagate, Bound, ProgramSpec, Start, Workload};
 use updown_sim::MachineConfig;
 
@@ -196,13 +197,6 @@ fn edges_of<'a>(spec: &'a ProgramSpec, w: &Workload) -> Vec<Edge<'a>> {
         .collect()
 }
 
-/// Wire bytes of one message carrying `args` operands (header + operands,
-/// padded to the 64-byte hardware message granularity per 8 operands).
-fn wire_bytes(args: u32, header: u64) -> f64 {
-    let units = (args as u64).div_ceil(8).max(1);
-    (units * (header + 64)) as f64
-}
-
 /// Run the full static cost analysis of `spec` under `workload` on `mc`.
 pub fn analyze_cost(
     app: &str,
@@ -281,7 +275,6 @@ pub fn analyze_cost(
     // Probability a weight-distributed sender and receiver land on
     // different nodes (the cross-node fraction of a non-local edge).
     let cross_frac: f64 = 1.0 - share.iter().map(|s| s * s).sum::<f64>();
-    let header = mc.net.msg_header_bytes;
     let is_local = |src: &str, dst: &str| {
         workload
             .local_edges
@@ -324,7 +317,7 @@ pub fn analyze_cost(
                 src: e.src.to_string(),
                 dst: e.dst.to_string(),
                 msgs: m,
-                bytes: m * wire_bytes(e.max_args, header),
+                bytes: m * wire_bytes(e.max_args as usize) as f64,
                 local: is_local(e.src, e.dst),
             });
         }

@@ -34,7 +34,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use updown_sim::json::JsonWriter;
 use updown_sim::spec::{
-    certify, check_report, declared_edges, Bound, Certification, ProgramSpec, SendDecl,
+    capacity_findings, certify, check_report, declared_edges, Bound, Certification, ProgramSpec,
+    SendDecl,
 };
 use updown_sim::{MachineConfig, ProtocolProbe};
 
@@ -119,34 +120,7 @@ pub fn bound_findings(cert: &Certification, mc: &MachineConfig) -> Vec<Finding> 
             ));
         }
     }
-    if let Bound::Finite(b) = cert.threads_per_lane {
-        if b > u64::from(mc.max_threads_per_lane) {
-            out.push(Finding::new(
-                Severity::Error,
-                "thread-bound-capacity",
-                "machine".to_string(),
-                format!(
-                    "certified per-lane live-thread bound {b} exceeds the thread \
-                     table ({} contexts/lane)",
-                    mc.max_threads_per_lane
-                ),
-            ));
-        }
-    }
-    if let Bound::Finite(b) = cert.spm_words_per_lane {
-        if b > u64::from(mc.spm_words) {
-            out.push(Finding::new(
-                Severity::Error,
-                "spm-bound-capacity",
-                "machine".to_string(),
-                format!(
-                    "certified per-lane scratchpad bound {b} words exceeds the \
-                     scratchpad ({} words/lane)",
-                    mc.spm_words
-                ),
-            ));
-        }
-    }
+    out.extend(capacity_findings(cert, mc.max_threads_per_lane, mc.spm_words));
     out
 }
 

@@ -1,85 +1,21 @@
 #![forbid(unsafe_code)]
-//! Cargo-native port of the `tools/determinism_lint.py` forbid-attribute
-//! check: every workspace crate root and binary must open with
-//! `#![forbid(unsafe_code)]`, so the repository's no-unsafe guarantee
-//! cannot silently regress even where the Python lint isn't run. The
-//! full content lint (HashMap/wall-clock/thread-identity) stays in the
-//! Python tool; this test pins the one check whose failure mode is a
-//! silently-added file. A second test runs the Python tool itself on a
-//! fixture tree to show that its engine-lock rule flags a stray lock.
+//! `tools/determinism_lint.py` under `cargo test`: the lint must be clean
+//! on the repository itself (every crate root and binary forbids unsafe
+//! code; no order-randomized container, wall-clock read, thread identity
+//! or stray lock in the deterministic crates), and its engine-lock rule
+//! must flag a stray lock in a fixture tree.
 
-use std::path::{Path, PathBuf};
-
-/// The same roots as `FORBID_GLOBS` in tools/determinism_lint.py:
-/// `crates/*/src/lib.rs`, `crates/*/src/main.rs`, `crates/*/src/bin/*.rs`
-/// and `tests/src/lib.rs`.
-fn forbid_candidates(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let crates = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", crates.display()))
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        for stem in ["lib.rs", "main.rs"] {
-            let p = dir.join("src").join(stem);
-            if p.is_file() {
-                out.push(p);
-            }
-        }
-        let bin = dir.join("src").join("bin");
-        if bin.is_dir() {
-            let mut bins: Vec<PathBuf> = std::fs::read_dir(&bin)
-                .unwrap()
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-                .collect();
-            bins.sort();
-            out.extend(bins);
-        }
-    }
-    let tests_lib = root.join("tests/src/lib.rs");
-    if tests_lib.is_file() {
-        out.push(tests_lib);
-    }
-    out
-}
+use std::path::Path;
 
 #[test]
-fn every_crate_root_and_binary_forbids_unsafe() {
+fn determinism_lint_is_clean_on_the_repository() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    assert!(
-        root.join("Cargo.toml").is_file(),
-        "cannot locate workspace root from {}",
-        root.display()
-    );
-    let candidates = forbid_candidates(&root);
-    assert!(
-        candidates.len() >= 10,
-        "glob found only {} crate roots/binaries — lint scope broke",
-        candidates.len()
-    );
-    let mut missing = Vec::new();
-    for path in &candidates {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let first = text.trim_start().lines().next().unwrap_or("").trim();
-        if first != "#![forbid(unsafe_code)]" {
-            missing.push(format!(
-                "{}: first line is `{first}`",
-                path.strip_prefix(&root).unwrap_or(path).display()
-            ));
-        }
-    }
-    assert!(
-        missing.is_empty(),
-        "crate roots/binaries missing #![forbid(unsafe_code)] as their first attribute:\n{}",
-        missing.join("\n")
-    );
+    let out = std::process::Command::new("python3")
+        .arg(root.join("tools/determinism_lint.py"))
+        .output()
+        .expect("running python3 tools/determinism_lint.py");
+    let text = String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success() && text.contains("determinism_lint: clean"), "{text}");
 }
 
 /// The lint's engine-lock rule on a fixture tree: the exchange cell and

@@ -31,8 +31,6 @@ pub struct BfsConfig {
     /// Memory nodes for the graph arrays (Figure 12 sweep).
     pub mem_nodes: Option<u32>,
     pub root: u32,
-    /// Graph array DRAMmalloc block size (32 KiB in the paper).
-    pub block_size: u64,
     /// Record an event trace; the result carries the Chrome-trace JSON.
     pub trace: bool,
 }
@@ -43,7 +41,6 @@ impl BfsConfig {
             machine: MachineConfig::with_nodes(nodes),
             mem_nodes: None,
             root,
-            block_size: 32 * 1024,
             trace: false,
         }
     }
@@ -295,7 +292,7 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     }
     let nodes = mc.nodes;
     let mem_nodes = cfg.mem_nodes.unwrap_or(nodes).min(nodes);
-    let graph_layout = Layout::cyclic_bs(mem_nodes, cfg.block_size);
+    let graph_layout = Layout::cyclic_bs(mem_nodes, crate::GRAPH_BLOCK_BYTES);
 
     let n = g.n() as u64;
     let n_accels = nodes * mc.accels_per_node;

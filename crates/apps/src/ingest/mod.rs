@@ -18,19 +18,24 @@ use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics};
 use datagen::Dataset;
 use tform::{parse_block, RawRecord, RECORD_WORDS};
 
+/// Parse block size in bytes (a parallel-file stripe).
+pub const PARSE_BLOCK_BYTES: usize = 2048;
+
+/// Buckets per lane of the PGA vertex table (the artifact's VERTEX_BL).
+pub const VERTEX_BL: u32 = 64;
+/// Entries per bucket of the PGA vertex table (VERTEX_EB).
+pub const VERTEX_EB: u32 = 16;
+/// Buckets per lane of the PGA edge table (EDGE_BL).
+pub const EDGE_BL: u32 = 64;
+/// Entries per bucket of the PGA edge table (EDGE_EB).
+pub const EDGE_EB: u32 = 64;
+
 #[derive(Clone, Debug)]
 pub struct IngestConfig {
     pub machine: MachineConfig,
     /// Lanes used (defaults to the whole machine); the artifact's
     /// `NUM_TFORM_LANES` / `NUM_PGA_LANES`.
     pub lanes: Option<u32>,
-    /// Parse block size in bytes (a parallel-file stripe).
-    pub block_bytes: usize,
-    /// PGA table shape: the artifact's VERTEX_BL/EB, EDGE_BL/EB knobs.
-    pub vertex_bl: u32,
-    pub vertex_eb: u32,
-    pub edge_bl: u32,
-    pub edge_eb: u32,
     /// Record an event trace; the result carries the Chrome-trace JSON.
     pub trace: bool,
 }
@@ -40,11 +45,6 @@ impl IngestConfig {
         IngestConfig {
             machine: MachineConfig::with_nodes(nodes),
             lanes: None,
-            block_bytes: 2048,
-            vertex_bl: 64,
-            vertex_eb: 16,
-            edge_bl: 64,
-            edge_eb: 64,
             trace: false,
         }
     }
@@ -126,7 +126,7 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
 
     // Host-side shadow of the parallel parse (per-block record lists and
     // output offsets); the device run charges the reads/parse/writes.
-    let bs = cfg.block_bytes;
+    let bs = PARSE_BLOCK_BYTES;
     let n_blocks = file_bytes.div_ceil(bs).max(1);
     let mut per_block: Vec<Vec<RawRecord>> = Vec::with_capacity(n_blocks);
     let mut prefix: Vec<u64> = Vec::with_capacity(n_blocks + 1);
@@ -157,10 +157,10 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
         &mut eng,
         &sht,
         set,
-        cfg.vertex_bl,
-        cfg.vertex_eb,
-        cfg.edge_bl,
-        cfg.edge_eb,
+        VERTEX_BL,
+        VERTEX_EB,
+        EDGE_BL,
+        EDGE_EB,
         layout,
     );
 
@@ -403,7 +403,7 @@ pub fn workload(ds: &Dataset, cfg: &IngestConfig) -> udweave::Workload {
     let mc = &cfg.machine;
     let file_bytes = ds.csv.len();
     let file_words = file_bytes.div_ceil(8).max(1) as u64;
-    let bs = cfg.block_bytes;
+    let bs = PARSE_BLOCK_BYTES;
     let n_blocks = file_bytes.div_ceil(bs).max(1);
     let mut return_block = 0.0;
     for b in 0..n_blocks {

@@ -15,6 +15,10 @@ pub mod pagerank;
 pub mod partial_match;
 pub mod tc;
 
+/// DRAMmalloc block size of the PageRank, BFS and TC graph arrays: the
+/// paper's `DRAMmalloc(size, 0, NRnodes, 32KB)` (§4.1.1).
+pub const GRAPH_BLOCK_BYTES: u64 = 32 * 1024;
+
 pub use bfs::{run_bfs, BfsConfig, BfsResult};
 pub use pagerank::{run_pagerank, PrConfig, PrResult};
 pub use tc::{run_tc, TcConfig, TcResult};

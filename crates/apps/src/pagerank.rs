@@ -32,6 +32,9 @@ use updown_graph::preprocess::SplitGraph;
 use updown_graph::DeviceSplit;
 use updown_sim::{Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
+/// The PageRank damping factor.
+pub const DAMPING: f64 = 0.85;
+
 /// PageRank configuration.
 #[derive(Clone, Debug)]
 pub struct PrConfig {
@@ -40,12 +43,9 @@ pub struct PrConfig {
     /// uses all nodes.
     pub mem_nodes: Option<u32>,
     pub iterations: u32,
-    pub damping: f64,
     /// Use the scratchpad combining cache in `kv_reduce` instead of direct
     /// memory-side fetch-and-add (ablation).
     pub combining: bool,
-    /// DRAMmalloc block size for the graph arrays (32 KiB in §4.1.1).
-    pub block_size: u64,
     /// Record an event trace; the result carries the Chrome-trace JSON.
     pub trace: bool,
 }
@@ -56,9 +56,7 @@ impl PrConfig {
             machine: MachineConfig::with_nodes(nodes),
             mem_nodes: None,
             iterations: 2,
-            damping: 0.85,
             combining: false,
-            block_size: 32 * 1024,
             trace: false,
         }
     }
@@ -404,7 +402,7 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     }
     let nodes = cfg.machine.nodes;
     let mem_nodes = cfg.mem_nodes.unwrap_or(nodes).min(nodes);
-    let layout = Layout::cyclic_bs(mem_nodes, cfg.block_size);
+    let layout = Layout::cyclic_bs(mem_nodes, crate::GRAPH_BLOCK_BYTES);
 
     let n = sg.n_orig as u64;
     let use_subs = sg.targets_are_subs;
@@ -429,9 +427,8 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     // first_sub index for the aggregation job.
     let fs = Region::alloc_words(&mut eng, n + 1, layout).expect("first_sub");
 
-    let damping = cfg.damping;
-    let base = (1.0 - damping) / n as f64;
-    let s0 = (1.0 / n as f64 - base) / damping;
+    let base = (1.0 - DAMPING) / n as f64;
+    let s0 = (1.0 / n as f64 - base) / DAMPING;
     {
         let mem = eng.mem_mut();
         for v in 0..n {
@@ -474,7 +471,7 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     });
     let ret_s = udweave::event::<PrMapSt>(&mut eng, "PageRankWorker::returnPr", move |ctx, st| {
         let s_val = ctx.argf(0);
-        st.contrib = (base + damping * s_val) / st.orig_deg as f64;
+        st.contrib = (base + DAMPING * s_val) / st.orig_deg as f64;
         ctx.charge(4); // fp math
         let mut off = 0u32;
         while off < st.slice_deg {
@@ -667,12 +664,12 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     let mem = eng.mem();
     let values: Vec<f64> = if use_subs {
         (0..n)
-            .map(|v| base + damping * mem.read_f64(totals.word(v)).unwrap())
+            .map(|v| base + DAMPING * mem.read_f64(totals.word(v)).unwrap())
             .collect()
     } else {
         let final_parity = (iters % 2) as usize;
         (0..n)
-            .map(|v| base + damping * mem.read_f64(arrays[final_parity].word(v)).unwrap())
+            .map(|v| base + DAMPING * mem.read_f64(arrays[final_parity].word(v)).unwrap())
             .collect()
     };
     // Only the driver's shard wrote these; the fold is the general rule.
@@ -698,8 +695,8 @@ mod tests {
     use updown_graph::preprocess::{dedup_sort, split, split_in_out};
     use updown_graph::Csr;
 
-    fn check_result(res: &PrResult, g: &Csr, iters: u32, damping: f64) {
-        let oracle = algorithms::pagerank(g, iters, damping);
+    fn check_result(res: &PrResult, g: &Csr, iters: u32) {
+        let oracle = algorithms::pagerank(g, iters, DAMPING);
         for (v, &ov) in oracle.iter().enumerate() {
             assert!(
                 (res.values[v] - ov).abs() < 1e-9,
@@ -719,9 +716,9 @@ mod tests {
         cfg.combining = combining;
         // Both splitting regimes must agree with the oracle.
         let res = run_pagerank(&split(g, max_deg), &cfg);
-        check_result(&res, g, iters, cfg.damping);
+        check_result(&res, g, iters);
         let res = run_pagerank(&split_in_out(g, max_deg), &cfg);
-        check_result(&res, g, iters, cfg.damping);
+        check_result(&res, g, iters);
     }
 
     #[test]
@@ -762,7 +759,7 @@ mod tests {
         cfg.machine = MachineConfig::small(2, 2, 8);
         cfg.iterations = 2;
         let res = run_pagerank(&sg, &cfg);
-        check_result(&res, &g, 2, cfg.damping);
+        check_result(&res, &g, 2);
     }
 
     #[test]

@@ -25,6 +25,11 @@ use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics};
 
 use crate::ingest::tform::RawRecord;
 
+/// Least buckets per lane of the vertex, edge and pattern-state tables.
+pub const VERTEX_BL: u32 = 128;
+/// Entries per bucket of the vertex, edge and pattern-state tables.
+pub const VERTEX_EB: u32 = 32;
+
 #[derive(Clone, Debug)]
 pub struct PmConfig {
     pub machine: MachineConfig,
@@ -41,8 +46,6 @@ pub struct PmConfig {
     /// backpressure; prevents thread-context exhaustion under overload —
     /// queueing then happens at the port and still counts toward latency).
     pub inflight_per_lane: u32,
-    pub vertex_bl: u32,
-    pub vertex_eb: u32,
     /// Record an event trace; the result carries the Chrome-trace JSON.
     pub trace: bool,
 }
@@ -59,8 +62,6 @@ impl PmConfig {
             interval: 3000,
             feeders: 8,
             inflight_per_lane: 96,
-            vertex_bl: 128,
-            vertex_eb: 16,
             trace: false,
         }
     }
@@ -185,10 +186,9 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     let sht = ShtLib::install(&mut eng);
     // Size tables for the stream: ~6x headroom over the record count so
     // hashed bucket tails fit (the artifact exposes the same BL/EB knobs).
-    let eb = cfg.vertex_eb.max(32);
-    let need_bl =
-        ((records.len() as u64 * 6).div_ceil(cfg.lanes as u64 * eb as u64) as u32).max(cfg.vertex_bl);
-    let bl = need_bl.next_power_of_two();
+    let eb = VERTEX_EB;
+    let need_bl = (records.len() as u64 * 6).div_ceil(cfg.lanes as u64 * eb as u64) as u32;
+    let bl = need_bl.max(VERTEX_BL).next_power_of_two();
     let pga = Pga::create(&mut eng, &sht, set, bl, eb, bl, eb, layout);
     // Pattern state table, keyed by vertex.
     let state = sht.create(&mut eng, set, bl, eb, layout);

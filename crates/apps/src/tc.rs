@@ -30,7 +30,6 @@ pub enum TcVariant {
 pub struct TcConfig {
     pub machine: MachineConfig,
     pub mem_nodes: Option<u32>,
-    pub block_size: u64,
     pub variant: TcVariant,
     /// Map binding: Block (default) or PBMW (robust to skew, §4.3.3).
     pub map_binding: MapBinding,
@@ -43,7 +42,6 @@ impl TcConfig {
         TcConfig {
             machine: MachineConfig::with_nodes(nodes),
             mem_nodes: None,
-            block_size: 32 * 1024,
             variant: TcVariant::DualStream,
             map_binding: MapBinding::Block,
             trace: false,
@@ -248,7 +246,7 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
         eng.enable_event_trace();
     }
     let mem_nodes = cfg.mem_nodes.unwrap_or(mc.nodes).min(mc.nodes);
-    let layout = Layout::cyclic_bs(mem_nodes, cfg.block_size);
+    let layout = Layout::cyclic_bs(mem_nodes, crate::GRAPH_BLOCK_BYTES);
 
     let n = g.n() as u64;
     let dcsr = DeviceCsr::load(&mut eng, g, 2, layout, layout, |_v, deg, nl| {

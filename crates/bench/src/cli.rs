@@ -603,6 +603,26 @@ mod tests {
         assert!(g.runs.is_empty() && !g.dirty());
     }
 
+    /// `--spec` fails a run whose spec certifies more per-lane threads and
+    /// scratchpad than the machine has, with `repro spec`'s two errors.
+    #[test]
+    fn the_spec_gate_fails_an_over_capacity_run() {
+        let mut g = Gates::from_cli(&cli(&["--spec"]));
+        let mut cfg = MachineConfig::small(1, 1, 2);
+        g.arm("blowup", &udcheck::spec::spm_blowup_fixture(), &mut cfg);
+        Engine::new(cfg).run();
+        assert_eq!(
+            spec_errors(&g.runs[0]),
+            [
+                "udspec[blowup] machine: [spm-bound-capacity] certified per-lane scratchpad bound 65536 words \
+                 exceeds the scratchpad (8192 words/lane) (x1)",
+                "udspec[blowup] machine: [thread-bound-capacity] certified per-lane live-thread bound 1025 \
+                 exceeds the thread table (512 contexts/lane) (x1)",
+            ]
+        );
+        assert!(g.dirty());
+    }
+
     /// `--replay` arms one check per run. A replay that verified nothing —
     /// no run armed, or an armed run that never ran — fails; one run that
     /// replayed clean passes.

@@ -22,7 +22,7 @@ use updown_apps::harness::{
     node_sweep, prepared, prepared_undirected, BENCH_ACCELS, BENCH_LANES,
 };
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use updown_apps::pagerank::{run_pagerank, PrConfig, DAMPING};
 use updown_apps::partial_match::{run_partial_match, sequential_matches, PmConfig};
 use updown_apps::tc::{run_tc, TcConfig};
 use updown_graph::generators::{rmat, RmatParams};
@@ -357,8 +357,8 @@ fn baseline(o: &StdOpts, sw: &mut Sweep) {
     let sg = split_in_out(&g, 512);
     let mut pc = PrConfig { machine: o.machine(nodes), iterations: 2, ..PrConfig::new(nodes) };
     let (pr, _) = sw.run("pr", &mut pc, |c| run_pagerank(&sg, c));
-    let (host_pr, host_secs) = baseline::time(|| baseline::pagerank_parallel(&g, 2, 0.85, threads));
-    let oracle = algorithms::pagerank(&g, 2, 0.85);
+    let (host_pr, host_secs) = baseline::time(|| baseline::pagerank_parallel(&g, 2, DAMPING, threads));
+    let oracle = algorithms::pagerank(&g, 2, DAMPING);
     for v in 0..n as usize {
         assert!((pr.values[v] - oracle[v]).abs() < 1e-9 && (host_pr[v] - oracle[v]).abs() < 1e-9);
     }

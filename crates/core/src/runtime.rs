@@ -41,6 +41,9 @@ pub type ReduceFn =
 /// Per-lane epilogue handler (see [`JobSpec::epilogue`]).
 pub type EpilogueFn = Arc<dyn Fn(&mut EventCtx<'_>, EventWord) -> Outcome + Send + Sync>;
 
+/// Reduce-termination re-poll interval in cycles.
+pub const POLL_INTERVAL: u64 = 400;
+
 /// A KVMSR job definition.
 #[derive(Clone)]
 pub struct JobSpec {
@@ -51,8 +54,6 @@ pub struct JobSpec {
     pub reduce_binding: ReduceBinding,
     /// Max in-flight map tasks per lane.
     pub window: u32,
-    /// Reduce-termination re-poll interval in cycles.
-    pub poll_interval: u64,
     pub map: MapFn,
     pub reduce: Option<ReduceFn>,
     /// Runs once on every lane of the set after all reduces have retired,
@@ -77,7 +78,6 @@ impl JobSpec {
             map_binding: MapBinding::Block,
             reduce_binding: ReduceBinding::Hash,
             window: 64,
-            poll_interval: 400,
             map: Arc::new(map),
             reduce: None,
             epilogue: None,
@@ -104,11 +104,6 @@ impl JobSpec {
 
     pub fn window(mut self, w: u32) -> JobSpec {
         self.window = w.max(1);
-        self
-    }
-
-    pub fn poll_interval(mut self, p: u64) -> JobSpec {
-        self.poll_interval = p.max(1);
         self
     }
 
@@ -315,7 +310,7 @@ impl Kvmsr {
             let args = rt.tree.start_args(spec.set, lb.poll_probe, &[st.job as u64]);
             let pr = ctx.self_event(lb.poll_result);
             ctx.charge(2);
-            ctx.send_event_after(spec.poll_interval, rt.tree.start_evw(spec.set), args, pr);
+            ctx.send_event_after(POLL_INTERVAL, rt.tree.start_evw(spec.set), args, pr);
         });
         let epilogue_done = master.event(eng, "epilogue_done", move |ctx, st| {
             rt.finish(ctx, st);

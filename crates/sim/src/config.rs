@@ -6,6 +6,10 @@
 //! ~9.4 TB/s node memory bandwidth. All values are per-cycle at 2 GHz so one
 //! simulator tick is one lane cycle.
 //!
+//! What the paper fixes is a constant, not a field: the Table 2 lane
+//! costs ([`OP_COSTS`]), the on-node and per-hop latencies, link capacity
+//! and the message header. A [`MachineConfig`] holds what a run may vary.
+//!
 //! The observer handles (`probe`, `race`, `replay`) never change a result;
 //! a protocol spec is not a setting but checked on the probe's report after
 //! the run ([`crate::spec::check_report`]).
@@ -16,7 +20,7 @@ use crate::probe::ProtocolProbe;
 use crate::race::RaceProbe;
 
 /// Per-operation lane costs in cycles (Table 2 of the paper).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct OpCosts {
     /// Creating a thread context on message arrival.
     pub thread_create: u64,
@@ -35,67 +39,67 @@ pub struct OpCosts {
     pub event_dispatch: u64,
 }
 
-impl Default for OpCosts {
-    fn default() -> Self {
-        OpCosts {
-            thread_create: 0,
-            yield_: 1,
-            thread_dealloc: 1,
-            spd_access: 1,
-            send_msg: 2,
-            send_dram: 2,
-            event_dispatch: 2,
-        }
-    }
-}
+/// Table 2: what every lane operation costs. A constant of the machine
+/// model, not a setting.
+pub const OP_COSTS: OpCosts = OpCosts {
+    thread_create: 0,
+    yield_: 1,
+    thread_dealloc: 1,
+    spd_access: 1,
+    send_msg: 2,
+    send_dram: 2,
+    event_dispatch: 2,
+};
 
-/// Message latency / bandwidth model: on-node latency tiers, per-node NIC
-/// injection serialization, and the system-network fabric (a selectable
-/// [`TopologyKind`], see [`crate::network`]). The default
+/// Lane-to-lane latency within one accelerator (shared scratchpad
+/// crossbar), in cycles.
+pub const INTRA_ACCEL_LATENCY: u64 = 4;
+
+/// Accelerator-to-accelerator latency within one node, in cycles. DRAM
+/// requests and responses between a lane and its own node's memory take
+/// it too.
+pub const INTRA_NODE_LATENCY: u64 = 30;
+
+/// Per-link traversal latency for routed topologies (polar, torus,
+/// dragonfly), in cycles. 400 cycles = 0.2 µs per hop @ 2 GHz, so a
+/// diameter-3 route lands near the uniform model's 0.5 µs + switching.
+pub const HOP_LATENCY: u64 = 400;
+
+/// Nominal per-link capacity, bytes per cycle — the reference for
+/// per-link utilization reporting (links are demand-tracked, not
+/// contended; see [`crate::network::Fabric`]).
+pub const LINK_BYTES_PER_CYCLE: u64 = 2048;
+
+/// The settable part of the message model: the system-network topology,
+/// its uniform remote latency, and per-node NIC injection serialization.
+/// The on-node tiers ([`INTRA_ACCEL_LATENCY`], [`INTRA_NODE_LATENCY`]),
+/// the routed per-hop latency ([`HOP_LATENCY`]), link capacity
+/// ([`LINK_BYTES_PER_CYCLE`]) and the message header
+/// ([`crate::message::MSG_HEADER_BYTES`]) are constants. The default
 /// [`TopologyKind::Uniform`] abstracts the PolarStar network (diameter 3)
 /// as one uniform remote latency — the pre-fabric model.
 #[derive(Clone, Debug)]
 pub struct NetworkConfig {
     /// System-network topology for inter-node transit.
     pub topology: TopologyKind,
-    /// Lane-to-lane within one accelerator (shared scratchpad crossbar).
-    pub intra_accel_latency: u64,
-    /// Accelerator-to-accelerator within one node.
-    pub intra_node_latency: u64,
     /// Node-to-node over the [`TopologyKind::Uniform`] network
     /// (0.5 µs = 1000 cycles @ 2 GHz). Routed topologies use
-    /// `hop_latency` per traversed link instead.
+    /// [`HOP_LATENCY`] per traversed link instead.
     pub inter_node_latency: u64,
-    /// Per-link traversal latency for routed topologies (polar, torus,
-    /// dragonfly), in cycles. 400 cycles = 0.2 µs per hop @ 2 GHz, so a
-    /// diameter-3 route lands near the uniform model's 0.5 µs + switching.
-    pub hop_latency: u64,
     /// NIC injection bandwidth per node, bytes per cycle (4 TB/s ≈ 2048 B/cy).
     pub nic_bytes_per_cycle: u64,
-    /// Nominal per-link capacity, bytes per cycle — the reference for
-    /// per-link utilization reporting (links are demand-tracked, not
-    /// contended; see [`crate::network::Fabric`]).
-    pub link_bytes_per_cycle: u64,
     /// Window, in cycles, over which per-link demand is bucketed for the
     /// peak-demand statistics in the metrics JSON.
     pub link_stat_window: u64,
-    /// Fixed per-message wire size in bytes before operands (64-byte
-    /// messages carry header + up to 8 operands).
-    pub msg_header_bytes: u64,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             topology: TopologyKind::Uniform,
-            intra_accel_latency: 4,
-            intra_node_latency: 30,
             inter_node_latency: 1000,
-            hop_latency: 400,
             nic_bytes_per_cycle: 2048,
-            link_bytes_per_cycle: 2048,
             link_stat_window: 16384,
-            msg_header_bytes: 8,
         }
     }
 }
@@ -132,7 +136,6 @@ pub struct MachineConfig {
     /// Clock in GHz; ticks are cycles, so this only matters when converting
     /// to wall-clock seconds for reporting.
     pub clock_ghz: f64,
-    pub costs: OpCosts,
     pub net: NetworkConfig,
     pub mem: MemoryConfig,
     /// Hardware thread contexts per lane; additional thread creations queue.
@@ -190,7 +193,6 @@ impl Default for MachineConfig {
             accels_per_node: 32,
             lanes_per_accel: 64,
             clock_ghz: 2.0,
-            costs: OpCosts::default(),
             net: NetworkConfig::default(),
             mem: MemoryConfig::default(),
             max_threads_per_lane: 512,
@@ -307,9 +309,9 @@ impl MachineConfig {
             "local_msg_latency is for on-node pairs; cross-node transit goes through the fabric"
         );
         if self.accel_of(src) != self.accel_of(dst) {
-            self.net.intra_node_latency
+            INTRA_NODE_LATENCY
         } else {
-            self.net.intra_accel_latency
+            INTRA_ACCEL_LATENCY
         }
     }
 }
@@ -335,9 +337,9 @@ mod tests {
         let a = cfg.nwid(0, 0, 0);
         let b = cfg.nwid(0, 0, 3);
         let c = cfg.nwid(0, 1, 0);
-        assert_eq!(cfg.local_msg_latency(a, b), cfg.net.intra_accel_latency);
-        assert_eq!(cfg.local_msg_latency(a, c), cfg.net.intra_node_latency);
-        assert_eq!(cfg.local_msg_latency(a, a), cfg.net.intra_accel_latency);
+        assert_eq!(cfg.local_msg_latency(a, b), INTRA_ACCEL_LATENCY);
+        assert_eq!(cfg.local_msg_latency(a, c), INTRA_NODE_LATENCY);
+        assert_eq!(cfg.local_msg_latency(a, a), INTRA_ACCEL_LATENCY);
     }
 
     #[test]

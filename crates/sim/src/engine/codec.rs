@@ -43,10 +43,8 @@ pub struct Snapshot {
     sched_win_max_sum: u64,
     sched_win_max_peak: u64,
     host_phases: Vec<PhaseSpan>,
-    phases_cache: Vec<PhaseSpan>,
     merged_trace: Vec<TraceEvent>,
     merged_print: Vec<String>,
-    merged_stats: Counters,
     race: Option<RaceState>,
     /// The program tables; per-shard state travels inside `cores`.
     tables: Vec<Table>,
@@ -652,10 +650,8 @@ impl Engine {
             sched_win_max_sum: self.sched_win_max_sum,
             sched_win_max_peak: self.sched_win_max_peak,
             host_phases: self.host_phases.clone(),
-            phases_cache: self.phases_cache.clone(),
             merged_trace: self.merged_trace.clone(),
             merged_print: self.merged_print.clone(),
-            merged_stats: self.merged_stats.clone(),
             race: self.shared.cfg.race.as_ref().map(|rp| rp.snapshot_state()),
             tables: self.shared.tables.clone(),
         }
@@ -684,10 +680,8 @@ impl Engine {
         self.sched_win_max_sum = snap.sched_win_max_sum;
         self.sched_win_max_peak = snap.sched_win_max_peak;
         self.host_phases = snap.host_phases.clone();
-        self.phases_cache = snap.phases_cache.clone();
         self.merged_trace = snap.merged_trace.clone();
         self.merged_print = snap.merged_print.clone();
-        self.merged_stats = snap.merged_stats.clone();
         if let (Some(rp), Some(st)) = (&self.shared.cfg.race, &snap.race) {
             rp.restore_state(st);
         }

@@ -3,18 +3,18 @@
 //! paths. Imports none of its sibling modules.
 
 use std::any::Any;
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, MutexGuard};
 
 use crate::calendar::{CalendarQueue, IdList, Links};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, INTRA_NODE_LATENCY, OP_COSTS};
 use crate::ids::{EventWord, NetworkId, ThreadId};
 use crate::lane::{Lane, SimState};
 use crate::memory::{GlobalMemory, MemChannel, VAddr};
-use crate::message::{Message, Operands, HW_OPERANDS};
+use crate::message::{wire_bytes, Message, Operands, HW_OPERANDS, MSG_HEADER_BYTES};
 use crate::network::{Fabric, Nics, Topology};
 use crate::probe::{DiagKind, ProtocolRecord};
 use crate::race::{RaceAccess, RaceExec, ThreadKey, VClock};
@@ -965,11 +965,11 @@ impl EngineCore {
         };
         if owner != src_node {
             self.stats.dram_remote_accesses += 1;
-            // Request messages are one 72-byte unit regardless of payload.
-            let (_, arrival) = self.fabric_send(shared, t, owner, 72);
+            // A request is one message unit regardless of payload.
+            let (_, arrival) = self.fabric_send(shared, t, owner, wire_bytes(0));
             self.push_cross(sends, owner, arrival, request, tag);
         } else {
-            self.schedule(t + shared.cfg.net.intra_node_latency, request, tag);
+            self.schedule(t + INTRA_NODE_LATENCY, request, tag);
         }
     }
 
@@ -1095,13 +1095,13 @@ impl EngineCore {
                 };
                 if owner != src_node {
                     self.arena.take(self.calendar.links_mut(), id);
-                    let (_, arrival) = self.fabric_send(shared, now, src_node, 8 + bytes);
+                    let (_, arrival) = self.fabric_send(shared, now, src_node, MSG_HEADER_BYTES + bytes);
                     self.push_cross(sends, src_node, arrival, done, tag);
                 } else {
                     // The response overwrites the request in its slot.
                     *self.arena.get_mut(id) = done;
                     self.arena.set_tag(id, tag);
-                    self.push_id(now + shared.cfg.net.intra_node_latency, id);
+                    self.push_id(now + INTRA_NODE_LATENCY, id);
                 }
             }
             Action::MemDone { resp, owner } => {
@@ -1203,19 +1203,13 @@ impl EngineCore {
             .threads
             .state_mut(tid)
             .unwrap_or_else(|| panic!("event {:?} targets dead thread on lane {l}", msg.dst))
-            .take()
-            .map_or_else(OnceCell::new, OnceCell::from);
+            .take();
         let entry = &shared.handlers[label.0 as usize];
         let hs = &mut self.handler_stats[label.0 as usize];
         hs.0 += 1;
         hs.1 = t;
 
-        let base = shared.cfg.costs.event_dispatch
-            + if is_new {
-                shared.cfg.costs.thread_create
-            } else {
-                0
-            };
+        let base = OP_COSTS.event_dispatch + if is_new { OP_COSTS.thread_create } else { 0 };
         let out_buf = std::mem::take(&mut self.out_scratch);
         let mut ctx = EventCtx {
             shard: self,
@@ -1228,7 +1222,6 @@ impl EngineCore {
             out: out_buf,
             terminated: false,
             state,
-            detached_default: None,
             stopped: false,
             created_by,
             cont_read: Cell::new(false),
@@ -1273,11 +1266,7 @@ impl EngineCore {
         }
 
         // Every event ends in yield or yield_terminate (§2.1.1).
-        let end_cost = if terminated {
-            shared.cfg.costs.thread_dealloc
-        } else {
-            shared.cfg.costs.yield_
-        };
+        let end_cost = if terminated { OP_COSTS.thread_dealloc } else { OP_COSTS.yield_ };
         let total = cost + end_cost;
         let t_end = t + total;
 
@@ -1322,7 +1311,7 @@ impl EngineCore {
             *self.lanes[li]
                 .threads
                 .state_mut(tid)
-                .expect("live thread") = state.into_inner();
+                .expect("live thread") = state;
         }
 
         // Emit collected effects at completion time.
@@ -1340,7 +1329,7 @@ impl EngineCore {
                         dst.0,
                         shared.cfg.total_lanes()
                     );
-                    let bytes = msg.wire_bytes(shared.cfg.net.msg_header_bytes);
+                    let bytes = wire_bytes(msg.args.len());
                     let dst_node = shared.cfg.node_of(dst);
                     let label = msg.dst.label().0;
                     let (depart, arrival) = if dst_node != src_node {
@@ -1407,12 +1396,8 @@ pub struct EventCtx<'a> {
     pub(super) cost: u64,
     pub(super) out: Vec<Outgoing>,
     pub(super) terminated: bool,
-    /// The thread's state box. A `OnceCell` only so that `state_ref`
-    /// (`&self`) can materialize `detached_default` on first read.
-    pub(super) state: OnceCell<Box<dyn SimState>>,
-    /// Set while [`EventCtx::with_state`] has the typed state detached:
-    /// builds the default value the (empty) cell then reads as.
-    pub(super) detached_default: Option<fn() -> Box<dyn SimState>>,
+    /// The thread's state box.
+    pub(super) state: Option<Box<dyn SimState>>,
     pub(super) stopped: bool,
     /// Creating label of this thread (protocol-probe bookkeeping).
     pub(super) created_by: u16,

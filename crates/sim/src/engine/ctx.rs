@@ -1,10 +1,8 @@
 //! The handler-facing half of [`EventCtx`]: the UDWeave machine interface
 //! (operands, thread state, sends, DRAM, scratchpad, counters, phases).
 
-use std::cell::OnceCell;
-
 use super::core::{shard_value, EventCtx, MemOp, Outgoing, ShardSlot, TableSlot};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, OP_COSTS};
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
 use crate::lane::SimState;
 use crate::memory::VAddr;
@@ -103,40 +101,22 @@ impl<'a> EventCtx<'a> {
     /// on first use. `Clone` is required so whole-machine snapshots can
     /// deep-copy live thread states (see [`SimState`]).
     pub fn state_mut<T: Default + Send + Clone + 'static>(&mut self) -> &mut T {
-        if !self.state.get().is_some_and(|s| s.as_any().is::<T>()) {
-            self.state = OnceCell::from(default_state::<T>());
+        if !self.state.as_ref().is_some_and(|s| s.as_any().is::<T>()) {
+            self.state = Some(default_state::<T>());
         }
         self.state
-            .get_mut()
+            .as_mut()
             .and_then(|s| s.as_any_mut().downcast_mut::<T>())
-            .expect("state cell holds a T")
-    }
-
-    /// Replace the thread state wholesale (in place when the cell already
-    /// holds a `T`).
-    pub fn set_state<T: Send + Clone + 'static>(&mut self, v: T) {
-        match self.state.get_mut().and_then(|s| s.as_any_mut().downcast_mut::<T>()) {
-            Some(slot) => *slot = v,
-            None => self.state = OnceCell::from(Box::new(v) as Box<dyn SimState>),
-        }
-    }
-
-    /// Typed immutable view, `None` if never set with this type.
-    pub fn state_ref<T: 'static>(&self) -> Option<&T> {
-        let cell = match self.detached_default {
-            Some(default) => Some(self.state.get_or_init(default)),
-            None => self.state.get(),
-        };
-        cell.and_then(|b| b.as_any().downcast_ref::<T>())
+            .expect("state box holds a T")
     }
 
     /// Run `f` with `&mut S` borrowed from the thread's own state box
     /// (default-initialized when the thread has none of this type yet):
     /// the box is detached for the call and reattached after it, so a
     /// typed event allocates only at a thread's first use. While detached
-    /// the state cell reads as a fresh `S::default()`, and whatever `f`
-    /// leaves in it through `state_mut`/`set_state` is superseded by the
-    /// typed state on return.
+    /// the thread has no state box (`state_mut` starts a fresh default),
+    /// and whatever `f` leaves there is superseded by the typed state on
+    /// return.
     pub fn with_state<S: Default + Send + Clone + 'static, R>(
         &mut self,
         f: impl FnOnce(&mut EventCtx<'a>, &mut S) -> R,
@@ -145,14 +125,12 @@ impl<'a> EventCtx<'a> {
             Some(b) if b.as_any().is::<S>() => b,
             _ => default_state::<S>(),
         };
-        let outer = self.detached_default.replace(default_state::<S>);
         let st = boxed
             .as_any_mut()
             .downcast_mut::<S>()
             .expect("state box holds an S");
         let r = f(self, st);
-        self.detached_default = outer;
-        self.state = OnceCell::from(boxed);
+        self.state = Some(boxed);
         r
     }
 
@@ -206,7 +184,7 @@ impl<'a> EventCtx<'a> {
         cont: EventWord,
     ) {
         assert!(!dst.is_ignore(), "send_event to IGNORE");
-        self.cost += self.shared.cfg.costs.send_msg;
+        self.cost += OP_COSTS.send_msg;
         let args = args.into();
         if let Some(p) = &mut self.shard.protocol {
             let src = self.msg.dst.label().0;
@@ -256,7 +234,7 @@ impl<'a> EventCtx<'a> {
     // Forced inline for the measured reason given at `MemOp::apply`.
     #[inline(always)]
     fn push_dram(&mut self, op: MemOp) {
-        self.cost += self.shared.cfg.costs.send_dram;
+        self.cost += OP_COSTS.send_dram;
         let race = self.race.as_ref().map(|r| r.access(self.msg.dst.label().0, op.is_atomic()));
         self.out.push(Outgoing::Dram(op, race));
     }
@@ -434,11 +412,11 @@ impl<'a> EventCtx<'a> {
 
     fn spm_read_class(&mut self, off: u32, atomic: bool) -> u64 {
         if off >= self.shared.cfg.spm_words && self.spm_oob_diag("spm_read", off) {
-            self.cost += self.shared.cfg.costs.spd_access;
+            self.cost += OP_COSTS.spd_access;
             return 0;
         }
         assert!(off < self.shared.cfg.spm_words, "scratchpad overflow");
-        self.cost += self.shared.cfg.costs.spd_access;
+        self.cost += OP_COSTS.spd_access;
         self.spm_race(off, atomic, false);
         let idx = self.local_lane_idx();
         self.shard.lanes[idx].spm.read(off)
@@ -460,11 +438,11 @@ impl<'a> EventCtx<'a> {
 
     fn spm_write_class(&mut self, off: u32, v: u64, atomic: bool) {
         if off >= self.shared.cfg.spm_words && self.spm_oob_diag("spm_write", off) {
-            self.cost += self.shared.cfg.costs.spd_access;
+            self.cost += OP_COSTS.spd_access;
             return;
         }
         assert!(off < self.shared.cfg.spm_words, "scratchpad overflow");
-        self.cost += self.shared.cfg.costs.spd_access;
+        self.cost += OP_COSTS.spd_access;
         self.spm_race(off, atomic, true);
         let idx = self.local_lane_idx();
         self.shard.lanes[idx].spm.write(off, v);

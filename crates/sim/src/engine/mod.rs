@@ -70,7 +70,7 @@ use self::codec::StateCodecs;
 use self::core::{shard_value, Action, ActionArena, EngineCore, Exchange, HandlerEntry, Shared, Table};
 use self::sched::{run_rounds, settle};
 use crate::calendar::CalendarQueue;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, LINK_BYTES_PER_CYCLE};
 use crate::ids::{EventLabel, EventWord, NetworkId};
 use crate::lane::Lane;
 use crate::memory::{GlobalMemory, MemChannel};
@@ -109,16 +109,12 @@ pub struct Engine {
     host_sched: HostSchedStats,
     /// Host-side phase spans (`Engine::phase_begin`), in begin order.
     host_phases: Vec<PhaseSpan>,
-    /// Host + device phase spans, stable-sorted by start time.
-    phases_cache: Vec<PhaseSpan>,
     /// Trace events drained from the shard tracers after each run, in
     /// shard order.
     merged_trace: Vec<TraceEvent>,
     /// `[PRINT]` lines drained from the shards after each run, in shard
     /// order.
     merged_print: Vec<String>,
-    /// Counters merged across shards after each run (for `stats()`).
-    merged_stats: Counters,
     /// Registered thread-state codecs for the on-disk snapshot format.
     codecs: StateCodecs,
     /// `--checkpoint` writes the snapshot once, at the first boundary.
@@ -197,10 +193,8 @@ impl Engine {
             sched_win_max_peak: 0,
             host_sched: HostSchedStats::default(),
             host_phases: Vec::new(),
-            phases_cache: Vec::new(),
             merged_trace: Vec::new(),
             merged_print: Vec::new(),
-            merged_stats: Counters::default(),
             codecs: StateCodecs::default(),
             checkpoint_written: false,
             restore: RestoreSlot::Unloaded,
@@ -375,7 +369,6 @@ impl Engine {
             start: now,
             end: u64::MAX,
         });
-        self.phases_cache = self.merged_phases();
     }
 
     /// End the open span with this name that started most recently,
@@ -398,16 +391,10 @@ impl Engine {
         if let Some((p, _)) = best {
             p.end = now;
         }
-        self.phases_cache = self.merged_phases();
     }
 
-    /// Phase spans recorded so far (open spans have `end == u64::MAX`),
-    /// host and device combined, stable-sorted by start time.
-    pub fn phases(&self) -> &[PhaseSpan] {
-        &self.phases_cache
-    }
-
-    /// Host spans, then each shard's in shard order, stable-sorted by
+    /// Phase spans recorded so far (open spans have `end == u64::MAX`):
+    /// host spans, then each shard's in shard order, stable-sorted by
     /// start time.
     fn merged_phases(&self) -> Vec<PhaseSpan> {
         let mut all: Vec<PhaseSpan> = self.host_phases.clone();
@@ -425,17 +412,12 @@ impl Engine {
         let names: Vec<&str> = self.shared.handlers.iter().map(|h| h.name.as_str()).collect();
         crate::trace::chrome_trace_json(
             &self.merged_trace,
-            &self.phases_cache,
+            &self.merged_phases(),
             &names,
             self.shared.cfg.lanes_per_node(),
             self.shared.cfg.clock_ghz,
             self.final_tick(),
         )
-    }
-
-    /// Machine-wide counters, merged across shards after each run.
-    pub fn stats(&self) -> &Counters {
-        &self.merged_stats
     }
 
     fn merged_counters(&self) -> Counters {
@@ -590,8 +572,7 @@ impl Engine {
     }
 
     /// Merge per-shard run artifacts into the engine-level views: trace
-    /// events, print lines (both drained in shard order), the counters
-    /// cache, and the phase cache.
+    /// events and print lines, both drained in shard order.
     fn collect_run_artifacts(&mut self) {
         // One reservation for the whole run's recording (exact on the
         // first run, amortized over later ones), then one copy of each
@@ -606,8 +587,6 @@ impl Engine {
                 tr.drain_into(&mut self.merged_trace);
             }
         }
-        self.merged_stats = self.merged_counters();
-        self.phases_cache = self.merged_phases();
     }
 
     /// Build the final [`Metrics`] without running: machine-wide counters
@@ -760,7 +739,7 @@ impl Engine {
             hop_latency: topo.hop_latency(),
             diameter: topo.diameter(),
             stat_window: self.shared.cfg.net.link_stat_window.max(1),
-            link_bytes_per_cycle: self.shared.cfg.net.link_bytes_per_cycle.max(1),
+            link_bytes_per_cycle: LINK_BYTES_PER_CYCLE,
             links_total: links.len() as u64,
             links_used,
             link_bytes_total,

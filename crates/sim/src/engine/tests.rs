@@ -801,8 +801,9 @@ fn event_trace_covers_all_subsystems() {
     assert_eq!(drams, 6, "2 transactions x 3 stages");
     assert_eq!(counters, 2);
     assert!(links >= 1, "cross-node traffic records link traversals");
-    assert_eq!(eng.phases().len(), 1);
-    assert!(!eng.phases()[0].is_open());
+    let phases = eng.merged_phases();
+    assert_eq!(phases.len(), 1);
+    assert!(!phases[0].is_open());
 }
 
 /// A 4-node program exercising cross-node messages, remote DRAM, and
@@ -988,4 +989,57 @@ fn ring_traffic_allocates_only_the_pairs_that_send() {
     assert_eq!(pairs, ring, "allocated pairs are the active ones");
     assert!(json.contains(&format!("\"events_executed\":{}", SHARDS * 6)), "{json}");
     assert_eq!(run(2), (json, pairs), "threads = 2");
+}
+
+/// Table 2 in tier-1: the lane cycles charged for each operation equal
+/// both its [`OP_COSTS`](crate::config::OP_COSTS) entry and the paper's
+/// value — thread create 0, yield 1, yield_terminate 1, scratchpad access
+/// 1, `send_event` 2, DRAM request 2, event dispatch 2.
+#[test]
+fn lane_operations_charge_table_2() {
+    use crate::config::OP_COSTS as C;
+    // Busy cycles of a run that executes `first` on a new thread of lane
+    // 0, and `then` where `first` sends to it (given its label and a
+    // DRAM word).
+    fn busy(first: fn(&mut EventCtx, EventLabel, VAddr), then: fn(&mut EventCtx)) -> u64 {
+        let mut eng = Engine::new(MachineConfig::small(1, 1, 2));
+        let va = eng.mem_mut().alloc(4096, 0, 1, 4096).unwrap();
+        let then = eng.register("then", Arc::new(then));
+        let first = eng.register("first", Arc::new(move |ctx: &mut EventCtx| first(ctx, then, va)));
+        eng.send(EventWord::new(NetworkId(0), first), [], EventWord::IGNORE);
+        eng.run().total_busy
+    }
+    let (yields, terminates) = (busy(|_, _, _| {}, |_| {}), busy(|ctx, _, _| ctx.yield_terminate(), |_| {}));
+    let spm = busy(
+        |ctx, _, _| {
+            ctx.spm_write(0, 7);
+            ctx.spm_read(0);
+            ctx.yield_terminate();
+        },
+        |_| {},
+    );
+    // A send to a new thread on the other lane, which terminates it.
+    let send = busy(
+        |ctx, then, _| {
+            ctx.send_event(EventWord::new(NetworkId(1), then), [], EventWord::IGNORE);
+            ctx.yield_terminate();
+        },
+        |ctx| ctx.yield_terminate(),
+    );
+    // The reply of a DRAM read runs on the issuing thread, which exists.
+    let dram = busy(
+        |ctx, then, va| ctx.send_dram_read(va, 1, then),
+        |ctx| ctx.yield_terminate(),
+    );
+    let charged = [
+        ("yield", yields, C.event_dispatch + C.thread_create + C.yield_, 2 + 0 + 1),
+        ("yield_terminate", terminates, C.event_dispatch + C.thread_create + C.thread_dealloc, 2 + 0 + 1),
+        ("scratchpad", spm, terminates + 2 * C.spd_access, 3 + 2 * 1),
+        ("send_event", send, 2 * terminates + C.send_msg, 2 * 3 + 2),
+        ("DRAM read", dram, yields + C.send_dram + C.event_dispatch + C.thread_dealloc, 3 + 2 + 2 + 1),
+    ];
+    for (probe, cycles, table, paper) in charged {
+        assert_eq!(cycles, table, "{probe} against OP_COSTS");
+        assert_eq!(cycles, paper, "{probe} against Table 2");
+    }
 }

@@ -52,7 +52,7 @@ pub mod stats;
 pub mod trace;
 
 pub use calendar::CalendarQueue;
-pub use config::{MachineConfig, MemoryConfig, NetworkConfig, OpCosts};
+pub use config::{MachineConfig, MemoryConfig, NetworkConfig, OpCosts, OP_COSTS};
 pub use engine::{Engine, EventCtx, Handler, ShardSlot, Snapshot, TableSlot};
 pub use lane::SimState;
 pub use ids::{EventLabel, EventWord, NetworkId, ThreadId};

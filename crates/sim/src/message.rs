@@ -12,6 +12,19 @@ use crate::snapshot::{SnapField, SnapReader, SnapWriter, SnapshotError};
 /// Hardware operand capacity of one 64-byte message.
 pub const HW_OPERANDS: usize = 8;
 
+/// Fixed wire bytes of every message before its operands.
+pub const MSG_HEADER_BYTES: u64 = 8;
+
+/// Wire size in bytes of a message carrying `operands` operands: header +
+/// operands, padded to the 64-byte message granularity per 8 operands (an
+/// empty message still occupies one unit). The engine charges it and the
+/// static cost model predicts with it.
+#[inline]
+pub fn wire_bytes(operands: usize) -> u64 {
+    let units = operands.div_ceil(HW_OPERANDS).max(1) as u64;
+    units * (MSG_HEADER_BYTES + (HW_OPERANDS as u64) * 8)
+}
+
 /// Operands a message stores inline. Fixed by measurement, not a knob: 4
 /// keeps `Message` at 64 B and the engine's calendar `Action` at 80 B;
 /// 9 grew `Action` (then 112 B) to 144 B and `pr_1n` `peak_rss_mb` by
@@ -151,29 +164,18 @@ impl Message {
             src,
         }
     }
-
-    /// Wire size in bytes given a fixed header size: header + operands,
-    /// padded to the 64-byte message granularity per 8 operands.
-    pub fn wire_bytes(&self, header: u64) -> u64 {
-        let msgs = self.args.len().div_ceil(HW_OPERANDS).max(1) as u64;
-        msgs * (header + (HW_OPERANDS as u64) * 8)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{EventLabel, EventWord, NetworkId};
 
     #[test]
     fn wire_bytes_rounds_to_message_units() {
-        let dst = EventWord::new(NetworkId(0), EventLabel(0));
-        let m = Message::new(dst, vec![1, 2], EventWord::IGNORE, NetworkId(1));
-        assert_eq!(m.wire_bytes(8), 72);
-        let m = Message::new(dst, vec![0; 9], EventWord::IGNORE, NetworkId(1));
-        assert_eq!(m.wire_bytes(8), 144, "9 operands need two hardware messages");
-        let m = Message::new(dst, Vec::<u64>::new(), EventWord::IGNORE, NetworkId(1));
-        assert_eq!(m.wire_bytes(8), 72, "empty message still occupies one unit");
+        assert_eq!(wire_bytes(2), 72);
+        assert_eq!(wire_bytes(8), 72);
+        assert_eq!(wire_bytes(9), 144, "9 operands need two hardware messages");
+        assert_eq!(wire_bytes(0), 72, "empty message still occupies one unit");
     }
 
     fn is_inline(o: &Operands) -> bool {

@@ -29,7 +29,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, HOP_LATENCY};
 
 /// Index of a directed link in [`Topology::links`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,15 +82,15 @@ impl TopologyKind {
         }
     }
 
-    /// Instantiate this topology for `nodes` nodes with `net`'s latencies.
+    /// Instantiate this topology for `nodes` nodes: the uniform network
+    /// takes `net`'s remote latency, a routed one [`HOP_LATENCY`] per link.
     pub fn build(self, nodes: u32, net: &NetworkConfig) -> Arc<Topology> {
         let n = nodes.max(1);
-        let hop = net.hop_latency.max(1);
         Arc::new(match self {
             TopologyKind::Uniform => Topology::uniform(n, net.inter_node_latency.max(1)),
-            TopologyKind::Polar => Topology::polar(n, hop),
-            TopologyKind::Torus => Topology::torus(n, hop),
-            TopologyKind::Dragonfly => Topology::dragonfly(n, hop),
+            TopologyKind::Polar => Topology::polar(n, HOP_LATENCY),
+            TopologyKind::Torus => Topology::torus(n, HOP_LATENCY),
+            TopologyKind::Dragonfly => Topology::dragonfly(n, HOP_LATENCY),
         })
     }
 }
@@ -733,9 +733,8 @@ mod tests {
                 }
             }
             // Routed lookahead bound: one hop (some pair is adjacent).
-            let net_hop = net.hop_latency.max(1);
             for k in [TopologyKind::Polar, TopologyKind::Torus, TopologyKind::Dragonfly] {
-                assert_eq!(k.build(n, &net).min_transit(), net_hop, "{k} n={n}");
+                assert_eq!(k.build(n, &net).min_transit(), HOP_LATENCY, "{k} n={n}");
             }
         }
     }

@@ -881,14 +881,32 @@ pub fn check_report(
         }
     }
     // Certified bounds must themselves fit the machine the run used.
+    out.extend(capacity_findings(&cert, max_threads_per_lane, spm_words));
+
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// An error for each certified per-lane bound of `cert` that exceeds the
+/// machine: `max_threads_per_lane` thread contexts or `spm_words`
+/// scratchpad words per lane. `repro spec` reports them statically, and
+/// [`check_report`] after a run.
+pub fn capacity_findings(
+    cert: &Certification,
+    max_threads_per_lane: u16,
+    spm_words: u32,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
     if let Bound::Finite(b) = cert.threads_per_lane {
         if b > u64::from(max_threads_per_lane) {
             out.push(Finding::new(
-                Severity::Warning,
+                Severity::Error,
                 "thread-bound-capacity",
-                "machine".to_string(),
+                "machine",
                 format!(
-                    "certified per-lane thread bound {b} exceeds machine capacity {max_threads_per_lane}"
+                    "certified per-lane live-thread bound {b} exceeds the thread \
+                     table ({max_threads_per_lane} contexts/lane)"
                 ),
             ));
         }
@@ -896,18 +914,16 @@ pub fn check_report(
     if let Bound::Finite(b) = cert.spm_words_per_lane {
         if b > u64::from(spm_words) {
             out.push(Finding::new(
-                Severity::Warning,
+                Severity::Error,
                 "spm-bound-capacity",
-                "machine".to_string(),
+                "machine",
                 format!(
-                    "certified per-lane scratchpad bound {b} words exceeds machine capacity {spm_words}"
+                    "certified per-lane scratchpad bound {b} words exceeds the \
+                     scratchpad ({spm_words} words/lane)"
                 ),
             ));
         }
     }
-
-    out.sort();
-    out.dedup();
     out
 }
 

@@ -183,20 +183,17 @@ mod tests {
             let seen = seen.clone();
             t.event(&mut eng, "first", move |ctx, st| {
                 st.v = 10;
-                assert_eq!(ctx.state_ref::<St>(), Some(&St::default()));
-                assert_eq!(ctx.state_mut::<St>().v, 0, "the cell is a default, not `st`");
+                assert_eq!(ctx.state_mut::<St>(), &St::default(), "the cell is a default, not `st`");
                 ctx.state_mut::<St>().v = 77;
-                assert_eq!(ctx.state_ref::<St>(), Some(&St { v: 77 }));
-                ctx.set_state(St { v: 99 });
                 seen.lock().unwrap().push(ctx.state_mut::<St>().v);
                 ctx.send_event(ctx.self_event(second), [], EventWord::IGNORE);
             })
         };
         eng.send(EventWord::new(NetworkId(0), first), [], EventWord::IGNORE);
         eng.run();
-        // first saw its own cell write (99); second got the typed 10, not
-        // 77/99; the untyped check saw second's typed 11, not the u32.
-        assert_eq!(*seen.lock().unwrap(), vec![99, 10, 11]);
+        // first saw its own cell write (77); second got the typed 10, not
+        // 77; the untyped check saw second's typed 11, not the u32.
+        assert_eq!(*seen.lock().unwrap(), vec![77, 10, 11]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! `cargo run --release --example pagerank_rmat -- [scale] [iters]`
 
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use updown_apps::pagerank::{run_pagerank, PrConfig, DAMPING};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split_and_shuffle};
 use updown_graph::{algorithms, Csr};
@@ -28,7 +28,7 @@ fn main() {
         sg.n_sub()
     );
 
-    let oracle = algorithms::pagerank(&shuffled, iters, 0.85);
+    let oracle = algorithms::pagerank(&shuffled, iters, DAMPING);
 
     println!("\n{:>6} {:>14} {:>10} {:>8}", "nodes", "ticks", "time(ms)", "speedup");
     let mut base = 0u64;

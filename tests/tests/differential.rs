@@ -10,7 +10,7 @@
 use updown_apps::baseline;
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::ingest::{datagen, expected_graph, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use updown_apps::pagerank::{run_pagerank, PrConfig, DAMPING};
 use updown_apps::partial_match::{run_partial_match, sequential_matches, PmConfig};
 use updown_apps::tc::{run_tc, TcConfig};
 use updown_graph::generators::{rmat, RmatParams};
@@ -35,7 +35,7 @@ fn pagerank_matches_host_baseline() {
         cfg.machine = machine(2);
         cfg.iterations = 2;
         let sim = run_pagerank(&sg, &cfg);
-        let host = baseline::pagerank_parallel(&g, cfg.iterations, cfg.damping, 2);
+        let host = baseline::pagerank_parallel(&g, cfg.iterations, DAMPING, 2);
         assert_eq!(sim.values.len(), host.len(), "seed {seed}");
         for (v, (&s, &h)) in sim.values.iter().zip(&host).enumerate() {
             assert!(

@@ -2,7 +2,7 @@
 //! preprocessing, device load, KVMSR execution, and oracle validation.
 
 use updown_apps::bfs::{run_bfs, BfsConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use updown_apps::pagerank::{run_pagerank, PrConfig, DAMPING};
 use updown_apps::tc::{run_tc, TcConfig, TcVariant};
 use updown_graph::generators::{erdos_renyi, forest_fire, rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split, split_in_out};
@@ -26,7 +26,7 @@ fn pagerank_full_pipeline_all_generators() {
         cfg.machine = machine(2);
         cfg.iterations = 2;
         let res = run_pagerank(&sg, &cfg);
-        let oracle = algorithms::pagerank(&g, 2, cfg.damping);
+        let oracle = algorithms::pagerank(&g, 2, DAMPING);
         for (v, &ov) in oracle.iter().enumerate() {
             assert!(
                 (res.values[v] - ov).abs() < 1e-9,
@@ -94,7 +94,7 @@ fn results_independent_of_machine_shape() {
 fn placement_affects_timing_not_results() {
     let g = Csr::from_edges(&dedup_sort(rmat(9, RmatParams::default(), 15)));
     let sg = split_in_out(&g, 64);
-    let oracle = algorithms::pagerank(&g, 1, 0.85);
+    let oracle = algorithms::pagerank(&g, 1, DAMPING);
     let mut ticks = Vec::new();
     for mem_nodes in [1u32, 4] {
         let mut cfg = PrConfig::new(4);

@@ -893,9 +893,9 @@ mod sanitizer {
         cfg.race = Some(race.clone());
         let mut eng = Engine::new(cfg);
         dead_thread_fixture(&mut eng);
-        eng.run();
+        let m = eng.run();
         assert_eq!(kinds(&probe.diagnostics()), vec![DiagKind::SendToDeadThread]);
-        assert_eq!(eng.stats().msgs_dropped, 1);
+        assert_eq!(m.stats.msgs_dropped, 1);
         assert!(race.snapshot().is_clean(), "no race, only a protocol violation");
         let a = RaceAnalysis::with_flow("fixture", &race, &probe);
         assert!(!a.is_clean() && sanitizer_error(&a.findings), "{:?}", a.findings);

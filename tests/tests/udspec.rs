@@ -66,6 +66,23 @@ fn spm_blowup_fixture_is_flagged() {
     }
 }
 
+/// One capacity check: a certified bound past the machine is the same
+/// error, word for word, from `repro spec`'s static analysis and from
+/// `check_report` on a run's report (the `--spec` gate).
+#[test]
+fn static_and_runtime_capacity_findings_are_identical() {
+    let (mc, spec) = (caps(), spm_blowup_fixture());
+    let capacity = |fs: Vec<Finding>| -> Vec<Finding> {
+        fs.into_iter().filter(|f| f.check.ends_with("-bound-capacity")).collect()
+    };
+    let static_ = capacity(SpecAnalysis::of("fixture", &spec, &mc).findings);
+    let report = ProtocolProbe::new().snapshot();
+    let runtime = capacity(check_report(&spec, &report, mc.max_threads_per_lane, mc.spm_words));
+    assert_eq!(static_.len(), 2, "{static_:?}");
+    assert!(static_.iter().all(|f| f.severity == Severity::Error));
+    assert_eq!(static_, runtime);
+}
+
 /// Run `app` at conformance scale and check its probe's report against its
 /// spec, as `repro spec --enforce` does; return the full observed-vs-declared
 /// report, which may hold no error.
