@@ -120,7 +120,6 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
             // A hit: record it (stands for the artifact's alert print).
             ctx.shard_state(hits).push(st.recid);
             ctx.charge(2);
-            ctx.print_with(|| format!("ExactMatch: record {} matched", st.recid));
         }
         let task = st.task.expect("probe before map");
         rt.map_done(ctx, &task);

@@ -236,15 +236,9 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
             return;
         }
         if new & (1 << plen) != 0 {
-            // Full match: the alert the artifact prints to the terminal.
+            // Full match: counted where the artifact prints an alert.
             ctx.shard_state(shard).matches += 1;
             ctx.dram_fetch_add_u64(match_cell.base, 1, None, None);
-            ctx.print_with(|| {
-                format!(
-                    "startPartialMatch: srcID: {}, dstID: {}, type_oid: {} -- MATCH",
-                    st.src, st.dst, st.etype
-                )
-            });
         }
         let ack = ctx.self_event(or_ack);
         sht.fetch_or(ctx, state, st.dst, new, ack);

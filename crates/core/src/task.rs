@@ -57,10 +57,6 @@ impl MapTask {
         }
     }
 
-    pub fn emit_count(&self) -> u64 {
-        self.emits
-    }
-
     /// Fold in tuples emitted on this task's behalf by helper threads (the
     /// BFS master-worker pattern: workers emit with
     /// [`crate::runtime::Kvmsr::emit_uncounted`] and report their counts to

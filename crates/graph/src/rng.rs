@@ -70,13 +70,6 @@ impl Rng {
         self.below_u64(n as u64) as usize
     }
 
-    /// Uniform in [lo, hi).
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.below_u64(hi - lo)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

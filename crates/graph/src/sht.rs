@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use drammalloc::{Layout, Region};
 use kvmsr::key_hash;
 use udweave::LaneSet;
-use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, ShardSlot, TableSlot, VAddr};
+use updown_sim::{Engine, EventCtx, EventLabel, EventWord, NetworkId, ShardSlot, TableSlot};
 
 /// Handle to one created table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -330,11 +330,6 @@ impl ShtLib {
     /// Owner lane of a key (for co-locating follow-up work).
     pub fn owner(&self, eng: &Engine, sht: ShtId, key: u64) -> NetworkId {
         eng.table_ref(self.defs)[sht.0 as usize].owner(key)
-    }
-
-    /// The backing region base (diagnostics).
-    pub fn region_base(&self, eng: &Engine, sht: ShtId) -> VAddr {
-        eng.table_ref(self.defs)[sht.0 as usize].region.base
     }
 }
 

@@ -66,20 +66,6 @@ impl SymmetricHeap {
         ctx.send_dram_read(self.addr(pe, off), n, ret);
     }
 
-    /// `shmem_get` with a tag word appended to the response (distinguish
-    /// concurrent gets).
-    pub fn get_tagged(
-        &self,
-        ctx: &mut EventCtx<'_>,
-        pe: u32,
-        off: u64,
-        n: usize,
-        ret: EventLabel,
-        tag: u64,
-    ) {
-        ctx.send_dram_read_tagged(self.addr(pe, off), n, ret, tag);
-    }
-
     /// Atomic add into a symmetric cell (one-sided).
     pub fn add_u64(&self, ctx: &mut EventCtx<'_>, pe: u32, off: u64, delta: u64) {
         ctx.dram_fetch_add_u64(self.addr(pe, off), delta, None, None);

@@ -276,12 +276,6 @@ impl MachineConfig {
         nwid.0 / self.lanes_per_accel
     }
 
-    /// Lane index within its accelerator.
-    #[inline]
-    pub fn lane_in_accel(&self, nwid: NetworkId) -> u32 {
-        nwid.0 % self.lanes_per_accel
-    }
-
     /// Compose a network ID from (node, accelerator-in-node, lane-in-accel).
     #[inline]
     pub fn nwid(&self, node: u32, accel: u32, lane: u32) -> NetworkId {
@@ -328,7 +322,6 @@ mod tests {
         let w = cfg.nwid(2, 5, 17);
         assert_eq!(cfg.node_of(w), 2);
         assert_eq!(cfg.accel_of(w), 2 * 32 + 5);
-        assert_eq!(cfg.lane_in_accel(w), 17);
     }
 
     #[test]

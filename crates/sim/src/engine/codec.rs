@@ -18,7 +18,7 @@ use crate::snapshot::{
     self, SnapField, SnapHeader, SnapReader, SnapState, SnapWriter, SnapshotError,
 };
 use crate::stats::Counters;
-use crate::trace::{PhaseSpan, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// A full in-memory snapshot of the simulator: per-shard calendars,
 /// action arenas, lane thread tables and scratchpads, DRAM, fabric/NIC/
@@ -42,9 +42,7 @@ pub struct Snapshot {
     /// never ran the prefix, so these must migrate with the counters.
     sched_win_max_sum: u64,
     sched_win_max_peak: u64,
-    host_phases: Vec<PhaseSpan>,
     merged_trace: Vec<TraceEvent>,
-    merged_print: Vec<String>,
     race: Option<RaceState>,
     /// The program tables; per-shard state travels inside `cores`.
     tables: Vec<Table>,
@@ -649,9 +647,7 @@ impl Engine {
             windows: self.windows,
             sched_win_max_sum: self.sched_win_max_sum,
             sched_win_max_peak: self.sched_win_max_peak,
-            host_phases: self.host_phases.clone(),
             merged_trace: self.merged_trace.clone(),
-            merged_print: self.merged_print.clone(),
             race: self.shared.cfg.race.as_ref().map(|rp| rp.snapshot_state()),
             tables: self.shared.tables.clone(),
         }
@@ -679,9 +675,7 @@ impl Engine {
         self.windows = snap.windows;
         self.sched_win_max_sum = snap.sched_win_max_sum;
         self.sched_win_max_peak = snap.sched_win_max_peak;
-        self.host_phases = snap.host_phases.clone();
         self.merged_trace = snap.merged_trace.clone();
-        self.merged_print = snap.merged_print.clone();
         if let (Some(rp), Some(st)) = (&self.shared.cfg.race, &snap.race) {
             rp.restore_state(st);
         }

@@ -724,7 +724,6 @@ pub(super) struct EngineCore {
     pub(super) fabric: Fabric,
     pub(super) stats: Counters,
     pub(super) stop: bool,
-    pub(super) trace: Option<Vec<String>>,
     /// Event tracer; present only when event tracing is enabled. All
     /// recording paths are read-only with respect to simulated time,
     /// costs, and calendar sequence numbers (zero observer effect).
@@ -784,7 +783,6 @@ impl Clone for EngineCore {
             fabric: self.fabric.clone(),
             stats: self.stats.clone(),
             stop: self.stop,
-            trace: self.trace.clone(),
             tracer: self.tracer.clone(),
             protocol: self.protocol.clone(),
             phases: self.phases.clone(),
@@ -970,12 +968,6 @@ impl EngineCore {
             self.push_cross(sends, owner, arrival, request, tag);
         } else {
             self.schedule(t + INTRA_NODE_LATENCY, request, tag);
-        }
-    }
-
-    pub(super) fn trace_line(&mut self, line: String) {
-        if let Some(t) = &mut self.trace {
-            t.push(line);
         }
     }
 

@@ -525,39 +525,6 @@ impl<'a> EventCtx<'a> {
         self.stopped = true;
     }
 
-    /// Whether `[PRINT]` tracing is enabled. Lets handlers skip building
-    /// trace strings entirely when nobody is listening.
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.shard.trace.is_some()
-    }
-
-    /// Emit a BASIM_PRINT-style trace line (if tracing is enabled).
-    ///
-    /// The `text` argument is formatted by the *caller*; when it is
-    /// expensive to build, prefer [`EventCtx::print_with`] so disabled
-    /// tracing does zero string work.
-    pub fn print(&mut self, text: &str) {
-        if self.shard.trace.is_some() {
-            let line = format!(
-                "[PRINT] {}: [NWID {}][TID {}][{}] {}",
-                self.shard.now, self.lane, self.tid.0, self.event_name, text
-            );
-            self.shard.trace_line(line);
-        }
-    }
-
-    /// Lazily formatted [`EventCtx::print`]: the closure runs only when
-    /// tracing is enabled, so the disabled-tracing fast path is a single
-    /// `Option` discriminant check — no formatting, no allocation.
-    #[inline]
-    pub fn print_with<F: FnOnce() -> String>(&mut self, f: F) {
-        if self.shard.trace.is_some() {
-            let text = f();
-            self.print(&text);
-        }
-    }
-
     // ---- observability (all zero-cost: never charges cycles) ---------------
 
     /// Open a named phase span at the current tick (e.g. a KVMSR map

@@ -107,14 +107,9 @@ pub struct Engine {
     /// Host-side scheduler diagnostics accumulated over all runs
     /// (thread-timing dependent; reported but never serialized).
     host_sched: HostSchedStats,
-    /// Host-side phase spans (`Engine::phase_begin`), in begin order.
-    host_phases: Vec<PhaseSpan>,
     /// Trace events drained from the shard tracers after each run, in
     /// shard order.
     merged_trace: Vec<TraceEvent>,
-    /// `[PRINT]` lines drained from the shards after each run, in shard
-    /// order.
-    merged_print: Vec<String>,
     /// Registered thread-state codecs for the on-disk snapshot format.
     codecs: StateCodecs,
     /// `--checkpoint` writes the snapshot once, at the first boundary.
@@ -160,7 +155,6 @@ impl Engine {
                 fabric: Fabric::new(n_links, cfg.net.link_stat_window),
                 stats: Counters::default(),
                 stop: false,
-                trace: None,
                 tracer: None,
                 protocol: cfg.probe.is_some().then(Box::default),
                 phases: Vec::new(),
@@ -192,9 +186,7 @@ impl Engine {
             sched_win_max_sum: 0,
             sched_win_max_peak: 0,
             host_sched: HostSchedStats::default(),
-            host_phases: Vec::new(),
             merged_trace: Vec::new(),
-            merged_print: Vec::new(),
             codecs: StateCodecs::default(),
             checkpoint_written: false,
             restore: RestoreSlot::Unloaded,
@@ -329,19 +321,6 @@ impl Engine {
         self.event_limit = limit;
     }
 
-    /// Record `[PRINT]`-style trace lines emitted via [`EventCtx::print`].
-    pub fn enable_trace(&mut self) {
-        for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-        }
-    }
-
-    pub fn trace(&self) -> &[String] {
-        &self.merged_print
-    }
-
     /// Enable the structured event trace (lane busy spans, message
     /// transits, DRAM stages, counters). Recording has **zero observer
     /// effect**: simulated cycle counts are byte-identical with tracing
@@ -360,47 +339,11 @@ impl Engine {
         &self.merged_trace
     }
 
-    /// Begin a named phase span at the current simulation time (host
-    /// side; device code uses [`EventCtx::phase_begin`]).
-    pub fn phase_begin(&mut self, name: &str) {
-        let now = self.now();
-        self.host_phases.push(PhaseSpan {
-            name: name.to_string(),
-            start: now,
-            end: u64::MAX,
-        });
-    }
-
-    /// End the open span with this name that started most recently,
-    /// searching host-side and device-side spans.
-    pub fn phase_end(&mut self, name: &str) {
-        let now = self.now();
-        let mut best: Option<(&mut PhaseSpan, u64)> = None;
-        for p in self
-            .host_phases
-            .iter_mut()
-            .chain(self.shards.iter_mut().flat_map(|s| s.phases.iter_mut()))
-        {
-            if p.is_open() && p.name == name {
-                let start = p.start;
-                if best.as_ref().map(|(_, s)| start >= *s).unwrap_or(true) {
-                    best = Some((p, start));
-                }
-            }
-        }
-        if let Some((p, _)) = best {
-            p.end = now;
-        }
-    }
-
     /// Phase spans recorded so far (open spans have `end == u64::MAX`):
-    /// host spans, then each shard's in shard order, stable-sorted by
-    /// start time.
+    /// each shard's in shard order, stable-sorted by start time.
     fn merged_phases(&self) -> Vec<PhaseSpan> {
-        let mut all: Vec<PhaseSpan> = self.host_phases.clone();
-        for s in &self.shards {
-            all.extend(s.phases.iter().cloned());
-        }
+        let mut all: Vec<PhaseSpan> =
+            self.shards.iter().flat_map(|s| s.phases.iter().cloned()).collect();
         all.sort_by_key(|p| p.start);
         all
     }
@@ -571,8 +514,8 @@ impl Engine {
         }
     }
 
-    /// Merge per-shard run artifacts into the engine-level views: trace
-    /// events and print lines, both drained in shard order.
+    /// Merge the shards' trace events into the engine-level view, drained
+    /// in shard order.
     fn collect_run_artifacts(&mut self) {
         // One reservation for the whole run's recording (exact on the
         // first run, amortized over later ones), then one copy of each
@@ -580,9 +523,6 @@ impl Engine {
         let recorded: usize = self.shards.iter().flat_map(|s| &s.tracer).map(Tracer::len).sum();
         self.merged_trace.reserve(recorded);
         for core in &mut self.shards {
-            if let Some(t) = &mut core.trace {
-                self.merged_print.append(t);
-            }
             if let Some(tr) = &mut core.tracer {
                 tr.drain_into(&mut self.merged_trace);
             }

@@ -14,8 +14,7 @@
 //!   NIC injection bandwidth (PolarStar abstracted, Figure 6),
 //! - a shared global address space with hardware block-cyclic translation
 //!   descriptors ("swizzle masks", §2.4) and per-node DRAM channel
-//!   bandwidth/latency,
-//! - BASIM_PRINT-style traces matching the artifact's log format.
+//!   bandwidth/latency.
 //!
 //! The [`udweave`](../udweave) crate layers the UDWeave programming API on
 //! top; [`kvmsr`](../kvmsr) builds the map-shuffle-reduce runtime on that.

@@ -337,16 +337,6 @@ impl Metrics {
         self.final_tick as f64 / (self.clock_ghz * 1e9)
     }
 
-    /// `count` items over the run, in giga-items per simulated second —
-    /// the GTEPS/GUPS helper (pass traversed edges or updates).
-    pub fn giga_rate(&self, count: u64) -> f64 {
-        let s = self.seconds();
-        if s == 0.0 {
-            return 0.0;
-        }
-        count as f64 / s / 1e9
-    }
-
     /// Total cycles per phase name (spans with the same name accumulate).
     pub fn phase_cycles(&self) -> BTreeMap<String, u64> {
         let mut m = BTreeMap::new();
@@ -593,7 +583,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.utilization(), 500.0 / 4000.0);
         assert_eq!(m.seconds(), 1000.0 / 2e9);
-        assert_eq!(m.giga_rate(1000), 1000.0 / m.seconds() / 1e9);
     }
 
     #[test]

@@ -5,37 +5,35 @@
 
 use kvmsr::{JobSpec, Kvmsr, Outcome};
 use udweave::prelude::*;
-use updown_sim::{Engine, MachineConfig};
+use updown_sim::{Engine, EventLabel, MachineConfig, TraceEvent};
 
 fn main() {
     // A 2-node machine, 32 accelerators x 64 lanes each.
     let mut eng = Engine::new(MachineConfig::with_nodes(2));
-    eng.enable_trace();
+    eng.enable_event_trace();
 
     // ---- Listing 2: explicit continuations -----------------------------
-    let e3 = simple_event(&mut eng, "e3", |ctx| {
-        ctx.print("I am back from e2");
-        ctx.yield_terminate();
-    });
+    // e1 calls e2 on the next lane with continuation e3; e2 replies, which
+    // runs e3 back in e1's thread.
+    let e3 = simple_event(&mut eng, "e3", |ctx| ctx.yield_terminate());
     let e2 = simple_event(&mut eng, "e2", |ctx| {
-        ctx.print(&format!(
-            "I am in e2 and received this data: {}, {}",
-            ctx.arg(0),
-            ctx.arg(1)
-        ));
         ctx.send_reply([]);
         ctx.yield_terminate();
     });
     let e1 = simple_event(&mut eng, "e1", move |ctx| {
-        ctx.print("I am in e1");
         let evw = evw_new(ctx.nwid().next(), e2);
         let ct = ctx.self_event(e3);
         ctx.send_event(evw, [0, 1], ct);
     });
     eng.send(evw_new(NetworkId(0), e1), [], IGNRCONT);
     eng.run();
-    for line in eng.trace() {
-        println!("{line}");
+    // The event trace records each executed event as one `Exec` row: its
+    // handler, lane, thread and busy span in ticks.
+    for ev in eng.event_trace() {
+        if let TraceEvent::Exec { lane, label, tid, start, end } = *ev {
+            let name = eng.event_name(EventLabel(label));
+            println!("{name}: lane {lane}, thread {tid}, ticks {start}..{end}");
+        }
     }
 
     // ---- a 4096-key histogram over the whole machine --------------------

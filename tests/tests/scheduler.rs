@@ -83,11 +83,12 @@ fn pagerank_window_counts_are_pinned() {
 }
 
 /// Merged **event order** under work-stealing: a randomized cross-shard
-/// message cascade is traced, and the chrome-trace export (one entry per
-/// executed event, in the merged order the engine observed them) must be
-/// byte-identical at every thread count, whichever worker claimed which
-/// shard. This pins the ordering claim directly, not via aggregate
-/// counters.
+/// message cascade is traced, and the chrome-trace export (one lane `X`
+/// row per executed event, in the merged order the engine observed them)
+/// must be byte-identical at every thread count, whichever worker claimed
+/// which shard. This pins the ordering claim directly, not via aggregate
+/// counters; the row count is checked against `events_executed` so an
+/// untraced run cannot pass as an empty trace.
 #[test]
 fn stealing_never_changes_merged_event_order() {
     use updown_graph::rng::Rng;
@@ -96,7 +97,7 @@ fn stealing_never_changes_merged_event_order() {
         let mut cfg = machine(4, threads);
         cfg.net.inter_node_latency = 40; // wide windows: several events per shard per window
         let mut eng = Engine::new(cfg);
-        eng.enable_trace();
+        eng.enable_event_trace();
         let total_lanes = eng.config().total_lanes();
         let hop_l: Arc<Mutex<updown_sim::EventLabel>> =
             Arc::new(Mutex::new(updown_sim::EventLabel(0)));
@@ -131,7 +132,10 @@ fn stealing_never_changes_merged_event_order() {
             );
         }
         let m = eng.run();
-        (eng.chrome_trace_json(), m.to_json())
+        let trace = eng.chrome_trace_json();
+        let rows = trace.matches(r#""cat":"lane","ph":"X""#).count() as u64;
+        assert_eq!(rows, m.stats.events_executed, "threads={threads}: one lane row per event");
+        (trace, m.to_json())
     };
 
     for seed in [0x11u64, 0x2222] {
