@@ -23,7 +23,7 @@ use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::LaneSet;
 use updown_graph::{Csr, DeviceCsr};
-use updown_sim::{Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
+use updown_sim::{ChromeTrace, Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
 #[derive(Clone, Debug)]
 pub struct BfsConfig {
@@ -55,8 +55,9 @@ pub struct BfsResult {
     pub final_tick: u64,
     pub traversed_edges: u64,
     pub report: Metrics,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 impl BfsResult {
@@ -569,7 +570,7 @@ pub fn run_bfs(g: &Csr, cfg: &BfsConfig) -> BfsResult {
     let round_ticks_out: Vec<u64> =
         eng.shard_states(shard).flat_map(|s| s.round_ticks.iter().copied()).collect();
     let traversed_out = eng.shard_states(shard).map(|s| s.traversed).sum();
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     BfsResult {
         dist: dist_out,
         rounds: round_ticks_out.len() as u32,

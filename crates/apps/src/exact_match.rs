@@ -14,7 +14,7 @@ use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::LaneSet;
 use updown_graph::pga::edge_key;
 use updown_graph::{ShtLib, ShtOp};
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics};
+use updown_sim::{ChromeTrace, Engine, EventWord, MachineConfig, NetworkId, Metrics};
 
 use crate::ingest::tform::{RawRecord, RECORD_WORDS};
 
@@ -41,8 +41,9 @@ pub struct EmResult {
     pub hits: Vec<u64>,
     pub final_tick: u64,
     pub report: Metrics,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 /// A registered exact query over edge records.
@@ -178,7 +179,7 @@ pub fn run_exact_match(records: &[RawRecord], queries: &[Query], cfg: &EmConfig)
 
     let mut out: Vec<u64> = eng.shard_states(hits).flatten().copied().collect();
     out.sort_unstable();
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     EmResult {
         hits: out,
         final_tick: report.final_tick,

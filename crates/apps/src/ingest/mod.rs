@@ -13,7 +13,7 @@ use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::LaneSet;
 use updown_graph::{Pga, ShtLib};
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics};
+use updown_sim::{ChromeTrace, Engine, EventWord, MachineConfig, NetworkId, Metrics};
 
 use datagen::Dataset;
 use tform::{parse_block, RawRecord, RECORD_WORDS};
@@ -60,8 +60,9 @@ pub struct IngestResult {
     pub vertices: usize,
     pub edges: usize,
     pub report: Metrics,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 impl IngestResult {
@@ -295,7 +296,7 @@ pub fn run_ingest(ds: &Dataset, cfg: &IngestConfig) -> IngestResult {
     let (phase1_tick, phase2_tick) = eng
         .shard_states(ticks)
         .fold((0, 0), |a, t| (a.0.max(t.0), a.1.max(t.1)));
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     IngestResult {
         phase1_tick,
         phase2_tick,

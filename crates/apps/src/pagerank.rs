@@ -30,7 +30,7 @@ use kvmsr::{JobSpec, Kvmsr, MapTask, Outcome};
 use udweave::{CombiningCache, Kind, LaneSet};
 use updown_graph::preprocess::SplitGraph;
 use updown_graph::DeviceSplit;
-use updown_sim::{Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
+use updown_sim::{ChromeTrace, Engine, EventLabel, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
 /// The PageRank damping factor.
 pub const DAMPING: f64 = 0.85;
@@ -72,8 +72,9 @@ pub struct PrResult {
     pub report: Metrics,
     /// Edge updates (emits) per iteration.
     pub updates_per_iter: u64,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 impl PrResult {
@@ -676,7 +677,7 @@ pub fn run_pagerank(sg: &SplitGraph, cfg: &PrConfig) -> PrResult {
     let iter_ticks_out: Vec<u64> =
         eng.shard_states(shard).flat_map(|s| s.iter_ticks.iter().copied()).collect();
     let emitted_out = eng.shard_states(shard).map(|s| s.emitted).max().unwrap_or(0);
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     PrResult {
         values,
         iter_ticks: iter_ticks_out,

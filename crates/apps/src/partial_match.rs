@@ -21,7 +21,7 @@ use std::sync::Arc;
 use drammalloc::{Layout, Region};
 use udweave::LaneSet;
 use updown_graph::{Pga, ShtLib};
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics};
+use updown_sim::{ChromeTrace, Engine, EventWord, MachineConfig, NetworkId, Metrics};
 
 use crate::ingest::tform::RawRecord;
 
@@ -73,8 +73,9 @@ pub struct PmResult {
     pub latencies: Vec<u64>,
     pub final_tick: u64,
     pub report: Metrics,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 impl PmResult {
@@ -345,7 +346,7 @@ pub fn run_partial_match(records: &[RawRecord], cfg: &PmConfig) -> PmResult {
     }
     lat.sort_unstable();
     let matches_out = eng.shard_states(shard).map(|s| s.matches).sum();
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     PmResult {
         matches: matches_out,
         latencies: lat.into_iter().map(|(_, l)| l).collect(),

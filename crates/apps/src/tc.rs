@@ -14,7 +14,7 @@ use drammalloc::{Layout, Region};
 use kvmsr::{JobSpec, Kvmsr, MapBinding, MapTask, Outcome};
 use udweave::LaneSet;
 use updown_graph::{Csr, DeviceCsr};
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
+use updown_sim::{ChromeTrace, Engine, EventWord, MachineConfig, NetworkId, Metrics, VAddr};
 
 /// Which reduce implementation to use (the §4.3.3 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +54,9 @@ pub struct TcResult {
     pub final_tick: u64,
     pub pairs: u64,
     pub report: Metrics,
-    /// Chrome-trace JSON, present when the config asked for a trace.
-    pub trace_json: Option<String>,
+    /// The recorded Chrome trace, present when the config asked for one;
+    /// rendered only when written (`ChromeTrace::write_to`).
+    pub trace_json: Option<ChromeTrace>,
 }
 
 #[derive(Clone, Default)]
@@ -515,7 +516,7 @@ pub fn run_tc(g: &Csr, cfg: &TcConfig) -> TcResult {
     let raw = eng.mem().read_u64(total.base).unwrap();
     assert_eq!(raw % 3, 0, "pair-intersection total must be 3 × triangles");
     let pairs_out = eng.shard_states(pairs).sum();
-    let trace_json = cfg.trace.then(|| eng.chrome_trace_json());
+    let trace_json = cfg.trace.then(|| eng.take_chrome_trace());
     TcResult {
         triangles: raw / 3,
         final_tick: report.final_tick,

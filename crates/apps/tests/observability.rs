@@ -55,7 +55,7 @@ fn tracing_has_zero_observer_effect() {
 #[test]
 fn chrome_trace_round_trips_with_monotone_lane_spans() {
     let r = small_pr(true);
-    let v = JsonValue::parse(r.trace_json.as_ref().unwrap()).expect("valid JSON");
+    let v = JsonValue::parse(&r.trace_json.as_ref().unwrap().to_json()).expect("valid JSON");
     assert_eq!(v.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
     let evs = v.get("traceEvents").unwrap().as_arr().unwrap();
     assert!(!evs.is_empty());

@@ -4,13 +4,15 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::fmt::Display;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::str::FromStr;
 
 use updown_apps::harness::{bench_machine_topo, check_bench_args, check_rmat_scale};
 use updown_sim::spec::check_report;
 use updown_sim::{
-    Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, ReplayCheck,
-    Severity, TopologyKind,
+    ChromeTrace, Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe,
+    ReplayCheck, Severity, TopologyKind,
 };
 
 /// The flags that never take a value: the token after one is a positional
@@ -387,9 +389,9 @@ impl Exporter {
         self.trace_path.is_some() && !self.exported
     }
 
-    /// Export the run if it is the first; `trace_json` is `None` when
-    /// tracing was off.
-    pub fn export(&mut self, label: &str, metrics: &Metrics, trace_json: Option<&str>) {
+    /// Export the run if it is the first; `trace` is `None` when tracing
+    /// was off. The trace is streamed to its file, never rendered whole.
+    pub fn export(&mut self, label: &str, metrics: &Metrics, trace: Option<&ChromeTrace>) {
         if std::mem::replace(&mut self.exported, true) {
             return;
         }
@@ -397,9 +399,9 @@ impl Exporter {
             write_or_exit("--metrics-json", path, &metrics.to_json());
             eprintln!("  [{label}] metrics JSON -> {path}");
         }
-        match (&self.trace_path, trace_json) {
-            (Some(path), Some(json)) => {
-                write_or_exit("--trace", path, json);
+        match (&self.trace_path, trace) {
+            (Some(path), Some(trace)) => {
+                stream_or_exit("--trace", path, |f| trace.write_to(f));
                 eprintln!("  [{label}] Chrome trace -> {path} (open in chrome://tracing)");
             }
             (Some(_), None) => eprintln!("  [{label}] --trace given but the run recorded no trace"),
@@ -410,7 +412,13 @@ impl Exporter {
 
 /// Write the file `flag` names, or exit with status 2 saying why.
 pub fn write_or_exit(flag: &str, path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
+    stream_or_exit(flag, path, |f| f.write_all(text.as_bytes()));
+}
+
+/// Create the file `flag` names and let `write` fill it, or exit with
+/// status 2 saying why.
+fn stream_or_exit(flag: &str, path: &str, write: impl FnOnce(&mut File) -> io::Result<()>) {
+    if let Err(e) = File::create(path).and_then(|mut f| write(&mut f)) {
         usage_error(&format!("{flag} {path}: {e}"));
     }
 }

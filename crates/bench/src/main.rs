@@ -331,7 +331,7 @@ fn table5() {
     }
     println!("\n(this repo's counts include unit tests in each file; the qualitative");
     println!(" claim reproduced is that powerful abstractions stay in the hundreds-");
-    println!(" to-few-thousand LoC range and applications in the low hundreds)");
+    println!(" to-few-thousand LoC range and applications in the hundreds)");
 }
 
 /// §5.2.1/§5.2.2: simulated UpDown rates vs this host's CPU running the

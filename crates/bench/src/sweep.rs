@@ -5,7 +5,7 @@ use std::time::Instant;
 use updown_apps::ingest::{IngestConfig, IngestResult};
 use updown_apps::partial_match::{PmConfig, PmResult};
 use updown_apps::{BfsConfig, BfsResult, PrConfig, PrResult, TcConfig, TcResult};
-use updown_sim::{MachineConfig, Metrics, ProgramSpec};
+use updown_sim::{ChromeTrace, MachineConfig, Metrics, ProgramSpec};
 
 use crate::cli::{Cli, Exporter, Gates, Surface};
 use crate::timing::fmt_rate;
@@ -18,7 +18,7 @@ pub trait Job {
     fn machine(&mut self) -> &mut MachineConfig;
     fn set_trace(&mut self, on: bool);
     /// The run's metrics and, when it was traced, its Chrome trace.
-    fn report(out: &Self::Out) -> (&Metrics, Option<&str>);
+    fn report(out: &Self::Out) -> (&Metrics, Option<&ChromeTrace>);
 }
 
 macro_rules! job {
@@ -28,7 +28,7 @@ macro_rules! job {
             fn spec() -> ProgramSpec { updown_apps::$app::spec() }
             fn machine(&mut self) -> &mut MachineConfig { &mut self.machine }
             fn set_trace(&mut self, on: bool) { self.trace = on; }
-            fn report(out: &$out) -> (&Metrics, Option<&str>) { (&out.report, out.trace_json.as_deref()) }
+            fn report(out: &$out) -> (&Metrics, Option<&ChromeTrace>) { (&out.report, out.trace_json.as_ref()) }
         }
     )*};
 }

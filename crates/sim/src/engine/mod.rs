@@ -82,7 +82,7 @@ use crate::stats::{
     Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
     NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
 };
-use crate::trace::{PhaseSpan, TraceEvent, Tracer};
+use crate::trace::{ChromeTrace, PhaseSpan, TraceEvent, Tracer};
 
 /// Number of lanes in the [`Metrics::hot_lanes`] report.
 const HOT_LANES_TOP_K: usize = 8;
@@ -324,7 +324,8 @@ impl Engine {
     /// Enable the structured event trace (lane busy spans, message
     /// transits, DRAM stages, counters). Recording has **zero observer
     /// effect**: simulated cycle counts are byte-identical with tracing
-    /// on or off. Export with [`Engine::chrome_trace_json`].
+    /// on or off. Export with [`Engine::take_chrome_trace`] or
+    /// [`Engine::chrome_trace_json`].
     pub fn enable_event_trace(&mut self) {
         for (i, s) in self.shards.iter_mut().enumerate() {
             if s.tracer.is_none() {
@@ -361,6 +362,21 @@ impl Engine {
             self.shared.cfg.clock_ghz,
             self.final_tick(),
         )
+    }
+
+    /// Move the recorded trace out, with what rendering it needs, and
+    /// leave the engine's trace empty. Render it with
+    /// [`ChromeTrace::write_to`] or [`ChromeTrace::to_json`]; the bytes
+    /// are those [`Engine::chrome_trace_json`] returned before the move.
+    pub fn take_chrome_trace(&mut self) -> ChromeTrace {
+        ChromeTrace {
+            phases: self.merged_phases(),
+            names: self.shared.handlers.iter().map(|h| h.name.clone()).collect(),
+            lanes_per_node: self.shared.cfg.lanes_per_node(),
+            clock_ghz: self.shared.cfg.clock_ghz,
+            final_tick: self.final_tick(),
+            events: std::mem::take(&mut self.merged_trace),
+        }
     }
 
     fn merged_counters(&self) -> Counters {

@@ -757,6 +757,23 @@ fn event_trace_covers_all_subsystems() {
     assert!(!phases[0].is_open());
 }
 
+/// Taking the trace moves the recording out whole: it renders, streamed
+/// or in memory, the bytes the engine's own export gave, and the engine's
+/// trace starts over empty.
+#[test]
+fn a_taken_trace_renders_the_engines_export() {
+    let mut eng = observed_run(true);
+    let doc = eng.chrome_trace_json();
+    let recorded = eng.event_trace().len();
+    let trace = eng.take_chrome_trace();
+    assert!(eng.event_trace().is_empty());
+    assert_eq!(trace.events.len(), recorded);
+    assert_eq!(trace.to_json(), doc);
+    let mut streamed = Vec::new();
+    trace.write_to(&mut streamed).unwrap();
+    assert!(streamed == doc.as_bytes());
+}
+
 /// A 4-node program exercising cross-node messages, remote DRAM, and
 /// phases; used to compare thread counts.
 fn scheduler_probe(threads: u32) -> (String, u64, u64) {

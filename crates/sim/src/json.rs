@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -127,6 +128,19 @@ impl JsonWriter {
     pub fn raw(&mut self) -> &mut String {
         self.before_value();
         &mut self.out
+    }
+
+    /// Bytes written since the writer was made or last spilled.
+    pub fn buffered(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Hand the buffered bytes to `out` and empty the buffer. The open
+    /// containers stay open, so writing carries on in the same document.
+    pub fn spill(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
+        out.write_all(self.out.as_bytes())?;
+        self.out.clear();
+        Ok(())
     }
 
     pub fn finish(self) -> String {

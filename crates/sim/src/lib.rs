@@ -72,4 +72,4 @@ pub use stats::{
     Counters, FabricMetrics, HostCalendarStats, HostSchedStats, LaneMetrics, LinkMetrics, Metrics,
     NodeMetrics, SchedMetrics, UTIL_HIST_BUCKETS,
 };
-pub use trace::{DramStage, PhaseSpan, TraceEvent, Tracer};
+pub use trace::{ChromeTrace, DramStage, PhaseSpan, TraceEvent, Tracer};

@@ -9,7 +9,7 @@
 //! of the same program produce byte-identical simulated results; the
 //! engine's tests assert this.
 
-use std::collections::HashMap; // det-lint: allow — entry-only counters below
+use std::io;
 
 use crate::json::{push_escaped, push_f64, push_i64, push_u64, JsonWriter};
 
@@ -106,9 +106,9 @@ pub struct Tracer {
     /// opened, so recording never copies what it has already recorded.
     chunks: Vec<Vec<TraceEvent>>,
     next_id: u64,
-    // det-lint: allow — entry-only lookups keyed by &'static str; never
-    // iterated, so hash order cannot reach any output.
-    counters: HashMap<&'static str, i64>,
+    /// Running value of each named counter, found by name: a run keeps a
+    /// handful of them.
+    counters: Vec<(&'static str, i64)>,
 }
 
 impl Tracer {
@@ -154,9 +154,16 @@ impl Tracer {
 
     /// Adjust the named running counter by `delta` and record a sample.
     pub fn counter_add(&mut self, name: &'static str, delta: i64, time: u64) {
-        let v = self.counters.entry(name).or_insert(0);
-        *v += delta;
-        let value = *v;
+        let value = match self.counters.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, v)) => {
+                *v += delta;
+                *v
+            }
+            None => {
+                self.counters.push((name, delta));
+                delta
+            }
+        };
         self.record(TraceEvent::Counter { name, time, value });
     }
 
@@ -322,6 +329,62 @@ impl<'a> Row<'a> {
 /// address space only; falling short costs a copy of the document.
 const RESERVE_PER_EVENT: usize = 192;
 
+/// Rendered bytes the streamed sink buffers before it hands them to its
+/// writer.
+const SPILL_BYTES: usize = 64 * 1024;
+
+/// A recorded event trace and what rendering it needs, owned: what a
+/// traced run returns. Nothing is rendered until the document is asked
+/// for, by [`ChromeTrace::write_to`] (streamed) or
+/// [`ChromeTrace::to_json`] (in memory); both write the same bytes.
+pub struct ChromeTrace {
+    pub(crate) events: Vec<TraceEvent>,
+    /// Open spans have `end == u64::MAX`; `final_tick` clamps them.
+    pub(crate) phases: Vec<PhaseSpan>,
+    /// Event names, indexed by handler label.
+    pub(crate) names: Vec<String>,
+    pub(crate) lanes_per_node: u32,
+    pub(crate) clock_ghz: f64,
+    pub(crate) final_tick: u64,
+}
+
+impl ChromeTrace {
+    /// Stream the Chrome `trace_event` document to `out`, about
+    /// 64 KB per write, holding no more of it than that.
+    pub fn write_to(&self, out: &mut dyn io::Write) -> io::Result<()> {
+        // Room for the rows written past the last spill check as well.
+        let mut w = JsonWriter::with_capacity(2 * SPILL_BYTES);
+        let names = self.names();
+        render(
+            &mut w,
+            Some(&mut *out),
+            &self.events,
+            &self.phases,
+            &names,
+            self.lanes_per_node,
+            self.clock_ghz,
+            self.final_tick,
+        )?;
+        out.flush()
+    }
+
+    /// The Chrome `trace_event` document, rendered into memory.
+    pub fn to_json(&self) -> String {
+        chrome_trace_json(
+            &self.events,
+            &self.phases,
+            &self.names(),
+            self.lanes_per_node,
+            self.clock_ghz,
+            self.final_tick,
+        )
+    }
+
+    fn names(&self) -> Vec<&str> {
+        self.names.iter().map(String::as_str).collect()
+    }
+}
+
 /// Export to Chrome `trace_event` JSON.
 ///
 /// Track layout: process 0 is the "machine" (phase spans and counters);
@@ -340,11 +403,39 @@ pub fn chrome_trace_json(
     clock_ghz: f64,
     final_tick: u64,
 ) -> String {
+    let mut w = JsonWriter::with_capacity(256 + events.len() * RESERVE_PER_EVENT);
+    render(
+        &mut w,
+        None,
+        events,
+        phases,
+        names,
+        lanes_per_node,
+        clock_ghz,
+        final_tick,
+    )
+    .expect("rendering into memory does no I/O");
+    w.finish()
+}
+
+/// The one row writer under both sinks. With `spill`, the rendered bytes
+/// go to it whenever [`SPILL_BYTES`] have gathered and once more at the
+/// end; without, the whole document stays in `w`.
+#[allow(clippy::too_many_arguments)]
+fn render(
+    w: &mut JsonWriter,
+    mut spill: Option<&mut dyn io::Write>,
+    events: &[TraceEvent],
+    phases: &[PhaseSpan],
+    names: &[&str],
+    lanes_per_node: u32,
+    clock_ghz: f64,
+    final_tick: u64,
+) -> io::Result<()> {
     let ts = Timestamps::new(clock_ghz);
     let name_of = |label: u16| names.get(label as usize).copied().unwrap_or("<unknown>");
     let lanes_per_node = lanes_per_node.max(1);
 
-    let mut w = JsonWriter::with_capacity(256 + events.len() * RESERVE_PER_EVENT);
     w.begin_obj().key("displayTimeUnit").string("ms");
     w.key("traceEvents").begin_arr();
 
@@ -372,6 +463,9 @@ pub fn chrome_trace_json(
     }
 
     for ev in events {
+        if let Some(out) = spill.as_deref_mut().filter(|_| w.buffered() >= SPILL_BYTES) {
+            w.spill(out)?;
+        }
         match *ev {
             TraceEvent::Exec {
                 lane,
@@ -382,7 +476,7 @@ pub fn chrome_trace_json(
             } => {
                 let pid = lane / lanes_per_node + 1;
                 max_pid = max_pid.max(pid);
-                Row::begin(&mut w, &ts)
+                Row::begin(w, &ts)
                     .lit("{\"name\":")
                     .name(name_of(label))
                     .lit(",\"cat\":\"lane\",\"ph\":\"X\",\"pid\":")
@@ -408,7 +502,7 @@ pub fn chrome_trace_json(
                 let pid = src / lanes_per_node + 1;
                 max_pid = max_pid.max(pid);
                 for (t, begins) in [(depart, true), (arrive, false)] {
-                    let mut row = Row::begin(&mut w, &ts);
+                    let mut row = Row::begin(w, &ts);
                     row.lit("{\"name\":")
                         .name(name_of(label))
                         .lit(if begins {
@@ -440,7 +534,7 @@ pub fn chrome_trace_json(
             } => {
                 let pid = node + 1;
                 max_pid = max_pid.max(pid);
-                let mut row = Row::begin(&mut w, &ts);
+                let mut row = Row::begin(w, &ts);
                 row.lit(if write {
                     "{\"name\":\"dram_write\",\"cat\":\"dram\",\"ph\":"
                 } else {
@@ -473,7 +567,7 @@ pub fn chrome_trace_json(
             } => {
                 let pid = node + 1;
                 max_pid = max_pid.max(pid);
-                Row::begin(&mut w, &ts)
+                Row::begin(w, &ts)
                     .lit("{\"name\":\"link n")
                     .u(src)
                     .lit("->n")
@@ -487,7 +581,7 @@ pub fn chrome_trace_json(
                     .lit("}}");
             }
             TraceEvent::Counter { name, time, value } => {
-                Row::begin(&mut w, &ts)
+                Row::begin(w, &ts)
                     .lit("{\"name\":")
                     .name(name)
                     .lit(",\"ph\":\"C\",\"pid\":0,\"ts\":")
@@ -522,7 +616,10 @@ pub fn chrome_trace_json(
     }
 
     w.end_arr().end_obj();
-    w.finish()
+    match spill {
+        Some(out) => w.spill(out),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -541,19 +638,32 @@ mod tests {
         assert_eq!(p.cycles(500), 400);
     }
 
+    /// Each name keeps its own running value, in whatever order the
+    /// names come.
     #[test]
     fn counter_tracks_running_value() {
         let mut t = Tracer::new();
-        t.counter_add("x", 2, 10);
-        t.counter_add("x", -1, 20);
-        let vals: Vec<i64> = t
+        for (name, delta) in [
+            ("x", 2),
+            ("y", 5),
+            ("x", -1),
+            ("z", -1),
+            ("y", -5),
+            ("x", 3),
+        ] {
+            t.counter_add(name, delta, 0);
+        }
+        let vals: Vec<(&str, i64)> = t
             .events()
             .map(|e| match e {
-                TraceEvent::Counter { value, .. } => *value,
+                TraceEvent::Counter { name, value, .. } => (*name, *value),
                 _ => panic!(),
             })
             .collect();
-        assert_eq!(vals, vec![2, 1]);
+        assert_eq!(
+            vals,
+            [("x", 2), ("y", 5), ("x", 1), ("z", -1), ("y", 0), ("x", 4)]
+        );
     }
 
     #[test]
@@ -758,5 +868,100 @@ mod tests {
             .filter(|e| e.get("ph").map(|c| c.as_str()) == Some(Some("M")))
             .collect();
         assert!(metas.len() >= 2);
+    }
+
+    /// A trace of `n` lane spans, a message and a DRAM read on four nodes.
+    fn sample_trace(n: u64) -> ChromeTrace {
+        let mut events: Vec<TraceEvent> = (0..n)
+            .map(|i| TraceEvent::Exec {
+                lane: (i % 32) as u32,
+                label: (i % 3) as u16,
+                tid: (i % 7) as u16,
+                start: 10 * i,
+                end: 10 * i + 7,
+            })
+            .collect();
+        events.push(TraceEvent::MsgTransit {
+            id: 1,
+            src: 3,
+            dst: 30,
+            label: 1,
+            depart: 5,
+            arrive: 90,
+        });
+        events.push(TraceEvent::Dram {
+            id: 2,
+            stage: DramStage::Arrive,
+            node: 2,
+            time: 7,
+            bytes: 64,
+            write: false,
+        });
+        ChromeTrace {
+            events,
+            phases: vec![PhaseSpan {
+                name: "map".into(),
+                start: 0,
+                end: u64::MAX,
+            }],
+            names: vec!["a".into(), "b::c".into(), "d".into()],
+            lanes_per_node: 8,
+            clock_ghz: 2.0,
+            final_tick: 10 * n,
+        }
+    }
+
+    /// Counts the writes it takes; fails every write once it holds `limit`
+    /// bytes.
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: usize,
+        limit: usize,
+    }
+
+    impl io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.bytes.len() >= self.limit {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.limit - self.bytes.len());
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.writes += 1;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_document_spills_in_pieces_and_equals_the_string() {
+        let trace = sample_trace(5_000);
+        let doc = trace.to_json();
+        assert!(doc.len() > 3 * SPILL_BYTES, "{} bytes", doc.len());
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            writes: 0,
+            limit: usize::MAX,
+        };
+        trace.write_to(&mut sink).unwrap();
+        assert!(sink.writes >= 3, "{} writes", sink.writes);
+        assert!(sink.bytes == doc.as_bytes());
+        JsonValue::parse(&doc).expect("valid JSON");
+    }
+
+    #[test]
+    fn a_failing_writer_ends_the_stream_with_its_error() {
+        let trace = sample_trace(5_000);
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            writes: 0,
+            limit: 100 * 1024,
+        };
+        let err = trace.write_to(&mut sink).unwrap_err();
+        assert_eq!(err.to_string(), "sink full");
+        assert_eq!(sink.bytes.len(), 100 * 1024);
+        assert!(trace.to_json().as_bytes().starts_with(&sink.bytes));
     }
 }

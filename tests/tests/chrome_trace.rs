@@ -6,6 +6,8 @@
 //! clocks cover a timestamp divisor with six fraction digits and one that
 //! is not of the form 2^a·5^b. With a race probe attached as well, each
 //! trace keeps its bytes and the race report keeps the `udrace/v1` pin.
+//! Every document is rendered by both sinks, streamed and in memory, and
+//! the two must agree byte for byte.
 
 use integration_tests::fnv1a;
 use udcheck::apps::ALL_APPS;
@@ -29,10 +31,11 @@ fn machine(nodes: u32, threads: u32) -> MachineConfig {
 }
 
 /// The Chrome trace of one app on `m`, over the inputs `repro check` runs
-/// (`udcheck::apps`, seed 10).
+/// (`udcheck::apps`, seed 10), after checking that the streamed sink
+/// (`write_to`) writes the bytes of the in-memory one (`to_json`).
 fn trace_of(app: &str, m: MachineConfig) -> String {
     let nodes = m.nodes;
-    let doc = match app {
+    let trace = match app {
         "pagerank" => {
             let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), SEED)));
             let mut cfg = PrConfig::new(nodes);
@@ -77,7 +80,12 @@ fn trace_of(app: &str, m: MachineConfig) -> String {
         }
         other => panic!("unknown app '{other}'"),
     };
-    doc.expect("cfg.trace was set")
+    let trace = trace.expect("cfg.trace was set");
+    let doc = trace.to_json();
+    let mut streamed = Vec::new();
+    trace.write_to(&mut streamed).expect("a Vec takes every byte");
+    assert!(streamed == doc.as_bytes(), "{app}: streamed and in-memory documents differ");
+    doc
 }
 
 const PINS: [(&str, u64); 5] = [
