@@ -1,20 +1,22 @@
 //! The five applications at conformance scale, and the per-app drivers
-//! `repro`'s analyzer subcommands, the integration tests and the benchmark share. Each app
-//! runs at the same tiny deterministic scale as
-//! `tests/tests/conformance.rs`, so a clean bill here covers the exact
-//! protocols the conformance matrix exercises.
+//! `repro`'s analyzer subcommands, the integration tests and the benchmark
+//! share. [`case`] is the one definition of the conformance inputs: the
+//! conformance matrix (`tests/tests/conformance.rs`) and every other
+//! integration test that runs an app at this scale build their runs with
+//! it, so a clean bill here covers exactly the protocols those tests
+//! exercise.
 
-use updown_apps::bfs::{run_bfs, BfsConfig};
+use updown_apps::bfs::{run_bfs, BfsConfig, BfsResult};
 use updown_apps::ingest::datagen::{self, Dataset};
-use updown_apps::ingest::{run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_apps::partial_match::{run_partial_match, PmConfig};
-use updown_apps::tc::{run_tc, TcConfig};
+use updown_apps::ingest::{run_ingest, IngestConfig, IngestResult};
+use updown_apps::pagerank::{run_pagerank, PrConfig, PrResult};
+use updown_apps::partial_match::{run_partial_match, PmConfig, PmResult};
+use updown_apps::tc::{run_tc, TcConfig, TcResult};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split_in_out, SplitGraph};
 use updown_graph::Csr;
 use updown_sim::spec::Workload;
-use updown_sim::{MachineConfig, ProgramSpec, ProtocolProbe, RaceProbe};
+use updown_sim::{ChromeTrace, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe};
 
 use crate::{Analysis, RaceAnalysis, SpecAnalysis};
 
@@ -83,30 +85,44 @@ fn machine(threads: u32, p: &Probes) -> MachineConfig {
     m
 }
 
-/// One app's conformance-scale input and configuration.
-enum Case {
-    Pagerank(SplitGraph, PrConfig),
+/// One app's conformance-scale input and configuration, built by [`case`].
+/// A test whose input differs from the case on purpose edits the one
+/// config field it differs in (`if let Case::Bfs(_, cfg) = &mut c { cfg.root = 1 }`).
+pub enum Case {
+    /// The R-MAT graph, its in/out split, and the config.
+    Pagerank(Csr, SplitGraph, PrConfig),
     Bfs(Csr, BfsConfig),
     Tc(Csr, TcConfig),
     Ingest(Dataset, IngestConfig),
     PartialMatch(Dataset, PmConfig),
 }
 
+/// The typed result of [`Case::run`], one variant per app.
+pub enum Outcome {
+    Pagerank(PrResult),
+    Bfs(BfsResult),
+    Tc(TcResult),
+    Ingest(IngestResult),
+    PartialMatch(PmResult),
+}
+
 /// Build `app`'s deterministic input from `seed` and its configuration on
-/// `machine` — the one place the conformance inputs are defined, so what
-/// [`run_app`] simulates and what [`workload_for`] describes cannot drift.
+/// `machine`: the one place the conformance inputs are defined. What
+/// [`run_app`] and `repro check | race | spec | cost` run, what
+/// [`workload_for`] describes, and what the integration tests compare all
+/// come from here, so none of them can drift from the others.
 ///
 /// # Panics
 ///
 /// Panics on a non-canonical app name.
-fn case(app: &str, seed: u64, machine: MachineConfig) -> Case {
+pub fn case(app: &str, seed: u64, machine: MachineConfig) -> Case {
     match app {
         "pagerank" => {
             let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), seed)));
+            let sg = split_in_out(&g, 64);
             let mut cfg = PrConfig::new(2);
             cfg.machine = machine;
-            cfg.iterations = 2;
-            Case::Pagerank(split_in_out(&g, 64), cfg)
+            Case::Pagerank(g, sg, cfg)
         }
         "bfs" => {
             let g = Csr::from_edges(&dedup_sort(
@@ -133,12 +149,86 @@ fn case(app: &str, seed: u64, machine: MachineConfig) -> Case {
         "partial_match" => {
             let mut cfg = PmConfig::new(8, vec![1, 2]);
             cfg.machine = machine;
-            cfg.batch = 16;
             cfg.interval = 200;
             cfg.feeders = 2;
             Case::PartialMatch(datagen::generate(200, 60, seed), cfg)
         }
         other => panic!("unknown app '{other}' (use canon_app first)"),
+    }
+}
+
+impl Case {
+    /// The same case with its Chrome trace recorded ([`Outcome::trace`]).
+    pub fn with_trace(mut self) -> Case {
+        match &mut self {
+            Case::Pagerank(_, _, cfg) => cfg.trace = true,
+            Case::Bfs(_, cfg) => cfg.trace = true,
+            Case::Tc(_, cfg) => cfg.trace = true,
+            Case::Ingest(_, cfg) => cfg.trace = true,
+            Case::PartialMatch(_, cfg) => cfg.trace = true,
+        }
+        self
+    }
+
+    /// Simulate the case.
+    pub fn run(&self) -> Outcome {
+        match self {
+            Case::Pagerank(_, sg, cfg) => Outcome::Pagerank(run_pagerank(sg, cfg)),
+            Case::Bfs(g, cfg) => Outcome::Bfs(run_bfs(g, cfg)),
+            Case::Tc(g, cfg) => Outcome::Tc(run_tc(g, cfg)),
+            Case::Ingest(ds, cfg) => Outcome::Ingest(run_ingest(ds, cfg)),
+            Case::PartialMatch(ds, cfg) => Outcome::PartialMatch(run_partial_match(&ds.records, cfg)),
+        }
+    }
+}
+
+impl Outcome {
+    /// The run's metrics; `final_tick` is the run's final simulated tick.
+    pub fn metrics(&self) -> &Metrics {
+        match self {
+            Outcome::Pagerank(r) => &r.report,
+            Outcome::Bfs(r) => &r.report,
+            Outcome::Tc(r) => &r.report,
+            Outcome::Ingest(r) => &r.report,
+            Outcome::PartialMatch(r) => &r.report,
+        }
+    }
+
+    /// The recorded Chrome trace, present when the case was built
+    /// [`Case::with_trace`].
+    pub fn trace(&self) -> Option<&ChromeTrace> {
+        match self {
+            Outcome::Pagerank(r) => r.trace_json.as_ref(),
+            Outcome::Bfs(r) => r.trace_json.as_ref(),
+            Outcome::Tc(r) => r.trace_json.as_ref(),
+            Outcome::Ingest(r) => r.trace_json.as_ref(),
+            Outcome::PartialMatch(r) => r.trace_json.as_ref(),
+        }
+    }
+
+    /// The app-level answer, as text two runs are compared by: PageRank's
+    /// rank bits and per-iteration ticks; BFS's distances, rounds, round
+    /// ticks and traversed edges; TC's triangles and pairs; ingestion's
+    /// vertex, edge and record counts and both phase ticks; partial
+    /// match's match count and per-record latencies.
+    pub fn fingerprint(&self) -> String {
+        match self {
+            Outcome::Pagerank(r) => format!(
+                "{:?} {:?}",
+                r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                r.iter_ticks
+            ),
+            Outcome::Bfs(r) => format!(
+                "{:?} {} {:?} {}",
+                r.dist, r.rounds, r.round_ticks, r.traversed_edges
+            ),
+            Outcome::Tc(r) => format!("{} {}", r.triangles, r.pairs),
+            Outcome::Ingest(r) => format!(
+                "{} {} {} {} {}",
+                r.vertices, r.edges, r.n_records, r.phase1_tick, r.phase2_tick
+            ),
+            Outcome::PartialMatch(r) => format!("{} {:?}", r.matches, r.latencies),
+        }
     }
 }
 
@@ -156,7 +246,7 @@ fn case(app: &str, seed: u64, machine: MachineConfig) -> Case {
 pub fn workload_for(app: &str, threads: u32, seed: u64) -> (Workload, MachineConfig, ProgramSpec) {
     let mc = machine(threads, &Probes::default());
     let w = match case(app, seed, mc.clone()) {
-        Case::Pagerank(sg, cfg) => updown_apps::pagerank::workload(&sg, &cfg),
+        Case::Pagerank(_, sg, cfg) => updown_apps::pagerank::workload(&sg, &cfg),
         Case::Bfs(g, cfg) => updown_apps::bfs::workload(&g, &cfg),
         Case::Tc(g, cfg) => updown_apps::tc::workload(&g, &cfg),
         Case::Ingest(ds, cfg) => updown_apps::ingest::workload(&ds, &cfg),
@@ -172,13 +262,7 @@ pub fn workload_for(app: &str, threads: u32, seed: u64) -> (Workload, MachineCon
 ///
 /// Panics on a non-canonical app name.
 pub fn run_app(app: &str, threads: u32, seed: u64, probes: &Probes) {
-    match case(app, seed, machine(threads, probes)) {
-        Case::Pagerank(sg, cfg) => drop(run_pagerank(&sg, &cfg)),
-        Case::Bfs(g, cfg) => drop(run_bfs(&g, &cfg)),
-        Case::Tc(g, cfg) => drop(run_tc(&g, &cfg)),
-        Case::Ingest(ds, cfg) => drop(run_ingest(&ds, &cfg)),
-        Case::PartialMatch(ds, cfg) => drop(run_partial_match(&ds.records, &cfg)),
-    }
+    drop(case(app, seed, machine(threads, probes)).run());
 }
 
 /// `repro check`: run one app with the protocol probe (and so the sanitizer)

@@ -3,6 +3,8 @@
 //! typed vertex and edge records with skewed (RMAT-style) endpoints, plus
 //! the `data <m>` size multipliers the paper sweeps in Figure 10.
 
+use std::io::Write;
+
 use updown_graph::rng::Rng;
 
 use super::tform::RawRecord;
@@ -29,13 +31,13 @@ pub fn generate(n_records: usize, n_entities: u64, seed: u64) -> Dataset {
         if rng.below_u64(4) == 0 {
             let id = skewed(&mut rng);
             let vt = 1 + rng.below_u64(4);
-            csv.extend_from_slice(format!("V,{id},{vt}\n").as_bytes());
+            writeln!(csv, "V,{id},{vt}").expect("a Vec takes every byte");
             records.push(RawRecord::vertex(id, vt));
         } else {
             let src = skewed(&mut rng);
             let dst = rng.below_u64(n_entities);
             let et = 1 + rng.below_u64(3);
-            csv.extend_from_slice(format!("E,{src},{dst},{et}\n").as_bytes());
+            writeln!(csv, "E,{src},{dst},{et}").expect("a Vec takes every byte");
             records.push(RawRecord::edge(src, dst, et));
         }
     }

@@ -16,6 +16,7 @@ use udcheck::{
     analyze_cost, render_cost_document, render_document, render_race_document,
     render_spec_document,
 };
+use updown_sim::fnv1a;
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -139,10 +140,6 @@ fn replay_prints_one_verdict_line_per_run() {
     assert!(verdicts.iter().all(|l| l.ends_with("— byte-identical")), "{err}");
     let pinned = "replay[pr RMAT s8 nodes=2]: 2 shard(s), 25 window(s), 17502 event(s) — byte-identical";
     assert!(verdicts.contains(&pinned), "{err}");
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// FNV-1a of stdout at the smoke flags. The constants are what

@@ -60,7 +60,7 @@ pub use message::{Message, Operands};
 pub use network::{Fabric, Link, LinkId, Nics, Topology, TopologyKind};
 pub use probe::{DiagKind, Diagnostic, ProbeReport, ProtocolProbe};
 pub use snapshot::{
-    ReplayCheck, ReplayRunReport, SnapField, SnapReader, SnapState, SnapWriter, SnapshotError,
+    fnv1a, ReplayCheck, ReplayRunReport, SnapField, SnapReader, SnapState, SnapWriter, SnapshotError,
     SNAP_SCHEMA,
 };
 pub use race::{Footprint, RaceKind, RaceProbe, RaceReport, RaceSite, RaceSpace, Region};

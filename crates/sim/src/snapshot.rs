@@ -91,8 +91,9 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// FNV-1a over the body bytes — the checksum that closes a snapshot file:
-/// cheap, deterministic, dependency-free.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// cheap, deterministic, dependency-free. It is also the hash every pinned
+/// document, trace and table in the tests is compared by.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -17,17 +17,11 @@
 //!   far-future entry sits in the calendar overflow rung and thread
 //!   contexts have churned through generations.
 
+use udcheck::apps::case;
 use udcheck::{render_document, render_race_document, Analysis, EventFlowGraph, RaceAnalysis};
-use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_apps::partial_match::{run_partial_match, PmConfig};
-use updown_apps::tc::{run_tc, TcConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
 use updown_sim::{
-    Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe, RaceProbe, ReplayCheck,
+    fnv1a, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe, RaceProbe, ReplayCheck,
     SnapshotError, VAddr,
 };
 
@@ -41,8 +35,8 @@ fn cadence_for(seed: u64) -> u64 {
     2 + (seed.wrapping_mul(2654435761) % 7)
 }
 
-/// One run of `app` at conformance scale with udcheck + udrace probes
-/// armed and an optional checkpoint cadence. Returns the full observable
+/// One run of `app`'s conformance case with udcheck + udrace probes armed
+/// and an optional checkpoint cadence. Returns the full observable
 /// fingerprint: `[app result, metrics JSON, udcheck doc, udrace doc]`.
 fn run_fingerprint(app: &str, seed: u64, threads: u32, checkpoint_every: u64) -> [String; 4] {
     let probe = ProtocolProbe::new();
@@ -52,74 +46,11 @@ fn run_fingerprint(app: &str, seed: u64, threads: u32, checkpoint_every: u64) ->
     m.probe = Some(probe.clone());
     m.race = Some(race.clone());
     m.checkpoint_every = checkpoint_every;
-    let (fp, metrics) = match app {
-        "pagerank" => {
-            let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), seed)));
-            let sg = split_in_out(&g, 64);
-            let mut cfg = PrConfig::new(2);
-            cfg.machine = m;
-            cfg.iterations = 2;
-            let r = run_pagerank(&sg, &cfg);
-            (
-                format!(
-                    "{:?} {:?}",
-                    r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    r.iter_ticks
-                ),
-                r.report.to_json(),
-            )
-        }
-        "bfs" => {
-            let g = Csr::from_edges(&dedup_sort(
-                rmat(8, RmatParams::default(), seed).symmetrize(),
-            ));
-            let mut cfg = BfsConfig::new(2, 0);
-            cfg.machine = m;
-            let r = run_bfs(&g, &cfg);
-            (
-                format!("{:?} {}", r.dist, r.traversed_edges),
-                r.report.to_json(),
-            )
-        }
-        "tc" => {
-            let mut g = Csr::from_edges(&dedup_sort(
-                rmat(7, RmatParams::default(), seed).symmetrize(),
-            ));
-            g.sort_neighbors();
-            let mut cfg = TcConfig::new(2);
-            cfg.machine = m;
-            let r = run_tc(&g, &cfg);
-            (format!("{} {}", r.triangles, r.pairs), r.report.to_json())
-        }
-        "ingest" => {
-            let ds = datagen::generate(250, 120, seed);
-            let mut cfg = IngestConfig::new(2);
-            cfg.machine = m;
-            let r = run_ingest(&ds, &cfg);
-            (
-                format!("{} {} {}", r.vertices, r.edges, r.n_records),
-                r.report.to_json(),
-            )
-        }
-        "partial_match" => {
-            let ds = datagen::generate(200, 60, seed);
-            let mut cfg = PmConfig::new(8, vec![1, 2]);
-            cfg.machine = m;
-            cfg.batch = 16;
-            cfg.interval = 200;
-            cfg.feeders = 2;
-            let r = run_partial_match(&ds.records, &cfg);
-            (
-                format!("{} {:?}", r.matches, r.latencies),
-                r.report.to_json(),
-            )
-        }
-        other => panic!("unknown app {other}"),
-    };
+    let out = case(app, seed, m).run();
     let graph = EventFlowGraph::from_report(&probe.snapshot());
     let check = render_document(&[Analysis::of(app, &probe)]);
     let race_doc = render_race_document(&[RaceAnalysis::of(app, &race, Some(&graph))]);
-    [fp, metrics, check, race_doc]
+    [out.fingerprint(), out.metrics().to_json(), check, race_doc]
 }
 
 /// The tentpole property, per app: a run that checkpoints at a
@@ -172,15 +103,11 @@ fn partial_match_checkpoint_is_transparent() {
 #[test]
 fn pagerank_replay_verifies_clean() {
     let check = ReplayCheck::new();
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
-    let sg = split_in_out(&g, 64);
-    let mut cfg = PrConfig::new(2);
-    cfg.machine = MachineConfig::small(2, 2, 4);
-    cfg.machine.threads = 2;
-    cfg.machine.checkpoint_every = 5;
-    cfg.machine.replay = Some(check.clone());
-    cfg.iterations = 2;
-    run_pagerank(&sg, &cfg);
+    let mut m = MachineConfig::small(2, 2, 4);
+    m.threads = 2;
+    m.checkpoint_every = 5;
+    m.replay = Some(check.clone());
+    case("pagerank", 10, m).run();
     let reports = check.reports();
     assert!(!reports.is_empty(), "replay produced no verdicts");
     for r in &reports {
@@ -422,11 +349,7 @@ fn reframe(header: &str, body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(header.as_bytes());
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(body);
-    let mut fnv1a = 0xcbf2_9ce4_8422_2325u64;
-    for &b in body {
-        fnv1a = (fnv1a ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    out.extend_from_slice(&fnv1a.to_le_bytes());
+    out.extend_from_slice(&fnv1a(body).to_le_bytes());
     out
 }
 

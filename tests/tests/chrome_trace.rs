@@ -9,18 +9,9 @@
 //! Every document is rendered by both sinks, streamed and in memory, and
 //! the two must agree byte for byte.
 
-use integration_tests::fnv1a;
-use udcheck::apps::ALL_APPS;
+use udcheck::apps::{case, ALL_APPS};
 use udcheck::{render_race_document, RaceAnalysis};
-use updown_apps::bfs::{run_bfs, BfsConfig};
-use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_apps::partial_match::{run_partial_match, PmConfig};
-use updown_apps::tc::{run_tc, TcConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
-use updown_sim::{MachineConfig, ProtocolProbe, RaceProbe, TopologyKind};
+use updown_sim::{fnv1a, MachineConfig, ProtocolProbe, RaceProbe, TopologyKind};
 
 const SEED: u64 = 10;
 
@@ -30,57 +21,12 @@ fn machine(nodes: u32, threads: u32) -> MachineConfig {
     m
 }
 
-/// The Chrome trace of one app on `m`, over the inputs `repro check` runs
-/// (`udcheck::apps`, seed 10), after checking that the streamed sink
-/// (`write_to`) writes the bytes of the in-memory one (`to_json`).
+/// The Chrome trace of one app's conformance case (`udcheck::apps::case`,
+/// seed 10) on `m`, after checking that the streamed sink (`write_to`)
+/// writes the bytes of the in-memory one (`to_json`).
 fn trace_of(app: &str, m: MachineConfig) -> String {
-    let nodes = m.nodes;
-    let trace = match app {
-        "pagerank" => {
-            let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), SEED)));
-            let mut cfg = PrConfig::new(nodes);
-            cfg.machine = m;
-            cfg.iterations = 2;
-            cfg.trace = true;
-            run_pagerank(&split_in_out(&g, 64), &cfg).trace_json
-        }
-        "bfs" => {
-            let g = Csr::from_edges(&dedup_sort(
-                rmat(8, RmatParams::default(), SEED).symmetrize(),
-            ));
-            let mut cfg = BfsConfig::new(nodes, 0);
-            cfg.machine = m;
-            cfg.trace = true;
-            run_bfs(&g, &cfg).trace_json
-        }
-        "tc" => {
-            let mut g = Csr::from_edges(&dedup_sort(
-                rmat(7, RmatParams::default(), SEED).symmetrize(),
-            ));
-            g.sort_neighbors();
-            let mut cfg = TcConfig::new(nodes);
-            cfg.machine = m;
-            cfg.trace = true;
-            run_tc(&g, &cfg).trace_json
-        }
-        "ingest" => {
-            let mut cfg = IngestConfig::new(nodes);
-            cfg.machine = m;
-            cfg.trace = true;
-            run_ingest(&datagen::generate(250, 120, SEED), &cfg).trace_json
-        }
-        "partial_match" => {
-            let mut cfg = PmConfig::new(8, vec![1, 2]);
-            cfg.machine = m;
-            cfg.batch = 16;
-            cfg.interval = 200;
-            cfg.feeders = 2;
-            cfg.trace = true;
-            run_partial_match(&datagen::generate(200, 60, SEED).records, &cfg).trace_json
-        }
-        other => panic!("unknown app '{other}'"),
-    };
-    let trace = trace.expect("cfg.trace was set");
+    let out = case(app, SEED, m).with_trace().run();
+    let trace = out.trace().expect("the case was traced");
     let doc = trace.to_json();
     let mut streamed = Vec::new();
     trace.write_to(&mut streamed).expect("a Vec takes every byte");

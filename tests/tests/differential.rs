@@ -7,15 +7,11 @@
 //! parallel engine computes correct application answers, not merely
 //! engine-level identical ones.
 
+use udcheck::apps::{case, Case, Outcome};
 use updown_apps::baseline;
-use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::ingest::{datagen, expected_graph, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig, DAMPING};
+use updown_apps::pagerank::DAMPING;
 use updown_apps::partial_match::{run_partial_match, sequential_matches, PmConfig};
-use updown_apps::tc::{run_tc, TcConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
 use updown_sim::MachineConfig;
 
 const SEEDS: &[u64] = &[101, 202, 303];
@@ -29,13 +25,11 @@ fn machine(nodes: u32) -> MachineConfig {
 #[test]
 fn pagerank_matches_host_baseline() {
     for &seed in SEEDS {
-        let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), seed)));
-        let sg = split_in_out(&g, 64);
-        let mut cfg = PrConfig::new(2);
-        cfg.machine = machine(2);
-        cfg.iterations = 2;
-        let sim = run_pagerank(&sg, &cfg);
-        let host = baseline::pagerank_parallel(&g, cfg.iterations, DAMPING, 2);
+        let c = case("pagerank", seed, machine(2));
+        let (Case::Pagerank(g, _, cfg), Outcome::Pagerank(sim)) = (&c, c.run()) else {
+            unreachable!("a pagerank case runs pagerank")
+        };
+        let host = baseline::pagerank_parallel(g, cfg.iterations, DAMPING, 2);
         assert_eq!(sim.values.len(), host.len(), "seed {seed}");
         for (v, (&s, &h)) in sim.values.iter().zip(&host).enumerate() {
             assert!(
@@ -46,32 +40,28 @@ fn pagerank_matches_host_baseline() {
     }
 }
 
+/// The conformance case from root 1 instead of 0.
 #[test]
 fn bfs_matches_host_baseline() {
     for &seed in SEEDS {
-        let g = Csr::from_edges(&dedup_sort(
-            rmat(8, RmatParams::default(), seed).symmetrize(),
-        ));
-        let mut cfg = BfsConfig::new(2, 1);
-        cfg.machine = machine(2);
-        let sim = run_bfs(&g, &cfg);
-        let host = baseline::bfs_parallel(&g, 1, 2);
-        assert_eq!(sim.dist, host, "seed {seed}");
+        let mut c = case("bfs", seed, machine(2));
+        let Case::Bfs(_, cfg) = &mut c else { unreachable!() };
+        cfg.root = 1;
+        let (Case::Bfs(g, _), Outcome::Bfs(sim)) = (&c, c.run()) else {
+            unreachable!("a bfs case runs bfs")
+        };
+        assert_eq!(sim.dist, baseline::bfs_parallel(g, 1, 2), "seed {seed}");
     }
 }
 
 #[test]
 fn tc_matches_host_baseline() {
     for &seed in SEEDS {
-        let mut g = Csr::from_edges(&dedup_sort(
-            rmat(7, RmatParams::default(), seed).symmetrize(),
-        ));
-        g.sort_neighbors();
-        let mut cfg = TcConfig::new(2);
-        cfg.machine = machine(2);
-        let sim = run_tc(&g, &cfg);
-        let host = baseline::tc_parallel(&g, 2);
-        assert_eq!(sim.triangles, host, "seed {seed}");
+        let c = case("tc", seed, machine(2));
+        let (Case::Tc(g, _), Outcome::Tc(sim)) = (&c, c.run()) else {
+            unreachable!("a tc case runs tc")
+        };
+        assert_eq!(sim.triangles, baseline::tc_parallel(g, 2), "seed {seed}");
     }
 }
 

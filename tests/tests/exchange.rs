@@ -12,12 +12,8 @@
 
 use std::sync::Arc;
 
-use integration_tests::fnv1a;
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
-use updown_sim::{Engine, EventCtx, EventWord, MachineConfig, NetworkId, ReplayCheck};
+use udcheck::apps::case;
+use updown_sim::{fnv1a, Engine, EventCtx, EventWord, MachineConfig, NetworkId, ReplayCheck};
 
 /// Burst rounds after the first; every shard fires all of them.
 const ROUNDS: u64 = 5;
@@ -186,14 +182,11 @@ fn sixteen_shards_merge_bursts_in_source_order() {
 /// its recorded inject schedule: no shard diverges.
 #[test]
 fn a_recorded_sixteen_shard_pagerank_replays_without_divergence() {
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
     let check = ReplayCheck::new();
-    let mut cfg = PrConfig::new(16);
-    cfg.machine = MachineConfig::small(16, 2, 8);
-    cfg.machine.threads = 2;
-    cfg.machine.replay = Some(check.clone());
-    cfg.iterations = 2;
-    run_pagerank(&split_in_out(&g, 64), &cfg);
+    let mut m = MachineConfig::small(16, 2, 8);
+    m.threads = 2;
+    m.replay = Some(check.clone());
+    case("pagerank", 10, m).run();
     let reports = check.reports();
     assert_eq!(reports.len(), 1, "one run, one recording");
     let r = &reports[0];

@@ -710,13 +710,8 @@ fn block_parse_partitions() {
 mod sanitizer {
     use std::sync::{Arc, Mutex};
 
+    use udcheck::apps::case;
     use udcheck::{render_race_document, Finding, RaceAnalysis, Severity, SpecAnalysis};
-    use updown_apps::ingest::datagen;
-    use updown_apps::pagerank::{run_pagerank, PrConfig};
-    use updown_apps::partial_match::{run_partial_match, PmConfig};
-    use updown_graph::generators::{rmat, RmatParams};
-    use updown_graph::preprocess::{dedup_sort, split_in_out};
-    use updown_graph::Csr;
     use updown_sim::{
         DiagKind, Diagnostic, Engine, EventLabel, EventWord, MachineConfig, NetworkId,
         ProgramSpec, ProtocolProbe, RaceProbe,
@@ -728,73 +723,46 @@ mod sanitizer {
         m
     }
 
-    /// PageRank (ends via `ctx.stop()`) at conformance scale; returns the
-    /// full metrics document + final tick.
-    fn pr_run(threads: u32, probe: Option<ProtocolProbe>) -> (String, u64) {
-        let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
-        let sg = split_in_out(&g, 64);
-        let mut cfg = PrConfig::new(2);
-        cfg.machine = machine(2, threads);
-        cfg.machine.probe = probe;
-        cfg.iterations = 2;
-        let r = run_pagerank(&sg, &cfg);
-        (r.report.to_json(), r.final_tick)
-    }
+    /// PageRank (ends via `ctx.stop()`) and partial match (drains
+    /// naturally — exercises the leak sweep), each at its first
+    /// conformance seed.
+    const APPS: [(&str, u64); 2] = [("pagerank", 10), ("partial_match", 7)];
 
-    /// Partial match (drains naturally — exercises the leak sweep) at
-    /// conformance scale.
-    fn pm_run(threads: u32, probe: Option<ProtocolProbe>) -> (String, u64) {
-        let ds = datagen::generate(200, 60, 7);
-        let mut cfg = PmConfig::new(8, vec![1, 2]);
-        cfg.machine = machine(2, threads);
-        cfg.machine.probe = probe;
-        cfg.batch = 16;
-        cfg.interval = 200;
-        cfg.feeders = 2;
-        let r = run_partial_match(&ds.records, &cfg);
-        (r.report.to_json(), r.final_tick)
+    /// `app`'s conformance case with the given probes attached; returns
+    /// the full metrics document + final tick.
+    fn run(
+        app: &str,
+        seed: u64,
+        threads: u32,
+        probe: Option<ProtocolProbe>,
+        race: Option<RaceProbe>,
+    ) -> (String, u64) {
+        let mut m = machine(2, threads);
+        m.probe = probe;
+        m.race = race;
+        let out = case(app, seed, m).run();
+        (out.metrics().to_json(), out.metrics().final_tick)
     }
 
     /// Probe recording and the sanitizer it arms leave clean programs
     /// byte-identical, sequential and parallel, stopped and drained.
     #[test]
     fn probe_and_sanitizer_have_zero_observer_effect() {
-        for run in [pr_run, pm_run] {
+        for (app, seed) in APPS {
             for threads in [1u32, 4] {
                 let probe = ProtocolProbe::new();
-                let probed = run(threads, Some(probe.clone()));
-                assert_eq!(run(threads, None), probed, "probe perturbed the run (threads={threads})");
+                let probed = run(app, seed, threads, Some(probe.clone()), None);
+                assert_eq!(
+                    run(app, seed, threads, None, None),
+                    probed,
+                    "{app}: probe perturbed the run (threads={threads})"
+                );
                 assert!(
                     probe.snapshot().diagnostics.is_empty(),
-                    "clean app produced diagnostics"
+                    "{app}: clean app produced diagnostics"
                 );
             }
         }
-    }
-
-    /// As [`pr_run`] / [`pm_run`], with the happens-before race probe
-    /// attached instead of the protocol probe.
-    fn pr_raced(threads: u32, race: &RaceProbe) -> (String, u64) {
-        let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
-        let sg = split_in_out(&g, 64);
-        let mut cfg = PrConfig::new(2);
-        cfg.machine = machine(2, threads);
-        cfg.machine.race = Some(race.clone());
-        cfg.iterations = 2;
-        let r = run_pagerank(&sg, &cfg);
-        (r.report.to_json(), r.final_tick)
-    }
-
-    fn pm_raced(threads: u32, race: &RaceProbe) -> (String, u64) {
-        let ds = datagen::generate(200, 60, 7);
-        let mut cfg = PmConfig::new(8, vec![1, 2]);
-        cfg.machine = machine(2, threads);
-        cfg.machine.race = Some(race.clone());
-        cfg.batch = 16;
-        cfg.interval = 200;
-        cfg.feeders = 2;
-        let r = run_partial_match(&ds.records, &cfg);
-        (r.report.to_json(), r.final_tick)
     }
 
     /// The race probe also has zero observer effect: the metrics JSON of
@@ -802,18 +770,15 @@ mod sanitizer {
     /// count, and the clean apps stay race-free.
     #[test]
     fn race_probe_has_zero_observer_effect() {
-        type Bare = fn(u32, Option<ProtocolProbe>) -> (String, u64);
-        type Raced = fn(u32, &RaceProbe) -> (String, u64);
-        let cases: [(Bare, Raced); 2] = [(pr_run, pr_raced), (pm_run, pm_raced)];
-        for (bare, raced) in cases {
+        for (app, seed) in APPS {
             for threads in [1u32, 4] {
-                let base = bare(threads, None);
+                let base = run(app, seed, threads, None, None);
                 let race = RaceProbe::new();
-                let r = raced(threads, &race);
-                assert_eq!(base, r, "race probe perturbed the run (threads={threads})");
+                let r = run(app, seed, threads, None, Some(race.clone()));
+                assert_eq!(base, r, "{app}: race probe perturbed the run (threads={threads})");
                 let snap = race.snapshot();
-                assert!(snap.is_clean(), "clean app raced: {:?}", snap.sites);
-                assert!(snap.accesses > 0, "race probe saw no accesses");
+                assert!(snap.is_clean(), "{app}: clean app raced: {:?}", snap.sites);
+                assert!(snap.accesses > 0, "{app}: race probe saw no accesses");
             }
         }
     }

@@ -9,10 +9,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
+use udcheck::apps::{case, Case};
 use updown_sim::{Engine, EventWord, MachineConfig, NetworkId};
 
 fn machine(nodes: u32, threads: u32) -> MachineConfig {
@@ -21,21 +18,11 @@ fn machine(nodes: u32, threads: u32) -> MachineConfig {
     m
 }
 
-/// PageRank fingerprint (rank bits + per-iteration ticks), metrics JSON,
-/// final tick.
+/// PageRank's conformance case on `nodes`: fingerprint (rank bits +
+/// per-iteration ticks), metrics JSON, final tick.
 fn pr_cell(nodes: u32, threads: u32) -> (String, String, u64) {
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
-    let sg = split_in_out(&g, 64);
-    let mut cfg = PrConfig::new(nodes);
-    cfg.machine = machine(nodes, threads);
-    cfg.iterations = 2;
-    let r = run_pagerank(&sg, &cfg);
-    let fp = format!(
-        "{:?} {:?}",
-        r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        r.iter_ticks
-    );
-    (fp, r.report.to_json(), r.final_tick)
+    let out = case("pagerank", 10, machine(nodes, threads)).run();
+    (out.fingerprint(), out.metrics().to_json(), out.metrics().final_tick)
 }
 
 /// The shape matrix: every cell must match the one-worker run for its
@@ -155,14 +142,15 @@ fn stealing_never_changes_merged_event_order() {
 #[test]
 fn checkpoint_cadence_changes_neither_bytes_nor_windows() {
     let run = |every: u64| -> (String, u64, u64) {
-        let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 21)));
-        let sg = split_in_out(&g, 64);
-        let mut cfg = PrConfig::new(2);
-        cfg.machine = machine(2, 2);
-        cfg.machine.checkpoint_every = every;
-        cfg.iterations = 1;
-        let r = run_pagerank(&sg, &cfg);
-        (r.report.to_json(), r.final_tick, r.report.stats.windows)
+        let mut m = machine(2, 2);
+        m.checkpoint_every = every;
+        let mut c = case("pagerank", 21, m);
+        if let Case::Pagerank(_, _, cfg) = &mut c {
+            cfg.iterations = 1;
+        }
+        let out = c.run();
+        let m = out.metrics();
+        (m.to_json(), m.final_tick, m.stats.windows)
     };
     let base = run(0);
     assert!(base.2 > 11, "the run must span several pauses at every cadence");

@@ -4,16 +4,16 @@
 //! measures (multi-hop routes inflate per-link traffic vs the uniform
 //! crossbar).
 
-use updown_apps::bfs::{run_bfs, BfsConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
+use udcheck::apps::{case, Outcome};
 use updown_sim::json::JsonValue;
-use updown_sim::{MachineConfig, Metrics, TopologyKind};
+use updown_sim::{MachineConfig, TopologyKind};
 
 /// Thread counts pinned by the issue's acceptance criteria.
 const THREADS: &[u32] = &[1, 2, 4];
+
+/// The two apps (with the seed each runs at) every topology is checked on.
+const PR: (&str, u64) = ("pagerank", 10);
+const BFS: (&str, u64) = ("bfs", 11);
 
 fn machine(nodes: u32, threads: u32, topo: TopologyKind) -> MachineConfig {
     let mut m = MachineConfig::small(nodes, 2, 8);
@@ -22,33 +22,9 @@ fn machine(nodes: u32, threads: u32, topo: TopologyKind) -> MachineConfig {
     m
 }
 
-fn pr_run(nodes: u32, threads: u32, topo: TopologyKind) -> (String, Metrics) {
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), 10)));
-    let sg = split_in_out(&g, 64);
-    let mut cfg = PrConfig::new(nodes);
-    cfg.machine = machine(nodes, threads, topo);
-    cfg.iterations = 2;
-    let r = run_pagerank(&sg, &cfg);
-    let fp = format!(
-        "{:?} {:?}",
-        r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        r.iter_ticks
-    );
-    (fp, r.report)
-}
-
-fn bfs_run(nodes: u32, threads: u32, topo: TopologyKind) -> (String, Metrics) {
-    let g = Csr::from_edges(&dedup_sort(
-        rmat(8, RmatParams::default(), 11).symmetrize(),
-    ));
-    let mut cfg = BfsConfig::new(nodes, 0);
-    cfg.machine = machine(nodes, threads, topo);
-    let r = run_bfs(&g, &cfg);
-    let fp = format!(
-        "{:?} {} {:?} {}",
-        r.dist, r.rounds, r.round_ticks, r.traversed_edges
-    );
-    (fp, r.report)
+/// `app`'s conformance case on four nodes of `topo`.
+fn run((app, seed): (&str, u64), threads: u32, topo: TopologyKind) -> Outcome {
+    case(app, seed, machine(4, threads, topo)).run()
 }
 
 /// Every topology, two apps: results and the full metrics JSON (fabric
@@ -56,20 +32,14 @@ fn bfs_run(nodes: u32, threads: u32, topo: TopologyKind) -> (String, Metrics) {
 #[test]
 fn every_topology_is_byte_identical_across_threads() {
     for topo in TopologyKind::ALL {
-        for (app, run) in [
-            ("pr", pr_run as fn(u32, u32, TopologyKind) -> (String, Metrics)),
-            ("bfs", bfs_run),
-        ] {
-            let (fp, m) = run(4, THREADS[0], topo);
-            let json = m.to_json();
+        for app in [PR, BFS] {
+            let base = run(app, THREADS[0], topo);
+            let json = base.metrics().to_json();
             for &t in &THREADS[1..] {
-                let (pfp, pm) = run(4, t, topo);
-                assert_eq!(fp, pfp, "{app} {topo} threads={t}: result diverged");
-                assert_eq!(
-                    json,
-                    pm.to_json(),
-                    "{app} {topo} threads={t}: metrics JSON diverged"
-                );
+                let out = run(app, t, topo);
+                let label = format!("{} {topo} threads={t}", app.0);
+                assert_eq!(base.fingerprint(), out.fingerprint(), "{label}: result diverged");
+                assert_eq!(json, out.metrics().to_json(), "{label}: metrics JSON diverged");
             }
         }
     }
@@ -80,10 +50,10 @@ fn every_topology_is_byte_identical_across_threads() {
 /// produce byte-identical metrics JSON.
 #[test]
 fn uniform_selection_matches_default_model() {
-    let (fp_default, m_default) = pr_run(4, 1, TopologyKind::default());
-    let (fp_uniform, m_uniform) = pr_run(4, 1, TopologyKind::Uniform);
-    assert_eq!(fp_default, fp_uniform);
-    assert_eq!(m_default.to_json(), m_uniform.to_json());
+    let default = run(PR, 1, TopologyKind::default());
+    let uniform = run(PR, 1, TopologyKind::Uniform);
+    assert_eq!(default.fingerprint(), uniform.fingerprint());
+    assert_eq!(default.metrics().to_json(), uniform.metrics().to_json());
 }
 
 /// The fabric section of the exported JSON is consistent with the
@@ -91,7 +61,8 @@ fn uniform_selection_matches_default_model() {
 #[test]
 fn fabric_json_round_trips_and_matches_nic_counters() {
     for &topo in &[TopologyKind::Uniform, TopologyKind::Torus] {
-        let (_, m) = pr_run(4, 1, topo);
+        let out = run(PR, 1, topo);
+        let m = out.metrics();
         let v = JsonValue::parse(&m.to_json()).expect("valid JSON");
         let f = v.get("fabric").unwrap();
         assert_eq!(f.get("topology").unwrap().as_str(), Some(topo.name()));
@@ -137,9 +108,9 @@ fn fabric_json_round_trips_and_matches_nic_counters() {
 /// up/down segments never see.
 #[test]
 fn topologies_show_a_congestion_difference() {
-    let (_, uniform) = pr_run(4, 1, TopologyKind::Uniform);
-    let (_, torus) = pr_run(4, 1, TopologyKind::Torus);
-    let (u, t) = (&uniform.fabric, &torus.fabric);
+    let uniform = run(PR, 1, TopologyKind::Uniform);
+    let torus = run(PR, 1, TopologyKind::Torus);
+    let (u, t) = (&uniform.metrics().fabric, &torus.metrics().fabric);
     // Same workload, to within combining noise.
     let nic_delta = u.nic_injected_bytes.abs_diff(t.nic_injected_bytes);
     assert!(
@@ -167,10 +138,11 @@ fn topologies_show_a_congestion_difference() {
 /// axis), while uniform matches the historical model exactly.
 #[test]
 fn routed_topologies_change_transit_times() {
-    let (_, uniform) = bfs_run(4, 1, TopologyKind::Uniform);
-    let (_, polar) = bfs_run(4, 1, TopologyKind::Polar);
+    let uniform = run(BFS, 1, TopologyKind::Uniform);
+    let polar = run(BFS, 1, TopologyKind::Polar);
     assert_ne!(
-        uniform.final_tick, polar.final_tick,
+        uniform.metrics().final_tick,
+        polar.metrics().final_tick,
         "routed hops should shift end-to-end latency"
     );
 }

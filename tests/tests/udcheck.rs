@@ -4,27 +4,19 @@
 //! check fires on an engine-level program that actually commits the
 //! violation — not just on a synthetic [`ProbeReport`].
 
-use integration_tests::fnv1a;
 use kvmsr::{JobSpec, Kvmsr, Outcome};
 use udcheck::apps::{check_app, ALL_APPS};
 use udcheck::{analyze, Analysis, Finding, Severity};
 use udweave::LaneSet;
-use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::exact_match::{run_exact_match, EmConfig, Query};
 use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_apps::partial_match::{run_partial_match, PmConfig};
-use updown_apps::tc::{run_tc, TcConfig};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
 use updown_sim::json::JsonValue;
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
+use updown_sim::{fnv1a, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 
 const SEED: u64 = 10;
 
 /// Conformance-scale machine with the probe attached, which arms the
-/// sanitizer — the same configuration `repro check` runs.
+/// sanitizer — the configuration `repro check` (`check_app`) runs.
 fn machine(nodes: u32, threads: u32, probe: &ProtocolProbe) -> MachineConfig {
     let mut m = MachineConfig::small(nodes, 2, 8);
     m.threads = threads;
@@ -54,66 +46,31 @@ fn assert_clean(a: &Analysis) {
 
 #[test]
 fn pagerank_is_protocol_clean() {
-    let probe = ProtocolProbe::new();
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), SEED)));
-    let sg = split_in_out(&g, 64);
-    let mut cfg = PrConfig::new(2);
-    cfg.machine = machine(2, 2, &probe);
-    cfg.iterations = 2;
-    run_pagerank(&sg, &cfg);
-    assert_clean(&Analysis::of("pagerank", &probe));
+    assert_clean(&check_app("pagerank", 2, SEED));
 }
 
 #[test]
 fn bfs_is_protocol_clean() {
-    let probe = ProtocolProbe::new();
-    let g = Csr::from_edges(&dedup_sort(
-        rmat(8, RmatParams::default(), SEED).symmetrize(),
-    ));
-    let mut cfg = BfsConfig::new(2, 0);
-    cfg.machine = machine(2, 2, &probe);
-    run_bfs(&g, &cfg);
-    assert_clean(&Analysis::of("bfs", &probe));
+    assert_clean(&check_app("bfs", 2, SEED));
 }
 
 /// Regression: tc's `tc_launcher_done` notification context used to leak
 /// (missing `yield_terminate`), showing up as a never-terminates finding.
 #[test]
 fn tc_is_protocol_clean() {
-    let probe = ProtocolProbe::new();
-    let mut g = Csr::from_edges(&dedup_sort(
-        rmat(7, RmatParams::default(), SEED).symmetrize(),
-    ));
-    g.sort_neighbors();
-    let mut cfg = TcConfig::new(2);
-    cfg.machine = machine(2, 2, &probe);
-    run_tc(&g, &cfg);
-    assert_clean(&Analysis::of("tc", &probe));
+    assert_clean(&check_app("tc", 2, SEED));
 }
 
 /// Regression: ingest's `phase2_done` notification context used to leak
 /// (missing `yield_terminate`).
 #[test]
 fn ingest_is_protocol_clean() {
-    let probe = ProtocolProbe::new();
-    let ds = datagen::generate(250, 120, SEED);
-    let mut cfg = IngestConfig::new(2);
-    cfg.machine = machine(2, 2, &probe);
-    run_ingest(&ds, &cfg);
-    assert_clean(&Analysis::of("ingest", &probe));
+    assert_clean(&check_app("ingest", 2, SEED));
 }
 
 #[test]
 fn partial_match_is_protocol_clean() {
-    let probe = ProtocolProbe::new();
-    let ds = datagen::generate(200, 60, SEED);
-    let mut cfg = PmConfig::new(8, vec![1, 2]);
-    cfg.machine = machine(2, 2, &probe);
-    cfg.batch = 16;
-    cfg.interval = 200;
-    cfg.feeders = 2;
-    run_partial_match(&ds.records, &cfg);
-    assert_clean(&Analysis::of("partial_match", &probe));
+    assert_clean(&check_app("partial_match", 2, SEED));
 }
 
 /// Regression: exact-match's `done` notification context used to leak

@@ -3,15 +3,10 @@
 //! document is stable, and predictions calibrate against real conformance
 //! runs within the advertised tolerance.
 
-use integration_tests::fnv1a;
-use udcheck::apps::{workload_for, ALL_APPS};
+use udcheck::apps::{case, conformance_machine, workload_for, ALL_APPS};
 use udcheck::{analyze_cost, calibrate, render_cost_document, CostReport};
-use updown_graph::generators::{rmat, RmatParams};
-use updown_graph::preprocess::{dedup_sort, split_in_out};
-use updown_graph::Csr;
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use updown_sim::fnv1a;
 use updown_sim::json::JsonValue;
-use updown_sim::MachineConfig;
 
 const SEED: u64 = 10;
 
@@ -81,17 +76,6 @@ fn udcost_document_bytes_are_those_of_the_udcost_binary() {
     }
 }
 
-/// The conformance-scale PageRank inputs, exactly as `workload_for`
-/// mirrors them from `udcheck::apps::run_app`.
-fn conformance_pr() -> (updown_graph::SplitGraph, PrConfig) {
-    let g = Csr::from_edges(&dedup_sort(rmat(8, RmatParams::default(), SEED)));
-    let sg = split_in_out(&g, 64);
-    let mut cfg = PrConfig::new(2);
-    cfg.machine = MachineConfig::small(2, 2, 8);
-    cfg.iterations = 2;
-    (sg, cfg)
-}
-
 /// The static prediction lands within 2x of a real simulated run on
 /// every calibrated counter (events, messages, inter-node traffic,
 /// injected bytes, per-node imbalance), and its worst factor is pinned
@@ -100,9 +84,8 @@ fn conformance_pr() -> (updown_graph::SplitGraph, PrConfig) {
 #[test]
 fn pagerank_prediction_calibrates_within_2x() {
     let r = report_for("pagerank");
-    let (sg, cfg) = conformance_pr();
-    let sim = run_pagerank(&sg, &cfg);
-    let cal = calibrate(&r, &sim.report.to_json()).expect("valid metrics export");
+    let sim = case("pagerank", SEED, conformance_machine()).run();
+    let cal = calibrate(&r, &sim.metrics().to_json()).expect("valid metrics export");
     let entries: Vec<String> = cal
         .entries
         .iter()

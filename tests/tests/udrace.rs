@@ -7,11 +7,10 @@
 //! nothing but the known SHT bucket-straddle site, and the documents that
 //! report that site are pinned too.
 
-use integration_tests::fnv1a;
 use udcheck::apps::{race_app, ALL_APPS};
 use udcheck::{render_race_document, RaceAnalysis};
 use updown_sim::{
-    Engine, EventWord, MachineConfig, NetworkId, RaceKind, RaceProbe, RaceSpace, VAddr,
+    fnv1a, Engine, EventWord, MachineConfig, NetworkId, RaceKind, RaceProbe, RaceSpace, VAddr,
 };
 
 /// Tiny machine with the race probe armed.

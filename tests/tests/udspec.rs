@@ -5,13 +5,12 @@
 //! deliberately wrong spec is caught by checking the probe's report after
 //! the run.
 
-use integration_tests::fnv1a;
 use udcheck::apps::{spec_app, spec_for, ALL_APPS};
 use udcheck::spec::{spm_blowup_fixture, wait_cycle_fixture};
 use udcheck::{render_spec_document, Finding, Report, Severity, SpecAnalysis};
 use updown_sim::json::JsonValue;
 use updown_sim::spec::check_report;
-use updown_sim::{Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
+use updown_sim::{fnv1a, Engine, EventWord, MachineConfig, NetworkId, ProtocolProbe};
 
 const SEED: u64 = 10;
 
