@@ -12,7 +12,7 @@ use updown_apps::harness::{bench_machine_topo, check_bench_args, check_rmat_scal
 use updown_sim::spec::check_report;
 use updown_sim::{
     ChromeTrace, Diagnostic, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe,
-    ReplayCheck, Severity, TopologyKind,
+    ReplayCheck, Severity, SnapshotError, TopologyKind,
 };
 
 /// The flags that never take a value: the token after one is a positional
@@ -244,6 +244,17 @@ fn spec_errors((label, probe, _, spec, _): &ArmedRun) -> Vec<String> {
     errors.map(|f| format!("udspec[{label}] {}: [{}] {} (x1)", f.subject, f.check, f.message)).collect()
 }
 
+/// A snapshot the re-driven run refuses (another workload's, or one its
+/// checkpoint boundaries skip) ends the run in a panic carrying the
+/// engine's `SnapshotError`: report it as the bad argument it is, exit 2.
+fn report_refused_restore(path: String) {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| match info.payload().downcast_ref::<SnapshotError>() {
+        Some(e) => usage_error(&format!("--restore {path}: {e}")),
+        None => default(info),
+    }));
+}
+
 /// The observers armed on every simulated run, none with an observer
 /// effect: `--sanitize`, `--race`, `--spec`, `--replay`, and
 /// `--checkpoint-every N` with `--checkpoint` / `--restore` (cadence 8, or
@@ -276,6 +287,7 @@ impl Gates {
                 Ok(_) => {}
                 Err(e) => usage_error(&format!("--restore {p}: {e}")),
             }
+            report_refused_restore(p.clone());
         }
         if write_path.is_some() && every == 0 {
             every = 8;

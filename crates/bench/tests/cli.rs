@@ -121,6 +121,38 @@ fn table5_counts_the_source_tree_from_any_directory() {
     assert!(count > 0, "{sht}");
 }
 
+/// A `--restore` snapshot that does not fit the run is bad input: another
+/// workload's snapshot (the re-driven BFS differs from the PageRank
+/// snapshot at its window 8, and the 25-window PageRank run ends before a
+/// BFS snapshot's window 30), and a `--checkpoint-every` whose boundaries
+/// would skip the window, each exit 2 with one line naming the window.
+#[test]
+fn a_restore_that_does_not_fit_the_run_exits_2_naming_the_window() {
+    let path = |app: &str| std::env::temp_dir().join(format!("repro-cli-{}.{app}.snap", std::process::id()));
+    let (pr, bfs) = (path("pr"), path("bfs"));
+    let (pr, bfs) = (pr.to_str().unwrap(), bfs.to_str().unwrap());
+    let small = ["--nodes", "2", "--min-nodes", "2", "--scale", "-6", "--iters", "1"];
+    for args in [&["fig9", "pr", "--checkpoint", pr][..], &["fig9", "bfs", "--checkpoint", bfs, "--checkpoint-every", "30"]] {
+        let out = repro(&[args, &small].concat());
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    for (args, names) in [
+        (&["fig9", "bfs", "--restore", pr][..], &["--restore", "disagrees", "window 8"][..]),
+        (&["fig9", "pr", "--restore", bfs], &["--restore", "ended at window 25", "window 30"]),
+        (&["fig9", "pr", "--restore", pr, "--checkpoint-every", "3"], &["--restore", "window 8", "--checkpoint-every 3"]),
+    ] {
+        let args = [args, &small].concat();
+        assert_refused(&args, names);
+        let out = repro(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = err.lines().filter(|l| !l.ends_with(" host")).collect();
+        assert_eq!(lines.len(), 1, "repro {args:?}: {err}");
+    }
+    for snap in [pr, bfs] {
+        std::fs::remove_file(snap).unwrap();
+    }
+}
+
 /// `--replay` prints one verdict line per run, summed over the run's
 /// recordings (one per checkpoint segment here), and exits 0 when every
 /// shard replays clean. Every armed `repro` run verifies something; the

@@ -61,9 +61,87 @@ struct ShtDef {
 /// tests).
 #[derive(Clone, Default)]
 struct Shadow {
-    entries: BTreeMap<u64, (u64, u64)>, // key -> (slot word index, value)
-    lens: BTreeMap<u64, u32>,          // bucket -> occupancy
+    entries: FlatMap<(u64, u64)>, // key -> (slot word index, value)
+    lens: FlatMap<u32>,           // bucket -> occupancy
     max_bucket: u32,
+}
+
+/// A deterministic open-addressing map from `u64` keys: linear probing
+/// from a Fibonacci hash of the key, a power-of-two capacity that doubles
+/// past 7/8 full, and keys and values in two parallel vectors, so an
+/// entry costs its key and value over the load factor and nothing else.
+/// Key 0 marks a vacant slot; the entry for key 0 itself is held beside
+/// the vectors. What it answers never depends on its layout, and it has
+/// no iteration order to leak.
+#[derive(Clone, Default)]
+struct FlatMap<V> {
+    keys: Vec<u64>,
+    vals: Vec<V>,
+    /// Occupied slots of `keys`.
+    used: usize,
+    zero: Option<V>,
+}
+
+impl<V: Copy + Default> FlatMap<V> {
+    /// The slot holding `key` (`Ok`) or the vacant slot where it would go
+    /// (`Err`). `key` is not 0 and the table is not empty.
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        let mask = self.keys.len() - 1;
+        let shift = 64 - self.keys.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match self.keys[i] {
+                k if k == key => return Ok(i),
+                0 => return Err(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<V> {
+        if key == 0 {
+            self.zero
+        } else if self.keys.is_empty() {
+            None
+        } else {
+            self.find(key).ok().map(|i| self.vals[i])
+        }
+    }
+
+    /// Insert `key`, or overwrite its value.
+    fn insert(&mut self, key: u64, v: V) {
+        if key == 0 {
+            self.zero = Some(v);
+            return;
+        }
+        if (self.used + 1) * 8 > self.keys.len() * 7 {
+            self.grow();
+        }
+        match self.find(key) {
+            Ok(i) => self.vals[i] = v,
+            Err(i) => {
+                self.keys[i] = key;
+                self.vals[i] = v;
+                self.used += 1;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.used + self.zero.is_some() as usize
+    }
+
+    fn grow(&mut self) {
+        let cap = (2 * self.keys.len()).max(8);
+        let keys = std::mem::replace(&mut self.keys, vec![0; cap]);
+        let vals = std::mem::replace(&mut self.vals, vec![V::default(); cap]);
+        for (k, v) in keys.into_iter().zip(vals).filter(|&(k, _)| k != 0) {
+            let (Ok(i) | Err(i)) = self.find(k);
+            self.keys[i] = k;
+            self.vals[i] = v;
+        }
+    }
 }
 
 impl ShtDef {
@@ -132,11 +210,11 @@ impl ShtLib {
                 let sh = udweave::program::entry(all, st.sht as usize);
                 let op = ShtOp::from_u64(st.op);
                 let b = t.bucket_of(st.key);
-                let existing = sh.entries.get(&st.key).copied();
+                let existing = sh.entries.get(st.key);
                 // Cost: compare scanned keys (charged per entry present).
-                let blen = sh.lens.get(&b).copied().unwrap_or(0);
+                let blen = sh.lens.get(b).unwrap_or(0);
                 ctx.charge(2 * blen as u64 + 2);
-                let mut write: Option<(u64, [u64; 2])> = None; // slot word -> words
+                let mut write: Option<(u64, [u64; 2], u32)> = None; // slot word -> words, bucket length
                 let reply = match (op, existing) {
                     (ShtOp::Get, Some((_, v))) => [1, v],
                     (ShtOp::Get, None) => [0, 0],
@@ -149,7 +227,7 @@ impl ShtLib {
                         };
                         if newv != old {
                             sh.entries.insert(st.key, (slot, newv));
-                            write = Some((slot, [st.key, newv]));
+                            write = Some((slot, [st.key, newv], blen));
                         }
                         [1, old]
                     }
@@ -163,16 +241,15 @@ impl ShtLib {
                         sh.lens.insert(b, blen + 1);
                         sh.max_bucket = sh.max_bucket.max(blen + 1);
                         sh.entries.insert(st.key, (slot, st.value));
-                        write = Some((slot, [st.key, st.value]));
+                        write = Some((slot, [st.key, st.value], blen + 1));
                         [0, st.value]
                     }
                 };
-                if let Some((slot, words)) = write {
+                if let Some((slot, words, new_len)) = write {
                     ctx.send_dram_write(t.region.word(slot), &words, None);
                     // Keep the DRAM header in sync (plain write: this lane
                     // is the only writer of its buckets).
-                    let new_len = sh.lens.get(&b).copied().unwrap_or(0) as u64;
-                    ctx.send_dram_write(t.region.word(t.bucket_base(b)), &[new_len], None);
+                    ctx.send_dram_write(t.region.word(t.bucket_base(b)), &[new_len as u64], None);
                 }
                 let reply_to = EventWord::from_raw(st.reply_raw);
                 if !reply_to.is_ignore() {
@@ -197,7 +274,7 @@ impl ShtLib {
             let blen = ctx
                 .shard_state(shadows)
                 .get(st.sht as usize)
-                .and_then(|sh| sh.lens.get(&b).copied())
+                .and_then(|sh| sh.lens.get(b))
                 .unwrap_or(0);
             // Header + up to the first 3 entries in one access.
             let words = (1 + 2 * blen.min(3) as usize).min(8);
@@ -298,7 +375,7 @@ impl ShtLib {
     pub fn host_get(&self, eng: &Engine, sht: ShtId, key: u64) -> Option<u64> {
         let node = eng.config().node_of(self.owner(eng, sht, key));
         let sh = eng.shard_state(self.shadows, node)?.get(sht.0 as usize)?;
-        sh.entries.get(&key).map(|&(_, v)| v)
+        sh.entries.get(key).map(|(_, v)| v)
     }
 
     pub fn len(&self, eng: &Engine, sht: ShtId) -> usize {
@@ -347,6 +424,50 @@ mod tests {
         let set = LaneSet::new(NetworkId(0), eng.config().total_lanes());
         let sht = lib.create(&mut eng, set, 16, 8, Layout::cyclic(nodes));
         (eng, lib, sht)
+    }
+
+    /// The flat table against a `BTreeMap` on seeded get / insert /
+    /// overwrite streams over five key families: random keys; keys that
+    /// share their low 40 bits; keys whose Fibonacci home slot is the
+    /// same at every capacity up to 1024 (one long probe run); small
+    /// consecutive keys, as bucket numbers are; and 0 and `u64::MAX`
+    /// among random keys. Every step compares the answer and the length,
+    /// and the table must stay a power of two between 7/16 and 7/8 full
+    /// once it has grown, so the streams cross each growth boundary.
+    #[test]
+    fn flat_map_agrees_with_a_btree_map() {
+        use crate::rng::Rng;
+        let home_1024 = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
+        for seed in 0..8u64 {
+            let mut rng = Rng::seed_from_u64(0xF1A7 ^ seed);
+            let families: [Vec<u64>; 5] = [
+                (0..600).map(|_| rng.next_u64()).collect(),
+                (0..600).map(|i| (i << 40) | 0xAB_CDEF_0123).collect(),
+                std::iter::repeat_with(|| rng.next_u64()).filter(|&k| home_1024(k) == 0).take(120).collect(),
+                (0..600).collect(),
+                (0..600).map(|i| match i { 0 => 0, 1 => u64::MAX, _ => rng.next_u64() }).collect(),
+            ];
+            for keys in &families {
+                let (mut flat, mut model) = (FlatMap::<(u64, u64)>::default(), BTreeMap::new());
+                for step in 0..3 * keys.len() {
+                    let k = keys[rng.below_usize(keys.len())];
+                    if rng.below_u32(3) == 0 {
+                        assert_eq!(flat.get(k), model.get(&k).copied(), "seed {seed} step {step}: get {k:#x}");
+                    } else {
+                        let v = (rng.next_u64(), step as u64);
+                        flat.insert(k, v);
+                        model.insert(k, v);
+                    }
+                    assert_eq!(flat.len(), model.len(), "seed {seed} step {step}");
+                    let cap = flat.keys.len();
+                    assert!(cap.is_power_of_two() || cap == 0);
+                    assert!(flat.used * 8 <= cap * 7 && (cap <= 8 || flat.used * 16 >= cap * 7));
+                }
+                for k in keys.iter().chain(&[0, u64::MAX, 1, 0xAB_CDEF_0123]) {
+                    assert_eq!(flat.get(*k), model.get(k).copied(), "seed {seed}: final get {k:#x}");
+                }
+            }
+        }
     }
 
     #[test]

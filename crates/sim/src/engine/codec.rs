@@ -133,21 +133,21 @@ fn save_memop(op: &MemOp, w: &mut SnapWriter) {
             w.u8(1);
             va.put(w);
             words.put(w);
-            ack.put(w);
+            put_reply(*ack, w);
             tag.put(w);
         }
         MemOp::AddU64 { va, delta, ret, tag } => {
             w.u8(2);
             va.put(w);
             w.u64(*delta);
-            ret.put(w);
+            put_reply(*ret, w);
             tag.put(w);
         }
         MemOp::AddF64 { va, delta, ret, tag } => {
             w.u8(3);
             va.put(w);
             w.f64(*delta);
-            ret.put(w);
+            put_reply(*ret, w);
             tag.put(w);
         }
     }
@@ -163,46 +163,56 @@ fn load_memop(r: &mut SnapReader<'_>) -> Result<MemOp, SnapshotError> {
         },
         1 => MemOp::Write {
             va: VAddr::take(r)?,
-            words: Vec::<u64>::take(r)?,
-            ack: <Option<EventWord> as SnapField>::take(r)?,
+            words: Operands::take(r)?,
+            ack: take_reply(r)?,
             tag: <Option<u64> as SnapField>::take(r)?,
         },
         2 => MemOp::AddU64 {
             va: VAddr::take(r)?,
             delta: r.u64()?,
-            ret: <Option<EventWord> as SnapField>::take(r)?,
+            ret: take_reply(r)?,
             tag: <Option<u64> as SnapField>::take(r)?,
         },
         3 => MemOp::AddF64 {
             va: VAddr::take(r)?,
             delta: r.f64()?,
-            ret: <Option<EventWord> as SnapField>::take(r)?,
+            ret: take_reply(r)?,
             tag: <Option<u64> as SnapField>::take(r)?,
         },
         t => return Err(SnapshotError::Format(format!("bad MemOp tag {t}"))),
     })
 }
 
-/// `trace_id` is the slot's, from the side table (0 when untraced).
-fn save_action(a: &Action, trace_id: u64, w: &mut SnapWriter) {
+/// A reply word in the `Option<EventWord>` encoding of the first writers:
+/// `IGNORE` (no reply) is `None`.
+fn put_reply(ret: EventWord, w: &mut SnapWriter) {
+    (!ret.is_ignore()).then_some(ret).put(w);
+}
+
+fn take_reply(r: &mut SnapReader<'_>) -> Result<EventWord, SnapshotError> {
+    match <Option<EventWord> as SnapField>::take(r)? {
+        Some(ret) if ret.is_ignore() => Err(SnapshotError::Format("a DRAM reply word of IGNORE".to_string())),
+        ret => Ok(ret.unwrap_or(EventWord::IGNORE)),
+    }
+}
+
+/// `trace_id` is the slot's, from the side table (0 when untraced);
+/// `shard` is the id of the shard whose slab holds `a`, recorded as a
+/// request's owner.
+fn save_action(a: &Action, trace_id: u64, shard: u32, w: &mut SnapWriter) {
     match a {
         Action::Deliver(m) => {
             w.u8(0);
             save_msg(m, w);
         }
-        Action::Mem {
-            stage,
-            op,
-            src_node,
-            owner,
-        } => {
+        Action::Mem { stage, op, src_node } => {
             w.u8(match stage {
                 MemStage::Arrive => 2,
                 MemStage::Served => 3,
             });
             save_memop(op, w);
             w.u32(*src_node);
-            w.u32(*owner);
+            w.u32(shard);
             w.u64(trace_id);
         }
         Action::MemDone { resp, owner } => {
@@ -222,20 +232,23 @@ fn save_action(a: &Action, trace_id: u64, w: &mut SnapWriter) {
     }
 }
 
-/// An action and its trace id (0 for a delivery).
-fn load_action(r: &mut SnapReader<'_>) -> Result<(Action, u64), SnapshotError> {
+/// An action of shard `shard`'s slab and its trace id (0 for a
+/// delivery). A request is only ever pending on its owner's shard, so one
+/// that names another owner is refused.
+fn load_action(r: &mut SnapReader<'_>, shard: u32) -> Result<(Action, u64), SnapshotError> {
     // Tag 1 is not assigned: a lane's run entry is an id, not an action.
     Ok(match r.u8()? {
         0 => (Action::Deliver(load_msg(r)?), 0),
-        tag @ (2 | 3) => (
-            Action::Mem {
-                stage: if tag == 2 { MemStage::Arrive } else { MemStage::Served },
-                op: load_memop(r)?,
-                src_node: r.u32()?,
-                owner: r.u32()?,
-            },
-            r.u64()?,
-        ),
+        tag @ (2 | 3) => {
+            let stage = if tag == 2 { MemStage::Arrive } else { MemStage::Served };
+            let (op, src_node, owner) = (load_memop(r)?, r.u32()?, r.u32()?);
+            if owner != shard {
+                return Err(SnapshotError::Format(format!(
+                    "shard {shard} holds a DRAM request owned by node {owner}"
+                )));
+            }
+            (Action::Mem { stage, op, src_node }, r.u64()?)
+        }
         4 => {
             let reply = if r.bool()? { Some(load_msg(r)?) } else { None };
             let bytes = r.u64()?;
@@ -413,7 +426,7 @@ fn save_core(codecs: &StateCodecs, core: &EngineCore, w: &mut SnapWriter) -> Res
         match slot {
             Some(a) => {
                 w.bool(true);
-                save_action(a, core.arena.trace_id(id), w);
+                save_action(a, core.arena.trace_id(id), core.id, w);
             }
             None => w.bool(false),
         }
@@ -471,7 +484,7 @@ fn load_core(
     arena.slots.reserve(nslots);
     for id in (first_id..).take(nslots) {
         if r.bool()? {
-            let (action, trace_id) = load_action(r)?;
+            let (action, trace_id) = load_action(r, proto.id)?;
             arena.slots.push(Some(action));
             arena.set_tag(
                 id,
@@ -620,6 +633,14 @@ impl DecodedCore {
         core.custom_peak = self.custom_peak;
         core.handler_stats = self.handler_stats;
     }
+}
+
+/// Refuse a deferred restore that does not fit the re-driven run. The
+/// file is bad input, not a bug, so the panic carries it as a
+/// [`SnapshotError`] payload for a caller to report (`repro` exits 2 on
+/// it).
+pub(super) fn refuse_restore(why: String) -> ! {
+    std::panic::panic_any(SnapshotError::Incompatible(why))
 }
 
 impl Engine {
@@ -812,23 +833,24 @@ impl Engine {
                 else {
                     unreachable!()
                 };
-                assert!(
-                    self.windows == header.window,
-                    "restore: checkpoint boundaries (every {} windows) skipped over the \
-                     snapshot's window {}; the restoring run must use the same \
-                     checkpoint_every cadence as the snapshotting run",
-                    self.shared.cfg.checkpoint_every,
-                    header.window
-                );
+                if self.windows != header.window {
+                    refuse_restore(format!(
+                        "checkpoint boundaries (every {} windows) skipped over the snapshot's \
+                         window {}; the restoring run must use the same checkpoint_every \
+                         cadence as the snapshotting run",
+                        self.shared.cfg.checkpoint_every, header.window
+                    ));
+                }
                 let live = self
                     .encode_body()
                     .unwrap_or_else(|e| panic!("restore: encoding live state: {e}"));
-                assert!(
-                    live == body,
-                    "restore: snapshot disagrees with the re-driven machine at window {} — \
-                     the snapshot must come from this exact workload and config",
-                    header.window
-                );
+                if live != body {
+                    refuse_restore(format!(
+                        "the snapshot disagrees with the re-driven machine at window {}; it \
+                         must come from this exact workload and config",
+                        header.window
+                    ));
+                }
                 if self.shared.cfg.race.is_none() {
                     self.decode_install(&header, &body)
                         .unwrap_or_else(|e| panic!("restore: {e}"));

@@ -32,7 +32,10 @@ pub(super) struct HandlerEntry {
 }
 
 /// A DRAM transaction payload, applied when channel service completes on
-/// the owning shard.
+/// the owning shard. A reply word of [`EventWord::IGNORE`] asks for no
+/// reply, as a continuation does; a write's words are [`Operands`], so
+/// writes of up to [`INLINE_OPERANDS`](crate::message::INLINE_OPERANDS)
+/// words need no heap block.
 #[derive(Clone, Debug)]
 pub(super) enum MemOp {
     Read {
@@ -43,20 +46,20 @@ pub(super) enum MemOp {
     },
     Write {
         va: VAddr,
-        words: Vec<u64>,
-        ack: Option<EventWord>,
+        words: Operands,
+        ack: EventWord,
         tag: Option<u64>,
     },
     AddU64 {
         va: VAddr,
         delta: u64,
-        ret: Option<EventWord>,
+        ret: EventWord,
         tag: Option<u64>,
     },
     AddF64 {
         va: VAddr,
         delta: f64,
-        ret: Option<EventWord>,
+        ret: EventWord,
         tag: Option<u64>,
     },
 }
@@ -100,26 +103,26 @@ impl MemOp {
             panic!("DRAM fault applying a request: {e}")
         }
         let reply = |to: EventWord, words: &[u64], tag| {
-            Message::new(to, reply_args(words, tag), EventWord::IGNORE, to.nwid())
+            (!to.is_ignore()).then(|| Message::new(to, reply_args(words, tag), EventWord::IGNORE, to.nwid()))
         };
         match *self {
             MemOp::Read { va, nwords, ret, tag } => {
                 let mut data = [0u64; HW_OPERANDS];
                 let data = &mut data[..nwords as usize];
                 mem.read_words_into(va, data).unwrap_or_else(fault);
-                Some(reply(ret, data, tag))
+                reply(ret, data, tag)
             }
             MemOp::Write { va, ref words, ack, tag } => {
                 mem.write_words(va, words).unwrap_or_else(fault);
-                ack.map(|ack| reply(ack, &[va.0], tag))
+                reply(ack, &[va.0], tag)
             }
             MemOp::AddU64 { va, delta, ret, tag } => {
                 let old = mem.fetch_add_u64(va, delta).unwrap_or_else(fault);
-                ret.map(|ret| reply(ret, &[old], tag))
+                reply(ret, &[old], tag)
             }
             MemOp::AddF64 { va, delta, ret, tag } => {
                 let old = mem.fetch_add_f64(va, delta).unwrap_or_else(fault);
-                ret.map(|ret| reply(ret, &[old.to_bits()], tag))
+                reply(ret, &[old.to_bits()], tag)
             }
         }
     }
@@ -161,12 +164,12 @@ pub(super) enum MemStage {
 #[derive(Clone, Debug)]
 pub(super) enum Action {
     Deliver(Message),
-    /// A request at the owning node.
+    /// A request at the owning node: always dispatched on the owner's
+    /// shard, so the owner is that shard's id.
     Mem {
         stage: MemStage,
         op: MemOp,
         src_node: u32,
-        owner: u32,
     },
     /// Response arrived back at the issuing shard: deliver the reply.
     MemDone {
@@ -955,7 +958,6 @@ impl EngineCore {
             stage: MemStage::Arrive,
             op,
             src_node,
-            owner,
         };
         let tag = Tag {
             trace_id,
@@ -1031,10 +1033,9 @@ impl EngineCore {
             Action::Mem {
                 stage: stage @ MemStage::Arrive,
                 op,
-                owner,
                 ..
             } => {
-                let (owner, bytes, write) = (*owner, op.bytes(), op.is_write());
+                let (owner, bytes, write) = (self.id, op.bytes(), op.is_write());
                 *stage = MemStage::Served;
                 let trace_id = self.arena.trace_id(id);
                 trace_dram(&mut self.tracer, trace_id, DramStage::Arrive, owner, now, bytes, write);
@@ -1045,9 +1046,8 @@ impl EngineCore {
                 stage: MemStage::Served,
                 op,
                 src_node,
-                owner,
             } => {
-                let (src_node, owner) = (*src_node, *owner);
+                let (src_node, owner) = (*src_node, self.id);
                 let (va, bytes, write, atomic) = (op.va(), op.bytes(), op.is_write(), op.is_atomic());
                 // Apply the memory effect now, on the owning shard: channel
                 // service order is the deterministic serialization point

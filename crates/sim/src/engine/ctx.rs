@@ -239,6 +239,12 @@ impl<'a> EventCtx<'a> {
         self.out.push(Outgoing::Dram(op, race));
     }
 
+    /// The reply word of a DRAM request: `label` on this thread, or
+    /// `IGNORE` for none.
+    fn reply_word(&self, label: Option<EventLabel>) -> EventWord {
+        label.map_or(EventWord::IGNORE, |l| self.self_event(l))
+    }
+
     /// Issue an asynchronous DRAM read of `nwords` (≤ 8) consecutive words;
     /// the response arrives at `ret_label` on *this* thread with the data
     /// words as operands.
@@ -300,10 +306,10 @@ impl<'a> EventCtx<'a> {
             !words.is_empty() && words.len() <= 8,
             "hardware writes 1..=8 words"
         );
-        let ack = ack_label.map(|l| self.self_event(l));
+        let ack = self.reply_word(ack_label);
         self.push_dram(MemOp::Write {
             va,
-            words: words.to_vec(),
+            words: Operands::from(words),
             ack,
             tag,
         });
@@ -319,7 +325,7 @@ impl<'a> EventCtx<'a> {
         ret_label: Option<EventLabel>,
         tag: Option<u64>,
     ) {
-        let ret = ret_label.map(|l| self.self_event(l));
+        let ret = self.reply_word(ret_label);
         self.push_dram(MemOp::AddU64 { va, delta, ret, tag });
     }
 
@@ -331,7 +337,7 @@ impl<'a> EventCtx<'a> {
         ret_label: Option<EventLabel>,
         tag: Option<u64>,
     ) {
-        let ret = ret_label.map(|l| self.self_event(l));
+        let ret = self.reply_word(ret_label);
         self.push_dram(MemOp::AddF64 { va, delta, ret, tag });
     }
 

@@ -66,7 +66,7 @@ pub use self::core::{EventCtx, Handler, ShardSlot, TableSlot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use self::codec::StateCodecs;
+use self::codec::{refuse_restore, StateCodecs};
 use self::core::{shard_value, Action, ActionArena, EngineCore, Exchange, HandlerEntry, Shared, Table};
 use self::sched::{run_rounds, settle};
 use crate::calendar::CalendarQueue;
@@ -419,6 +419,13 @@ impl Engine {
     /// Under [`MachineConfig::replay`] every segment (the whole run when
     /// nothing pauses it) is recorded, and each shard of it replayed alone
     /// before the run goes on; the verdicts go to the `ReplayCheck`.
+    ///
+    /// # Panics
+    ///
+    /// A [`MachineConfig::restore_path`] that cannot be read, or whose
+    /// snapshot's window this run ends before, skips, or reaches in
+    /// another state, panics with a [`SnapshotError`](crate::SnapshotError) payload
+    /// (`std::panic::panic_any`): bad input a caller can tell from a bug.
     pub fn run(&mut self) -> Metrics {
         for s in &mut self.shards {
             s.stop = false;
@@ -432,11 +439,10 @@ impl Engine {
                         "restore_path requires checkpoint_every: the restored state is \
                          verified and installed at a checkpoint boundary"
                     );
-                    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-                        panic!("restore: cannot read {}: {e}", path.display())
-                    });
+                    let bytes = std::fs::read(&path)
+                        .unwrap_or_else(|e| refuse_restore(format!("cannot read {}: {e}", path.display())));
                     let (header, body) = snapshot::unframe(&bytes)
-                        .unwrap_or_else(|e| panic!("restore: {}: {e}", path.display()));
+                        .unwrap_or_else(|e| refuse_restore(format!("{}: {e}", path.display())));
                     RestoreSlot::Pending {
                         header,
                         body: body.to_vec(),
@@ -473,6 +479,12 @@ impl Engine {
             }
             self.checkpoint_boundary();
         };
+        if let RestoreSlot::Pending { header, .. } = &self.restore {
+            refuse_restore(format!(
+                "the run ended at window {}, before the snapshot's window {}",
+                self.windows, header.window
+            ));
+        }
         if stopped {
             self.drain_in_flight();
         }

@@ -1,7 +1,7 @@
 use super::*;
 use crate::config::MachineConfig;
 use std::sync::{Arc, Mutex};
-use super::core::{MemResp, XEntry};
+use super::core::{MemOp, MemResp, XEntry};
 use crate::memory::VAddr;
 use crate::snapshot::SnapshotError;
 
@@ -248,6 +248,9 @@ fn calendar_payload_sizes_are_pinned() {
     // straight into peak RSS (docs/perf.md). A `Message` is one 64-byte
     // UpDown message, and no observer data rides in either record.
     assert_eq!(size_of::<Message>(), 64);
+    // A write's words ride inline in its `MemOp` (up to four of them);
+    // the request's owner is the shard that holds it, not a field.
+    assert!(size_of::<MemOp>() <= 72);
     assert!(size_of::<Action>() <= 80);
     assert_eq!(size_of::<Option<Action>>(), size_of::<Action>());
     assert!(size_of::<XEntry>() <= 88);
@@ -335,6 +338,101 @@ fn long_operands_in_flight_snapshot_in_the_v2_layout() {
     ];
     assert_eq!(*seen.lock().unwrap(), want);
     assert_eq!(*seen2.lock().unwrap(), want);
+}
+
+/// Pause with three DRAM requests in flight at their owner, node 1: a
+/// 1-word plain write, a 2-word acked and tagged write, and an acked
+/// `fetch_add`. The snapshot is pinned by FNV-1a — the value was produced
+/// by the encoder of a request that carried its owner as a field and its
+/// write words in a heap block, so dropping both moved no byte — and it
+/// round-trips and resumes identically. The same body with one request's
+/// recorded owner, or a reply word, patched is refused as `Format`.
+#[test]
+fn dram_requests_in_flight_snapshot_in_the_v2_layout() {
+    type Seen = Arc<Mutex<Vec<Vec<u64>>>>;
+    fn build() -> (Engine, Seen, VAddr) {
+        let mut eng = Engine::new(tiny());
+        let va = eng.mem_mut().alloc(4096, 1, 1, 4096).unwrap();
+        eng.mem_mut().write_words(va.word(3), &[40]).unwrap();
+        let seen: Seen = Arc::default();
+        let seen2 = seen.clone();
+        let sink = eng.register(
+            "sink",
+            Arc::new(move |ctx: &mut EventCtx| {
+                let mut seen = seen2.lock().unwrap();
+                seen.push(ctx.args().to_vec());
+                if seen.len() == 2 {
+                    ctx.yield_terminate();
+                }
+            }),
+        );
+        let kick = eng.register(
+            "kick",
+            Arc::new(move |ctx: &mut EventCtx| {
+                ctx.send_dram_write(va, &[0x1111], None);
+                ctx.send_dram_write_tagged(va.word(1), &[0x2222, 0x3333], sink, 0x7A6);
+                ctx.dram_fetch_add_u64(va.word(3), 2, Some(sink), None);
+            }),
+        );
+        eng.send(EventWord::new(NetworkId(0), kick), [], EventWord::IGNORE);
+        (eng, seen, va)
+    }
+    let requests = |eng: &Engine| eng.shards[1].arena.slots.iter().flatten().filter(|a| matches!(a, Action::Mem { .. })).count();
+
+    let (mut eng, seen, va) = (1..200)
+        .map(|limit| {
+            let (mut eng, seen, va) = build();
+            eng.set_event_limit(limit);
+            eng.run();
+            (eng, seen, va)
+        })
+        .find(|(eng, ..)| requests(eng) == 3)
+        .expect("some pause point has all three requests at their owner");
+    let bytes = eng.snapshot_bytes().unwrap();
+    assert_eq!(
+        snapshot::fnv1a(&bytes),
+        0x835B_4125_F236_6DAA,
+        "updown-snapshot/v2 bytes moved"
+    );
+
+    let (mut eng2, seen2, _) = build();
+    eng2.restore_snapshot_bytes(&bytes).unwrap();
+    assert_eq!(requests(&eng2), 3);
+    assert_eq!(eng2.snapshot_bytes().unwrap(), bytes);
+    eng.set_event_limit(u64::MAX);
+    eng2.set_event_limit(u64::MAX);
+    assert_eq!(eng.run().to_json(), eng2.run().to_json());
+    let want = vec![vec![40], vec![va.word(1).0, 0x7A6]];
+    for (e, s) in [(&eng, &seen), (&eng2, &seen2)] {
+        let mut got = s.lock().unwrap().clone();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        let mut words = [0; 4];
+        e.mem().read_words_into(va, &mut words).unwrap();
+        assert_eq!(words, [0x1111, 0x2222, 0x3333, 42]);
+    }
+
+    // The acked write's record: its words, its ack (`Some`), its tag
+    // (`Some`), the issuing node, then the owner.
+    let (header, body) = snapshot::unframe(&bytes).unwrap();
+    let words: Vec<u8> = [2u64, 0x2222, 0x3333].iter().flat_map(|w| w.to_le_bytes()).collect();
+    let at = body.windows(words.len()).position(|w| w == words).expect("the 2-word write") + words.len();
+    let (ack, owner) = (at + 1, at + 9 + 9 + 4);
+    assert_eq!((body[at], body[at + 9]), (1, 1), "snapshot layout moved");
+    assert_eq!(body[owner..owner + 4], 1u32.to_le_bytes(), "snapshot layout moved");
+    let refused = |patch: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = body.to_vec();
+        patch(&mut b);
+        let (mut victim, ..) = build();
+        match victim.restore_snapshot_bytes(&snapshot::frame(&header, &b)) {
+            Err(SnapshotError::Format(m)) => m,
+            other => panic!("expected a Format error, got {other:?}"),
+        }
+    };
+    let m = refused(&|b| b[owner..owner + 4].copy_from_slice(&0u32.to_le_bytes()));
+    assert!(m.contains("shard 1 holds a DRAM request owned by node 0"), "{m}");
+    let m = refused(&|b| b[ack..ack + 8].copy_from_slice(&u64::MAX.to_le_bytes()));
+    assert!(m.contains("reply word of IGNORE"), "{m}");
 }
 
 #[test]
@@ -1021,4 +1119,34 @@ fn lane_operations_charge_table_2() {
         assert_eq!(cycles, table, "{probe} against OP_COSTS");
         assert_eq!(cycles, paper, "{probe} against Table 2");
     }
+}
+
+/// A restore whose checkpoint boundaries skip the snapshot's window is
+/// refused by a panic whose payload is a `SnapshotError` naming the
+/// window, which `repro` reports as exit 2. (`repro` refuses such a
+/// cadence before any run; a library caller reaches this.)
+#[test]
+fn a_restore_whose_boundaries_skip_the_snapshot_window_is_refused() {
+    let path = std::env::temp_dir().join(format!("engine-tests-{}.skip.snap", std::process::id()));
+    let run = |every: u64, restore: bool| {
+        let mut cfg = tiny();
+        cfg.checkpoint_every = every;
+        let slot = if restore { &mut cfg.restore_path } else { &mut cfg.checkpoint_path };
+        *slot = Some(path.clone());
+        let mut eng = Engine::new(cfg);
+        let counter = eng.shard_slot::<u64>();
+        let bounce = register_bounce(&mut eng, counter, 40);
+        eng.send(EventWord::new(NetworkId(0), bounce), [], EventWord::IGNORE);
+        eng.run()
+    };
+    assert!(run(8, false).stats.windows > 9);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(3, true)))
+        .expect_err("boundaries at windows 3, 6, 9 skip window 8");
+    match payload.downcast_ref::<SnapshotError>() {
+        Some(SnapshotError::Incompatible(m)) => {
+            assert!(m.contains("(every 3 windows) skipped over the snapshot's window 8"), "{m}")
+        }
+        _ => panic!("the payload is not a SnapshotError"),
+    }
+    std::fs::remove_file(&path).unwrap();
 }
