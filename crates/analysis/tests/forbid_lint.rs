@@ -2,8 +2,9 @@
 //! `tools/determinism_lint.py` under `cargo test`: the lint must be clean
 //! on the repository itself (every crate root and binary forbids unsafe
 //! code; no order-randomized container, wall-clock read, thread identity
-//! or stray lock in the deterministic crates), and its engine-lock rule
-//! must flag a stray lock in a fixture tree.
+//! or stray lock in the deterministic crates), and its engine-lock and
+//! `thread_local!` rules must flag a stray lock or thread-local in a
+//! fixture tree.
 
 use std::path::Path;
 
@@ -21,7 +22,8 @@ fn determinism_lint_is_clean_on_the_repository() {
 /// The lint's engine-lock rule on a fixture tree: the exchange cell and
 /// the shard slot, declared on their allowed lines, are clean; any other
 /// lock in `crates/sim/src/engine` is a finding, with or without an allow
-/// comment, and so is an allowed declaration that lost its comment.
+/// comment, and so is an allowed declaration that lost its comment. A
+/// `thread_local!` anywhere in the linted crates needs its own allow line.
 #[test]
 fn determinism_lint_flags_a_stray_engine_lock() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -66,6 +68,23 @@ fn determinism_lint_flags_a_stray_engine_lock() {
         files.push((name, text));
         let (ok, out) = run(&files);
         assert!(!ok && out.contains(want), "{name}: want `{want}` in:\n{out}");
+    }
+
+    // A `thread_local!` is host-thread-keyed state: a finding unless the
+    // line naming it carries an allow with a reason. An allow on the line
+    // above, or one without a reason, does not excuse it.
+    let excused = "thread_local! { // det-lint: allow — scratch no handler reads\n    static S: u8 = 0;\n}\n";
+    let (ok, out) = run(&[("core.rs", cell), ("sched.rs", slot), ("ctx.rs", excused)]);
+    assert!(ok && out.contains("determinism_lint: clean"), "{out}");
+    // Split so this file's own lines do not name the macro.
+    let bare = concat!("thread", "_local! { static S: u8 = 0; }\n");
+    for (text, want) in [
+        (bare.to_string(), "crates/sim/src/engine/ctx.rs:1: thread_local"),
+        (format!("// det-lint: allow — above\n{bare}"), "crates/sim/src/engine/ctx.rs:2: thread_local"),
+        (bare.replace("{ s", "{ // det-lint: allow\n s"), "crates/sim/src/engine/ctx.rs:1: thread_local"),
+    ] {
+        let (ok, out) = run(&[("core.rs", cell), ("sched.rs", slot), ("ctx.rs", &text)]);
+        assert!(!ok && out.contains(want), "want `{want}` in:\n{out}");
     }
     std::fs::remove_dir_all(&tree).unwrap();
 }

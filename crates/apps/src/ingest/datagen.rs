@@ -3,8 +3,6 @@
 //! typed vertex and edge records with skewed (RMAT-style) endpoints, plus
 //! the `data <m>` size multipliers the paper sweeps in Figure 10.
 
-use std::io::Write;
-
 use updown_graph::rng::Rng;
 
 use super::tform::RawRecord;
@@ -31,17 +29,39 @@ pub fn generate(n_records: usize, n_entities: u64, seed: u64) -> Dataset {
         if rng.below_u64(4) == 0 {
             let id = skewed(&mut rng);
             let vt = 1 + rng.below_u64(4);
-            writeln!(csv, "V,{id},{vt}").expect("a Vec takes every byte");
+            push_record(&mut csv, b'V', &[id, vt]);
             records.push(RawRecord::vertex(id, vt));
         } else {
             let src = skewed(&mut rng);
             let dst = rng.below_u64(n_entities);
             let et = 1 + rng.below_u64(3);
-            writeln!(csv, "E,{src},{dst},{et}").expect("a Vec takes every byte");
+            push_record(&mut csv, b'E', &[src, dst, et]);
             records.push(RawRecord::edge(src, dst, et));
         }
     }
     Dataset { csv, records }
+}
+
+/// Append one CSV line, `kind` then each field in decimal. The digits are
+/// written by hand: `core::fmt` took about twice as long on the benchmark's
+/// datasets, for the same bytes.
+fn push_record(csv: &mut Vec<u8>, kind: u8, fields: &[u64]) {
+    csv.push(kind);
+    for &f in fields {
+        csv.push(b',');
+        let mut digits = [0u8; 20];
+        let (mut at, mut v) = (digits.len(), f);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        csv.extend_from_slice(&digits[at..]);
+    }
+    csv.push(b'\n');
 }
 
 /// The paper's `data <m>` naming: multiplier applied to a base record
@@ -58,12 +78,26 @@ pub fn sized(base_records: usize, multiplier: f64, n_entities: u64, seed: u64) -
 mod tests {
     use super::*;
     use crate::ingest::tform::Transducer;
+    use updown_sim::fnv1a;
 
     #[test]
     fn generated_csv_parses_back_exactly() {
         let d = generate(500, 1000, 3);
         let parsed = Transducer::parse_all(&d.csv);
         assert_eq!(parsed, d.records);
+    }
+
+    /// The benchmark's two `ingest_pm` datasets at seed 0 (ingestion, then
+    /// partial match), pinned byte for byte: the CSV text must not drift.
+    #[test]
+    fn benchmark_datasets_are_pinned() {
+        let ingest = sized(25_000, 1.0, 25_000 / 4, 13);
+        let pm = generate(40_000, 40_000 / 8, 21);
+        let got = [ingest.csv.len() as u64, fnv1a(&ingest.csv), pm.csv.len() as u64, fnv1a(&pm.csv)];
+        assert_eq!(got, [301_227, 0x3703_cded_ba9a_b26a, 477_679, 0x9b28_6e06_7e63_eb39]);
+        let mut line = Vec::new();
+        push_record(&mut line, b'E', &[0, 7, u64::MAX]);
+        assert_eq!(line, b"E,0,7,18446744073709551615\n");
     }
 
     #[test]

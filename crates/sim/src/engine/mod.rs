@@ -427,6 +427,7 @@ impl Engine {
     /// another state, panics with a [`SnapshotError`](crate::SnapshotError) payload
     /// (`std::panic::panic_any`): bad input a caller can tell from a bug.
     pub fn run(&mut self) -> Metrics {
+        let _blocks = crate::message::ReleaseBlocks;
         for s in &mut self.shards {
             s.stop = false;
             s.handler_stats.resize(self.shared.handlers.len(), (0, 0));

@@ -1150,3 +1150,29 @@ fn a_restore_whose_boundaries_skip_the_snapshot_window_is_refused() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A run recycles its five-to-nine-word payloads through the thread's
+/// block list and leaves the list empty when it returns.
+#[test]
+fn a_run_recycles_payload_blocks_and_releases_them_at_the_end() {
+    use crate::message::tests::pooled;
+    let mut eng = Engine::new(tiny());
+    let most = Arc::new(Mutex::new(0));
+    let seen = most.clone();
+    let relay = eng.register(
+        "relay",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let mut m = seen.lock().unwrap();
+            *m = (*m).max(pooled());
+            if ctx.arg(0) > 0 {
+                let args = [ctx.arg(0) - 1, 1, 2, 3, 4, 5, 6, 7];
+                ctx.send_event(EventWord::new(ctx.nwid(), ctx.cur_evw().label()), args, EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), relay), [20, 1, 2, 3, 4, 5, 6, 7], EventWord::IGNORE);
+    eng.run();
+    assert!(*most.lock().unwrap() >= 1, "a delivered payload's block went back to the list");
+    assert_eq!(pooled(), 0, "the run released the list");
+}

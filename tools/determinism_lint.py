@@ -16,6 +16,12 @@ deterministic simulators before:
     bench crate, which is outside the linted set).
   - `thread::current()` — host thread identity leaking into simulated
     behavior breaks the `--threads` conformance matrix.
+  - `thread_local!` — state keyed by the host thread is the same class:
+    which events run on which host thread changes with `--threads`. Unlike
+    the rules above, the two-line window does not excuse it: the line that
+    names `thread_local!` must itself carry `det-lint: allow — <reason>`,
+    saying why no simulated state can read what the thread keeps (the
+    message payload pool, `crates/sim/src/message.rs`, is the one today).
 
 Scope: the deterministic core (`crates/sim`, `crates/core`,
 `crates/udweave`, plus `crates/graph` and `crates/memory`, whose outputs
@@ -132,6 +138,9 @@ PATTERNS = [
     (re.compile(r"\bthread::current\s*\("), "thread::current() (host thread identity)"),
 ]
 
+THREAD_LOCAL = re.compile(r"\bthread_local!")
+ALLOW_WITH_REASON = re.compile(r"det-lint: allow — \S")
+
 LOCK_PATTERN = re.compile(r"\b(Mutex|RwLock|Atomic(Bool|Ptr|[IU](8|16|32|64|size)))\b")
 CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
 
@@ -145,6 +154,9 @@ def lint_file(path: Path) -> list:
     for i, line in enumerate(lines):
         if COMMENT.match(line):
             continue
+        if THREAD_LOCAL.search(line) and not ALLOW_WITH_REASON.search(line):
+            why = "thread_local! (host-thread-keyed state; allow it on its own line with a reason)"
+            findings.append((path, i + 1, why, line.strip()))
         window = lines[max(0, i - 2) : i + 1]
         if any(ALLOW in w for w in window):
             continue
