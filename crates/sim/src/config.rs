@@ -70,6 +70,10 @@ pub const HOP_LATENCY: u64 = 400;
 /// contended; see [`crate::network::Fabric`]).
 pub const LINK_BYTES_PER_CYCLE: u64 = 2048;
 
+/// Minimum DRAM transfer granularity in bytes (one HBM access): every
+/// request occupies its channel for a whole number of these.
+pub const ACCESS_GRANULARITY: u64 = 64;
+
 /// The settable part of the message model: the system-network topology,
 /// its uniform remote latency, and per-node NIC injection serialization.
 /// The on-node tiers ([`INTRA_ACCEL_LATENCY`], [`INTRA_NODE_LATENCY`]),
@@ -113,8 +117,6 @@ pub struct MemoryConfig {
     pub dram_latency: u64,
     /// Node memory bandwidth in bytes per cycle (9.4 TB/s ≈ 4700 B/cy).
     pub node_bytes_per_cycle: u64,
-    /// Minimum transfer granularity in bytes (one HBM access).
-    pub access_granularity: u64,
 }
 
 impl Default for MemoryConfig {
@@ -122,7 +124,6 @@ impl Default for MemoryConfig {
         MemoryConfig {
             dram_latency: 200,
             node_bytes_per_cycle: 4700,
-            access_granularity: 64,
         }
     }
 }

@@ -286,7 +286,7 @@ fn trace_route(
     dst: u32,
 ) {
     if let Some(tr) = tracer {
-        for (k, &l) in topo.route(src, dst).iter().enumerate() {
+        for (k, l) in topo.route(src, dst).enumerate() {
             let link = topo.links()[l.0 as usize];
             tr.record(TraceEvent::Link {
                 src: link.src,

@@ -19,6 +19,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Mutex;
 
+use crate::config::ACCESS_GRANULARITY;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 /// A virtual address in the UpDown global address space.
@@ -791,7 +792,6 @@ pub struct MemChannel {
     busy_units: u64,
     bytes_per_cycle: u64,
     latency: u64,
-    granularity: u64,
     /// Total bytes served (stats).
     pub served_bytes: u64,
 }
@@ -802,14 +802,13 @@ impl MemChannel {
             busy_units: 0,
             bytes_per_cycle: cfg.node_bytes_per_cycle.max(1),
             latency: cfg.dram_latency,
-            granularity: cfg.access_granularity.max(1),
             served_bytes: 0,
         }
     }
 
     /// Schedule a transfer on the channel.
     pub fn service(&mut self, arrival: u64, bytes: u64) -> u64 {
-        let bytes = bytes.max(1).div_ceil(self.granularity) * self.granularity;
+        let bytes = bytes.max(1).div_ceil(ACCESS_GRANULARITY) * ACCESS_GRANULARITY;
         let start_units = (arrival * self.bytes_per_cycle).max(self.busy_units);
         self.busy_units = start_units + bytes;
         self.served_bytes += bytes;
@@ -954,7 +953,6 @@ mod tests {
         let cfg = crate::config::MemoryConfig {
             dram_latency: 100,
             node_bytes_per_cycle: 64,
-            access_granularity: 64,
         };
         let mut ch = MemChannel::new(&cfg);
         let t1 = ch.service(0, 64); // 1 cycle xfer + 100
@@ -970,7 +968,6 @@ mod tests {
         let cfg = crate::config::MemoryConfig {
             dram_latency: 100,
             node_bytes_per_cycle: 4096,
-            access_granularity: 64,
         };
         let mut ch = MemChannel::new(&cfg);
         for _ in 0..64 {

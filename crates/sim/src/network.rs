@@ -24,7 +24,7 @@
 //! one uniform `inter_node_latency` through an ideal crossbar — and is
 //! the default.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -117,18 +117,25 @@ impl FromStr for TopologyKind {
     }
 }
 
-/// A system-network topology: the directed-link set and, for every ordered
-/// node pair, the fixed minimal route a message traverses. The kinds differ
-/// only in this data, which is fixed at construction; the engine shares one
-/// instance across shards.
+/// A system-network topology: the directed-link set and the next-hop rule
+/// that yields the fixed minimal route between any two nodes. The kinds
+/// differ only in the links and the rule; nothing is stored per node pair,
+/// so a topology is linear in its links. The engine shares one instance
+/// across shards.
 pub struct Topology {
     kind: TopologyKind,
     nodes: u32,
     /// Cycles per link; for the uniform crossbar, its whole transit.
     hop: u64,
     links: Vec<Link>,
-    routes: Routes,
-    min_transit: u64,
+    /// Node `u`'s out-links are `links[out[u]..out[u + 1]]`, sorted by
+    /// destination (routed kinds; the crossbar's ids are arithmetic).
+    out: Vec<u32>,
+    /// Each node's (row, column) on polar and torus, its (group, member)
+    /// on dragonfly, so that a route step need not divide by the width.
+    pos: Vec<(u32, u32)>,
+    /// (rows, cols) on polar and torus, (groups, group size) on dragonfly.
+    dims: (u32, u32),
     diameter: u32,
 }
 
@@ -149,9 +156,9 @@ impl Topology {
     }
 
     /// The ordered directed links a message traverses from `src` to
-    /// `dst`; empty iff `src == dst`.
-    pub fn route(&self, src: u32, dst: u32) -> &[LinkId] {
-        self.routes.get(src, dst)
+    /// `dst`, walked hop by hop; empty iff `src == dst`.
+    pub fn route(&self, src: u32, dst: u32) -> Route<'_> {
+        Route { topo: self, src, cur: src, dst, hops: 0 }
     }
 
     /// Cycles to traverse one link.
@@ -162,7 +169,7 @@ impl Topology {
     /// End-to-end transit latency `src -> dst`, excluding NIC injection
     /// serialization.
     pub fn latency(&self, src: u32, dst: u32) -> u64 {
-        self.route_latency(self.route(src, dst).len())
+        self.route_latency(self.route(src, dst).count())
     }
 
     /// Latency of a route of `hops` links: a routed message arrives one
@@ -184,9 +191,11 @@ impl Topology {
     }
 
     /// Minimum time by which any cross-node effect can trail the moment it
-    /// is injected — the scheduler's conservative lookahead bound.
+    /// is injected — the scheduler's conservative lookahead bound: one hop
+    /// (on a routed topology some pair is adjacent; the crossbar's whole
+    /// transit is its one charged hop).
     pub fn min_transit(&self) -> u64 {
-        self.min_transit
+        self.hop
     }
 
     /// Longest minimal route, in hops.
@@ -204,65 +213,53 @@ impl Topology {
         let links: Vec<Link> = (0..n)
             .flat_map(|i| [Link { src: i, dst: n }, Link { src: n, dst: i }])
             .collect();
-        let routes = Routes::build(n, &links, |cur, dst| if cur == n { dst } else { n });
         Topology {
             kind: TopologyKind::Uniform,
             nodes: n,
             hop: inter_node_latency,
             links,
-            routes,
-            min_transit: inter_node_latency,
+            out: Vec::new(),
+            pos: Vec::new(),
+            dims: (0, 0),
             diameter: 2,
         }
     }
 
-    /// A routed topology: `links`, each `hop` cycles, and the next-hop rule
-    /// `next(cur, dst)`. The lookahead is the shortest route's latency
-    /// (one hop and diameter 0 on a single node).
+    /// A routed topology of `n` nodes over `links`, sorted by (source,
+    /// destination), each `hop` cycles; `dims` as in the field, so a
+    /// node's position is its quotient and remainder by `dims.1`.
     fn routed(
         kind: TopologyKind,
         n: u32,
         hop: u64,
+        dims: (u32, u32),
         links: Vec<Link>,
-        next: impl Fn(u32, u32) -> u32,
+        diameter: u32,
     ) -> Topology {
-        let routes = Routes::build(n, &links, next);
-        let (min_hops, diameter) = routes.hop_bounds();
-        Topology {
-            kind,
-            nodes: n,
-            hop,
-            links,
-            routes,
-            min_transit: hop * u64::from(min_hops),
-            diameter,
-        }
+        debug_assert!(links.is_sorted(), "{kind}: links out of order");
+        let out = (0..=n).map(|u| links.partition_point(|l| l.src < u) as u32).collect();
+        let pos = (0..n).map(|u| (u / dims.1, u % dims.1)).collect();
+        Topology { kind, nodes: n, hop, links, out, pos, dims, diameter }
     }
 
     /// PolarStar-flavored low-diameter network as a 2D HyperX: nodes on a
     /// `rows x cols` grid, complete graph within every row and every
     /// column. One hop fixes the column, one fixes the row: diameter <= 2.
     fn polar(n: u32, hop: u64) -> Topology {
-        let (_rows, cols) = grid_dims(n);
+        let (rows, cols) = grid_dims(n);
         let mut links = Vec::new();
         for u in 0..n {
             let (ur, uc) = (u / cols, u % cols);
-            for v in 0..n {
-                let (vr, vc) = (v / cols, v % cols);
-                if u != v && (ur == vr || uc == vc) {
-                    links.push(Link { src: u, dst: v });
-                }
+            // In ascending order: the column-mates above u, its row, then
+            // the column-mates below.
+            for r in 0..rows {
+                let row = r * cols;
+                let vs = if r == ur { row..row + cols } else { row + uc..row + uc + 1 };
+                links.extend(vs.filter(|&v| v != u).map(|dst| Link { src: u, dst }));
             }
         }
-        Topology::routed(TopologyKind::Polar, n, hop, links, |cur, dst| {
-            let (cr, cc) = (cur / cols, cur % cols);
-            let (dr, dc) = (dst / cols, dst % cols);
-            if cc != dc {
-                cr * cols + dc // row hop to the target column
-            } else {
-                dr * cols + cc // column hop to the target row
-            }
-        })
+        let diameter = u32::from(rows > 1) + u32::from(cols > 1);
+        Topology::routed(TopologyKind::Polar, n, hop, (rows, cols), links, diameter)
     }
 
     /// 2D torus with dimension-order (column-first) routing; each step
@@ -282,24 +279,8 @@ impl Topology {
             }
         }
         let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
-        // One wraparound-shortest step along a ring of length `len`.
-        let step = |pos: u32, target: u32, len: u32| -> u32 {
-            let fwd = (target + len - pos) % len;
-            if fwd <= len - fwd {
-                (pos + 1) % len
-            } else {
-                (pos + len - 1) % len
-            }
-        };
-        Topology::routed(TopologyKind::Torus, n, hop, links, |cur, dst| {
-            let (cr, cc) = (cur / cols, cur % cols);
-            let (dr, dc) = (dst / cols, dst % cols);
-            if cc != dc {
-                cr * cols + step(cc, dc, cols)
-            } else {
-                step(cr, dr, rows) * cols + cc
-            }
-        })
+        let diameter = rows / 2 + cols / 2;
+        Topology::routed(TopologyKind::Torus, n, hop, (rows, cols), links, diameter)
     }
 
     /// Dragonfly: groups of `g = ceil(sqrt(n))` nodes, complete graph
@@ -310,12 +291,10 @@ impl Topology {
     fn dragonfly(n: u32, hop: u64) -> Topology {
         let g = ((n as f64).sqrt().ceil() as u32).max(1);
         let groups = n.div_ceil(g);
-        let size = |a: u32| -> u32 { g.min(n - a * g) };
-        let gw = |a: u32, b: u32| -> u32 { a * g + b % size(a) };
         let mut set = BTreeSet::new();
         for u in 0..n {
             let gu = u / g;
-            for v in (gu * g)..(gu * g + size(gu)) {
+            for v in (gu * g)..(gu * g + g.min(n - gu * g)) {
                 if v != u {
                     set.insert((u, v));
                 }
@@ -324,92 +303,98 @@ impl Topology {
         for a in 0..groups {
             for b in 0..groups {
                 if a != b {
-                    set.insert((gw(a, b), gw(b, a)));
+                    set.insert((gateway(n, g, a, b), gateway(n, g, b, a)));
                 }
             }
         }
         let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
-        Topology::routed(TopologyKind::Dragonfly, n, hop, links, |cur, dst| {
-            let (ga, gd) = (cur / g, dst / g);
-            if ga == gd {
-                dst
-            } else {
-                let exit = gw(ga, gd);
+        let diameter = match groups {
+            1 => u32::from(n > 1),
+            2 => 2 + u32::from(n - g > 1),
+            _ => 3,
+        };
+        Topology::routed(TopologyKind::Dragonfly, n, hop, (groups, g), links, diameter)
+    }
+
+    /// The next node on a routed topology's minimal route `cur -> dst`.
+    fn next_hop(&self, cur: u32, dst: u32) -> u32 {
+        let ((ca, cb), (da, db)) = (self.pos[cur as usize], self.pos[dst as usize]);
+        let (rows, cols) = self.dims;
+        match self.kind {
+            TopologyKind::Polar if cb != db => ca * cols + db, // row hop to the target column
+            TopologyKind::Polar => da * cols + cb,             // column hop to the target row
+            TopologyKind::Torus if cb != db => ca * cols + ring_step(cb, db, cols),
+            TopologyKind::Torus => ring_step(ca, da, rows) * cols + cb,
+            TopologyKind::Dragonfly if ca == da => dst,
+            TopologyKind::Dragonfly => {
+                let exit = gateway(self.nodes, cols, ca, da);
                 if cur == exit {
-                    gw(gd, ga)
+                    gateway(self.nodes, cols, da, ca)
                 } else {
                     exit
                 }
             }
-        })
+            TopologyKind::Uniform => unreachable!("the crossbar routes by arithmetic"),
+        }
     }
 }
 
-/// Flattened per-pair route table: CSR over `(src * n + dst)`.
-struct Routes {
-    n: u32,
-    offsets: Vec<u32>,
-    hops: Vec<LinkId>,
+/// The links of one minimal route, produced one next-hop step at a time
+/// ([`Topology::route`]).
+pub struct Route<'a> {
+    topo: &'a Topology,
+    src: u32,
+    cur: u32,
+    dst: u32,
+    hops: u32,
 }
 
-impl Routes {
-    fn get(&self, src: u32, dst: u32) -> &[LinkId] {
-        let i = (src * self.n + dst) as usize;
-        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
+impl Iterator for Route<'_> {
+    type Item = LinkId;
 
-    /// Walk `next(cur, dst)` for every ordered pair over the enumerated
-    /// `links`, asserting every step uses an enumerated link and that no
-    /// route exceeds `n` hops.
-    fn build(n: u32, links: &[Link], next: impl Fn(u32, u32) -> u32) -> Routes {
-        let idx: BTreeMap<(u32, u32), LinkId> = links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| ((l.src, l.dst), LinkId(i as u32)))
-            .collect();
-        let mut offsets = Vec::with_capacity((n as usize * n as usize) + 1);
-        offsets.push(0u32);
-        let mut hops = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                let mut cur = s;
-                let mut steps = 0u32;
-                while cur != d {
-                    let nx = next(cur, d);
-                    let l = idx
-                        .get(&(cur, nx))
-                        .unwrap_or_else(|| panic!("route {s}->{d} uses missing link {cur}->{nx}"));
-                    hops.push(*l);
-                    cur = nx;
-                    steps += 1;
-                    assert!(steps <= n, "routing loop on {s}->{d}");
-                }
-                offsets.push(hops.len() as u32);
-            }
+    fn next(&mut self) -> Option<LinkId> {
+        let (t, cur, dst) = (self.topo, self.cur, self.dst);
+        if cur == dst {
+            return None;
         }
-        Routes { n, offsets, hops }
+        self.hops += 1;
+        debug_assert!(self.hops <= t.diameter, "routing loop on {}->{dst}", self.src);
+        let (next, link) = match t.kind {
+            TopologyKind::Uniform if cur == t.nodes => (dst, 2 * dst + 1),
+            TopologyKind::Uniform => (t.nodes, 2 * cur),
+            _ => {
+                let next = t.next_hop(cur, dst);
+                let lo = t.out[cur as usize];
+                let outs = &t.links[lo as usize..t.out[cur as usize + 1] as usize];
+                let i = outs.binary_search_by_key(&next, |l| l.dst).unwrap_or_else(|_| {
+                    panic!("route {}->{dst} uses missing link {cur}->{next}", self.src)
+                });
+                (next, lo + i as u32)
+            }
+        };
+        self.cur = next;
+        Some(LinkId(link))
     }
+}
 
-    /// (min, max) route length over all cross-node pairs; (1, 0) when
-    /// there are none (single-node machine).
-    fn hop_bounds(&self) -> (u32, u32) {
-        let (mut min, mut max) = (u32::MAX, 0u32);
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let len = self.get(s, d).len() as u32;
-                min = min.min(len);
-                max = max.max(len);
-            }
-        }
-        if min == u32::MAX {
-            (1, 0)
-        } else {
-            (min, max)
-        }
+/// One wraparound-shortest step from `pos` toward `target` along a ring
+/// of length `len`, ties broken toward +1.
+fn ring_step(pos: u32, target: u32, len: u32) -> u32 {
+    let fwd = if target >= pos { target - pos } else { target + len - pos };
+    match (fwd <= len - fwd, pos) {
+        (true, p) if p + 1 == len => 0,
+        (true, p) => p + 1,
+        (false, 0) => len - 1,
+        (false, p) => p - 1,
     }
+}
+
+/// Dragonfly group `a`'s gateway toward group `b`: member `b % size(a)`
+/// of groups of `g` (the last one may be smaller) over `n` nodes. There
+/// are at most `g` groups, so only a smaller last group divides.
+fn gateway(n: u32, g: u32, a: u32, b: u32) -> u32 {
+    let size = g.min(n - a * g);
+    a * g + if b < size { b } else { b % size }
 }
 
 /// Row/column factorization shared by the polar and torus topologies:
@@ -496,11 +481,12 @@ impl Fabric {
     /// traversal time. Returns the arrival time at `dst`. This is the one
     /// route walk: the engine sends every cross-node message through it.
     pub fn transit(&mut self, topo: &Topology, depart: u64, src: u32, dst: u32, bytes: u64) -> u64 {
-        let route = topo.route(src, dst);
-        for (k, &l) in route.iter().enumerate() {
-            self.record(l, topo.hop_time(depart, k), bytes);
+        let mut hops = 0;
+        for l in topo.route(src, dst) {
+            self.record(l, topo.hop_time(depart, hops), bytes);
+            hops += 1;
         }
-        depart + topo.route_latency(route.len())
+        depart + topo.route_latency(hops)
     }
 
     /// The traffic of `link`; `None` if this shard never sent over it.
@@ -658,14 +644,14 @@ mod tests {
                 let links = topo.links();
                 for s in 0..n {
                     for d in 0..n {
-                        let route = topo.route(s, d);
+                        let route: Vec<LinkId> = topo.route(s, d).collect();
                         if s == d {
                             assert!(route.is_empty(), "{}: self-route {s}", topo.kind());
                             continue;
                         }
                         assert!(!route.is_empty(), "{}: empty route {s}->{d}", topo.kind());
                         let mut cur = s;
-                        for &l in route {
+                        for &l in &route {
                             let link = links[l.0 as usize];
                             assert_eq!(
                                 link.src,
@@ -706,24 +692,21 @@ mod tests {
 
     #[test]
     fn diameter_bounds_hold() {
-        for &n in NODE_COUNTS {
-            if n < 2 {
-                continue;
-            }
-            let net = NetworkConfig::default();
+        let net = NetworkConfig::default();
+        for n in (1..=64).chain([100, 127, 128, 255, 256]) {
             for topo in all_topos(n) {
                 // `diameter()` is exactly the longest minimal route.
                 let longest = (0..n)
                     .flat_map(|s| (0..n).map(move |d| (s, d)))
-                    .filter(|(s, d)| s != d)
-                    .map(|(s, d)| topo.route(s, d).len() as u32)
+                    .map(|(s, d)| topo.route(s, d).count() as u32)
                     .max()
                     .unwrap();
-                if topo.kind() != TopologyKind::Uniform {
+                // The crossbar's diameter is its two links, even on one node.
+                if topo.kind() != TopologyKind::Uniform || n > 1 {
                     assert_eq!(topo.diameter(), longest, "{} n={n}", topo.kind());
                 }
                 match topo.kind() {
-                    TopologyKind::Uniform => assert_eq!(longest, 2),
+                    TopologyKind::Uniform => assert_eq!(topo.diameter(), 2),
                     TopologyKind::Polar => assert!(topo.diameter() <= 2, "n={n}"),
                     TopologyKind::Dragonfly => assert!(topo.diameter() <= 3, "n={n}"),
                     TopologyKind::Torus => {
@@ -731,11 +714,37 @@ mod tests {
                         assert_eq!(topo.diameter(), rows / 2 + cols / 2, "n={n}");
                     }
                 }
+                // Lookahead bound: one hop (some pair is adjacent).
+                assert_eq!(topo.min_transit(), topo.hop_latency(), "{} n={n}", topo.kind());
             }
-            // Routed lookahead bound: one hop (some pair is adjacent).
             for k in [TopologyKind::Polar, TopologyKind::Torus, TopologyKind::Dragonfly] {
-                assert_eq!(k.build(n, &net).min_transit(), HOP_LATENCY, "{k} n={n}");
+                assert_eq!(k.build(n, &net).hop_latency(), HOP_LATENCY, "{k} n={n}");
             }
+        }
+    }
+
+    /// The paper's machine: building a topology and walking a route cost
+    /// nothing per node pair, so 16 384 nodes build in linear memory.
+    #[test]
+    fn full_machine_routes_walk_without_a_table() {
+        const N: u32 = 16_384;
+        let net = NetworkConfig::default();
+        let uniform = TopologyKind::Uniform.build(N, &net);
+        assert_eq!(uniform.route(0, N - 1).collect::<Vec<_>>(), [LinkId(0), LinkId(2 * N - 1)]);
+        assert_eq!(uniform.route(N - 1, 0).collect::<Vec<_>>(), [LinkId(2 * N - 2), LinkId(1)]);
+        let torus = TopologyKind::Torus.build(N, &net); // 128 x 128
+        assert_eq!(torus.diameter(), 128);
+        for (s, d) in [(0, N - 1), (N - 1, 0)] {
+            let mut f = Fabric::new(torus.links().len(), 1);
+            // One wraparound hop per dimension.
+            assert_eq!(f.transit(&torus, 0, s, d, 1), 2 * HOP_LATENCY, "{s}->{d}");
+            let mut cur = s;
+            for l in torus.route(s, d) {
+                let link = torus.links()[l.0 as usize];
+                assert_eq!(link.src, cur);
+                cur = link.dst;
+            }
+            assert_eq!(cur, d);
         }
     }
 
@@ -763,12 +772,12 @@ mod tests {
                 }
                 for s in 0..n {
                     for d in 0..n {
-                        let route = topo.route(s, d);
+                        let route: Vec<LinkId> = topo.route(s, d).collect();
                         put(route.len() as u64);
                         put(topo.latency(s, d));
                         let mut f = Fabric::new(topo.links().len(), 1);
                         put(f.transit(topo.as_ref(), DEPART, s, d, 1));
-                        for &l in route {
+                        for &l in &route {
                             put(u64::from(l.0));
                             put(f.demand(l).len() as u64 - 1);
                         }

@@ -12,7 +12,6 @@ fn fanout_reads(nodes: u32, mem_nodes: u32, reads: u64, bw: u64) -> u64 {
     cfg.mem = MemoryConfig {
         dram_latency: 200,
         node_bytes_per_cycle: bw,
-        access_granularity: 64,
     };
     let lanes = cfg.total_lanes();
     let mut eng = Engine::new(cfg);
