@@ -4,14 +4,9 @@
 use super::core::{shard_value, EventCtx, MemOp, Outgoing, ShardSlot, TableSlot};
 use crate::config::{MachineConfig, OP_COSTS};
 use crate::ids::{EventLabel, EventWord, NetworkId, ThreadId};
-use crate::lane::SimState;
 use crate::memory::VAddr;
 use crate::message::{Message, Operands};
 use crate::probe::DiagKind;
-
-fn default_state<T: Default + Send + Clone + 'static>() -> Box<dyn SimState> {
-    Box::<T>::default()
-}
 
 impl<'a> EventCtx<'a> {
     // ---- identity & introspection -------------------------------------
@@ -99,10 +94,10 @@ impl<'a> EventCtx<'a> {
 
     /// Typed access to the thread's persistent state, default-initialized
     /// on first use. `Clone` is required so whole-machine snapshots can
-    /// deep-copy live thread states (see [`SimState`]).
+    /// deep-copy live thread states (see [`SimState`](crate::SimState)).
     pub fn state_mut<T: Default + Send + Clone + 'static>(&mut self) -> &mut T {
         if !self.state.as_ref().is_some_and(|s| s.as_any().is::<T>()) {
-            self.state = Some(default_state::<T>());
+            self.state = Some(self.shard.state_box::<T>());
         }
         self.state
             .as_mut()
@@ -113,7 +108,8 @@ impl<'a> EventCtx<'a> {
     /// Run `f` with `&mut S` borrowed from the thread's own state box
     /// (default-initialized when the thread has none of this type yet):
     /// the box is detached for the call and reattached after it, so a
-    /// typed event allocates only at a thread's first use. While detached
+    /// typed event allocates only at a thread's first use, and not then
+    /// when its shard holds a box a terminated thread left. While detached
     /// the thread has no state box (`state_mut` starts a fresh default),
     /// and whatever `f` leaves there is superseded by the typed state on
     /// return.
@@ -123,7 +119,7 @@ impl<'a> EventCtx<'a> {
     ) -> R {
         let mut boxed = match self.state.take() {
             Some(b) if b.as_any().is::<S>() => b,
-            _ => default_state::<S>(),
+            _ => self.shard.state_box::<S>(),
         };
         let st = boxed
             .as_any_mut()

@@ -166,6 +166,7 @@ impl Engine {
                 outbox: Vec::new(),
                 routes: Vec::new(),
                 out_scratch: Vec::new(),
+                spare_states: Vec::new(),
                 record: None,
             })
             .collect();

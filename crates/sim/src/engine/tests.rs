@@ -1,7 +1,7 @@
 use super::*;
 use crate::config::MachineConfig;
 use std::sync::{Arc, Mutex};
-use super::core::{MemOp, MemResp, XEntry};
+use super::core::{MemOp, MemResp, XEntry, SPARE_STATES_CAP};
 use crate::memory::VAddr;
 use crate::snapshot::SnapshotError;
 
@@ -1175,4 +1175,137 @@ fn a_run_recycles_payload_blocks_and_releases_them_at_the_end() {
     eng.run();
     assert!(*most.lock().unwrap() >= 1, "a delivered payload's block went back to the list");
     assert_eq!(pooled(), 0, "the run released the list");
+}
+
+#[derive(Clone, Default, PartialEq, Debug)]
+struct Filled {
+    words: Vec<u64>,
+    n: u64,
+}
+
+#[derive(Clone, Default, PartialEq, Debug)]
+struct Tally {
+    hits: u32,
+}
+
+/// Per thread: its `arg(0)`, whether its state started at the default,
+/// and the address of its state box.
+type ThreadLog = Arc<Mutex<Vec<(u64, bool, usize)>>>;
+
+/// One thread per event on lane 0: an even `arg(0)` lends a `Filled`
+/// through `with_state`, an odd one a `Tally` through `state_mut`; each
+/// notes whether its state started at the default and where its box
+/// lives, fills the state, starts the next thread and terminates.
+fn alternating_threads(eng: &mut Engine) -> (EventLabel, ThreadLog) {
+    let log: ThreadLog = Arc::default();
+    let seen = log.clone();
+    let label = eng.register(
+        "alternate",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let k = ctx.arg(0);
+            let (fresh, at) = if k.is_multiple_of(2) {
+                ctx.with_state(|_, st: &mut Filled| {
+                    let fresh = *st == Filled::default();
+                    st.words.extend([k; 5]);
+                    st.n = k;
+                    (fresh, st as *const Filled as usize)
+                })
+            } else {
+                let st = ctx.state_mut::<Tally>();
+                let fresh = *st == Tally::default();
+                st.hits = k as u32;
+                (fresh, st as *const Tally as usize)
+            };
+            seen.lock().unwrap().push((k, fresh, at));
+            if k > 0 {
+                ctx.send_event(EventWord::new(ctx.nwid(), ctx.cur_evw().label()), [k - 1], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    (label, log)
+}
+
+/// A thread that takes over a terminated thread's box reads only the
+/// defaults, and two state types on one lane each get their own box back.
+#[test]
+fn recycled_thread_state_starts_at_default_and_keeps_its_type() {
+    let mut eng = Engine::new(tiny());
+    let (alternate, log) = alternating_threads(&mut eng);
+    eng.send(EventWord::new(NetworkId(0), alternate), [9], EventWord::IGNORE);
+    let m = eng.run();
+    assert_eq!(m.stats.threads_created, 10);
+    let log = log.lock().unwrap();
+    assert_eq!(log.iter().map(|e| e.0).collect::<Vec<_>>(), (0..10).rev().collect::<Vec<_>>());
+    assert!(log.iter().all(|e| e.1), "a thread started from a used state: {log:?}");
+    let boxes = |parity: u64| {
+        let mut at: Vec<usize> = log.iter().filter(|e| e.0 % 2 == parity).map(|e| e.2).collect();
+        at.dedup();
+        at
+    };
+    let (filled, tally) = (boxes(0), boxes(1));
+    assert_eq!(filled.len(), 1, "every Filled thread reuses the first Filled box");
+    assert_eq!(tally.len(), 1, "every Tally thread reuses the first Tally box");
+    assert_ne!(filled, tally);
+    let spares: Vec<usize> = eng.shards[0].spare_states.iter().map(|s| s.boxes.len()).collect();
+    assert_eq!(spares, [1, 1], "one list per type, in first-use order");
+}
+
+/// More threads of one type than the cap live at once on one shard;
+/// when they all terminate, the list stops at the cap.
+#[test]
+fn a_spare_state_list_never_holds_more_than_the_cap() {
+    let mut eng = Engine::new(tiny());
+    let longest = Arc::new(Mutex::new(0));
+    let seen = longest.clone();
+    let hold = eng.register(
+        "hold",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let held = ctx.state_mut::<Tally>();
+            if held.hits == 0 {
+                held.hits = 1;
+                let me = ctx.cur_evw();
+                ctx.send_event_after(10_000, me, [], EventWord::IGNORE);
+            } else {
+                ctx.yield_terminate();
+            }
+            let most = ctx.shard.spare_states.iter().map(|s| s.boxes.len()).max().unwrap_or(0);
+            let mut m = seen.lock().unwrap();
+            *m = (*m).max(most);
+        }),
+    );
+    let threads = 3 * SPARE_STATES_CAP as u32;
+    let lanes = eng.config().lanes_per_node();
+    for i in 0..threads {
+        eng.send(EventWord::new(NetworkId(i % lanes), hold), [], EventWord::IGNORE);
+    }
+    let m = eng.run();
+    assert_eq!(m.stats.threads_created, u64::from(threads));
+    assert_eq!(m.stats.threads_terminated, u64::from(threads));
+    assert_eq!(*longest.lock().unwrap(), SPARE_STATES_CAP);
+    assert_eq!(eng.shards[0].spare_states[0].boxes.len(), SPARE_STATES_CAP);
+}
+
+/// Spare boxes are host-side: a clone of a shard, a snapshot and a rewind
+/// carry none, and a rewound run's metrics are an unrewound run's bytes.
+#[test]
+fn snapshots_and_rewinds_carry_no_spare_states() {
+    let build = || {
+        let mut eng = Engine::new(tiny());
+        let (alternate, _) = alternating_threads(&mut eng);
+        eng.send(EventWord::new(NetworkId(0), alternate), [9], EventWord::IGNORE);
+        eng
+    };
+    let want = build().run().to_json();
+    let mut eng = build();
+    let start = eng.snapshot();
+    assert_eq!(eng.run().to_json(), want);
+    assert!(!eng.shards[0].spare_states.is_empty(), "vacuous: the run retired no box");
+    assert!(eng.shards[0].clone().spare_states.is_empty(), "a clone starts without spares");
+    let end = eng.snapshot();
+    eng.restore(&end).unwrap();
+    assert!(eng.shards.iter().all(|s| s.spare_states.is_empty()), "a snapshot holds no spares");
+    eng.restore(&start).unwrap();
+    assert!(eng.shards.iter().all(|s| s.spare_states.is_empty()));
+    assert_eq!(eng.run().to_json(), want, "a rewound run reads as an unrewound one");
 }

@@ -24,7 +24,6 @@
 //! one uniform `inter_node_latency` through an ideal crossbar — and is
 //! the default.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -226,8 +225,9 @@ impl Topology {
     }
 
     /// A routed topology of `n` nodes over `links`, sorted by (source,
-    /// destination), each `hop` cycles; `dims` as in the field, so a
-    /// node's position is its quotient and remainder by `dims.1`.
+    /// destination) without repeats, each `hop` cycles; `dims` as in the
+    /// field, so a node's position is its quotient and remainder by
+    /// `dims.1`.
     fn routed(
         kind: TopologyKind,
         n: u32,
@@ -236,7 +236,7 @@ impl Topology {
         links: Vec<Link>,
         diameter: u32,
     ) -> Topology {
-        debug_assert!(links.is_sorted(), "{kind}: links out of order");
+        debug_assert!(links.is_sorted_by(|a, b| a < b), "{kind}: links out of order or repeated");
         let out = (0..=n).map(|u| links.partition_point(|l| l.src < u) as u32).collect();
         let pos = (0..n).map(|u| (u / dims.1, u % dims.1)).collect();
         Topology { kind, nodes: n, hop, links, out, pos, dims, diameter }
@@ -266,19 +266,22 @@ impl Topology {
     /// takes the shorter wraparound direction, ties broken toward +1.
     fn torus(n: u32, hop: u64) -> Topology {
         let (rows, cols) = grid_dims(n);
-        let mut set = BTreeSet::new();
+        let mut links = Vec::with_capacity(4 * n as usize);
         for u in 0..n {
             let (ur, uc) = (u / cols, u % cols);
+            let mut link = |dst| links.push(Link { src: u, dst });
             if cols > 1 {
-                set.insert((u, ur * cols + (uc + 1) % cols));
-                set.insert((u, ur * cols + (uc + cols - 1) % cols));
+                link(ur * cols + (uc + 1) % cols);
+                link(ur * cols + (uc + cols - 1) % cols);
             }
             if rows > 1 {
-                set.insert((u, ((ur + 1) % rows) * cols + uc));
-                set.insert((u, ((ur + rows - 1) % rows) * cols + uc));
+                link(((ur + 1) % rows) * cols + uc);
+                link(((ur + rows - 1) % rows) * cols + uc);
             }
         }
-        let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
+        // A ring of two reaches its one neighbour both ways.
+        links.sort_unstable();
+        links.dedup();
         let diameter = rows / 2 + cols / 2;
         Topology::routed(TopologyKind::Torus, n, hop, (rows, cols), links, diameter)
     }
@@ -291,23 +294,20 @@ impl Topology {
     fn dragonfly(n: u32, hop: u64) -> Topology {
         let g = ((n as f64).sqrt().ceil() as u32).max(1);
         let groups = n.div_ceil(g);
-        let mut set = BTreeSet::new();
+        let mut links = Vec::new();
         for u in 0..n {
             let gu = u / g;
-            for v in (gu * g)..(gu * g + g.min(n - gu * g)) {
-                if v != u {
-                    set.insert((u, v));
-                }
-            }
+            let group = (gu * g)..(gu * g + g.min(n - gu * g));
+            links.extend(group.filter(|&v| v != u).map(|dst| Link { src: u, dst }));
         }
         for a in 0..groups {
-            for b in 0..groups {
-                if a != b {
-                    set.insert((gateway(n, g, a, b), gateway(n, g, b, a)));
-                }
+            for b in (0..groups).filter(|&b| b != a) {
+                links.push(Link { src: gateway(n, g, a, b), dst: gateway(n, g, b, a) });
             }
         }
-        let links = set.into_iter().map(|(src, dst)| Link { src, dst }).collect();
+        // A local link stays in its group and a global one names its two
+        // groups, so none repeats: sorting is enough.
+        links.sort_unstable();
         let diameter = match groups {
             1 => u32::from(n > 1),
             2 => 2 + u32::from(n - g > 1),
