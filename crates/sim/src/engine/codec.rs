@@ -9,7 +9,7 @@ use super::core::{Action, ActionArena, EngineCore, MemOp, MemResp, MemStage, Tab
 use super::{Engine, RestoreSlot};
 use crate::calendar::{CalendarQueue, Links};
 use crate::ids::{EventWord, NetworkId};
-use crate::lane::{Lane, SimState, ThreadSlot};
+use crate::lane::{Lane, SimState, StateRef, ThreadSlot, ThreadStates};
 use crate::memory::{MemChannel, MemoryImage, VAddr};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, Nics};
@@ -62,7 +62,7 @@ impl Snapshot {
 
 type StateSaveFn = fn(&dyn SimState, &mut SnapWriter) -> Result<(), SnapshotError>;
 
-type StateLoadFn = fn(&mut SnapReader<'_>) -> Result<Box<dyn SimState>, SnapshotError>;
+type StateLoadFn = fn(&mut SnapReader<'_>, &mut ThreadStates) -> Result<StateRef, SnapshotError>;
 
 /// Registry mapping live thread-state types to their on-disk codecs.
 /// Encode looks up by `TypeId`, decode by the stable string key — both
@@ -81,8 +81,10 @@ fn codec_save<T: SnapState>(s: &dyn SimState, w: &mut SnapWriter) -> Result<(), 
     Ok(())
 }
 
-fn codec_load<T: SnapState>(r: &mut SnapReader<'_>) -> Result<Box<dyn SimState>, SnapshotError> {
-    Ok(Box::new(T::load(r)?))
+fn codec_load<T: SnapState>(r: &mut SnapReader<'_>, states: &mut ThreadStates) -> Result<StateRef, SnapshotError> {
+    let h = states.ensure::<T>(&mut None);
+    *states.get_mut(h) = T::load(r)?;
+    Ok(h)
 }
 
 // --- on-disk body codecs for the engine's private types ------------------
@@ -308,6 +310,7 @@ fn load_counters(r: &mut SnapReader<'_>) -> Result<Counters, SnapshotError> {
 fn save_lane(
     codecs: &StateCodecs,
     links: &Links,
+    states: &ThreadStates,
     lane: &Lane,
     w: &mut SnapWriter,
 ) -> Result<(), SnapshotError> {
@@ -325,15 +328,16 @@ fn save_lane(
         w.bool(s.live);
         w.u32(s.gen);
         w.u16(s.created_by);
-        match &s.state {
-            Some(st) => {
+        match s.state {
+            Some(h) => {
+                let st = states.get(h);
                 let (key, save) = codecs
                     .by_type
                     .get(&st.as_any().type_id())
                     .ok_or_else(|| SnapshotError::UnencodableState(st.type_label().to_string()))?;
                 w.bool(true);
                 w.str(key);
-                save(st.as_ref(), w)?;
+                save(st, w)?;
             }
             None => w.bool(false),
         }
@@ -346,6 +350,7 @@ fn save_lane(
 fn load_lane(
     codecs: &StateCodecs,
     links: &mut Links,
+    states: &mut ThreadStates,
     r: &mut SnapReader<'_>,
 ) -> Result<Lane, SnapshotError> {
     let mut lane = Lane {
@@ -373,7 +378,7 @@ fn load_lane(
                     "snapshot carries thread state '{key}' but no such codec is registered"
                 ))
             })?;
-            Some(load(r)?)
+            Some(load(r, states)?)
         } else {
             None
         };
@@ -407,6 +412,7 @@ struct DecodedCore {
     calendar: CalendarQueue,
     arena: ActionArena,
     lanes: Vec<Lane>,
+    thread_states: ThreadStates,
     channel: MemChannel,
     nic: Nics,
     fabric: Fabric,
@@ -435,7 +441,7 @@ fn save_core(codecs: &StateCodecs, core: &EngineCore, w: &mut SnapWriter) -> Res
     core.calendar.links().save_list(&core.arena.free, w);
     w.usize(core.lanes.len());
     for lane in &core.lanes {
-        save_lane(codecs, core.calendar.links(), lane, w)?;
+        save_lane(codecs, core.calendar.links(), &core.thread_states, lane, w)?;
     }
     core.channel.save(w);
     core.nic.save(w);
@@ -516,8 +522,9 @@ fn load_core(
         )));
     }
     let mut lanes = Vec::with_capacity(nlanes);
+    let mut thread_states = ThreadStates::default();
     for l in 0..nlanes {
-        let lane = load_lane(codecs, calendar.links_mut(), r)?;
+        let lane = load_lane(codecs, calendar.links_mut(), &mut thread_states, r)?;
         let links = calendar.links();
         // At a window boundary a lane is marked scheduled exactly when its
         // run entry is pending, and only a scheduled lane has an inbox: a
@@ -603,6 +610,7 @@ fn load_core(
         calendar,
         arena,
         lanes,
+        thread_states,
         channel,
         nic,
         fabric,
@@ -625,6 +633,7 @@ impl DecodedCore {
         core.calendar = self.calendar;
         core.arena = self.arena;
         core.lanes = self.lanes;
+        core.thread_states = self.thread_states;
         core.channel = self.channel;
         core.nic = self.nic;
         core.fabric = self.fabric;

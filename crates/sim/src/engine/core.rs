@@ -2,7 +2,7 @@
 //! slab, the window loop body, lane dispatch, and the fabric and DRAM
 //! paths. Imports none of its sibling modules.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -12,7 +12,7 @@ use std::sync::{Arc, MutexGuard};
 use crate::calendar::{CalendarQueue, IdList, Links};
 use crate::config::{MachineConfig, INTRA_NODE_LATENCY, OP_COSTS};
 use crate::ids::{EventWord, NetworkId, ThreadId};
-use crate::lane::{Lane, SimState};
+use crate::lane::{Lane, SimState, StateRef, ThreadStates};
 use crate::memory::{GlobalMemory, MemChannel, VAddr};
 use crate::message::{wire_bytes, Message, Operands, HW_OPERANDS, MSG_HEADER_BYTES};
 use crate::network::{Fabric, Nics, Topology};
@@ -651,23 +651,6 @@ pub(super) fn shard_value<T: Default + Send + Clone + 'static>(
         .expect("shard slot holds its own type")
 }
 
-/// Most idle boxes one shard keeps of one thread-state type. A shard's
-/// idle boxes never outnumber its peak of live threads of that type; the
-/// cap bounds what a burst leaves behind (docs/perf.md, "Capped free lists
-/// for thread state vs RSS").
-pub(super) const SPARE_STATES_CAP: usize = 32;
-
-/// Retired thread-state boxes of one type on one shard, each reset to the
-/// type's default and kept for the next thread there that asks for one.
-/// Host-side like `out_scratch`: a clone starts without them and no
-/// snapshot sees them.
-pub(super) struct SpareStates {
-    ty: TypeId,
-    /// `*state = S::default()`, recorded where `S` is known.
-    reset: fn(&mut dyn SimState),
-    pub(super) boxes: Vec<Box<dyn SimState>>,
-}
-
 /// One program table: the value and how to deep-copy it into a
 /// [`Snapshot`](super::Snapshot). Tables are `Sync`, which `SimState`
 /// boxes are not, so the clone is a function pointer taken where `T` is
@@ -779,9 +762,8 @@ pub(super) struct EngineCore {
     /// Recycled `Outgoing` buffer for [`EventCtx`] (capacity persists
     /// across events; one less allocation per sending event).
     pub(super) out_scratch: Vec<Outgoing>,
-    /// Retired thread-state boxes, one list per state type in first-use
-    /// order (a shard sees a handful of types, so a linear search).
-    pub(super) spare_states: Vec<SpareStates>,
+    /// The states of this shard's threads, one slab per state type.
+    pub(super) thread_states: ThreadStates,
     /// Live recording for record-replay; `None` unless a scheduler
     /// invocation under [`MachineConfig::replay`] is running, or this shard
     /// is being replayed in isolation.
@@ -819,45 +801,13 @@ impl Clone for EngineCore {
             // The scratch buffer holds no state between events; a fresh
             // empty keeps the clone cheap and content-identical.
             out_scratch: Vec::new(),
-            spare_states: Vec::new(),
+            thread_states: self.thread_states.clone(),
             record: None,
         }
     }
 }
 
 impl EngineCore {
-    /// A default `S` in a box: one this shard retired, when it has one.
-    pub(super) fn state_box<S: Default + Send + Clone + 'static>(&mut self) -> Box<dyn SimState> {
-        let ty = TypeId::of::<S>();
-        let i = match self.spare_states.iter().position(|s| s.ty == ty) {
-            Some(i) => i,
-            None => {
-                self.spare_states.push(SpareStates {
-                    ty,
-                    reset: |state| {
-                        *state.as_any_mut().downcast_mut::<S>().expect("spare list holds its own type") =
-                            S::default()
-                    },
-                    boxes: Vec::new(),
-                });
-                self.spare_states.len() - 1
-            }
-        };
-        self.spare_states[i].boxes.pop().unwrap_or_else(|| Box::<S>::default())
-    }
-
-    /// Take back a terminated thread's state box: reset it and keep it on
-    /// its type's list unless the list is full.
-    fn retire_state(&mut self, mut state: Box<dyn SimState>) {
-        let ty = state.as_any().type_id();
-        if let Some(spares) = self.spare_states.iter_mut().find(|s| s.ty == ty) {
-            if spares.boxes.len() < SPARE_STATES_CAP {
-                (spares.reset)(&mut *state);
-                spares.boxes.push(state);
-            }
-        }
-    }
-
     /// Open a recording round: remember the horizon and budget this
     /// window runs under; the window's exchange drain is attributed to it.
     pub(super) fn record_begin_round(&mut self, horizon: u64, budget: u64) {
@@ -1341,8 +1291,8 @@ impl EngineCore {
         }
 
         if terminated {
-            if let Some(state) = state {
-                self.retire_state(state);
+            if let Some(h) = state {
+                self.thread_states.free(h);
             }
             let lane = &mut self.lanes[li];
             lane.dealloc_thread(tid);
@@ -1444,8 +1394,8 @@ pub struct EventCtx<'a> {
     pub(super) cost: u64,
     pub(super) out: Vec<Outgoing>,
     pub(super) terminated: bool,
-    /// The thread's state box.
-    pub(super) state: Option<Box<dyn SimState>>,
+    /// The thread's state, detached from its slot while the event runs.
+    pub(super) state: Option<StateRef>,
     pub(super) stopped: bool,
     /// Creating label of this thread (protocol-probe bookkeeping).
     pub(super) created_by: u16,

@@ -96,37 +96,27 @@ impl<'a> EventCtx<'a> {
     /// on first use. `Clone` is required so whole-machine snapshots can
     /// deep-copy live thread states (see [`SimState`](crate::SimState)).
     pub fn state_mut<T: Default + Send + Clone + 'static>(&mut self) -> &mut T {
-        if !self.state.as_ref().is_some_and(|s| s.as_any().is::<T>()) {
-            self.state = Some(self.shard.state_box::<T>());
-        }
-        self.state
-            .as_mut()
-            .and_then(|s| s.as_any_mut().downcast_mut::<T>())
-            .expect("state box holds a T")
+        let h = self.shard.thread_states.ensure::<T>(&mut self.state);
+        self.shard.thread_states.get_mut(h)
     }
 
-    /// Run `f` with `&mut S` borrowed from the thread's own state box
+    /// Run `f` with `&mut S` borrowed from the thread's own state
     /// (default-initialized when the thread has none of this type yet):
-    /// the box is detached for the call and reattached after it, so a
-    /// typed event allocates only at a thread's first use, and not then
-    /// when its shard holds a box a terminated thread left. While detached
-    /// the thread has no state box (`state_mut` starts a fresh default),
-    /// and whatever `f` leaves there is superseded by the typed state on
-    /// return.
+    /// the shard's slab of `S` is detached for the call and reattached
+    /// after it, so a typed event allocates nothing once its shard has
+    /// held as many live `S` threads before. While detached the thread
+    /// has no state (`state_mut` starts a fresh default), and whatever `f`
+    /// leaves there is superseded by the typed state on return.
     pub fn with_state<S: Default + Send + Clone + 'static, R>(
         &mut self,
         f: impl FnOnce(&mut EventCtx<'a>, &mut S) -> R,
     ) -> R {
-        let mut boxed = match self.state.take() {
-            Some(b) if b.as_any().is::<S>() => b,
-            _ => self.shard.state_box::<S>(),
-        };
-        let st = boxed
-            .as_any_mut()
-            .downcast_mut::<S>()
-            .expect("state box holds an S");
-        let r = f(self, st);
-        self.state = Some(boxed);
+        let h = self.shard.thread_states.ensure::<S>(&mut self.state);
+        self.state = None;
+        let mut slab = self.shard.thread_states.detach(h);
+        let r = f(self, slab.entry(h));
+        let left = self.state.replace(h);
+        self.shard.thread_states.attach(h, slab, left);
         r
     }
 

@@ -72,7 +72,7 @@ use self::sched::{run_rounds, settle};
 use crate::calendar::CalendarQueue;
 use crate::config::{MachineConfig, LINK_BYTES_PER_CYCLE};
 use crate::ids::{EventLabel, EventWord, NetworkId};
-use crate::lane::Lane;
+use crate::lane::{Lane, ThreadStates};
 use crate::memory::{GlobalMemory, MemChannel};
 use crate::message::{Message, Operands};
 use crate::network::{Fabric, Nics, Topology};
@@ -166,7 +166,7 @@ impl Engine {
                 outbox: Vec::new(),
                 routes: Vec::new(),
                 out_scratch: Vec::new(),
-                spare_states: Vec::new(),
+                thread_states: ThreadStates::default(),
                 record: None,
             })
             .collect();

@@ -1,7 +1,7 @@
 use super::*;
 use crate::config::MachineConfig;
 use std::sync::{Arc, Mutex};
-use super::core::{MemOp, MemResp, XEntry, SPARE_STATES_CAP};
+use super::core::{MemOp, MemResp, XEntry};
 use crate::memory::VAddr;
 use crate::snapshot::SnapshotError;
 
@@ -254,6 +254,14 @@ fn calendar_payload_sizes_are_pinned() {
     assert!(size_of::<Action>() <= 80);
     assert_eq!(size_of::<Option<Action>>(), size_of::<Action>());
     assert!(size_of::<XEntry>() <= 88);
+}
+
+#[test]
+fn thread_slot_size_is_pinned() {
+    // Every lane's thread table grows to `max_threads_per_lane` slots
+    // with its rotating id cursor; a slot holds a handle into its
+    // shard's state slab, not a boxed state.
+    assert!(std::mem::size_of::<crate::lane::ThreadSlot>() <= 16);
 }
 
 /// Pause with a spilled (6-operand) message and a tagged 8-word DRAM
@@ -1189,7 +1197,7 @@ struct Tally {
 }
 
 /// Per thread: its `arg(0)`, whether its state started at the default,
-/// and the address of its state box.
+/// and the address of its state.
 type ThreadLog = Arc<Mutex<Vec<(u64, bool, usize)>>>;
 
 /// One thread per event on lane 0: an even `arg(0)` lends a `Filled`
@@ -1247,20 +1255,19 @@ fn recycled_thread_state_starts_at_default_and_keeps_its_type() {
     assert_eq!(filled.len(), 1, "every Filled thread reuses the first Filled box");
     assert_eq!(tally.len(), 1, "every Tally thread reuses the first Tally box");
     assert_ne!(filled, tally);
-    let spares: Vec<usize> = eng.shards[0].spare_states.iter().map(|s| s.boxes.len()).collect();
-    assert_eq!(spares, [1, 1], "one list per type, in first-use order");
+    let slabs = &mut eng.shards[0].thread_states;
+    assert_eq!((slabs.entries::<Filled>(), slabs.entries::<Tally>()), ((0, 1), (0, 1)), "a slab per type");
 }
 
-/// More threads of one type than the cap live at once on one shard;
-/// when they all terminate, the list stops at the cap.
+/// A thread holds one slab entry of its state type for its life; a
+/// second burst of as many live threads on the shard reuses the first
+/// burst's entries and adds none.
 #[test]
-fn a_spare_state_list_never_holds_more_than_the_cap() {
+fn a_second_burst_of_live_threads_adds_no_slab_entries() {
     let mut eng = Engine::new(tiny());
-    let longest = Arc::new(Mutex::new(0));
-    let seen = longest.clone();
     let hold = eng.register(
         "hold",
-        Arc::new(move |ctx: &mut EventCtx| {
+        Arc::new(|ctx: &mut EventCtx| {
             let held = ctx.state_mut::<Tally>();
             if held.hits == 0 {
                 held.hits = 1;
@@ -1269,43 +1276,106 @@ fn a_spare_state_list_never_holds_more_than_the_cap() {
             } else {
                 ctx.yield_terminate();
             }
-            let most = ctx.shard.spare_states.iter().map(|s| s.boxes.len()).max().unwrap_or(0);
-            let mut m = seen.lock().unwrap();
-            *m = (*m).max(most);
         }),
     );
-    let threads = 3 * SPARE_STATES_CAP as u32;
+    let threads = 96;
     let lanes = eng.config().lanes_per_node();
-    for i in 0..threads {
-        eng.send(EventWord::new(NetworkId(i % lanes), hold), [], EventWord::IGNORE);
-    }
-    let m = eng.run();
-    assert_eq!(m.stats.threads_created, u64::from(threads));
-    assert_eq!(m.stats.threads_terminated, u64::from(threads));
-    assert_eq!(*longest.lock().unwrap(), SPARE_STATES_CAP);
-    assert_eq!(eng.shards[0].spare_states[0].boxes.len(), SPARE_STATES_CAP);
+    let burst = |eng: &mut Engine| {
+        for i in 0..threads {
+            eng.send(EventWord::new(NetworkId(i % lanes), hold), [], EventWord::IGNORE);
+        }
+        eng.run().stats.threads_terminated
+    };
+    assert_eq!(burst(&mut eng), u64::from(threads));
+    let first = eng.shards[0].thread_states.entries::<Tally>();
+    assert_eq!(first, (0, threads as usize), "every thread of the burst was live at once");
+    burst(&mut eng);
+    assert_eq!(eng.shards[0].thread_states.entries::<Tally>(), first);
 }
 
-/// Spare boxes are host-side: a clone of a shard, a snapshot and a rewind
-/// carry none, and a rewound run's metrics are an unrewound run's bytes.
+/// A thread that moves from `with_state::<Filled>` to `with_state::<Tally>`
+/// frees its `Filled` entry and reads `Tally`'s default; the next thread
+/// takes that entry over reset, its words dropped.
 #[test]
-fn snapshots_and_rewinds_carry_no_spare_states() {
+fn a_thread_that_switches_state_type_frees_its_old_entry() {
+    type Log = Arc<Mutex<Vec<(bool, bool, [(usize, usize); 2])>>>;
+    let mut eng = Engine::new(tiny());
+    let log: Log = Arc::default();
+    let seen = log.clone();
+    let switch = eng.register(
+        "switch",
+        Arc::new(move |ctx: &mut EventCtx| {
+            let filled = ctx.with_state(|_, st: &mut Filled| {
+                let fresh = *st == Filled::default() && st.words.capacity() == 0;
+                st.words.extend([7; 5]);
+                fresh
+            });
+            let tally = ctx.with_state(|_, st: &mut Tally| {
+                let fresh = *st == Tally::default();
+                st.hits += 1;
+                fresh
+            });
+            let slabs = &mut ctx.shard.thread_states;
+            let entries = [slabs.entries::<Filled>(), slabs.entries::<Tally>()];
+            seen.lock().unwrap().push((filled, tally, entries));
+            if ctx.arg(0) > 0 {
+                ctx.send_event(EventWord::new(ctx.nwid(), ctx.cur_evw().label()), [0], EventWord::IGNORE);
+            }
+            ctx.yield_terminate();
+        }),
+    );
+    eng.send(EventWord::new(NetworkId(0), switch), [1], EventWord::IGNORE);
+    eng.run();
+    let after_switch = (true, true, [(0, 1), (1, 0)]);
+    assert_eq!(*log.lock().unwrap(), [after_switch, after_switch]);
+    let slabs = &mut eng.shards[0].thread_states;
+    assert_eq!((slabs.entries::<Filled>(), slabs.entries::<Tally>()), ((0, 1), (0, 1)));
+}
+
+/// Paused with typed thread states live on both shards, a run survives an
+/// in-memory snapshot, a rewind and a decode with identical
+/// `updown-snapshot/v2` bytes, and a rewound or decoded run's metrics are
+/// those of the run that went on from the pause.
+#[test]
+fn live_thread_states_survive_snapshot_restore_and_encode() {
     let build = || {
         let mut eng = Engine::new(tiny());
-        let (alternate, _) = alternating_threads(&mut eng);
-        eng.send(EventWord::new(NetworkId(0), alternate), [9], EventWord::IGNORE);
+        let step = eng.register(
+            "step",
+            Arc::new(|ctx: &mut EventCtx| {
+                let n = ctx.with_state(|ctx, n: &mut u64| {
+                    *n += 1;
+                    ctx.charge(*n);
+                    *n
+                });
+                if n < 3 {
+                    let me = ctx.cur_evw();
+                    ctx.send_event_after(500, me, [], EventWord::IGNORE);
+                } else {
+                    ctx.yield_terminate();
+                }
+            }),
+        );
+        for i in 0..24 {
+            eng.send(EventWord::new(NetworkId(i % eng.config().total_lanes()), step), [], EventWord::IGNORE);
+        }
         eng
     };
-    let want = build().run().to_json();
     let mut eng = build();
-    let start = eng.snapshot();
-    assert_eq!(eng.run().to_json(), want);
-    assert!(!eng.shards[0].spare_states.is_empty(), "vacuous: the run retired no box");
-    assert!(eng.shards[0].clone().spare_states.is_empty(), "a clone starts without spares");
-    let end = eng.snapshot();
-    eng.restore(&end).unwrap();
-    assert!(eng.shards.iter().all(|s| s.spare_states.is_empty()), "a snapshot holds no spares");
-    eng.restore(&start).unwrap();
-    assert!(eng.shards.iter().all(|s| s.spare_states.is_empty()));
+    eng.set_event_limit(30);
+    eng.run();
+    let live = |eng: &mut Engine| eng.shards.iter_mut().map(|c| c.thread_states.entries::<u64>().0).collect::<Vec<_>>();
+    assert!(live(&mut eng).iter().all(|&n| n > 0), "vacuous: a shard holds no live state");
+    let (snap, bytes) = (eng.snapshot(), eng.snapshot_bytes().unwrap());
+    eng.set_event_limit(u64::MAX);
+    let want = eng.run().to_json();
+    eng.restore(&snap).unwrap();
+    assert_eq!(eng.snapshot_bytes().unwrap(), bytes, "a rewind carries the live states");
+    let mut decoded = build();
+    decoded.restore_snapshot_bytes(&bytes).unwrap();
+    assert_eq!(live(&mut decoded), live(&mut eng));
+    assert_eq!(decoded.snapshot_bytes().unwrap(), bytes, "a decode carries the live states");
+    decoded.set_event_limit(u64::MAX);
     assert_eq!(eng.run().to_json(), want, "a rewound run reads as an unrewound one");
+    assert_eq!(decoded.run().to_json(), want);
 }

@@ -14,7 +14,8 @@
 //! ids and word offsets are small dense integers, so the engine's hot path
 //! indexes instead of hashing.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
+use std::num::NonZeroU16;
 
 use crate::calendar::IdList;
 use crate::ids::{EventWord, ThreadId};
@@ -49,11 +50,140 @@ impl<T: Any + Send + Clone> SimState for T {
     }
 }
 
+/// A live thread's state: entry `idx` of its shard's slab for type slot
+/// `ty - 1`. Slab indices never leave the host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StateRef {
+    ty: NonZeroU16,
+    idx: u32,
+}
+
+/// Entries per chunk: chunks never move, so a slab grows without copying
+/// (a doubling `Vec` per type peaked 5 MB higher on a 16-node torus `fig9 tc`).
+const CHUNK: usize = 64;
+
+/// One shard's thread states of one type; freed entries are reset and reused LIFO.
+#[derive(Clone, Default)]
+struct Slab<S> {
+    chunks: Vec<Vec<S>>,
+    free: Vec<u32>,
+}
+
+/// A [`Slab`] with its type erased, downcast once per access.
+pub(crate) trait StateStore: Any + Send {
+    fn get(&self, idx: u32) -> &dyn SimState;
+    /// Reset entry `idx` to the default (its fields drop now) and free it.
+    fn free(&mut self, idx: u32);
+    fn clone_store(&self) -> Box<dyn StateStore>;
+}
+
+impl<S: Default + Send + Clone + 'static> StateStore for Slab<S> {
+    fn get(&self, idx: u32) -> &dyn SimState {
+        &self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
+    }
+    fn free(&mut self, idx: u32) {
+        self.chunks[idx as usize / CHUNK][idx as usize % CHUNK] = S::default();
+        self.free.push(idx);
+    }
+    fn clone_store(&self) -> Box<dyn StateStore> {
+        Box::new(self.clone())
+    }
+}
+
+impl dyn StateStore {
+    fn slab<S: 'static>(&mut self) -> &mut Slab<S> {
+        (self as &mut dyn Any).downcast_mut().expect("slab holds its own type")
+    }
+
+    pub(crate) fn entry<S: 'static>(&mut self, h: StateRef) -> &mut S {
+        &mut self.slab::<S>().chunks[h.idx as usize / CHUNK][h.idx as usize % CHUNK]
+    }
+}
+
+/// One shard's thread states: a slab per state type in first-use order,
+/// `None` while `EventCtx::with_state` lends from it.
+#[derive(Default)]
+pub(crate) struct ThreadStates(Vec<(TypeId, Option<Box<dyn StateStore>>)>);
+
+impl Clone for ThreadStates {
+    fn clone(&self) -> ThreadStates {
+        ThreadStates(self.0.iter().map(|(t, s)| (*t, s.as_ref().map(|s| s.clone_store()))).collect())
+    }
+}
+
+impl ThreadStates {
+    /// Slot `slot`'s slab, or an empty stand-in while it is lent out.
+    fn store<S: Default + Send + Clone + 'static>(&mut self, slot: usize) -> &mut Box<dyn StateStore> {
+        self.0[slot].1.get_or_insert_with(|| Box::<Slab<S>>::default())
+    }
+
+    /// `*cur` if it is an `S`; else a default `S` (a freed entry when the
+    /// slab has one) replaces it, and it is freed.
+    pub(crate) fn ensure<S: Default + Send + Clone + 'static>(&mut self, cur: &mut Option<StateRef>) -> StateRef {
+        let t = TypeId::of::<S>();
+        match *cur {
+            Some(h) if self.0[usize::from(h.ty.get() - 1)].0 == t => return h,
+            Some(h) => self.free(h),
+            None => {}
+        }
+        let slot = self.0.iter().position(|s| s.0 == t).unwrap_or_else(|| {
+            self.0.push((t, None));
+            self.0.len() - 1
+        });
+        let slab = self.store::<S>(slot).slab::<S>();
+        let idx = slab.free.pop().unwrap_or_else(|| {
+            if slab.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+                slab.chunks.push(Vec::with_capacity(CHUNK));
+            }
+            let n = slab.chunks.len() - 1;
+            slab.chunks[n].push(S::default());
+            (n * CHUNK + slab.chunks[n].len() - 1) as u32
+        });
+        *cur.insert(StateRef { ty: NonZeroU16::new(slot as u16 + 1).expect("under 65 535 state types"), idx })
+    }
+
+    pub(crate) fn get(&self, h: StateRef) -> &dyn SimState {
+        self.0[usize::from(h.ty.get() - 1)].1.as_ref().expect("slab attached").get(h.idx)
+    }
+
+    pub(crate) fn get_mut<S: Default + Send + Clone + 'static>(&mut self, h: StateRef) -> &mut S {
+        self.store::<S>(usize::from(h.ty.get() - 1)).entry(h)
+    }
+
+    pub(crate) fn free(&mut self, h: StateRef) {
+        if let Some(slab) = &mut self.0[usize::from(h.ty.get() - 1)].1 {
+            slab.free(h.idx);
+        }
+    }
+
+    pub(crate) fn detach(&mut self, h: StateRef) -> Box<dyn StateStore> {
+        self.0[usize::from(h.ty.get() - 1)].1.take().expect("slab attached")
+    }
+
+    /// Take back `h`'s slab and free `left`, the state its thread got
+    /// meanwhile (unless the stand-in held it).
+    pub(crate) fn attach(&mut self, h: StateRef, slab: Box<dyn StateStore>, left: Option<StateRef>) {
+        self.0[usize::from(h.ty.get() - 1)].1 = Some(slab);
+        if let Some(l) = left.filter(|l| l.ty != h.ty) {
+            self.free(l);
+        }
+    }
+
+    /// (live, free) entries of `S`'s slab.
+    #[cfg(test)]
+    pub(crate) fn entries<S: Default + Send + Clone + 'static>(&mut self) -> (usize, usize) {
+        let slot = self.0.iter().position(|s| s.0 == TypeId::of::<S>()).expect("a slab of S");
+        let slab = self.store::<S>(slot).slab::<S>();
+        let held: usize = slab.chunks.iter().map(Vec::len).sum();
+        (held - slab.free.len(), slab.free.len())
+    }
+}
+
 /// One hardware thread-context slot of the slab. `gen` counts how many
 /// times the slot has been recycled, so a stale `ThreadId` held across a
 /// dealloc/realloc can be detected (debug assertions; the ABA guard of the
 /// slab).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct ThreadSlot {
     pub(crate) live: bool,
     pub(crate) gen: u32,
@@ -62,19 +192,8 @@ pub(crate) struct ThreadSlot {
     /// by it, since `ThreadType` names collide under the generic
     /// `udweave::event` registrar).
     pub(crate) created_by: u16,
-    /// Application state, created on first access by the handler.
-    pub(crate) state: Option<Box<dyn SimState>>,
-}
-
-impl Clone for ThreadSlot {
-    fn clone(&self) -> ThreadSlot {
-        ThreadSlot {
-            live: self.live,
-            gen: self.gen,
-            created_by: self.created_by,
-            state: self.state.as_ref().map(|s| s.clone_state()),
-        }
-    }
+    /// Where the application state is, set at the handler's first access.
+    pub(crate) state: Option<StateRef>,
 }
 
 /// The lane's thread-context table: a slab indexed directly by `ThreadId`
@@ -140,9 +259,9 @@ impl ThreadTable {
         self.slots.iter().filter(|s| s.live).map(|s| s.created_by)
     }
 
-    /// Mutable access to a live thread's state cell; `None` for dead ids.
+    /// Mutable access to a live thread's state handle; `None` for dead ids.
     #[inline]
-    pub fn state_mut(&mut self, tid: ThreadId) -> Option<&mut Option<Box<dyn SimState>>> {
+    pub fn state_mut(&mut self, tid: ThreadId) -> Option<&mut Option<StateRef>> {
         match self.slots.get_mut(tid.0 as usize) {
             Some(s) if s.live => Some(&mut s.state),
             _ => None,
@@ -341,9 +460,11 @@ mod tests {
     fn dead_thread_state_is_inaccessible() {
         let mut lane = Lane::default();
         let a = lane.alloc_thread(4).unwrap();
-        *lane.threads.state_mut(a).unwrap() = Some(Box::new(7u64));
+        let h = ThreadStates::default().ensure::<u64>(lane.threads.state_mut(a).unwrap());
+        assert_eq!(*lane.threads.state_mut(a).unwrap(), Some(h));
         lane.dealloc_thread(a);
-        assert!(lane.threads.state_mut(a).is_none());
+        assert!(lane.threads.state_mut(a).is_none(), "a dead id reaches no handle");
+        assert!(lane.threads.slots[a.0 as usize].state.is_none(), "a dead slot holds none");
     }
 
     #[test]
